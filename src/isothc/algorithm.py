@@ -12,6 +12,11 @@ into four quarter-angle blocks interleaved with number-counting phases on
 the physical ancilla modes, chosen so the leading leakage amplitudes out of
 the ancilla vacuum cancel.
 
+Since the ancillas start every step in the vacuum and are reset after it,
+one step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system
+density, with K_b = <b| U |., 0> for each ancilla occupation string b; only
+the ancilla-vacuum columns U P of the step unitary are ever compiled.
+
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
 Trotter splitting error, and the projection error from resetting ancillas.
@@ -22,6 +27,7 @@ concrete states and as analytic bounds with exactly computed norms.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +36,7 @@ from .focksim import (
     FockDensity,
     FockState,
     GivensSequence,
+    InvariantError,
     ModeLayout,
     apply_basis_rotation,
     apply_diagonal_one_body,
@@ -40,10 +47,9 @@ from .focksim import (
     exact_evolution,
     givens_decompose,
     phase_on_ancillas,
-    reset_ancillas,
     trace_distance,
 )
-from .focksim import _scatter_index_map
+from .focksim import _scatter_index_map, _split_keys
 from .hamiltonian import (
     DEFAULT_MODE_CAP,
     ElectronicHamiltonian,
@@ -75,8 +81,10 @@ __all__ = [
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
 VACUUM_SUPPORT_TOL = 1e-10
-# densities above this register size fall back to sequential gate application
-FUSED_MODE_CAP = 11
+PARITY_MIXING_TOL = 1e-9
+# arrays the size of U P alive at once: U P, the Kraus stack, its adjoint, the
+# two stacked products of a step, and a spare for the gate kernels' temporaries
+KRAUS_WORKING_COPIES = 6
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,13 @@ class ErrorBudget:
 
 @dataclass(frozen=True)
 class EvolveResult:
+    """``leaked_weight[k]`` is the weight step ``k`` left outside the ancilla vacuum."""
+
     rho_final: FockDensity
     error_vs_exact: float
     n_steps: int
     t_simulated: float
+    leaked_weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,11 @@ class ThcBound:
 def extended_layout(thc: ThcFactorization, spinful: bool = False) -> ModeLayout:
     """Register layout of the step circuit: one ancilla per extra rank."""
     return ModeLayout(n_system=thc.n, n_ancilla=thc.m - thc.n, spinful=spinful)
+
+
+def step_memory_bytes(layout: ModeLayout) -> int:
+    """Estimated peak bytes of a step engine: a few complex copies of ``U P``."""
+    return KRAUS_WORKING_COPIES * 16 * layout.dim << len(layout.system_modes)
 
 
 def basis_rotation_sequence(thc: ThcFactorization) -> GivensSequence:
@@ -210,7 +226,7 @@ def projected_operators(
 # ---------------------------------------------------------------------------
 
 class _StepEngine:
-    """One compiled step: an op list with sequential and dense interpreters."""
+    """One compiled step on the extended ``layout``, applied as a Kraus map."""
 
     def __init__(
         self,
@@ -240,6 +256,7 @@ class _StepEngine:
             self.h_diag = scattered
         self.ops = self._build_ops()
         self._dense: np.ndarray | None = None
+        self._kraus: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _interaction_ops(self) -> list[tuple]:
         tau = self.spec.tau
@@ -265,7 +282,7 @@ class _StepEngine:
             ops = half + ops + half
         return ops
 
-    def _apply_sequential(self, state):
+    def _apply_sequential(self, state: FockState) -> FockState:
         for op in self.ops:
             kind = op[0]
             if kind == "rot":
@@ -279,30 +296,49 @@ class _StepEngine:
         return state
 
     def dense_unitary(self) -> np.ndarray:
+        """``U P``, shape ``(2^M, 2^M_sys)``: column ``a`` is the image of system
+        state ``a`` in the ancilla vacuum.  One pass of the op list, cached."""
         if self._dense is None:
-            dim = self.layout.dim
-            u = np.empty((dim, dim), dtype=complex)
-            for j in range(dim):
-                column = np.zeros(dim, dtype=complex)
-                column[j] = 1.0
-                u[:, j] = self._apply_sequential(FockState(self.layout, column)).amplitudes
-            self._dense = u
+            vacuum = _scatter_index_map(self.layout)
+            columns = np.zeros((self.layout.dim, vacuum.size), dtype=complex)
+            columns[vacuum, np.arange(vacuum.size)] = 1.0
+            self._dense = self._apply_sequential(FockState(self.layout, columns)).amplitudes
         return self._dense
 
-    def apply_unitary(self, state, method: str = "auto"):
-        if method == "auto":
-            method = "fused" if self.layout.n_modes <= FUSED_MODE_CAP else "gates"
-        if method == "gates":
-            return self._apply_sequential(state)
-        if method != "fused":
-            raise ValueError(f"unknown method {method!r}")
-        u = self.dense_unitary()
-        if isinstance(state, FockState):
-            return FockState(self.layout, u @ state.amplitudes)
-        return FockDensity(self.layout, u @ state.matrix @ u.conj().T)
+    def _kraus_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stack ``K[b] = <b|U|., 0>`` by ancilla string, its adjoint, and
+        the mask of system-string pairs of different particle-number parity."""
+        if self._kraus is None:
+            up = self.dense_unitary()
+            a_key, b_key = _split_keys(self.layout)
+            n_a, n_b = len(self.layout.system_modes), len(self.layout.ancilla_modes)
+            kraus = np.empty((1 << n_b, 1 << n_a, 1 << n_a), dtype=complex)
+            kraus[b_key, a_key] = up
+            kraus_h = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
+            parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
+            mismatch = parity[:, None] != parity[None, :]
+            self._kraus = (kraus, kraus_h, mismatch)
+        return self._kraus
 
-    def step(self, rho: FockDensity, method: str = "auto") -> FockDensity:
-        return reset_ancillas(self.apply_unitary(rho, method))
+    def step(self, rho: FockDensity) -> tuple[FockDensity, float]:
+        """Step a system-only density; also return ``sum_{b != 0} tr(K_b rho K_b^+)``.
+
+        The occupation-basis reset matches the fermionic channel unless a
+        leaked block mixes particle-number parities; a warning flags that.
+        """
+        kraus, kraus_h, mismatch = self._kraus_operators()
+        blocks = (kraus @ rho.matrix) @ kraus_h
+        leaked = blocks[1:]
+        mixing = float(np.abs(leaked[:, mismatch]).sum())
+        if mixing > PARITY_MIXING_TOL:
+            warnings.warn(
+                "resetting ancillas on a state with parity-mixing coherences "
+                f"(weight {mixing:.3e}); occupation-basis trace may not match "
+                "the fermionic channel",
+                stacklevel=2,
+            )
+        weight = float(np.trace(leaked, axis1=1, axis2=2).sum().real)
+        return FockDensity(rho.layout, blocks.sum(axis=0)), weight
 
 
 def step_channel(
@@ -310,19 +346,18 @@ def step_channel(
     thc: ThcFactorization,
     hamiltonian: ElectronicHamiltonian,
     spec: StepSpec,
-    method: str = "auto",
 ) -> FockDensity:
     """Apply one Trotter step (unitaries plus ancilla reset) to a density.
 
     ``rho`` lives on the extended layout and must be supported on the
     ancilla vacuum; ``hamiltonian`` must carry a diagonal one-body part.
     """
-    rho.system_density(tol=VACUUM_SUPPORT_TOL)  # validates vacuum support
+    system = rho.system_density(tol=VACUUM_SUPPORT_TOL)
     engine = _StepEngine(thc, hamiltonian, spec, rho.layout)
-    out = engine.step(rho, method)
+    out, _ = engine.step(system)
     if abs(out.trace() - rho.trace()) > 1e-10:
-        raise AssertionError("step channel failed to preserve the trace")
-    return out
+        raise InvariantError("step channel failed to preserve the trace")
+    return embed_in_ancilla_vacuum(out, rho.layout)
 
 
 def evolve(
@@ -332,22 +367,24 @@ def evolve(
     t: float,
     tau: float,
     spec: StepSpec | None = None,
-    method: str = "auto",
     step_tolerance: float = 0.5,
     max_modes: int = DEFAULT_MODE_CAP,
 ) -> EvolveResult:
     """Repeat the step channel for ``round(t / tau)`` steps and compare to e^{-iHt}.
 
-    ``psi0`` is a pure state on the system-only layout; it is embedded in
-    the ancilla vacuum internally.  ``tau`` overrides ``spec.tau`` so sweeps
+    ``psi0`` is a pure state on the system-only layout, and the evolved
+    density stays on that layout; the ancillas enter only through the
+    Kraus operators of the step.  ``tau`` overrides ``spec.tau`` so sweeps
     can share one spec.  The exact reference evolves ``psi0`` under the full
     Hamiltonian for the actually simulated time ``n_steps * tau``, and the
-    reported error is the trace distance on the system modes.
+    reported error is the trace distance between the two.
     """
     if psi0.layout.n_ancilla != 0:
         raise ValueError("psi0 must live on a system-only layout")
     if psi0.layout.n_system != hamiltonian.n_orbitals:
         raise ValueError("psi0 does not match the Hamiltonian size")
+    if psi0.layout.n_system != thc.n:
+        raise ValueError("psi0 does not match the factorization size")
     spec = StepSpec(tau=tau) if spec is None else dataclasses.replace(spec, tau=tau)
     ratio = t / tau
     n_steps = int(round(ratio))
@@ -355,26 +392,27 @@ def evolve(
         raise ValueError(
             f"t/tau = {ratio:.6g} is more than {step_tolerance} from an integer"
         )
-    layout = extended_layout(thc, spinful=psi0.layout.spinful)
-    rho = embed_in_ancilla_vacuum(psi0.density(), layout)
+    rho = psi0.density()
+    leaked = np.zeros(n_steps)
     if n_steps == 0:
-        return EvolveResult(rho_final=rho, error_vs_exact=0.0, n_steps=0, t_simulated=0.0)
+        return EvolveResult(rho_final=rho, error_vs_exact=0.0, n_steps=0,
+                            t_simulated=0.0, leaked_weight=leaked)
 
+    layout = extended_layout(thc, spinful=psi0.layout.spinful)
     engine = _StepEngine(thc, hamiltonian, spec, layout)
-    for _ in range(n_steps):
-        rho = engine.step(rho, method)
+    for k in range(n_steps):
+        rho, leaked[k] = engine.step(rho)
     if abs(rho.trace() - 1.0) > 1e-8:
-        raise AssertionError("evolution failed to preserve the trace")
+        raise InvariantError("evolution failed to preserve the trace")
 
     t_simulated = n_steps * tau
     op = build_many_body_operator(
         hamiltonian, spinful=psi0.layout.spinful, max_modes=max_modes
     )
     reference = exact_evolution(op, psi0, t_simulated)
-    error = trace_distance(rho.system_density(tol=1e-8), reference)
-    return EvolveResult(
-        rho_final=rho, error_vs_exact=error, n_steps=n_steps, t_simulated=t_simulated
-    )
+    error = trace_distance(rho, reference)
+    return EvolveResult(rho_final=rho, error_vs_exact=error, n_steps=n_steps,
+                        t_simulated=t_simulated, leaked_weight=leaked)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +481,13 @@ def projection_error_measured(
     tau: float,
     variant: str = "basic",
     phases: tuple[float, float, float] = DEFAULT_PHASES,
-    method: str = "auto",
     max_modes: int = DEFAULT_MODE_CAP,
 ) -> float:
     """Trace distance between the reset interaction step and the ideal one.
 
-    Evolves ``rho`` (system-only) through the extended interaction unitary,
-    traces out the ancillas, and compares against evolution under the
-    recontracted interaction V' for time ``tau``.  The one-body part plays
+    Applies the Kraus map of the extended interaction unitary to ``rho``
+    (system-only) and compares against evolution under the recontracted
+    interaction V' for time ``tau``.  The one-body part plays
     no role here; this isolates the vacuum-projection error of a step.
     """
     if isinstance(rho, FockState):
@@ -461,10 +498,7 @@ def projection_error_measured(
         raise ValueError("rho does not match the factorization size")
     spinful = rho.layout.spinful
     engine = _interaction_engine(thc, tau, variant, phases, spinful)
-    extended = embed_in_ancilla_vacuum(rho, engine.layout)
-    traced = reset_ancillas(engine.apply_unitary(extended, method)).system_density(
-        tol=np.inf
-    )
+    traced, _ = engine.step(rho)
     n = thc.n
     v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
     vprime_op = build_many_body_operator(v_only, spinful=spinful, max_modes=max_modes)
@@ -487,18 +521,15 @@ def projection_error_bound(
     with P the ancilla-vacuum projector and U the interaction unitary.
     """
     engine = _interaction_engine(thc, tau, variant, phases, spinful)
-    layout = engine.layout
-    u = engine.dense_unitary()
-    vacuum = _scatter_index_map(layout)
-    mask = np.zeros(layout.dim, dtype=bool)
-    mask[vacuum] = True
+    up = engine.dense_unitary()
+    vacuum = _scatter_index_map(engine.layout)
     n = thc.n
     v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
     vprime_op = build_many_body_operator(v_only, spinful=spinful, max_modes=max_modes)
     w, v = vprime_op.eigensystem()
     ideal = (v * np.exp(-1j * w * tau)) @ v.conj().T
-    vacuum_block = u[np.ix_(vacuum, vacuum)]
-    leak_block = u[np.ix_(np.where(~mask)[0], vacuum)]
+    vacuum_block = up[vacuum]
+    leak_block = np.delete(up, vacuum, axis=0)
     term1 = float(np.linalg.norm(vacuum_block - ideal, 2))
     term2 = 0.5 * float(np.linalg.norm(leak_block, 2)) ** 2
     return term1 + term2

@@ -41,9 +41,11 @@ from .algorithm import (
     StepSpec,
     basis_rotation_sequence,
     evolve,
+    extended_layout,
     hartree_fock_state,
+    step_memory_bytes,
 )
-from .focksim import MAX_DENSITY_MODES, ModeLayout, basis_state
+from .focksim import ModeLayout, basis_state
 from .hamiltonian import ElectronicHamiltonian, parse_fcidump, rotate_to_h_eigenbasis
 from .resources import MottaParams, estimate_step, motta_estimate, render_comparison
 from .thc import (
@@ -276,6 +278,10 @@ def _initial_state(cfg: dict, rotated: ElectronicHamiltonian):
     )
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def cmd_simulate(cfg: dict) -> CommandOutput:
     """Run the step channel over a tau grid and compare to exact evolution."""
     _require(cfg, "fcidump", "thc", "t", "tau")
@@ -287,13 +293,13 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
             f"factorization has n = {thc.n}, integrals have n = {rotated.n_orbitals}"
         )
 
-    # fail on register size before any long run starts
-    sectors = 2 if cfg["spinful"] else 1
-    total_modes = sectors * thc.m
-    if total_modes > MAX_DENSITY_MODES:
+    # refuse a register that cannot fit in memory before any step runs
+    layout = extended_layout(thc, spinful=cfg["spinful"])
+    needed, available = step_memory_bytes(layout), _physical_memory_bytes()
+    if needed > available:
         raise ValueError(
-            f"step channel needs {total_modes} modes; the density-matrix cap "
-            f"is {MAX_DENSITY_MODES}"
+            f"the step on {layout.n_modes} modes needs about {needed / 2**20:.0f} MiB, "
+            f"more than the {available / 2**20:.0f} MiB of physical memory"
         )
 
     taus = _unique_floats(cfg["tau"], "tau")
@@ -304,14 +310,16 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
     psi0 = _initial_state(cfg, rotated)
 
     rows: list[list] = []
+    leakage: list[dict] = []
     for variant in variants:
         for tau in taus:
             spec = StepSpec(tau=tau, variant=variant, phases=phases)
-            result = evolve(
-                psi0, thc, rotated, cfg["t"], tau, spec=spec, method=cfg["method"]
-            )
+            result = evolve(psi0, thc, rotated, cfg["t"], tau, spec=spec)
             rows.append([variant, f"{tau:.10g}", result.n_steps,
                          f"{result.error_vs_exact:.12e}"])
+            leaked = result.leaked_weight if result.n_steps else np.zeros(1)
+            leakage.append({"variant": variant, "tau": tau,
+                            "max": float(leaked.max()), "mean": float(leaked.mean())})
 
     report = csv_text(["variant", "tau", "steps", "error"], rows)
     artifacts = {
@@ -323,6 +331,7 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
         basis="one-body eigenbasis of the input integrals",
         hartree_fock="n_electrons lowest one-body eigenmodes",
     )
+    manifest["health"] = {"leaked_weight": leakage}
     return CommandOutput(report, artifacts, manifest)
 
 
@@ -413,7 +422,7 @@ FACTORIZE_DEFAULTS = {
 SIMULATE_DEFAULTS = {
     "fcidump": None, "thc": None, "t": None, "tau": None,
     "variants": ("basic", "improved"), "initial_state": "hartree_fock",
-    "n_electrons": None, "spinful": False, "phases": None, "method": "auto",
+    "n_electrons": None, "spinful": False, "phases": None,
     "seed": 0, "outdir": None,
 }
 ESTIMATE_DEFAULTS = {
@@ -534,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spinful", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--phases", nargs=3, type=float,
                    help="improved-variant counting phases")
-    p.add_argument("--method", choices=("auto", "fused", "gates"))
     common(p)
 
     p = sub.add_parser("estimate", help="closed-form resource counts for one step")

@@ -1,11 +1,13 @@
 """Exact simulation primitives on small fermionic Fock spaces.
 
 States live on the full occupation-number basis of ``m`` modes, with mode 0
-as the least significant bit of the basis index.  Layouts distinguish
-system modes (``a``) from ancilla modes (``b``); in a spinful layout the
-up-spin sector occupies modes ``0 .. sector_size-1`` and the down-spin
-sector the next ``sector_size`` modes, with a-modes before b-modes inside
-each sector.
+as the least significant bit of the basis index.  A ``FockState`` holds one
+amplitude vector or a block of columns (shape ``(dim, k)``), so one pass of
+a circuit over basis columns compiles those columns of its unitary.  Layouts
+distinguish system modes (``a``) from ancilla modes (``b``); in a spinful
+layout the up-spin sector occupies modes ``0 .. sector_size-1`` and the
+down-spin sector the next ``sector_size`` modes, with a-modes before b-modes
+inside each sector.  ``algorithm`` applies the ancilla reset as a Kraus map.
 
 The only entangling gate is the Givens rotation on adjacent modes
 ``(p, p+1)``, which avoids Jordan-Wigner strings entirely.  Its action on
@@ -24,7 +26,6 @@ pair ``(p, p+1)``.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from .hamiltonian import ManyBodyOperator
 
 __all__ = [
+    "InvariantError",
     "ModeLayout",
     "FockState",
     "FockDensity",
@@ -45,7 +47,6 @@ __all__ = [
     "apply_diagonal_one_body",
     "apply_diagonal_two_body",
     "phase_on_ancillas",
-    "reset_ancillas",
     "trace_distance",
     "exact_evolution",
 ]
@@ -53,6 +54,10 @@ __all__ = [
 MAX_PURE_MODES = 20
 MAX_DENSITY_MODES = 14
 ORTHOGONALITY_TOL = 1e-10
+
+
+class InvariantError(ValueError):
+    """A simulation invariant (trace, rotation count) failed to hold."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,8 @@ def _check_dim(layout: ModeLayout, array: np.ndarray, want_matrix: bool) -> np.n
             f"for {'density matrices' if want_matrix else 'pure states'}"
         )
     arr = np.asarray(array, dtype=complex)
-    want = (layout.dim, layout.dim) if want_matrix else (layout.dim,)
+    # a pure state may be a block of columns
+    want = (layout.dim, layout.dim) if want_matrix else (layout.dim,) + arr.shape[1:2]
     if arr.shape != want:
         raise ValueError(f"array shape {arr.shape} does not match layout dim {want}")
     return arr
@@ -119,7 +125,7 @@ def _check_dim(layout: ModeLayout, array: np.ndarray, want_matrix: bool) -> np.n
 
 @dataclass
 class FockState:
-    """Pure state amplitudes over the occupation basis."""
+    """Pure state amplitudes over the occupation basis, or a block of columns."""
 
     layout: ModeLayout
     amplitudes: np.ndarray
@@ -364,7 +370,10 @@ def givens_decompose(w: np.ndarray, n_relevant: int) -> GivensSequence:
             elimination.append((row - 1, theta))
 
     max_count = m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
-    assert len(elimination) <= max_count
+    if len(elimination) > max_count:
+        raise InvariantError(
+            f"{len(elimination)} rotations exceed the budget of {max_count}"
+        )
     phases = np.zeros(m)
     for j in range(n):
         if a[j, j] < 0:
@@ -406,7 +415,7 @@ def _mix_cols(mat: np.ndarray, at_p, at_q, theta: float, phi: float) -> None:
 
 def _apply_diagonal(state, diag: np.ndarray):
     if isinstance(state, FockState):
-        return FockState(state.layout, state.amplitudes * diag)
+        return FockState(state.layout, (diag * state.amplitudes.T).T)
     matrix = state.matrix * diag[:, None]
     matrix = matrix * diag.conj()[None, :]
     return FockDensity(state.layout, matrix)
@@ -456,23 +465,21 @@ def apply_basis_rotation(
             exponent = exponent + phase * ((arr >> mode) & 1)
     phase_diag = np.exp(1j * exponent)
 
-    if isinstance(state, FockState):
-        out = state.amplitudes.copy()
-    else:
-        out = state.matrix.copy()
+    density = isinstance(state, FockDensity)
+    out = state.matrix.copy() if density else state.amplitudes.copy()
 
     def apply_gate(p: int, q: int, theta: float, phi: float) -> None:
         at_p, at_q = _pair_indices(layout.n_modes, p, q)
         _mix_rows(out, at_p, at_q, theta, phi)
-        if out.ndim == 2:
+        if density:
             _mix_cols(out, at_p, at_q, theta, phi)
 
     def apply_phases(diag: np.ndarray) -> None:
         nonlocal out
-        if out.ndim == 1:
-            out = out * diag
-        else:
+        if density:
             out = diag[:, None] * out * diag.conj()[None, :]
+        else:
+            out = (diag * out.T).T
 
     if not inverse:
         apply_phases(phase_diag)
@@ -578,47 +585,6 @@ def _split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
     return a_key, b_key
 
 
-def reset_ancillas(rho: FockDensity, parity_check: bool = True) -> FockDensity:
-    """Trace out the ancilla modes and re-prepare them in the vacuum.
-
-    The trace is taken in the occupation basis.  That coincides with the
-    fermionic reset channel when the state carries no coherences between
-    system strings of different particle-number parity alongside occupied
-    ancillas; the evolution circuits conserve total particle number, so
-    number-sector inputs never produce such terms.  ``parity_check``
-    controls a diagnostic warning for states that violate the assumption.
-    """
-    layout = rho.layout
-    if layout.n_ancilla == 0:
-        return FockDensity(layout, rho.matrix.copy())
-    n_a = len(layout.system_modes)
-    n_b = len(layout.ancilla_modes)
-    a_key, b_key = _split_keys(layout)
-    order = np.argsort((b_key << n_a) | a_key)
-    reordered = rho.matrix[np.ix_(order, order)].reshape(
-        1 << n_b, 1 << n_a, 1 << n_b, 1 << n_a
-    )
-    if parity_check:
-        a_parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
-        mismatch = a_parity[:, None] != a_parity[None, :]
-        weight = sum(
-            float(np.abs(reordered[b, :, b, :][mismatch]).sum())
-            for b in range(1, 1 << n_b)
-        )
-        if weight > 1e-9:
-            warnings.warn(
-                "resetting ancillas on a state with parity-mixing coherences "
-                f"(weight {weight:.3e}); occupation-basis trace may not match "
-                "the fermionic channel",
-                stacklevel=2,
-            )
-    traced = np.einsum("bibj->ij", reordered)
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    vacuum_order = order[: 1 << n_a]
-    out[np.ix_(vacuum_order, vacuum_order)] = traced
-    return FockDensity(layout, out)
-
-
 # ---------------------------------------------------------------------------
 # Distances and exact references
 # ---------------------------------------------------------------------------
@@ -649,6 +615,6 @@ def exact_evolution(
     w, v = op.eigensystem()
     phases = np.exp(-1j * w * t)
     if isinstance(state, FockState):
-        return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes)))
+        return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T)
     u = (v * phases) @ v.conj().T
     return FockDensity(layout, u @ state.matrix @ u.conj().T)

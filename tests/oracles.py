@@ -3,13 +3,18 @@
 Everything here works directly on occupation bitstrings with explicit
 Jordan-Wigner sign bookkeeping, independently of the package's
 Kronecker-product operator construction, so the two routes can check each
-other.  Mode 0 is the least significant bit.
+other.  Mode 0 is the least significant bit.  The full-Fock Trotter step
+(whole step unitary, then an occupation-basis ancilla reset) is kept here
+as the reference for the Kraus-form step of ``isothc.algorithm``.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
+from isothc.focksim import FockDensity, FockState, _split_keys
 from isothc.hamiltonian import ElectronicHamiltonian
 
 
@@ -171,3 +176,66 @@ def contract_thc(u: np.ndarray, vtilde: np.ndarray) -> np.ndarray:
                             acc += u[i, a] * u[j, a] * vtilde[a, b] * u[k, b] * u[l, b]
                     out[i, j, k, l] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# full-Fock reference for the Trotter step
+
+
+def reset_ancillas(rho: FockDensity, parity_check: bool = True) -> FockDensity:
+    """Trace out the ancilla modes and re-prepare them in the vacuum.
+
+    The trace is taken in the occupation basis.  That coincides with the
+    fermionic reset channel when the state carries no coherences between
+    system strings of different particle-number parity alongside occupied
+    ancillas; the evolution circuits conserve total particle number, so
+    number-sector inputs never produce such terms.  ``parity_check``
+    controls a diagnostic warning for states that violate the assumption.
+    """
+    layout = rho.layout
+    if layout.n_ancilla == 0:
+        return FockDensity(layout, rho.matrix.copy())
+    n_a = len(layout.system_modes)
+    n_b = len(layout.ancilla_modes)
+    a_key, b_key = _split_keys(layout)
+    order = np.argsort((b_key << n_a) | a_key)
+    reordered = rho.matrix[np.ix_(order, order)].reshape(
+        1 << n_b, 1 << n_a, 1 << n_b, 1 << n_a
+    )
+    if parity_check:
+        a_parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
+        mismatch = a_parity[:, None] != a_parity[None, :]
+        weight = sum(
+            float(np.abs(reordered[b, :, b, :][mismatch]).sum())
+            for b in range(1, 1 << n_b)
+        )
+        if weight > 1e-9:
+            warnings.warn(
+                "resetting ancillas on a state with parity-mixing coherences "
+                f"(weight {weight:.3e}); occupation-basis trace may not match "
+                "the fermionic channel",
+                stacklevel=2,
+            )
+    traced = np.einsum("bibj->ij", reordered)
+    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    vacuum_order = order[: 1 << n_a]
+    out[np.ix_(vacuum_order, vacuum_order)] = traced
+    return FockDensity(layout, out)
+
+
+def full_step_unitary(engine) -> np.ndarray:
+    """The whole 2^M x 2^M step unitary of a step engine, all basis columns."""
+    layout = engine.layout
+    identity = FockState(layout, np.eye(layout.dim, dtype=complex))
+    return engine._apply_sequential(identity).amplitudes
+
+
+def full_fock_step(u: np.ndarray, rho: FockDensity) -> tuple[FockDensity, float]:
+    """One step on the extended register: U rho U^dagger, then the ancilla reset.
+
+    Also returns the weight the reset moved back into the ancilla vacuum.
+    """
+    rotated = FockDensity(rho.layout, u @ rho.matrix @ u.conj().T)
+    a_key, b_key = _split_keys(rho.layout)
+    kept = float(np.trace(rotated.matrix[np.ix_(b_key == 0, b_key == 0)]).real)
+    return reset_ancillas(rotated), rho.trace() - kept

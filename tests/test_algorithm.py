@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isothc.algorithm import (
@@ -25,13 +28,19 @@ from isothc.focksim import (
     FockDensity,
     FockState,
     ModeLayout,
+    _scatter_index_map,
     apply_diagonal_one_body,
     embed_in_ancilla_vacuum,
     exact_evolution,
     trace_distance,
 )
 from isothc.hamiltonian import ElectronicHamiltonian, build_many_body_operator
-from isothc.thc import ThcFactorization, exact_factorize, projected_interaction
+from isothc.thc import (
+    ThcFactorization,
+    exact_factorize,
+    projected_interaction,
+    random_co_isometry,
+)
 
 import oracles
 
@@ -64,8 +73,6 @@ def planted_step_instance(seed, n, m, scale=0.4):
     small ranks, which makes timestep asymptotics unobservable; planting
     the factors keeps the step perturbative.
     """
-    from isothc.thc import random_co_isometry
-
     rng = np.random.default_rng(seed)
     u = random_co_isometry(n, m, rng)
     vtilde = rng.normal(size=(m, m)) * scale
@@ -177,13 +184,20 @@ def oracle_ancilla_counter(layout) -> np.ndarray:
     return oracles.dense_quadratic(layout.n_modes, k)
 
 
+def assert_vacuum_columns(engine, full) -> None:
+    """The compiled block is the full unitary's ancilla-vacuum columns."""
+    vacuum = _scatter_index_map(engine.layout)
+    assert_allclose(engine.dense_unitary(), full[:, vacuum], atol=1e-15)
+
+
 @pytest.mark.parametrize("spinful", [False, True])
 def test_basic_step_unitary_matches_string_oracle(spinful):
     ham, thc = small_instance(7, n=2, m=3)
     tau = 0.37
     layout = extended_layout(thc, spinful=spinful)
     engine = _StepEngine(thc, ham, StepSpec(tau=tau), layout)
-    dense = engine.dense_unitary()
+    full = oracles.full_step_unitary(engine)
+    assert_vacuum_columns(engine, full)
 
     v_ext = oracle_extended_interaction(engine.sequence, thc.vtilde, layout)
     h_diag = np.zeros(layout.n_modes)
@@ -193,7 +207,7 @@ def test_basic_step_unitary_matches_string_oracle(spinful):
     h_ext = oracle_one_body_diagonal(h_diag, layout)
     half = scipy.linalg.expm(-1j * tau / 2 * h_ext)
     expected = half @ scipy.linalg.expm(-1j * tau * v_ext) @ half
-    assert_allclose(dense, expected, atol=1e-10)
+    assert_allclose(full, expected, atol=1e-10)
 
 
 def test_improved_step_unitary_matches_string_oracle():
@@ -202,7 +216,8 @@ def test_improved_step_unitary_matches_string_oracle():
     layout = extended_layout(thc, spinful=False)
     spec = StepSpec(tau=tau, variant="improved")
     engine = _StepEngine(thc, ham, spec, layout)
-    dense = engine.dense_unitary()
+    full = oracles.full_step_unitary(engine)
+    assert_vacuum_columns(engine, full)
 
     v_ext = oracle_extended_interaction(engine.sequence, thc.vtilde, layout)
     quarter = scipy.linalg.expm(-1j * tau / 4 * v_ext)
@@ -217,7 +232,7 @@ def test_improved_step_unitary_matches_string_oracle():
     )
     half = scipy.linalg.expm(-1j * tau / 2 * h_ext)
     expected = half @ block @ half
-    assert_allclose(dense, expected, atol=1e-10)
+    assert_allclose(full, expected, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +302,67 @@ def test_improved_with_zero_phases_equals_basic():
     assert np.max(np.abs(basic.matrix - improved.matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("variant", ["basic", "improved"])
-def test_fused_and_sequential_paths_agree(variant):
-    ham, thc = small_instance(9)
-    layout = extended_layout(thc)
-    rho = embed_in_ancilla_vacuum(
-        random_sector_state(layout.system_only(), 2, np.random.default_rng(9)).density(),
-        layout,
-    )
-    spec = StepSpec(tau=0.08, variant=variant)
-    fused = step_channel(rho, thc, ham, spec, method="fused")
-    gates = step_channel(rho, thc, ham, spec, method="gates")
-    assert np.max(np.abs(fused.matrix - gates.matrix)) < 1e-12
+def random_sector_mixture(layout: ModeLayout, rng) -> FockDensity:
+    """A mixture of random pure states, each in its own particle-number sector."""
+    counts = rng.choice(layout.n_modes + 1, size=min(3, layout.n_modes + 1),
+                        replace=False)
+    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for n_particles in counts:
+        psi = random_sector_state(layout, int(n_particles), rng)
+        rho += rng.uniform(0.1, 1.0) * psi.density().matrix
+    return FockDensity(layout, rho / np.trace(rho).real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    spinful=st.booleans(),
+    variant=st.sampled_from(["basic", "improved"]),
+    with_h=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h, seed):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    u = random_co_isometry(n, m, rng)
+    vtilde = rng.normal(size=(m, m)) * 0.5
+    thc = ThcFactorization(u=u, vtilde=0.5 * (vtilde + vtilde.T))
+    ham = None
+    if with_h:
+        ham = ElectronicHamiltonian(
+            n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n, n, n, n))
+        )
+    spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant)
+    layout = extended_layout(thc, spinful=spinful)
+    engine = _StepEngine(thc, ham, spec, layout)
+
+    rho = random_sector_mixture(layout.system_only(), rng)
+    extended = embed_in_ancilla_vacuum(rho, layout)
+    full = oracles.full_step_unitary(engine)
+    for _ in range(2):
+        extended, oracle_leaked = oracles.full_fock_step(full, extended)
+        rho, leaked = engine.step(rho)
+        assert_allclose(rho.matrix, extended.system_density().matrix, rtol=0, atol=1e-12)
+        assert leaked == pytest.approx(oracle_leaked, abs=1e-12)
+
+
+def test_step_warns_on_parity_mixing_coherence():
+    # two- and three-particle components both leak into the one-ancilla
+    # strings, where their coherence mixes system parities (one particle
+    # alone feels no two-body phase and never leaks)
+    _, thc = planted_step_instance(26, n=2, m=3, scale=2.0)
+    layout = extended_layout(thc, spinful=True)
+    engine = _StepEngine(thc, None, StepSpec(tau=0.5), layout)
+    amps = np.zeros(16, dtype=complex)
+    amps[[0b0101, 0b0111]] = 1 / np.sqrt(2)
+    rho = FockState(layout.system_only(), amps).density()
+    with pytest.warns(UserWarning, match="parity"):
+        engine.step(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, leaked = engine.step(random_sector_mixture(layout.system_only(), _rng))
+    assert leaked > 1e-6
 
 
 def test_step_channel_preserves_trace_and_vacuum_support():
@@ -331,6 +395,8 @@ def test_evolve_counts_and_rounds_steps():
     psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(5))
     result = evolve(psi, thc, ham, t=1.0, tau=0.3)
     assert result.n_steps == 3
+    assert result.leaked_weight.shape == (3,)
+    assert np.all(result.leaked_weight >= -1e-15)
     assert result.t_simulated == pytest.approx(0.9)
     with pytest.raises(ValueError, match="integer"):
         evolve(psi, thc, ham, t=1.0, tau=0.3, step_tolerance=1e-6)
@@ -467,14 +533,6 @@ def test_projection_error_bound_dominates_measured():
                 rho = random_sector_state(ModeLayout(2, 0), n_particles, rng)
                 measured = projection_error_measured(thc, rho, tau, variant=variant)
                 assert measured <= bound + 1e-12
-
-
-def test_projection_error_methods_agree():
-    _, thc = small_instance(24, n=2, m=3)
-    rho = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(12))
-    fused = projection_error_measured(thc, rho, 0.07, method="fused")
-    gates = projection_error_measured(thc, rho, 0.07, method="gates")
-    assert fused == pytest.approx(gates, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

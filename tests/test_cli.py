@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
+from isothc import cli
+from isothc.algorithm import _StepEngine, extended_layout, step_memory_bytes
 from isothc.cli import (
     FIT_DEFAULTS,
     SIMULATE_DEFAULTS,
@@ -17,7 +19,7 @@ from isothc.cli import (
     fit_loglog,
     main,
 )
-from isothc.focksim import GivensSequence
+from isothc.focksim import FockDensity, GivensSequence
 from isothc.hamiltonian import write_fcidump
 from isothc.thc import ThcFactorization
 
@@ -246,19 +248,81 @@ def test_simulate_duplicate_taus_warn_and_collapse(factorized):
     assert len(output.report.splitlines()) == 2
 
 
-def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys):
-    # 8 ranks x 2 spin sectors = 16 modes, over the density-matrix cap
+def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys,
+                                                   monkeypatch):
+    # 8 ranks x 2 spin sectors = 16 modes; the step's memory estimate is
+    # compared with physical memory, patched here to just below it
     code, outdir = run_factorize(tmp_path, toy_fcidump, "--m", "8",
                                  "--method", "exact")
     assert code == 0
     capsys.readouterr()
+    thc = ThcFactorization.from_json((outdir / "thc_m8.json").read_text())
+    needed = step_memory_bytes(extended_layout(thc, spinful=True))
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: needed - 1)
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("evolve ran on a refused register")
+
+    monkeypatch.setattr(cli, "evolve", no_steps)
     code = main([
         "simulate", "--fcidump", str(toy_fcidump),
         "--thc", str(outdir / "thc_m8.json"),
         "--t", "1", "--tau", "0.1", "--initial-state", "1111", "--spinful",
     ])
     assert code == 1
-    assert "cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "16 modes" in err and "physical memory" in err
+
+
+def test_simulate_trace_drift_exits_one_without_traceback(factorized, capsys,
+                                                         monkeypatch):
+    fcidump, thc_path = factorized
+    step = _StepEngine.step
+
+    def drifting_step(self, rho):
+        out, leaked = step(self, rho)
+        return FockDensity(out.layout, 1.01 * out.matrix), leaked
+
+    monkeypatch.setattr(_StepEngine, "step", drifting_step)
+    code = main([
+        "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+        "--t", "0.05", "--tau", "0.05", "--initial-state", "11",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evolution failed to preserve the trace")
+    assert "Traceback" not in err
+
+
+def test_simulate_manifest_records_leaked_weight(tmp_path, factorized):
+    fcidump, thc_path = factorized
+    outdir = tmp_path / "sim"
+    code = main([
+        "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+        "--t", "0.1", "--tau", "0.05", "0.025", "--initial-state", "11",
+        "--outdir", str(outdir),
+    ])
+    assert code == 0
+    health = json.loads((outdir / "manifest.json").read_text())["health"]
+    records = health["leaked_weight"]
+    assert [(r["variant"], r["tau"]) for r in records] == [
+        ("basic", 0.05), ("basic", 0.025), ("improved", 0.05), ("improved", 0.025)]
+    for record in records:
+        assert 0.0 <= record["mean"] <= record["max"] < 1.0
+    # the improved step cancels the leading leakage amplitudes
+    by_key = {(r["variant"], r["tau"]): r["max"] for r in records}
+    assert by_key[("improved", 0.05)] < by_key[("basic", 0.05)]
+    # the CSV keeps its columns
+    header = (outdir / "error_scaling.csv").read_text().splitlines()[0]
+    assert header == "variant,tau,steps,error"
+
+
+def test_simulate_method_option_is_gone(factorized, capsys):
+    fcidump, thc_path = factorized
+    with pytest.raises(SystemExit):
+        main(["simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+              "--t", "0.05", "--tau", "0.05", "--method", "fused"])
+    assert "method" not in SIMULATE_DEFAULTS
 
 
 def test_simulate_hartree_fock_requires_electron_count(factorized, capsys):

@@ -21,13 +21,13 @@ from isothc.focksim import (
     exact_evolution,
     givens_decompose,
     phase_on_ancillas,
-    reset_ancillas,
     trace_distance,
 )
 from isothc.hamiltonian import ManyBodyOperator
 from isothc.thc import random_co_isometry
 
 import oracles
+from oracles import reset_ancillas
 
 _rng = np.random.default_rng(77)
 
@@ -209,6 +209,32 @@ def test_rotation_on_density_matches_pure_state_route():
     via_density = apply_basis_rotation(state.density(), seq)
     via_state = apply_basis_rotation(state, seq).density()
     assert_allclose(via_density.matrix, via_state.matrix, atol=1e-12)
+
+
+def test_kernels_act_column_by_column_on_blocks():
+    # a square block, where broadcasting along the wrong axis would not raise
+    layout = ModeLayout(2, 1, spinful=True)
+    rng = np.random.default_rng(31)
+    block = rng.normal(size=(layout.dim, layout.dim)) + 0j
+    seq = givens_decompose(random_orthogonal(3, rng), 2)
+    vtilde = rng.normal(size=(3, 3))
+    kernels = [
+        lambda s: apply_basis_rotation(s, seq),
+        lambda s: apply_basis_rotation(s, seq, inverse=True, spin_sector="down"),
+        lambda s: apply_diagonal_one_body(s, np.linspace(-0.5, 0.5, 6), 0.7),
+        lambda s: apply_diagonal_two_body(s, vtilde, 0.4),
+        lambda s: phase_on_ancillas(s, 0.9),
+    ]
+    system = layout.system_only()
+    op = ManyBodyOperator(4, True, oracles.dense_hamiltonian(
+        oracles.random_hamiltonian(2, rng), spinful=True))
+    small = block[: system.dim, : system.dim]
+    cases = [(kernel, layout, block) for kernel in kernels]
+    cases.append((lambda s: exact_evolution(op, s, 0.6), system, small))
+    for kernel, lay, arr in cases:
+        together = kernel(FockState(lay, arr)).amplitudes
+        apart = [kernel(FockState(lay, arr[:, j])).amplitudes for j in range(arr.shape[1])]
+        assert_allclose(together, np.stack(apart, axis=1), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
