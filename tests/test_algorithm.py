@@ -365,6 +365,24 @@ def test_step_warns_on_parity_mixing_coherence():
     assert leaked > 1e-6
 
 
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_fused_and_sequential_paths_agree(variant):
+    # the Kraus step compiles U P in one pass over a column block; the
+    # reference applies the op list gate by gate to every basis column of
+    # the extended register and resets the ancillas in the occupation basis
+    ham, thc = small_instance(9)
+    layout = extended_layout(thc)
+    rho = embed_in_ancilla_vacuum(
+        random_sector_state(layout.system_only(), 2, np.random.default_rng(9)).density(),
+        layout,
+    )
+    spec = StepSpec(tau=0.08, variant=variant)
+    fused = step_channel(rho, thc, ham, spec)
+    full = oracles.full_step_unitary(_StepEngine(thc, ham, spec, layout))
+    gates, _ = oracles.full_fock_step(full, rho)
+    assert np.max(np.abs(fused.matrix - gates.matrix)) < 1e-12
+
+
 def test_step_channel_preserves_trace_and_vacuum_support():
     ham, thc = small_instance(10)
     layout = extended_layout(thc)
@@ -533,6 +551,25 @@ def test_projection_error_bound_dominates_measured():
                 rho = random_sector_state(ModeLayout(2, 0), n_particles, rng)
                 measured = projection_error_measured(thc, rho, tau, variant=variant)
                 assert measured <= bound + 1e-12
+
+
+def test_projection_error_methods_agree():
+    # the interaction-only step through the Kraus map and through the
+    # gate-by-gate full-Fock reference give the same projection error
+    _, thc = small_instance(24, n=2, m=3)
+    # two particles: one alone feels no two-body phase and never leaks
+    rho = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(12))
+    tau = 0.07
+    fused = projection_error_measured(thc, rho, tau)
+
+    layout = extended_layout(thc)
+    engine = _StepEngine(thc, None, StepSpec(tau=tau), layout)
+    extended = embed_in_ancilla_vacuum(rho.density(), layout)
+    stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended)
+    v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)), projected_interaction(thc))
+    ideal = exact_evolution(build_many_body_operator(v_only, spinful=False), rho.density(), tau)
+    gates = trace_distance(stepped.system_density(), ideal)
+    assert fused == pytest.approx(gates, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
