@@ -1,7 +1,7 @@
 """Trotter-step channels built from isometric THC factors, and their errors.
 
-One step of the second-order splitting evolves an extended register (system
-modes plus one ancilla mode per extra THC rank) by
+One step of the second-order Trotter formula evolves an extended register
+(system modes plus one ancilla mode per extra THC rank) by
 
     e^{-i h tau/2} . U_int . e^{-i h tau/2} . reset ancillas,
 
@@ -19,7 +19,7 @@ the ancilla-vacuum columns U P of the step unitary are ever compiled.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
-Trotter splitting error, and the projection error from resetting ancillas.
+Trotter error, and the projection error from resetting ancillas.
 This module evaluates all three, both as measured trace distances on
 concrete states and as analytic bounds with exactly computed norms.
 """
@@ -51,10 +51,11 @@ from .focksim import (
 )
 from .focksim import _scatter_index_map, _split_keys
 from .hamiltonian import (
-    DEFAULT_MODE_CAP,
     ElectronicHamiltonian,
     ManyBodyOperator,
+    _memory_refusal,
     build_many_body_operator,
+    operator_memory_bytes,
 )
 from .thc import ThcFactorization, approximation_errors, projected_interaction
 
@@ -94,15 +95,12 @@ class StepSpec:
     tau: float
     variant: str = "basic"
     phases: tuple[float, float, float] = DEFAULT_PHASES
-    splitting: str = "second_order"
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.variant not in ("basic", "improved"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.splitting != "second_order":
-            raise ValueError("only the second-order h/2 ... h/2 splitting is implemented")
         phases = tuple(float(p) for p in self.phases)
         if self.variant == "improved" and len(phases) != 3:
             raise ValueError("the improved variant takes exactly 3 phases")
@@ -208,7 +206,6 @@ def projected_operators(
     hamiltonian: ElectronicHamiltonian,
     thc: ThcFactorization,
     spinful: bool = False,
-    max_modes: int = DEFAULT_MODE_CAP,
 ) -> tuple[ManyBodyOperator, ManyBodyOperator]:
     """Dense system-mode operators (h_op, vprime_op) for the split H' = h + V'."""
     n = hamiltonian.n_orbitals
@@ -216,8 +213,8 @@ def projected_operators(
     h_only = ElectronicHamiltonian(n, 0.0, hamiltonian.h, zero4)
     v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
     return (
-        build_many_body_operator(h_only, spinful=spinful, max_modes=max_modes),
-        build_many_body_operator(v_only, spinful=spinful, max_modes=max_modes),
+        build_many_body_operator(h_only, spinful=spinful),
+        build_many_body_operator(v_only, spinful=spinful),
     )
 
 
@@ -368,7 +365,6 @@ def evolve(
     tau: float,
     spec: StepSpec | None = None,
     step_tolerance: float = 0.5,
-    max_modes: int = DEFAULT_MODE_CAP,
 ) -> EvolveResult:
     """Repeat the step channel for ``round(t / tau)`` steps and compare to e^{-iHt}.
 
@@ -385,6 +381,8 @@ def evolve(
         raise ValueError("psi0 does not match the Hamiltonian size")
     if psi0.layout.n_system != thc.n:
         raise ValueError("psi0 does not match the factorization size")
+    if t < 0:
+        raise ValueError(f"evolution time t = {t:g} must be nonnegative")
     spec = StepSpec(tau=tau) if spec is None else dataclasses.replace(spec, tau=tau)
     ratio = t / tau
     n_steps = int(round(ratio))
@@ -406,9 +404,7 @@ def evolve(
         raise InvariantError("evolution failed to preserve the trace")
 
     t_simulated = n_steps * tau
-    op = build_many_body_operator(
-        hamiltonian, spinful=psi0.layout.spinful, max_modes=max_modes
-    )
+    op = build_many_body_operator(hamiltonian, spinful=psi0.layout.spinful)
     reference = exact_evolution(op, psi0, t_simulated)
     error = trace_distance(rho, reference)
     return EvolveResult(rho_final=rho, error_vs_exact=error, n_steps=n_steps,
@@ -420,7 +416,7 @@ def evolve(
 # ---------------------------------------------------------------------------
 
 def trotter_bound(h_op: ManyBodyOperator, vprime_op: ManyBodyOperator, tau: float) -> float:
-    """Second-order splitting bound from the two nested commutator norms.
+    """Second-order Trotter bound from the two nested commutator norms.
 
         tau^3/12 ||[V', [V', h]]|| + tau^3/24 ||[h, [h, V']]||
     """
@@ -439,12 +435,11 @@ def thc_bound(
     thc: ThcFactorization,
     t: float,
     spinful: bool = False,
-    max_modes: int = DEFAULT_MODE_CAP,
 ) -> ThcBound:
     """Bound ||V_op - V'_op|| t on the factorization's evolution error.
 
-    Uses the exact operator norm of the interaction difference when the
-    register fits the builder cap, and the element-wise bound
+    Uses the exact operator norm of the interaction difference when its
+    dense operator fits in memory, and the element-wise bound
     ``N^2 ||V||_2 eps_v`` otherwise; the smaller branch wins.
     """
     n = hamiltonian.n_orbitals
@@ -452,13 +447,12 @@ def thc_bound(
     frobenius = float(n**2 * np.linalg.norm(hamiltonian.eri.reshape(-1)) * eps_v)
     n_sim_modes = (2 if spinful else 1) * n
     operator_norm = None
-    if n_sim_modes <= max_modes:
+    if not _memory_refusal("the operator-norm bound", n_sim_modes,
+                           operator_memory_bytes(n_sim_modes)):
         diff = ElectronicHamiltonian(
             n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc)
         )
-        operator_norm = build_many_body_operator(
-            diff, spinful=spinful, max_modes=max_modes
-        ).norm()
+        operator_norm = build_many_body_operator(diff, spinful=spinful).norm()
     if operator_norm is not None and operator_norm <= frobenius:
         return ThcBound(operator_norm * t, "operator_norm", operator_norm, frobenius)
     return ThcBound(frobenius * t, "frobenius", operator_norm, frobenius)
@@ -481,7 +475,6 @@ def projection_error_measured(
     tau: float,
     variant: str = "basic",
     phases: tuple[float, float, float] = DEFAULT_PHASES,
-    max_modes: int = DEFAULT_MODE_CAP,
 ) -> float:
     """Trace distance between the reset interaction step and the ideal one.
 
@@ -501,7 +494,7 @@ def projection_error_measured(
     traced, _ = engine.step(rho)
     n = thc.n
     v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
-    vprime_op = build_many_body_operator(v_only, spinful=spinful, max_modes=max_modes)
+    vprime_op = build_many_body_operator(v_only, spinful=spinful)
     ideal = exact_evolution(vprime_op, rho, tau)
     return trace_distance(traced, ideal)
 
@@ -512,7 +505,6 @@ def projection_error_bound(
     variant: str = "basic",
     phases: tuple[float, float, float] = DEFAULT_PHASES,
     spinful: bool = False,
-    max_modes: int = DEFAULT_MODE_CAP,
 ) -> float:
     """State-independent projection-error bound with exact operator norms.
 
@@ -525,7 +517,7 @@ def projection_error_bound(
     vacuum = _scatter_index_map(engine.layout)
     n = thc.n
     v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
-    vprime_op = build_many_body_operator(v_only, spinful=spinful, max_modes=max_modes)
+    vprime_op = build_many_body_operator(v_only, spinful=spinful)
     w, v = vprime_op.eigensystem()
     ideal = (v * np.exp(-1j * w * tau)) @ v.conj().T
     vacuum_block = up[vacuum]
@@ -541,24 +533,19 @@ def error_budget(
     spec: StepSpec,
     rho: FockState | FockDensity | None = None,
     spinful: bool = False,
-    max_modes: int = DEFAULT_MODE_CAP,
 ) -> ErrorBudget:
     """Assemble the three per-step error contributions for one spec.
 
     With a state given, the projection term is the measured trace distance
     at that state; otherwise the state-independent operator bound is used.
     """
-    h_op, vprime_op = projected_operators(hamiltonian, thc, spinful, max_modes)
+    h_op, vprime_op = projected_operators(hamiltonian, thc, spinful)
     eps_tr = trotter_bound(h_op, vprime_op, spec.tau)
-    rate = thc_bound(hamiltonian, thc, 1.0, spinful, max_modes).value
+    rate = thc_bound(hamiltonian, thc, 1.0, spinful).value
     if rho is None:
-        eps_pr = projection_error_bound(
-            thc, spec.tau, spec.variant, spec.phases, spinful, max_modes
-        )
+        eps_pr = projection_error_bound(thc, spec.tau, spec.variant, spec.phases, spinful)
     else:
-        eps_pr = projection_error_measured(
-            thc, rho, spec.tau, spec.variant, spec.phases, max_modes=max_modes
-        )
+        eps_pr = projection_error_measured(thc, rho, spec.tau, spec.variant, spec.phases)
     return ErrorBudget(eps_thc_rate=rate, eps_tr=eps_tr, eps_pr=eps_pr)
 
 

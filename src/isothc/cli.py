@@ -46,7 +46,12 @@ from .algorithm import (
     step_memory_bytes,
 )
 from .focksim import ModeLayout, basis_state
-from .hamiltonian import ElectronicHamiltonian, parse_fcidump, rotate_to_h_eigenbasis
+from .hamiltonian import (
+    ElectronicHamiltonian,
+    _memory_refusal,
+    parse_fcidump,
+    rotate_to_h_eigenbasis,
+)
 from .resources import MottaParams, estimate_step, motta_estimate, render_comparison
 from .thc import (
     RefineConfig,
@@ -278,10 +283,6 @@ def _initial_state(cfg: dict, rotated: ElectronicHamiltonian):
     )
 
 
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def cmd_simulate(cfg: dict) -> CommandOutput:
     """Run the step channel over a tau grid and compare to exact evolution."""
     _require(cfg, "fcidump", "thc", "t", "tau")
@@ -293,14 +294,12 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
             f"factorization has n = {thc.n}, integrals have n = {rotated.n_orbitals}"
         )
 
-    # refuse a register that cannot fit in memory before any step runs
+    # refuse a register that cannot fit in memory before any step runs; the
+    # step needs more than the exact reference on the system modes alone
     layout = extended_layout(thc, spinful=cfg["spinful"])
-    needed, available = step_memory_bytes(layout), _physical_memory_bytes()
-    if needed > available:
-        raise ValueError(
-            f"the step on {layout.n_modes} modes needs about {needed / 2**20:.0f} MiB, "
-            f"more than the {available / 2**20:.0f} MiB of physical memory"
-        )
+    refusal = _memory_refusal("the step", layout.n_modes, step_memory_bytes(layout))
+    if refusal:
+        raise ValueError(refusal)
 
     taus = _unique_floats(cfg["tau"], "tau")
     if any(tau <= 0 for tau in taus):

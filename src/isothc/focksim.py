@@ -3,7 +3,10 @@
 States live on the full occupation-number basis of ``m`` modes, with mode 0
 as the least significant bit of the basis index.  A ``FockState`` holds one
 amplitude vector or a block of columns (shape ``(dim, k)``), so one pass of
-a circuit over basis columns compiles those columns of its unitary.  Layouts
+a circuit over basis columns compiles those columns of its unitary; the gate
+kernels act on ``FockState`` only.  A ``FockDensity`` is the state of the
+system register between Trotter steps, a target of ``exact_evolution`` and
+an argument of ``trace_distance``.  Layouts
 distinguish system modes (``a``) from ancilla modes (``b``); in a spinful
 layout the up-spin sector occupies modes ``0 .. sector_size-1`` and the
 down-spin sector the next ``sector_size`` modes, with a-modes before b-modes
@@ -26,7 +29,7 @@ pair ``(p, p+1)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +54,6 @@ __all__ = [
     "exact_evolution",
 ]
 
-MAX_PURE_MODES = 20
-MAX_DENSITY_MODES = 14
 ORTHOGONALITY_TOL = 1e-10
 
 
@@ -109,12 +110,6 @@ class ModeLayout:
 
 
 def _check_dim(layout: ModeLayout, array: np.ndarray, want_matrix: bool) -> np.ndarray:
-    cap = MAX_DENSITY_MODES if want_matrix else MAX_PURE_MODES
-    if layout.n_modes > cap:
-        raise ValueError(
-            f"{layout.n_modes} modes exceeds the simulator cap of {cap} "
-            f"for {'density matrices' if want_matrix else 'pure states'}"
-        )
     arr = np.asarray(array, dtype=complex)
     # a pure state may be a block of columns
     want = (layout.dim, layout.dim) if want_matrix else (layout.dim,) + arr.shape[1:2]
@@ -138,17 +133,6 @@ class FockState:
 
     def density(self) -> "FockDensity":
         return FockDensity(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_system": self.layout.n_system,
-                "n_ancilla": self.layout.n_ancilla,
-                "spinful": self.layout.spinful,
-                "real": self.amplitudes.real.tolist(),
-                "imag": self.amplitudes.imag.tolist(),
-            }
-        )
 
 
 @dataclass
@@ -202,20 +186,14 @@ def _scatter_index_map(layout: ModeLayout) -> np.ndarray:
     return out
 
 
-def embed_in_ancilla_vacuum(
-    state: FockState | FockDensity, layout: ModeLayout
-) -> FockState | FockDensity:
-    """Embed a system-only state into ``layout`` with all ancillas empty."""
-    src = state.layout
+def embed_in_ancilla_vacuum(rho: FockDensity, layout: ModeLayout) -> FockDensity:
+    """Embed a system-only density into ``layout`` with all ancillas empty."""
+    src = rho.layout
     if src.n_ancilla != 0 or src.n_system != layout.n_system or src.spinful != layout.spinful:
         raise ValueError("source must be the system-only restriction of the target layout")
     scatter = _scatter_index_map(layout)
-    if isinstance(state, FockState):
-        amplitudes = np.zeros(layout.dim, dtype=complex)
-        amplitudes[scatter] = state.amplitudes
-        return FockState(layout, amplitudes)
     matrix = np.zeros((layout.dim, layout.dim), dtype=complex)
-    matrix[np.ix_(scatter, scatter)] = state.matrix
+    matrix[np.ix_(scatter, scatter)] = rho.matrix
     return FockDensity(layout, matrix)
 
 
@@ -404,21 +382,9 @@ def _mix_rows(mat_or_vec: np.ndarray, at_p, at_q, theta: float, phi: float) -> N
     mat_or_vec[at_q] = np.exp(1j * phi) * s * xp + c * xq
 
 
-def _mix_cols(mat: np.ndarray, at_p, at_q, theta: float, phi: float) -> None:
-    # right-multiplication by the adjoint gate
-    c, s = np.cos(theta), np.sin(theta)
-    xp = mat[:, at_p].copy()
-    xq = mat[:, at_q]
-    mat[:, at_p] = c * xp - np.exp(1j * phi) * s * xq
-    mat[:, at_q] = np.exp(-1j * phi) * s * xp + c * xq
-
-
-def _apply_diagonal(state, diag: np.ndarray):
-    if isinstance(state, FockState):
-        return FockState(state.layout, (diag * state.amplitudes.T).T)
-    matrix = state.matrix * diag[:, None]
-    matrix = matrix * diag.conj()[None, :]
-    return FockDensity(state.layout, matrix)
+def _apply_diagonal(state: FockState, diag: np.ndarray) -> FockState:
+    # transposes broadcast ``diag`` down the rows of a column block
+    return FockState(state.layout, (diag * state.amplitudes.T).T)
 
 
 def _sector_offsets(layout: ModeLayout, spin_sector: str) -> list[int]:
@@ -436,11 +402,11 @@ def _sector_offsets(layout: ModeLayout, spin_sector: str) -> list[int]:
 
 
 def apply_basis_rotation(
-    state: FockState | FockDensity,
+    state: FockState,
     sequence: GivensSequence,
     inverse: bool = False,
     spin_sector: str = "both",
-) -> FockState | FockDensity:
+) -> FockState:
     """Apply a Givens-rotation circuit (or its inverse) to a state.
 
     For spinful layouts the same sequence acts on the chosen spin sector(s);
@@ -465,36 +431,22 @@ def apply_basis_rotation(
             exponent = exponent + phase * ((arr >> mode) & 1)
     phase_diag = np.exp(1j * exponent)
 
-    density = isinstance(state, FockDensity)
-    out = state.matrix.copy() if density else state.amplitudes.copy()
-
     def apply_gate(p: int, q: int, theta: float, phi: float) -> None:
         at_p, at_q = _pair_indices(layout.n_modes, p, q)
         _mix_rows(out, at_p, at_q, theta, phi)
-        if density:
-            _mix_cols(out, at_p, at_q, theta, phi)
-
-    def apply_phases(diag: np.ndarray) -> None:
-        nonlocal out
-        if density:
-            out = diag[:, None] * out * diag.conj()[None, :]
-        else:
-            out = (diag * out.T).T
 
     if not inverse:
-        apply_phases(phase_diag)
+        out = (phase_diag * state.amplitudes.T).T
         for r in sequence.rotations:
             for off in offsets:
                 apply_gate(r.p + off, r.q + off, r.theta, r.phi)
     else:
+        out = state.amplitudes.copy()
         for r in reversed(sequence.rotations):
             for off in offsets:
                 apply_gate(r.p + off, r.q + off, -r.theta, r.phi)
-        apply_phases(phase_diag.conj())
-
-    if isinstance(state, FockState):
-        return FockState(layout, out)
-    return FockDensity(layout, out)
+        out = (phase_diag.conj() * out.T).T
+    return FockState(layout, out)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +466,8 @@ def _orbital_occupations(layout: ModeLayout) -> np.ndarray:
 
 
 def apply_diagonal_one_body(
-    state: FockState | FockDensity, h_diag: np.ndarray, tau: float
-) -> FockState | FockDensity:
+    state: FockState, h_diag: np.ndarray, tau: float
+) -> FockState:
     """Evolve by ``exp(-i tau sum_p h_diag[p] n_p)`` (one entry per mode)."""
     layout = state.layout
     h_diag = np.asarray(h_diag, dtype=float)
@@ -530,8 +482,8 @@ def apply_diagonal_one_body(
 
 
 def apply_diagonal_two_body(
-    state: FockState | FockDensity, vtilde: np.ndarray, tau: float
-) -> FockState | FockDensity:
+    state: FockState, vtilde: np.ndarray, tau: float
+) -> FockState:
     """Evolve by the mode-diagonal two-body interaction.
 
     The phase of basis state ``n`` is ``exp(-i tau E(n))`` with
@@ -562,9 +514,7 @@ def apply_diagonal_two_body(
     return _apply_diagonal(state, np.exp(-1j * tau * energy))
 
 
-def phase_on_ancillas(
-    state: FockState | FockDensity, phi: float
-) -> FockState | FockDensity:
+def phase_on_ancillas(state: FockState, phi: float) -> FockState:
     """Apply ``exp(+i phi N_b)`` where ``N_b`` counts occupied ancillas."""
     layout = state.layout
     arr = np.arange(layout.dim)

@@ -511,6 +511,8 @@ def factorize_hamiltonian(
     downstream error constants) is returned together with per-restart
     metric rows.  ``target_eps_v`` stops the restart loop early once met.
     """
+    if n_restarts < 1:
+        raise ValueError(f"n_restarts = {n_restarts} must be at least 1")
     cfg = config if config is not None else RefineConfig()
     rows: list[dict] = []
     best: ThcFactorization | None = None
@@ -538,5 +540,4 @@ def factorize_hamiltonian(
             best, best_key = thc, key
         if target_eps_v is not None and best_key[0] <= target_eps_v:
             break
-    assert best is not None
     return best, rows

@@ -159,7 +159,8 @@ def test_criterion_07_three_term_error_decomposition():
         ham = oracles.random_hamiltonian(2, rng, scale=0.5)
         rotated, _ = rotate_to_h_eigenbasis(ham)
         thc = exact_factorize(rotated, m=m, seed=300 + k)
-        rho = basis_state(ModeLayout(2, 0), "11").density()
+        psi = basis_state(ModeLayout(2, 0), "11")
+        rho = psi.density()
 
         extended = embed_in_ancilla_vacuum(rho, ModeLayout(2, thc.m - 2))
         stepped = step_channel(extended, thc, rotated, StepSpec(tau=tau))
@@ -170,8 +171,8 @@ def test_criterion_07_three_term_error_decomposition():
         budget = thc_bound(rotated, thc, tau).value
         budget += trotter_bound(h_op, vprime_op, tau)
         # the projection term acts on the state after the inner h half-step
-        rho_h = apply_diagonal_one_body(rho, np.diag(rotated.h), tau / 2)
-        budget += projection_error_measured(thc, rho_h, tau)
+        psi_h = apply_diagonal_one_body(psi, np.diag(rotated.h), tau / 2)
+        budget += projection_error_measured(thc, psi_h, tau)
         worst = max(worst, measured - budget)
         assert measured <= budget + 1e-9, f"instance {k}: {measured} > {budget}"
     print(f"criterion 7: 20/20 instances bounded; worst margin {worst:.3e}")

@@ -34,7 +34,12 @@ from isothc.focksim import (
     exact_evolution,
     trace_distance,
 )
-from isothc.hamiltonian import ElectronicHamiltonian, build_many_body_operator
+from isothc import hamiltonian
+from isothc.hamiltonian import (
+    ElectronicHamiltonian,
+    build_many_body_operator,
+    operator_memory_bytes,
+)
 from isothc.thc import (
     ThcFactorization,
     exact_factorize,
@@ -91,8 +96,6 @@ def test_step_spec_validation():
         StepSpec(tau=0.0)
     with pytest.raises(ValueError, match="variant"):
         StepSpec(tau=0.1, variant="cubic")
-    with pytest.raises(ValueError, match="second-order"):
-        StepSpec(tau=0.1, splitting="first_order")
     with pytest.raises(ValueError, match="3 phases"):
         StepSpec(tau=0.1, variant="improved", phases=(0.1, 0.2))
 
@@ -508,6 +511,18 @@ def test_thc_bound_exact_branch_below_frobenius():
     assert bound.value == pytest.approx(bound.operator_norm)
 
 
+def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
+    ham = oracles.random_hamiltonian(2, np.random.default_rng(19))
+    thc = exact_factorize(ham, m=2, seed=1)
+    exact = thc_bound(ham, thc, t=1.0)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
+                        lambda: operator_memory_bytes(2) - 1)
+    bound = thc_bound(ham, thc, t=1.0)
+    assert bound.branch == "frobenius"
+    assert bound.operator_norm is None
+    assert bound.value == bound.frobenius_bound == exact.frobenius_bound
+
+
 def test_thc_bound_linear_in_time():
     ham = oracles.random_hamiltonian(2, np.random.default_rng(20))
     thc = exact_factorize(ham, m=2, seed=2)
@@ -590,11 +605,11 @@ def test_one_step_error_within_three_error_budget(seed):
     )
 
     h_op, vprime_op = projected_operators(ham, thc)
-    rho_h = apply_diagonal_one_body(psi.density(), np.diag(ham.h), tau / 2)
+    psi_h = apply_diagonal_one_body(psi, np.diag(ham.h), tau / 2)
     budget = (
         thc_bound(ham, thc, tau).value
         + trotter_bound(h_op, vprime_op, tau)
-        + projection_error_measured(thc, rho_h, tau)
+        + projection_error_measured(thc, psi_h, tau)
     )
     assert measured <= budget + 1e-9
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from isothc import cli
+from isothc import cli, hamiltonian
 from isothc.algorithm import _StepEngine, extended_layout, step_memory_bytes
 from isothc.cli import (
     FIT_DEFAULTS,
@@ -189,6 +189,14 @@ def test_malformed_fcidump_exits_two(tmp_path, capsys):
     assert "bad.fcidump" in capsys.readouterr().err
 
 
+def test_factorize_zero_restarts_exits_one_without_traceback(toy_fcidump, capsys):
+    assert main(["factorize", "--fcidump", str(toy_fcidump), "--m", "3",
+                 "--restarts", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_restarts = 0 must be at least 1")
+    assert "Traceback" not in err
+
+
 def test_missing_required_parameter_exits_one(toy_fcidump, capsys):
     assert main(["factorize", "--fcidump", str(toy_fcidump)]) == 1
     assert "missing required" in capsys.readouterr().err
@@ -238,6 +246,18 @@ def test_simulate_zero_time_gives_zero_errors(factorized, capsys):
     assert [row.split(",")[3] for row in rows] == ["0.000000000000e+00"] * 2
 
 
+def test_simulate_negative_time_exits_one_without_traceback(factorized, capsys):
+    fcidump, thc_path = factorized
+    code = main([
+        "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+        "--t", "-1", "--tau", "0.1", "--initial-state", "11",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evolution time t = -1 must be nonnegative")
+    assert "Traceback" not in err
+
+
 def test_simulate_duplicate_taus_warn_and_collapse(factorized):
     fcidump, thc_path = factorized
     cfg = {**SIMULATE_DEFAULTS, "fcidump": str(fcidump), "thc": str(thc_path),
@@ -258,7 +278,7 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     capsys.readouterr()
     thc = ThcFactorization.from_json((outdir / "thc_m8.json").read_text())
     needed = step_memory_bytes(extended_layout(thc, spinful=True))
-    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: needed - 1)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
 
     def no_steps(*args, **kwargs):
         raise AssertionError("evolve ran on a refused register")

@@ -55,9 +55,14 @@ def test_spinful_layout_mode_placement():
 
 
 def test_mode_caps():
-    with pytest.raises(ValueError, match="cap"):
+    # the state types carry no fixed mode cap; register size is admitted by
+    # estimated memory where the large arrays are built
+    state = FockState(ModeLayout(21, 0), np.zeros(1 << 21, dtype=complex))
+    assert state.amplitudes.shape == (1 << 21,)
+    # the shape check stays
+    with pytest.raises(ValueError, match="does not match"):
         FockState(ModeLayout(21, 0), np.zeros(1))
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="does not match"):
         FockDensity(ModeLayout(15, 0), np.zeros(1))
 
 
@@ -191,24 +196,13 @@ def test_rotation_unitary_and_invertible(seed):
 def test_rotation_spin_sectors_compose():
     layout = ModeLayout(2, 1, spinful=True)
     seq = givens_decompose(random_orthogonal(3, _rng), 2)
-    rho = random_pure_density(layout, _rng)
-    both = apply_basis_rotation(rho, seq, spin_sector="both")
+    block = _rng.normal(size=(layout.dim, 5)) + 1j * _rng.normal(size=(layout.dim, 5))
+    state = FockState(layout, block)
+    both = apply_basis_rotation(state, seq, spin_sector="both")
     one_then_other = apply_basis_rotation(
-        apply_basis_rotation(rho, seq, spin_sector="up"), seq, spin_sector="down"
+        apply_basis_rotation(state, seq, spin_sector="up"), seq, spin_sector="down"
     )
-    assert_allclose(both.matrix, one_then_other.matrix, atol=1e-12)
-
-
-def test_rotation_on_density_matches_pure_state_route():
-    layout = ModeLayout(3, 0)
-    seq = givens_decompose(random_orthogonal(3, _rng), 3)
-    rng = np.random.default_rng(9)
-    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-    amps /= np.linalg.norm(amps)
-    state = FockState(layout, amps)
-    via_density = apply_basis_rotation(state.density(), seq)
-    via_state = apply_basis_rotation(state, seq).density()
-    assert_allclose(via_density.matrix, via_state.matrix, atol=1e-12)
+    assert_allclose(both.amplitudes, one_then_other.amplitudes, atol=1e-12)
 
 
 def test_kernels_act_column_by_column_on_blocks():

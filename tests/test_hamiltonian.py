@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from isothc import hamiltonian
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
     FcidumpError,
     build_many_body_operator,
     ground_state_energy,
-    norm_summary,
+    operator_memory_bytes,
     parse_fcidump,
     rotate_to_h_eigenbasis,
     write_fcidump,
@@ -61,10 +62,24 @@ def test_operator_is_hermitian_and_number_conserving(n, seed):
     assert_allclose(op.matrix @ number, number @ op.matrix, atol=1e-12)
 
 
-def test_mode_cap_enforced():
+def test_mode_cap_enforced(monkeypatch):
+    # the register-size rule: estimated bytes against physical memory
     H = oracles.random_hamiltonian(2, _rng)
-    with pytest.raises(ValueError, match="cap"):
-        build_many_body_operator(H, max_modes=1)
+    needed = operator_memory_bytes(4)
+
+    def no_build(n_modes):
+        raise AssertionError("sparse operators built for a refused register")
+
+    monkeypatch.setattr(hamiltonian, "_annihilation_operators", no_build)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
+    with pytest.raises(ValueError, match="4 modes .* physical memory"):
+        build_many_body_operator(H, spinful=True)
+    with pytest.raises(ValueError, match="physical memory"):
+        ground_state_energy(H, 2, spinful=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed)
+    op = build_many_body_operator(H, spinful=True)
+    assert_allclose(op.matrix, oracles.dense_hamiltonian(H, spinful=True), atol=1e-10)
 
 
 def test_rotation_diagonalizes_h_and_preserves_spectrum():
@@ -164,22 +179,15 @@ def test_constructor_rejects_asymmetric_tensors():
 
 
 # ---------------------------------------------------------------------------
-# Norm summaries
+# Operator norms
 # ---------------------------------------------------------------------------
-
-def test_norm_summary_l1_values():
-    H = oracles.random_hamiltonian(2, _rng)
-    summary = norm_summary(H, vtilde=np.array([[1.0, -2.0], [-2.0, 3.0]]))
-    assert summary.l1_h == pytest.approx(np.abs(H.h).sum())
-    assert summary.l1_v == pytest.approx(np.abs(H.eri).sum())
-    assert summary.l1_vtilde == pytest.approx(8.0)
-
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_operator_norm_bounded_by_twice_l1(n, seed):
     # spectral norm of each term is at most 1, with a factor <= 2 to spare
     H = oracles.random_hamiltonian(n, np.random.default_rng(seed))
-    summary = norm_summary(H, include_operator_norms=True)
-    assert summary.opnorm_h <= 2 * summary.l1_h + 1e-9
-    assert summary.opnorm_v <= 2 * summary.l1_v + 1e-9
+    zero_h = ElectronicHamiltonian(n, 0.0, H.h, np.zeros_like(H.eri))
+    zero_v = ElectronicHamiltonian(n, 0.0, np.zeros_like(H.h), H.eri)
+    assert build_many_body_operator(zero_h).norm() <= 2 * np.abs(H.h).sum() + 1e-9
+    assert build_many_body_operator(zero_v).norm() <= 2 * np.abs(H.eri).sum() + 1e-9
