@@ -16,10 +16,15 @@ Conventions used throughout the package:
   as the least significant bit of the basis-state index.  Spinful
   representations place all up-spin modes at 0 .. n-1 and all down-spin
   modes at n .. 2n-1.
+* Dense many-body matrices are assembled from cached tables that record,
+  for each excitation a+_p a_q and each basis state, the state it leads to
+  and its Jordan-Wigner sign; every Hamiltonian term is then a lookup in
+  these tables, with no sparse operator algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -28,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "ElectronicHamiltonian",
@@ -377,27 +381,6 @@ class ManyBodyOperator:
         return float(np.max(np.abs(w)))
 
 
-def _annihilation_operators(n_modes: int) -> list[sp.csr_matrix]:
-    """Jordan-Wigner annihilation matrices, mode 0 = least significant bit."""
-    lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    pauli_z = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    identity2 = sp.identity(2, format="csr")
-    ops = []
-    for mode in range(n_modes):
-        op = sp.identity(1, format="csr")
-        for k in range(n_modes):
-            if k < mode:
-                factor = pauli_z
-            elif k == mode:
-                factor = lower
-            else:
-                factor = identity2
-            # mode k occupies bit k, so it is the k-th factor from the right
-            op = sp.kron(factor, op, format="csr")
-        ops.append(op)
-    return ops
-
-
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -422,6 +405,29 @@ def operator_memory_bytes(n_modes: int) -> int:
     return OPERATOR_WORKING_COPIES * 16 << 2 * n_modes
 
 
+@functools.lru_cache(maxsize=4)
+def _excitation_tables(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where a+_p a_q sends each basis state, and with which sign.
+
+    ``rows[p, q, x]`` is the basis state a+_p a_q maps ``x`` to and
+    ``signs[p, q, x]`` its Jordan-Wigner sign; where the product annihilates
+    ``x`` the sign is 0 and the row is ``x``.  Shared by every build on
+    ``n_modes`` modes, so both arrays are read-only.
+    """
+    states = np.arange(1 << n_modes)
+    modes = np.arange(n_modes)
+    occupied = (states >> modes[:, None]) & 1
+    below = np.cumsum(occupied, axis=0) - occupied  # occupied modes under each mode
+    p, q = modes[:, None, None], modes[None, :, None]
+    valid = (occupied[None] == 1) & ((p == q) | (occupied[:, None] == 0))
+    parity = below[None] + below[:, None] - (q < p)
+    signs = np.where(valid, 1.0 - 2.0 * (parity & 1), 0.0)
+    rows = np.where(valid, states - (1 << q) + (1 << p), states)
+    signs.setflags(write=False)
+    rows.setflags(write=False)
+    return rows, signs
+
+
 def build_many_body_operator(
     hamiltonian: ElectronicHamiltonian,
     spinful: bool = False,
@@ -440,42 +446,46 @@ def build_many_body_operator(
     refusal = _memory_refusal("the many-body operator", n_modes, needed)
     if refusal:
         raise ValueError(refusal)
-    dim = 2 ** n_modes
-    ann = _annihilation_operators(n_modes)
-    excitation = {}
-    if spinful:
-        orbital_modes = [(i, i + n) for i in range(n)]
-    else:
-        orbital_modes = [(i,) for i in range(n)]
-    for p in range(n_modes):
-        for q in range(n_modes):
-            excitation[p, q] = (ann[p].conj().T @ ann[q]).tocsr()
+    dim = 1 << n_modes
+    rows, signs = (x.reshape(-1) for x in _excitation_tables(n_modes))
+    matrix = np.zeros((dim, dim), dtype=complex)
+    entries = matrix.reshape(-1).real  # a view: writes land in the matrix
+    columns = np.arange(dim)
 
-    total = sp.csr_matrix((dim, dim), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            if H.h[i, j] == 0.0:
-                continue
-            for si, sj in zip(orbital_modes[i], orbital_modes[j]):
-                total = total + H.h[i, j] * excitation[si, sj]
+    def table_at(p, q):
+        """Offsets of the table rows of a+_p a_q over all basis states."""
+        return (p * n_modes + q) * dim + columns
 
-    # 1/2 V_ijkl a+_i a+_k a_l a_j  ==  1/2 V_ijkl (E_ij E_kl - delta_jk E_il)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    v = H.eri[i, j, k, l]
-                    if v == 0.0:
-                        continue
-                    for mi, mj in zip(orbital_modes[i], orbital_modes[j]):
-                        for mk, ml in zip(orbital_modes[k], orbital_modes[l]):
-                            term = excitation[mi, mj] @ excitation[mk, ml]
-                            if mj == mk:
-                                term = term - excitation[mi, ml]
-                            total = total + 0.5 * v * term
+    spins = 2 if spinful else 1
+    # Terms are added in the order of their indices (orbitals, then spins;
+    # one-body before two-body), so every entry sums its terms in one fixed
+    # order: np.add.at adds repeated indices one at a time, in order, and is
+    # about ten times faster on flat operands.  Mode (i, s) is i + s n.
+    i, j, s = np.indices((n, n, spins)).reshape(3, -1)
+    h = H.h[i, j]
+    kept = h != 0.0
+    ij = table_at((i + n * s)[kept, None], (j + n * s)[kept, None])
+    np.add.at(entries, (rows[ij] * dim + columns).ravel(), (h[kept, None] * signs[ij]).ravel())
 
-    matrix = total.toarray().astype(complex)
-    matrix += H.core_energy * np.eye(dim)
+    # 1/2 V_ijkl a+_i a+_k a_l a_j == 1/2 V_ijkl (E_ij E_kl - delta_jk E_il)
+    i, j, k, l, s, t = np.indices((n, n, n, n, spins, spins)).reshape(6, -1)
+    v = H.eri[i, j, k, l]
+    kept = v != 0.0
+    coefficients = 0.5 * v[kept]
+    modes = [x[kept, None] for x in (i + n * s, j + n * s, k + n * t, l + n * t)]
+    # a scratch array holds chunk x dim entries: 1/256 of the matrix's bytes,
+    # or 2**15 entries on small registers
+    chunk = max(1, max(dim * dim // 128, 1 << 15) // dim)
+    for start in range(0, len(coefficients), chunk):
+        mi, mj, mk, ml = (x[start : start + chunk] for x in modes)
+        kl, il = table_at(mk, ml), table_at(mi, ml)
+        ij_kl = (mi * n_modes + mj) * dim + rows[kl]  # a+_i a_j after a+_k a_l
+        both = signs[ij_kl] * signs[kl]
+        contracted = (mj == mk) * signs[il]
+        target = np.where(both != 0.0, rows[ij_kl], rows[il])
+        weights = coefficients[start : start + chunk, None] * (both - contracted)
+        np.add.at(entries, (target * dim + columns).ravel(), weights.ravel())
+    entries[:: dim + 1] += H.core_energy
     return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix)
 
 

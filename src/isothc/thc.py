@@ -19,6 +19,7 @@ re-solved in closed form between steps.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -227,6 +228,19 @@ def contract_vtilde(
     return vtilde, htilde
 
 
+@functools.lru_cache(maxsize=64)
+def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
+    """The contraction order ``optimize=True`` picks for operands of these shapes."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` without planning the order on every call."""
+    path = _einsum_path(subscripts, *(np.shape(a) for a in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def _relative_l2(target: np.ndarray, approx: np.ndarray) -> float:
     denom = np.linalg.norm(target.reshape(-1))
     if denom == 0.0:
@@ -249,7 +263,7 @@ def projected_interaction(thc: ThcFactorization | None = None, *,
     if u is None or vtilde is None:
         raise ValueError("need either a factorization or explicit u and vtilde")
     vs = 0.5 * (vtilde + vtilde.T)
-    return np.einsum("ia,ja,ab,kb,lb->ijkl", u, u, vs, u, u, optimize=True)
+    return _einsum("ia,ja,ab,kb,lb->ijkl", u, u, vs, u, u)
 
 
 def approximation_errors(
@@ -432,8 +446,8 @@ def loss_gradient(
     u = np.asarray(u, dtype=float)
     vs = 0.5 * (vtilde + vtilde.T)
     residual = hamiltonian.eri - projected_interaction(u=u, vtilde=vs)
-    half = np.einsum("ab,kb,lb->akl", vs, u, u, optimize=True)
-    return -8.0 * np.einsum("pjkl,ja,akl->pa", residual, u, half, optimize=True)
+    half = _einsum("ab,kb,lb->akl", vs, u, u)
+    return -8.0 * _einsum("pjkl,ja,akl->pa", residual, u, half)
 
 
 def polar_retract(u: np.ndarray) -> np.ndarray:
@@ -462,7 +476,7 @@ def refine(
     step_count = 0
     best: dict = {"eps_v": np.inf}
 
-    def consider(candidate: np.ndarray) -> None:
+    def consider(candidate: np.ndarray) -> np.ndarray:
         vtilde, htilde = contract_vtilde(candidate, hamiltonian)
         thc = ThcFactorization(u=candidate, vtilde=vtilde, htilde=htilde)
         eps_v, eps_h = approximation_errors(hamiltonian, thc)
@@ -471,11 +485,11 @@ def refine(
                 {"eps_v": eps_v, "eps_h": eps_h, "u": candidate,
                  "vtilde": vtilde, "htilde": htilde}
             )
+        return vtilde
 
-    consider(u)
+    vtilde = consider(u)
     for rounds, lr in [(cfg.rounds_phase1, cfg.lr_phase1), (cfg.rounds_phase2, cfg.lr_phase2)]:
         for _ in range(rounds):
-            vtilde, _ = contract_vtilde(u, hamiltonian)
             grad = loss_gradient(u, hamiltonian, vtilde)
             step_count += 1
             moment1 = cfg.beta1 * moment1 + (1.0 - cfg.beta1) * grad
@@ -483,7 +497,7 @@ def refine(
             hat1 = moment1 / (1.0 - cfg.beta1**step_count)
             hat2 = moment2 / (1.0 - cfg.beta2**step_count)
             u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + cfg.adam_epsilon))
-            consider(u)
+            vtilde = consider(u)
 
     return ThcFactorization(
         u=best["u"], vtilde=best["vtilde"], htilde=best["htilde"],

@@ -1,11 +1,14 @@
 """Brute-force reference implementations used only by the test suite.
 
 Everything here works directly on occupation bitstrings with explicit
-Jordan-Wigner sign bookkeeping, independently of the package's
-Kronecker-product operator construction, so the two routes can check each
-other.  Mode 0 is the least significant bit.  The full-Fock Trotter step
-(whole step unitary, then an occupation-basis ancilla reset) is kept here
-as the reference for the Kraus-form step of ``isothc.algorithm``.
+Jordan-Wigner sign bookkeeping, one basis state and one ladder product at a
+time, independently of the package's vectorised excitation tables, so the
+two routes can check each other.  Mode 0 is the least significant bit.  The
+full-Fock Trotter step (whole step unitary, then an occupation-basis
+ancilla reset) is kept here as the reference for the Kraus-form step of
+``isothc.algorithm``, and the THC refinement loop that solves the core
+twice per step, with einsum planning on every call, as the reference for
+``isothc.thc.refine``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,13 @@ import numpy as np
 
 from isothc.focksim import FockDensity, FockState, _split_keys
 from isothc.hamiltonian import ElectronicHamiltonian
+from isothc.thc import (
+    RefineConfig,
+    ThcFactorization,
+    approximation_errors,
+    contract_vtilde,
+    polar_retract,
+)
 
 
 def apply_annihilate(state: int, mode: int) -> tuple[int, int] | None:
@@ -239,3 +249,60 @@ def full_fock_step(u: np.ndarray, rho: FockDensity) -> tuple[FockDensity, float]
     a_key, b_key = _split_keys(rho.layout)
     kept = float(np.trace(rotated.matrix[np.ix_(b_key == 0, b_key == 0)]).real)
     return reset_ancillas(rotated), rho.trace() - kept
+
+
+# ---------------------------------------------------------------------------
+# THC refinement with the einsum order planned on every call
+
+
+def projected_interaction_reference(u: np.ndarray, vtilde: np.ndarray) -> np.ndarray:
+    vs = 0.5 * (vtilde + vtilde.T)
+    return np.einsum("ia,ja,ab,kb,lb->ijkl", u, u, vs, u, u, optimize=True)
+
+
+def loss_gradient_reference(
+    u: np.ndarray, hamiltonian: ElectronicHamiltonian, vtilde: np.ndarray
+) -> np.ndarray:
+    vs = 0.5 * (vtilde + vtilde.T)
+    residual = hamiltonian.eri - projected_interaction_reference(u, vs)
+    half = np.einsum("ab,kb,lb->akl", vs, u, u, optimize=True)
+    return -8.0 * np.einsum("pjkl,ja,akl->pa", residual, u, half, optimize=True)
+
+
+def refine_reference(
+    hamiltonian: ElectronicHamiltonian, u0: np.ndarray, cfg: RefineConfig
+) -> ThcFactorization:
+    """The Adam loop of ``isothc.thc.refine`` that re-solves the core for each gradient."""
+    u = polar_retract(np.asarray(u0, dtype=float))
+    moment1 = np.zeros_like(u)
+    moment2 = np.zeros_like(u)
+    step_count = 0
+    best: dict = {"eps_v": np.inf}
+
+    def consider(candidate: np.ndarray) -> None:
+        vtilde, htilde = contract_vtilde(candidate, hamiltonian)
+        thc = ThcFactorization(u=candidate, vtilde=vtilde, htilde=htilde)
+        eps_v, eps_h = approximation_errors(hamiltonian, thc)
+        if eps_v < best["eps_v"]:
+            best.update(
+                {"eps_v": eps_v, "eps_h": eps_h, "u": candidate,
+                 "vtilde": vtilde, "htilde": htilde}
+            )
+
+    consider(u)
+    for rounds, lr in [(cfg.rounds_phase1, cfg.lr_phase1), (cfg.rounds_phase2, cfg.lr_phase2)]:
+        for _ in range(rounds):
+            vtilde, _ = contract_vtilde(u, hamiltonian)
+            grad = loss_gradient_reference(u, hamiltonian, vtilde)
+            step_count += 1
+            moment1 = cfg.beta1 * moment1 + (1.0 - cfg.beta1) * grad
+            moment2 = cfg.beta2 * moment2 + (1.0 - cfg.beta2) * grad**2
+            hat1 = moment1 / (1.0 - cfg.beta1**step_count)
+            hat2 = moment2 / (1.0 - cfg.beta2**step_count)
+            u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + cfg.adam_epsilon))
+            consider(u)
+
+    return ThcFactorization(
+        u=best["u"], vtilde=best["vtilde"], htilde=best["htilde"],
+        eps_v=best["eps_v"], eps_h=best["eps_h"], seed=cfg.seed,
+    )

@@ -62,15 +62,28 @@ def test_operator_is_hermitian_and_number_conserving(n, seed):
     assert_allclose(op.matrix @ number, number @ op.matrix, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_operator_matches_string_oracle_with_core_energy(spinful, n, seed):
+    n = min(n, 3) if spinful else n
+    rng = np.random.default_rng(seed)
+    drawn = oracles.random_hamiltonian(n, rng)
+    core = float(rng.uniform(-2.0, 2.0)) or 1.0
+    H = ElectronicHamiltonian(n, core, drawn.h, drawn.eri)
+    op = build_many_body_operator(H, spinful=spinful)
+    assert op.matrix.dtype == complex
+    assert_allclose(op.matrix, oracles.dense_hamiltonian(H, spinful), rtol=0, atol=1e-12)
+
+
 def test_mode_cap_enforced(monkeypatch):
     # the register-size rule: estimated bytes against physical memory
     H = oracles.random_hamiltonian(2, _rng)
     needed = operator_memory_bytes(4)
 
     def no_build(n_modes):
-        raise AssertionError("sparse operators built for a refused register")
+        raise AssertionError("excitation tables built for a refused register")
 
-    monkeypatch.setattr(hamiltonian, "_annihilation_operators", no_build)
+    monkeypatch.setattr(hamiltonian, "_excitation_tables", no_build)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
     with pytest.raises(ValueError, match="4 modes .* physical memory"):
         build_many_body_operator(H, spinful=True)
