@@ -7,8 +7,8 @@ two routes can check each other.  Mode 0 is the least significant bit.  The
 full-Fock Trotter step (whole step unitary, then an occupation-basis
 ancilla reset) is kept here as the reference for the Kraus-form step of
 ``isothc.algorithm``, and the THC refinement loop that solves the core
-twice per step, with einsum planning on every call, as the reference for
-``isothc.thc.refine``.
+twice per step and plans the gradient's einsum order on every call, as the
+reference for ``isothc.thc.refine``.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def full_fock_step(u: np.ndarray, rho: FockDensity) -> tuple[FockDensity, float]
 
 
 # ---------------------------------------------------------------------------
-# THC refinement with the einsum order planned on every call
+# THC refinement: two core solves per step, einsum order planned per call
 
 
 def projected_interaction_reference(u: np.ndarray, vtilde: np.ndarray) -> np.ndarray:
