@@ -15,7 +15,10 @@ the ancilla vacuum cancel.
 Since the ancillas start every step in the vacuum and are reset after it,
 one step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system
 density, with K_b = <b| U |., 0> for each ancilla occupation string b; only
-the ancilla-vacuum columns U P of the step unitary are ever compiled.
+the ancilla-vacuum columns U P of the step unitary are ever compiled.  The
+extended register exists only inside the step engine, the one place that
+splits an extended basis index into its system and ancilla strings; every
+public function takes and returns system-only states.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -43,13 +46,11 @@ from .focksim import (
     apply_diagonal_two_body,
     basis_state,
     complete_isometry,
-    embed_in_ancilla_vacuum,
     exact_evolution,
     givens_decompose,
     phase_on_ancillas,
     trace_distance,
 )
-from .focksim import _scatter_index_map, _split_keys
 from .hamiltonian import (
     ElectronicHamiltonian,
     ManyBodyOperator,
@@ -81,7 +82,6 @@ __all__ = [
 
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
-VACUUM_SUPPORT_TOL = 1e-10
 PARITY_MIXING_TOL = 1e-9
 # arrays the size of U P alive at once: U P, the Kraus stack, its adjoint, the
 # two stacked products of a step, and a spare for the gate kernels' temporaries
@@ -211,11 +211,33 @@ def projected_operators(
     n = hamiltonian.n_orbitals
     zero4 = np.zeros((n, n, n, n))
     h_only = ElectronicHamiltonian(n, 0.0, hamiltonian.h, zero4)
+    return build_many_body_operator(h_only, spinful=spinful), _vprime_operator(thc, spinful)
+
+
+def _vprime_operator(thc: ThcFactorization, spinful: bool) -> ManyBodyOperator:
+    """Dense system-mode operator of the recontracted interaction V'."""
+    n = thc.n
     v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
-    return (
-        build_many_body_operator(h_only, spinful=spinful),
-        build_many_body_operator(v_only, spinful=spinful),
-    )
+    return build_many_body_operator(v_only, spinful=spinful)
+
+
+def _check_system_layout(layout: ModeLayout, thc: ThcFactorization, name: str) -> None:
+    if layout.n_ancilla != 0:
+        raise ValueError(f"{name} must live on a system-only layout")
+    if layout.n_system != thc.n:
+        raise ValueError(f"{name} does not match the factorization size")
+
+
+def _split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
+    """System string ``a`` and ancilla string ``b`` of every extended basis index."""
+    arr = np.arange(layout.dim)
+    a_key = np.zeros(layout.dim, dtype=np.int64)
+    b_key = np.zeros(layout.dim, dtype=np.int64)
+    for t, pos in enumerate(layout.system_modes):
+        a_key |= ((arr >> pos) & 1) << t
+    for t, pos in enumerate(layout.ancilla_modes):
+        b_key |= ((arr >> pos) & 1) << t
+    return a_key, b_key
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +260,7 @@ class _StepEngine:
                 f"n = {thc.n}, m = {thc.m}"
             )
         self.layout = layout
+        self.a_key, self.b_key = _split_keys(layout)
         self.spec = spec
         self.vtilde = thc.vtilde
         self.sequence = basis_rotation_sequence(thc)
@@ -296,7 +319,7 @@ class _StepEngine:
         """``U P``, shape ``(2^M, 2^M_sys)``: column ``a`` is the image of system
         state ``a`` in the ancilla vacuum.  One pass of the op list, cached."""
         if self._dense is None:
-            vacuum = _scatter_index_map(self.layout)
+            vacuum = np.flatnonzero(self.b_key == 0)
             columns = np.zeros((self.layout.dim, vacuum.size), dtype=complex)
             columns[vacuum, np.arange(vacuum.size)] = 1.0
             self._dense = self._apply_sequential(FockState(self.layout, columns)).amplitudes
@@ -307,10 +330,9 @@ class _StepEngine:
         the mask of system-string pairs of different particle-number parity."""
         if self._kraus is None:
             up = self.dense_unitary()
-            a_key, b_key = _split_keys(self.layout)
             n_a, n_b = len(self.layout.system_modes), len(self.layout.ancilla_modes)
             kraus = np.empty((1 << n_b, 1 << n_a, 1 << n_a), dtype=complex)
-            kraus[b_key, a_key] = up
+            kraus[self.b_key, self.a_key] = up
             kraus_h = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
             parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
             mismatch = parity[:, None] != parity[None, :]
@@ -344,17 +366,18 @@ def step_channel(
     hamiltonian: ElectronicHamiltonian,
     spec: StepSpec,
 ) -> FockDensity:
-    """Apply one Trotter step (unitaries plus ancilla reset) to a density.
+    """Apply one Trotter step (unitaries plus ancilla reset) to a system density.
 
-    ``rho`` lives on the extended layout and must be supported on the
-    ancilla vacuum; ``hamiltonian`` must carry a diagonal one-body part.
+    ``rho`` and the result live on the system-only layout; the ancillas
+    enter only through the Kraus operators of the step.  ``hamiltonian``
+    must carry a diagonal one-body part.
     """
-    system = rho.system_density(tol=VACUUM_SUPPORT_TOL)
-    engine = _StepEngine(thc, hamiltonian, spec, rho.layout)
-    out, _ = engine.step(system)
+    _check_system_layout(rho.layout, thc, "rho")
+    layout = extended_layout(thc, spinful=rho.layout.spinful)
+    out, _ = _StepEngine(thc, hamiltonian, spec, layout).step(rho)
     if abs(out.trace() - rho.trace()) > 1e-10:
         raise InvariantError("step channel failed to preserve the trace")
-    return embed_in_ancilla_vacuum(out, rho.layout)
+    return out
 
 
 def evolve(
@@ -375,12 +398,9 @@ def evolve(
     Hamiltonian for the actually simulated time ``n_steps * tau``, and the
     reported error is the trace distance between the two.
     """
-    if psi0.layout.n_ancilla != 0:
-        raise ValueError("psi0 must live on a system-only layout")
+    _check_system_layout(psi0.layout, thc, "psi0")
     if psi0.layout.n_system != hamiltonian.n_orbitals:
         raise ValueError("psi0 does not match the Hamiltonian size")
-    if psi0.layout.n_system != thc.n:
-        raise ValueError("psi0 does not match the factorization size")
     if t < 0:
         raise ValueError(f"evolution time t = {t:g} must be nonnegative")
     spec = StepSpec(tau=tau) if spec is None else dataclasses.replace(spec, tau=tau)
@@ -485,17 +505,11 @@ def projection_error_measured(
     """
     if isinstance(rho, FockState):
         rho = rho.density()
-    if rho.layout.n_ancilla != 0:
-        raise ValueError("rho must live on a system-only layout")
-    if rho.layout.n_system != thc.n:
-        raise ValueError("rho does not match the factorization size")
+    _check_system_layout(rho.layout, thc, "rho")
     spinful = rho.layout.spinful
     engine = _interaction_engine(thc, tau, variant, phases, spinful)
     traced, _ = engine.step(rho)
-    n = thc.n
-    v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
-    vprime_op = build_many_body_operator(v_only, spinful=spinful)
-    ideal = exact_evolution(vprime_op, rho, tau)
+    ideal = exact_evolution(_vprime_operator(thc, spinful), rho, tau)
     return trace_distance(traced, ideal)
 
 
@@ -514,16 +528,10 @@ def projection_error_bound(
     """
     engine = _interaction_engine(thc, tau, variant, phases, spinful)
     up = engine.dense_unitary()
-    vacuum = _scatter_index_map(engine.layout)
-    n = thc.n
-    v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
-    vprime_op = build_many_body_operator(v_only, spinful=spinful)
-    w, v = vprime_op.eigensystem()
+    w, v = _vprime_operator(thc, spinful).eigensystem()
     ideal = (v * np.exp(-1j * w * tau)) @ v.conj().T
-    vacuum_block = up[vacuum]
-    leak_block = np.delete(up, vacuum, axis=0)
-    term1 = float(np.linalg.norm(vacuum_block - ideal, 2))
-    term2 = 0.5 * float(np.linalg.norm(leak_block, 2)) ** 2
+    term1 = float(np.linalg.norm(up[engine.b_key == 0] - ideal, 2))
+    term2 = 0.5 * float(np.linalg.norm(up[engine.b_key != 0], 2)) ** 2
     return term1 + term2
 
 

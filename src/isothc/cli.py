@@ -169,6 +169,13 @@ def _load_thc(path: str | Path) -> ThcFactorization:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _load_factor_file(path: str | Path) -> ThcFactorFile:
+    try:
+        return ThcFactorFile.load(path)
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _manifest(command: str, cfg: dict, input_keys: tuple[str, ...], **notes) -> dict:
     inputs = {
         key: str(Path(cfg[key]).resolve())
@@ -193,16 +200,13 @@ def _manifest(command: str, cfg: dict, input_keys: tuple[str, ...], **notes) -> 
 
 def _factorize_one(payload: tuple) -> tuple[int, str, list[dict], float]:
     """One sweep point; top-level so a process pool can pickle it."""
-    ham_json, m, cfg = payload
+    ham_json, m, factors, cfg = payload
     hamiltonian = ElectronicHamiltonian.from_json(ham_json)
     start = time.perf_counter()
     if cfg["method"] == "exact":
         thc = exact_factorize(hamiltonian, m=m, seed=cfg["seed"])
         rows = []
     else:
-        factors = None
-        if cfg["factor_file"] is not None:
-            factors = ThcFactorFile.load(cfg["factor_file"])
         refine_cfg = RefineConfig(
             rounds_phase1=cfg["rounds_phase1"],
             rounds_phase2=cfg["rounds_phase2"],
@@ -232,8 +236,11 @@ def cmd_factorize(cfg: dict) -> CommandOutput:
     rotated, _ = rotate_to_h_eigenbasis(hamiltonian)
     if cfg["factor_file"] is not None and len(m_values) > 1:
         raise ValueError("an external factor file fixes m; drop the sweep")
+    factors = None
+    if cfg["factor_file"] is not None:
+        factors = _load_factor_file(cfg["factor_file"])
 
-    payloads = [(rotated.to_json(), m, cfg) for m in m_values]
+    payloads = [(rotated.to_json(), m, factors, cfg) for m in m_values]
     if cfg["jobs"] > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             results = list(pool.map(_factorize_one, payloads))

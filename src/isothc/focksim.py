@@ -6,11 +6,13 @@ amplitude vector or a block of columns (shape ``(dim, k)``), so one pass of
 a circuit over basis columns compiles those columns of its unitary; the gate
 kernels act on ``FockState`` only.  A ``FockDensity`` is the state of the
 system register between Trotter steps, a target of ``exact_evolution`` and
-an argument of ``trace_distance``.  Layouts
-distinguish system modes (``a``) from ancilla modes (``b``); in a spinful
-layout the up-spin sector occupies modes ``0 .. sector_size-1`` and the
-down-spin sector the next ``sector_size`` modes, with a-modes before b-modes
-inside each sector.  ``algorithm`` applies the ancilla reset as a Kraus map.
+an argument of ``trace_distance``.  Layouts distinguish system modes
+(``a``) from ancilla modes (``b``); in a spinful layout the up-spin sector
+occupies modes ``0 .. sector_size-1`` and the down-spin sector the next
+``sector_size`` modes, with a-modes before b-modes inside each sector, and
+every gate acts on both sectors.  ``algorithm`` alone splits an extended
+basis index into its a and b strings, and applies the ancilla reset as a
+Kraus map.
 
 The only entangling gate is the Givens rotation on adjacent modes
 ``(p, p+1)``, which avoids Jordan-Wigner strings entirely.  Its action on
@@ -43,7 +45,6 @@ __all__ = [
     "GivensRotation",
     "GivensSequence",
     "basis_state",
-    "embed_in_ancilla_vacuum",
     "complete_isometry",
     "givens_decompose",
     "apply_basis_rotation",
@@ -148,21 +149,6 @@ class FockDensity:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def system_density(self, tol: float = 1e-9) -> "FockDensity":
-        """Restrict a b-vacuum-supported density to its system modes."""
-        if self.layout.n_ancilla == 0:
-            return FockDensity(self.layout, self.matrix.copy())
-        a_key, b_key = _split_keys(self.layout)
-        vacuum = np.where(b_key == 0)[0]
-        order = vacuum[np.argsort(a_key[vacuum])]
-        block = self.matrix[np.ix_(order, order)]
-        weight = float(np.abs(self.matrix).sum() - np.abs(block).sum())
-        if weight > tol:
-            raise ValueError(
-                f"density has weight {weight:.3e} outside the ancilla vacuum"
-            )
-        return FockDensity(self.layout.system_only(), block)
-
 
 def basis_state(layout: ModeLayout, occupations: str | list[int]) -> FockState:
     """Computational basis state; ``occupations[k]`` is the filling of mode k."""
@@ -173,28 +159,6 @@ def basis_state(layout: ModeLayout, occupations: str | list[int]) -> FockState:
     amplitudes = np.zeros(layout.dim, dtype=complex)
     amplitudes[index] = 1.0
     return FockState(layout, amplitudes)
-
-
-def _scatter_index_map(layout: ModeLayout) -> np.ndarray:
-    """Index of each system-only basis state inside the extended register."""
-    positions = layout.system_modes
-    n_sys_modes = len(positions)
-    small = np.arange(1 << n_sys_modes)
-    out = np.zeros_like(small)
-    for t, pos in enumerate(positions):
-        out |= ((small >> t) & 1) << pos
-    return out
-
-
-def embed_in_ancilla_vacuum(rho: FockDensity, layout: ModeLayout) -> FockDensity:
-    """Embed a system-only density into ``layout`` with all ancillas empty."""
-    src = rho.layout
-    if src.n_ancilla != 0 or src.n_system != layout.n_system or src.spinful != layout.spinful:
-        raise ValueError("source must be the system-only restriction of the target layout")
-    scatter = _scatter_index_map(layout)
-    matrix = np.zeros((layout.dim, layout.dim), dtype=complex)
-    matrix[np.ix_(scatter, scatter)] = rho.matrix
-    return FockDensity(layout, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +351,15 @@ def _apply_diagonal(state: FockState, diag: np.ndarray) -> FockState:
     return FockState(state.layout, (diag * state.amplitudes.T).T)
 
 
-def _sector_offsets(layout: ModeLayout, spin_sector: str) -> list[int]:
-    if spin_sector not in ("both", "up", "down"):
-        raise ValueError(f"unknown spin sector {spin_sector!r}")
-    if not layout.spinful:
-        if spin_sector != "both":
-            raise ValueError("spin sectors require a spinful layout")
-        return [0]
-    if spin_sector == "up":
-        return [0]
-    if spin_sector == "down":
-        return [layout.sector_size]
-    return [0, layout.sector_size]
-
-
 def apply_basis_rotation(
     state: FockState,
     sequence: GivensSequence,
     inverse: bool = False,
-    spin_sector: str = "both",
 ) -> FockState:
     """Apply a Givens-rotation circuit (or its inverse) to a state.
 
-    For spinful layouts the same sequence acts on the chosen spin sector(s);
-    mode indices inside the sequence are sector-relative.
+    For spinful layouts the same sequence acts on both spin sectors; mode
+    indices inside the sequence are sector-relative.
     """
     layout = state.layout
     if sequence.n_modes != layout.sector_size:
@@ -418,7 +367,7 @@ def apply_basis_rotation(
             f"sequence on {sequence.n_modes} modes does not fit sector size "
             f"{layout.sector_size}"
         )
-    offsets = _sector_offsets(layout, spin_sector)
+    offsets = [sector * layout.sector_size for sector in range(layout.n_sectors)]
 
     phase_per_mode = np.zeros(layout.n_modes)
     for off in offsets:
@@ -522,17 +471,6 @@ def phase_on_ancillas(state: FockState, phi: float) -> FockState:
     for mode in layout.ancilla_modes:
         count += (arr >> mode) & 1
     return _apply_diagonal(state, np.exp(1j * phi * count))
-
-
-def _split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.arange(layout.dim)
-    a_key = np.zeros(layout.dim, dtype=np.int64)
-    b_key = np.zeros(layout.dim, dtype=np.int64)
-    for t, pos in enumerate(layout.system_modes):
-        a_key |= ((arr >> pos) & 1) << t
-    for t, pos in enumerate(layout.ancilla_modes):
-        b_key |= ((arr >> pos) & 1) << t
-    return a_key, b_key
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.optimize
 
 from .hamiltonian import ElectronicHamiltonian
 
@@ -34,7 +33,6 @@ __all__ = [
     "ThcFactorFile",
     "RefineConfig",
     "IsometrizeResult",
-    "RepairResult",
     "random_co_isometry",
     "product_matrix",
     "contract_vtilde",
@@ -42,7 +40,6 @@ __all__ = [
     "exact_factorize",
     "projected_interaction",
     "isometrize",
-    "nullspace_repair",
     "loss_gradient",
     "polar_retract",
     "refine",
@@ -372,60 +369,6 @@ def isometrize(
     u = polar_retract(u)
     return IsometrizeResult(
         u=u, eta=eta, residual_norm=residual_norm, n_iter=n_iter, converged=converged
-    )
-
-
-@dataclass(frozen=True)
-class RepairResult:
-    feasible: bool
-    eta: np.ndarray | None
-    margin: float
-    residual_change: float
-    null_dimension: int
-
-
-def nullspace_repair(
-    factors: ThcFactorFile | np.ndarray,
-    eta: np.ndarray,
-    threshold: float = 1e-10,
-) -> RepairResult:
-    """Shift ``eta`` inside the product map's near-null space to make it positive.
-
-    The search space is the span of right singular vectors of the product
-    matrix with singular value below ``threshold``, so the least-squares
-    residual is (numerically) unchanged.  Feasibility of strict positivity
-    is decided by a small linear program; an infeasible problem is reported
-    explicitly rather than clamped.
-    """
-    x = factors.x if isinstance(factors, ThcFactorFile) else np.asarray(factors, float)
-    eta = np.asarray(eta, dtype=float)
-    a = product_matrix(x)
-    b = np.eye(x.shape[0]).reshape(-1)
-    base_residual = float(np.linalg.norm(a @ eta - b))
-    _, singular, vt = np.linalg.svd(a)
-    padded = np.zeros(a.shape[1])
-    padded[: singular.size] = singular
-    null_basis = vt[padded < threshold].T
-    k = null_basis.shape[1]
-
-    if float(eta.min()) > 0.0:
-        return RepairResult(True, eta.copy(), float(eta.min()), 0.0, k)
-    if k == 0:
-        return RepairResult(False, None, float(eta.min()), 0.0, 0)
-
-    # maximize t  s.t.  eta + Z c >= t, t <= 1   (variables c, t)
-    a_ub = np.hstack([-null_basis, np.ones((eta.size, 1))])
-    c_obj = np.zeros(k + 1)
-    c_obj[-1] = -1.0
-    bounds = [(None, None)] * k + [(None, 1.0)]
-    lp = scipy.optimize.linprog(c_obj, A_ub=a_ub, b_ub=eta, bounds=bounds, method="highs")
-    if not lp.success or lp.x[-1] <= 1e-12:
-        margin = float(lp.x[-1]) if lp.success else float(eta.min())
-        return RepairResult(False, None, margin, 0.0, k)
-    eta_new = eta + null_basis @ lp.x[:-1]
-    new_residual = float(np.linalg.norm(a @ eta_new - b))
-    return RepairResult(
-        True, eta_new, float(eta_new.min()), abs(new_residual - base_residual), k
     )
 
 

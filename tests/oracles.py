@@ -4,8 +4,9 @@ Everything here works directly on occupation bitstrings with explicit
 Jordan-Wigner sign bookkeeping, one basis state and one ladder product at a
 time, independently of the package's vectorised excitation tables, so the
 two routes can check each other.  Mode 0 is the least significant bit.  The
-full-Fock Trotter step (whole step unitary, then an occupation-basis
-ancilla reset) is kept here as the reference for the Kraus-form step of
+full-Fock Trotter step (system density embedded in the ancilla vacuum,
+whole step unitary, occupation-basis ancilla reset, restriction back to the
+system modes) is kept here as the reference for the Kraus-form step of
 ``isothc.algorithm``, and the THC refinement loop that solves the core
 twice per step and plans the gradient's einsum order on every call, as the
 reference for ``isothc.thc.refine``.
@@ -17,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from isothc.focksim import FockDensity, FockState, _split_keys
+from isothc.focksim import FockDensity, FockState, ModeLayout
 from isothc.hamiltonian import ElectronicHamiltonian
 from isothc.thc import (
     RefineConfig,
@@ -192,6 +193,43 @@ def contract_thc(u: np.ndarray, vtilde: np.ndarray) -> np.ndarray:
 # full-Fock reference for the Trotter step
 
 
+def split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
+    """System string and ancilla string of each extended basis index, one at a time."""
+    a_key = np.zeros(layout.dim, dtype=np.int64)
+    b_key = np.zeros(layout.dim, dtype=np.int64)
+    for index in range(layout.dim):
+        bits = [(index >> mode) & 1 for mode in range(layout.n_modes)]
+        a_key[index] = sum(bits[pos] << t for t, pos in enumerate(layout.system_modes))
+        b_key[index] = sum(bits[pos] << t for t, pos in enumerate(layout.ancilla_modes))
+    return a_key, b_key
+
+
+def embed_in_ancilla_vacuum(rho: FockDensity, layout: ModeLayout) -> FockDensity:
+    """Place a system-only density on ``layout`` with every ancilla empty."""
+    if rho.layout != layout.system_only():
+        raise ValueError("source must be the system-only restriction of the target layout")
+    a_key, b_key = split_keys(layout)
+    vacuum = np.flatnonzero(b_key == 0)
+    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    out[np.ix_(vacuum, vacuum)] = rho.matrix[np.ix_(a_key[vacuum], a_key[vacuum])]
+    return FockDensity(layout, out)
+
+
+def system_density(rho: FockDensity, tol: float = 1e-9) -> FockDensity:
+    """Restrict an extended density with no weight outside the ancilla vacuum
+    to its system modes."""
+    a_key, b_key = split_keys(rho.layout)
+    vacuum = np.flatnonzero(b_key == 0)
+    block = rho.matrix[np.ix_(vacuum, vacuum)]
+    outside = float(np.abs(rho.matrix).sum() - np.abs(block).sum())
+    if outside > tol:
+        raise ValueError(f"density has weight {outside:.3e} outside the ancilla vacuum")
+    system = rho.layout.system_only()
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    out[np.ix_(a_key[vacuum], a_key[vacuum])] = block
+    return FockDensity(system, out)
+
+
 def reset_ancillas(rho: FockDensity, parity_check: bool = True) -> FockDensity:
     """Trace out the ancilla modes and re-prepare them in the vacuum.
 
@@ -207,7 +245,7 @@ def reset_ancillas(rho: FockDensity, parity_check: bool = True) -> FockDensity:
         return FockDensity(layout, rho.matrix.copy())
     n_a = len(layout.system_modes)
     n_b = len(layout.ancilla_modes)
-    a_key, b_key = _split_keys(layout)
+    a_key, b_key = split_keys(layout)
     order = np.argsort((b_key << n_a) | a_key)
     reordered = rho.matrix[np.ix_(order, order)].reshape(
         1 << n_b, 1 << n_a, 1 << n_b, 1 << n_a
@@ -246,7 +284,7 @@ def full_fock_step(u: np.ndarray, rho: FockDensity) -> tuple[FockDensity, float]
     Also returns the weight the reset moved back into the ancilla vacuum.
     """
     rotated = FockDensity(rho.layout, u @ rho.matrix @ u.conj().T)
-    a_key, b_key = _split_keys(rho.layout)
+    a_key, b_key = split_keys(rho.layout)
     kept = float(np.trace(rotated.matrix[np.ix_(b_key == 0, b_key == 0)]).real)
     return reset_ancillas(rotated), rho.trace() - kept
 

@@ -28,9 +28,7 @@ from isothc.focksim import (
     FockDensity,
     FockState,
     ModeLayout,
-    _scatter_index_map,
     apply_diagonal_one_body,
-    embed_in_ancilla_vacuum,
     exact_evolution,
     trace_distance,
 )
@@ -189,7 +187,9 @@ def oracle_ancilla_counter(layout) -> np.ndarray:
 
 def assert_vacuum_columns(engine, full) -> None:
     """The compiled block is the full unitary's ancilla-vacuum columns."""
-    vacuum = _scatter_index_map(engine.layout)
+    a_key, b_key = oracles.split_keys(engine.layout)
+    vacuum = np.flatnonzero(b_key == 0)
+    vacuum = vacuum[np.argsort(a_key[vacuum])]
     assert_allclose(engine.dense_unitary(), full[:, vacuum], atol=1e-15)
 
 
@@ -249,11 +249,9 @@ def test_zero_interaction_zero_h_is_identity_channel():
     ).u
     thc = ThcFactorization(u=u, vtilde=np.zeros((m, m)))
     ham = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), np.zeros((n, n, n, n)))
-    layout = extended_layout(thc)
-    rho = embed_in_ancilla_vacuum(
-        random_sector_state(layout.system_only(), 1, _rng).density(), layout
-    )
+    rho = random_sector_state(ModeLayout(n, 0), 1, _rng).density()
     out = step_channel(rho, thc, ham, StepSpec(tau=0.3))
+    assert out.layout == rho.layout
     assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
 
@@ -263,18 +261,24 @@ def test_step_channel_rejects_leaked_input():
     amps = np.zeros(layout.dim, dtype=complex)
     amps[1 << layout.ancilla_modes[0]] = 1.0  # ancilla occupied
     rho = FockState(layout, amps).density()
-    with pytest.raises(ValueError, match="vacuum"):
+    # the step takes system densities only; an extended one is refused
+    with pytest.raises(ValueError, match="system-only"):
         step_channel(rho, thc, ham, StepSpec(tau=0.1))
+    vacuum = oracles.embed_in_ancilla_vacuum(
+        random_sector_state(layout.system_only(), 1, _rng).density(), layout
+    )
+    with pytest.raises(ValueError, match="system-only"):
+        step_channel(vacuum, thc, ham, StepSpec(tau=0.1))
+    wrong_size = random_sector_state(ModeLayout(3, 0), 1, _rng).density()
+    with pytest.raises(ValueError, match="factorization size"):
+        step_channel(wrong_size, thc, ham, StepSpec(tau=0.1))
 
 
 def test_step_channel_requires_diagonal_h():
     rng = np.random.default_rng(13)
     ham = oracles.random_hamiltonian(2, rng)
     thc = exact_factorize(ham, m=3, seed=0)
-    layout = extended_layout(thc)
-    rho = embed_in_ancilla_vacuum(
-        random_sector_state(layout.system_only(), 1, rng).density(), layout
-    )
+    rho = random_sector_state(ModeLayout(2, 0), 1, rng).density()
     with pytest.raises(ValueError, match="diagonal"):
         step_channel(rho, thc, ham, StepSpec(tau=0.1))
 
@@ -282,22 +286,16 @@ def test_step_channel_requires_diagonal_h():
 def test_one_basic_step_close_to_exact():
     ham, thc = small_instance(5, n=2, m=4)  # exact factorization at m = n^2
     tau = 1e-3
-    layout = extended_layout(thc)
-    psi = random_sector_state(layout.system_only(), 2, np.random.default_rng(2))
-    rho = embed_in_ancilla_vacuum(psi.density(), layout)
-    out = step_channel(rho, thc, ham, StepSpec(tau=tau))
+    psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(2))
+    out = step_channel(psi.density(), thc, ham, StepSpec(tau=tau))
     op = build_many_body_operator(ham, spinful=False)
     reference = exact_evolution(op, psi, tau)
-    assert trace_distance(out.system_density(), reference) <= 1e-5
+    assert trace_distance(out, reference) <= 1e-5
 
 
 def test_improved_with_zero_phases_equals_basic():
     ham, thc = small_instance(6)
-    layout = extended_layout(thc)
-    rho = embed_in_ancilla_vacuum(
-        random_sector_state(layout.system_only(), 1, np.random.default_rng(6)).density(),
-        layout,
-    )
+    rho = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(6)).density()
     basic = step_channel(rho, thc, ham, StepSpec(tau=0.05))
     improved = step_channel(
         rho, thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0))
@@ -341,12 +339,13 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     engine = _StepEngine(thc, ham, spec, layout)
 
     rho = random_sector_mixture(layout.system_only(), rng)
-    extended = embed_in_ancilla_vacuum(rho, layout)
+    extended = oracles.embed_in_ancilla_vacuum(rho, layout)
     full = oracles.full_step_unitary(engine)
     for _ in range(2):
         extended, oracle_leaked = oracles.full_fock_step(full, extended)
         rho, leaked = engine.step(rho)
-        assert_allclose(rho.matrix, extended.system_density().matrix, rtol=0, atol=1e-12)
+        assert_allclose(rho.matrix, oracles.system_density(extended).matrix,
+                        rtol=0, atol=1e-12)
         assert leaked == pytest.approx(oracle_leaked, abs=1e-12)
 
 
@@ -375,27 +374,20 @@ def test_fused_and_sequential_paths_agree(variant):
     # the extended register and resets the ancillas in the occupation basis
     ham, thc = small_instance(9)
     layout = extended_layout(thc)
-    rho = embed_in_ancilla_vacuum(
-        random_sector_state(layout.system_only(), 2, np.random.default_rng(9)).density(),
-        layout,
-    )
+    rho = random_sector_state(layout.system_only(), 2, np.random.default_rng(9)).density()
     spec = StepSpec(tau=0.08, variant=variant)
     fused = step_channel(rho, thc, ham, spec)
     full = oracles.full_step_unitary(_StepEngine(thc, ham, spec, layout))
-    gates, _ = oracles.full_fock_step(full, rho)
-    assert np.max(np.abs(fused.matrix - gates.matrix)) < 1e-12
+    gates, _ = oracles.full_fock_step(full, oracles.embed_in_ancilla_vacuum(rho, layout))
+    assert np.max(np.abs(fused.matrix - oracles.system_density(gates).matrix)) < 1e-12
 
 
 def test_step_channel_preserves_trace_and_vacuum_support():
     ham, thc = small_instance(10)
-    layout = extended_layout(thc)
-    rho = embed_in_ancilla_vacuum(
-        random_sector_state(layout.system_only(), 1, np.random.default_rng(1)).density(),
-        layout,
-    )
+    rho = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(1)).density()
     out = step_channel(rho, thc, ham, StepSpec(tau=0.2, variant="improved"))
     assert out.trace() == pytest.approx(1.0, abs=1e-10)
-    out.system_density(tol=1e-10)  # raises if support leaked
+    assert out.layout == rho.layout  # the ancillas are back in the vacuum
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +571,11 @@ def test_projection_error_methods_agree():
 
     layout = extended_layout(thc)
     engine = _StepEngine(thc, None, StepSpec(tau=tau), layout)
-    extended = embed_in_ancilla_vacuum(rho.density(), layout)
+    extended = oracles.embed_in_ancilla_vacuum(rho.density(), layout)
     stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended)
     v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)), projected_interaction(thc))
     ideal = exact_evolution(build_many_body_operator(v_only, spinful=False), rho.density(), tau)
-    gates = trace_distance(stepped.system_density(), ideal)
+    gates = trace_distance(oracles.system_density(stepped), ideal)
     assert fused == pytest.approx(gates, abs=1e-12)
 
 
@@ -595,14 +587,10 @@ def test_projection_error_methods_agree():
 def test_one_step_error_within_three_error_budget(seed):
     ham, thc = small_instance(seed, n=2, m=2)  # truncated rank: real THC error
     tau = 1e-2
-    layout = extended_layout(thc)
     psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(seed))
-    rho = embed_in_ancilla_vacuum(psi.density(), layout)
-    stepped = step_channel(rho, thc, ham, StepSpec(tau=tau))
+    stepped = step_channel(psi.density(), thc, ham, StepSpec(tau=tau))
     op = build_many_body_operator(ham, spinful=False)
-    measured = trace_distance(
-        stepped.system_density(), exact_evolution(op, psi, tau)
-    )
+    measured = trace_distance(stepped, exact_evolution(op, psi, tau))
 
     h_op, vprime_op = projected_operators(ham, thc)
     psi_h = apply_diagonal_one_body(psi, np.diag(ham.h), tau / 2)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,34 @@ def test_malformed_fcidump_exits_two(tmp_path, capsys):
     bad.write_text("not an integrals file\n")
     assert main(["factorize", "--fcidump", str(bad), "--m", "2"]) == 2
     assert "bad.fcidump" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("no_x.json", json.dumps({"n": 2, "m": 3})),
+    ("short_x.json", json.dumps({"n": 2, "m": 3, "x": [0.1, 0.2, 0.3]})),
+    ("words.txt", "a b c\nd e f\n"),
+    ("null_n.json", json.dumps({"n": None, "m": 3, "x": [0.1] * 6})),
+], ids=["no-x", "short-x", "words", "null-n"])
+def test_malformed_factor_file_exits_two_without_traceback(
+    tmp_path, toy_fcidump, capsys, name, text
+):
+    factors = tmp_path / name
+    factors.write_text(text)
+    assert main(["factorize", "--fcidump", str(toy_fcidump), "--m", "3",
+                 "--factor-file", str(factors)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err
+
+
+def test_package_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, isothc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_factorize_zero_restarts_exits_one_without_traceback(toy_fcidump, capsys):

@@ -16,7 +16,6 @@ from isothc.thc import (
     factorize_hamiltonian,
     isometrize,
     loss_gradient,
-    nullspace_repair,
     polar_retract,
     product_matrix,
     projected_interaction,
@@ -252,51 +251,6 @@ def test_isometrize_accepts_factor_file():
     result = isometrize(ThcFactorFile(x=u_star / np.sqrt(eta_star)), delta=0.1)
     assert isinstance(result, IsometrizeResult)
     assert_allclose(result.eta, eta_star, atol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# null-space repair
-# ---------------------------------------------------------------------------
-
-def test_repair_returns_positive_eta_unchanged():
-    x = _rng.normal(size=(2, 4))
-    eta = np.array([0.3, 0.2, 0.5, 0.1])
-    result = nullspace_repair(x, eta)
-    assert result.feasible
-    assert_allclose(result.eta, eta)
-    assert result.residual_change == 0.0
-
-
-def test_repair_fixes_negative_entry_along_exact_null_vector():
-    # with m above n(n+1)/2 the product map has a genuine null space, so
-    # weights can be shifted without touching the least-squares residual
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(2, 4))
-    a = product_matrix(x)
-    _, s, vt = np.linalg.svd(a)
-    null_vec = vt[-1]
-    assert s[-1] if s.size == 4 else True  # 4x4 map of rank <= 3
-    eta_good = rng.uniform(0.5, 1.0, size=4)
-    shift = 3.0 * null_vec if null_vec[0] > 0 else -3.0 * null_vec
-    eta_bad = eta_good - shift  # drags at least one entry negative generically
-    if eta_bad.min() > 0:
-        eta_bad = eta_good - 10.0 * shift / 3.0
-    assert eta_bad.min() < 0
-    result = nullspace_repair(x, eta_bad, threshold=1e-8)
-    assert result.feasible
-    assert result.eta.min() > 0
-    assert result.residual_change <= 1e-8
-    assert result.null_dimension >= 1
-
-
-def test_repair_reports_infeasible_with_empty_null_space():
-    rng = np.random.default_rng(32)
-    x = rng.normal(size=(2, 3))  # product map is full column rank generically
-    eta = np.array([-0.5, 1.0, 1.0])
-    result = nullspace_repair(x, eta, threshold=0.0)
-    assert not result.feasible
-    assert result.eta is None
-    assert result.null_dimension == 0
 
 
 # ---------------------------------------------------------------------------
