@@ -20,6 +20,21 @@ extended register exists only inside the step engine, the one place that
 splits an extended basis index into its system and ancilla strings; every
 public function takes and returns system-only states.
 
+The step conserves the particle number of each spin on the extended
+register, so K_0 maps every (N_up, N_down) sector of the system into itself
+and each K_b with b != 0 lowers the particle number by the ancillas that b
+fills; no weight ever flows back.  A state of one total particle number N,
+supported on the set S of its (N_up, N_down) sectors, therefore evolves
+into rho_S (+) rho_low, with rho_S = K_0 rho_S K_0^dagger step after step
+and rho_low below N, while the exact reference phi stays in S.  The trace
+distance splits exactly into 1/2 ||rho_S - phi phi^dagger||_1 + 1/2 tr rho_low,
+and tr rho_low is the sum of the weights the steps moved out of S.  One
+step engine serves two supports with one compile and one step formula:
+``evolve`` compiles the columns on S and keeps only K_0 on S, folding the
+rows that leave S into one Gram matrix for the leaked weight, while
+``step_channel`` and the projection errors compile every system state and
+keep the whole stack of K_b.
+
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
 Trotter error, and the projection error from resetting ancillas.
@@ -83,9 +98,15 @@ __all__ = [
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
 PARITY_MIXING_TOL = 1e-9
-# arrays the size of U P alive at once: U P, the Kraus stack, its adjoint, the
-# two stacked products of a step, and a spare for the gate kernels' temporaries
-KRAUS_WORKING_COPIES = 6
+# arrays the size of the compiled columns U P alive at once: the unit columns
+# and the kernels' input and output blocks while the step compiles, then U P,
+# its rows that leave the support and their conjugate while the Gram matrix
+# is folded, and a spare (measured peak at 14 and 16 modes: 2.6 and 3.0 copies)
+STEP_WORKING_COPIES = 4
+# bytes per extended basis state of the gate kernels' tables, which do not grow
+# with the column count: split keys, Givens pair indices, phase and occupation
+# vectors (measured peak with one column at 16-20 modes: 230-236 bytes)
+KERNEL_BYTES_PER_STATE = 256
 
 
 @dataclass(frozen=True)
@@ -131,9 +152,15 @@ class ErrorBudget:
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """``leaked_weight[k]`` is the weight step ``k`` left outside the ancilla vacuum."""
+    """Outcome of :func:`evolve`.
 
-    rho_final: FockDensity
+    ``error_vs_exact`` is the trace distance between the stepped density and
+    the exact evolution of ``psi0`` over ``t_simulated = n_steps * tau``.
+    ``leaked_weight[k]`` is the weight step ``k`` moved out of the input's
+    particle-number sector, to lower particle numbers through the ancillas
+    it left occupied; the error counts half their sum.
+    """
+
     error_vs_exact: float
     n_steps: int
     t_simulated: float
@@ -155,9 +182,15 @@ def extended_layout(thc: ThcFactorization, spinful: bool = False) -> ModeLayout:
     return ModeLayout(n_system=thc.n, n_ancilla=thc.m - thc.n, spinful=spinful)
 
 
-def step_memory_bytes(layout: ModeLayout) -> int:
-    """Estimated peak bytes of a step engine: a few complex copies of ``U P``."""
-    return KRAUS_WORKING_COPIES * 16 * layout.dim << len(layout.system_modes)
+def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
+    """Estimated peak bytes of the step engine that ``evolve`` runs on ``psi0``.
+
+    The engine compiles one column of ``U P`` per system state in the support
+    of ``psi0``, over the ``2^M`` states of the extended ``layout``, and the
+    gate kernels add their tables.
+    """
+    columns = _support(psi0).size
+    return (STEP_WORKING_COPIES * 16 * columns + KERNEL_BYTES_PER_STATE) * layout.dim
 
 
 def basis_rotation_sequence(thc: ThcFactorization) -> GivensSequence:
@@ -240,12 +273,37 @@ def _split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
     return a_key, b_key
 
 
+def _support(psi0: FockState) -> np.ndarray:
+    """System basis states, ascending, whose (N_up, N_down) occurs in ``psi0``.
+
+    Only N when spinless.  Raises ``ValueError`` unless every amplitude of
+    ``psi0`` lies at one total particle number.
+    """
+    layout = psi0.layout
+    index = np.arange(layout.dim)
+    counts = np.zeros((layout.n_sectors, layout.dim), dtype=np.int64)
+    for mode in range(layout.n_modes):
+        counts[mode // layout.sector_size] += (index >> mode) & 1
+    occupied = psi0.amplitudes != 0
+    totals = np.unique(counts.sum(axis=0)[occupied])
+    if totals.size != 1:
+        raise ValueError(
+            f"psi0 must have one particle number, found {totals.tolist()}"
+        )
+    sector = np.ravel_multi_index(tuple(counts), (layout.sector_size + 1,) * layout.n_sectors)
+    return np.flatnonzero(np.isin(sector, sector[occupied]))
+
+
 # ---------------------------------------------------------------------------
 # The step circuit
 # ---------------------------------------------------------------------------
 
 class _StepEngine:
-    """One compiled step on the extended ``layout``, applied as a Kraus map."""
+    """One compiled step on the extended ``layout``, applied as a Kraus map.
+
+    ``support`` lists the system basis states the engine acts on, one total
+    particle number (see ``_support``); by default it is every system state.
+    """
 
     def __init__(
         self,
@@ -253,6 +311,7 @@ class _StepEngine:
         hamiltonian: ElectronicHamiltonian | None,
         spec: StepSpec,
         layout: ModeLayout,
+        support: np.ndarray | None = None,
     ) -> None:
         if layout.n_system != thc.n or layout.n_ancilla != thc.m - thc.n:
             raise ValueError(
@@ -261,6 +320,12 @@ class _StepEngine:
             )
         self.layout = layout
         self.a_key, self.b_key = _split_keys(layout)
+        self.support = support
+        # the extended index of each compiled column: its system state with
+        # every ancilla empty
+        self.vacuum = np.flatnonzero(self.b_key == 0)
+        if support is not None:
+            self.vacuum = self.vacuum[support]
         self.spec = spec
         self.vtilde = thc.vtilde
         self.sequence = basis_rotation_sequence(thc)
@@ -276,7 +341,7 @@ class _StepEngine:
             self.h_diag = scattered
         self.ops = self._build_ops()
         self._dense: np.ndarray | None = None
-        self._kraus: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._kraus: tuple | None = None
 
     def _interaction_ops(self) -> list[tuple]:
         tau = self.spec.tau
@@ -316,48 +381,67 @@ class _StepEngine:
         return state
 
     def dense_unitary(self) -> np.ndarray:
-        """``U P``, shape ``(2^M, 2^M_sys)``: column ``a`` is the image of system
-        state ``a`` in the ancilla vacuum.  One pass of the op list, cached."""
+        """``U P`` on the support, shape ``(2^M, |S|)``: column ``j`` is the image
+        of system state ``S[j]`` in the ancilla vacuum.  One pass of the op
+        list, cached."""
         if self._dense is None:
-            vacuum = np.flatnonzero(self.b_key == 0)
-            columns = np.zeros((self.layout.dim, vacuum.size), dtype=complex)
-            columns[vacuum, np.arange(vacuum.size)] = 1.0
+            columns = np.zeros((self.layout.dim, self.vacuum.size), dtype=complex)
+            columns[self.vacuum, np.arange(self.vacuum.size)] = 1.0
             self._dense = self._apply_sequential(FockState(self.layout, columns)).amplitudes
         return self._dense
 
-    def _kraus_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stack ``K[b] = <b|U|., 0>`` by ancilla string, its adjoint, and
-        the mask of system-string pairs of different particle-number parity."""
+    def _kraus_operators(self) -> tuple:
+        """The kept Kraus stack ``K[b] = <b|U|., 0>`` on the support, its
+        adjoint, the mask of system-string pairs of different particle-number
+        parity, and the Gram matrix of the rows that leave the support.
+
+        Every system state is kept with the full support, so the stack runs
+        over all ancilla strings and nothing leaves.  A sector support keeps
+        only K_0, since every b != 0 lowers the particle number; its leaving
+        rows L give G = L^dagger L, whose trace against rho is the leaked weight.
+        """
         if self._kraus is None:
             up = self.dense_unitary()
-            n_a, n_b = len(self.layout.system_modes), len(self.layout.ancilla_modes)
-            kraus = np.empty((1 << n_b, 1 << n_a, 1 << n_a), dtype=complex)
-            kraus[self.b_key, self.a_key] = up
+            if self.support is None:
+                n_a, n_b = len(self.layout.system_modes), len(self.layout.ancilla_modes)
+                kraus = np.empty((1 << n_b, 1 << n_a, 1 << n_a), dtype=complex)
+                kraus[self.b_key, self.a_key] = up
+                parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
+                mismatch = parity[:, None] != parity[None, :]
+                gram = None
+            else:
+                kraus = up[self.vacuum][None]
+                leaving = up[self.b_key != 0]
+                gram = leaving.conj().T @ leaving
+                mismatch = None
             kraus_h = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
-            parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
-            mismatch = parity[:, None] != parity[None, :]
-            self._kraus = (kraus, kraus_h, mismatch)
+            self._kraus = (kraus, kraus_h, mismatch, gram)
         return self._kraus
 
-    def step(self, rho: FockDensity) -> tuple[FockDensity, float]:
-        """Step a system-only density; also return ``sum_{b != 0} tr(K_b rho K_b^+)``.
+    def step(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
+        """Step a density on the support; also return the weight that left
+        the ancilla vacuum, ``sum_{b != 0} tr(K_b rho K_b^+)``.
 
         The occupation-basis reset matches the fermionic channel unless a
         leaked block mixes particle-number parities; a warning flags that.
         """
-        kraus, kraus_h, mismatch = self._kraus_operators()
-        blocks = (kraus @ rho.matrix) @ kraus_h
-        leaked = blocks[1:]
-        mixing = float(np.abs(leaked[:, mismatch]).sum())
-        if mixing > PARITY_MIXING_TOL:
-            warnings.warn(
-                "resetting ancillas on a state with parity-mixing coherences "
-                f"(weight {mixing:.3e}); occupation-basis trace may not match "
-                "the fermionic channel",
-                stacklevel=2,
-            )
-        weight = float(np.trace(leaked, axis1=1, axis2=2).sum().real)
-        return FockDensity(rho.layout, blocks.sum(axis=0)), weight
+        kraus, kraus_h, mismatch, gram = self._kraus_operators()
+        blocks = (kraus @ rho) @ kraus_h
+        weight = 0.0
+        if len(blocks) > 1:
+            leaked = blocks[1:]
+            mixing = float(np.abs(leaked[:, mismatch]).sum())
+            if mixing > PARITY_MIXING_TOL:
+                warnings.warn(
+                    "resetting ancillas on a state with parity-mixing coherences "
+                    f"(weight {mixing:.3e}); occupation-basis trace may not match "
+                    "the fermionic channel",
+                    stacklevel=2,
+                )
+            weight = float(np.trace(leaked, axis1=1, axis2=2).sum().real)
+        # G is Hermitian, so vdot(G, rho) = sum_ij G_ji rho_ij = tr(G rho)
+        escape = 0.0 if gram is None else float(np.vdot(gram, rho).real)
+        return blocks.sum(axis=0), weight + escape
 
 
 def step_channel(
@@ -374,7 +458,8 @@ def step_channel(
     """
     _check_system_layout(rho.layout, thc, "rho")
     layout = extended_layout(thc, spinful=rho.layout.spinful)
-    out, _ = _StepEngine(thc, hamiltonian, spec, layout).step(rho)
+    matrix, _ = _StepEngine(thc, hamiltonian, spec, layout).step(rho.matrix)
+    out = FockDensity(rho.layout, matrix)
     if abs(out.trace() - rho.trace()) > 1e-10:
         raise InvariantError("step channel failed to preserve the trace")
     return out
@@ -391,12 +476,14 @@ def evolve(
 ) -> EvolveResult:
     """Repeat the step channel for ``round(t / tau)`` steps and compare to e^{-iHt}.
 
-    ``psi0`` is a pure state on the system-only layout, and the evolved
-    density stays on that layout; the ancillas enter only through the
-    Kraus operators of the step.  ``tau`` overrides ``spec.tau`` so sweeps
-    can share one spec.  The exact reference evolves ``psi0`` under the full
+    ``psi0`` is a pure state on the system-only layout with one total
+    particle number (``ValueError`` otherwise).  Only its sectors S are
+    stepped, by K_0; the weight each step moves below S is accumulated in
+    ``leaked_weight``.  ``tau`` overrides ``spec.tau`` so sweeps can share
+    one spec.  The exact reference evolves ``psi0`` under the full
     Hamiltonian for the actually simulated time ``n_steps * tau``, and the
-    reported error is the trace distance between the two.
+    reported error is the trace distance between the two, evaluated exactly
+    as 1/2 ||rho_S - phi phi^dagger||_1 + 1/2 sum(leaked_weight).
     """
     _check_system_layout(psi0.layout, thc, "psi0")
     if psi0.layout.n_system != hamiltonian.n_orbitals:
@@ -410,24 +497,29 @@ def evolve(
         raise ValueError(
             f"t/tau = {ratio:.6g} is more than {step_tolerance} from an integer"
         )
-    rho = psi0.density()
+    support = _support(psi0)
     leaked = np.zeros(n_steps)
     if n_steps == 0:
-        return EvolveResult(rho_final=rho, error_vs_exact=0.0, n_steps=0,
-                            t_simulated=0.0, leaked_weight=leaked)
+        return EvolveResult(error_vs_exact=0.0, n_steps=0, t_simulated=0.0,
+                            leaked_weight=leaked)
 
+    psi = psi0.amplitudes[support]
+    rho = np.outer(psi, psi.conj())
     layout = extended_layout(thc, spinful=psi0.layout.spinful)
-    engine = _StepEngine(thc, hamiltonian, spec, layout)
+    engine = _StepEngine(thc, hamiltonian, spec, layout, support)
     for k in range(n_steps):
         rho, leaked[k] = engine.step(rho)
-    if abs(rho.trace() - 1.0) > 1e-8:
+    lost = float(leaked.sum())
+    if abs(np.trace(rho).real + lost - 1.0) > 1e-8:
         raise InvariantError("evolution failed to preserve the trace")
 
     t_simulated = n_steps * tau
     op = build_many_body_operator(hamiltonian, spinful=psi0.layout.spinful)
-    reference = exact_evolution(op, psi0, t_simulated)
-    error = trace_distance(rho, reference)
-    return EvolveResult(rho_final=rho, error_vs_exact=error, n_steps=n_steps,
+    phi = exact_evolution(op, psi0, t_simulated).amplitudes[support]
+    # the evolved density is rho (+) rho_low, and phi lives on the support
+    diff = rho - np.outer(phi, phi.conj())
+    error = 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()) + 0.5 * lost
+    return EvolveResult(error_vs_exact=error, n_steps=n_steps,
                         t_simulated=t_simulated, leaked_weight=leaked)
 
 
@@ -508,9 +600,9 @@ def projection_error_measured(
     _check_system_layout(rho.layout, thc, "rho")
     spinful = rho.layout.spinful
     engine = _interaction_engine(thc, tau, variant, phases, spinful)
-    traced, _ = engine.step(rho)
+    traced, _ = engine.step(rho.matrix)
     ideal = exact_evolution(_vprime_operator(thc, spinful), rho, tau)
-    return trace_distance(traced, ideal)
+    return trace_distance(FockDensity(rho.layout, traced), ideal)
 
 
 def projection_error_bound(

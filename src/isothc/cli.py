@@ -165,7 +165,7 @@ def _load_thc(path: str | Path) -> ThcFactorization:
     text = _read_text(path)
     try:
         return ThcFactorization.from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -302,9 +302,11 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
         )
 
     # refuse a register that cannot fit in memory before any step runs; the
-    # step needs more than the exact reference on the system modes alone
+    # step needs more than the exact reference on the system modes alone, and
+    # compiles one column per system state in the initial state's sectors
+    psi0 = _initial_state(cfg, rotated)
     layout = extended_layout(thc, spinful=cfg["spinful"])
-    refusal = _memory_refusal("the step", layout.n_modes, step_memory_bytes(layout))
+    refusal = _memory_refusal("the step", layout.n_modes, step_memory_bytes(layout, psi0))
     if refusal:
         raise ValueError(refusal)
 
@@ -313,7 +315,6 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
         raise ValueError("tau values must be positive")
     variants = list(dict.fromkeys(_as_list(cfg["variants"])))
     phases = tuple(cfg["phases"]) if cfg["phases"] is not None else DEFAULT_PHASES
-    psi0 = _initial_state(cfg, rotated)
 
     rows: list[list] = []
     leakage: list[dict] = []

@@ -7,7 +7,9 @@ two routes can check each other.  Mode 0 is the least significant bit.  The
 full-Fock Trotter step (system density embedded in the ancilla vacuum,
 whole step unitary, occupation-basis ancilla reset, restriction back to the
 system modes) is kept here as the reference for the Kraus-form step of
-``isothc.algorithm``, and the THC refinement loop that solves the core
+``isothc.algorithm``, the evolution of the whole system density step by
+step as the reference for the sector-only ``evolve``, and the THC
+refinement loop that solves the core
 twice per step and plans the gradient's einsum order on every call, as the
 reference for ``isothc.thc.refine``.
 """
@@ -18,8 +20,9 @@ import warnings
 
 import numpy as np
 
-from isothc.focksim import FockDensity, FockState, ModeLayout
-from isothc.hamiltonian import ElectronicHamiltonian
+from isothc.algorithm import StepSpec, _StepEngine, extended_layout
+from isothc.focksim import FockDensity, FockState, ModeLayout, exact_evolution, trace_distance
+from isothc.hamiltonian import ElectronicHamiltonian, build_many_body_operator
 from isothc.thc import (
     RefineConfig,
     ThcFactorization,
@@ -287,6 +290,30 @@ def full_fock_step(u: np.ndarray, rho: FockDensity) -> tuple[FockDensity, float]
     a_key, b_key = split_keys(rho.layout)
     kept = float(np.trace(rotated.matrix[np.ix_(b_key == 0, b_key == 0)]).real)
     return reset_ancillas(rotated), rho.trace() - kept
+
+
+def evolve_full_density(
+    psi0: FockState,
+    thc: ThcFactorization,
+    hamiltonian: ElectronicHamiltonian,
+    n_steps: int,
+    spec: StepSpec,
+) -> tuple[float, FockDensity]:
+    """Step the whole system density with every Kraus operator, n_steps times.
+
+    Returns the trace distance to the exact evolution of ``psi0`` over
+    ``n_steps * spec.tau`` and the stepped density, which keeps the weight
+    that left the input's particle-number sector.
+    """
+    spinful = psi0.layout.spinful
+    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful))
+    rho = psi0.density()
+    for _ in range(n_steps):
+        matrix, _ = engine.step(rho.matrix)
+        rho = FockDensity(rho.layout, matrix)
+    op = build_many_body_operator(hamiltonian, spinful=spinful)
+    reference = exact_evolution(op, psi0, n_steps * spec.tau)
+    return trace_distance(rho, reference), rho
 
 
 # ---------------------------------------------------------------------------

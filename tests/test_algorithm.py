@@ -343,7 +343,8 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     full = oracles.full_step_unitary(engine)
     for _ in range(2):
         extended, oracle_leaked = oracles.full_fock_step(full, extended)
-        rho, leaked = engine.step(rho)
+        matrix, leaked = engine.step(rho.matrix)
+        rho = FockDensity(rho.layout, matrix)
         assert_allclose(rho.matrix, oracles.system_density(extended).matrix,
                         rtol=0, atol=1e-12)
         assert leaked == pytest.approx(oracle_leaked, abs=1e-12)
@@ -360,10 +361,10 @@ def test_step_warns_on_parity_mixing_coherence():
     amps[[0b0101, 0b0111]] = 1 / np.sqrt(2)
     rho = FockState(layout.system_only(), amps).density()
     with pytest.warns(UserWarning, match="parity"):
-        engine.step(rho)
+        engine.step(rho.matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, leaked = engine.step(random_sector_mixture(layout.system_only(), _rng))
+        _, leaked = engine.step(random_sector_mixture(layout.system_only(), _rng).matrix)
     assert leaked > 1e-6
 
 
@@ -443,6 +444,73 @@ def test_evolve_error_shrinks_with_tau():
     fine = evolve(psi, thc, ham, t=0.8, tau=0.025).error_vs_exact
     assert coarse > 1e-8
     assert fine < 0.5 * coarse
+
+
+def random_definite_state(layout: ModeLayout, rng, one_spin_sector: bool):
+    """Random amplitudes on every state of one particle number N, or of one
+    (N_up, N_down) sector; returns the state and the indices it occupies."""
+    states = np.arange(layout.dim)
+    low = (1 << layout.sector_size) - 1
+    n_up = np.array([bin(x & low).count("1") for x in states])
+    total = np.array([bin(x).count("1") for x in states])
+    n_total = int(rng.integers(1, layout.n_modes + 1))
+    chosen = total == n_total
+    if one_spin_sector and layout.spinful:
+        ups = np.unique(n_up[chosen])
+        chosen &= n_up == rng.choice(ups)
+    idx = np.flatnonzero(chosen)
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    return FockState(layout, amps / np.linalg.norm(amps)), idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    spinful=st.booleans(),
+    variant=st.sampled_from(["basic", "improved"]),
+    with_h=st.booleans(),
+    one_spin_sector=st.booleans(),
+    n_steps=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_evolve_matches_full_density_oracle(
+    n, extra, spinful, variant, with_h, one_spin_sector, n_steps, seed
+):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    u = random_co_isometry(n, m, rng)
+    vtilde = rng.normal(size=(m, m)) * 0.5
+    thc = ThcFactorization(u=u, vtilde=0.5 * (vtilde + vtilde.T))
+    h = np.diag(rng.normal(size=n)) if with_h else np.zeros((n, n))
+    ham = ElectronicHamiltonian(n, 0.0, h, projected_interaction(thc))
+    tau = float(rng.uniform(0.05, 0.5))
+    spec = StepSpec(tau=tau, variant=variant)
+    psi, support = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector)
+
+    result = evolve(psi, thc, ham, t=n_steps * tau, tau=tau, spec=spec)
+    error, rho = oracles.evolve_full_density(psi, thc, ham, n_steps, spec)
+    outside = float(np.delete(np.diag(rho.matrix).real, support).sum())
+    assert result.n_steps == n_steps
+    assert result.error_vs_exact == pytest.approx(error, abs=1e-12)
+    assert result.leaked_weight.sum() == pytest.approx(outside, abs=1e-12)
+
+    # the sector engine compiles exactly the full engine's columns on S
+    layout = extended_layout(thc, spinful=spinful)
+    sector = _StepEngine(thc, ham, spec, layout, support)
+    full = _StepEngine(thc, ham, spec, layout)
+    assert np.array_equal(sector.dense_unitary(), full.dense_unitary()[:, support])
+
+
+@pytest.mark.parametrize("spinful", [False, True])
+def test_evolve_rejects_mixed_particle_numbers(spinful):
+    ham, thc = small_instance(16)
+    layout = ModeLayout(2, 0, spinful)
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[[0b0001, 0b0011]] = 1 / np.sqrt(2)  # one and two particles
+    with pytest.raises(ValueError, match="one particle number"):
+        evolve(FockState(layout, amps), thc, ham, t=0.2, tau=0.1)
 
 
 # ---------------------------------------------------------------------------

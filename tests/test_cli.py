@@ -23,7 +23,7 @@ from isothc.cli import (
     fit_loglog,
     main,
 )
-from isothc.focksim import FockDensity, GivensSequence
+from isothc.focksim import GivensSequence, ModeLayout, basis_state
 from isothc.hamiltonian import write_fcidump
 from isothc.thc import ThcFactorization
 
@@ -211,6 +211,23 @@ def test_malformed_factor_file_exits_two_without_traceback(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("list.json", json.dumps([1, 2])),
+    ("null_n.json", json.dumps({"n": None, "m": 2, "u": [1.0, 0.0, 0.0, 1.0],
+                                "vtilde": [1.0, 0.0, 0.0, 1.0]})),
+], ids=["list", "null-n"])
+def test_malformed_thc_file_exits_two_without_traceback(
+    tmp_path, toy_fcidump, capsys, name, text
+):
+    thc_path = tmp_path / name
+    thc_path.write_text(text)
+    assert main(["simulate", "--fcidump", str(toy_fcidump), "--thc", str(thc_path),
+                 "--t", "0.05", "--tau", "0.05", "--initial-state", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err
+
+
 def test_package_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, isothc.cli; "
@@ -309,7 +326,8 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     assert code == 0
     capsys.readouterr()
     thc = ThcFactorization.from_json((outdir / "thc_m8.json").read_text())
-    needed = step_memory_bytes(extended_layout(thc, spinful=True))
+    psi0 = basis_state(ModeLayout(2, 0, spinful=True), "1111")
+    needed = step_memory_bytes(extended_layout(thc, spinful=True), psi0)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
 
     def no_steps(*args, **kwargs):
@@ -333,7 +351,7 @@ def test_simulate_trace_drift_exits_one_without_traceback(factorized, capsys,
 
     def drifting_step(self, rho):
         out, leaked = step(self, rho)
-        return FockDensity(out.layout, 1.01 * out.matrix), leaked
+        return 1.01 * out, leaked
 
     monkeypatch.setattr(_StepEngine, "step", drifting_step)
     code = main([
