@@ -268,6 +268,10 @@ def cmd_factorize(cfg: dict) -> CommandOutput:
         )
     manifest = _manifest("factorize", cfg, ("fcidump", "factor_file"),
                          basis="one-body eigenbasis of the input integrals")
+    isometrize_health = [{"m": m, **row["isometrize"]} for m, _, rows, _ in results
+                         for row in rows if "isometrize" in row]
+    if isometrize_health:
+        manifest["health"] = {"isometrize": isometrize_health}
     return CommandOutput(report, artifacts, manifest)
 
 

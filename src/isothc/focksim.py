@@ -232,19 +232,6 @@ class GivensSequence:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GivensSequence":
-        doc = json.loads(text)
-        rotations = tuple(
-            GivensRotation(int(r["p"]), int(r["q"]), float(r["theta"]), float(r["phi"]))
-            for r in doc["rotations"]
-        )
-        return cls(
-            n_modes=int(doc["n_modes"]),
-            rotations=rotations,
-            diagonal_phases=np.array(doc["residual_diagonal_phases"], dtype=float),
-        )
-
 
 def complete_isometry(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Extend a co-isometry (orthonormal rows) to a full orthogonal matrix.

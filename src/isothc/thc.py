@@ -15,13 +15,18 @@ supplied factors or random restarts), an isometrization step that solves a
 bound-constrained least-squares problem for row weights, and a
 gradient-descent refinement on the co-isometry manifold with the core
 re-solved in closed form between steps.
+
+The contractions are matrix products on the n^2 x m product matrix ``P``
+(:func:`product_matrix`): the recontraction is ``V' = P vtilde P^T``.  They
+keep the operand order and memory layout numpy's greedy planner picks for
+``ia,ja,ab,kb,lb->ijkl``, because Adam amplifies a last-bit change in the
+gradient over thousands of steps into a different refined factorization.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -164,13 +169,6 @@ class ThcFactorFile:
             return cls(x=x, w=w)
         return cls(x=np.atleast_2d(np.loadtxt(path)))
 
-    def save(self, path: str | Path) -> None:
-        n, m = self.x.shape
-        doc: dict = {"n": n, "m": m, "x": self.x.reshape(-1).tolist()}
-        if self.w is not None:
-            doc["w"] = self.w.reshape(-1).tolist()
-        Path(path).write_text(json.dumps(doc, indent=2))
-
 
 @dataclass(frozen=True)
 class RefineConfig:
@@ -225,24 +223,19 @@ def contract_vtilde(
     return vtilde, htilde
 
 
-@functools.lru_cache(maxsize=64)
-def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
-    """The contraction order ``optimize=True`` picks for operands of these shapes."""
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+def _relative_l2(residual: np.ndarray, target_l2: float) -> float:
+    """``||target - approx|| / ||target||``; a zero target's residual is ``-approx``."""
+    l2 = np.linalg.norm(residual.reshape(-1))
+    if target_l2 == 0.0:
+        return 0.0 if l2 == 0.0 else np.inf
+    return float(l2 / target_l2)
 
 
-def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(..., optimize=True)`` without planning the order on every call."""
-    path = _einsum_path(subscripts, *(np.shape(a) for a in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
-def _relative_l2(target: np.ndarray, approx: np.ndarray) -> float:
-    denom = np.linalg.norm(target.reshape(-1))
-    if denom == 0.0:
-        return 0.0 if np.linalg.norm(approx.reshape(-1)) == 0.0 else np.inf
-    return float(np.linalg.norm((target - approx).reshape(-1)) / denom)
+def _one_body_error(hamiltonian: ElectronicHamiltonian, thc: ThcFactorization) -> float | None:
+    if thc.htilde is None:
+        return None
+    h = hamiltonian.h
+    return _relative_l2(h - (thc.u * thc.htilde) @ thc.u.T, np.linalg.norm(h.reshape(-1)))
 
 
 def projected_interaction(thc: ThcFactorization | None = None, *,
@@ -260,19 +253,18 @@ def projected_interaction(thc: ThcFactorization | None = None, *,
     if u is None or vtilde is None:
         raise ValueError("need either a factorization or explicit u and vtilde")
     vs = 0.5 * (vtilde + vtilde.T)
-    return _einsum("ia,ja,ab,kb,lb->ijkl", u, u, vs, u, u)
+    pm = product_matrix(u)
+    q = np.ascontiguousarray((pm @ vs).T)
+    return (pm @ q).reshape((np.shape(u)[0],) * 4).transpose(2, 3, 0, 1)
 
 
 def approximation_errors(
     hamiltonian: ElectronicHamiltonian, thc: ThcFactorization
 ) -> tuple[float, float | None]:
     """Relative element-wise l2 errors (eps_v, eps_h) of the recontraction."""
-    eps_v = _relative_l2(hamiltonian.eri, projected_interaction(thc))
-    eps_h = None
-    if thc.htilde is not None:
-        h_approx = (thc.u * thc.htilde) @ thc.u.T
-        eps_h = _relative_l2(hamiltonian.h, h_approx)
-    return eps_v, eps_h
+    eri = hamiltonian.eri
+    eps_v = _relative_l2(eri - projected_interaction(thc), np.linalg.norm(eri.reshape(-1)))
+    return eps_v, _one_body_error(hamiltonian, thc)
 
 
 def exact_factorize(
@@ -377,20 +369,27 @@ def isometrize(
 # ---------------------------------------------------------------------------
 
 def loss_gradient(
-    u: np.ndarray, hamiltonian: ElectronicHamiltonian, vtilde: np.ndarray
+    u: np.ndarray, hamiltonian: ElectronicHamiltonian, vtilde: np.ndarray,
+    *, residual: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the squared recontraction error at fixed ``vtilde``.
 
     The loss is the unnormalized squared numerator of eps_v,
     ``sum_ijkl (V - V')^2`` with ``V'`` the recontraction; because the core
     is re-solved in closed form between steps, this envelope gradient is
-    the one the refinement follows.
+    the one the refinement follows.  ``residual`` is ``V - V'`` if the
+    caller has it already.
     """
     u = np.asarray(u, dtype=float)
+    n, m = u.shape
     vs = 0.5 * (vtilde + vtilde.T)
-    residual = hamiltonian.eri - projected_interaction(u=u, vtilde=vs)
-    half = _einsum("ab,kb,lb->akl", vs, u, u)
-    return -8.0 * _einsum("pjkl,ja,akl->pa", residual, u, half)
+    if residual is None:
+        residual = hamiltonian.eri - projected_interaction(u=u, vtilde=vs)
+    # vs.T as an F-ordered m x n^2 view; vs or a contiguous copy moves the last bit
+    half = (product_matrix(u) @ vs.T).T
+    rt = np.ascontiguousarray(residual.transpose(2, 3, 0, 1)).reshape(n * n, n * n)
+    x = (half @ rt).reshape(m, n, n)
+    return -8.0 * np.matmul(x, u.T.reshape(m, n, 1)).reshape(m, n).T
 
 
 def polar_retract(u: np.ndarray) -> np.ndarray:
@@ -408,9 +407,10 @@ def refine(
 
     Each step re-solves the core in closed form, takes an Adam step on the
     envelope gradient, and retracts back to the co-isometry manifold via a
-    polar decomposition.  The best iterate seen is returned, so the
-    reported error never exceeds the starting one.  The routine is
-    deterministic; the seed is provenance for the starting point.
+    polar decomposition.  One recontraction per step serves both the
+    candidate's eps_v and the next gradient.  The best iterate seen is
+    returned, so the reported error never exceeds the starting one.  The
+    routine is deterministic; the seed is provenance for the starting point.
     """
     cfg = config if config is not None else RefineConfig()
     u = polar_retract(np.asarray(u0, dtype=float))
@@ -418,29 +418,32 @@ def refine(
     moment2 = np.zeros_like(u)
     step_count = 0
     best: dict = {"eps_v": np.inf}
+    eri = hamiltonian.eri
+    eri_l2 = np.linalg.norm(eri.reshape(-1))
 
-    def consider(candidate: np.ndarray) -> np.ndarray:
+    def consider(candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vtilde, htilde = contract_vtilde(candidate, hamiltonian)
         thc = ThcFactorization(u=candidate, vtilde=vtilde, htilde=htilde)
-        eps_v, eps_h = approximation_errors(hamiltonian, thc)
+        residual = eri - projected_interaction(thc)
+        eps_v = _relative_l2(residual, eri_l2)
         if eps_v < best["eps_v"]:
             best.update(
-                {"eps_v": eps_v, "eps_h": eps_h, "u": candidate,
-                 "vtilde": vtilde, "htilde": htilde}
+                {"eps_v": eps_v, "eps_h": _one_body_error(hamiltonian, thc),
+                 "u": candidate, "vtilde": vtilde, "htilde": htilde}
             )
-        return vtilde
+        return vtilde, residual
 
-    vtilde = consider(u)
+    vtilde, residual = consider(u)
     for rounds, lr in [(cfg.rounds_phase1, cfg.lr_phase1), (cfg.rounds_phase2, cfg.lr_phase2)]:
         for _ in range(rounds):
-            grad = loss_gradient(u, hamiltonian, vtilde)
+            grad = loss_gradient(u, hamiltonian, vtilde, residual=residual)
             step_count += 1
             moment1 = cfg.beta1 * moment1 + (1.0 - cfg.beta1) * grad
             moment2 = cfg.beta2 * moment2 + (1.0 - cfg.beta2) * grad**2
             hat1 = moment1 / (1.0 - cfg.beta1**step_count)
             hat2 = moment2 / (1.0 - cfg.beta2**step_count)
             u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + cfg.adam_epsilon))
-            vtilde = consider(u)
+            vtilde, residual = consider(u)
 
     return ThcFactorization(
         u=best["u"], vtilde=best["vtilde"], htilde=best["htilde"],
@@ -462,7 +465,8 @@ def factorize_hamiltonian(
     """Full factorization pipeline with restarts.
 
     With external factors the single starting point comes from
-    :func:`isometrize`; otherwise each restart draws a fresh random
+    :func:`isometrize`, whose convergence lands in the row's
+    ``"isometrize"`` entry; otherwise each restart draws a fresh random
     co-isometry seeded by ``seed + restart``.  The best factorization by
     ``eps_v`` (ties broken by smaller l1 norm of the core, which controls
     downstream error constants) is returned together with per-restart
@@ -477,8 +481,10 @@ def factorize_hamiltonian(
     if factor_file is not None:
         n_restarts = 1
     for restart in range(n_restarts):
+        iso = None
         if factor_file is not None:
-            u0 = isometrize(factor_file, delta=delta).u
+            iso = isometrize(factor_file, delta=delta)
+            u0 = iso.u
             if u0.shape[1] != m:
                 raise ValueError(
                     f"factor file has m = {u0.shape[1]}, requested m = {m}"
@@ -488,10 +494,12 @@ def factorize_hamiltonian(
         run_cfg = RefineConfig(**{**asdict(cfg), "seed": seed + restart})
         thc = refine(hamiltonian, u0, run_cfg)
         l1_core = float(np.abs(thc.vtilde).sum())
-        rows.append(
-            {"restart": restart, "seed": seed + restart, "eps_v": thc.eps_v,
-             "eps_h": thc.eps_h, "l1_vtilde": l1_core}
-        )
+        row = {"restart": restart, "seed": seed + restart, "eps_v": thc.eps_v,
+               "eps_h": thc.eps_h, "l1_vtilde": l1_core}
+        if iso is not None:
+            row["isometrize"] = {"converged": iso.converged,
+                                 "residual_norm": iso.residual_norm, "n_iter": iso.n_iter}
+        rows.append(row)
         key = (thc.eps_v, l1_core)
         if best_key is None or key < best_key:
             best, best_key = thc, key

@@ -11,17 +11,27 @@ system modes) is kept here as the reference for the Kraus-form step of
 step as the reference for the sector-only ``evolve``, and the THC
 refinement loop that solves the core
 twice per step and plans the gradient's einsum order on every call, as the
-reference for ``isothc.thc.refine``.
+reference for ``isothc.thc.refine``.  It also reads back the
+``givens_sequence.json`` artifact, which only the tests need to parse.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
 
 from isothc.algorithm import StepSpec, _StepEngine, extended_layout
-from isothc.focksim import FockDensity, FockState, ModeLayout, exact_evolution, trace_distance
+from isothc.focksim import (
+    FockDensity,
+    FockState,
+    GivensRotation,
+    GivensSequence,
+    ModeLayout,
+    exact_evolution,
+    trace_distance,
+)
 from isothc.hamiltonian import ElectronicHamiltonian, build_many_body_operator
 from isothc.thc import (
     RefineConfig,
@@ -190,6 +200,20 @@ def contract_thc(u: np.ndarray, vtilde: np.ndarray) -> np.ndarray:
                             acc += u[i, a] * u[j, a] * vtilde[a, b] * u[k, b] * u[l, b]
                     out[i, j, k, l] = acc
     return out
+
+
+def givens_sequence_from_json(text: str) -> GivensSequence:
+    """Read back a ``GivensSequence.to_json`` document (``givens_sequence.json``)."""
+    doc = json.loads(text)
+    rotations = tuple(
+        GivensRotation(int(r["p"]), int(r["q"]), float(r["theta"]), float(r["phi"]))
+        for r in doc["rotations"]
+    )
+    return GivensSequence(
+        n_modes=int(doc["n_modes"]),
+        rotations=rotations,
+        diagonal_phases=np.array(doc["residual_diagonal_phases"], dtype=float),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from isothc.cli import (
     fit_loglog,
     main,
 )
-from isothc.focksim import GivensSequence, ModeLayout, basis_state
+from isothc.focksim import ModeLayout, basis_state
 from isothc.hamiltonian import write_fcidump
 from isothc.thc import ThcFactorization
 
@@ -123,6 +123,28 @@ def test_factorize_writes_artifacts_and_manifest(tmp_path, toy_fcidump):
     assert manifest["seed"] == 1
     assert manifest["version"]
     assert manifest["inputs"]["fcidump"].endswith("toy.fcidump")
+
+
+def test_factorize_manifest_records_isometrization_of_factor_file(tmp_path, toy_fcidump):
+    code, outdir = run_factorize(tmp_path, toy_fcidump, "--m", "3")
+    assert code == 0
+    assert "health" not in json.loads((outdir / "manifest.json").read_text())
+
+    factors = tmp_path / "factors.json"
+    x = np.random.default_rng(8).normal(size=(2, 3))
+    factors.write_text(json.dumps({"n": 2, "m": 3, "x": x.reshape(-1).tolist()}))
+    outdir = tmp_path / "fac-file"
+    assert main(["factorize", "--fcidump", str(toy_fcidump), "--m", "3",
+                 "--factor-file", str(factors), "--rounds-phase1", "10",
+                 "--rounds-phase2", "10", "--outdir", str(outdir)]) == 0
+    health = json.loads((outdir / "manifest.json").read_text())["health"]
+    [entry] = health["isometrize"]
+    assert entry["m"] == 3
+    assert isinstance(entry["converged"], bool)
+    assert isinstance(entry["n_iter"], int) and entry["n_iter"] >= 0
+    assert entry["residual_norm"] >= 0.0
+    lines = (outdir / "restarts.csv").read_text().splitlines()
+    assert lines[0] == "m,restart,seed,eps_v,l1_vtilde"
 
 
 def test_factorize_exact_method_hits_floor(tmp_path, toy_fcidump):
@@ -276,7 +298,8 @@ def test_simulate_writes_scaling_csv_and_sequence(tmp_path, factorized):
     assert lines[0] == "variant,tau,steps,error"
     assert [line.split(",")[:3] for line in lines[1:]] == [
         ["basic", "0.05", "1"], ["basic", "0.025", "2"]]
-    sequence = GivensSequence.from_json((outdir / "givens_sequence.json").read_text())
+    sequence = oracles.givens_sequence_from_json(
+        (outdir / "givens_sequence.json").read_text())
     thc = ThcFactorization.from_json(thc_path.read_text())
     np.testing.assert_allclose(
         sequence.single_particle_matrix()[:, : thc.n], thc.u.T.astype(complex),

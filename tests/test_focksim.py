@@ -10,7 +10,6 @@ from isothc.focksim import (
     FockDensity,
     FockState,
     GivensRotation,
-    GivensSequence,
     ModeLayout,
     apply_basis_rotation,
     apply_diagonal_one_body,
@@ -124,7 +123,7 @@ def test_givens_decompose_reconstructs_block(n, m):
 def test_givens_sequence_json_round_trip():
     w = random_orthogonal(4, _rng)
     seq = givens_decompose(w, 2)
-    back = GivensSequence.from_json(seq.to_json())
+    back = oracles.givens_sequence_from_json(seq.to_json())
     assert back.rotations == seq.rotations
     assert_allclose(back.diagonal_phases, seq.diagonal_phases)
 

@@ -186,7 +186,8 @@ def test_factor_file_json_round_trip(tmp_path):
     x = _rng.normal(size=(2, 4))
     w = _rng.normal(size=(4, 4))
     path = tmp_path / "factors.json"
-    ThcFactorFile(x=x, w=w).save(path)
+    path.write_text(json.dumps(
+        {"n": 2, "m": 4, "x": x.reshape(-1).tolist(), "w": w.reshape(-1).tolist()}))
     back = ThcFactorFile.load(path)
     assert_allclose(back.x, x, atol=1e-15)
     assert_allclose(back.w, w, atol=1e-15)
@@ -338,7 +339,7 @@ def test_cached_einsum_paths_match_planned_einsum_bitwise(n, m):
     ham = oracles.random_hamiltonian(n, rng)
     u = random_co_isometry(n, m, rng)
     vtilde = rng.normal(size=(m, m))
-    for _ in range(2):  # the second call reads the cached path
+    for _ in range(2):  # a repeated call gives the same bits
         assert np.array_equal(
             projected_interaction(u=u, vtilde=vtilde),
             oracles.projected_interaction_reference(u, vtilde),
@@ -348,10 +349,46 @@ def test_cached_einsum_paths_match_planned_einsum_bitwise(n, m):
         )
 
 
-@pytest.mark.parametrize("n,m", [(2, 3), (3, 5)])
+@given(st.integers(1, 8), st.integers(0, 67), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_product_matrix_kernels_match_planned_einsum(n, extra, seed):
+    # the matmuls keep the planned contraction's operand order, so the
+    # recontraction is bit for bit the einsum's; the gradient is too
+    # wherever the planner's order is the one the matmuls follow (m > n >= 2)
+    m = n + extra % (n * n + 4 - n)
+    rng = np.random.default_rng(seed)
+    ham = oracles.random_hamiltonian(n, rng)
+    u = random_co_isometry(n, m, rng)
+    vtilde = rng.normal(size=(m, m))  # not symmetric: the kernels symmetrize
+    assert np.array_equal(
+        projected_interaction(u=u, vtilde=vtilde),
+        oracles.projected_interaction_reference(u, vtilde),
+    )
+    got = loss_gradient(u, ham, vtilde)
+    want = oracles.loss_gradient_reference(u, ham, vtilde)
+    if m > n >= 2:
+        assert np.array_equal(got, want)
+    else:
+        assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 5), (6, 12)])
+def test_loss_gradient_reuses_given_residual_bitwise(n, m):
+    rng = np.random.default_rng(70 + n)
+    ham = oracles.random_hamiltonian(n, rng)
+    u = random_co_isometry(n, m, rng)
+    vtilde = contract_vtilde(u, ham)[0]
+    residual = ham.eri - projected_interaction(u=u, vtilde=vtilde)
+    assert np.array_equal(
+        loss_gradient(u, ham, vtilde, residual=residual), loss_gradient(u, ham, vtilde)
+    )
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 5), (6, 12)])
 def test_refine_matches_loop_that_solves_the_core_twice(n, m):
-    # one closed-form core per step, reused for the next gradient, must leave
-    # every iterate bit for bit where solving it again would put it
+    # one closed-form core and one recontraction per step, reused for the
+    # next gradient, must leave every iterate bit for bit where solving the
+    # core again would put it
     rng = np.random.default_rng(53 + n)
     ham = oracles.random_hamiltonian(n, rng)
     u0 = random_co_isometry(n, m, 7)
@@ -370,6 +407,7 @@ def test_factorize_hamiltonian_tracks_restarts():
     best, rows = factorize_hamiltonian(ham, m=3, n_restarts=3, config=cfg, seed=100)
     assert len(rows) == 3
     assert [row["seed"] for row in rows] == [100, 101, 102]
+    assert not any("isometrize" in row for row in rows)  # random starts
     assert best.eps_v == min(row["eps_v"] for row in rows)
 
 
@@ -391,3 +429,7 @@ def test_factorize_hamiltonian_uses_factor_file():
     best, rows = factorize_hamiltonian(ham, m=3, config=cfg, factor_file=ff, delta=0.1)
     assert len(rows) == 1
     assert best.eps_v <= 1e-6  # isometrize lands on the planted exact solution
+    iso = rows[0]["isometrize"]
+    assert iso["converged"] is True
+    assert iso["residual_norm"] <= 1e-8
+    assert 0 < iso["n_iter"] <= 20000
