@@ -15,7 +15,8 @@ the ancilla vacuum cancel.
 Since the ancillas start every step in the vacuum and are reset after it,
 one step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system
 density, with K_b = <b| U |., 0> for each ancilla occupation string b; only
-the ancilla-vacuum columns U P of the step unitary are ever compiled.  The
+the ancilla-vacuum columns U P of the step unitary are ever compiled, and
+only on the rows that can be nonzero.  The
 extended register exists only inside the step engine, the one place that
 splits an extended basis index into its system and ancilla strings; every
 public function takes and returns system-only states.
@@ -30,10 +31,13 @@ and rho_low below N, while the exact reference phi stays in S.  The trace
 distance splits exactly into 1/2 ||rho_S - phi phi^dagger||_1 + 1/2 tr rho_low,
 and tr rho_low is the sum of the weights the steps moved out of S.  One
 step engine serves two supports with one compile and one step formula:
-``evolve`` compiles the columns on S and keeps only K_0 on S, folding the
-rows that leave S into one Gram matrix for the leaked weight, while
-``step_channel`` and the projection errors compile every system state and
-keep the whole stack of K_b.
+``evolve`` compiles the columns on S over the extended states whose
+(N_up, N_down) is a sector of S, the only rows U P can reach, and keeps
+only K_0 on S, folding the rows that leave S into one Gram matrix for the
+leaked weight; ``step_channel`` and the projection errors compile every
+system state over every extended state and keep the whole stack of K_b.
+The gate kernels run the same arithmetic on each row either way, so the
+sector block is bit for bit those rows of the full one.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -45,6 +49,8 @@ concrete states and as analytic bounds with exactly computed norms.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -98,14 +104,14 @@ __all__ = [
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
 PARITY_MIXING_TOL = 1e-9
-# arrays the size of the compiled columns U P alive at once: the unit columns
+# arrays the size of the compiled block U P alive at once: the unit columns
 # and the kernels' input and output blocks while the step compiles, then U P,
 # its rows that leave the support and their conjugate while the Gram matrix
-# is folded, and a spare (measured peak at 14 and 16 modes: 2.6 and 3.0 copies)
+# is folded, and a spare (peak fitted over 16-20 modes: 3.07 copies)
 STEP_WORKING_COPIES = 4
-# bytes per extended basis state of the gate kernels' tables, which do not grow
-# with the column count: split keys, Givens pair indices, phase and occupation
-# vectors (measured peak with one column at 16-20 modes: 230-236 bytes)
+# bytes per compiled row of the gate kernels' tables, which do not grow with
+# the column count: basis indices, split keys, Givens pair indices, phase and
+# occupation vectors (peak fitted over 16-20 modes: 195 bytes)
 KERNEL_BYTES_PER_STATE = 256
 
 
@@ -185,12 +191,15 @@ def extended_layout(thc: ThcFactorization, spinful: bool = False) -> ModeLayout:
 def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
     """Estimated peak bytes of the step engine that ``evolve`` runs on ``psi0``.
 
-    The engine compiles one column of ``U P`` per system state in the support
-    of ``psi0``, over the ``2^M`` states of the extended ``layout``, and the
-    gate kernels add their tables.
+    The engine compiles one column of ``U P`` per system state in the sectors
+    of ``psi0``, over the states of the extended ``layout`` in those sectors,
+    and the gate kernels add their tables.  Counted, not enumerated, so a
+    register far too large is refused at once.
     """
-    columns = _support(psi0).size
-    return (STEP_WORKING_COPIES * 16 * columns + KERNEL_BYTES_PER_STATE) * layout.dim
+    sectors = _sectors(psi0)
+    columns = _sector_count(psi0.layout, sectors)
+    rows = _sector_count(layout, sectors)
+    return (STEP_WORKING_COPIES * 16 * columns + KERNEL_BYTES_PER_STATE) * rows
 
 
 def basis_rotation_sequence(thc: ThcFactorization) -> GivensSequence:
@@ -261,37 +270,55 @@ def _check_system_layout(layout: ModeLayout, thc: ThcFactorization, name: str) -
         raise ValueError(f"{name} does not match the factorization size")
 
 
-def _split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
-    """System string ``a`` and ancilla string ``b`` of every extended basis index."""
-    arr = np.arange(layout.dim)
-    a_key = np.zeros(layout.dim, dtype=np.int64)
-    b_key = np.zeros(layout.dim, dtype=np.int64)
+def _split_keys(layout: ModeLayout, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """System string ``a`` and ancilla string ``b`` of each extended basis index in ``rows``."""
+    a_key = np.zeros(rows.size, dtype=np.int64)
+    b_key = np.zeros(rows.size, dtype=np.int64)
     for t, pos in enumerate(layout.system_modes):
-        a_key |= ((arr >> pos) & 1) << t
+        a_key |= ((rows >> pos) & 1) << t
     for t, pos in enumerate(layout.ancilla_modes):
-        b_key |= ((arr >> pos) & 1) << t
+        b_key |= ((rows >> pos) & 1) << t
     return a_key, b_key
 
 
-def _support(psi0: FockState) -> np.ndarray:
-    """System basis states, ascending, whose (N_up, N_down) occurs in ``psi0``.
+def _sectors(psi0: FockState) -> list[tuple[int, ...]]:
+    """The (N_up, N_down) of every basis state ``psi0`` occupies, ascending.
 
-    Only N when spinless.  Raises ``ValueError`` unless every amplitude of
+    ``(N,)`` when spinless.  Raises ``ValueError`` unless every amplitude of
     ``psi0`` lies at one total particle number.
     """
     layout = psi0.layout
-    index = np.arange(layout.dim)
-    counts = np.zeros((layout.n_sectors, layout.dim), dtype=np.int64)
+    occupied = psi0.rows[psi0.amplitudes != 0]
+    counts = np.zeros((layout.n_sectors, occupied.size), dtype=np.int64)
     for mode in range(layout.n_modes):
-        counts[mode // layout.sector_size] += (index >> mode) & 1
-    occupied = psi0.amplitudes != 0
-    totals = np.unique(counts.sum(axis=0)[occupied])
-    if totals.size != 1:
-        raise ValueError(
-            f"psi0 must have one particle number, found {totals.tolist()}"
-        )
-    sector = np.ravel_multi_index(tuple(counts), (layout.sector_size + 1,) * layout.n_sectors)
-    return np.flatnonzero(np.isin(sector, sector[occupied]))
+        counts[mode // layout.sector_size] += (occupied >> mode) & 1
+    sectors = sorted(set(zip(*counts.tolist())))
+    totals = sorted({sum(sector) for sector in sectors})
+    if len(totals) != 1:
+        raise ValueError(f"psi0 must have one particle number, found {totals}")
+    return sectors
+
+
+def _sector_states(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> np.ndarray:
+    """Basis indices of ``layout``, ascending, whose per-spin particle counts
+    are one of ``sectors``, built from the occupation strings of each spin."""
+    size = layout.sector_size
+    blocks = []
+    for counts in sectors:
+        states = np.zeros(1, dtype=np.int64)
+        for spin, count in enumerate(counts):
+            strings = np.array([sum(1 << mode for mode in modes)
+                                for modes in itertools.combinations(range(size), count)],
+                               dtype=np.int64)
+            states = (states[:, None] | (strings << (spin * size))[None, :]).ravel()
+        blocks.append(states)
+    return np.sort(np.concatenate(blocks))
+
+
+def _sector_count(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
+    """How many basis states ``_sector_states`` lists, without listing them."""
+    return sum(math.prod(math.comb(layout.sector_size, count) for count in counts)
+               for counts in sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +328,10 @@ def _support(psi0: FockState) -> np.ndarray:
 class _StepEngine:
     """One compiled step on the extended ``layout``, applied as a Kraus map.
 
-    ``support`` lists the system basis states the engine acts on, one total
-    particle number (see ``_support``); by default it is every system state.
+    With ``sectors`` (per-spin particle counts of one total N, see
+    ``_sectors``) the engine acts on the support S, the system states in
+    those sectors, and compiles only ``rows``, the extended states in them;
+    by default S is every system state and ``rows`` every extended state.
     """
 
     def __init__(
@@ -311,7 +340,7 @@ class _StepEngine:
         hamiltonian: ElectronicHamiltonian | None,
         spec: StepSpec,
         layout: ModeLayout,
-        support: np.ndarray | None = None,
+        sectors: list[tuple[int, ...]] | None = None,
     ) -> None:
         if layout.n_system != thc.n or layout.n_ancilla != thc.m - thc.n:
             raise ValueError(
@@ -319,13 +348,17 @@ class _StepEngine:
                 f"n = {thc.n}, m = {thc.m}"
             )
         self.layout = layout
-        self.a_key, self.b_key = _split_keys(layout)
-        self.support = support
-        # the extended index of each compiled column: its system state with
-        # every ancilla empty
+        # the step conserves each spin's particle number on the extended
+        # register, so U P has no nonzero row outside the sectors of S
+        if sectors is None:
+            self.rows = np.arange(layout.dim)
+        else:
+            self.rows = _sector_states(layout, sectors)
+        self.a_key, self.b_key = _split_keys(layout, self.rows)
+        # the row of each compiled column: its system state with every
+        # ancilla empty, in ascending system index
         self.vacuum = np.flatnonzero(self.b_key == 0)
-        if support is not None:
-            self.vacuum = self.vacuum[support]
+        self.support = None if sectors is None else self.a_key[self.vacuum]
         self.spec = spec
         self.vtilde = thc.vtilde
         self.sequence = basis_rotation_sequence(thc)
@@ -381,13 +414,15 @@ class _StepEngine:
         return state
 
     def dense_unitary(self) -> np.ndarray:
-        """``U P`` on the support, shape ``(2^M, |S|)``: column ``j`` is the image
-        of system state ``S[j]`` in the ancilla vacuum.  One pass of the op
-        list, cached."""
+        """``U P`` on the support, shape ``(|rows|, |S|)``: column ``j`` is the
+        image of system state ``S[j]`` in the ancilla vacuum, row ``i`` its
+        amplitude on extended state ``rows[i]``.  One pass of the op list,
+        cached."""
         if self._dense is None:
-            columns = np.zeros((self.layout.dim, self.vacuum.size), dtype=complex)
+            columns = np.zeros((self.rows.size, self.vacuum.size), dtype=complex)
             columns[self.vacuum, np.arange(self.vacuum.size)] = 1.0
-            self._dense = self._apply_sequential(FockState(self.layout, columns)).amplitudes
+            block = FockState(self.layout, columns, self.rows)
+            self._dense = self._apply_sequential(block).amplitudes
         return self._dense
 
     def _kraus_operators(self) -> tuple:
@@ -497,18 +532,22 @@ def evolve(
         raise ValueError(
             f"t/tau = {ratio:.6g} is more than {step_tolerance} from an integer"
         )
-    support = _support(psi0)
+    sectors = _sectors(psi0)
     leaked = np.zeros(n_steps)
     if n_steps == 0:
         return EvolveResult(error_vs_exact=0.0, n_steps=0, t_simulated=0.0,
                             leaked_weight=leaked)
 
+    layout = extended_layout(thc, spinful=psi0.layout.spinful)
+    engine = _StepEngine(thc, hamiltonian, spec, layout, sectors)
+    support = engine.support
     psi = psi0.amplitudes[support]
     rho = np.outer(psi, psi.conj())
-    layout = extended_layout(thc, spinful=psi0.layout.spinful)
-    engine = _StepEngine(thc, hamiltonian, spec, layout, support)
     for k in range(n_steps):
         rho, leaked[k] = engine.step(rho)
+    # the step and the reference are admitted one at a time, so free the
+    # compiled block before the reference operator is built
+    del engine
     lost = float(leaked.sum())
     if abs(np.trace(rho).real + lost - 1.0) > 1e-8:
         raise InvariantError("evolution failed to preserve the trace")

@@ -49,6 +49,7 @@ from .focksim import ModeLayout, basis_state
 from .hamiltonian import (
     ElectronicHamiltonian,
     _memory_refusal,
+    operator_memory_bytes,
     parse_fcidump,
     rotate_to_h_eigenbasis,
 )
@@ -305,12 +306,17 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
             f"factorization has n = {thc.n}, integrals have n = {rotated.n_orbitals}"
         )
 
-    # refuse a register that cannot fit in memory before any step runs; the
-    # step needs more than the exact reference on the system modes alone, and
-    # compiles one column per system state in the initial state's sectors
+    # refuse a register that cannot fit in memory before any step runs: the
+    # step compiles one column per system state in the initial state's
+    # sectors, over the extended states in those sectors, and the exact
+    # reference is a dense operator on every system mode
     psi0 = _initial_state(cfg, rotated)
     layout = extended_layout(thc, spinful=cfg["spinful"])
-    refusal = _memory_refusal("the step", layout.n_modes, step_memory_bytes(layout, psi0))
+    n_system = psi0.layout.n_modes
+    refusal = (
+        _memory_refusal("the step", layout.n_modes, step_memory_bytes(layout, psi0))
+        or _memory_refusal("the exact reference", n_system, operator_memory_bytes(n_system))
+    )
     if refusal:
         raise ValueError(refusal)
 

@@ -1,10 +1,14 @@
 """Exact simulation primitives on small fermionic Fock spaces.
 
-States live on the full occupation-number basis of ``m`` modes, with mode 0
-as the least significant bit of the basis index.  A ``FockState`` holds one
-amplitude vector or a block of columns (shape ``(dim, k)``), so one pass of
-a circuit over basis columns compiles those columns of its unitary; the gate
-kernels act on ``FockState`` only.  A ``FockDensity`` is the state of the
+Basis states are occupation-number strings of ``m`` modes, with mode 0 as
+the least significant bit of the basis index.  A ``FockState`` holds one
+amplitude vector or a block of columns (shape ``(len(rows), k)``) over the
+ascending basis states ``rows``, every basis state by default, so one pass
+of a circuit over basis columns compiles those columns of its unitary.  The
+gate kernels act on ``FockState`` only and read their bit tables from
+``rows``; since every gate conserves each spin's particle number, a block
+on the rows of a few (N_up, N_down) sectors steps exactly as the same rows
+of the full basis would.  A ``FockDensity`` is the state of the
 system register between Trotter steps, a target of ``exact_evolution`` and
 an argument of ``trace_distance``.  Layouts distinguish system modes
 (``a``) from ancilla modes (``b``); in a spinful layout the up-spin sector
@@ -110,10 +114,10 @@ class ModeLayout:
         return ModeLayout(self.n_system, 0, self.spinful)
 
 
-def _check_dim(layout: ModeLayout, array: np.ndarray, want_matrix: bool) -> np.ndarray:
+def _check_dim(array: np.ndarray, n_rows: int, want_matrix: bool) -> np.ndarray:
     arr = np.asarray(array, dtype=complex)
     # a pure state may be a block of columns
-    want = (layout.dim, layout.dim) if want_matrix else (layout.dim,) + arr.shape[1:2]
+    want = (n_rows, n_rows) if want_matrix else (n_rows,) + arr.shape[1:2]
     if arr.shape != want:
         raise ValueError(f"array shape {arr.shape} does not match layout dim {want}")
     return arr
@@ -121,13 +125,29 @@ def _check_dim(layout: ModeLayout, array: np.ndarray, want_matrix: bool) -> np.n
 
 @dataclass
 class FockState:
-    """Pure state amplitudes over the occupation basis, or a block of columns."""
+    """Pure state amplitudes over the occupation basis, or a block of columns.
+
+    Row ``i`` of ``amplitudes`` belongs to basis state ``rows[i]``; ``rows``
+    holds ascending basis indices and defaults to every basis state.  The
+    gate kernels act on the listed rows only, so a block on fewer rows must
+    be closed under every gate applied to it, as a union of per-spin
+    particle-number sectors is.
+    """
 
     layout: ModeLayout
     amplitudes: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.amplitudes = _check_dim(self.layout, self.amplitudes, want_matrix=False)
+        if self.rows is None:
+            self.rows = np.arange(self.layout.dim)
+        else:
+            rows = np.asarray(self.rows, dtype=np.int64)
+            if (rows.ndim != 1 or np.any(np.diff(rows) <= 0)
+                    or (rows.size and not 0 <= rows[0] <= rows[-1] < self.layout.dim)):
+                raise ValueError("rows must be ascending basis indices of the layout")
+            self.rows = rows
+        self.amplitudes = _check_dim(self.amplitudes, self.rows.size, want_matrix=False)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -144,7 +164,7 @@ class FockDensity:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.matrix = _check_dim(self.layout, self.matrix, want_matrix=True)
+        self.matrix = _check_dim(self.matrix, self.layout.dim, want_matrix=True)
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -317,11 +337,17 @@ def givens_decompose(w: np.ndarray, n_relevant: int) -> GivensSequence:
 # Gate application
 # ---------------------------------------------------------------------------
 
-def _pair_indices(n_modes: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.arange(1 << n_modes)
-    sel = (((arr >> p) & 1) == 1) & (((arr >> q) & 1) == 0)
-    at_p = arr[sel]
-    at_q = at_p - (1 << p) + (1 << q)
+def _pair_indices(rows: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``rows`` of the states with mode p filled and q empty, and
+    of their partners with that particle moved to q."""
+    bit_p, bit_q = (rows >> p) & 1, (rows >> q) & 1
+    at_p = np.flatnonzero(bit_p > bit_q)
+    partner = rows[at_p] - (1 << p) + (1 << q)
+    at_q = np.searchsorted(rows, partner)
+    # closed rows pair every state holding one particle in {p, q} with its partner
+    if (np.count_nonzero(bit_q > bit_p) != at_p.size
+            or not np.array_equal(rows.take(at_q, mode="clip"), partner)):
+        raise ValueError(f"rows are not closed under a rotation of modes {p} and {q}")
     return at_p, at_q
 
 
@@ -333,9 +359,16 @@ def _mix_rows(mat_or_vec: np.ndarray, at_p, at_q, theta: float, phi: float) -> N
     mat_or_vec[at_q] = np.exp(1j * phi) * s * xp + c * xq
 
 
+def _scale_rows(diag: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    # ``diag`` scales the rows of a vector or of a column block.  Broadcast as
+    # a column, not through transposes: numpy multiplies a (1,) by a (1, 1)
+    # array on its scalar path, which rounds differently from its array loops,
+    # so a one-row block would not match the same row of a larger one.
+    return (diag if amplitudes.ndim == 1 else diag[:, None]) * amplitudes
+
+
 def _apply_diagonal(state: FockState, diag: np.ndarray) -> FockState:
-    # transposes broadcast ``diag`` down the rows of a column block
-    return FockState(state.layout, (diag * state.amplitudes.T).T)
+    return FockState(state.layout, _scale_rows(diag, state.amplitudes), state.rows)
 
 
 def apply_basis_rotation(
@@ -360,19 +393,23 @@ def apply_basis_rotation(
     for off in offsets:
         for k in range(layout.sector_size):
             phase_per_mode[off + k] = sequence.diagonal_phases[k]
-    arr = np.arange(layout.dim)
-    exponent = np.zeros(layout.dim)
+    rows = state.rows
+    exponent = np.zeros(rows.size)
     for mode, phase in enumerate(phase_per_mode):
         if phase != 0.0:
-            exponent = exponent + phase * ((arr >> mode) & 1)
+            exponent = exponent + phase * ((rows >> mode) & 1)
     phase_diag = np.exp(1j * exponent)
 
+    # a sequence revisits each adjacent pair many times; look its rows up once
+    pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
     def apply_gate(p: int, q: int, theta: float, phi: float) -> None:
-        at_p, at_q = _pair_indices(layout.n_modes, p, q)
-        _mix_rows(out, at_p, at_q, theta, phi)
+        if (p, q) not in pairs:
+            pairs[p, q] = _pair_indices(rows, p, q)
+        _mix_rows(out, *pairs[p, q], theta, phi)
 
     if not inverse:
-        out = (phase_diag * state.amplitudes.T).T
+        out = _scale_rows(phase_diag, state.amplitudes)
         for r in sequence.rotations:
             for off in offsets:
                 apply_gate(r.p + off, r.q + off, r.theta, r.phi)
@@ -381,22 +418,21 @@ def apply_basis_rotation(
         for r in reversed(sequence.rotations):
             for off in offsets:
                 apply_gate(r.p + off, r.q + off, -r.theta, r.phi)
-        out = (phase_diag.conj() * out.T).T
-    return FockState(layout, out)
+        out = _scale_rows(phase_diag.conj(), out)
+    return FockState(layout, out, rows)
 
 
 # ---------------------------------------------------------------------------
 # Diagonal evolutions and ancilla operations
 # ---------------------------------------------------------------------------
 
-def _orbital_occupations(layout: ModeLayout) -> np.ndarray:
-    """Per-basis-state occupation of each orbital slot, summed over spin."""
-    arr = np.arange(layout.dim)
-    occ = np.zeros((layout.sector_size, layout.dim), dtype=np.int64)
+def _orbital_occupations(layout: ModeLayout, rows: np.ndarray) -> np.ndarray:
+    """Occupation of each orbital slot, summed over spin, in each basis state of ``rows``."""
+    occ = np.zeros((layout.sector_size, rows.size), dtype=np.int64)
     for alpha in range(layout.sector_size):
-        total = (arr >> alpha) & 1
+        total = (rows >> alpha) & 1
         if layout.spinful:
-            total = total + ((arr >> (alpha + layout.sector_size)) & 1)
+            total = total + ((rows >> (alpha + layout.sector_size)) & 1)
         occ[alpha] = total
     return occ
 
@@ -409,11 +445,11 @@ def apply_diagonal_one_body(
     h_diag = np.asarray(h_diag, dtype=float)
     if h_diag.shape != (layout.n_modes,):
         raise ValueError(f"h_diag must have length {layout.n_modes}")
-    arr = np.arange(layout.dim)
-    energy = np.zeros(layout.dim)
+    rows = state.rows
+    energy = np.zeros(rows.size)
     for mode, value in enumerate(h_diag):
         if value != 0.0:
-            energy = energy + value * ((arr >> mode) & 1)
+            energy = energy + value * ((rows >> mode) & 1)
     return _apply_diagonal(state, np.exp(-1j * tau * energy))
 
 
@@ -440,8 +476,8 @@ def apply_diagonal_two_body(
     if vtilde.shape != (m, m):
         raise ValueError(f"vtilde must be {m} x {m} for this layout")
     vs = 0.5 * (vtilde + vtilde.T)
-    occ = _orbital_occupations(layout).astype(float)
-    energy = np.zeros(layout.dim)
+    occ = _orbital_occupations(layout, state.rows).astype(float)
+    energy = np.zeros(state.rows.size)
     for a in range(m):
         for b in range(a + 1, m):
             if vs[a, b] != 0.0:
@@ -452,11 +488,10 @@ def apply_diagonal_two_body(
 
 def phase_on_ancillas(state: FockState, phi: float) -> FockState:
     """Apply ``exp(+i phi N_b)`` where ``N_b`` counts occupied ancillas."""
-    layout = state.layout
-    arr = np.arange(layout.dim)
-    count = np.zeros(layout.dim, dtype=np.int64)
-    for mode in layout.ancilla_modes:
-        count += (arr >> mode) & 1
+    rows = state.rows
+    count = np.zeros(rows.size, dtype=np.int64)
+    for mode in state.layout.ancilla_modes:
+        count += (rows >> mode) & 1
     return _apply_diagonal(state, np.exp(1j * phi * count))
 
 

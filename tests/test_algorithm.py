@@ -8,8 +8,11 @@ from numpy.testing import assert_allclose
 
 from isothc.algorithm import (
     DEFAULT_PHASES,
+    KERNEL_BYTES_PER_STATE,
+    STEP_WORKING_COPIES,
     ErrorBudget,
     StepSpec,
+    _sectors,
     _StepEngine,
     basis_rotation_sequence,
     error_budget,
@@ -21,6 +24,7 @@ from isothc.algorithm import (
     projection_error_bound,
     projection_error_measured,
     step_channel,
+    step_memory_bytes,
     thc_bound,
     trotter_bound,
 )
@@ -496,11 +500,57 @@ def test_sector_evolve_matches_full_density_oracle(
     assert result.error_vs_exact == pytest.approx(error, abs=1e-12)
     assert result.leaked_weight.sum() == pytest.approx(outside, abs=1e-12)
 
-    # the sector engine compiles exactly the full engine's columns on S
+    # the sector engine compiles exactly the full engine's rows of the
+    # sectors on S, and the full engine's columns on S vanish on every other row
     layout = extended_layout(thc, spinful=spinful)
-    sector = _StepEngine(thc, ham, spec, layout, support)
+    sector = _StepEngine(thc, ham, spec, layout, _sectors(psi))
     full = _StepEngine(thc, ham, spec, layout)
-    assert np.array_equal(sector.dense_unitary(), full.dense_unitary()[:, support])
+    assert np.array_equal(sector.support, support)
+    on_support = full.dense_unitary()[:, support]
+    assert sector.dense_unitary().shape == (sector.rows.size, support.size)
+    assert np.array_equal(sector.dense_unitary(), on_support[sector.rows])
+    assert not np.any(np.delete(on_support, sector.rows, axis=0))
+
+
+def per_spin_counts(states: np.ndarray, layout: ModeLayout) -> list[tuple[int, ...]]:
+    low = (1 << layout.sector_size) - 1
+    return [tuple(bin((int(x) >> (spin * layout.sector_size)) & low).count("1")
+                  for spin in range(layout.n_sectors)) for x in states]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    extra=st.integers(0, 3),
+    spinful=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, spinful, seed):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=np.eye(m))
+    system = ModeLayout(n, 0, spinful)
+    # a random nonempty set of system states at one total particle number
+    totals = np.array([bin(x).count("1") for x in range(system.dim)])
+    candidates = np.flatnonzero(totals == rng.integers(0, system.n_modes + 1))
+    occupied = rng.choice(candidates, size=rng.integers(1, candidates.size + 1),
+                          replace=False)
+    amps = np.zeros(system.dim, dtype=complex)
+    amps[occupied] = 1.0
+    psi = FockState(system, amps / np.linalg.norm(amps))
+
+    layout = extended_layout(thc, spinful=spinful)
+    engine = _StepEngine(thc, None, StepSpec(tau=0.1), layout, _sectors(psi))
+    counts = set(per_spin_counts(occupied, system))
+    everything = np.arange(layout.dim)
+    expected = everything[[c in counts for c in per_spin_counts(everything, layout)]]
+    assert np.array_equal(engine.rows, expected)
+    states = np.arange(system.dim)
+    support = states[[c in counts for c in per_spin_counts(states, system)]]
+    assert np.array_equal(engine.support, support)
+    # the memory estimate counts the same rows and columns without listing them
+    assert step_memory_bytes(layout, psi) == (
+        (STEP_WORKING_COPIES * 16 * support.size + KERNEL_BYTES_PER_STATE) * expected.size)
 
 
 @pytest.mark.parametrize("spinful", [False, True])

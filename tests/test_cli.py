@@ -12,7 +12,12 @@ import pytest
 
 import oracles
 from isothc import cli, hamiltonian
-from isothc.algorithm import _StepEngine, extended_layout, step_memory_bytes
+from isothc.algorithm import (
+    _StepEngine,
+    extended_layout,
+    hartree_fock_state,
+    step_memory_bytes,
+)
 from isothc.cli import (
     FIT_DEFAULTS,
     SIMULATE_DEFAULTS,
@@ -24,8 +29,8 @@ from isothc.cli import (
     main,
 )
 from isothc.focksim import ModeLayout, basis_state
-from isothc.hamiltonian import write_fcidump
-from isothc.thc import ThcFactorization
+from isothc.hamiltonian import ElectronicHamiltonian, operator_memory_bytes, write_fcidump
+from isothc.thc import ThcFactorization, projected_interaction, random_co_isometry
 
 
 @pytest.fixture()
@@ -260,6 +265,23 @@ def test_package_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_simulate_loads_no_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma (about 13 ms) on first use
+    root = Path(__file__).resolve().parents[1]
+    fcidump = root / "src" / "isothc" / "data" / "h2_sto6g.fcidump"
+    assert main(["factorize", "--fcidump", str(fcidump), "--m", "3", "--method", "exact",
+                 "--outdir", str(tmp_path / "fac")]) == 0
+    argv = ["simulate", "--fcidump", str(fcidump), "--thc", str(tmp_path / "fac" / "thc_m3.json"),
+            "--t", "0.2", "--tau", "0.1", "--spinful", "--n-electrons", "2",
+            "--outdir", str(tmp_path / "sim")]
+    probe = ("import sys, isothc.cli; code = isothc.cli.main(sys.argv[1:]); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 def test_factorize_zero_restarts_exits_one_without_traceback(toy_fcidump, capsys):
     assert main(["factorize", "--fcidump", str(toy_fcidump), "--m", "3",
                  "--restarts", "0"]) == 1
@@ -365,6 +387,46 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert "16 modes" in err and "physical memory" in err
+
+
+def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, capsys, monkeypatch):
+    # n = 5, m = 10 spinful is a 20-mode register; the Hartree-Fock state's
+    # (3, 2) sector has 100 system states and 5400 extended ones, so the step
+    # fits where the full 2^20 rows once needed 6.5 GiB
+    rng = np.random.default_rng(20)
+    n, m = 5, 10
+    vtilde = rng.normal(size=(m, m))
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(np.arange(n, dtype=float)),
+                                projected_interaction(thc))
+    write_fcidump(ham, tmp_path / "n5.fcidump")
+    (tmp_path / "thc.json").write_text(thc.to_json())
+    argv = ["simulate", "--fcidump", str(tmp_path / "n5.fcidump"),
+            "--thc", str(tmp_path / "thc.json"), "--spinful", "--n-electrons", "5",
+            "--t", "0.1", "--tau", "0.05", "--variants", "basic",
+            "--outdir", str(tmp_path / "sim")]
+
+    # the exact reference on the 10 system modes is refused before any step
+    psi0 = hartree_fock_state(ham, 5, spinful=True)
+    step = step_memory_bytes(extended_layout(thc, spinful=True), psi0)
+    assert step < operator_memory_bytes(10)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
+    evolve = cli.evolve
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("evolve ran on a refused register")
+
+    monkeypatch.setattr(cli, "evolve", no_steps)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "exact reference on 10 modes" in err and "physical memory" in err
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 512 * 2**20)
+    assert main(argv) == 0
+    rows = (tmp_path / "sim" / "error_scaling.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("basic,0.05,2,")
+    assert math.isfinite(float(rows[0].split(",")[3]))
 
 
 def test_simulate_trace_drift_exits_one_without_traceback(factorized, capsys,

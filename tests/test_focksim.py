@@ -217,6 +217,37 @@ def test_kernels_act_column_by_column_on_blocks():
         assert_allclose(together, np.stack(apart, axis=1), atol=1e-12)
 
 
+def test_kernels_on_sector_rows_match_full_basis():
+    # a block listing only the rows of one (N_up, N_down) sector gets, bit
+    # for bit, the rows of the same block on every basis state, which stays
+    # zero elsewhere because every kernel conserves each spin's particle number
+    layout = ModeLayout(2, 2, spinful=True)
+    rng = np.random.default_rng(32)
+    rows = np.array([x for x in range(layout.dim)
+                     if bin(x & 0b1111).count("1") == 2 and bin(x >> 4).count("1") == 1])
+    block = np.zeros((layout.dim, 3), dtype=complex)
+    block[rows] = rng.normal(size=(rows.size, 3)) + 1j * rng.normal(size=(rows.size, 3))
+    seq = givens_decompose(random_orthogonal(4, rng), 2)
+    vtilde = rng.normal(size=(4, 4))
+    kernels = [
+        lambda s: apply_basis_rotation(s, seq),
+        lambda s: apply_basis_rotation(s, seq, inverse=True),
+        lambda s: apply_diagonal_one_body(s, np.linspace(-0.5, 0.5, 8), 0.7),
+        lambda s: apply_diagonal_two_body(s, vtilde, 0.4),
+        lambda s: phase_on_ancillas(s, 0.9),
+    ]
+    for kernel in kernels:
+        full = kernel(FockState(layout, block)).amplitudes
+        sector = kernel(FockState(layout, block[rows], rows))
+        assert np.array_equal(sector.rows, rows)
+        assert np.array_equal(sector.amplitudes, full[rows])
+        assert not np.any(np.delete(full, rows, axis=0))
+    with pytest.raises(ValueError, match="ascending"):
+        FockState(layout, block[rows[::-1]], rows[::-1])
+    with pytest.raises(ValueError, match="closed"):
+        apply_basis_rotation(FockState(layout, block[rows[1:]], rows[1:]), seq)
+
+
 # ---------------------------------------------------------------------------
 # diagonal evolutions
 # ---------------------------------------------------------------------------
