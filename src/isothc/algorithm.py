@@ -59,14 +59,12 @@ import numpy as np
 from .focksim import (
     FockDensity,
     FockState,
-    GivensSequence,
     InvariantError,
     ModeLayout,
     apply_basis_rotation,
     apply_diagonal_one_body,
     apply_diagonal_two_body,
     basis_state,
-    complete_isometry,
     exact_evolution,
     givens_decompose,
     phase_on_ancillas,
@@ -88,7 +86,6 @@ __all__ = [
     "EvolveResult",
     "ThcBound",
     "extended_layout",
-    "basis_rotation_sequence",
     "hartree_fock_state",
     "projected_operators",
     "step_channel",
@@ -200,16 +197,6 @@ def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
     columns = _sector_count(psi0.layout, sectors)
     rows = _sector_count(layout, sectors)
     return (STEP_WORKING_COPIES * 16 * columns + KERNEL_BYTES_PER_STATE) * rows
-
-
-def basis_rotation_sequence(thc: ThcFactorization) -> GivensSequence:
-    """Givens circuit whose single-particle action extends ``u`` transposed.
-
-    The co-isometry is completed to a full basis rotation; only the action
-    on the system-mode block is pinned down, which keeps the rotation count
-    at ``M N - N(N+1)/2`` per spin sector.
-    """
-    return givens_decompose(complete_isometry(thc.u), thc.n)
 
 
 def _diagonal_entries(hamiltonian: ElectronicHamiltonian) -> np.ndarray:
@@ -361,68 +348,53 @@ class _StepEngine:
         self.support = None if sectors is None else self.a_key[self.vacuum]
         self.spec = spec
         self.vtilde = thc.vtilde
-        self.sequence = basis_rotation_sequence(thc)
+        self.sequence = givens_decompose(thc.u)
         self.h_diag: np.ndarray | None = None
         if hamiltonian is not None:
             if hamiltonian.n_orbitals != thc.n:
                 raise ValueError("Hamiltonian size does not match the factorization")
-            entries = _diagonal_entries(hamiltonian)
-            scattered = np.zeros(layout.n_modes)
-            for sector in range(layout.n_sectors):
-                off = sector * layout.sector_size
-                scattered[off : off + layout.n_system] = entries
-            self.h_diag = scattered
-        self.ops = self._build_ops()
+            # ancillas carry no one-body energy
+            entries = np.concatenate([_diagonal_entries(hamiltonian), np.zeros(layout.n_ancilla)])
+            self.h_diag = np.tile(entries, layout.n_sectors)
         self._dense: np.ndarray | None = None
         self._kraus: tuple | None = None
 
-    def _interaction_ops(self) -> list[tuple]:
+    def _apply(self, state: FockState) -> FockState:
+        """The step unitary on ``state``: one-body half step, interaction,
+        one-body half step (no one-body part without a Hamiltonian).
+
+        The interaction is ``rot . vee(tau) . rot^dagger`` (basic), or four
+        such quarter blocks with ancilla phases between them (improved).
+        """
         tau = self.spec.tau
         if self.spec.variant == "basic":
-            return [("rot", False), ("vee", tau), ("rot", True)]
-        quarter = [("rot", False), ("vee", tau / 4), ("rot", True)]
-        phi1, phi2, phi3 = self.spec.phases
-        # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
-        return (
-            quarter
-            + [("anc", phi3)]
-            + quarter
-            + [("anc", phi2)]
-            + quarter
-            + [("anc", phi1)]
-            + quarter
-        )
-
-    def _build_ops(self) -> list[tuple]:
-        ops = self._interaction_ops()
+            blocks = [(None, tau)]
+        else:
+            # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
+            phi1, phi2, phi3 = self.spec.phases
+            blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
         if self.h_diag is not None:
-            half = [("one", self.spec.tau / 2)]
-            ops = half + ops + half
-        return ops
-
-    def _apply_sequential(self, state: FockState) -> FockState:
-        for op in self.ops:
-            kind = op[0]
-            if kind == "rot":
-                state = apply_basis_rotation(state, self.sequence, inverse=op[1])
-            elif kind == "vee":
-                state = apply_diagonal_two_body(state, self.vtilde, op[1])
-            elif kind == "one":
-                state = apply_diagonal_one_body(state, self.h_diag, op[1])
-            else:
-                state = phase_on_ancillas(state, op[1])
+            state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
+        for phi, block_tau in blocks:
+            if phi is not None:
+                state = phase_on_ancillas(state, phi)
+            state = apply_basis_rotation(state, self.sequence)
+            state = apply_diagonal_two_body(state, self.vtilde, block_tau)
+            state = apply_basis_rotation(state, self.sequence, inverse=True)
+        if self.h_diag is not None:
+            state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
         return state
 
     def dense_unitary(self) -> np.ndarray:
         """``U P`` on the support, shape ``(|rows|, |S|)``: column ``j`` is the
         image of system state ``S[j]`` in the ancilla vacuum, row ``i`` its
-        amplitude on extended state ``rows[i]``.  One pass of the op list,
-        cached."""
+        amplitude on extended state ``rows[i]``.  One pass of the step over
+        the block of unit columns, cached."""
         if self._dense is None:
             columns = np.zeros((self.rows.size, self.vacuum.size), dtype=complex)
             columns[self.vacuum, np.arange(self.vacuum.size)] = 1.0
             block = FockState(self.layout, columns, self.rows)
-            self._dense = self._apply_sequential(block).amplitudes
+            self._dense = self._apply(block).amplitudes
         return self._dense
 
     def _kraus_operators(self) -> tuple:
@@ -507,7 +479,6 @@ def evolve(
     t: float,
     tau: float,
     spec: StepSpec | None = None,
-    step_tolerance: float = 0.5,
 ) -> EvolveResult:
     """Repeat the step channel for ``round(t / tau)`` steps and compare to e^{-iHt}.
 
@@ -526,12 +497,7 @@ def evolve(
     if t < 0:
         raise ValueError(f"evolution time t = {t:g} must be nonnegative")
     spec = StepSpec(tau=tau) if spec is None else dataclasses.replace(spec, tau=tau)
-    ratio = t / tau
-    n_steps = int(round(ratio))
-    if abs(ratio - n_steps) > step_tolerance:
-        raise ValueError(
-            f"t/tau = {ratio:.6g} is more than {step_tolerance} from an integer"
-        )
+    n_steps = int(round(t / tau))
     sectors = _sectors(psi0)
     leaked = np.zeros(n_steps)
     if n_steps == 0:

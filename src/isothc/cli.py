@@ -39,13 +39,12 @@ from . import __version__
 from .algorithm import (
     DEFAULT_PHASES,
     StepSpec,
-    basis_rotation_sequence,
     evolve,
     extended_layout,
     hartree_fock_state,
     step_memory_bytes,
 )
-from .focksim import ModeLayout, basis_state
+from .focksim import ModeLayout, basis_state, givens_decompose
 from .hamiltonian import (
     ElectronicHamiltonian,
     _memory_refusal,
@@ -341,7 +340,7 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
     report = csv_text(["variant", "tau", "steps", "error"], rows)
     artifacts = {
         "error_scaling.csv": report,
-        "givens_sequence.json": basis_rotation_sequence(thc).to_json(),
+        "givens_sequence.json": givens_decompose(thc.u).to_json(),
     }
     manifest = _manifest(
         "simulate", cfg, ("fcidump", "thc"),

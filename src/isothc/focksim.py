@@ -49,7 +49,6 @@ __all__ = [
     "GivensRotation",
     "GivensSequence",
     "basis_state",
-    "complete_isometry",
     "givens_decompose",
     "apply_basis_rotation",
     "apply_diagonal_one_body",
@@ -58,9 +57,6 @@ __all__ = [
     "trace_distance",
     "exact_evolution",
 ]
-
-ORTHOGONALITY_TOL = 1e-10
-
 
 class InvariantError(ValueError):
     """A simulation invariant (trace, rotation count) failed to hold."""
@@ -208,8 +204,8 @@ class GivensSequence:
 
         Q = R(r_K) ... R(r_1) diag(exp(i phases)),
 
-    and by construction of :func:`givens_decompose` the first ``n_relevant``
-    columns of Q reproduce the transposed target block.
+    and by construction of :func:`givens_decompose` the first ``n`` columns
+    of Q are the transposed rows of the ``n x m`` co-isometry it decomposes.
     """
 
     n_modes: int
@@ -253,58 +249,23 @@ class GivensSequence:
         )
 
 
-def complete_isometry(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Extend a co-isometry (orthonormal rows) to a full orthogonal matrix.
+def givens_decompose(u: np.ndarray) -> GivensSequence:
+    """Givens circuit on ``m`` modes whose first ``n`` single-particle columns
+    are the transposed rows of the ``n x m`` co-isometry ``u``.
 
-    The first ``n`` rows of the result are ``u`` unchanged; the remaining
-    rows come from Gram-Schmidt over the canonical basis vectors taken in
-    index order, which makes the completion deterministic.
+    Only the action on the system-mode block is pinned down, which caps the
+    rotation count at ``C(m, 2) - C(m - n, 2)`` instead of the full
+    ``C(m, 2)``.  Rotations on already-zero entries are skipped, so the
+    leading rows of an identity yield an empty sequence.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or not 1 <= u.shape[0] <= u.shape[1]:
+        raise ValueError(f"u must be n x m with 1 <= n <= m, got shape {u.shape}")
     n, m = u.shape
-    if n > m:
-        raise ValueError(f"u has more rows ({n}) than columns ({m})")
-    gram = u @ u.T
-    if np.max(np.abs(gram - np.eye(n))) > tol:
+    if np.max(np.abs(u @ u.T - np.eye(n))) > 1e-8:
         raise ValueError("rows of u are not orthonormal within tolerance")
-    rows = [u[i] for i in range(n)]
-    for k in range(m):
-        if len(rows) == m:
-            break
-        r = np.zeros(m)
-        r[k] = 1.0
-        for _ in range(2):  # two Gram-Schmidt passes for numerical orthogonality
-            for row in rows:
-                r = r - (row @ r) * row
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-7:
-            rows.append(r / nrm)
-    if len(rows) != m:
-        raise ValueError("canonical vectors failed to complete the isometry")
-    w = np.array(rows)
-    if np.max(np.abs(w @ w.T - np.eye(m))) > ORTHOGONALITY_TOL:
-        raise ValueError("completion lost orthogonality beyond tolerance")
-    return w
 
-
-def givens_decompose(w: np.ndarray, n_relevant: int) -> GivensSequence:
-    """Decompose a basis rotation into adjacent-mode Givens rotations.
-
-    Only the action on the first ``n_relevant`` rows of ``w`` (the
-    system-mode block) is reproduced, which caps the rotation count at
-    ``C(m, 2) - C(m - n, 2)`` instead of the full ``C(m, 2)``.  Rotations on
-    already-zero entries are skipped, so an identity target yields an empty
-    sequence.
-    """
-    w = np.asarray(w, dtype=float)
-    m = w.shape[0]
-    n = n_relevant
-    if w.shape != (m, m) or not 1 <= n <= m:
-        raise ValueError("w must be square with 1 <= n_relevant <= m")
-    if np.max(np.abs(w @ w.T - np.eye(m))) > 1e-8:
-        raise ValueError("w is not orthogonal within tolerance")
-
-    a = w[:n, :].T.copy()  # m x n
+    a = u.T.copy()  # m x n
     elimination: list[tuple[int, float]] = []
     for col in range(n):
         for row in range(m - 1, col, -1):
@@ -353,7 +314,7 @@ def _pair_indices(rows: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndar
 
 def _mix_rows(mat_or_vec: np.ndarray, at_p, at_q, theta: float, phi: float) -> None:
     c, s = np.cos(theta), np.sin(theta)
-    xp = mat_or_vec[at_p].copy()
+    xp = mat_or_vec[at_p]  # a gather through an index array is a copy
     xq = mat_or_vec[at_q]
     mat_or_vec[at_p] = c * xp - np.exp(-1j * phi) * s * xq
     mat_or_vec[at_q] = np.exp(1j * phi) * s * xp + c * xq
@@ -389,10 +350,7 @@ def apply_basis_rotation(
         )
     offsets = [sector * layout.sector_size for sector in range(layout.n_sectors)]
 
-    phase_per_mode = np.zeros(layout.n_modes)
-    for off in offsets:
-        for k in range(layout.sector_size):
-            phase_per_mode[off + k] = sequence.diagonal_phases[k]
+    phase_per_mode = np.tile(sequence.diagonal_phases, layout.n_sectors)
     rows = state.rows
     exponent = np.zeros(rows.size)
     for mode, phase in enumerate(phase_per_mode):

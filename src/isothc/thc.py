@@ -231,11 +231,13 @@ def _relative_l2(residual: np.ndarray, target_l2: float) -> float:
     return float(l2 / target_l2)
 
 
-def _one_body_error(hamiltonian: ElectronicHamiltonian, thc: ThcFactorization) -> float | None:
-    if thc.htilde is None:
+def _one_body_error(
+    hamiltonian: ElectronicHamiltonian, u: np.ndarray, htilde: np.ndarray | None
+) -> float | None:
+    if htilde is None:
         return None
     h = hamiltonian.h
-    return _relative_l2(h - (thc.u * thc.htilde) @ thc.u.T, np.linalg.norm(h.reshape(-1)))
+    return _relative_l2(h - (u * htilde) @ u.T, np.linalg.norm(h.reshape(-1)))
 
 
 def projected_interaction(thc: ThcFactorization | None = None, *,
@@ -264,7 +266,7 @@ def approximation_errors(
     """Relative element-wise l2 errors (eps_v, eps_h) of the recontraction."""
     eri = hamiltonian.eri
     eps_v = _relative_l2(eri - projected_interaction(thc), np.linalg.norm(eri.reshape(-1)))
-    return eps_v, _one_body_error(hamiltonian, thc)
+    return eps_v, _one_body_error(hamiltonian, thc.u, thc.htilde)
 
 
 def exact_factorize(
@@ -417,20 +419,18 @@ def refine(
     moment1 = np.zeros_like(u)
     moment2 = np.zeros_like(u)
     step_count = 0
-    best: dict = {"eps_v": np.inf}
+    # eps_v, u, vtilde and htilde of the best iterate
+    best: tuple = (np.inf, None, None, None)
     eri = hamiltonian.eri
     eri_l2 = np.linalg.norm(eri.reshape(-1))
 
     def consider(candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal best
         vtilde, htilde = contract_vtilde(candidate, hamiltonian)
-        thc = ThcFactorization(u=candidate, vtilde=vtilde, htilde=htilde)
-        residual = eri - projected_interaction(thc)
+        residual = eri - projected_interaction(u=candidate, vtilde=vtilde)
         eps_v = _relative_l2(residual, eri_l2)
-        if eps_v < best["eps_v"]:
-            best.update(
-                {"eps_v": eps_v, "eps_h": _one_body_error(hamiltonian, thc),
-                 "u": candidate, "vtilde": vtilde, "htilde": htilde}
-            )
+        if eps_v < best[0]:
+            best = (eps_v, candidate, vtilde, htilde)
         return vtilde, residual
 
     vtilde, residual = consider(u)
@@ -445,9 +445,10 @@ def refine(
             u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + cfg.adam_epsilon))
             vtilde, residual = consider(u)
 
+    eps_v, u, vtilde, htilde = best
     return ThcFactorization(
-        u=best["u"], vtilde=best["vtilde"], htilde=best["htilde"],
-        eps_v=best["eps_v"], eps_h=best["eps_h"], seed=cfg.seed,
+        u=u, vtilde=vtilde, htilde=htilde, eps_v=eps_v,
+        eps_h=_one_body_error(hamiltonian, u, htilde), seed=cfg.seed,
         config=asdict(cfg),
     )
 

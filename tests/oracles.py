@@ -302,7 +302,7 @@ def full_step_unitary(engine) -> np.ndarray:
     """The whole 2^M x 2^M step unitary of a step engine, all basis columns."""
     layout = engine.layout
     identity = FockState(layout, np.eye(layout.dim, dtype=complex))
-    return engine._apply_sequential(identity).amplitudes
+    return engine._apply(identity).amplitudes
 
 
 def full_fock_step(u: np.ndarray, rho: FockDensity) -> tuple[FockDensity, float]:

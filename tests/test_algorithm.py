@@ -1,4 +1,5 @@
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from isothc.algorithm import (
     StepSpec,
     _sectors,
     _StepEngine,
-    basis_rotation_sequence,
     error_budget,
     evolve,
     extended_layout,
@@ -34,6 +34,7 @@ from isothc.focksim import (
     ModeLayout,
     apply_diagonal_one_body,
     exact_evolution,
+    givens_decompose,
     trace_distance,
 )
 from isothc import hamiltonian
@@ -41,6 +42,8 @@ from isothc.hamiltonian import (
     ElectronicHamiltonian,
     build_many_body_operator,
     operator_memory_bytes,
+    parse_fcidump,
+    rotate_to_h_eigenbasis,
 )
 from isothc.thc import (
     ThcFactorization,
@@ -118,11 +121,35 @@ def test_extended_layout_counts_ancillas():
 
 def test_rotation_count_stays_within_budget():
     _, thc = small_instance(1, n=3, m=6)
-    seq = basis_rotation_sequence(thc)
+    seq = givens_decompose(thc.u)
     assert len(seq) <= 6 * 3 - 3 * 4 // 2
     assert_allclose(
         seq.single_particle_matrix()[:, :3].real, thc.u.T, atol=1e-8
     )
+
+
+# the circuit that `isothc simulate` writes to givens_sequence.json, pinned to
+# the last bit for the bundled H2 integrals
+H2_GIVENS_JSON = {
+    3: '{"n_modes": 3, "rotations": [{"p": 1, "q": 2, "theta": 1.2669609073349801, '
+       '"phi": 0.0}, {"p": 0, "q": 1, "theta": 1.4213289552434085, "phi": 0.0}, '
+       '{"p": 1, "q": 2, "theta": -0.6965636384908657, "phi": 0.0}], '
+       '"residual_diagonal_phases": [0.0, 0.0, 0.0]}',
+    4: '{"n_modes": 4, "rotations": [{"p": 1, "q": 2, "theta": 1.3151294595403262, '
+       '"phi": 0.0}, {"p": 2, "q": 3, "theta": -1.2770957872846813, "phi": 0.0}, '
+       '{"p": 0, "q": 1, "theta": 1.4897732626193898, "phi": 0.0}, '
+       '{"p": 1, "q": 2, "theta": 1.1443844897158497, "phi": 0.0}, '
+       '{"p": 2, "q": 3, "theta": 1.9605691537789405, "phi": 0.0}], '
+       '"residual_diagonal_phases": [0.0, 0.0, 0.0, 0.0]}',
+}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_h2_givens_sequence_is_pinned(m):
+    fcidump = files("isothc") / "data" / "h2_sto6g.fcidump"
+    ham, _ = rotate_to_h_eigenbasis(parse_fcidump(str(fcidump)))
+    thc = exact_factorize(ham, m=m, seed=0)
+    assert givens_decompose(thc.u).to_json() == H2_GIVENS_JSON[m]
 
 
 def test_hartree_fock_state_spinless_fills_lowest_modes():
@@ -416,8 +443,6 @@ def test_evolve_counts_and_rounds_steps():
     assert result.leaked_weight.shape == (3,)
     assert np.all(result.leaked_weight >= -1e-15)
     assert result.t_simulated == pytest.approx(0.9)
-    with pytest.raises(ValueError, match="integer"):
-        evolve(psi, thc, ham, t=1.0, tau=0.3, step_tolerance=1e-6)
 
 
 def test_evolve_commuting_diagonal_instance_is_exact():

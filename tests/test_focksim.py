@@ -15,14 +15,12 @@ from isothc.focksim import (
     apply_diagonal_one_body,
     apply_diagonal_two_body,
     basis_state,
-    complete_isometry,
     exact_evolution,
     givens_decompose,
     phase_on_ancillas,
     trace_distance,
 )
 from isothc.hamiltonian import ManyBodyOperator
-from isothc.thc import random_co_isometry
 
 import oracles
 from oracles import reset_ancillas
@@ -80,30 +78,18 @@ def test_embed_and_restrict_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# isometry completion and Givens decomposition
+# Givens decomposition
 # ---------------------------------------------------------------------------
 
-def test_complete_isometry_canonical_rows():
-    u = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    w = complete_isometry(u)
-    assert_allclose(w, np.eye(3), atol=1e-12)
-
-
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (2, 4), (3, 7)])
-def test_complete_isometry_random(n, m):
-    u = random_co_isometry(n, m, seed=int(_rng.integers(2**31)))
-    w = complete_isometry(u)
-    assert_allclose(w[:n, :], u, atol=0.0)
-    assert_allclose(w @ w.T, np.eye(m), atol=1e-10)
-
-
-def test_complete_isometry_rejects_bad_rows():
+def test_givens_decompose_rejects_bad_rows():
     with pytest.raises(ValueError, match="orthonormal"):
-        complete_isometry(np.array([[1.0, 1.0, 0.0]]))
+        givens_decompose(np.array([[1.0, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match="n <= m"):
+        givens_decompose(np.eye(3)[:, :2])
 
 
 def test_givens_decompose_identity_is_empty():
-    seq = givens_decompose(np.eye(4), 2)
+    seq = givens_decompose(np.eye(4)[:2])
     assert len(seq) == 0
     assert_allclose(seq.diagonal_phases, 0.0)
 
@@ -111,7 +97,7 @@ def test_givens_decompose_identity_is_empty():
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (2, 4), (3, 5), (4, 4)])
 def test_givens_decompose_reconstructs_block(n, m):
     w = random_orthogonal(m, _rng)
-    seq = givens_decompose(w, n)
+    seq = givens_decompose(w[:n])
     assert len(seq) <= m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
     for r in seq.rotations:
         assert r.q == r.p + 1
@@ -122,7 +108,7 @@ def test_givens_decompose_reconstructs_block(n, m):
 
 def test_givens_sequence_json_round_trip():
     w = random_orthogonal(4, _rng)
-    seq = givens_decompose(w, 2)
+    seq = givens_decompose(w[:2])
     back = oracles.givens_sequence_from_json(seq.to_json())
     assert back.rotations == seq.rotations
     assert_allclose(back.diagonal_phases, seq.diagonal_phases)
@@ -140,7 +126,7 @@ def test_givens_rotation_requires_adjacent_modes():
 def test_rotation_single_particle_action_matches_matrix():
     m = 4
     w = random_orthogonal(m, _rng)
-    seq = givens_decompose(w, m)
+    seq = givens_decompose(w)
     layout = ModeLayout(m, 0)
     q = seq.single_particle_matrix()
     for p in range(m):
@@ -154,7 +140,7 @@ def test_rotation_single_particle_action_matches_matrix():
 def test_rotation_matches_exponentiated_generator(m):
     # circuit versus exp(sum_pq log(Q)_pq a+_p a_q) built by the string oracle
     w = random_orthogonal(m, _rng)
-    seq = givens_decompose(w, m)
+    seq = givens_decompose(w)
     q = seq.single_particle_matrix()
     generator = scipy.linalg.logm(q)
     big_u = scipy.linalg.expm(oracles.dense_quadratic(m, generator))
@@ -169,7 +155,7 @@ def test_rotation_matches_exponentiated_generator(m):
 
 def test_rotation_swap_exchanges_occupations():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    seq = givens_decompose(w, 2)
+    seq = givens_decompose(w[:2])
     layout = ModeLayout(2, 0)
     out = apply_basis_rotation(basis_state(layout, "10"), seq)
     assert abs(out.amplitudes[0b10]) == pytest.approx(1.0, abs=1e-12)
@@ -180,7 +166,7 @@ def test_rotation_swap_exchanges_occupations():
 def test_rotation_unitary_and_invertible(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 5))
-    seq = givens_decompose(random_orthogonal(m, rng), m - 1)
+    seq = givens_decompose(random_orthogonal(m, rng)[: m - 1])
     layout = ModeLayout(m - 1, 1)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
@@ -196,7 +182,7 @@ def test_kernels_act_column_by_column_on_blocks():
     layout = ModeLayout(2, 1, spinful=True)
     rng = np.random.default_rng(31)
     block = rng.normal(size=(layout.dim, layout.dim)) + 0j
-    seq = givens_decompose(random_orthogonal(3, rng), 2)
+    seq = givens_decompose(random_orthogonal(3, rng)[:2])
     vtilde = rng.normal(size=(3, 3))
     kernels = [
         lambda s: apply_basis_rotation(s, seq),
@@ -227,7 +213,7 @@ def test_kernels_on_sector_rows_match_full_basis():
                      if bin(x & 0b1111).count("1") == 2 and bin(x >> 4).count("1") == 1])
     block = np.zeros((layout.dim, 3), dtype=complex)
     block[rows] = rng.normal(size=(rows.size, 3)) + 1j * rng.normal(size=(rows.size, 3))
-    seq = givens_decompose(random_orthogonal(4, rng), 2)
+    seq = givens_decompose(random_orthogonal(4, rng)[:2])
     vtilde = rng.normal(size=(4, 4))
     kernels = [
         lambda s: apply_basis_rotation(s, seq),

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isothc.thc import (
@@ -350,11 +350,15 @@ def test_cached_einsum_paths_match_planned_einsum_bitwise(n, m):
 
 
 @given(st.integers(1, 8), st.integers(0, 67), st.integers(0, 2**32 - 1))
+@example(n=8, extra=0, seed=96)
 @settings(max_examples=40, deadline=None)
 def test_product_matrix_kernels_match_planned_einsum(n, extra, seed):
     # the matmuls keep the planned contraction's operand order, so the
     # recontraction is bit for bit the einsum's; the gradient is too
-    # wherever the planner's order is the one the matmuls follow (m > n >= 2)
+    # wherever the planner's order is the one the matmuls follow (m > n >= 2).
+    # Elsewhere the orders differ, so an entry near zero can differ by many
+    # of its own ulps (5.4e-12 relative at the pinned example); the bound is
+    # relative to the largest entry.
     m = n + extra % (n * n + 4 - n)
     rng = np.random.default_rng(seed)
     ham = oracles.random_hamiltonian(n, rng)
@@ -369,7 +373,7 @@ def test_product_matrix_kernels_match_planned_einsum(n, extra, seed):
     if m > n >= 2:
         assert np.array_equal(got, want)
     else:
-        assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 5), (6, 12)])
