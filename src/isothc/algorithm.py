@@ -29,15 +29,17 @@ supported on the set S of its (N_up, N_down) sectors, therefore evolves
 into rho_S (+) rho_low, with rho_S = K_0 rho_S K_0^dagger step after step
 and rho_low below N, while the exact reference phi stays in S.  The trace
 distance splits exactly into 1/2 ||rho_S - phi phi^dagger||_1 + 1/2 tr rho_low,
-and tr rho_low is the sum of the weights the steps moved out of S.  One
-step engine serves two supports with one compile and one step formula:
-``evolve`` compiles the columns on S over the extended states whose
-(N_up, N_down) is a sector of S, the only rows U P can reach, and keeps
-only K_0 on S, folding the rows that leave S into one Gram matrix for the
-leaked weight; ``step_channel`` and the projection errors compile every
-system state over every extended state and keep the whole stack of K_b.
-The gate kernels run the same arithmetic on each row either way, so the
-sector block is bit for bit those rows of the full one.
+and tr rho_low is the sum of the weights the steps moved out of S.
+
+One step engine serves every caller.  It compiles the columns on a support
+S of whole sectors over the extended states in those sectors, the only rows
+U P can reach, keeps the Kraus operators of the rows whose system string
+lies in S, and folds the rows with an occupied ancilla into one Gram matrix
+for the leaked weight.  ``evolve`` passes the sectors of its input, so only
+K_0 is kept; ``step_channel`` and the projection errors pass every sector,
+so S is every system state and the whole stack of K_b is kept.  The gate
+kernels run the same arithmetic on each row whatever the support, so a
+sector block is bit for bit those rows of the every-sector one.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -102,14 +104,16 @@ DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
 PARITY_MIXING_TOL = 1e-9
 # arrays the size of the compiled block U P alive at once: the unit columns
-# and the kernels' input and output blocks while the step compiles, then U P,
-# its rows that leave the support and their conjugate while the Gram matrix
-# is folded, and a spare (peak fitted over 16-20 modes: 3.07 copies)
-STEP_WORKING_COPIES = 4
-# bytes per compiled row of the gate kernels' tables, which do not grow with
-# the column count: basis indices, split keys, Givens pair indices, phase and
-# occupation vectors (peak fitted over 16-20 modes: 195 bytes)
-KERNEL_BYTES_PER_STATE = 256
+# and the kernels' blocks while the step compiles, then U P, the Kraus stack,
+# its adjoint and a step's two products (tracemalloc peak over sector and
+# every-sector engines at 6-20 modes: 5.6 copies)
+STEP_WORKING_COPIES = 6
+# bytes per compiled row of the gate kernels' tables: indices, keys and phase
+# vectors, plus an int64 and a float64 occupation per orbital slot (every
+# engine measured peaks below 0.94 of the estimate, one-column engines at
+# m = 20-28 included)
+KERNEL_BYTES_PER_STATE = 64
+KERNEL_BYTES_PER_SLOT = 16
 
 
 @dataclass(frozen=True)
@@ -186,17 +190,22 @@ def extended_layout(thc: ThcFactorization, spinful: bool = False) -> ModeLayout:
 
 
 def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
-    """Estimated peak bytes of the step engine that ``evolve`` runs on ``psi0``.
+    """Estimated peak bytes of the step engine that ``evolve`` runs on ``psi0``."""
+    return _step_bytes(layout, _sectors(psi0))
 
-    The engine compiles one column of ``U P`` per system state in the sectors
-    of ``psi0``, over the states of the extended ``layout`` in those sectors,
-    and the gate kernels add their tables.  Counted, not enumerated, so a
-    register far too large is refused at once.
+
+def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
+    """Estimated peak bytes of a step engine on ``sectors`` of the extended ``layout``.
+
+    The engine compiles one column of ``U P`` per system state in those
+    sectors, over the states of ``layout`` in them, and the gate kernels add
+    their tables.  Counted, not enumerated, so a register far too large is
+    refused at once.
     """
-    sectors = _sectors(psi0)
-    columns = _sector_count(psi0.layout, sectors)
+    columns = _sector_count(layout.system_only(), sectors)
     rows = _sector_count(layout, sectors)
-    return (STEP_WORKING_COPIES * 16 * columns + KERNEL_BYTES_PER_STATE) * rows
+    per_row = KERNEL_BYTES_PER_STATE + KERNEL_BYTES_PER_SLOT * layout.sector_size
+    return (STEP_WORKING_COPIES * 16 * columns + per_row) * rows
 
 
 def _diagonal_entries(hamiltonian: ElectronicHamiltonian) -> np.ndarray:
@@ -240,14 +249,15 @@ def projected_operators(
     n = hamiltonian.n_orbitals
     zero4 = np.zeros((n, n, n, n))
     h_only = ElectronicHamiltonian(n, 0.0, hamiltonian.h, zero4)
-    return build_many_body_operator(h_only, spinful=spinful), _vprime_operator(thc, spinful)
+    return (build_many_body_operator(h_only, spinful=spinful),
+            build_many_body_operator(_vprime_hamiltonian(thc), spinful=spinful))
 
 
-def _vprime_operator(thc: ThcFactorization, spinful: bool) -> ManyBodyOperator:
-    """Dense system-mode operator of the recontracted interaction V'."""
+def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
+    """The recontracted interaction V' alone, with no one-body part."""
     n = thc.n
-    v_only = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), projected_interaction(thc))
-    return build_many_body_operator(v_only, spinful=spinful)
+    return ElectronicHamiltonian(n, 0.0, np.zeros((n, n)),
+                                 projected_interaction(thc.u, thc.vtilde))
 
 
 def _check_system_layout(layout: ModeLayout, thc: ThcFactorization, name: str) -> None:
@@ -302,6 +312,11 @@ def _sector_states(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> np.nda
     return np.sort(np.concatenate(blocks))
 
 
+def _every_sector(layout: ModeLayout) -> list[tuple[int, ...]]:
+    """Every per-spin particle count of ``layout``; its states are every basis state."""
+    return list(itertools.product(range(layout.sector_size + 1), repeat=layout.n_sectors))
+
+
 def _sector_count(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
     """How many basis states ``_sector_states`` lists, without listing them."""
     return sum(math.prod(math.comb(layout.sector_size, count) for count in counts)
@@ -315,16 +330,17 @@ def _sector_count(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
 class _StepEngine:
     """One compiled step on the extended ``layout``, applied as a Kraus map.
 
-    With ``sectors`` (per-spin particle counts of one total N, see
-    ``_sectors``) the engine acts on the support S, the system states in
-    those sectors, and compiles only ``rows``, the extended states in them;
-    by default S is every system state and ``rows`` every extended state.
+    The engine acts on the support S, the system states whose per-spin
+    particle counts are one of ``sectors`` (every sector of ``layout`` by
+    default, so S is every system state), and compiles only ``rows``, the
+    extended states in those sectors.  A step larger than physical memory
+    is refused before it compiles.
     """
 
     def __init__(
         self,
         thc: ThcFactorization,
-        hamiltonian: ElectronicHamiltonian | None,
+        hamiltonian: ElectronicHamiltonian,
         spec: StepSpec,
         layout: ModeLayout,
         sectors: list[tuple[int, ...]] | None = None,
@@ -334,34 +350,45 @@ class _StepEngine:
                 f"layout {layout} does not match factorization with "
                 f"n = {thc.n}, m = {thc.m}"
             )
+        if hamiltonian.n_orbitals != thc.n:
+            raise ValueError("Hamiltonian size does not match the factorization")
+        if sectors is None:
+            sectors = _every_sector(layout)
+        refusal = _memory_refusal("the step", layout.n_modes, _step_bytes(layout, sectors))
+        if refusal:
+            raise ValueError(refusal)
         self.layout = layout
         # the step conserves each spin's particle number on the extended
         # register, so U P has no nonzero row outside the sectors of S
-        if sectors is None:
-            self.rows = np.arange(layout.dim)
-        else:
-            self.rows = _sector_states(layout, sectors)
+        self.rows = _sector_states(layout, sectors)
         self.a_key, self.b_key = _split_keys(layout, self.rows)
         # the row of each compiled column: its system state with every
         # ancilla empty, in ascending system index
         self.vacuum = np.flatnonzero(self.b_key == 0)
-        self.support = None if sectors is None else self.a_key[self.vacuum]
+        self.support = self.a_key[self.vacuum]
+        # the Kraus rule: a row (a, b) is kept when its system string a lies
+        # in S (np.isin would import numpy.ma), as row a of K_b, with the
+        # ancilla strings b ascending, vacuum first
+        at = np.searchsorted(self.support, self.a_key)
+        self.kept = self.support.take(at, mode="clip") == self.a_key
+        strings = np.flatnonzero(np.bincount(self.b_key[self.kept]))
+        self.kraus_shape = (strings.size, self.support.size, self.support.size)
+        self.kraus_index = (np.searchsorted(strings, self.b_key[self.kept]), at[self.kept])
+        parity = np.array([bin(x).count("1") % 2 for x in self.support.tolist()])
+        # pairs of support states of different particle-number parity
+        self.mismatch = parity[:, None] != parity[None, :]
         self.spec = spec
         self.vtilde = thc.vtilde
         self.sequence = givens_decompose(thc.u)
-        self.h_diag: np.ndarray | None = None
-        if hamiltonian is not None:
-            if hamiltonian.n_orbitals != thc.n:
-                raise ValueError("Hamiltonian size does not match the factorization")
-            # ancillas carry no one-body energy
-            entries = np.concatenate([_diagonal_entries(hamiltonian), np.zeros(layout.n_ancilla)])
-            self.h_diag = np.tile(entries, layout.n_sectors)
+        # ancillas carry no one-body energy
+        entries = np.concatenate([_diagonal_entries(hamiltonian), np.zeros(layout.n_ancilla)])
+        self.h_diag = np.tile(entries, layout.n_sectors)
         self._dense: np.ndarray | None = None
         self._kraus: tuple | None = None
 
     def _apply(self, state: FockState) -> FockState:
         """The step unitary on ``state``: one-body half step, interaction,
-        one-body half step (no one-body part without a Hamiltonian).
+        one-body half step.
 
         The interaction is ``rot . vee(tau) . rot^dagger`` (basic), or four
         such quarter blocks with ancilla phases between them (improved).
@@ -373,17 +400,14 @@ class _StepEngine:
             # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
             phi1, phi2, phi3 = self.spec.phases
             blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
-        if self.h_diag is not None:
-            state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
+        state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
         for phi, block_tau in blocks:
             if phi is not None:
                 state = phase_on_ancillas(state, phi)
             state = apply_basis_rotation(state, self.sequence)
             state = apply_diagonal_two_body(state, self.vtilde, block_tau)
             state = apply_basis_rotation(state, self.sequence, inverse=True)
-        if self.h_diag is not None:
-            state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
-        return state
+        return apply_diagonal_one_body(state, self.h_diag, tau / 2)
 
     def dense_unitary(self) -> np.ndarray:
         """``U P`` on the support, shape ``(|rows|, |S|)``: column ``j`` is the
@@ -399,45 +423,35 @@ class _StepEngine:
 
     def _kraus_operators(self) -> tuple:
         """The kept Kraus stack ``K[b] = <b|U|., 0>`` on the support, its
-        adjoint, the mask of system-string pairs of different particle-number
-        parity, and the Gram matrix of the rows that leave the support.
+        adjoint, and the Gram matrix G = W^dagger W of the rows W with an
+        occupied ancilla, whose trace against rho is the leaked weight.
 
-        Every system state is kept with the full support, so the stack runs
-        over all ancilla strings and nothing leaves.  A sector support keeps
-        only K_0, since every b != 0 lowers the particle number; its leaving
-        rows L give G = L^dagger L, whose trace against rho is the leaked weight.
+        On every sector the kept rows give every K_b; on the sectors of one
+        particle number only K_0, since every b != 0 lowers the particle
+        number.
         """
         if self._kraus is None:
             up = self.dense_unitary()
-            if self.support is None:
-                n_a, n_b = len(self.layout.system_modes), len(self.layout.ancilla_modes)
-                kraus = np.empty((1 << n_b, 1 << n_a, 1 << n_a), dtype=complex)
-                kraus[self.b_key, self.a_key] = up
-                parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
-                mismatch = parity[:, None] != parity[None, :]
-                gram = None
-            else:
-                kraus = up[self.vacuum][None]
-                leaving = up[self.b_key != 0]
-                gram = leaving.conj().T @ leaving
-                mismatch = None
+            kraus = np.zeros(self.kraus_shape, dtype=complex)
+            kraus[self.kraus_index] = up[self.kept]
             kraus_h = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
-            self._kraus = (kraus, kraus_h, mismatch, gram)
+            leaving = up[self.b_key != 0]
+            self._kraus = (kraus, kraus_h, leaving.conj().T @ leaving)
         return self._kraus
 
     def step(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """Step a density on the support; also return the weight that left
-        the ancilla vacuum, ``sum_{b != 0} tr(K_b rho K_b^+)``.
+        the ancilla vacuum, ``tr(G rho)``.
 
         The occupation-basis reset matches the fermionic channel unless a
-        leaked block mixes particle-number parities; a warning flags that.
+        kept block with an occupied ancilla mixes particle-number parities;
+        a warning flags that.
         """
-        kraus, kraus_h, mismatch, gram = self._kraus_operators()
+        kraus, kraus_h, gram = self._kraus_operators()
         blocks = (kraus @ rho) @ kraus_h
-        weight = 0.0
+        # only K_0 is kept on one particle number: skip the check per step
         if len(blocks) > 1:
-            leaked = blocks[1:]
-            mixing = float(np.abs(leaked[:, mismatch]).sum())
+            mixing = float(np.abs(blocks[1:, self.mismatch]).sum())
             if mixing > PARITY_MIXING_TOL:
                 warnings.warn(
                     "resetting ancillas on a state with parity-mixing coherences "
@@ -445,10 +459,8 @@ class _StepEngine:
                     "the fermionic channel",
                     stacklevel=2,
                 )
-            weight = float(np.trace(leaked, axis1=1, axis2=2).sum().real)
         # G is Hermitian, so vdot(G, rho) = sum_ij G_ji rho_ij = tr(G rho)
-        escape = 0.0 if gram is None else float(np.vdot(gram, rho).real)
-        return blocks.sum(axis=0), weight + escape
+        return blocks.sum(axis=0), float(np.vdot(gram, rho).real)
 
 
 def step_channel(
@@ -567,23 +579,12 @@ def thc_bound(
     if not _memory_refusal("the operator-norm bound", n_sim_modes,
                            operator_memory_bytes(n_sim_modes)):
         diff = ElectronicHamiltonian(
-            n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc)
+            n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc.u, thc.vtilde)
         )
         operator_norm = build_many_body_operator(diff, spinful=spinful).norm()
     if operator_norm is not None and operator_norm <= frobenius:
         return ThcBound(operator_norm * t, "operator_norm", operator_norm, frobenius)
     return ThcBound(frobenius * t, "frobenius", operator_norm, frobenius)
-
-
-def _interaction_engine(
-    thc: ThcFactorization,
-    tau: float,
-    variant: str,
-    phases: tuple[float, float, float],
-    spinful: bool,
-) -> _StepEngine:
-    spec = StepSpec(tau=tau, variant=variant, phases=phases)
-    return _StepEngine(thc, None, spec, extended_layout(thc, spinful=spinful))
 
 
 def projection_error_measured(
@@ -595,19 +596,18 @@ def projection_error_measured(
 ) -> float:
     """Trace distance between the reset interaction step and the ideal one.
 
-    Applies the Kraus map of the extended interaction unitary to ``rho``
-    (system-only) and compares against evolution under the recontracted
-    interaction V' for time ``tau``.  The one-body part plays
-    no role here; this isolates the vacuum-projection error of a step.
+    Applies the step channel of the recontracted interaction V' alone (no
+    one-body part) to ``rho`` (system-only) and compares against evolution
+    under V' for time ``tau``; this isolates the vacuum-projection error of
+    a step.
     """
     if isinstance(rho, FockState):
         rho = rho.density()
-    _check_system_layout(rho.layout, thc, "rho")
-    spinful = rho.layout.spinful
-    engine = _interaction_engine(thc, tau, variant, phases, spinful)
-    traced, _ = engine.step(rho.matrix)
-    ideal = exact_evolution(_vprime_operator(thc, spinful), rho, tau)
-    return trace_distance(FockDensity(rho.layout, traced), ideal)
+    vprime = _vprime_hamiltonian(thc)
+    stepped = step_channel(rho, thc, vprime, StepSpec(tau=tau, variant=variant, phases=phases))
+    ideal = exact_evolution(build_many_body_operator(vprime, spinful=rho.layout.spinful),
+                            rho, tau)
+    return trace_distance(stepped, ideal)
 
 
 def projection_error_bound(
@@ -621,11 +621,13 @@ def projection_error_bound(
 
         eps_Pr <= || P U P - e^{-iV' tau} P || + 1/2 || P_perp U P ||^2
 
-    with P the ancilla-vacuum projector and U the interaction unitary.
+    with P the ancilla-vacuum projector and U the step unitary of V' alone.
     """
-    engine = _interaction_engine(thc, tau, variant, phases, spinful)
+    vprime = _vprime_hamiltonian(thc)
+    spec = StepSpec(tau=tau, variant=variant, phases=phases)
+    engine = _StepEngine(thc, vprime, spec, extended_layout(thc, spinful=spinful))
     up = engine.dense_unitary()
-    w, v = _vprime_operator(thc, spinful).eigensystem()
+    w, v = build_many_body_operator(vprime, spinful=spinful).eigensystem()
     ideal = (v * np.exp(-1j * w * tau)) @ v.conj().T
     term1 = float(np.linalg.norm(up[engine.b_key == 0] - ideal, 2))
     term2 = 0.5 * float(np.linalg.norm(up[engine.b_key != 0], 2)) ** 2

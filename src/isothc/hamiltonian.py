@@ -25,7 +25,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-import io
 import json
 import os
 import re
@@ -163,10 +162,10 @@ class FcidumpError(ValueError):
     """Raised for malformed FCIDUMP content."""
 
 
-def parse_fcidump(path_or_text: str | Path | io.TextIOBase) -> ElectronicHamiltonian:
+def parse_fcidump(path_or_text: str | Path) -> ElectronicHamiltonian:
     """Parse an FCIDUMP file into an :class:`ElectronicHamiltonian`.
 
-    Accepts a filesystem path, raw FCIDUMP text, or an open text stream.
+    Accepts a filesystem path or raw FCIDUMP text.
     The header namelist is read case-insensitively; ``NORB``, ``NELEC`` and
     ``MS2`` are honored and other keys (``ORBSYM``, ``ISYM``, ...) are
     tolerated and ignored.  Value lines follow the usual layout
@@ -180,20 +179,17 @@ def parse_fcidump(path_or_text: str | Path | io.TextIOBase) -> ElectronicHamilto
     Duplicate entries that disagree by more than 1e-10 raise
     :class:`FcidumpError` naming the offending line.
     """
-    if isinstance(path_or_text, io.TextIOBase):
-        text = path_or_text.read()
+    as_path = Path(path_or_text)
+    try:
+        is_file = as_path.is_file()
+    except OSError:
+        is_file = False
+    if is_file:
+        text = as_path.read_text()
+    elif isinstance(path_or_text, str) and "&FCI" in path_or_text.upper():
+        text = path_or_text
     else:
-        as_path = Path(path_or_text)
-        try:
-            is_file = as_path.is_file()
-        except OSError:
-            is_file = False
-        if is_file:
-            text = as_path.read_text()
-        elif isinstance(path_or_text, str) and "&FCI" in path_or_text.upper():
-            text = path_or_text
-        else:
-            raise FcidumpError(f"no such FCIDUMP file: {path_or_text!r}")
+        raise FcidumpError(f"no such FCIDUMP file: {path_or_text!r}")
 
     upper = text.upper()
     start = upper.find("&FCI")

@@ -240,9 +240,7 @@ def _one_body_error(
     return _relative_l2(h - (u * htilde) @ u.T, np.linalg.norm(h.reshape(-1)))
 
 
-def projected_interaction(thc: ThcFactorization | None = None, *,
-                          u: np.ndarray | None = None,
-                          vtilde: np.ndarray | None = None) -> np.ndarray:
+def projected_interaction(u: np.ndarray, vtilde: np.ndarray) -> np.ndarray:
     """Recontract the factors into a four-index tensor.
 
     This is the two-body tensor of the ancilla-vacuum projection of the
@@ -250,10 +248,6 @@ def projected_interaction(thc: ThcFactorization | None = None, *,
     Hamiltonian from ``h`` and this tensor gives the ideal per-step
     evolution the extended circuit approximates.
     """
-    if thc is not None:
-        u, vtilde = thc.u, thc.vtilde
-    if u is None or vtilde is None:
-        raise ValueError("need either a factorization or explicit u and vtilde")
     vs = 0.5 * (vtilde + vtilde.T)
     pm = product_matrix(u)
     q = np.ascontiguousarray((pm @ vs).T)
@@ -265,7 +259,8 @@ def approximation_errors(
 ) -> tuple[float, float | None]:
     """Relative element-wise l2 errors (eps_v, eps_h) of the recontraction."""
     eri = hamiltonian.eri
-    eps_v = _relative_l2(eri - projected_interaction(thc), np.linalg.norm(eri.reshape(-1)))
+    eps_v = _relative_l2(eri - projected_interaction(thc.u, thc.vtilde),
+                         np.linalg.norm(eri.reshape(-1)))
     return eps_v, _one_body_error(hamiltonian, thc.u, thc.htilde)
 
 

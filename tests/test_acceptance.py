@@ -273,7 +273,7 @@ def test_criterion_12_desk_scale_substitutions():
     rotated = h2_hamiltonian()
     thc = exact_factorize(rotated, m=2, seed=1)
     approx = ElectronicHamiltonian(
-        2, rotated.core_energy, rotated.h, projected_interaction(thc)
+        2, rotated.core_energy, rotated.h, projected_interaction(thc.u, thc.vtilde)
     )
     shift = abs(
         ground_state_energy(rotated, 2, spinful=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from importlib.resources import files
 
@@ -9,11 +10,14 @@ from numpy.testing import assert_allclose
 
 from isothc.algorithm import (
     DEFAULT_PHASES,
+    KERNEL_BYTES_PER_SLOT,
     KERNEL_BYTES_PER_STATE,
     STEP_WORKING_COPIES,
     ErrorBudget,
     StepSpec,
+    _every_sector,
     _sectors,
+    _step_bytes,
     _StepEngine,
     error_budget,
     evolve,
@@ -63,6 +67,11 @@ def random_sector_state(layout: ModeLayout, n_particles: int, rng) -> FockState:
     amps[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
     amps /= np.linalg.norm(amps)
     return FockState(layout, amps)
+
+
+def no_one_body(n: int) -> ElectronicHamiltonian:
+    """A Hamiltonian with no one-body part: the step is the interaction alone."""
+    return ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), np.zeros((n, n, n, n)))
 
 
 def small_instance(seed, n=2, m=3, scale=0.5):
@@ -150,6 +159,61 @@ def test_h2_givens_sequence_is_pinned(m):
     ham, _ = rotate_to_h_eigenbasis(parse_fcidump(str(fcidump)))
     thc = exact_factorize(ham, m=m, seed=0)
     assert givens_decompose(thc.u).to_json() == H2_GIVENS_JSON[m]
+
+
+def h2_best_exact_thc(m=3, n_seeds=10):
+    """H2 integrals and the exact factorization with the smallest core, as
+    the acceptance criteria and the simulate-h2 benchmark choose it."""
+    fcidump = files("isothc") / "data" / "h2_sto6g.fcidump"
+    ham, _ = rotate_to_h_eigenbasis(parse_fcidump(str(fcidump)))
+    candidates = [exact_factorize(ham, m=m, seed=seed) for seed in range(n_seeds)]
+    return ham, min(candidates, key=lambda f: float(np.abs(f.vtilde).sum()))
+
+
+# projection errors of the Hartree-Fock state at criterion 6's taus and the
+# bound at tau = 0.01, pinned to the last bit for the bundled H2 integrals
+H2_PROJECTION_TAUS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
+H2_PROJECTION_MEASURED = {
+    "basic": ["0.0020619779597076575", "0.00020641193738175857", "2.0643336741871433e-05",
+              "2.064355105738997e-06", "2.0643572464948958e-07"],
+    "improved": ["2.201670518176872e-06", "6.869931259339861e-08", "2.163252228327458e-09",
+                 "6.831602004840307e-11", "2.1594224619933118e-12"],
+}
+H2_PROJECTION_BOUND = {"basic": "6.158464476729167e-05", "improved": "1.264552419042454e-08"}
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_h2_projection_errors_are_pinned(variant):
+    ham, thc = h2_best_exact_thc()
+    rho = hartree_fock_state(ham, 2, spinful=True).density()
+    measured = [repr(projection_error_measured(thc, rho, tau, variant=variant))
+                for tau in H2_PROJECTION_TAUS]
+    assert measured == H2_PROJECTION_MEASURED[variant]
+    bound = projection_error_bound(thc, 1e-2, variant=variant, spinful=True)
+    assert repr(bound) == H2_PROJECTION_BOUND[variant]
+
+
+# one improved step (tau = 0.2) of a seeded full-rank spinless density
+H2_STEP_CHANNEL = np.array([
+    [0.09962275304178957+0j, 0.05207635155708149+0.09827556767707403j,
+     -0.09433191042274025+0.05855422454337739j, -0.0633853142363696+0.05595179582728024j],
+    [0.05207635155708149-0.09827556767707403j, 0.25839542214804634+8.271806125530277e-25j,
+     -0.03928346672401744+0.04567135919993361j, -0.009221080816222055+0.08326466213345723j],
+    [-0.09433191042274025-0.05855422454337739j, -0.03928346672401744-0.0456713591999336j,
+     0.22290096617278277+4.0389678347315804e-28j, 0.14132578315686473-0.07872313767976925j],
+    [-0.0633853142363696-0.05595179582728024j, -0.009221080816222053-0.08326466213345722j,
+     0.14132578315686473+0.07872313767976925j, 0.41908085863738126+0j],
+])
+
+
+def test_h2_step_channel_matrix_is_pinned():
+    ham, thc = h2_best_exact_thc()
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho = FockDensity(ModeLayout(2, 0), rho / np.trace(rho).real)
+    out = step_channel(rho, thc, ham, StepSpec(tau=0.2, variant="improved"))
+    assert np.array_equal(out.matrix, H2_STEP_CHANNEL)
 
 
 def test_hartree_fock_state_spinless_fills_lowest_modes():
@@ -360,11 +424,8 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     u = random_co_isometry(n, m, rng)
     vtilde = rng.normal(size=(m, m)) * 0.5
     thc = ThcFactorization(u=u, vtilde=0.5 * (vtilde + vtilde.T))
-    ham = None
-    if with_h:
-        ham = ElectronicHamiltonian(
-            n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n, n, n, n))
-        )
+    h = np.diag(rng.normal(size=n)) if with_h else np.zeros((n, n))
+    ham = ElectronicHamiltonian(n, 0.0, h, np.zeros((n, n, n, n)))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant)
     layout = extended_layout(thc, spinful=spinful)
     engine = _StepEngine(thc, ham, spec, layout)
@@ -387,7 +448,7 @@ def test_step_warns_on_parity_mixing_coherence():
     # alone feels no two-body phase and never leaks)
     _, thc = planted_step_instance(26, n=2, m=3, scale=2.0)
     layout = extended_layout(thc, spinful=True)
-    engine = _StepEngine(thc, None, StepSpec(tau=0.5), layout)
+    engine = _StepEngine(thc, no_one_body(2), StepSpec(tau=0.5), layout)
     amps = np.zeros(16, dtype=complex)
     amps[[0b0101, 0b0111]] = 1 / np.sqrt(2)
     rho = FockState(layout.system_only(), amps).density()
@@ -513,7 +574,7 @@ def test_sector_evolve_matches_full_density_oracle(
     vtilde = rng.normal(size=(m, m)) * 0.5
     thc = ThcFactorization(u=u, vtilde=0.5 * (vtilde + vtilde.T))
     h = np.diag(rng.normal(size=n)) if with_h else np.zeros((n, n))
-    ham = ElectronicHamiltonian(n, 0.0, h, projected_interaction(thc))
+    ham = ElectronicHamiltonian(n, 0.0, h, projected_interaction(thc.u, thc.vtilde))
     tau = float(rng.uniform(0.05, 0.5))
     spec = StepSpec(tau=tau, variant=variant)
     psi, support = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector)
@@ -565,7 +626,7 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     psi = FockState(system, amps / np.linalg.norm(amps))
 
     layout = extended_layout(thc, spinful=spinful)
-    engine = _StepEngine(thc, None, StepSpec(tau=0.1), layout, _sectors(psi))
+    engine = _StepEngine(thc, no_one_body(n), StepSpec(tau=0.1), layout, _sectors(psi))
     counts = set(per_spin_counts(occupied, system))
     everything = np.arange(layout.dim)
     expected = everything[[c in counts for c in per_spin_counts(everything, layout)]]
@@ -574,8 +635,53 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     support = states[[c in counts for c in per_spin_counts(states, system)]]
     assert np.array_equal(engine.support, support)
     # the memory estimate counts the same rows and columns without listing them
+    per_row = KERNEL_BYTES_PER_STATE + KERNEL_BYTES_PER_SLOT * layout.sector_size
     assert step_memory_bytes(layout, psi) == (
-        (STEP_WORKING_COPIES * 16 * support.size + KERNEL_BYTES_PER_STATE) * expected.size)
+        (STEP_WORKING_COPIES * 16 * support.size + per_row) * expected.size)
+
+
+def test_step_memory_estimate_bounds_the_traced_peak():
+    # one column (2 + 2 electrons) over C(24, 2)^2 = 76 176 extended rows:
+    # the gate kernels' per-row tables, which grow with the orbital slots,
+    # are nearly all of the engine's memory
+    rng = np.random.default_rng(29)
+    n, m = 2, 24
+    vtilde = rng.normal(size=(m, m))
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
+    psi = hartree_fock_state(ham, 4, spinful=True)
+    layout = extended_layout(thc, spinful=True)
+    tracemalloc.start()
+    try:
+        engine = _StepEngine(thc, ham, StepSpec(tau=0.1), layout, _sectors(psi))
+        rho = psi.density().matrix[np.ix_(engine.support, engine.support)]
+        for _ in range(3):
+            rho, _ = engine.step(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.rows.size == 76_176
+    assert peak <= step_memory_bytes(layout, psi)
+
+
+def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
+    ham, thc = small_instance(27, n=2, m=3)
+    layout = extended_layout(thc, spinful=True)
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    every = _step_bytes(layout, _every_sector(layout))
+    # step_channel and the projection errors compile every sector
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
+    for call in (lambda: step_channel(psi.density(), thc, ham, StepSpec(tau=0.1)),
+                 lambda: projection_error_measured(thc, psi, 0.1),
+                 lambda: projection_error_bound(thc, 0.1, spinful=True)):
+        with pytest.raises(ValueError, match="the step on 6 modes"):
+            call()
+    # evolve compiles the sectors of its input only, which fit
+    assert evolve(psi, thc, ham, t=0.1, tau=0.1).n_steps == 1
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
+                        lambda: step_memory_bytes(layout, psi) - 1)
+    with pytest.raises(ValueError, match="the step on 6 modes"):
+        evolve(psi, thc, ham, t=0.1, tau=0.1)
 
 
 @pytest.mark.parametrize("spinful", [False, True])
@@ -713,10 +819,11 @@ def test_projection_error_methods_agree():
     fused = projection_error_measured(thc, rho, tau)
 
     layout = extended_layout(thc)
-    engine = _StepEngine(thc, None, StepSpec(tau=tau), layout)
+    v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)),
+                                   projected_interaction(thc.u, thc.vtilde))
+    engine = _StepEngine(thc, v_only, StepSpec(tau=tau), layout)
     extended = oracles.embed_in_ancilla_vacuum(rho.density(), layout)
     stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended)
-    v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)), projected_interaction(thc))
     ideal = exact_evolution(build_many_body_operator(v_only, spinful=False), rho.density(), tau)
     gates = trace_distance(oracles.system_density(stepped), ideal)
     assert fused == pytest.approx(gates, abs=1e-12)

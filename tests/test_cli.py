@@ -398,7 +398,7 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, capsys, monkeypatch):
     vtilde = rng.normal(size=(m, m))
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
     ham = ElectronicHamiltonian(n, 0.0, np.diag(np.arange(n, dtype=float)),
-                                projected_interaction(thc))
+                                projected_interaction(thc.u, thc.vtilde))
     write_fcidump(ham, tmp_path / "n5.fcidump")
     (tmp_path / "thc.json").write_text(thc.to_json())
     argv = ["simulate", "--fcidump", str(tmp_path / "n5.fcidump"),

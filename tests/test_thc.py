@@ -132,7 +132,7 @@ def test_errors_invariant_under_signed_column_permutation():
     v2 = thc.vtilde[np.ix_(perm, perm)]
     assert_allclose(
         projected_interaction(u=u2, vtilde=v2),
-        projected_interaction(thc),
+        projected_interaction(thc.u, thc.vtilde),
         atol=1e-12,
     )
 
