@@ -12,40 +12,31 @@ into four quarter-angle blocks interleaved with number-counting phases on
 the physical ancilla modes, chosen so the leading leakage amplitudes out of
 the ancilla vacuum cancel.
 
-Since the ancillas start every step in the vacuum and are reset after it,
-one step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system
-density, with K_b = <b| U |., 0> for each ancilla occupation string b; only
-the ancilla-vacuum columns U P of the step unitary are ever compiled, and
-only on the rows that can be nonzero.  The
-extended register exists only inside the step engine, the one place that
-splits an extended basis index into its system and ancilla strings; every
-public function takes and returns system-only states.
+With the ancillas in the vacuum before every step and reset after it, a
+step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system, with
+K_b = <b|U|., 0> for each ancilla string b.  One step engine, the only place
+that splits an extended basis index into its system and ancilla strings,
+compiles the vacuum columns U P on a support S of whole (N_up, N_down)
+sectors, over the extended states of those sectors (the only rows U P
+reaches); it keeps the rows whose system string lies in S as the K_b, and
+folds the rows with an occupied ancilla into one Gram matrix G.
+``step_channel`` and the projection errors pass every sector and apply the
+whole Kraus stack to a system density.  The gate kernels run the same
+arithmetic on each row whatever the support, so a sector block is bit for
+bit those rows of the every-sector one.
 
-The step conserves the particle number of each spin on the extended
-register, so K_0 maps every (N_up, N_down) sector of the system into itself
-and each K_b with b != 0 lowers the particle number by the ancillas that b
-fills; no weight ever flows back.  A state of one total particle number N,
-supported on the set S of its (N_up, N_down) sectors, therefore evolves
-into rho_S (+) rho_low, with rho_S = K_0 rho_S K_0^dagger step after step
-and rho_low below N, while the exact reference phi stays in S.  The trace
-distance splits exactly into 1/2 ||rho_S - phi phi^dagger||_1 + 1/2 tr rho_low,
-and tr rho_low is the sum of the weights the steps moved out of S.
+The step conserves each spin's particle number, so K_0 maps every sector
+into itself and each K_b with b != 0 lowers the particle number; no weight
+flows back.  A pure state of one particle number, on its sectors S, stays
+rank one there: ``evolve`` steps one vector psi -> K_0 psi and reads each
+step's leaked weight psi^dagger G psi from the leaving rows.  The exact
+reference phi stays in S, so the trace distance is exactly
+1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 (sum of the leaked weights).
 
-One step engine serves every caller.  It compiles the columns on a support
-S of whole sectors over the extended states in those sectors, the only rows
-U P can reach, keeps the Kraus operators of the rows whose system string
-lies in S, and folds the rows with an occupied ancilla into one Gram matrix
-for the leaked weight.  ``evolve`` passes the sectors of its input, so only
-K_0 is kept; ``step_channel`` and the projection errors pass every sector,
-so S is every system state and the whole stack of K_b is kept.  The gate
-kernels run the same arithmetic on each row whatever the support, so a
-sector block is bit for bit those rows of the every-sector one.
-
-Per-step accuracy decomposes into three pieces: the factorization error
-(operator distance between the true and recontracted interactions), the
-Trotter error, and the projection error from resetting ancillas.
-This module evaluates all three, both as measured trace distances on
-concrete states and as analytic bounds with exactly computed norms.
+Per-step accuracy splits into the factorization error (the operator
+distance between the true and recontracted interactions), the Trotter error
+and the projection error of the reset; each is evaluated both as a measured
+trace distance and as an analytic bound with exactly computed norms.
 """
 
 from __future__ import annotations
@@ -66,6 +57,7 @@ from .focksim import (
     apply_basis_rotation,
     apply_diagonal_one_body,
     apply_diagonal_two_body,
+    _orbital_occupations,
     basis_state,
     exact_evolution,
     givens_decompose,
@@ -103,17 +95,17 @@ __all__ = [
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
 PARITY_MIXING_TOL = 1e-9
-# arrays the size of the compiled block U P alive at once: the unit columns
-# and the kernels' blocks while the step compiles, then U P, the Kraus stack,
-# its adjoint and a step's two products (tracemalloc peak over sector and
-# every-sector engines at 6-20 modes: 5.6 copies)
-STEP_WORKING_COPIES = 6
-# bytes per compiled row of the gate kernels' tables: indices, keys and phase
-# vectors, plus an int64 and a float64 occupation per orbital slot (every
-# engine measured peaks below 0.94 of the estimate, one-column engines at
-# m = 20-28 included)
-KERNEL_BYTES_PER_STATE = 64
-KERNEL_BYTES_PER_SLOT = 16
+# arrays the size of the compiled block U P alive at once: a layer's input,
+# output and row gathers while the step compiles, then U P, the Kraus stack
+# and one gather (tracemalloc peaks of sector and every-sector engines at
+# 6-20 modes: 3.0-3.7 copies with the per-row tables)
+STEP_WORKING_COPIES = 4
+# bytes per compiled row of the kernels' tables: indices, keys and phase
+# vectors, plus a float64 occupation per orbital slot (engines of 1 MiB or
+# more peak at 0.76-0.92 of the estimate, one-column ones at m = 20-28 too;
+# smaller ones hold 7-35 KiB of Python objects besides)
+KERNEL_BYTES_PER_STATE = 144
+KERNEL_BYTES_PER_SLOT = 8
 
 
 @dataclass(frozen=True)
@@ -161,11 +153,12 @@ class ErrorBudget:
 class EvolveResult:
     """Outcome of :func:`evolve`.
 
-    ``error_vs_exact`` is the trace distance between the stepped density and
-    the exact evolution of ``psi0`` over ``t_simulated = n_steps * tau``.
-    ``leaked_weight[k]`` is the weight step ``k`` moved out of the input's
-    particle-number sector, to lower particle numbers through the ancillas
-    it left occupied; the error counts half their sum.
+    ``error_vs_exact`` is the trace distance between the stepped state (the
+    vector on the input's sectors plus the weight that left them) and the
+    exact evolution of ``psi0`` over ``t_simulated = n_steps * tau``.
+    ``leaked_weight[k]`` is the weight step ``k`` moved to lower particle
+    numbers through the ancillas it left occupied; the error counts half
+    their sum.
     """
 
     error_vs_exact: float
@@ -195,13 +188,10 @@ def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
 
 
 def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
-    """Estimated peak bytes of a step engine on ``sectors`` of the extended ``layout``.
-
-    The engine compiles one column of ``U P`` per system state in those
-    sectors, over the states of ``layout`` in them, and the gate kernels add
-    their tables.  Counted, not enumerated, so a register far too large is
-    refused at once.
-    """
+    """Estimated peak bytes of a step engine on ``sectors`` of the extended
+    ``layout``: one column of ``U P`` per system state in those sectors, over
+    the states of ``layout`` in them, plus the kernels' tables.  Counted, not
+    enumerated, so a register far too large is refused at once."""
     columns = _sector_count(layout.system_only(), sectors)
     rows = _sector_count(layout, sectors)
     per_row = KERNEL_BYTES_PER_STATE + KERNEL_BYTES_PER_SLOT * layout.sector_size
@@ -400,67 +390,83 @@ class _StepEngine:
             # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
             phi1, phi2, phi3 = self.spec.phases
             blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
+        # the partner and occupation tables depend on the rows alone: one per pass
+        pairs: dict = {}
+        occupations = _orbital_occupations(self.layout, state.rows)
         state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
         for phi, block_tau in blocks:
             if phi is not None:
                 state = phase_on_ancillas(state, phi)
-            state = apply_basis_rotation(state, self.sequence)
-            state = apply_diagonal_two_body(state, self.vtilde, block_tau)
-            state = apply_basis_rotation(state, self.sequence, inverse=True)
+            state = apply_basis_rotation(state, self.sequence, pairs=pairs)
+            state = apply_diagonal_two_body(state, self.vtilde, block_tau, occupations)
+            state = apply_basis_rotation(state, self.sequence, inverse=True, pairs=pairs)
         return apply_diagonal_one_body(state, self.h_diag, tau / 2)
 
     def dense_unitary(self) -> np.ndarray:
         """``U P`` on the support, shape ``(|rows|, |S|)``: column ``j`` is the
         image of system state ``S[j]`` in the ancilla vacuum, row ``i`` its
         amplitude on extended state ``rows[i]``.  One pass of the step over
-        the block of unit columns, cached."""
+        the unit columns, cached until the step operators are copied out."""
         if self._dense is None:
-            columns = np.zeros((self.rows.size, self.vacuum.size), dtype=complex)
-            columns[self.vacuum, np.arange(self.vacuum.size)] = 1.0
-            block = FockState(self.layout, columns, self.rows)
-            self._dense = self._apply(block).amplitudes
+            columns = [np.zeros((self.rows.size, self.vacuum.size), dtype=complex)]
+            columns[0][self.vacuum, np.arange(self.vacuum.size)] = 1.0
+            # hand the unit columns over, so they are freed after the first layer
+            self._dense = self._apply(FockState(self.layout, columns.pop(), self.rows)).amplitudes
         return self._dense
 
-    def _kraus_operators(self) -> tuple:
-        """The kept Kraus stack ``K[b] = <b|U|., 0>`` on the support, its
-        adjoint, and the Gram matrix G = W^dagger W of the rows W with an
-        occupied ancilla, whose trace against rho is the leaked weight.
-
-        On every sector the kept rows give every K_b; on the sectors of one
-        particle number only K_0, since every b != 0 lowers the particle
-        number.
+    def _kraus_operators(self) -> np.ndarray:
+        """The kept Kraus stack ``K[b] = <b|U|., 0>`` on the support (vacuum
+        first), then G = W^dagger W of the rows W with an occupied ancilla,
+        as one ``((k + 1)|S|, |S|)`` array; ``U P`` is freed once copied out.
+        On the sectors of one particle number only K_0 is kept: ``[K_0; G]``.
         """
         if self._kraus is None:
             up = self.dense_unitary()
-            kraus = np.zeros(self.kraus_shape, dtype=complex)
-            kraus[self.kraus_index] = up[self.kept]
-            kraus_h = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
+            size = self.kraus_shape[1]
+            stack = np.zeros(((self.kraus_shape[0] + 1) * size, size), dtype=complex)
+            stack[:-size].reshape(self.kraus_shape)[self.kraus_index] = up[self.kept]
             leaving = up[self.b_key != 0]
-            self._kraus = (kraus, kraus_h, leaving.conj().T @ leaving)
+            # free U P before the product copies the leaving rows once more
+            self._dense = up = None
+            stack[-size:] = leaving.conj().T @ leaving
+            self._kraus = stack
         return self._kraus
 
-    def step(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
-        """Step a density on the support; also return the weight that left
-        the ancilla vacuum, ``tr(G rho)``.
+    def step(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
+        """One Trotter step of a vector on the support of one particle
+        number: ``K_0 psi``, and the weight that left the ancilla vacuum,
+        ``psi^dagger G psi``, read from the leaving rows (one product with
+        the stack ``[K_0; G]``)."""
+        out = self._kraus_operators() @ psi
+        size = psi.size
+        return out[:size], float(np.vdot(psi, out[size:]).real)
+
+    def channel(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
+        """The Kraus map on a density on the support; also return the weight
+        that left the ancilla vacuum, ``tr(G rho)``.
 
         The occupation-basis reset matches the fermionic channel unless a
         kept block with an occupied ancilla mixes particle-number parities;
         a warning flags that.
         """
-        kraus, kraus_h, gram = self._kraus_operators()
-        blocks = (kraus @ rho) @ kraus_h
-        # only K_0 is kept on one particle number: skip the check per step
-        if len(blocks) > 1:
-            mixing = float(np.abs(blocks[1:, self.mismatch]).sum())
-            if mixing > PARITY_MIXING_TOL:
-                warnings.warn(
-                    "resetting ancillas on a state with parity-mixing coherences "
-                    f"(weight {mixing:.3e}); occupation-basis trace may not match "
-                    "the fermionic channel",
-                    stacklevel=2,
-                )
+        stack = self._kraus_operators()
+        size = self.kraus_shape[1]
+        # one K_b at a time, vacuum first, so no product holds more than one block
+        blocks = ((kraus @ rho) @ np.ascontiguousarray(kraus.conj().T)
+                  for kraus in stack[:-size].reshape(self.kraus_shape))
+        total, mixing = next(blocks), 0.0
+        for block in blocks:
+            mixing += float(np.abs(block[self.mismatch]).sum())
+            total += block
+        if mixing > PARITY_MIXING_TOL:
+            warnings.warn(
+                "resetting ancillas on a state with parity-mixing coherences "
+                f"(weight {mixing:.3e}); occupation-basis trace may not match "
+                "the fermionic channel",
+                stacklevel=2,
+            )
         # G is Hermitian, so vdot(G, rho) = sum_ij G_ji rho_ij = tr(G rho)
-        return blocks.sum(axis=0), float(np.vdot(gram, rho).real)
+        return total, float(np.vdot(stack[-size:], rho).real)
 
 
 def step_channel(
@@ -477,11 +483,21 @@ def step_channel(
     """
     _check_system_layout(rho.layout, thc, "rho")
     layout = extended_layout(thc, spinful=rho.layout.spinful)
-    matrix, _ = _StepEngine(thc, hamiltonian, spec, layout).step(rho.matrix)
+    matrix, _ = _StepEngine(thc, hamiltonian, spec, layout).channel(rho.matrix)
     out = FockDensity(rho.layout, matrix)
     if abs(out.trace() - rho.trace()) > 1e-10:
         raise InvariantError("step channel failed to preserve the trace")
     return out
+
+
+def _pure_trace_norm(psi: np.ndarray, phi: np.ndarray) -> float:
+    """``||psi psi^dagger - phi phi^dagger||_1`` for a unit ``phi``: the two
+    eigenvalues sum to a - 1 and multiply to -a ||phi_perp||^2, with
+    a = ||psi||^2 and phi_perp = phi - psi <psi|phi> / a.  Unlike
+    (a + 1)^2 - 4 |<psi|phi>|^2, this does not cancel as psi nears phi."""
+    a = float(np.vdot(psi, psi).real)
+    perp = phi - psi * (np.vdot(psi, phi) / a)
+    return math.sqrt((a - 1.0) ** 2 + 4.0 * a * float(np.vdot(perp, perp).real))
 
 
 def evolve(
@@ -496,12 +512,12 @@ def evolve(
 
     ``psi0`` is a pure state on the system-only layout with one total
     particle number (``ValueError`` otherwise).  Only its sectors S are
-    stepped, by K_0; the weight each step moves below S is accumulated in
+    stepped, as one vector psi -> K_0 psi; the weight each step moves below
+    S, read from the rows that leave the ancilla vacuum, goes to
     ``leaked_weight``.  ``tau`` overrides ``spec.tau`` so sweeps can share
-    one spec.  The exact reference evolves ``psi0`` under the full
-    Hamiltonian for the actually simulated time ``n_steps * tau``, and the
-    reported error is the trace distance between the two, evaluated exactly
-    as 1/2 ||rho_S - phi phi^dagger||_1 + 1/2 sum(leaked_weight).
+    one spec.  The error is the exact trace distance to the evolution phi of
+    ``psi0`` under the full Hamiltonian for ``n_steps * tau``,
+    1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 sum(leaked_weight).
     """
     _check_system_layout(psi0.layout, thc, "psi0")
     if psi0.layout.n_system != hamiltonian.n_orbitals:
@@ -520,22 +536,20 @@ def evolve(
     engine = _StepEngine(thc, hamiltonian, spec, layout, sectors)
     support = engine.support
     psi = psi0.amplitudes[support]
-    rho = np.outer(psi, psi.conj())
     for k in range(n_steps):
-        rho, leaked[k] = engine.step(rho)
+        psi, leaked[k] = engine.step(psi)
     # the step and the reference are admitted one at a time, so free the
-    # compiled block before the reference operator is built
+    # step operators before the reference operator is built
     del engine
     lost = float(leaked.sum())
-    if abs(np.trace(rho).real + lost - 1.0) > 1e-8:
+    if abs(float(np.vdot(psi, psi).real) + lost - 1.0) > 1e-8:
         raise InvariantError("evolution failed to preserve the trace")
 
     t_simulated = n_steps * tau
     op = build_many_body_operator(hamiltonian, spinful=psi0.layout.spinful)
     phi = exact_evolution(op, psi0, t_simulated).amplitudes[support]
-    # the evolved density is rho (+) rho_low, and phi lives on the support
-    diff = rho - np.outer(phi, phi.conj())
-    error = 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()) + 0.5 * lost
+    # the evolved state is psi psi^dagger (+) rho_low, and phi lives on the support
+    error = 0.5 * _pure_trace_norm(psi, phi) + 0.5 * lost
     return EvolveResult(error_vs_exact=error, n_steps=n_steps,
                         t_simulated=t_simulated, leaked_weight=leaked)
 

@@ -145,9 +145,6 @@ class FockState:
             self.rows = rows
         self.amplitudes = _check_dim(self.amplitudes, self.rows.size, want_matrix=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def density(self) -> "FockDensity":
         return FockDensity(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -220,21 +217,6 @@ class GivensSequence:
         for r in self.rotations:
             if not 0 <= r.p < r.q < self.n_modes:
                 raise ValueError(f"rotation {r} outside of {self.n_modes} modes")
-
-    def __len__(self) -> int:
-        return len(self.rotations)
-
-    def single_particle_matrix(self) -> np.ndarray:
-        q = np.diag(np.exp(1j * self.diagonal_phases))
-        for r in self.rotations:
-            c, s = np.cos(r.theta), np.sin(r.theta)
-            rot = np.eye(self.n_modes, dtype=complex)
-            rot[r.p, r.p] = c
-            rot[r.p, r.q] = -np.exp(-1j * r.phi) * s
-            rot[r.q, r.p] = np.exp(1j * r.phi) * s
-            rot[r.q, r.q] = c
-            q = rot @ q
-        return q
 
     def to_json(self) -> str:
         return json.dumps(
@@ -336,11 +318,13 @@ def apply_basis_rotation(
     state: FockState,
     sequence: GivensSequence,
     inverse: bool = False,
+    pairs: dict | None = None,
 ) -> FockState:
     """Apply a Givens-rotation circuit (or its inverse) to a state.
 
     For spinful layouts the same sequence acts on both spin sectors; mode
-    indices inside the sequence are sector-relative.
+    indices inside the sequence are sector-relative.  Calls on the same
+    rows can share one ``pairs`` dict of partner tables.
     """
     layout = state.layout
     if sequence.n_modes != layout.sector_size:
@@ -359,7 +343,7 @@ def apply_basis_rotation(
     phase_diag = np.exp(1j * exponent)
 
     # a sequence revisits each adjacent pair many times; look its rows up once
-    pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    pairs = {} if pairs is None else pairs
 
     def apply_gate(p: int, q: int, theta: float, phi: float) -> None:
         if (p, q) not in pairs:
@@ -385,8 +369,9 @@ def apply_basis_rotation(
 # ---------------------------------------------------------------------------
 
 def _orbital_occupations(layout: ModeLayout, rows: np.ndarray) -> np.ndarray:
-    """Occupation of each orbital slot, summed over spin, in each basis state of ``rows``."""
-    occ = np.zeros((layout.sector_size, rows.size), dtype=np.int64)
+    """Occupation of each orbital slot, summed over spin, in each basis state
+    of ``rows``, as floats (the table :func:`apply_diagonal_two_body` reads)."""
+    occ = np.zeros((layout.sector_size, rows.size))
     for alpha in range(layout.sector_size):
         total = (rows >> alpha) & 1
         if layout.spinful:
@@ -412,7 +397,7 @@ def apply_diagonal_one_body(
 
 
 def apply_diagonal_two_body(
-    state: FockState, vtilde: np.ndarray, tau: float
+    state: FockState, vtilde: np.ndarray, tau: float, occupations: np.ndarray | None = None
 ) -> FockState:
     """Evolve by the mode-diagonal two-body interaction.
 
@@ -427,6 +412,7 @@ def apply_diagonal_two_body(
 
     for the symmetrized ``vs``; diagonal entries of ``vtilde`` therefore
     drop out of the spinless phase, where ``N_a (N_a - 1) = 0``.
+    ``occupations`` is ``_orbital_occupations(layout, state.rows)``.
     """
     layout = state.layout
     m = layout.sector_size
@@ -434,7 +420,7 @@ def apply_diagonal_two_body(
     if vtilde.shape != (m, m):
         raise ValueError(f"vtilde must be {m} x {m} for this layout")
     vs = 0.5 * (vtilde + vtilde.T)
-    occ = _orbital_occupations(layout, state.rows).astype(float)
+    occ = _orbital_occupations(layout, state.rows) if occupations is None else occupations
     energy = np.zeros(state.rows.size)
     for a in range(m):
         for b in range(a + 1, m):

@@ -7,12 +7,16 @@ two routes can check each other.  Mode 0 is the least significant bit.  The
 full-Fock Trotter step (system density embedded in the ancilla vacuum,
 whole step unitary, occupation-basis ancilla reset, restriction back to the
 system modes) is kept here as the reference for the Kraus-form step of
-``isothc.algorithm``, the evolution of the whole system density step by
-step as the reference for the sector-only ``evolve``, and the THC
-refinement loop that solves the core
-twice per step and plans the gradient's einsum order on every call, as the
-reference for ``isothc.thc.refine``.  It also reads back the
-``givens_sequence.json`` artifact, which only the tests need to parse.
+``isothc.algorithm``.  Three references check the vector ``evolve``: the
+evolution of the whole system density step by step, the density on the
+input's sectors stepped by the Kraus map (the route ``evolve`` took before
+it stepped one vector), and, for one electron per spin, the step and the
+exact evolution in extended precision (``np.clongdouble``), which sets the
+float64 floor that a bit-changing route must stay within.  The THC
+refinement loop that solves the core twice per step and plans the
+gradient's einsum order on every call is the reference for
+``isothc.thc.refine``.  It also reads back the ``givens_sequence.json``
+artifact, which only the tests need to parse.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from isothc.algorithm import StepSpec, _StepEngine, extended_layout
+from isothc.algorithm import StepSpec, _diagonal_entries, _sectors, _StepEngine, extended_layout
 from isothc.focksim import (
     FockDensity,
     FockState,
@@ -30,6 +34,7 @@ from isothc.focksim import (
     GivensSequence,
     ModeLayout,
     exact_evolution,
+    givens_decompose,
     trace_distance,
 )
 from isothc.hamiltonian import ElectronicHamiltonian, build_many_body_operator
@@ -109,12 +114,12 @@ def hamiltonian_terms(H: ElectronicHamiltonian, spinful: bool):
     return terms
 
 
-def dense_hamiltonian(H: ElectronicHamiltonian, spinful: bool) -> np.ndarray:
-    """Full 2^m x 2^m matrix assembled string by string."""
+def dense_hamiltonian(H: ElectronicHamiltonian, spinful: bool, dtype=complex) -> np.ndarray:
+    """Full 2^m x 2^m matrix assembled string by string, accumulated in ``dtype``."""
     n_modes = 2 * H.n_orbitals if spinful else H.n_orbitals
     dim = 1 << n_modes
     terms = hamiltonian_terms(H, spinful)
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((dim, dim), dtype=dtype)
     for col in range(dim):
         for coef, ops in terms:
             result = apply_product(col, ops)
@@ -200,6 +205,22 @@ def contract_thc(u: np.ndarray, vtilde: np.ndarray) -> np.ndarray:
                             acc += u[i, a] * u[j, a] * vtilde[a, b] * u[k, b] * u[l, b]
                     out[i, j, k, l] = acc
     return out
+
+
+def single_particle_matrix(sequence: GivensSequence, dtype=complex) -> np.ndarray:
+    """Q = R(r_K) ... R(r_1) diag(e^{i phases}) of ``sequence``, a product of
+    Givens matrices in ``dtype``: a state's one-particle amplitudes x go to Q x."""
+    real = np.finfo(dtype).dtype.type
+    i_unit = np.dtype(dtype).type(1j)
+    q = np.diag(np.exp(i_unit * sequence.diagonal_phases.astype(real)))
+    for r in sequence.rotations:
+        c, s = np.cos(real(r.theta)), np.sin(real(r.theta))
+        rot = np.eye(sequence.n_modes, dtype=dtype)
+        rot[r.p, r.p] = rot[r.q, r.q] = c
+        rot[r.p, r.q] = -np.exp(-i_unit * real(r.phi)) * s
+        rot[r.q, r.p] = np.exp(i_unit * real(r.phi)) * s
+        q = rot @ q
+    return q
 
 
 def givens_sequence_from_json(text: str) -> GivensSequence:
@@ -333,11 +354,125 @@ def evolve_full_density(
     engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful))
     rho = psi0.density()
     for _ in range(n_steps):
-        matrix, _ = engine.step(rho.matrix)
+        matrix, _ = engine.channel(rho.matrix)
         rho = FockDensity(rho.layout, matrix)
     op = build_many_body_operator(hamiltonian, spinful=spinful)
     reference = exact_evolution(op, psi0, n_steps * spec.tau)
     return trace_distance(rho, reference), rho
+
+
+def evolve_sector_density(
+    psi0: FockState,
+    thc: ThcFactorization,
+    hamiltonian: ElectronicHamiltonian,
+    n_steps: int,
+    spec: StepSpec,
+) -> tuple[float, float]:
+    """Step the density rho_S on the sectors S of ``psi0`` by the Kraus map.
+
+    Returns the trace distance 1/2 ||rho_S - phi phi^dagger||_1 (by
+    ``eigvalsh``) + 1/2 sum of the leaked weights, and that sum.
+    """
+    spinful = psi0.layout.spinful
+    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
+                         _sectors(psi0))
+    psi = psi0.amplitudes[engine.support]
+    rho = np.outer(psi, psi.conj())
+    leaked = np.zeros(n_steps)
+    for k in range(n_steps):
+        rho, leaked[k] = engine.channel(rho)
+    op = build_many_body_operator(hamiltonian, spinful=spinful)
+    phi = exact_evolution(op, psi0, n_steps * spec.tau).amplitudes[engine.support]
+    diff = rho - np.outer(phi, phi.conj())
+    lost = float(leaked.sum())
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()) + 0.5 * lost, lost
+
+
+# ---------------------------------------------------------------------------
+# extended-precision reference for one electron per spin
+
+
+def _expm_long_double(a: np.ndarray) -> np.ndarray:
+    """e^a by a scaled and squared Taylor series in ``np.clongdouble``."""
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = max(0, int(np.ceil(np.log2(float(norm) / 0.25)))) if norm > 0 else 0
+    scaled = a / np.longdouble(2) ** squarings
+    term = np.eye(len(a), dtype=np.clongdouble)
+    out = term.copy()
+    for k in range(1, 30):
+        term = term @ scaled / np.longdouble(k)
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def evolve_long_double(
+    psi0: FockState,
+    thc: ThcFactorization,
+    hamiltonian: ElectronicHamiltonian,
+    n_steps: int,
+    spec: StepSpec,
+) -> tuple[np.longdouble, np.longdouble]:
+    """``evolve`` in ``np.clongdouble`` for a spinful ``psi0`` with one
+    electron per spin.
+
+    The extended states of that sector form the grid X[i, j], up electron in
+    orbital slot i and down electron in slot j.  A basis rotation acts as
+    X -> Q X Q^T; the two-body phase of cell (i, j) is e^{-i tau vs[i, j]}
+    (vs the symmetrized core), the one-body phase e^{-i tau (e_i + e_j)/2},
+    the ancilla phase e^{i phi (b_i + b_j)}.  Each step keeps the system
+    block i, j < n (K_0) and counts the weight outside it as leaked.  The
+    exact reference is the Taylor exponential of the sector block of the
+    Hamiltonian, accumulated string by string in extended precision.
+    Returns the trace distance and the leaked weight, as long doubles.
+    """
+    n, m = thc.n, thc.m
+    system = psi0.layout
+    if not system.spinful or system.n_system != n:
+        raise ValueError("need a spinful psi0 on the factorization's orbitals")
+    cells = np.array([(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)])
+    if np.any(np.delete(psi0.amplitudes, cells)):
+        raise ValueError("psi0 must hold one electron per spin")
+    ld, cld = np.longdouble, np.clongdouble
+    i_unit = cld(1j)
+    tau = ld(spec.tau)
+    q = single_particle_matrix(givens_decompose(thc.u), dtype=cld)
+    vs = (thc.vtilde.astype(ld) + thc.vtilde.T.astype(ld)) / 2
+    energy = np.concatenate([_diagonal_entries(hamiltonian), np.zeros(m - n)]).astype(ld)
+    one_body = np.exp(-i_unit * (tau / 2) * (energy[:, None] + energy[None, :]))
+    ancillas = (np.arange(m) >= n).astype(ld)
+    occupied = ancillas[:, None] + ancillas[None, :]
+    if spec.variant == "basic":
+        blocks = [(None, tau)]
+    else:
+        phi1, phi2, phi3 = (ld(p) for p in spec.phases)
+        blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
+
+    grid = np.zeros((m, m), dtype=cld)
+    grid[:n, :n] = psi0.amplitudes[cells].reshape(n, n)
+    start = grid[:n, :n].copy()
+    lost = ld(0)
+    for _ in range(n_steps):
+        grid = one_body * grid
+        for phi, block_tau in blocks:
+            if phi is not None:
+                grid = np.exp(i_unit * phi * occupied) * grid
+            grid = q @ grid @ q.T
+            grid = np.exp(-i_unit * block_tau * vs) * grid
+            grid = q.conj().T @ grid @ q.conj()
+        grid = one_body * grid
+        lost += (np.abs(grid[occupied > 0]) ** 2).sum()
+        grid[occupied > 0] = 0
+
+    sector = dense_hamiltonian(hamiltonian, spinful=True, dtype=cld)[np.ix_(cells, cells)]
+    t_simulated = ld(n_steps * spec.tau)
+    phi = _expm_long_double(-i_unit * t_simulated * sector) @ start.reshape(-1)
+    psi = grid[:n, :n].reshape(-1)
+    a = np.vdot(psi, psi).real
+    perp = phi - psi * (np.vdot(psi, phi) / a)
+    trace_norm = np.sqrt((a - 1) ** 2 + 4 * a * np.vdot(perp, perp).real)
+    return trace_norm / 2 + lost / 2, lost
 
 
 # ---------------------------------------------------------------------------

@@ -108,17 +108,31 @@ def test_criterion_04_h2_exact_rank_three_from_restarts():
     assert best.eps_v <= 1e-6
 
 
-def test_criterion_05_total_error_slopes_at_unit_time():
+CRITERION_05_TAUS = [0.2, 0.1, 0.05, 0.02, 0.01]
+
+
+def criterion_05_errors(route=None) -> dict:
+    """Criterion 5's errors at t = 1 per variant, from ``evolve`` or from an
+    oracle ``route(psi0, thc, hamiltonian, n_steps, spec)`` whose first
+    result is the error."""
     rotated, thc = h2_exact_thc()
     psi0 = hartree_fock_state(rotated, 2, spinful=True)
-    taus = [0.2, 0.1, 0.05, 0.02, 0.01]
     errors = {}
     for variant in ("basic", "improved"):
-        errors[variant] = [
-            evolve(psi0, thc, rotated, 1.0, tau,
-                   spec=StepSpec(tau=tau, variant=variant)).error_vs_exact
-            for tau in taus
-        ]
+        errors[variant] = []
+        for tau in CRITERION_05_TAUS:
+            spec = StepSpec(tau=tau, variant=variant)
+            if route is None:
+                error = evolve(psi0, thc, rotated, 1.0, tau, spec=spec).error_vs_exact
+            else:
+                error = route(psi0, thc, rotated, int(round(1.0 / tau)), spec)[0]
+            errors[variant].append(error)
+    return errors
+
+
+def test_criterion_05_total_error_slopes_at_unit_time():
+    taus = CRITERION_05_TAUS
+    errors = criterion_05_errors()
     slope_basic = fit_loglog(taus, errors["basic"]).slope
     slope_improved = fit_loglog(taus, errors["improved"]).slope
     gain = errors["basic"][-1] / errors["improved"][-1]
@@ -127,6 +141,26 @@ def test_criterion_05_total_error_slopes_at_unit_time():
     assert abs(slope_basic - 1.0) <= 0.15
     assert abs(slope_improved - 2.0) <= 0.15
     assert gain >= 10.0
+
+
+def test_criterion_05_errors_lie_within_the_float64_floor():
+    # the float64 floor is the largest distance of the density route (the
+    # Kraus map on the input's sectors) from the extended-precision values
+    # over criterion 5's taus; it is taken over both variants because at
+    # tau = 0.01 both float64 routes carry the same float64 exact reference,
+    # whose error of about 2e-15 dominates either variant's distance
+    exact = criterion_05_errors(oracles.evolve_long_double)
+    density = criterion_05_errors(oracles.evolve_sector_density)
+    vector = criterion_05_errors()
+
+    def distance(route):
+        return max(float(abs(route[variant][k] - exact[variant][k]))
+                   for variant in route for k in range(len(CRITERION_05_TAUS)))
+
+    floor = distance(density)
+    print(f"criterion 5: float64 floor {floor:.3e}, vector route {distance(vector):.3e}")
+    assert 0.0 < floor < 1e-13
+    assert distance(vector) <= floor
 
 
 def test_criterion_06_projection_error_slopes():

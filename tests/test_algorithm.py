@@ -16,6 +16,7 @@ from isothc.algorithm import (
     ErrorBudget,
     StepSpec,
     _every_sector,
+    _pure_trace_norm,
     _sectors,
     _step_bytes,
     _StepEngine,
@@ -131,9 +132,9 @@ def test_extended_layout_counts_ancillas():
 def test_rotation_count_stays_within_budget():
     _, thc = small_instance(1, n=3, m=6)
     seq = givens_decompose(thc.u)
-    assert len(seq) <= 6 * 3 - 3 * 4 // 2
+    assert len(seq.rotations) <= 6 * 3 - 3 * 4 // 2
     assert_allclose(
-        seq.single_particle_matrix()[:, :3].real, thc.u.T, atol=1e-8
+        oracles.single_particle_matrix(seq)[:, :3].real, thc.u.T, atol=1e-8
     )
 
 
@@ -248,7 +249,7 @@ def test_hartree_fock_state_requires_diagonal_h():
 
 def oracle_extended_interaction(sequence, vtilde, layout) -> np.ndarray:
     """String-oracle matrix of the rotated mode-diagonal interaction."""
-    t = sequence.single_particle_matrix()
+    t = oracles.single_particle_matrix(sequence)
     assert np.max(np.abs(t.imag)) < 1e-12
     coeff = t.real.T  # coeff[p, alpha]: physical content of rotated mode alpha
     m = layout.sector_size
@@ -435,7 +436,7 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     full = oracles.full_step_unitary(engine)
     for _ in range(2):
         extended, oracle_leaked = oracles.full_fock_step(full, extended)
-        matrix, leaked = engine.step(rho.matrix)
+        matrix, leaked = engine.channel(rho.matrix)
         rho = FockDensity(rho.layout, matrix)
         assert_allclose(rho.matrix, oracles.system_density(extended).matrix,
                         rtol=0, atol=1e-12)
@@ -453,10 +454,10 @@ def test_step_warns_on_parity_mixing_coherence():
     amps[[0b0101, 0b0111]] = 1 / np.sqrt(2)
     rho = FockState(layout.system_only(), amps).density()
     with pytest.warns(UserWarning, match="parity"):
-        engine.step(rho.matrix)
+        engine.channel(rho.matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, leaked = engine.step(random_sector_mixture(layout.system_only(), _rng).matrix)
+        _, leaked = engine.channel(random_sector_mixture(layout.system_only(), _rng).matrix)
     assert leaked > 1e-6
 
 
@@ -506,11 +507,10 @@ def test_evolve_counts_and_rounds_steps():
     assert result.t_simulated == pytest.approx(0.9)
 
 
-def test_evolve_commuting_diagonal_instance_is_exact():
-    # diagonal eri and diagonal h: u = identity is an exact rank-n
-    # factorization, there are no ancillas, and h commutes with V'
-    n = 3
-    rng = np.random.default_rng(14)
+def commuting_diagonal_instance(n=3, seed=14):
+    """Diagonal eri and diagonal h: u = identity is an exact rank-n
+    factorization, there are no ancillas, and h commutes with V'."""
+    rng = np.random.default_rng(seed)
     w = rng.normal(size=(n, n))
     w = 0.5 * (w + w.T)
     eri = np.zeros((n, n, n, n))
@@ -520,9 +520,51 @@ def test_evolve_commuting_diagonal_instance_is_exact():
     h = np.diag(rng.normal(size=n))
     ham = ElectronicHamiltonian(n, 0.0, h, eri)
     thc = ThcFactorization(u=np.eye(n), vtilde=w, htilde=np.diag(h))
-    psi = random_sector_state(ModeLayout(n, 0), 2, rng)
+    return ham, thc, random_sector_state(ModeLayout(n, 0), 2, rng)
+
+
+def test_evolve_commuting_diagonal_instance_is_exact():
+    ham, thc, psi = commuting_diagonal_instance()
     result = evolve(psi, thc, ham, t=1.0, tau=0.2)
     assert result.error_vs_exact <= 1e-8
+
+
+def test_evolve_leak_is_read_from_the_leaving_rows():
+    # with no ancillas no row leaves the vacuum, so every step leaks exactly
+    # 0, while float64 rounding moves the stepped norm, which 1 - ||psi||^2
+    # would count as leakage
+    ham, thc, psi0 = commuting_diagonal_instance()
+    spec = StepSpec(tau=0.2)
+    assert np.all(evolve(psi0, thc, ham, t=2.0, tau=0.2, spec=spec).leaked_weight == 0.0)
+    engine = _StepEngine(thc, ham, spec, extended_layout(thc), _sectors(psi0))
+    psi = psi0.amplitudes[engine.support]
+    drift = []
+    for _ in range(10):
+        psi, leaked = engine.step(psi)
+        assert leaked == 0.0
+        drift.append(1.0 - float(np.vdot(psi, psi).real))
+    assert any(d != 0.0 for d in drift)
+
+
+def rank_two_pair(rng, size, kind):
+    phi = rng.normal(size=size) + 1j * rng.normal(size=size)
+    phi /= np.linalg.norm(phi)
+    noise = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if kind == "random":
+        return rng.uniform(0.2, 1.0) * noise / np.linalg.norm(noise), phi
+    scale = np.sqrt(1.0 - rng.uniform(0.0, 1e-6)) if kind == "unit" else 1.0
+    # psi nearly parallel to phi, up to a phase and a norm a close to 1
+    return scale * np.exp(1j * rng.uniform(0, 2 * np.pi)) * (phi + 1e-7 * noise), phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 12), kind=st.sampled_from(["random", "parallel", "unit"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pure_trace_norm_matches_eigvalsh(size, kind, seed):
+    psi, phi = rank_two_pair(np.random.default_rng(seed), size, kind)
+    diff = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
+    want = float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    assert _pure_trace_norm(psi, phi) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
 
 def test_evolve_error_shrinks_with_tau():
@@ -582,9 +624,11 @@ def test_sector_evolve_matches_full_density_oracle(
     result = evolve(psi, thc, ham, t=n_steps * tau, tau=tau, spec=spec)
     error, rho = oracles.evolve_full_density(psi, thc, ham, n_steps, spec)
     outside = float(np.delete(np.diag(rho.matrix).real, support).sum())
+    sector_error, sector_lost = oracles.evolve_sector_density(psi, thc, ham, n_steps, spec)
     assert result.n_steps == n_steps
-    assert result.error_vs_exact == pytest.approx(error, abs=1e-12)
-    assert result.leaked_weight.sum() == pytest.approx(outside, abs=1e-12)
+    for want_error, want_lost in ((error, outside), (sector_error, sector_lost)):
+        assert result.error_vs_exact == pytest.approx(want_error, abs=1e-12)
+        assert result.leaked_weight.sum() == pytest.approx(want_lost, abs=1e-12)
 
     # the sector engine compiles exactly the full engine's rows of the
     # sectors on S, and the full engine's columns on S vanish on every other row
@@ -654,9 +698,9 @@ def test_step_memory_estimate_bounds_the_traced_peak():
     tracemalloc.start()
     try:
         engine = _StepEngine(thc, ham, StepSpec(tau=0.1), layout, _sectors(psi))
-        rho = psi.density().matrix[np.ix_(engine.support, engine.support)]
+        vector = psi.amplitudes[engine.support]
         for _ in range(3):
-            rho, _ = engine.step(rho)
+            vector, _ = engine.step(vector)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
