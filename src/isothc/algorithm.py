@@ -12,31 +12,42 @@ into four quarter-angle blocks interleaved with number-counting phases on
 the physical ancilla modes, chosen so the leading leakage amplitudes out of
 the ancilla vacuum cancel.
 
-With the ancillas in the vacuum before every step and reset after it, a
-step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system, with
-K_b = <b|U|., 0> for each ancilla string b.  One step engine, the only place
-that splits an extended basis index into its system and ancilla strings,
-compiles the vacuum columns U P on a support S of whole (N_up, N_down)
-sectors, over the extended states of those sectors (the only rows U P
-reaches); it keeps the rows whose system string lies in S as the K_b, and
-folds the rows with an occupied ancilla into one Gram matrix G.
-``step_channel`` and the projection errors pass every sector and apply the
-whole Kraus stack to a system density.  The gate kernels run the same
-arithmetic on each row whatever the support, so a sector block is bit for
-bit those rows of the every-sector one.
+Since the ancillas start every step in the vacuum and are reset after it,
+one step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system
+density, with K_b = <b| U |., 0> for each ancilla occupation string b; only
+the ancilla-vacuum columns U P of the step unitary are ever compiled, and
+only on the rows that can be nonzero.  The
+extended register exists only inside the step engine, the one place that
+splits an extended basis index into its system and ancilla strings; every
+public function takes and returns system-only states.
 
-The step conserves each spin's particle number, so K_0 maps every sector
-into itself and each K_b with b != 0 lowers the particle number; no weight
-flows back.  A pure state of one particle number, on its sectors S, stays
-rank one there: ``evolve`` steps one vector psi -> K_0 psi and reads each
-step's leaked weight psi^dagger G psi from the leaving rows.  The exact
-reference phi stays in S, so the trace distance is exactly
-1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 (sum of the leaked weights).
+The step conserves the particle number of each spin on the extended
+register, so K_0 maps every (N_up, N_down) sector of the system into itself
+and each K_b with b != 0 lowers the particle number by the ancillas that b
+fills; no weight ever flows back.  A pure state of one total particle
+number N, supported on the set S of its (N_up, N_down) sectors, therefore
+evolves into psi psi^dagger (+) rho_low, with psi -> K_0 psi step after
+step and rho_low below N, while the exact reference phi stays in S.  The
+trace distance splits exactly into
+1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 tr rho_low, and tr rho_low
+is the sum of the weights psi^dagger G psi the steps moved out of S.
 
-Per-step accuracy splits into the factorization error (the operator
-distance between the true and recontracted interactions), the Trotter error
-and the projection error of the reset; each is evaluated both as a measured
-trace distance and as an analytic bound with exactly computed norms.
+One step engine serves every caller.  It compiles the columns on a support
+S of whole sectors over the extended states in those sectors, the only rows
+U P can reach, keeps the Kraus operators of the rows whose system string
+lies in S, and folds the rows with an occupied ancilla into one Gram matrix
+for the leaked weight.  ``evolve`` passes the sectors of its input, so only
+K_0 is kept, and steps one vector; ``step_channel`` and the projection
+errors pass every sector, so S is every system state, and apply the whole
+stack of K_b to a density.  The gate
+kernels run the same arithmetic on each row whatever the support, so a
+sector block is bit for bit those rows of the every-sector one.
+
+Per-step accuracy decomposes into three pieces: the factorization error
+(operator distance between the true and recontracted interactions), the
+Trotter error, and the projection error from resetting ancillas.
+This module evaluates all three, both as measured trace distances on
+concrete states and as analytic bounds with exactly computed norms.
 """
 
 from __future__ import annotations
@@ -54,10 +65,10 @@ from .focksim import (
     FockState,
     InvariantError,
     ModeLayout,
+    RowTables,
     apply_basis_rotation,
     apply_diagonal_one_body,
     apply_diagonal_two_body,
-    _orbital_occupations,
     basis_state,
     exact_evolution,
     givens_decompose,
@@ -188,10 +199,13 @@ def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
 
 
 def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
-    """Estimated peak bytes of a step engine on ``sectors`` of the extended
-    ``layout``: one column of ``U P`` per system state in those sectors, over
-    the states of ``layout`` in them, plus the kernels' tables.  Counted, not
-    enumerated, so a register far too large is refused at once."""
+    """Estimated peak bytes of a step engine on ``sectors`` of the extended ``layout``.
+
+    The engine compiles one column of ``U P`` per system state in those
+    sectors, over the states of ``layout`` in them, and the gate kernels add
+    their tables.  Counted, not enumerated, so a register far too large is
+    refused at once.
+    """
     columns = _sector_count(layout.system_only(), sectors)
     rows = _sector_count(layout, sectors)
     per_row = KERNEL_BYTES_PER_STATE + KERNEL_BYTES_PER_SLOT * layout.sector_size
@@ -374,7 +388,7 @@ class _StepEngine:
         entries = np.concatenate([_diagonal_entries(hamiltonian), np.zeros(layout.n_ancilla)])
         self.h_diag = np.tile(entries, layout.n_sectors)
         self._dense: np.ndarray | None = None
-        self._kraus: tuple | None = None
+        self._kraus: np.ndarray | None = None
 
     def _apply(self, state: FockState) -> FockState:
         """The step unitary on ``state``: one-body half step, interaction,
@@ -390,16 +404,15 @@ class _StepEngine:
             # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
             phi1, phi2, phi3 = self.spec.phases
             blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
-        # the partner and occupation tables depend on the rows alone: one per pass
-        pairs: dict = {}
-        occupations = _orbital_occupations(self.layout, state.rows)
+        # every kernel keeps the rows, so one set of row tables serves the pass
+        tables = RowTables(state)
         state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
         for phi, block_tau in blocks:
             if phi is not None:
                 state = phase_on_ancillas(state, phi)
-            state = apply_basis_rotation(state, self.sequence, pairs=pairs)
-            state = apply_diagonal_two_body(state, self.vtilde, block_tau, occupations)
-            state = apply_basis_rotation(state, self.sequence, inverse=True, pairs=pairs)
+            state = apply_basis_rotation(state, self.sequence, tables)
+            state = apply_diagonal_two_body(state, self.vtilde, block_tau, tables)
+            state = apply_basis_rotation(state, self.sequence, tables, inverse=True)
         return apply_diagonal_one_body(state, self.h_diag, tau / 2)
 
     def dense_unitary(self) -> np.ndarray:
@@ -408,11 +421,15 @@ class _StepEngine:
         amplitude on extended state ``rows[i]``.  One pass of the step over
         the unit columns, cached until the step operators are copied out."""
         if self._dense is None:
-            columns = [np.zeros((self.rows.size, self.vacuum.size), dtype=complex)]
-            columns[0][self.vacuum, np.arange(self.vacuum.size)] = 1.0
-            # hand the unit columns over, so they are freed after the first layer
-            self._dense = self._apply(FockState(self.layout, columns.pop(), self.rows)).amplitudes
+            # no local keeps the unit columns, so the first layer frees them
+            self._dense = self._apply(self._unit_columns()).amplitudes
         return self._dense
+
+    def _unit_columns(self) -> FockState:
+        """Column ``j`` is system state ``S[j]`` in the ancilla vacuum."""
+        columns = np.zeros((self.rows.size, self.vacuum.size), dtype=complex)
+        columns[self.vacuum, np.arange(self.vacuum.size)] = 1.0
+        return FockState(self.layout, columns, self.rows)
 
     def _kraus_operators(self) -> np.ndarray:
         """The kept Kraus stack ``K[b] = <b|U|., 0>`` on the support (vacuum

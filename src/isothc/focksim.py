@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "FockDensity",
     "GivensRotation",
     "GivensSequence",
+    "RowTables",
     "basis_state",
     "givens_decompose",
     "apply_basis_rotation",
@@ -145,6 +147,9 @@ class FockState:
             self.rows = rows
         self.amplitudes = _check_dim(self.amplitudes, self.rows.size, want_matrix=False)
 
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
     def density(self) -> "FockDensity":
         return FockDensity(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -217,6 +222,21 @@ class GivensSequence:
         for r in self.rotations:
             if not 0 <= r.p < r.q < self.n_modes:
                 raise ValueError(f"rotation {r} outside of {self.n_modes} modes")
+
+    def __len__(self) -> int:
+        return len(self.rotations)
+
+    def single_particle_matrix(self) -> np.ndarray:
+        q = np.diag(np.exp(1j * self.diagonal_phases))
+        for r in self.rotations:
+            c, s = np.cos(r.theta), np.sin(r.theta)
+            rot = np.eye(self.n_modes, dtype=complex)
+            rot[r.p, r.p] = c
+            rot[r.p, r.q] = -np.exp(-1j * r.phi) * s
+            rot[r.q, r.p] = np.exp(1j * r.phi) * s
+            rot[r.q, r.q] = c
+            q = rot @ q
+        return q
 
     def to_json(self) -> str:
         return json.dumps(
@@ -294,6 +314,44 @@ def _pair_indices(rows: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndar
     return at_p, at_q
 
 
+class RowTables:
+    """The gate kernels' tables that depend on a state's rows alone: the
+    partner rows of each Givens pair and the orbital occupations.
+
+    Build one for a block and pass it to every kernel call on the block's
+    rows (the kernels keep the rows of their input), so the tables are
+    built once however many gates act; a kernel refuses the tables of
+    other rows.
+    """
+
+    def __init__(self, state: FockState) -> None:
+        self.layout, self.rows = state.layout, state.rows
+        self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def check(self, state: FockState) -> None:
+        if state.rows is not self.rows:
+            raise ValueError("row tables were built for the rows of another state")
+
+    def pair(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_pair_indices`` of modes p and q, looked up once."""
+        if (p, q) not in self._pairs:
+            self._pairs[p, q] = _pair_indices(self.rows, p, q)
+        return self._pairs[p, q]
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Occupation of each orbital slot, summed over spin, in each basis
+        state of the rows, as floats."""
+        layout, rows = self.layout, self.rows
+        occ = np.zeros((layout.sector_size, rows.size))
+        for alpha in range(layout.sector_size):
+            total = (rows >> alpha) & 1
+            if layout.spinful:
+                total = total + ((rows >> (alpha + layout.sector_size)) & 1)
+            occ[alpha] = total
+        return occ
+
+
 def _mix_rows(mat_or_vec: np.ndarray, at_p, at_q, theta: float, phi: float) -> None:
     c, s = np.cos(theta), np.sin(theta)
     xp = mat_or_vec[at_p]  # a gather through an index array is a copy
@@ -317,15 +375,16 @@ def _apply_diagonal(state: FockState, diag: np.ndarray) -> FockState:
 def apply_basis_rotation(
     state: FockState,
     sequence: GivensSequence,
+    tables: RowTables,
     inverse: bool = False,
-    pairs: dict | None = None,
 ) -> FockState:
     """Apply a Givens-rotation circuit (or its inverse) to a state.
 
     For spinful layouts the same sequence acts on both spin sectors; mode
-    indices inside the sequence are sector-relative.  Calls on the same
-    rows can share one ``pairs`` dict of partner tables.
+    indices inside the sequence are sector-relative.  ``tables`` are the
+    :class:`RowTables` of the state's rows.
     """
+    tables.check(state)
     layout = state.layout
     if sequence.n_modes != layout.sector_size:
         raise ValueError(
@@ -342,13 +401,9 @@ def apply_basis_rotation(
             exponent = exponent + phase * ((rows >> mode) & 1)
     phase_diag = np.exp(1j * exponent)
 
-    # a sequence revisits each adjacent pair many times; look its rows up once
-    pairs = {} if pairs is None else pairs
-
+    # a sequence revisits each adjacent pair many times; the tables look its rows up once
     def apply_gate(p: int, q: int, theta: float, phi: float) -> None:
-        if (p, q) not in pairs:
-            pairs[p, q] = _pair_indices(rows, p, q)
-        _mix_rows(out, *pairs[p, q], theta, phi)
+        _mix_rows(out, *tables.pair(p, q), theta, phi)
 
     if not inverse:
         out = _scale_rows(phase_diag, state.amplitudes)
@@ -368,18 +423,6 @@ def apply_basis_rotation(
 # Diagonal evolutions and ancilla operations
 # ---------------------------------------------------------------------------
 
-def _orbital_occupations(layout: ModeLayout, rows: np.ndarray) -> np.ndarray:
-    """Occupation of each orbital slot, summed over spin, in each basis state
-    of ``rows``, as floats (the table :func:`apply_diagonal_two_body` reads)."""
-    occ = np.zeros((layout.sector_size, rows.size))
-    for alpha in range(layout.sector_size):
-        total = (rows >> alpha) & 1
-        if layout.spinful:
-            total = total + ((rows >> (alpha + layout.sector_size)) & 1)
-        occ[alpha] = total
-    return occ
-
-
 def apply_diagonal_one_body(
     state: FockState, h_diag: np.ndarray, tau: float
 ) -> FockState:
@@ -397,7 +440,7 @@ def apply_diagonal_one_body(
 
 
 def apply_diagonal_two_body(
-    state: FockState, vtilde: np.ndarray, tau: float, occupations: np.ndarray | None = None
+    state: FockState, vtilde: np.ndarray, tau: float, tables: RowTables
 ) -> FockState:
     """Evolve by the mode-diagonal two-body interaction.
 
@@ -412,15 +455,16 @@ def apply_diagonal_two_body(
 
     for the symmetrized ``vs``; diagonal entries of ``vtilde`` therefore
     drop out of the spinless phase, where ``N_a (N_a - 1) = 0``.
-    ``occupations`` is ``_orbital_occupations(layout, state.rows)``.
+    ``tables`` are the :class:`RowTables` of the state's rows.
     """
+    tables.check(state)
     layout = state.layout
     m = layout.sector_size
     vtilde = np.asarray(vtilde, dtype=float)
     if vtilde.shape != (m, m):
         raise ValueError(f"vtilde must be {m} x {m} for this layout")
     vs = 0.5 * (vtilde + vtilde.T)
-    occ = _orbital_occupations(layout, state.rows) if occupations is None else occupations
+    occ = tables.occupations
     energy = np.zeros(state.rows.size)
     for a in range(m):
         for b in range(a + 1, m):

@@ -361,6 +361,46 @@ def evolve_full_density(
     return trace_distance(rho, reference), rho
 
 
+def step_sector_density(
+    psi0: FockState,
+    thc: ThcFactorization,
+    hamiltonian: ElectronicHamiltonian,
+    n_steps: int,
+    spec: StepSpec,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Step the density rho_S on the sectors S of ``psi0`` by the Kraus map,
+    ``n_steps`` times.  Returns S, rho_S and the sum of the leaked weights."""
+    spinful = psi0.layout.spinful
+    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
+                         _sectors(psi0))
+    psi = psi0.amplitudes[engine.support]
+    rho = np.outer(psi, psi.conj())
+    leaked = np.zeros(n_steps)
+    for k in range(n_steps):
+        rho, leaked[k] = engine.channel(rho)
+    return engine.support, rho, float(leaked.sum())
+
+
+def step_sector_vector(
+    psi0: FockState,
+    thc: ThcFactorization,
+    hamiltonian: ElectronicHamiltonian,
+    n_steps: int,
+    spec: StepSpec,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``evolve``'s route: step the vector psi on the sectors S of ``psi0`` by
+    K_0, ``n_steps`` times.  Returns S, psi and the sum of the leaked weights."""
+    spinful = psi0.layout.spinful
+    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
+                         _sectors(psi0))
+    psi = psi0.amplitudes[engine.support]
+    lost = 0.0
+    for _ in range(n_steps):
+        psi, leaked = engine.step(psi)
+        lost += leaked
+    return engine.support, psi, lost
+
+
 def evolve_sector_density(
     psi0: FockState,
     thc: ThcFactorization,
@@ -373,18 +413,10 @@ def evolve_sector_density(
     Returns the trace distance 1/2 ||rho_S - phi phi^dagger||_1 (by
     ``eigvalsh``) + 1/2 sum of the leaked weights, and that sum.
     """
-    spinful = psi0.layout.spinful
-    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
-                         _sectors(psi0))
-    psi = psi0.amplitudes[engine.support]
-    rho = np.outer(psi, psi.conj())
-    leaked = np.zeros(n_steps)
-    for k in range(n_steps):
-        rho, leaked[k] = engine.channel(rho)
-    op = build_many_body_operator(hamiltonian, spinful=spinful)
-    phi = exact_evolution(op, psi0, n_steps * spec.tau).amplitudes[engine.support]
+    support, rho, lost = step_sector_density(psi0, thc, hamiltonian, n_steps, spec)
+    op = build_many_body_operator(hamiltonian, spinful=psi0.layout.spinful)
+    phi = exact_evolution(op, psi0, n_steps * spec.tau).amplitudes[support]
     diff = rho - np.outer(phi, phi.conj())
-    lost = float(leaked.sum())
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()) + 0.5 * lost, lost
 
 
@@ -407,6 +439,58 @@ def _expm_long_double(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_electron_per_spin(psi0: FockState, n: int) -> np.ndarray:
+    """The system states X[i, j] of one up electron in orbital i and one down
+    electron in orbital j, row by row; ``psi0`` must lie on them."""
+    system = psi0.layout
+    if not system.spinful or system.n_system != n:
+        raise ValueError("need a spinful psi0 on the factorization's orbitals")
+    cells = np.array([(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)])
+    if np.any(np.delete(psi0.amplitudes, cells)):
+        raise ValueError("psi0 must hold one electron per spin")
+    return cells
+
+
+def exact_evolution_long_double(
+    psi0: FockState, hamiltonian: ElectronicHamiltonian, t: float
+) -> np.ndarray:
+    """e^{-iHt} psi0 in ``np.clongdouble`` over the system basis, for a
+    spinful ``psi0`` with one electron per spin: the Taylor exponential of
+    the sector block of the Hamiltonian, accumulated string by string in
+    extended precision."""
+    cells = _one_electron_per_spin(psi0, hamiltonian.n_orbitals)
+    cld = np.clongdouble
+    sector = dense_hamiltonian(hamiltonian, spinful=True, dtype=cld)[np.ix_(cells, cells)]
+    out = np.zeros(psi0.layout.dim, dtype=cld)
+    out[cells] = (_expm_long_double(-cld(1j) * np.longdouble(t) * sector)
+                  @ psi0.amplitudes[cells].astype(cld))
+    return out
+
+
+def distance_long_double(
+    support: np.ndarray, state: np.ndarray, lost: float, phi: np.ndarray
+) -> np.longdouble:
+    """1/2 ||sigma - phi phi^dagger||_1 + lost / 2 in extended precision, for
+    a state on the system states ``support``: a vector psi (sigma =
+    psi psi^dagger) or a density sigma, against ``phi`` over the system basis.
+
+    A vector's trace norm is the rank-two closed form in long double.  A
+    density's difference is formed in long double and rounded to complex128
+    for ``eigvalsh``, which numpy has in double only; the rounding moves
+    the trace norm by about 1e-16 of the difference's norm.
+    """
+    phi = phi[support]
+    state = state.astype(np.clongdouble)
+    if state.ndim == 1:
+        a = np.vdot(state, state).real
+        perp = phi - state * (np.vdot(state, phi) / a)
+        trace_norm = np.sqrt((a - 1) ** 2 + 4 * a * np.vdot(perp, perp).real)
+    else:
+        diff = (state - np.outer(phi, phi.conj())).astype(complex)
+        trace_norm = np.longdouble(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return trace_norm / 2 + np.longdouble(lost) / 2
+
+
 def evolve_long_double(
     psi0: FockState,
     thc: ThcFactorization,
@@ -423,17 +507,11 @@ def evolve_long_double(
     (vs the symmetrized core), the one-body phase e^{-i tau (e_i + e_j)/2},
     the ancilla phase e^{i phi (b_i + b_j)}.  Each step keeps the system
     block i, j < n (K_0) and counts the weight outside it as leaked.  The
-    exact reference is the Taylor exponential of the sector block of the
-    Hamiltonian, accumulated string by string in extended precision.
-    Returns the trace distance and the leaked weight, as long doubles.
+    reference is :func:`exact_evolution_long_double`.  Returns the trace
+    distance and the leaked weight, as long doubles.
     """
     n, m = thc.n, thc.m
-    system = psi0.layout
-    if not system.spinful or system.n_system != n:
-        raise ValueError("need a spinful psi0 on the factorization's orbitals")
-    cells = np.array([(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)])
-    if np.any(np.delete(psi0.amplitudes, cells)):
-        raise ValueError("psi0 must hold one electron per spin")
+    cells = _one_electron_per_spin(psi0, n)
     ld, cld = np.longdouble, np.clongdouble
     i_unit = cld(1j)
     tau = ld(spec.tau)
@@ -451,7 +529,6 @@ def evolve_long_double(
 
     grid = np.zeros((m, m), dtype=cld)
     grid[:n, :n] = psi0.amplitudes[cells].reshape(n, n)
-    start = grid[:n, :n].copy()
     lost = ld(0)
     for _ in range(n_steps):
         grid = one_body * grid
@@ -465,14 +542,8 @@ def evolve_long_double(
         lost += (np.abs(grid[occupied > 0]) ** 2).sum()
         grid[occupied > 0] = 0
 
-    sector = dense_hamiltonian(hamiltonian, spinful=True, dtype=cld)[np.ix_(cells, cells)]
-    t_simulated = ld(n_steps * spec.tau)
-    phi = _expm_long_double(-i_unit * t_simulated * sector) @ start.reshape(-1)
-    psi = grid[:n, :n].reshape(-1)
-    a = np.vdot(psi, psi).real
-    perp = phi - psi * (np.vdot(psi, phi) / a)
-    trace_norm = np.sqrt((a - 1) ** 2 + 4 * a * np.vdot(perp, perp).real)
-    return trace_norm / 2 + lost / 2, lost
+    phi = exact_evolution_long_double(psi0, hamiltonian, n_steps * spec.tau)
+    return distance_long_double(cells, grid[:n, :n].reshape(-1), lost, phi), lost
 
 
 # ---------------------------------------------------------------------------

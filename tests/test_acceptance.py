@@ -111,23 +111,14 @@ def test_criterion_04_h2_exact_rank_three_from_restarts():
 CRITERION_05_TAUS = [0.2, 0.1, 0.05, 0.02, 0.01]
 
 
-def criterion_05_errors(route=None) -> dict:
-    """Criterion 5's errors at t = 1 per variant, from ``evolve`` or from an
-    oracle ``route(psi0, thc, hamiltonian, n_steps, spec)`` whose first
-    result is the error."""
+def criterion_05_errors() -> dict:
+    """Criterion 5's errors at t = 1 per variant, from ``evolve``."""
     rotated, thc = h2_exact_thc()
     psi0 = hartree_fock_state(rotated, 2, spinful=True)
-    errors = {}
-    for variant in ("basic", "improved"):
-        errors[variant] = []
-        for tau in CRITERION_05_TAUS:
-            spec = StepSpec(tau=tau, variant=variant)
-            if route is None:
-                error = evolve(psi0, thc, rotated, 1.0, tau, spec=spec).error_vs_exact
-            else:
-                error = route(psi0, thc, rotated, int(round(1.0 / tau)), spec)[0]
-            errors[variant].append(error)
-    return errors
+    return {variant: [evolve(psi0, thc, rotated, 1.0, tau,
+                             spec=StepSpec(tau=tau, variant=variant)).error_vs_exact
+                      for tau in CRITERION_05_TAUS]
+            for variant in ("basic", "improved")}
 
 
 def test_criterion_05_total_error_slopes_at_unit_time():
@@ -143,24 +134,33 @@ def test_criterion_05_total_error_slopes_at_unit_time():
     assert gain >= 10.0
 
 
-def test_criterion_05_errors_lie_within_the_float64_floor():
-    # the float64 floor is the largest distance of the density route (the
-    # Kraus map on the input's sectors) from the extended-precision values
-    # over criterion 5's taus; it is taken over both variants because at
-    # tau = 0.01 both float64 routes carry the same float64 exact reference,
-    # whose error of about 2e-15 dominates either variant's distance
-    exact = criterion_05_errors(oracles.evolve_long_double)
-    density = criterion_05_errors(oracles.evolve_sector_density)
-    vector = criterion_05_errors()
-
-    def distance(route):
-        return max(float(abs(route[variant][k] - exact[variant][k]))
-                   for variant in route for k in range(len(CRITERION_05_TAUS)))
-
-    floor = distance(density)
-    print(f"criterion 5: float64 floor {floor:.3e}, vector route {distance(vector):.3e}")
-    assert 0.0 < floor < 1e-13
-    assert distance(vector) <= floor
+def test_criterion_05_routes_against_the_long_double_values():
+    # both float64 routes, the vector through K_0 (evolve's) and the density
+    # through the Kraus map, are measured against the extended-precision
+    # reference phi, so each distance from the extended-precision errors is
+    # the float64 step's own; both routes step the same compiled K_0 and G,
+    # whose rounding is nearly all of it, and differ by their products' rounding
+    rotated, thc = h2_exact_thc()
+    psi0 = hartree_fock_state(rotated, 2, spinful=True)
+    for variant in ("basic", "improved"):
+        distances = {"vector": [], "density": []}
+        for tau in CRITERION_05_TAUS:
+            spec = StepSpec(tau=tau, variant=variant)
+            n_steps = int(round(1.0 / tau))
+            exact, _ = oracles.evolve_long_double(psi0, thc, rotated, n_steps, spec)
+            phi = oracles.exact_evolution_long_double(psi0, rotated, n_steps * tau)
+            for route, step in (("vector", oracles.step_sector_vector),
+                                ("density", oracles.step_sector_density)):
+                distance = oracles.distance_long_double(
+                    *step(psi0, thc, rotated, n_steps, spec), phi)
+                distances[route].append(float(abs(distance - exact)))
+        floor = max(distances["density"])
+        print(f"criterion 5 {variant}: density route (float64 floor) {floor:.3e}, "
+              f"vector route {max(distances['vector']):.3e}")
+        assert 0.0 < floor < 1e-14
+        assert max(distances["vector"]) < 1e-14
+        for vector, density in zip(distances["vector"], distances["density"]):
+            assert abs(vector - density) < 1e-15
 
 
 def test_criterion_06_projection_error_slopes():

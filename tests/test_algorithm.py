@@ -132,9 +132,9 @@ def test_extended_layout_counts_ancillas():
 def test_rotation_count_stays_within_budget():
     _, thc = small_instance(1, n=3, m=6)
     seq = givens_decompose(thc.u)
-    assert len(seq.rotations) <= 6 * 3 - 3 * 4 // 2
+    assert len(seq) <= 6 * 3 - 3 * 4 // 2
     assert_allclose(
-        oracles.single_particle_matrix(seq)[:, :3].real, thc.u.T, atol=1e-8
+        seq.single_particle_matrix()[:, :3].real, thc.u.T, atol=1e-8
     )
 
 
@@ -249,7 +249,7 @@ def test_hartree_fock_state_requires_diagonal_h():
 
 def oracle_extended_interaction(sequence, vtilde, layout) -> np.ndarray:
     """String-oracle matrix of the rotated mode-diagonal interaction."""
-    t = oracles.single_particle_matrix(sequence)
+    t = sequence.single_particle_matrix()
     assert np.max(np.abs(t.imag)) < 1e-12
     coeff = t.real.T  # coeff[p, alpha]: physical content of rotated mode alpha
     m = layout.sector_size
@@ -684,28 +684,61 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
         (STEP_WORKING_COPIES * 16 * support.size + per_row) * expected.size)
 
 
+def traced_step_peak(n, m, electrons, every=False, variant="basic"):
+    """A spinful step engine on random factors, on the sectors of a
+    Hartree-Fock state (``step_memory_bytes`` of that state estimates it) or
+    on every sector; its estimate; and the tracemalloc peak of building it
+    and taking three steps, of the vector through ``step`` or, on every
+    sector, of the density through ``channel``."""
+    rng = np.random.default_rng(29)
+    vtilde = rng.normal(size=(m, m))
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
+    psi = hartree_fock_state(ham, electrons, spinful=True)
+    layout = extended_layout(thc, spinful=True)
+    sectors = _every_sector(layout) if every else _sectors(psi)
+    tracemalloc.start()
+    try:
+        engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), layout, sectors)
+        if every:
+            rho = psi.density().matrix
+            for _ in range(3):
+                rho, _ = engine.channel(rho)
+        else:
+            vector = psi.amplitudes[engine.support]
+            for _ in range(3):
+                vector, _ = engine.step(vector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = _step_bytes(layout, sectors) if every else step_memory_bytes(layout, psi)
+    return engine, estimate, peak
+
+
 def test_step_memory_estimate_bounds_the_traced_peak():
     # one column (2 + 2 electrons) over C(24, 2)^2 = 76 176 extended rows:
     # the gate kernels' per-row tables, which grow with the orbital slots,
     # are nearly all of the engine's memory
-    rng = np.random.default_rng(29)
-    n, m = 2, 24
-    vtilde = rng.normal(size=(m, m))
-    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
-    ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
-    psi = hartree_fock_state(ham, 4, spinful=True)
-    layout = extended_layout(thc, spinful=True)
-    tracemalloc.start()
-    try:
-        engine = _StepEngine(thc, ham, StepSpec(tau=0.1), layout, _sectors(psi))
-        vector = psi.amplitudes[engine.support]
-        for _ in range(3):
-            vector, _ = engine.step(vector)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    engine, estimate, peak = traced_step_peak(2, 24, 4)
     assert engine.rows.size == 76_176
-    assert peak <= step_memory_bytes(layout, psi)
+    assert peak <= estimate
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+@pytest.mark.parametrize("n, m, electrons, every, block", [
+    # many columns (3 + 2 electrons): U P, then the Kraus stack, dominate
+    pytest.param(5, 8, 5, False, (1568, 100), id="sectors"),
+    # every sector, a density stepped through the whole Kraus stack
+    pytest.param(3, 5, 3, True, (1024, 64), id="every-sector"),
+])
+def test_step_memory_estimate_bounds_the_traced_peak_of_large_blocks(
+        variant, n, m, electrons, every, block):
+    # blocks of U P of 1 MiB and more, where the working copies of the
+    # block, not the kernels' tables, set the peak
+    engine, estimate, peak = traced_step_peak(n, m, electrons, every, variant)
+    assert (engine.rows.size, engine.support.size) == block
+    assert 16 * engine.rows.size * engine.support.size >= 2**20
+    assert peak <= estimate
 
 
 def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):

@@ -6,11 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from isothc import focksim
 from isothc.focksim import (
     FockDensity,
     FockState,
     GivensRotation,
     ModeLayout,
+    RowTables,
     apply_basis_rotation,
     apply_diagonal_one_body,
     apply_diagonal_two_body,
@@ -26,6 +28,14 @@ import oracles
 from oracles import reset_ancillas
 
 _rng = np.random.default_rng(77)
+
+
+def rotate(state, seq, inverse=False):
+    return apply_basis_rotation(state, seq, RowTables(state), inverse=inverse)
+
+
+def two_body(state, vtilde, tau):
+    return apply_diagonal_two_body(state, vtilde, tau, RowTables(state))
 
 
 def random_orthogonal(m: int, rng) -> np.ndarray:
@@ -90,7 +100,7 @@ def test_givens_decompose_rejects_bad_rows():
 
 def test_givens_decompose_identity_is_empty():
     seq = givens_decompose(np.eye(4)[:2])
-    assert len(seq.rotations) == 0
+    assert len(seq) == 0
     assert_allclose(seq.diagonal_phases, 0.0)
 
 
@@ -98,10 +108,10 @@ def test_givens_decompose_identity_is_empty():
 def test_givens_decompose_reconstructs_block(n, m):
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w[:n])
-    assert len(seq.rotations) <= m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
+    assert len(seq) <= m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
     for r in seq.rotations:
         assert r.q == r.p + 1
-    q = oracles.single_particle_matrix(seq)
+    q = seq.single_particle_matrix()
     assert_allclose(q[:, :n], w[:n, :].T, atol=1e-8)
     assert_allclose(q @ q.conj().T, np.eye(m), atol=1e-10)
 
@@ -128,10 +138,10 @@ def test_rotation_single_particle_action_matches_matrix():
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w)
     layout = ModeLayout(m, 0)
-    q = oracles.single_particle_matrix(seq)
+    q = seq.single_particle_matrix()
     for p in range(m):
         state = basis_state(layout, [1 if k == p else 0 for k in range(m)])
-        rotated = apply_basis_rotation(state, seq)
+        rotated = rotate(state, seq)
         amps = np.array([rotated.amplitudes[1 << k] for k in range(m)])
         assert_allclose(amps, q[:, p], atol=1e-10)
 
@@ -141,7 +151,7 @@ def test_rotation_matches_exponentiated_generator(m):
     # circuit versus exp(sum_pq log(Q)_pq a+_p a_q) built by the string oracle
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w)
-    q = oracles.single_particle_matrix(seq)
+    q = seq.single_particle_matrix()
     generator = scipy.linalg.logm(q)
     big_u = scipy.linalg.expm(oracles.dense_quadratic(m, generator))
     layout = ModeLayout(m, 0)
@@ -149,7 +159,7 @@ def test_rotation_matches_exponentiated_generator(m):
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
     state = FockState(layout, amps)
-    rotated = apply_basis_rotation(state, seq)
+    rotated = rotate(state, seq)
     assert_allclose(rotated.amplitudes, big_u @ amps, atol=1e-9)
 
 
@@ -157,7 +167,7 @@ def test_rotation_swap_exchanges_occupations():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     seq = givens_decompose(w[:2])
     layout = ModeLayout(2, 0)
-    out = apply_basis_rotation(basis_state(layout, "10"), seq)
+    out = rotate(basis_state(layout, "10"), seq)
     assert abs(out.amplitudes[0b10]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -171,9 +181,9 @@ def test_rotation_unitary_and_invertible(seed):
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
     state = FockState(layout, amps)
-    rotated = apply_basis_rotation(state, seq)
-    assert np.linalg.norm(rotated.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    undone = apply_basis_rotation(rotated, seq, inverse=True)
+    rotated = rotate(state, seq)
+    assert rotated.norm() == pytest.approx(1.0, abs=1e-12)
+    undone = rotate(rotated, seq, inverse=True)
     assert_allclose(undone.amplitudes, amps, atol=1e-10)
 
 
@@ -185,10 +195,10 @@ def test_kernels_act_column_by_column_on_blocks():
     seq = givens_decompose(random_orthogonal(3, rng)[:2])
     vtilde = rng.normal(size=(3, 3))
     kernels = [
-        lambda s: apply_basis_rotation(s, seq),
-        lambda s: apply_basis_rotation(s, seq, inverse=True),
+        lambda s: rotate(s, seq),
+        lambda s: rotate(s, seq, inverse=True),
         lambda s: apply_diagonal_one_body(s, np.linspace(-0.5, 0.5, 6), 0.7),
-        lambda s: apply_diagonal_two_body(s, vtilde, 0.4),
+        lambda s: two_body(s, vtilde, 0.4),
         lambda s: phase_on_ancillas(s, 0.9),
     ]
     system = layout.system_only()
@@ -216,10 +226,10 @@ def test_kernels_on_sector_rows_match_full_basis():
     seq = givens_decompose(random_orthogonal(4, rng)[:2])
     vtilde = rng.normal(size=(4, 4))
     kernels = [
-        lambda s: apply_basis_rotation(s, seq),
-        lambda s: apply_basis_rotation(s, seq, inverse=True),
+        lambda s: rotate(s, seq),
+        lambda s: rotate(s, seq, inverse=True),
         lambda s: apply_diagonal_one_body(s, np.linspace(-0.5, 0.5, 8), 0.7),
-        lambda s: apply_diagonal_two_body(s, vtilde, 0.4),
+        lambda s: two_body(s, vtilde, 0.4),
         lambda s: phase_on_ancillas(s, 0.9),
     ]
     for kernel in kernels:
@@ -231,7 +241,34 @@ def test_kernels_on_sector_rows_match_full_basis():
     with pytest.raises(ValueError, match="ascending"):
         FockState(layout, block[rows[::-1]], rows[::-1])
     with pytest.raises(ValueError, match="closed"):
-        apply_basis_rotation(FockState(layout, block[rows[1:]], rows[1:]), seq)
+        rotate(FockState(layout, block[rows[1:]], rows[1:]), seq)
+
+
+def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
+    layout = ModeLayout(2, 2, spinful=True)
+    rng = np.random.default_rng(33)
+    seq = givens_decompose(random_orthogonal(4, rng)[:2])
+    vtilde = rng.normal(size=(4, 4))
+    state = FockState(layout, rng.normal(size=layout.dim) + 0j)
+    tables = RowTables(state)
+    lookups = []
+    pair_indices = focksim._pair_indices
+    monkeypatch.setattr(focksim, "_pair_indices",
+                        lambda rows, p, q: lookups.append((p, q)) or pair_indices(rows, p, q))
+    out = apply_basis_rotation(state, seq, tables)
+    out = apply_diagonal_two_body(out, vtilde, 0.4, tables)
+    out = apply_basis_rotation(out, seq, tables, inverse=True)
+    # each mode pair of either spin is looked up once over both rotations
+    pairs = {(r.p + off, r.q + off) for r in seq.rotations for off in (0, 4)}
+    assert sorted(lookups) == sorted(pairs)
+    assert np.array_equal(out.amplitudes, rotate(two_body(rotate(state, seq), vtilde, 0.4),
+                                                 seq, inverse=True).amplitudes)
+    # equal rows of another state still need their own tables
+    other = FockState(layout, state.amplitudes)
+    with pytest.raises(ValueError, match="another state"):
+        apply_basis_rotation(other, seq, tables)
+    with pytest.raises(ValueError, match="another state"):
+        apply_diagonal_two_body(other, vtilde, 0.4, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +285,19 @@ def test_one_body_phase_on_occupied_mode():
 def test_two_body_phase_single_pair_spinless():
     layout = ModeLayout(2, 0)
     vtilde = np.array([[0.0, 0.3], [0.3, 0.0]])
-    out = apply_diagonal_two_body(basis_state(layout, "11"), vtilde, tau=1.0)
+    out = two_body(basis_state(layout, "11"), vtilde, tau=1.0)
     assert out.amplitudes[0b11] == pytest.approx(np.exp(-0.3j), abs=1e-12)
-    single = apply_diagonal_two_body(basis_state(layout, "10"), vtilde, tau=1.0)
+    single = two_body(basis_state(layout, "10"), vtilde, tau=1.0)
     assert single.amplitudes[0b01] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_body_phase_diagonal_entry_spinful_only():
     vtilde = np.array([[0.4]])
-    spinless = apply_diagonal_two_body(
+    spinless = two_body(
         basis_state(ModeLayout(1, 0), "1"), vtilde, tau=1.0
     )
     assert spinless.amplitudes[1] == pytest.approx(1.0, abs=1e-12)
-    doubly = apply_diagonal_two_body(
+    doubly = two_body(
         basis_state(ModeLayout(1, 0, spinful=True), "11"), vtilde, tau=1.0
     )
     assert doubly.amplitudes[0b11] == pytest.approx(np.exp(-0.4j), abs=1e-12)
@@ -288,7 +325,7 @@ def test_two_body_phase_matches_string_oracle(spinful):
     rng = np.random.default_rng(3)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
-    out = apply_diagonal_two_body(FockState(layout, amps), vtilde, tau)
+    out = two_body(FockState(layout, amps), vtilde, tau)
     assert_allclose(out.amplitudes, expected @ amps, atol=1e-10)
 
 
