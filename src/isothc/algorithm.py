@@ -53,6 +53,7 @@ concrete states and as analytic bounds with exactly computed norms.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -63,6 +64,7 @@ import numpy as np
 from .focksim import (
     FockDensity,
     FockState,
+    GivensSequence,
     InvariantError,
     ModeLayout,
     RowTables,
@@ -79,6 +81,7 @@ from .hamiltonian import (
     ElectronicHamiltonian,
     ManyBodyOperator,
     _memory_refusal,
+    _sector_states,
     build_many_body_operator,
     operator_memory_bytes,
 )
@@ -198,6 +201,12 @@ def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
     return _step_bytes(layout, _sectors(psi0))
 
 
+def reference_memory_bytes(psi0: FockState) -> int:
+    """Estimated peak bytes of the exact reference that ``evolve`` builds for
+    ``psi0``: a dense operator on the system states of its sectors."""
+    return operator_memory_bytes(_sector_count(psi0.layout, _sectors(psi0)))
+
+
 def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
     """Estimated peak bytes of a step engine on ``sectors`` of the extended ``layout``.
 
@@ -300,20 +309,13 @@ def _sectors(psi0: FockState) -> list[tuple[int, ...]]:
     return sectors
 
 
-def _sector_states(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> np.ndarray:
-    """Basis indices of ``layout``, ascending, whose per-spin particle counts
-    are one of ``sectors``, built from the occupation strings of each spin."""
-    size = layout.sector_size
-    blocks = []
-    for counts in sectors:
-        states = np.zeros(1, dtype=np.int64)
-        for spin, count in enumerate(counts):
-            strings = np.array([sum(1 << mode for mode in modes)
-                                for modes in itertools.combinations(range(size), count)],
-                               dtype=np.int64)
-            states = (states[:, None] | (strings << (spin * size))[None, :]).ravel()
-        blocks.append(states)
-    return np.sort(np.concatenate(blocks))
+def _on_rows(state: FockState, rows: np.ndarray) -> FockState:
+    """``state`` on the ascending basis ``rows``, which hold every nonzero
+    amplitude of it."""
+    at = np.searchsorted(state.rows, rows)
+    found = state.rows.take(at, mode="clip") == rows
+    return FockState(state.layout, np.where(found, state.amplitudes.take(at, mode="clip"), 0),
+                     rows)
 
 
 def _every_sector(layout: ModeLayout) -> list[tuple[int, ...]]:
@@ -322,9 +324,22 @@ def _every_sector(layout: ModeLayout) -> list[tuple[int, ...]]:
 
 
 def _sector_count(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
-    """How many basis states ``_sector_states`` lists, without listing them."""
+    """How many basis states of ``layout`` lie in ``sectors``, without listing them."""
     return sum(math.prod(math.comb(layout.sector_size, count) for count in counts)
                for counts in sectors)
+
+
+@functools.lru_cache(maxsize=8)
+def _decompose(u_bytes: bytes, shape: tuple[int, int]) -> GivensSequence:
+    return givens_decompose(np.frombuffer(u_bytes).reshape(shape))
+
+
+def _givens_circuit(thc: ThcFactorization) -> GivensSequence:
+    """``givens_decompose(thc.u)``, decomposed once per factorization: every
+    step engine of a sweep, and ``simulate``'s ``givens_sequence.json``,
+    share it.  Keyed by the bytes of ``u`` (read-only), so equal factors
+    share one circuit."""
+    return _decompose(thc.u.tobytes(), thc.u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +379,7 @@ class _StepEngine:
         self.layout = layout
         # the step conserves each spin's particle number on the extended
         # register, so U P has no nonzero row outside the sectors of S
-        self.rows = _sector_states(layout, sectors)
+        self.rows = _sector_states(layout.sector_size, sectors)
         self.a_key, self.b_key = _split_keys(layout, self.rows)
         # the row of each compiled column: its system state with every
         # ancilla empty, in ascending system index
@@ -383,7 +398,7 @@ class _StepEngine:
         self.mismatch = parity[:, None] != parity[None, :]
         self.spec = spec
         self.vtilde = thc.vtilde
-        self.sequence = givens_decompose(thc.u)
+        self.sequence = _givens_circuit(thc)
         # ancillas carry no one-body energy
         entries = np.concatenate([_diagonal_entries(hamiltonian), np.zeros(layout.n_ancilla)])
         self.h_diag = np.tile(entries, layout.n_sectors)
@@ -534,7 +549,8 @@ def evolve(
     ``leaked_weight``.  ``tau`` overrides ``spec.tau`` so sweeps can share
     one spec.  The error is the exact trace distance to the evolution phi of
     ``psi0`` under the full Hamiltonian for ``n_steps * tau``,
-    1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 sum(leaked_weight).
+    1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 sum(leaked_weight);
+    phi stays in S, so the reference is the dense block of H on S alone.
     """
     _check_system_layout(psi0.layout, thc, "psi0")
     if psi0.layout.n_system != hamiltonian.n_orbitals:
@@ -551,8 +567,8 @@ def evolve(
 
     layout = extended_layout(thc, spinful=psi0.layout.spinful)
     engine = _StepEngine(thc, hamiltonian, spec, layout, sectors)
-    support = engine.support
-    psi = psi0.amplitudes[support]
+    psi0 = _on_rows(psi0, engine.support)
+    psi = psi0.amplitudes
     for k in range(n_steps):
         psi, leaked[k] = engine.step(psi)
     # the step and the reference are admitted one at a time, so free the
@@ -563,9 +579,9 @@ def evolve(
         raise InvariantError("evolution failed to preserve the trace")
 
     t_simulated = n_steps * tau
-    op = build_many_body_operator(hamiltonian, spinful=psi0.layout.spinful)
-    phi = exact_evolution(op, psi0, t_simulated).amplitudes[support]
-    # the evolved state is psi psi^dagger (+) rho_low, and phi lives on the support
+    op = build_many_body_operator(hamiltonian, psi0.layout.spinful, psi0.rows)
+    phi = exact_evolution(op, psi0, t_simulated).amplitudes
+    # the evolved state is psi psi^dagger (+) rho_low
     error = 0.5 * _pure_trace_norm(psi, phi) + 0.5 * lost
     return EvolveResult(error_vs_exact=error, n_steps=n_steps,
                         t_simulated=t_simulated, leaked_weight=leaked)
@@ -580,7 +596,7 @@ def trotter_bound(h_op: ManyBodyOperator, vprime_op: ManyBodyOperator, tau: floa
 
         tau^3/12 ||[V', [V', h]]|| + tau^3/24 ||[h, [h, V']]||
     """
-    if h_op.n_modes != vprime_op.n_modes:
+    if h_op.n_modes != vprime_op.n_modes or not np.array_equal(h_op.rows, vprime_op.rows):
         raise ValueError("operators act on different registers")
     a = h_op.matrix
     b = vprime_op.matrix
@@ -608,7 +624,7 @@ def thc_bound(
     n_sim_modes = (2 if spinful else 1) * n
     operator_norm = None
     if not _memory_refusal("the operator-norm bound", n_sim_modes,
-                           operator_memory_bytes(n_sim_modes)):
+                           operator_memory_bytes(1 << n_sim_modes)):
         diff = ElectronicHamiltonian(
             n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc.u, thc.vtilde)
         )

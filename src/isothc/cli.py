@@ -39,16 +39,17 @@ from . import __version__
 from .algorithm import (
     DEFAULT_PHASES,
     StepSpec,
+    _givens_circuit,
     evolve,
     extended_layout,
     hartree_fock_state,
+    reference_memory_bytes,
     step_memory_bytes,
 )
-from .focksim import ModeLayout, basis_state, givens_decompose
+from .focksim import ModeLayout, basis_state
 from .hamiltonian import (
     ElectronicHamiltonian,
     _memory_refusal,
-    operator_memory_bytes,
     parse_fcidump,
     rotate_to_h_eigenbasis,
 )
@@ -308,13 +309,13 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
     # refuse a register that cannot fit in memory before any step runs: the
     # step compiles one column per system state in the initial state's
     # sectors, over the extended states in those sectors, and the exact
-    # reference is a dense operator on every system mode
+    # reference is a dense operator on those system states
     psi0 = _initial_state(cfg, rotated)
     layout = extended_layout(thc, spinful=cfg["spinful"])
-    n_system = psi0.layout.n_modes
     refusal = (
         _memory_refusal("the step", layout.n_modes, step_memory_bytes(layout, psi0))
-        or _memory_refusal("the exact reference", n_system, operator_memory_bytes(n_system))
+        or _memory_refusal("the exact reference", psi0.layout.n_modes,
+                           reference_memory_bytes(psi0))
     )
     if refusal:
         raise ValueError(refusal)
@@ -340,7 +341,7 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
     report = csv_text(["variant", "tau", "steps", "error"], rows)
     artifacts = {
         "error_scaling.csv": report,
-        "givens_sequence.json": givens_decompose(thc.u).to_json(),
+        "givens_sequence.json": _givens_circuit(thc).to_json(),
     }
     manifest = _manifest(
         "simulate", cfg, ("fcidump", "thc"),

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hamiltonian import ManyBodyOperator
+from .hamiltonian import ManyBodyOperator, _ascending_rows
 
 __all__ = [
     "InvariantError",
@@ -137,14 +137,8 @@ class FockState:
     rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.rows is None:
-            self.rows = np.arange(self.layout.dim)
-        else:
-            rows = np.asarray(self.rows, dtype=np.int64)
-            if (rows.ndim != 1 or np.any(np.diff(rows) <= 0)
-                    or (rows.size and not 0 <= rows[0] <= rows[-1] < self.layout.dim)):
-                raise ValueError("rows must be ascending basis indices of the layout")
-            self.rows = rows
+        dim = self.layout.dim
+        self.rows = np.arange(dim) if self.rows is None else _ascending_rows(self.rows, dim)
         self.amplitudes = _check_dim(self.amplitudes, self.rows.size, want_matrix=False)
 
     def norm(self) -> float:
@@ -316,7 +310,8 @@ def _pair_indices(rows: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndar
 
 class RowTables:
     """The gate kernels' tables that depend on a state's rows alone: the
-    partner rows of each Givens pair and the orbital occupations.
+    partner rows of each Givens pair, the orbital occupations and the
+    two-body phase of each (vtilde, tau) applied so far.
 
     Build one for a block and pass it to every kernel call on the block's
     rows (the kernels keep the rows of their input), so the tables are
@@ -327,6 +322,8 @@ class RowTables:
     def __init__(self, state: FockState) -> None:
         self.layout, self.rows = state.layout, state.rows
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # keyed by (vtilde.tobytes(), tau)
+        self.two_body_phases: dict[tuple[bytes, float], np.ndarray] = {}
 
     def check(self, state: FockState) -> None:
         if state.rows is not self.rows:
@@ -455,7 +452,8 @@ def apply_diagonal_two_body(
 
     for the symmetrized ``vs``; diagonal entries of ``vtilde`` therefore
     drop out of the spinless phase, where ``N_a (N_a - 1) = 0``.
-    ``tables`` are the :class:`RowTables` of the state's rows.
+    ``tables`` are the :class:`RowTables` of the state's rows; they keep
+    the phase, so the improved step's four quarter blocks compute it once.
     """
     tables.check(state)
     layout = state.layout
@@ -463,15 +461,18 @@ def apply_diagonal_two_body(
     vtilde = np.asarray(vtilde, dtype=float)
     if vtilde.shape != (m, m):
         raise ValueError(f"vtilde must be {m} x {m} for this layout")
-    vs = 0.5 * (vtilde + vtilde.T)
-    occ = tables.occupations
-    energy = np.zeros(state.rows.size)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if vs[a, b] != 0.0:
-                energy += vs[a, b] * occ[a] * occ[b]
-        energy += 0.5 * vs[a, a] * occ[a] * (occ[a] - 1.0)
-    return _apply_diagonal(state, np.exp(-1j * tau * energy))
+    key = (vtilde.tobytes(), tau)
+    if key not in tables.two_body_phases:
+        vs = 0.5 * (vtilde + vtilde.T)
+        occ = tables.occupations
+        energy = np.zeros(state.rows.size)
+        for a in range(m):
+            for b in range(a + 1, m):
+                if vs[a, b] != 0.0:
+                    energy += vs[a, b] * occ[a] * occ[b]
+            energy += 0.5 * vs[a, a] * occ[a] * (occ[a] - 1.0)
+        tables.two_body_phases[key] = np.exp(-1j * tau * energy)
+    return _apply_diagonal(state, tables.two_body_phases[key])
 
 
 def phase_on_ancillas(state: FockState, phi: float) -> FockState:
@@ -504,15 +505,24 @@ def trace_distance(
 def exact_evolution(
     op: ManyBodyOperator, state: FockState | FockDensity, t: float
 ) -> FockState | FockDensity:
-    """Evolve a state by ``exp(-i op t)`` via the cached eigensystem."""
+    """Evolve a state by ``exp(-i op t)`` via the cached eigensystem.
+
+    The state must live on the operator's rows: a ``FockState`` on the same
+    ``rows``, a ``FockDensity`` (every basis state) on an operator built on
+    every basis state.
+    """
     layout = state.layout
     if op.n_modes != layout.n_modes:
         raise ValueError(
             f"operator on {op.n_modes} modes cannot evolve a {layout.n_modes}-mode state"
         )
+    if not (np.array_equal(op.rows, state.rows) if isinstance(state, FockState)
+            else op.rows.size == layout.dim):
+        raise ValueError("the state does not live on the operator's rows")
     w, v = op.eigensystem()
     phases = np.exp(-1j * w * t)
     if isinstance(state, FockState):
-        return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T)
+        return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T,
+                         state.rows)
     u = (v * phases) @ v.conj().T
     return FockDensity(layout, u @ state.matrix @ u.conj().T)

@@ -16,15 +16,20 @@ Conventions used throughout the package:
   as the least significant bit of the basis-state index.  Spinful
   representations place all up-spin modes at 0 .. n-1 and all down-spin
   modes at n .. 2n-1.
-* Dense many-body matrices are assembled from cached tables that record,
-  for each excitation a+_p a_q and each basis state, the state it leads to
-  and its Jordan-Wigner sign; every Hamiltonian term is then a lookup in
-  these tables, with no sparse operator algebra.
+* Dense many-body matrices live on a list of basis states, ``rows``
+  (ascending basis indices; every basis state by default).  They are
+  assembled from tables that record, for each excitation a+_p a_q and each
+  listed state, the listed state it leads to and its Jordan-Wigner sign;
+  every Hamiltonian term is then a lookup in these tables, with no sparse
+  operator algebra.  H conserves the particle number of each spin, so on
+  the rows of a few (N_up, N_down) sectors, or of one particle number, the
+  matrix is exactly that block of the full one, and its size is the
+  block's, not 4**modes.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import os
 import re
@@ -349,19 +354,52 @@ def rotate_to_h_eigenbasis(
 # Many-body matrices
 # ---------------------------------------------------------------------------
 
+def _ascending_rows(rows, dim: int) -> np.ndarray:
+    """``rows`` as int64 basis indices, checked to ascend strictly within ``[0, dim)``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if (rows.ndim != 1 or np.any(np.diff(rows) <= 0)
+            or (rows.size and not 0 <= rows[0] <= rows[-1] < dim)):
+        raise ValueError("rows must be ascending basis indices of the layout")
+    return rows
+
+
+def _sector_states(size: int, sectors: list[tuple[int, ...]]) -> np.ndarray:
+    """Basis indices, ascending, of the states whose per-spin particle counts
+    are one of ``sectors``, with ``size`` modes per spin (one spin per entry
+    of a sector), built from the occupation strings of each spin."""
+    blocks = []
+    for counts in sectors:
+        states = np.zeros(1, dtype=np.int64)
+        for spin, count in enumerate(counts):
+            strings = np.array([sum(1 << mode for mode in modes)
+                                for modes in itertools.combinations(range(size), count)],
+                               dtype=np.int64)
+            states = (states[:, None] | (strings << (spin * size))[None, :]).ravel()
+        blocks.append(states)
+    return np.sort(np.concatenate(blocks))
+
+
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """A Hermitian operator on the full Fock space of ``n_modes`` modes."""
+    """A Hermitian operator on the basis states ``rows`` of ``n_modes`` modes.
+
+    ``matrix[i, j]`` is the element between basis states ``rows[i]`` and
+    ``rows[j]``; ``rows`` holds ascending basis indices, as ``FockState.rows``
+    does, and defaults to every basis state.
+    """
 
     n_modes: int
     spinful: bool
     matrix: np.ndarray
+    rows: np.ndarray | None = None
     _eig: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        dim = 2 ** self.n_modes
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} != {(dim, dim)}")
+        rows = (np.arange(1 << self.n_modes) if self.rows is None
+                else _ascending_rows(self.rows, 1 << self.n_modes))
+        object.__setattr__(self, "rows", rows)
+        if self.matrix.shape != (rows.size, rows.size):
+            raise ValueError(f"matrix shape {self.matrix.shape} != {(rows.size, rows.size)}")
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors, computed once and cached."""
@@ -396,60 +434,65 @@ def _memory_refusal(what: str, n_modes: int, needed: int) -> str:
     )
 
 
-def operator_memory_bytes(n_modes: int) -> int:
-    """Estimated peak bytes of a dense many-body operator and its eigensystem."""
-    return OPERATOR_WORKING_COPIES * 16 << 2 * n_modes
+def operator_memory_bytes(dim: int) -> int:
+    """Estimated peak bytes of a dense many-body operator on ``dim`` basis
+    states and its eigensystem."""
+    return OPERATOR_WORKING_COPIES * 16 * dim * dim
 
 
-@functools.lru_cache(maxsize=4)
-def _excitation_tables(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where a+_p a_q sends each basis state, and with which sign.
+def _excitation_tables(n_modes: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a+_p a_q sends each of the ascending basis ``states``, and with which sign.
 
-    ``rows[p, q, x]`` is the basis state a+_p a_q maps ``x`` to and
-    ``signs[p, q, x]`` its Jordan-Wigner sign; where the product annihilates
-    ``x`` the sign is 0 and the row is ``x``.  Shared by every build on
-    ``n_modes`` modes, so both arrays are read-only.
+    ``dest[p, q, x]`` is the position in ``states`` of the basis state
+    a+_p a_q maps ``states[x]`` to and ``signs[p, q, x]`` its Jordan-Wigner
+    sign; where the product annihilates ``states[x]``, or leads to a state
+    that is not listed, the sign is 0 and the position is ``x``.
     """
-    states = np.arange(1 << n_modes)
     modes = np.arange(n_modes)
     occupied = (states >> modes[:, None]) & 1
     below = np.cumsum(occupied, axis=0) - occupied  # occupied modes under each mode
     p, q = modes[:, None, None], modes[None, :, None]
-    valid = (occupied[None] == 1) & ((p == q) | (occupied[:, None] == 0))
+    targets = states - (1 << q) + (1 << p)
+    at = np.searchsorted(states, targets)
+    valid = ((occupied[None] == 1) & ((p == q) | (occupied[:, None] == 0))
+             & (states.take(at, mode="clip") == targets))
     parity = below[None] + below[:, None] - (q < p)
     signs = np.where(valid, 1.0 - 2.0 * (parity & 1), 0.0)
-    rows = np.where(valid, states - (1 << q) + (1 << p), states)
-    signs.setflags(write=False)
-    rows.setflags(write=False)
-    return rows, signs
+    dest = np.where(valid, at, np.arange(states.size))
+    return dest, signs
 
 
 def build_many_body_operator(
     hamiltonian: ElectronicHamiltonian,
     spinful: bool = False,
+    rows: np.ndarray | None = None,
 ) -> ManyBodyOperator:
-    """Build the dense Fock-space matrix of the Hamiltonian.
+    """Build the dense matrix of the Hamiltonian on the basis states ``rows``.
 
     For the spinful case every orbital carries two modes, up spins at
     0 .. n-1 and down spins at n .. 2n-1, and both ``h`` and ``eri`` are
-    summed over spin labels.  Dense matrices grow as 4**modes; a build whose
-    estimated memory exceeds physical memory is refused before it allocates.
+    summed over spin labels.  ``rows`` are ascending basis indices, every
+    basis state by default; a term that leads out of them is dropped, so on
+    a union of (N_up, N_down) sectors, which every term maps into itself,
+    the matrix is bit for bit that block of the full one.  Dense matrices
+    grow as the square of the row count; a build whose estimated memory
+    exceeds physical memory is refused before it allocates.
     """
     H = hamiltonian
     n = H.n_orbitals
     n_modes = 2 * n if spinful else n
-    needed = operator_memory_bytes(n_modes)
-    refusal = _memory_refusal("the many-body operator", n_modes, needed)
+    dim = 1 << n_modes if rows is None else len(rows)
+    refusal = _memory_refusal("the many-body operator", n_modes, operator_memory_bytes(dim))
     if refusal:
         raise ValueError(refusal)
-    dim = 1 << n_modes
-    rows, signs = (x.reshape(-1) for x in _excitation_tables(n_modes))
+    states = np.arange(dim) if rows is None else _ascending_rows(rows, 1 << n_modes)
+    dest, signs = (x.reshape(-1) for x in _excitation_tables(n_modes, states))
     matrix = np.zeros((dim, dim), dtype=complex)
     entries = matrix.reshape(-1).real  # a view: writes land in the matrix
     columns = np.arange(dim)
 
     def table_at(p, q):
-        """Offsets of the table rows of a+_p a_q over all basis states."""
+        """Offsets of the table rows of a+_p a_q over the listed states."""
         return (p * n_modes + q) * dim + columns
 
     spins = 2 if spinful else 1
@@ -461,7 +504,7 @@ def build_many_body_operator(
     h = H.h[i, j]
     kept = h != 0.0
     ij = table_at((i + n * s)[kept, None], (j + n * s)[kept, None])
-    np.add.at(entries, (rows[ij] * dim + columns).ravel(), (h[kept, None] * signs[ij]).ravel())
+    np.add.at(entries, (dest[ij] * dim + columns).ravel(), (h[kept, None] * signs[ij]).ravel())
 
     # 1/2 V_ijkl a+_i a+_k a_l a_j == 1/2 V_ijkl (E_ij E_kl - delta_jk E_il)
     i, j, k, l, s, t = np.indices((n, n, n, n, spins, spins)).reshape(6, -1)
@@ -471,18 +514,18 @@ def build_many_body_operator(
     modes = [x[kept, None] for x in (i + n * s, j + n * s, k + n * t, l + n * t)]
     # a scratch array holds chunk x dim entries: 1/256 of the matrix's bytes,
     # or 2**15 entries on small registers
-    chunk = max(1, max(dim * dim // 128, 1 << 15) // dim)
+    chunk = max(1, max(dim * dim // 128, 1 << 15) // max(dim, 1))
     for start in range(0, len(coefficients), chunk):
         mi, mj, mk, ml = (x[start : start + chunk] for x in modes)
         kl, il = table_at(mk, ml), table_at(mi, ml)
-        ij_kl = (mi * n_modes + mj) * dim + rows[kl]  # a+_i a_j after a+_k a_l
+        ij_kl = (mi * n_modes + mj) * dim + dest[kl]  # a+_i a_j after a+_k a_l
         both = signs[ij_kl] * signs[kl]
         contracted = (mj == mk) * signs[il]
-        target = np.where(both != 0.0, rows[ij_kl], rows[il])
+        target = np.where(both != 0.0, dest[ij_kl], dest[il])
         weights = coefficients[start : start + chunk, None] * (both - contracted)
         np.add.at(entries, (target * dim + columns).ravel(), weights.ravel())
     entries[:: dim + 1] += H.core_energy
-    return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix)
+    return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix, rows=states)
 
 
 def ground_state_energy(
@@ -492,18 +535,21 @@ def ground_state_energy(
 ) -> float:
     """Lowest eigenvalue in the fixed particle-number sector.
 
-    ``n_electrons`` defaults to the Hamiltonian's metadata; the sector is
-    selected by occupation-number Hamming weight.
+    ``n_electrons`` defaults to the Hamiltonian's metadata; the operator is
+    built on the states of that many electrons only.
     """
     if n_electrons is None:
         n_electrons = hamiltonian.n_electrons
     if n_electrons is None:
         raise ValueError("n_electrons not given and not present as metadata")
-    op = build_many_body_operator(hamiltonian, spinful=spinful)
-    if not 0 <= n_electrons <= op.n_modes:
-        raise ValueError(f"cannot place {n_electrons} electrons in {op.n_modes} modes")
-    occupations = np.arange(2 ** op.n_modes)
-    weights = np.array([bin(x).count("1") for x in occupations])
-    sector = np.where(weights == n_electrons)[0]
-    block = op.matrix[np.ix_(sector, sector)]
-    return float(np.linalg.eigvalsh(block)[0])
+    n = hamiltonian.n_orbitals
+    n_modes = 2 * n if spinful else n
+    if not 0 <= n_electrons <= n_modes:
+        raise ValueError(f"cannot place {n_electrons} electrons in {n_modes} modes")
+    if spinful:
+        sectors = [(up, n_electrons - up) for up in range(max(0, n_electrons - n),
+                                                          min(n, n_electrons) + 1)]
+    else:
+        sectors = [(n_electrons,)]
+    op = build_many_body_operator(hamiltonian, spinful, _sector_states(n, sectors))
+    return float(np.linalg.eigvalsh(op.matrix)[0])

@@ -16,6 +16,8 @@ from isothc.algorithm import (
     ErrorBudget,
     StepSpec,
     _every_sector,
+    _givens_circuit,
+    _on_rows,
     _pure_trace_norm,
     _sectors,
     _step_bytes,
@@ -28,6 +30,7 @@ from isothc.algorithm import (
     projected_operators,
     projection_error_bound,
     projection_error_measured,
+    reference_memory_bytes,
     step_channel,
     step_memory_bytes,
     thc_bound,
@@ -42,9 +45,10 @@ from isothc.focksim import (
     givens_decompose,
     trace_distance,
 )
-from isothc import hamiltonian
+from isothc import algorithm, hamiltonian
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
+    _sector_states,
     build_many_body_operator,
     operator_memory_bytes,
     parse_fcidump,
@@ -761,6 +765,61 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
         evolve(psi, thc, ham, t=0.1, tau=0.1)
 
 
+def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
+    # n = 6, m = 12 spinful is a 24-mode register, and the Hartree-Fock
+    # state's (3, 3) sector holds 400 of the 4096 system states: evolve's
+    # exact reference is built on those, where the dense operator on every
+    # system state would need 1.5 GiB
+    ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(6, np.random.default_rng(30)))
+    psi = hartree_fock_state(ham, 6, spinful=True)
+    rows = _sector_states(6, _sectors(psi))
+    estimate = reference_memory_bytes(psi)
+    assert rows.size == 400 and estimate == operator_memory_bytes(400) == 6 * 16 * 400**2
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 64 * 2**20)
+    with pytest.raises(ValueError, match="12 modes .* physical memory"):
+        build_many_body_operator(ham, spinful=True)
+    tracemalloc.start()
+    try:
+        op = build_many_body_operator(ham, spinful=True, rows=rows)
+        phi = exact_evolution(op, _on_rows(psi, rows), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
+    assert phi.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(phi.rows, rows)
+
+
+def test_evolve_takes_an_input_on_listed_rows():
+    ham, thc = small_instance(31, n=2, m=3)
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    occupied = np.flatnonzero(psi.amplitudes)
+    listed = FockState(psi.layout, psi.amplitudes[occupied], occupied)
+    full, short = (evolve(state, thc, ham, t=0.2, tau=0.1) for state in (psi, listed))
+    assert short.error_vs_exact == full.error_vs_exact
+    assert np.array_equal(short.leaked_weight, full.leaked_weight)
+
+
+def test_one_givens_circuit_per_factorization(monkeypatch):
+    ham, thc = small_instance(32, n=2, m=3)
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return givens_decompose(u)
+
+    monkeypatch.setattr(algorithm, "givens_decompose", counted)
+    algorithm._decompose.cache_clear()
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    for variant in ("basic", "improved"):
+        for tau in (0.1, 0.05):
+            evolve(psi, thc, ham, t=0.2, tau=tau, spec=StepSpec(tau=tau, variant=variant))
+    copy = ThcFactorization.from_json(thc.to_json())
+    assert _givens_circuit(copy) is _givens_circuit(thc)
+    assert len(calls) == 1
+    assert _givens_circuit(thc).to_json() == givens_decompose(thc.u).to_json()
+
+
 @pytest.mark.parametrize("spinful", [False, True])
 def test_evolve_rejects_mixed_particle_numbers(spinful):
     ham, thc = small_instance(16)
@@ -834,7 +893,7 @@ def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
     thc = exact_factorize(ham, m=2, seed=1)
     exact = thc_bound(ham, thc, t=1.0)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
-                        lambda: operator_memory_bytes(2) - 1)
+                        lambda: operator_memory_bytes(1 << 2) - 1)
     bound = thc_bound(ham, thc, t=1.0)
     assert bound.branch == "frobenius"
     assert bound.operator_norm is None

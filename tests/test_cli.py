@@ -16,6 +16,7 @@ from isothc.algorithm import (
     _StepEngine,
     extended_layout,
     hartree_fock_state,
+    reference_memory_bytes,
     step_memory_bytes,
 )
 from isothc.cli import (
@@ -389,7 +390,7 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     assert "16 modes" in err and "physical memory" in err
 
 
-def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, capsys, monkeypatch):
+def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, monkeypatch):
     # n = 5, m = 10 spinful is a 20-mode register; the Hartree-Fock state's
     # (3, 2) sector has 100 system states and 5400 extended ones, so the step
     # fits where the full 2^20 rows once needed 6.5 GiB
@@ -406,27 +407,45 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, capsys, monkeypatch):
             "--t", "0.1", "--tau", "0.05", "--variants", "basic",
             "--outdir", str(tmp_path / "sim")]
 
-    # the exact reference on the 10 system modes is refused before any step
+    # the exact reference is charged by its block, the 100 system states of
+    # the (3, 2) sector, not by the 2^10 states of the 10 system modes
     psi0 = hartree_fock_state(ham, 5, spinful=True)
-    step = step_memory_bytes(extended_layout(thc, spinful=True), psi0)
-    assert step < operator_memory_bytes(10)
-    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
-    evolve = cli.evolve
+    reference = reference_memory_bytes(psi0)
+    assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2
+    assert reference < step_memory_bytes(extended_layout(thc, spinful=True), psi0)
 
-    def no_steps(*args, **kwargs):
-        raise AssertionError("evolve ran on a refused register")
-
-    monkeypatch.setattr(cli, "evolve", no_steps)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "exact reference on 10 modes" in err and "physical memory" in err
-
-    monkeypatch.setattr(cli, "evolve", evolve)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 512 * 2**20)
     assert main(argv) == 0
     rows = (tmp_path / "sim" / "error_scaling.csv").read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("basic,0.05,2,")
     assert math.isfinite(float(rows[0].split(",")[3]))
+
+
+def test_simulate_refuses_a_reference_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # with no ancillas (m = n) the step compiles |S| columns over |S| rows, so
+    # the dense reference on the (1, 1) sector's 9 states is the larger charge
+    rng = np.random.default_rng(21)
+    n = 3
+    vtilde = rng.normal(size=(n, n))
+    thc = ThcFactorization(u=random_co_isometry(n, n, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(np.arange(n, dtype=float)),
+                                projected_interaction(thc.u, thc.vtilde))
+    write_fcidump(ham, tmp_path / "n3.fcidump")
+    (tmp_path / "thc.json").write_text(thc.to_json())
+    psi0 = hartree_fock_state(ham, 2, spinful=True)
+    step = step_memory_bytes(extended_layout(thc, spinful=True), psi0)
+    assert step < reference_memory_bytes(psi0) == operator_memory_bytes(9)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("evolve ran on a refused register")
+
+    monkeypatch.setattr(cli, "evolve", no_steps)
+    assert main(["simulate", "--fcidump", str(tmp_path / "n3.fcidump"),
+                 "--thc", str(tmp_path / "thc.json"), "--spinful", "--n-electrons", "2",
+                 "--t", "0.1", "--tau", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert "exact reference on 6 modes" in err and "physical memory" in err
 
 
 def test_simulate_trace_drift_exits_one_without_traceback(factorized, capsys,

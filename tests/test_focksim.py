@@ -22,7 +22,7 @@ from isothc.focksim import (
     phase_on_ancillas,
     trace_distance,
 )
-from isothc.hamiltonian import ManyBodyOperator
+from isothc.hamiltonian import ManyBodyOperator, build_many_body_operator
 
 import oracles
 from oracles import reset_ancillas
@@ -479,3 +479,40 @@ def test_exact_evolution_dimension_mismatch():
     op = ManyBodyOperator(2, False, np.zeros((4, 4), dtype=complex))
     with pytest.raises(ValueError, match="modes"):
         exact_evolution(op, basis_state(ModeLayout(1, 0), "1"), 1.0)
+
+
+def test_exact_evolution_refuses_a_state_on_other_rows():
+    H = oracles.random_hamiltonian(2, _rng)
+    layout = ModeLayout(2, 0, spinful=True)
+    one_each = np.array([0b0101, 0b0110, 0b1001, 0b1010])  # one electron per spin
+    op = build_many_body_operator(H, spinful=True, rows=one_each)
+    state = FockState(layout, np.eye(4)[0], one_each)
+    out = exact_evolution(op, state, 0.3)
+    assert np.array_equal(out.rows, one_each)
+    full = exact_evolution(build_many_body_operator(H, spinful=True),
+                           basis_state(layout, "1010"), 0.3)
+    assert_allclose(out.amplitudes, full.amplitudes[one_each], atol=1e-12)
+    two_up = FockState(layout, np.eye(4)[0], [0b0011, 0b0101, 0b0110, 0b1001])
+    for other in (two_up, basis_state(layout, "1010"), basis_state(layout, "1010").density()):
+        with pytest.raises(ValueError, match="operator's rows"):
+            exact_evolution(op, other, 0.3)
+    with pytest.raises(ValueError, match="operator's rows"):
+        exact_evolution(build_many_body_operator(H, spinful=True), state, 0.3)
+
+
+def test_two_body_phase_is_computed_once_per_tables():
+    layout = ModeLayout(2, 1)
+    vtilde = _rng.normal(size=(3, 3))
+    state = FockState(layout, _rng.normal(size=8) + 0j)
+    tables = RowTables(state)
+    once = apply_diagonal_two_body(state, vtilde, 0.25, tables)
+    phase = tables.two_body_phases[vtilde.tobytes(), 0.25]
+    twice = apply_diagonal_two_body(once, vtilde, 0.25, tables)
+    assert len(tables.two_body_phases) == 1
+    assert tables.two_body_phases[vtilde.tobytes(), 0.25] is phase
+    assert np.array_equal(twice.amplitudes, two_body(two_body(state, vtilde, 0.25),
+                                                     vtilde, 0.25).amplitudes)
+    # another timestep or core is another phase
+    apply_diagonal_two_body(state, vtilde, 0.5, tables)
+    apply_diagonal_two_body(state, 2.0 * vtilde, 0.25, tables)
+    assert len(tables.two_body_phases) == 3

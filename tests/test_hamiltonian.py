@@ -76,23 +76,68 @@ def test_operator_matches_string_oracle_with_core_energy(spinful, n, seed):
 
 
 def test_mode_cap_enforced(monkeypatch):
-    # the register-size rule: estimated bytes against physical memory
+    # the register-size rule: estimated bytes against physical memory, charged
+    # on the basis states the operator is built on: all 16 of 4 modes, or the
+    # 6 of two electrons for the ground state
     H = oracles.random_hamiltonian(2, _rng)
-    needed = operator_memory_bytes(4)
+    full, pairs = operator_memory_bytes(16), operator_memory_bytes(6)
 
-    def no_build(n_modes):
+    def no_build(n_modes, states):
         raise AssertionError("excitation tables built for a refused register")
 
     monkeypatch.setattr(hamiltonian, "_excitation_tables", no_build)
-    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: pairs - 1)
     with pytest.raises(ValueError, match="4 modes .* physical memory"):
         build_many_body_operator(H, spinful=True)
-    with pytest.raises(ValueError, match="physical memory"):
+    with pytest.raises(ValueError, match="4 modes .* physical memory"):
         ground_state_energy(H, 2, spinful=True)
     monkeypatch.undo()
-    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed)
+    # the two-electron block fits where the full operator does not
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: full - 1)
+    with pytest.raises(ValueError, match="4 modes .* physical memory"):
+        build_many_body_operator(H, spinful=True)
+    assert ground_state_energy(H, 2, spinful=True) == pytest.approx(
+        oracles.full_ci_ground_energy(H, 2, True), abs=1e-10)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: full)
     op = build_many_body_operator(H, spinful=True)
     assert_allclose(op.matrix, oracles.dense_hamiltonian(H, spinful=True), atol=1e-10)
+
+
+def sector_rows(n_modes: int, size: int, sectors) -> np.ndarray:
+    """Every basis state of ``n_modes`` modes whose per-spin particle counts
+    (``size`` modes per spin) are one of ``sectors``, by brute force."""
+    states = np.arange(1 << n_modes)
+    counts = [[bin((x >> (spin * size)) & ((1 << size) - 1)).count("1")
+               for spin in range(n_modes // size)] for x in states]
+    return states[[tuple(c) in sectors for c in counts]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_sector_build_is_the_block_of_the_full_build(spinful, n, seed, data):
+    rng = np.random.default_rng(seed)
+    drawn = oracles.random_hamiltonian(n, rng)
+    H = ElectronicHamiltonian(n, float(rng.uniform(-2.0, 2.0)), drawn.h, drawn.eri)
+    full = build_many_body_operator(H, spinful=spinful)
+    assert_allclose(full.matrix, oracles.dense_hamiltonian(H, spinful), rtol=0, atol=1e-12)
+    every = [(a, b) for a in range(n + 1) for b in range(n + 1)] if spinful else [
+        (a,) for a in range(n + 1)]
+    sectors = data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    rows = sector_rows(full.n_modes, n, set(sectors))
+    op = build_many_body_operator(H, spinful=spinful, rows=rows)
+    assert np.array_equal(op.rows, rows)
+    assert np.array_equal(op.matrix, full.matrix[np.ix_(rows, rows)])
+    # the default rows are every basis state, as listed rows too
+    assert np.array_equal(full.rows, np.arange(1 << full.n_modes))
+    listed = build_many_body_operator(H, spinful=spinful, rows=full.rows)
+    assert np.array_equal(listed.matrix, full.matrix)
+
+
+def test_operator_rows_must_ascend():
+    H = oracles.random_hamiltonian(2, _rng)
+    for rows in ([1, 0], [0, 0, 1], [0, 4], [[0, 1]]):
+        with pytest.raises(ValueError, match="ascending"):
+            build_many_body_operator(H, rows=np.array(rows))
 
 
 def test_rotation_diagonalizes_h_and_preserves_spectrum():
