@@ -80,10 +80,10 @@ from .focksim import (
 from .hamiltonian import (
     ElectronicHamiltonian,
     ManyBodyOperator,
-    _memory_refusal,
+    MemoryRefusal,
+    _admit_memory,
     _sector_states,
     build_many_body_operator,
-    operator_memory_bytes,
 )
 from .thc import ThcFactorization, approximation_errors, projected_interaction
 
@@ -194,17 +194,6 @@ class ThcBound:
 def extended_layout(thc: ThcFactorization, spinful: bool = False) -> ModeLayout:
     """Register layout of the step circuit: one ancilla per extra rank."""
     return ModeLayout(n_system=thc.n, n_ancilla=thc.m - thc.n, spinful=spinful)
-
-
-def step_memory_bytes(layout: ModeLayout, psi0: FockState) -> int:
-    """Estimated peak bytes of the step engine that ``evolve`` runs on ``psi0``."""
-    return _step_bytes(layout, _sectors(psi0))
-
-
-def reference_memory_bytes(psi0: FockState) -> int:
-    """Estimated peak bytes of the exact reference that ``evolve`` builds for
-    ``psi0``: a dense operator on the system states of its sectors."""
-    return operator_memory_bytes(_sector_count(psi0.layout, _sectors(psi0)))
 
 
 def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
@@ -373,9 +362,7 @@ class _StepEngine:
             raise ValueError("Hamiltonian size does not match the factorization")
         if sectors is None:
             sectors = _every_sector(layout)
-        refusal = _memory_refusal("the step", layout.n_modes, _step_bytes(layout, sectors))
-        if refusal:
-            raise ValueError(refusal)
+        _admit_memory("the step", layout.n_modes, _step_bytes(layout, sectors))
         self.layout = layout
         # the step conserves each spin's particle number on the extended
         # register, so U P has no nonzero row outside the sectors of S
@@ -565,22 +552,22 @@ def evolve(
         return EvolveResult(error_vs_exact=0.0, n_steps=0, t_simulated=0.0,
                             leaked_weight=leaked)
 
+    # the engine admits the step, and the reference is built (and admitted),
+    # evolved and freed before the first step compiles U P: both refusals
+    # come before any step runs, and the two never coexist
     layout = extended_layout(thc, spinful=psi0.layout.spinful)
     engine = _StepEngine(thc, hamiltonian, spec, layout, sectors)
     psi0 = _on_rows(psi0, engine.support)
-    psi = psi0.amplitudes
-    for k in range(n_steps):
-        psi, leaked[k] = engine.step(psi)
-    # the step and the reference are admitted one at a time, so free the
-    # step operators before the reference operator is built
-    del engine
-    lost = float(leaked.sum())
-    if abs(float(np.vdot(psi, psi).real) + lost - 1.0) > 1e-8:
-        raise InvariantError("evolution failed to preserve the trace")
-
     t_simulated = n_steps * tau
     op = build_many_body_operator(hamiltonian, psi0.layout.spinful, psi0.rows)
     phi = exact_evolution(op, psi0, t_simulated).amplitudes
+    del op
+    psi = psi0.amplitudes
+    for k in range(n_steps):
+        psi, leaked[k] = engine.step(psi)
+    lost = float(leaked.sum())
+    if abs(float(np.vdot(psi, psi).real) + lost - 1.0) > 1e-8:
+        raise InvariantError("evolution failed to preserve the trace")
     # the evolved state is psi psi^dagger (+) rho_low
     error = 0.5 * _pure_trace_norm(psi, phi) + 0.5 * lost
     return EvolveResult(error_vs_exact=error, n_steps=n_steps,
@@ -621,14 +608,13 @@ def thc_bound(
     n = hamiltonian.n_orbitals
     eps_v, _ = approximation_errors(hamiltonian, thc)
     frobenius = float(n**2 * np.linalg.norm(hamiltonian.eri.reshape(-1)) * eps_v)
-    n_sim_modes = (2 if spinful else 1) * n
-    operator_norm = None
-    if not _memory_refusal("the operator-norm bound", n_sim_modes,
-                           operator_memory_bytes(1 << n_sim_modes)):
-        diff = ElectronicHamiltonian(
-            n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc.u, thc.vtilde)
-        )
+    diff = ElectronicHamiltonian(
+        n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc.u, thc.vtilde)
+    )
+    try:
         operator_norm = build_many_body_operator(diff, spinful=spinful).norm()
+    except MemoryRefusal:
+        operator_norm = None
     if operator_norm is not None and operator_norm <= frobenius:
         return ThcBound(operator_norm * t, "operator_norm", operator_norm, frobenius)
     return ThcBound(frobenius * t, "frobenius", operator_norm, frobenius)

@@ -41,15 +41,11 @@ from .algorithm import (
     StepSpec,
     _givens_circuit,
     evolve,
-    extended_layout,
     hartree_fock_state,
-    reference_memory_bytes,
-    step_memory_bytes,
 )
 from .focksim import ModeLayout, basis_state
 from .hamiltonian import (
     ElectronicHamiltonian,
-    _memory_refusal,
     parse_fcidump,
     rotate_to_h_eigenbasis,
 )
@@ -232,7 +228,7 @@ def _factorize_one(payload: tuple) -> tuple[int, str, list[dict], float]:
 def cmd_factorize(cfg: dict) -> CommandOutput:
     """Factorize an FCIDUMP at one or more THC ranks; emit factors and metrics."""
     _require(cfg, "fcidump", "m")
-    m_values = _unique_ints(cfg["m"], "m")
+    m_values = _unique(cfg["m"], "m", int)
     hamiltonian = _load_hamiltonian(cfg["fcidump"])
     rotated, _ = rotate_to_h_eigenbasis(hamiltonian)
     if cfg["factor_file"] is not None and len(m_values) > 1:
@@ -305,22 +301,8 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
         raise ValueError(
             f"factorization has n = {thc.n}, integrals have n = {rotated.n_orbitals}"
         )
-
-    # refuse a register that cannot fit in memory before any step runs: the
-    # step compiles one column per system state in the initial state's
-    # sectors, over the extended states in those sectors, and the exact
-    # reference is a dense operator on those system states
     psi0 = _initial_state(cfg, rotated)
-    layout = extended_layout(thc, spinful=cfg["spinful"])
-    refusal = (
-        _memory_refusal("the step", layout.n_modes, step_memory_bytes(layout, psi0))
-        or _memory_refusal("the exact reference", psi0.layout.n_modes,
-                           reference_memory_bytes(psi0))
-    )
-    if refusal:
-        raise ValueError(refusal)
-
-    taus = _unique_floats(cfg["tau"], "tau")
+    taus = _unique(cfg["tau"], "tau", float)
     if any(tau <= 0 for tau in taus):
         raise ValueError("tau values must be positive")
     variants = list(dict.fromkeys(_as_list(cfg["variants"])))
@@ -478,16 +460,8 @@ def _as_list(value) -> list:
     return [value]
 
 
-def _unique_ints(value, name: str) -> list[int]:
-    values = [int(v) for v in _as_list(value)]
-    unique = list(dict.fromkeys(values))
-    if len(unique) < len(values):
-        warnings.warn(f"duplicate {name} values removed", stacklevel=2)
-    return unique
-
-
-def _unique_floats(value, name: str) -> list[float]:
-    values = [float(v) for v in _as_list(value)]
+def _unique(value, name: str, kind: type) -> list:
+    values = [kind(v) for v in _as_list(value)]
     unique = list(dict.fromkeys(values))
     if len(unique) < len(values):
         warnings.warn(f"duplicate {name} values removed", stacklevel=2)

@@ -41,6 +41,7 @@ import numpy as np
 __all__ = [
     "ElectronicHamiltonian",
     "ManyBodyOperator",
+    "MemoryRefusal",
     "parse_fcidump",
     "write_fcidump",
     "rotate_to_h_eigenbasis",
@@ -52,8 +53,12 @@ SYMMETRY_TOL = 1e-10
 # arrays the size of a dense many-body matrix alive at once while its
 # eigensystem is computed: the matrix, eigh's copy of it, the eigenvectors,
 # LAPACK's complex and real workspaces, and a spare for the build's
-# temporaries (measured peak at 10 modes: 5.8 copies)
+# temporaries (measured peak at 10 modes: 5.8 copies); plus a floor that
+# does not scale with the matrix: about ten two-body scratch arrays of at
+# least 2**15 eight-byte entries, and the excitation tables (tracemalloc:
+# 2.3-2.5 MiB above the copies on blocks of 36 and 100 states)
 OPERATOR_WORKING_COPIES = 6
+OPERATOR_SCRATCH_BYTES = 3 * 2**20
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -419,25 +424,26 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _memory_refusal(what: str, n_modes: int, needed: int) -> str:
-    """The package's one register-size admission rule.
+class MemoryRefusal(ValueError):
+    """A computation whose estimated memory exceeds physical memory."""
 
-    Returns why ``needed`` estimated bytes for ``what`` on ``n_modes`` modes
-    cannot be admitted, or an empty string when they fit in physical memory.
-    """
+
+def _admit_memory(what: str, n_modes: int, needed: int) -> None:
+    """The package's one register-size admission rule, called where the
+    memory is allocated, before it is: ``needed`` estimated bytes for
+    ``what`` on ``n_modes`` modes must fit in physical memory."""
     available = _physical_memory_bytes()
-    if needed <= available:
-        return ""
-    return (
-        f"{what} on {n_modes} modes needs about {needed / 2**20:.0f} MiB, "
-        f"more than the {available / 2**20:.0f} MiB of physical memory"
-    )
+    if needed > available:
+        raise MemoryRefusal(
+            f"{what} on {n_modes} modes needs about {needed / 2**20:.0f} MiB, "
+            f"more than the {available / 2**20:.0f} MiB of physical memory"
+        )
 
 
 def operator_memory_bytes(dim: int) -> int:
     """Estimated peak bytes of a dense many-body operator on ``dim`` basis
     states and its eigensystem."""
-    return OPERATOR_WORKING_COPIES * 16 * dim * dim
+    return OPERATOR_WORKING_COPIES * 16 * dim * dim + OPERATOR_SCRATCH_BYTES
 
 
 def _excitation_tables(n_modes: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,9 +488,7 @@ def build_many_body_operator(
     n = H.n_orbitals
     n_modes = 2 * n if spinful else n
     dim = 1 << n_modes if rows is None else len(rows)
-    refusal = _memory_refusal("the many-body operator", n_modes, operator_memory_bytes(dim))
-    if refusal:
-        raise ValueError(refusal)
+    _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim))
     states = np.arange(dim) if rows is None else _ascending_rows(rows, 1 << n_modes)
     dest, signs = (x.reshape(-1) for x in _excitation_tables(n_modes, states))
     matrix = np.zeros((dim, dim), dtype=complex)

@@ -30,9 +30,7 @@ from isothc.algorithm import (
     projected_operators,
     projection_error_bound,
     projection_error_measured,
-    reference_memory_bytes,
     step_channel,
-    step_memory_bytes,
     thc_bound,
     trotter_bound,
 )
@@ -47,7 +45,9 @@ from isothc.focksim import (
 )
 from isothc import algorithm, hamiltonian
 from isothc.hamiltonian import (
+    OPERATOR_SCRATCH_BYTES,
     ElectronicHamiltonian,
+    MemoryRefusal,
     _sector_states,
     build_many_body_operator,
     operator_memory_bytes,
@@ -684,13 +684,13 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     assert np.array_equal(engine.support, support)
     # the memory estimate counts the same rows and columns without listing them
     per_row = KERNEL_BYTES_PER_STATE + KERNEL_BYTES_PER_SLOT * layout.sector_size
-    assert step_memory_bytes(layout, psi) == (
+    assert _step_bytes(layout, _sectors(psi)) == (
         (STEP_WORKING_COPIES * 16 * support.size + per_row) * expected.size)
 
 
 def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     """A spinful step engine on random factors, on the sectors of a
-    Hartree-Fock state (``step_memory_bytes`` of that state estimates it) or
+    Hartree-Fock state (``_step_bytes`` of its sectors estimates it) or
     on every sector; its estimate; and the tracemalloc peak of building it
     and taking three steps, of the vector through ``step`` or, on every
     sector, of the density through ``channel``."""
@@ -715,7 +715,7 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = _step_bytes(layout, sectors) if every else step_memory_bytes(layout, psi)
+    estimate = _step_bytes(layout, sectors)
     return engine, estimate, peak
 
 
@@ -746,23 +746,68 @@ def test_step_memory_estimate_bounds_the_traced_peak_of_large_blocks(
 
 
 def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
-    ham, thc = small_instance(27, n=2, m=3)
+    # 10 extended modes: the every-sector step outgrows evolve's sector step
+    # plus its exact reference, whose estimate has a floor of a few MiB
+    ham, thc = small_instance(27, n=3, m=5)
     layout = extended_layout(thc, spinful=True)
-    psi = hartree_fock_state(ham, 2, spinful=True)
+    psi = hartree_fock_state(ham, 3, spinful=True)
     every = _step_bytes(layout, _every_sector(layout))
+    assert operator_memory_bytes(_sector_states(3, _sectors(psi)).size) < every
     # step_channel and the projection errors compile every sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
     for call in (lambda: step_channel(psi.density(), thc, ham, StepSpec(tau=0.1)),
                  lambda: projection_error_measured(thc, psi, 0.1),
                  lambda: projection_error_bound(thc, 0.1, spinful=True)):
-        with pytest.raises(ValueError, match="the step on 6 modes"):
+        with pytest.raises(ValueError, match="the step on 10 modes"):
             call()
     # evolve compiles the sectors of its input only, which fit
     assert evolve(psi, thc, ham, t=0.1, tau=0.1).n_steps == 1
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
-                        lambda: step_memory_bytes(layout, psi) - 1)
-    with pytest.raises(ValueError, match="the step on 6 modes"):
+                        lambda: _step_bytes(layout, _sectors(psi)) - 1)
+    with pytest.raises(ValueError, match="the step on 10 modes"):
         evolve(psi, thc, ham, t=0.1, tau=0.1)
+
+
+def refuse_to_compile(monkeypatch):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a refused evolve compiled or ran a step")
+
+    monkeypatch.setattr(_StepEngine, "dense_unitary", no_compile)
+    monkeypatch.setattr(_StepEngine, "step", no_compile)
+
+
+def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
+    # the step fits and the exact reference does not: the engine is built
+    # (and admitted), the reference is refused, and nothing compiles
+    ham, thc = small_instance(27, n=2, m=3)
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    layout = extended_layout(thc, spinful=True)
+    step = _step_bytes(layout, _sectors(psi))
+    assert step < operator_memory_bytes(_sector_states(2, _sectors(psi)).size)
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
+    refuse_to_compile(monkeypatch)
+    with pytest.raises(MemoryRefusal, match="many-body operator on 4 modes"):
+        evolve(psi, thc, ham, t=0.1, tau=0.1)
+
+
+def test_evolve_refuses_a_step_past_memory_before_it_builds_the_reference(monkeypatch):
+    ham, thc = small_instance(27, n=2, m=3)
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    step = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi))
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step - 1)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the reference was built for a refused step")
+
+    monkeypatch.setattr(algorithm, "build_many_body_operator", no_build)
+    refuse_to_compile(monkeypatch)
+    with pytest.raises(MemoryRefusal, match="the step on 6 modes"):
+        evolve(psi, thc, ham, t=0.1, tau=0.1)
+
+
+def test_memory_refusal_is_a_value_error():
+    # the CLI maps ValueError to exit code 1
+    assert issubclass(MemoryRefusal, ValueError)
 
 
 def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
@@ -773,8 +818,8 @@ def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
     ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(6, np.random.default_rng(30)))
     psi = hartree_fock_state(ham, 6, spinful=True)
     rows = _sector_states(6, _sectors(psi))
-    estimate = reference_memory_bytes(psi)
-    assert rows.size == 400 and estimate == operator_memory_bytes(400) == 6 * 16 * 400**2
+    estimate = operator_memory_bytes(rows.size)
+    assert rows.size == 400 and estimate == 6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 64 * 2**20)
     with pytest.raises(ValueError, match="12 modes .* physical memory"):
         build_many_body_operator(ham, spinful=True)
@@ -788,6 +833,25 @@ def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
     assert peak <= estimate
     assert phi.norm() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(phi.rows, rows)
+
+
+@pytest.mark.parametrize("n, size", [(2, 4), (3, 9), (4, 36), (5, 100)])
+def test_reference_estimate_bounds_the_traced_peak_of_small_blocks(n, size):
+    # the Hartree-Fock blocks of n = 2-5 spinful orbitals (n = 6 is the test
+    # above), where the build's scratch floor, not the dense copies, sets
+    # the peak
+    ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(n, np.random.default_rng(30)))
+    psi = hartree_fock_state(ham, n, spinful=True)
+    rows = _sector_states(n, _sectors(psi))
+    assert rows.size == size
+    tracemalloc.start()
+    try:
+        op = build_many_body_operator(ham, spinful=True, rows=rows)
+        exact_evolution(op, _on_rows(psi, rows), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= operator_memory_bytes(size)
 
 
 def test_evolve_takes_an_input_on_listed_rows():

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import oracles
-from isothc import cli, hamiltonian
+from isothc import hamiltonian
 from isothc.algorithm import (
+    _sectors,
+    _step_bytes,
     _StepEngine,
     extended_layout,
     hartree_fock_state,
-    reference_memory_bytes,
-    step_memory_bytes,
 )
 from isothc.cli import (
     FIT_DEFAULTS,
@@ -30,7 +30,13 @@ from isothc.cli import (
     main,
 )
 from isothc.focksim import ModeLayout, basis_state
-from isothc.hamiltonian import ElectronicHamiltonian, operator_memory_bytes, write_fcidump
+from isothc.hamiltonian import (
+    OPERATOR_SCRATCH_BYTES,
+    ElectronicHamiltonian,
+    _sector_states,
+    operator_memory_bytes,
+    write_fcidump,
+)
 from isothc.thc import ThcFactorization, projected_interaction, random_co_isometry
 
 
@@ -363,6 +369,14 @@ def test_simulate_duplicate_taus_warn_and_collapse(factorized):
     assert len(output.report.splitlines()) == 2
 
 
+def refuse_to_compile(monkeypatch):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a refused simulate compiled or ran a step")
+
+    monkeypatch.setattr(_StepEngine, "dense_unitary", no_compile)
+    monkeypatch.setattr(_StepEngine, "step", no_compile)
+
+
 def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys,
                                                    monkeypatch):
     # 8 ranks x 2 spin sectors = 16 modes; the step's memory estimate is
@@ -373,13 +387,9 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     capsys.readouterr()
     thc = ThcFactorization.from_json((outdir / "thc_m8.json").read_text())
     psi0 = basis_state(ModeLayout(2, 0, spinful=True), "1111")
-    needed = step_memory_bytes(extended_layout(thc, spinful=True), psi0)
+    needed = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
-
-    def no_steps(*args, **kwargs):
-        raise AssertionError("evolve ran on a refused register")
-
-    monkeypatch.setattr(cli, "evolve", no_steps)
+    refuse_to_compile(monkeypatch)
     code = main([
         "simulate", "--fcidump", str(toy_fcidump),
         "--thc", str(outdir / "thc_m8.json"),
@@ -410,9 +420,9 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, monkeypatch):
     # the exact reference is charged by its block, the 100 system states of
     # the (3, 2) sector, not by the 2^10 states of the 10 system modes
     psi0 = hartree_fock_state(ham, 5, spinful=True)
-    reference = reference_memory_bytes(psi0)
-    assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2
-    assert reference < step_memory_bytes(extended_layout(thc, spinful=True), psi0)
+    reference = operator_memory_bytes(_sector_states(5, _sectors(psi0)).size)
+    assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES
+    assert reference < _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
 
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 512 * 2**20)
     assert main(argv) == 0
@@ -433,19 +443,16 @@ def test_simulate_refuses_a_reference_larger_than_memory(tmp_path, capsys, monke
     write_fcidump(ham, tmp_path / "n3.fcidump")
     (tmp_path / "thc.json").write_text(thc.to_json())
     psi0 = hartree_fock_state(ham, 2, spinful=True)
-    step = step_memory_bytes(extended_layout(thc, spinful=True), psi0)
-    assert step < reference_memory_bytes(psi0) == operator_memory_bytes(9)
+    step = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
+    assert step < operator_memory_bytes(_sector_states(3, _sectors(psi0)).size) == (
+        operator_memory_bytes(9))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
-
-    def no_steps(*args, **kwargs):
-        raise AssertionError("evolve ran on a refused register")
-
-    monkeypatch.setattr(cli, "evolve", no_steps)
+    refuse_to_compile(monkeypatch)
     assert main(["simulate", "--fcidump", str(tmp_path / "n3.fcidump"),
                  "--thc", str(tmp_path / "thc.json"), "--spinful", "--n-electrons", "2",
                  "--t", "0.1", "--tau", "0.05"]) == 1
     err = capsys.readouterr().err
-    assert "exact reference on 6 modes" in err and "physical memory" in err
+    assert "many-body operator on 6 modes" in err and "physical memory" in err
 
 
 def test_simulate_trace_drift_exits_one_without_traceback(factorized, capsys,
