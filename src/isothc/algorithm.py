@@ -660,8 +660,7 @@ def projection_error_bound(
     spec = StepSpec(tau=tau, variant=variant, phases=phases)
     engine = _StepEngine(thc, vprime, spec, extended_layout(thc, spinful=spinful))
     up = engine.dense_unitary()
-    w, v = build_many_body_operator(vprime, spinful=spinful).eigensystem()
-    ideal = (v * np.exp(-1j * w * tau)) @ v.conj().T
+    ideal = build_many_body_operator(vprime, spinful=spinful).propagator(tau)
     term1 = float(np.linalg.norm(up[engine.b_key == 0] - ideal, 2))
     term2 = 0.5 * float(np.linalg.norm(up[engine.b_key != 0], 2)) ** 2
     return term1 + term2

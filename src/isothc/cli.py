@@ -4,9 +4,9 @@ Every subcommand reads a flat JSON config document and/or mirroring
 command-line flags (flags win over config values).  Runs are deterministic
 for a given config and seed.  Outputs are machine readable: CSV tables
 with a header row, JSON documents, and a manifest recording the inputs,
-seed, and package version.  Files are written atomically
-(write-temp-then-rename); reports go to stdout unless an output directory
-is given.
+the config (with factorize's seed), and the package version.  Files are
+written atomically (write-temp-then-rename); reports go to stdout unless
+an output directory is given.
 
 Factorizations are always computed in the eigenbasis of the one-body
 matrix, so the one-body evolution of a later simulation run is a diagonal
@@ -197,8 +197,7 @@ def _manifest(command: str, cfg: dict, input_keys: tuple[str, ...], **notes) -> 
 
 def _factorize_one(payload: tuple) -> tuple[int, str, list[dict], float]:
     """One sweep point; top-level so a process pool can pickle it."""
-    ham_json, m, factors, cfg = payload
-    hamiltonian = ElectronicHamiltonian.from_json(ham_json)
+    hamiltonian, m, factors, cfg = payload
     start = time.perf_counter()
     if cfg["method"] == "exact":
         thc = exact_factorize(hamiltonian, m=m, seed=cfg["seed"])
@@ -237,7 +236,7 @@ def cmd_factorize(cfg: dict) -> CommandOutput:
     if cfg["factor_file"] is not None:
         factors = _load_factor_file(cfg["factor_file"])
 
-    payloads = [(rotated.to_json(), m, factors, cfg) for m in m_values]
+    payloads = [(rotated, m, factors, cfg) for m in m_values]
     if cfg["jobs"] > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             results = list(pool.map(_factorize_one, payloads))
@@ -421,17 +420,15 @@ FACTORIZE_DEFAULTS = {
 SIMULATE_DEFAULTS = {
     "fcidump": None, "thc": None, "t": None, "tau": None,
     "variants": ("basic", "improved"), "initial_state": "hartree_fock",
-    "n_electrons": None, "spinful": False, "phases": None,
-    "seed": 0, "outdir": None,
+    "n_electrons": None, "spinful": False, "phases": None, "outdir": None,
 }
 ESTIMATE_DEFAULTS = {
     "n": None, "m": None, "spinful": True, "architecture": "all-to-all",
-    "motta_l": None, "motta_xi": None, "eps_rot": None, "seed": 0,
-    "outdir": None,
+    "motta_l": None, "motta_xi": None, "eps_rot": None, "outdir": None,
 }
 FIT_DEFAULTS = {
     "csv": None, "x_column": None, "y_column": None, "k_last": None,
-    "seed": 0, "outdir": None,
+    "outdir": None,
 }
 
 _DEFAULTS = {
@@ -503,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config document; flags override it")
-        p.add_argument("--seed", type=int)
         p.add_argument("--outdir", help="directory for artifacts and the manifest")
 
     p = sub.add_parser("factorize", help="fit isometric THC factors to an FCIDUMP")
@@ -520,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-phase2", dest="lr_phase2", type=float)
     p.add_argument("--target-eps-v", dest="target_eps_v", type=float)
     p.add_argument("--jobs", type=int, help="worker processes for sweeps")
+    p.add_argument("--seed", type=int)
     common(p)
 
     p = sub.add_parser("simulate", help="run step channels against exact evolution")

@@ -519,10 +519,10 @@ def exact_evolution(
     if not (np.array_equal(op.rows, state.rows) if isinstance(state, FockState)
             else op.rows.size == layout.dim):
         raise ValueError("the state does not live on the operator's rows")
-    w, v = op.eigensystem()
-    phases = np.exp(-1j * w * t)
     if isinstance(state, FockState):
+        w, v = op.eigensystem()
+        phases = np.exp(-1j * w * t)
         return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T,
                          state.rows)
-    u = (v * phases) @ v.conj().T
+    u = op.propagator(t)
     return FockDensity(layout, u @ state.matrix @ u.conj().T)

@@ -30,7 +30,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -50,15 +49,24 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-10
+# the eight index permutations of (ij|kl) under which real-orbital integrals
+# are symmetric, as numpy transpose axes; the first is the identity
+ERI_PERMUTATIONS = (
+    (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+    (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
+)
 # arrays the size of a dense many-body matrix alive at once while its
 # eigensystem is computed: the matrix, eigh's copy of it, the eigenvectors,
 # LAPACK's complex and real workspaces, and a spare for the build's
-# temporaries (measured peak at 10 modes: 5.8 copies); plus a floor that
-# does not scale with the matrix: about ten two-body scratch arrays of at
-# least 2**15 eight-byte entries, and the excitation tables (tracemalloc:
-# 2.3-2.5 MiB above the copies on blocks of 36 and 100 states)
+# temporaries (measured peak at 10 modes: 5.8 copies); a floor that does not
+# scale with the matrix: about ten two-body scratch arrays of at least 2**15
+# eight-byte entries (tracemalloc: 2.3-2.5 MiB above the copies on blocks of
+# 36 and 100 states); and the bytes per entry of the excitation tables,
+# n_modes**2 entries per listed state, while they are built (tracemalloc:
+# 41.5-44 B per entry on blocks of 120 to 780 states of 16 to 40 modes)
 OPERATOR_WORKING_COPIES = 6
 OPERATOR_SCRATCH_BYTES = 3 * 2**20
+OPERATOR_TABLE_ENTRY_BYTES = 48
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -99,53 +107,11 @@ class ElectronicHamiltonian:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "eri", eri)
 
-    def to_json(self) -> str:
-        """Serialize to the package's JSON interchange format.
-
-        The two-body tensor is stored as the list of entries that are unique
-        under the eight-fold symmetry, zero-indexed.
-        """
-        n = self.n_orbitals
-        seen: set[tuple[int, int, int, int]] = set()
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        key = _canonical_eri_index(i, j, k, l)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        value = float(self.eri[i, j, k, l])
-                        if value != 0.0:
-                            entries.append([i, j, k, l, value])
-        doc = {
-            "n_orbitals": n,
-            "core_energy": self.core_energy,
-            "h": self.h.reshape(-1).tolist(),
-            "eri": entries,
-            "n_electrons": self.n_electrons,
-            "ms2": self.ms2,
-        }
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ElectronicHamiltonian":
-        doc = json.loads(text)
-        n = int(doc["n_orbitals"])
-        h = np.array(doc["h"], dtype=float).reshape(n, n)
-        eri = np.zeros((n, n, n, n))
-        for i, j, k, l, value in doc["eri"]:
-            for p in _eri_images(int(i), int(j), int(k), int(l)):
-                eri[p] = value
-        return cls(
-            n_orbitals=n,
-            core_energy=float(doc["core_energy"]),
-            h=h,
-            eri=eri,
-            n_electrons=doc.get("n_electrons"),
-            ms2=doc.get("ms2"),
-        )
+    def __reduce__(self):
+        # unpickle through the constructor, so a copy in a worker process is
+        # checked and read-only like the original
+        return type(self), (self.n_orbitals, self.core_energy, self.h, self.eri,
+                            self.n_electrons, self.ms2)
 
 
 def _canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
@@ -155,10 +121,8 @@ def _canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int,
 
 
 def _eri_images(i: int, j: int, k: int, l: int):
-    return {
-        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-    }
+    index = (i, j, k, l)
+    return {tuple(index[axis] for axis in perm) for perm in ERI_PERMUTATIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +283,8 @@ def rotate_to_h_eigenbasis(
     (columns are eigenvectors of ``h`` in ascending eigenvalue order, signs
     fixed so the largest-magnitude component of each column is positive).
     New tensors are ``h' = b.T @ h @ b`` and the correspondingly transformed
-    two-body tensor; the spectrum is unchanged.
+    two-body tensor, which has the exact eight-fold symmetry: its eight
+    index images are bit for bit equal.  The spectrum is unchanged.
     """
     H = hamiltonian
     _, basis = np.linalg.eigh(H.h)
@@ -329,21 +294,18 @@ def rotate_to_h_eigenbasis(
             basis[:, col] *= -1.0
     h_rot = basis.T @ H.h @ basis
     h_rot = 0.5 * (h_rot + h_rot.T)
-    np.fill_diagonal(h_rot, np.diag(h_rot))
     eri_rot = np.einsum(
         "pi,qj,rk,sl,pqrs->ijkl", basis, basis, basis, basis, H.eri, optimize=True
     )
-    # enforce the exact eight-fold symmetry lost to floating-point noise
-    eri_rot = 0.125 * (
-        eri_rot
-        + eri_rot.transpose(1, 0, 2, 3)
-        + eri_rot.transpose(0, 1, 3, 2)
-        + eri_rot.transpose(1, 0, 3, 2)
-        + eri_rot.transpose(2, 3, 0, 1)
-        + eri_rot.transpose(3, 2, 0, 1)
-        + eri_rot.transpose(2, 3, 1, 0)
-        + eri_rot.transpose(3, 2, 1, 0)
-    )
+    # average the eight images of each entry, which floating-point noise
+    # leaves apart; the terms are added in a different order for each image,
+    # so the averages can still differ in the last bit, and every image then
+    # takes the value at its class's lexicographically smallest index
+    images = [eri_rot.transpose(perm) for perm in ERI_PERMUTATIONS]
+    eri_rot = 0.125 * sum(images[1:], images[0])
+    flat = np.arange(eri_rot.size).reshape(eri_rot.shape)
+    smallest = np.minimum.reduce([flat.transpose(perm) for perm in ERI_PERMUTATIONS])
+    eri_rot = eri_rot.reshape(-1)[smallest]
     rotated = ElectronicHamiltonian(
         n_orbitals=H.n_orbitals,
         core_energy=H.core_energy,
@@ -414,6 +376,11 @@ class ManyBodyOperator:
             self._eig["v"] = v
         return self._eig["w"], self._eig["v"]
 
+    def propagator(self, t: float) -> np.ndarray:
+        """The dense unitary ``exp(-i matrix t)``, from the cached eigensystem."""
+        w, v = self.eigensystem()
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
+
     def norm(self) -> float:
         """Spectral norm."""
         w, _ = self.eigensystem()
@@ -440,10 +407,11 @@ def _admit_memory(what: str, n_modes: int, needed: int) -> None:
         )
 
 
-def operator_memory_bytes(dim: int) -> int:
+def operator_memory_bytes(dim: int, n_modes: int) -> int:
     """Estimated peak bytes of a dense many-body operator on ``dim`` basis
-    states and its eigensystem."""
-    return OPERATOR_WORKING_COPIES * 16 * dim * dim + OPERATOR_SCRATCH_BYTES
+    states of ``n_modes`` modes and its eigensystem."""
+    return (OPERATOR_WORKING_COPIES * 16 * dim * dim + OPERATOR_SCRATCH_BYTES
+            + OPERATOR_TABLE_ENTRY_BYTES * n_modes * n_modes * dim)
 
 
 def _excitation_tables(n_modes: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +456,7 @@ def build_many_body_operator(
     n = H.n_orbitals
     n_modes = 2 * n if spinful else n
     dim = 1 << n_modes if rows is None else len(rows)
-    _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim))
+    _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim, n_modes))
     states = np.arange(dim) if rows is None else _ascending_rows(rows, 1 << n_modes)
     dest, signs = (x.reshape(-1) for x in _excitation_tables(n_modes, states))
     matrix = np.zeros((dim, dim), dtype=complex)
@@ -510,23 +478,24 @@ def build_many_body_operator(
     ij = table_at((i + n * s)[kept, None], (j + n * s)[kept, None])
     np.add.at(entries, (dest[ij] * dim + columns).ravel(), (h[kept, None] * signs[ij]).ravel())
 
-    # 1/2 V_ijkl a+_i a+_k a_l a_j == 1/2 V_ijkl (E_ij E_kl - delta_jk E_il)
-    i, j, k, l, s, t = np.indices((n, n, n, n, spins, spins)).reshape(6, -1)
-    v = H.eri[i, j, k, l]
-    kept = v != 0.0
-    coefficients = 0.5 * v[kept]
-    modes = [x[kept, None] for x in (i + n * s, j + n * s, k + n * t, l + n * t)]
-    # a scratch array holds chunk x dim entries: 1/256 of the matrix's bytes,
-    # or 2**15 entries on small registers
+    # 1/2 V_ijkl a+_i a+_k a_l a_j == 1/2 V_ijkl (E_ij E_kl - delta_jk E_il),
+    # over the n**4 spins**2 terms a chunk at a time, so that no array grows
+    # with their count; a scratch array holds chunk x dim entries: 1/256 of
+    # the matrix's bytes, or 2**15 entries on small registers
+    shape = (n, n, n, n, spins, spins)
+    n_terms = n**4 * spins**2
     chunk = max(1, max(dim * dim // 128, 1 << 15) // max(dim, 1))
-    for start in range(0, len(coefficients), chunk):
-        mi, mj, mk, ml = (x[start : start + chunk] for x in modes)
+    for start in range(0, n_terms, chunk):
+        i, j, k, l, s, t = np.unravel_index(np.arange(start, min(start + chunk, n_terms)), shape)
+        v = H.eri[i, j, k, l]
+        kept = v != 0.0
+        mi, mj, mk, ml = (x[kept, None] for x in (i + n * s, j + n * s, k + n * t, l + n * t))
         kl, il = table_at(mk, ml), table_at(mi, ml)
         ij_kl = (mi * n_modes + mj) * dim + dest[kl]  # a+_i a_j after a+_k a_l
         both = signs[ij_kl] * signs[kl]
         contracted = (mj == mk) * signs[il]
         target = np.where(both != 0.0, dest[ij_kl], dest[il])
-        weights = coefficients[start : start + chunk, None] * (both - contracted)
+        weights = 0.5 * v[kept, None] * (both - contracted)
         np.add.at(entries, (target * dim + columns).ravel(), weights.ravel())
     entries[:: dim + 1] += H.core_energy
     return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix, rows=states)

@@ -46,6 +46,7 @@ from isothc.focksim import (
 from isothc import algorithm, hamiltonian
 from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
+    OPERATOR_TABLE_ENTRY_BYTES,
     ElectronicHamiltonian,
     MemoryRefusal,
     _sector_states,
@@ -752,7 +753,7 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     layout = extended_layout(thc, spinful=True)
     psi = hartree_fock_state(ham, 3, spinful=True)
     every = _step_bytes(layout, _every_sector(layout))
-    assert operator_memory_bytes(_sector_states(3, _sectors(psi)).size) < every
+    assert operator_memory_bytes(_sector_states(3, _sectors(psi)).size, 6) < every
     # step_channel and the projection errors compile every sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
     for call in (lambda: step_channel(psi.density(), thc, ham, StepSpec(tau=0.1)),
@@ -783,7 +784,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
     psi = hartree_fock_state(ham, 2, spinful=True)
     layout = extended_layout(thc, spinful=True)
     step = _step_bytes(layout, _sectors(psi))
-    assert step < operator_memory_bytes(_sector_states(2, _sectors(psi)).size)
+    assert step < operator_memory_bytes(_sector_states(2, _sectors(psi)).size, 4)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)
     with pytest.raises(MemoryRefusal, match="many-body operator on 4 modes"):
@@ -818,8 +819,9 @@ def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
     ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(6, np.random.default_rng(30)))
     psi = hartree_fock_state(ham, 6, spinful=True)
     rows = _sector_states(6, _sectors(psi))
-    estimate = operator_memory_bytes(rows.size)
-    assert rows.size == 400 and estimate == 6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES
+    estimate = operator_memory_bytes(rows.size, 12)
+    assert rows.size == 400 and estimate == (
+        6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES + OPERATOR_TABLE_ENTRY_BYTES * 12**2 * 400)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 64 * 2**20)
     with pytest.raises(ValueError, match="12 modes .* physical memory"):
         build_many_body_operator(ham, spinful=True)
@@ -851,7 +853,7 @@ def test_reference_estimate_bounds_the_traced_peak_of_small_blocks(n, size):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= operator_memory_bytes(size)
+    assert peak <= operator_memory_bytes(size, 2 * n)
 
 
 def test_evolve_takes_an_input_on_listed_rows():
@@ -957,7 +959,7 @@ def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
     thc = exact_factorize(ham, m=2, seed=1)
     exact = thc_bound(ham, thc, t=1.0)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
-                        lambda: operator_memory_bytes(1 << 2) - 1)
+                        lambda: operator_memory_bytes(1 << 2, 2) - 1)
     bound = thc_bound(ham, thc, t=1.0)
     assert bound.branch == "frobenius"
     assert bound.operator_norm is None

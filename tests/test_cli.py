@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from isothc import hamiltonian
+from isothc import cli, hamiltonian
 from isothc.algorithm import (
     _sectors,
     _step_bytes,
@@ -20,6 +21,7 @@ from isothc.algorithm import (
     hartree_fock_state,
 )
 from isothc.cli import (
+    ESTIMATE_DEFAULTS,
     FIT_DEFAULTS,
     SIMULATE_DEFAULTS,
     FitResult,
@@ -32,6 +34,7 @@ from isothc.cli import (
 from isothc.focksim import ModeLayout, basis_state
 from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
+    OPERATOR_TABLE_ENTRY_BYTES,
     ElectronicHamiltonian,
     _sector_states,
     operator_memory_bytes,
@@ -185,6 +188,36 @@ def test_factorize_worker_pool_matches_serial(tmp_path, toy_fcidump):
         (pooled / "metrics.csv").read_text()
     )
     assert (serial / "thc_m3.json").read_text() == (pooled / "thc_m3.json").read_text()
+
+
+def test_factorize_workers_get_the_integrals_simulate_evolves(tmp_path, toy_fcidump,
+                                                             monkeypatch):
+    # a pool worker unpickles its payload: the Hamiltonian comes back through
+    # its constructor, checked and read-only, and bit for bit the tensors that
+    # simulate evolves under
+    received, evolved = [], []
+    factorize_one, evolve = cli._factorize_one, cli.evolve
+
+    def unpickled_payload(payload):
+        received.append(pickle.loads(pickle.dumps(payload))[0])
+        return factorize_one(payload)
+
+    def recorded_hamiltonian(psi0, thc, hamiltonian, *args, **kwargs):
+        evolved.append(hamiltonian)
+        return evolve(psi0, thc, hamiltonian, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_factorize_one", unpickled_payload)
+    monkeypatch.setattr(cli, "evolve", recorded_hamiltonian)
+    code, outdir = run_factorize(tmp_path, toy_fcidump, "--m", "3")
+    assert code == 0
+    assert main(["simulate", "--fcidump", str(toy_fcidump),
+                 "--thc", str(outdir / "thc_m3.json"), "--n-electrons", "1",
+                 "--t", "0.05", "--tau", "0.05", "--variants", "basic"]) == 0
+    (worker,), (simulated,) = received, evolved
+    assert isinstance(worker, ElectronicHamiltonian)
+    assert not worker.h.flags.writeable and not worker.eri.flags.writeable
+    assert np.array_equal(worker.h, simulated.h)
+    assert np.array_equal(worker.eri, simulated.eri)
 
 
 def test_factorize_report_to_stdout_without_outdir(toy_fcidump, capsys):
@@ -420,8 +453,9 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, monkeypatch):
     # the exact reference is charged by its block, the 100 system states of
     # the (3, 2) sector, not by the 2^10 states of the 10 system modes
     psi0 = hartree_fock_state(ham, 5, spinful=True)
-    reference = operator_memory_bytes(_sector_states(5, _sectors(psi0)).size)
-    assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES
+    reference = operator_memory_bytes(_sector_states(5, _sectors(psi0)).size, 10)
+    assert reference == operator_memory_bytes(100, 10) == (
+        6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES + OPERATOR_TABLE_ENTRY_BYTES * 10**2 * 100)
     assert reference < _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
 
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 512 * 2**20)
@@ -444,8 +478,8 @@ def test_simulate_refuses_a_reference_larger_than_memory(tmp_path, capsys, monke
     (tmp_path / "thc.json").write_text(thc.to_json())
     psi0 = hartree_fock_state(ham, 2, spinful=True)
     step = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
-    assert step < operator_memory_bytes(_sector_states(3, _sectors(psi0)).size) == (
-        operator_memory_bytes(9))
+    assert step < operator_memory_bytes(_sector_states(3, _sectors(psi0)).size, 6) == (
+        operator_memory_bytes(9, 6))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)
     assert main(["simulate", "--fcidump", str(tmp_path / "n3.fcidump"),
@@ -504,6 +538,17 @@ def test_simulate_method_option_is_gone(factorized, capsys):
         main(["simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
               "--t", "0.05", "--tau", "0.05", "--method", "fused"])
     assert "method" not in SIMULATE_DEFAULTS
+
+
+def test_simulate_seed_option_is_gone(factorized, capsys):
+    # only factorize draws random numbers
+    fcidump, thc_path = factorized
+    with pytest.raises(SystemExit):
+        main(["simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+              "--t", "0.05", "--tau", "0.05", "--seed", "1"])
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    for defaults in (SIMULATE_DEFAULTS, ESTIMATE_DEFAULTS, FIT_DEFAULTS):
+        assert "seed" not in defaults
 
 
 def test_simulate_hartree_fock_requires_electron_count(factorized, capsys):
