@@ -69,12 +69,11 @@ def main() -> None:
         slope = fit_loglog(args.tau, errors).slope
         print(f"total error at t = {args.t}: {variant} slope {slope:.3f}")
 
-    rho = psi0.density()
     projection_rows = []
     for variant in VARIANTS:
         errors = []
         for tau in args.projection_tau:
-            err = projection_error_measured(thc, rho, tau, variant=variant)
+            err = projection_error_measured(thc, psi0, tau, variant=variant)
             errors.append(err)
             projection_rows.append([variant, f"{tau:.10g}", f"{err:.12e}"])
         slope = fit_loglog(args.projection_tau, errors).slope

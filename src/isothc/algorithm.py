@@ -1,4 +1,4 @@
-"""Trotter-step channels built from isometric THC factors, and their errors.
+"""Trotter steps built from isometric THC factors, and their errors.
 
 One step of the second-order Trotter formula evolves an extended register
 (system modes plus one ancilla mode per extra THC rank) by
@@ -13,35 +13,31 @@ the physical ancilla modes, chosen so the leading leakage amplitudes out of
 the ancilla vacuum cancel.
 
 Since the ancillas start every step in the vacuum and are reset after it,
-one step is the Kraus map rho -> sum_b K_b rho K_b^dagger on the system
-density, with K_b = <b| U |., 0> for each ancilla occupation string b; only
-the ancilla-vacuum columns U P of the step unitary are ever compiled, and
-only on the rows that can be nonzero.  The
-extended register exists only inside the step engine, the one place that
-splits an extended basis index into its system and ancilla strings; every
-public function takes and returns system-only states.
+only the ancilla-vacuum columns U P of the step unitary are ever compiled,
+and only on the rows that can be nonzero.  The extended register exists
+only inside the step engine, the one place that splits an extended basis
+index into its system and ancilla strings; every public function takes and
+returns system-only states.
 
 The step conserves the particle number of each spin on the extended
-register, so K_0 maps every (N_up, N_down) sector of the system into itself
-and each K_b with b != 0 lowers the particle number by the ancillas that b
-fills; no weight ever flows back.  A pure state of one total particle
-number N, supported on the set S of its (N_up, N_down) sectors, therefore
-evolves into psi psi^dagger (+) rho_low, with psi -> K_0 psi step after
-step and rho_low below N, while the exact reference phi stays in S.  The
-trace distance splits exactly into
+register, so the vacuum block K_0 = <0|U|., 0> maps every (N_up, N_down)
+sector of the system into itself, while a row with an occupied ancilla
+lowers the system's particle number; no weight ever flows back.  A pure
+state of one total particle number N, supported on the set S of its
+(N_up, N_down) sectors, therefore evolves into psi psi^dagger (+) rho_low,
+with psi -> K_0 psi step after step and rho_low below N, while the exact
+reference phi stays in S.  The trace distance splits exactly into
 1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 tr rho_low, and tr rho_low
-is the sum of the weights psi^dagger G psi the steps moved out of S.
+is the sum of the weights psi^dagger G psi the steps moved out of S, with
+G the Gram matrix of the rows that leave the ancilla vacuum.
 
 One step engine serves every caller.  It compiles the columns on a support
 S of whole sectors over the extended states in those sectors, the only rows
-U P can reach, keeps the Kraus operators of the rows whose system string
-lies in S, and folds the rows with an occupied ancilla into one Gram matrix
-for the leaked weight.  ``evolve`` passes the sectors of its input, so only
-K_0 is kept, and steps one vector; ``step_channel`` and the projection
-errors pass every sector, so S is every system state, and apply the whole
-stack of K_b to a density.  The gate
-kernels run the same arithmetic on each row whatever the support, so a
-sector block is bit for bit those rows of the every-sector one.
+U P can reach, and copies out K_0 and G.  ``evolve`` passes the sectors of
+its input and steps one vector; the measured projection error is one step
+of ``evolve`` under V' alone, and the projection bound reads U P on every
+sector.  The gate kernels run the same arithmetic on each row whatever the
+support, so a sector block is bit for bit those rows of the every-sector one.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -56,13 +52,11 @@ import dataclasses
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .focksim import (
-    FockDensity,
     FockState,
     GivensSequence,
     InvariantError,
@@ -75,7 +69,6 @@ from .focksim import (
     exact_evolution,
     givens_decompose,
     phase_on_ancillas,
-    trace_distance,
 )
 from .hamiltonian import (
     ElectronicHamiltonian,
@@ -96,7 +89,6 @@ __all__ = [
     "extended_layout",
     "hartree_fock_state",
     "projected_operators",
-    "step_channel",
     "evolve",
     "trotter_bound",
     "thc_bound",
@@ -108,11 +100,10 @@ __all__ = [
 
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
-PARITY_MIXING_TOL = 1e-9
 # arrays the size of the compiled block U P alive at once: a layer's input,
-# output and row gathers while the step compiles, then U P, the Kraus stack
-# and one gather (tracemalloc peaks of sector and every-sector engines at
-# 6-20 modes: 3.0-3.7 copies with the per-row tables)
+# output and row gathers while the step compiles, then U P, the stack
+# [K_0; G] and one gather (tracemalloc peaks of sector and every-sector
+# engines at 6-20 modes: 3.0-3.7 copies with the per-row tables)
 STEP_WORKING_COPIES = 4
 # bytes per compiled row of the kernels' tables: indices, keys and phase
 # vectors, plus a float64 occupation per orbital slot (engines of 1 MiB or
@@ -262,13 +253,6 @@ def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
                                  projected_interaction(thc.u, thc.vtilde))
 
 
-def _check_system_layout(layout: ModeLayout, thc: ThcFactorization, name: str) -> None:
-    if layout.n_ancilla != 0:
-        raise ValueError(f"{name} must live on a system-only layout")
-    if layout.n_system != thc.n:
-        raise ValueError(f"{name} does not match the factorization size")
-
-
 def _split_keys(layout: ModeLayout, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """System string ``a`` and ancilla string ``b`` of each extended basis index in ``rows``."""
     a_key = np.zeros(rows.size, dtype=np.int64)
@@ -336,7 +320,7 @@ def _givens_circuit(thc: ThcFactorization) -> GivensSequence:
 # ---------------------------------------------------------------------------
 
 class _StepEngine:
-    """One compiled step on the extended ``layout``, applied as a Kraus map.
+    """One compiled step on the extended ``layout``.
 
     The engine acts on the support S, the system states whose per-spin
     particle counts are one of ``sectors`` (every sector of ``layout`` by
@@ -369,20 +353,9 @@ class _StepEngine:
         self.rows = _sector_states(layout.sector_size, sectors)
         self.a_key, self.b_key = _split_keys(layout, self.rows)
         # the row of each compiled column: its system state with every
-        # ancilla empty, in ascending system index
+        # ancilla empty, in ascending system index; these rows are K_0
         self.vacuum = np.flatnonzero(self.b_key == 0)
         self.support = self.a_key[self.vacuum]
-        # the Kraus rule: a row (a, b) is kept when its system string a lies
-        # in S (np.isin would import numpy.ma), as row a of K_b, with the
-        # ancilla strings b ascending, vacuum first
-        at = np.searchsorted(self.support, self.a_key)
-        self.kept = self.support.take(at, mode="clip") == self.a_key
-        strings = np.flatnonzero(np.bincount(self.b_key[self.kept]))
-        self.kraus_shape = (strings.size, self.support.size, self.support.size)
-        self.kraus_index = (np.searchsorted(strings, self.b_key[self.kept]), at[self.kept])
-        parity = np.array([bin(x).count("1") % 2 for x in self.support.tolist()])
-        # pairs of support states of different particle-number parity
-        self.mismatch = parity[:, None] != parity[None, :]
         self.spec = spec
         self.vtilde = thc.vtilde
         self.sequence = _givens_circuit(thc)
@@ -434,16 +407,14 @@ class _StepEngine:
         return FockState(self.layout, columns, self.rows)
 
     def _kraus_operators(self) -> np.ndarray:
-        """The kept Kraus stack ``K[b] = <b|U|., 0>`` on the support (vacuum
-        first), then G = W^dagger W of the rows W with an occupied ancilla,
-        as one ``((k + 1)|S|, |S|)`` array; ``U P`` is freed once copied out.
-        On the sectors of one particle number only K_0 is kept: ``[K_0; G]``.
-        """
+        """``[K_0; G]`` as one ``(2|S|, |S|)`` array: the vacuum block
+        ``K_0 = <0|U|., 0>`` on the support, then G = W^dagger W of the rows
+        W with an occupied ancilla; ``U P`` is freed once copied out."""
         if self._kraus is None:
             up = self.dense_unitary()
-            size = self.kraus_shape[1]
-            stack = np.zeros(((self.kraus_shape[0] + 1) * size, size), dtype=complex)
-            stack[:-size].reshape(self.kraus_shape)[self.kraus_index] = up[self.kept]
+            size = self.support.size
+            stack = np.empty((2 * size, size), dtype=complex)
+            stack[:size] = up[self.vacuum]
             leaving = up[self.b_key != 0]
             # free U P before the product copies the leaving rows once more
             self._dense = up = None
@@ -459,54 +430,6 @@ class _StepEngine:
         out = self._kraus_operators() @ psi
         size = psi.size
         return out[:size], float(np.vdot(psi, out[size:]).real)
-
-    def channel(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
-        """The Kraus map on a density on the support; also return the weight
-        that left the ancilla vacuum, ``tr(G rho)``.
-
-        The occupation-basis reset matches the fermionic channel unless a
-        kept block with an occupied ancilla mixes particle-number parities;
-        a warning flags that.
-        """
-        stack = self._kraus_operators()
-        size = self.kraus_shape[1]
-        # one K_b at a time, vacuum first, so no product holds more than one block
-        blocks = ((kraus @ rho) @ np.ascontiguousarray(kraus.conj().T)
-                  for kraus in stack[:-size].reshape(self.kraus_shape))
-        total, mixing = next(blocks), 0.0
-        for block in blocks:
-            mixing += float(np.abs(block[self.mismatch]).sum())
-            total += block
-        if mixing > PARITY_MIXING_TOL:
-            warnings.warn(
-                "resetting ancillas on a state with parity-mixing coherences "
-                f"(weight {mixing:.3e}); occupation-basis trace may not match "
-                "the fermionic channel",
-                stacklevel=2,
-            )
-        # G is Hermitian, so vdot(G, rho) = sum_ij G_ji rho_ij = tr(G rho)
-        return total, float(np.vdot(stack[-size:], rho).real)
-
-
-def step_channel(
-    rho: FockDensity,
-    thc: ThcFactorization,
-    hamiltonian: ElectronicHamiltonian,
-    spec: StepSpec,
-) -> FockDensity:
-    """Apply one Trotter step (unitaries plus ancilla reset) to a system density.
-
-    ``rho`` and the result live on the system-only layout; the ancillas
-    enter only through the Kraus operators of the step.  ``hamiltonian``
-    must carry a diagonal one-body part.
-    """
-    _check_system_layout(rho.layout, thc, "rho")
-    layout = extended_layout(thc, spinful=rho.layout.spinful)
-    matrix, _ = _StepEngine(thc, hamiltonian, spec, layout).channel(rho.matrix)
-    out = FockDensity(rho.layout, matrix)
-    if abs(out.trace() - rho.trace()) > 1e-10:
-        raise InvariantError("step channel failed to preserve the trace")
-    return out
 
 
 def _pure_trace_norm(psi: np.ndarray, phi: np.ndarray) -> float:
@@ -527,7 +450,7 @@ def evolve(
     tau: float,
     spec: StepSpec | None = None,
 ) -> EvolveResult:
-    """Repeat the step channel for ``round(t / tau)`` steps and compare to e^{-iHt}.
+    """Repeat the Trotter step for ``round(t / tau)`` steps and compare to e^{-iHt}.
 
     ``psi0`` is a pure state on the system-only layout with one total
     particle number (``ValueError`` otherwise).  Only its sectors S are
@@ -539,7 +462,10 @@ def evolve(
     1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 sum(leaked_weight);
     phi stays in S, so the reference is the dense block of H on S alone.
     """
-    _check_system_layout(psi0.layout, thc, "psi0")
+    if psi0.layout.n_ancilla != 0:
+        raise ValueError("psi0 must live on a system-only layout")
+    if psi0.layout.n_system != thc.n:
+        raise ValueError("psi0 does not match the factorization size")
     if psi0.layout.n_system != hamiltonian.n_orbitals:
         raise ValueError("psi0 does not match the Hamiltonian size")
     if t < 0:
@@ -622,25 +548,20 @@ def thc_bound(
 
 def projection_error_measured(
     thc: ThcFactorization,
-    rho: FockState | FockDensity,
+    psi: FockState,
     tau: float,
     variant: str = "basic",
     phases: tuple[float, float, float] = DEFAULT_PHASES,
 ) -> float:
     """Trace distance between the reset interaction step and the ideal one.
 
-    Applies the step channel of the recontracted interaction V' alone (no
-    one-body part) to ``rho`` (system-only) and compares against evolution
-    under V' for time ``tau``; this isolates the vacuum-projection error of
-    a step.
+    One step of :func:`evolve` under the recontracted interaction V' alone
+    (no one-body part) from ``psi``, a system-only pure state of one
+    particle number, against evolution under V' for time ``tau``; this
+    isolates the vacuum-projection error of a step.
     """
-    if isinstance(rho, FockState):
-        rho = rho.density()
-    vprime = _vprime_hamiltonian(thc)
-    stepped = step_channel(rho, thc, vprime, StepSpec(tau=tau, variant=variant, phases=phases))
-    ideal = exact_evolution(build_many_body_operator(vprime, spinful=rho.layout.spinful),
-                            rho, tau)
-    return trace_distance(stepped, ideal)
+    spec = StepSpec(tau=tau, variant=variant, phases=phases)
+    return evolve(psi, thc, _vprime_hamiltonian(thc), tau, tau, spec).error_vs_exact
 
 
 def projection_error_bound(
@@ -670,21 +591,21 @@ def error_budget(
     hamiltonian: ElectronicHamiltonian,
     thc: ThcFactorization,
     spec: StepSpec,
-    rho: FockState | FockDensity | None = None,
+    psi: FockState | None = None,
     spinful: bool = False,
 ) -> ErrorBudget:
     """Assemble the three per-step error contributions for one spec.
 
-    With a state given, the projection term is the measured trace distance
-    at that state; otherwise the state-independent operator bound is used.
+    With ``psi`` given, the projection term is the measured trace distance
+    from that state; otherwise the state-independent operator bound is used.
     """
     h_op, vprime_op = projected_operators(hamiltonian, thc, spinful)
     eps_tr = trotter_bound(h_op, vprime_op, spec.tau)
     rate = thc_bound(hamiltonian, thc, 1.0, spinful).value
-    if rho is None:
+    if psi is None:
         eps_pr = projection_error_bound(thc, spec.tau, spec.variant, spec.phases, spinful)
     else:
-        eps_pr = projection_error_measured(thc, rho, spec.tau, spec.variant, spec.phases)
+        eps_pr = projection_error_measured(thc, psi, spec.tau, spec.variant, spec.phases)
     return ErrorBudget(eps_thc_rate=rate, eps_tr=eps_tr, eps_pr=eps_pr)
 
 

@@ -291,7 +291,7 @@ def _initial_state(cfg: dict, rotated: ElectronicHamiltonian):
 
 
 def cmd_simulate(cfg: dict) -> CommandOutput:
-    """Run the step channel over a tau grid and compare to exact evolution."""
+    """Evolve the initial state by Trotter steps over a tau grid and compare to exact evolution."""
     _require(cfg, "fcidump", "thc", "t", "tau")
     hamiltonian = _load_hamiltonian(cfg["fcidump"])
     rotated, _ = rotate_to_h_eigenbasis(hamiltonian)
@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     common(p)
 
-    p = sub.add_parser("simulate", help="run step channels against exact evolution")
+    p = sub.add_parser("simulate", help="run Trotter steps against exact evolution")
     p.add_argument("--fcidump")
     p.add_argument("--thc", help="factorization JSON from the factorize command")
     p.add_argument("--t", type=float, help="total evolution time")

@@ -4,19 +4,18 @@ Basis states are occupation-number strings of ``m`` modes, with mode 0 as
 the least significant bit of the basis index.  A ``FockState`` holds one
 amplitude vector or a block of columns (shape ``(len(rows), k)``) over the
 ascending basis states ``rows``, every basis state by default, so one pass
-of a circuit over basis columns compiles those columns of its unitary.  The
-gate kernels act on ``FockState`` only and read their bit tables from
-``rows``; since every gate conserves each spin's particle number, a block
-on the rows of a few (N_up, N_down) sectors steps exactly as the same rows
-of the full basis would.  A ``FockDensity`` is the state of the
-system register between Trotter steps, a target of ``exact_evolution`` and
-an argument of ``trace_distance``.  Layouts distinguish system modes
-(``a``) from ancilla modes (``b``); in a spinful layout the up-spin sector
-occupies modes ``0 .. sector_size-1`` and the down-spin sector the next
-``sector_size`` modes, with a-modes before b-modes inside each sector, and
-every gate acts on both sectors.  ``algorithm`` alone splits an extended
-basis index into its a and b strings, and applies the ancilla reset as a
-Kraus map.
+of a circuit over basis columns compiles those columns of its unitary.  It
+is the one state type: the gate kernels and ``exact_evolution`` act on it
+alone and read their tables from ``rows``; since every gate conserves each
+spin's particle number, a block on the rows of a few (N_up, N_down)
+sectors steps exactly as the same rows of the full basis would.  Basis
+indices are int64, so a register holds at most ``hamiltonian.MAX_MODES`` =
+63 modes.  Layouts distinguish system modes (``a``) from ancilla modes
+(``b``); in a spinful layout the up-spin sector occupies modes
+``0 .. sector_size-1`` and the down-spin sector the next ``sector_size``
+modes, with a-modes before b-modes inside each sector, and every gate acts
+on both sectors.  ``algorithm`` alone splits an extended basis index into
+its a and b strings, and resets the ancillas.
 
 The only entangling gate is the Givens rotation on adjacent modes
 ``(p, p+1)``, which avoids Jordan-Wigner strings entirely.  Its action on
@@ -40,13 +39,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .hamiltonian import ManyBodyOperator, _ascending_rows
+from .hamiltonian import ManyBodyOperator, _ascending_rows, _check_mode_count
 
 __all__ = [
     "InvariantError",
     "ModeLayout",
     "FockState",
-    "FockDensity",
     "GivensRotation",
     "GivensSequence",
     "RowTables",
@@ -56,7 +54,6 @@ __all__ = [
     "apply_diagonal_one_body",
     "apply_diagonal_two_body",
     "phase_on_ancillas",
-    "trace_distance",
     "exact_evolution",
 ]
 
@@ -75,6 +72,7 @@ class ModeLayout:
     def __post_init__(self) -> None:
         if self.n_system < 1 or self.n_ancilla < 0:
             raise ValueError("need n_system >= 1 and n_ancilla >= 0")
+        _check_mode_count(self.n_modes)
 
     @property
     def sector_size(self) -> int:
@@ -112,15 +110,6 @@ class ModeLayout:
         return ModeLayout(self.n_system, 0, self.spinful)
 
 
-def _check_dim(array: np.ndarray, n_rows: int, want_matrix: bool) -> np.ndarray:
-    arr = np.asarray(array, dtype=complex)
-    # a pure state may be a block of columns
-    want = (n_rows, n_rows) if want_matrix else (n_rows,) + arr.shape[1:2]
-    if arr.shape != want:
-        raise ValueError(f"array shape {arr.shape} does not match layout dim {want}")
-    return arr
-
-
 @dataclass
 class FockState:
     """Pure state amplitudes over the occupation basis, or a block of columns.
@@ -139,27 +128,15 @@ class FockState:
     def __post_init__(self) -> None:
         dim = self.layout.dim
         self.rows = np.arange(dim) if self.rows is None else _ascending_rows(self.rows, dim)
-        self.amplitudes = _check_dim(self.amplitudes, self.rows.size, want_matrix=False)
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        # one vector, or a block of columns
+        want = (self.rows.size,) + self.amplitudes.shape[1:2]
+        if self.amplitudes.shape != want:
+            raise ValueError(f"array shape {self.amplitudes.shape} does not match "
+                             f"layout dim {want}")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def density(self) -> "FockDensity":
-        return FockDensity(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass
-class FockDensity:
-    """Density matrix over the occupation basis."""
-
-    layout: ModeLayout
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix = _check_dim(self.matrix, self.layout.dim, want_matrix=True)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 def basis_state(layout: ModeLayout, occupations: str | list[int]) -> FockState:
@@ -485,44 +462,19 @@ def phase_on_ancillas(state: FockState, phi: float) -> FockState:
 
 
 # ---------------------------------------------------------------------------
-# Distances and exact references
+# Exact reference
 # ---------------------------------------------------------------------------
 
-def trace_distance(
-    rho: FockDensity | FockState, sigma: FockDensity | FockState
-) -> float:
-    """Trace distance ``1/2 || rho - sigma ||_1`` between two states."""
-    if isinstance(rho, FockState):
-        rho = rho.density()
-    if isinstance(sigma, FockState):
-        sigma = sigma.density()
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValueError("states live on different register sizes")
-    diff = rho.matrix - sigma.matrix
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def exact_evolution(
-    op: ManyBodyOperator, state: FockState | FockDensity, t: float
-) -> FockState | FockDensity:
-    """Evolve a state by ``exp(-i op t)`` via the cached eigensystem.
-
-    The state must live on the operator's rows: a ``FockState`` on the same
-    ``rows``, a ``FockDensity`` (every basis state) on an operator built on
-    every basis state.
-    """
+def exact_evolution(op: ManyBodyOperator, state: FockState, t: float) -> FockState:
+    """Evolve a state on the operator's rows by ``exp(-i op t)`` via the
+    cached eigensystem."""
     layout = state.layout
     if op.n_modes != layout.n_modes:
         raise ValueError(
             f"operator on {op.n_modes} modes cannot evolve a {layout.n_modes}-mode state"
         )
-    if not (np.array_equal(op.rows, state.rows) if isinstance(state, FockState)
-            else op.rows.size == layout.dim):
+    if not np.array_equal(op.rows, state.rows):
         raise ValueError("the state does not live on the operator's rows")
-    if isinstance(state, FockState):
-        w, v = op.eigensystem()
-        phases = np.exp(-1j * w * t)
-        return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T,
-                         state.rows)
-    u = op.propagator(t)
-    return FockDensity(layout, u @ state.matrix @ u.conj().T)
+    w, v = op.eigensystem()
+    phases = np.exp(-1j * w * t)
+    return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T, state.rows)

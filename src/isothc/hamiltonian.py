@@ -67,6 +67,8 @@ ERI_PERMUTATIONS = (
 OPERATOR_WORKING_COPIES = 6
 OPERATOR_SCRATCH_BYTES = 3 * 2**20
 OPERATOR_TABLE_ENTRY_BYTES = 48
+# basis indices are int64 with mode k at bit k, and bit 63 is the sign bit
+MAX_MODES = 63
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -330,12 +332,19 @@ def _ascending_rows(rows, dim: int) -> np.ndarray:
     return rows
 
 
+def _check_mode_count(n_modes: int) -> None:
+    if n_modes > MAX_MODES:
+        raise ValueError(f"{n_modes} modes exceed the {MAX_MODES}-mode limit of "
+                         "int64 basis indices")
+
+
 def _sector_states(size: int, sectors: list[tuple[int, ...]]) -> np.ndarray:
     """Basis indices, ascending, of the states whose per-spin particle counts
     are one of ``sectors``, with ``size`` modes per spin (one spin per entry
     of a sector), built from the occupation strings of each spin."""
     blocks = []
     for counts in sectors:
+        _check_mode_count(size * len(counts))
         states = np.zeros(1, dtype=np.int64)
         for spin, count in enumerate(counts):
             strings = np.array([sum(1 << mode for mode in modes)

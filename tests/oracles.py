@@ -3,16 +3,18 @@
 Everything here works directly on occupation bitstrings with explicit
 Jordan-Wigner sign bookkeeping, one basis state and one ladder product at a
 time, independently of the package's vectorised excitation tables, so the
-two routes can check each other.  Mode 0 is the least significant bit.  The
+two routes can check each other.  Mode 0 is the least significant bit.
+Densities are plain complex arrays over every basis state of a layout.  The
 full-Fock Trotter step (system density embedded in the ancilla vacuum,
 whole step unitary, occupation-basis ancilla reset, restriction back to the
-system modes) is kept here as the reference for the Kraus-form step of
+system modes) is kept here as the reference for the compiled step of
 ``isothc.algorithm``.  Three references check the vector ``evolve``: the
-evolution of the whole system density step by step, the density on the
-input's sectors stepped by the Kraus map (the route ``evolve`` took before
-it stepped one vector), and, for one electron per spin, the step and the
-exact evolution in extended precision (``np.clongdouble``), which sets the
-float64 floor that a bit-changing route must stay within.  The THC
+whole system density stepped by every Kraus operator K_b = <b|U|., 0>, the
+density on the input's sectors stepped as K_0 rho K_0^dagger plus the
+leaked weight tr(G rho) (the route ``evolve`` took before it stepped one
+vector), and, for one electron per spin, the step and the exact evolution
+in extended precision (``np.clongdouble``), which sets the float64 floor
+that a bit-changing route must stay within.  The THC
 refinement loop that solves the core twice per step and plans the
 gradient's einsum order on every call is the reference for
 ``isothc.thc.refine``.  It also reads back the ``givens_sequence.json``
@@ -28,16 +30,14 @@ import numpy as np
 
 from isothc.algorithm import StepSpec, _diagonal_entries, _sectors, _StepEngine, extended_layout
 from isothc.focksim import (
-    FockDensity,
     FockState,
     GivensRotation,
     GivensSequence,
     ModeLayout,
     exact_evolution,
     givens_decompose,
-    trace_distance,
 )
-from isothc.hamiltonian import ElectronicHamiltonian, build_many_body_operator
+from isothc.hamiltonian import ElectronicHamiltonian, ManyBodyOperator, build_many_body_operator
 from isothc.thc import (
     RefineConfig,
     ThcFactorization,
@@ -238,7 +238,25 @@ def givens_sequence_from_json(text: str) -> GivensSequence:
 
 
 # ---------------------------------------------------------------------------
-# full-Fock reference for the Trotter step
+# densities, and the full-Fock reference for the Trotter step
+
+
+def density(amplitudes: np.ndarray) -> np.ndarray:
+    """psi psi^dagger of a pure state's amplitudes."""
+    return np.outer(amplitudes, amplitudes.conj())
+
+
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Trace distance ``1/2 || rho - sigma ||_1`` between two densities."""
+    if rho.shape != sigma.shape:
+        raise ValueError("states live on different register sizes")
+    return float(0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+
+
+def evolve_density(op: ManyBodyOperator, rho: np.ndarray, t: float) -> np.ndarray:
+    """``e^{-i op t} rho e^{i op t}`` for an operator on every basis state."""
+    u = op.propagator(t)
+    return u @ rho @ u.conj().T
 
 
 def split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -252,34 +270,36 @@ def split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
     return a_key, b_key
 
 
-def embed_in_ancilla_vacuum(rho: FockDensity, layout: ModeLayout) -> FockDensity:
-    """Place a system-only density on ``layout`` with every ancilla empty."""
-    if rho.layout != layout.system_only():
-        raise ValueError("source must be the system-only restriction of the target layout")
+def embed_in_ancilla_vacuum(rho: np.ndarray, layout: ModeLayout) -> np.ndarray:
+    """Place a density on the system modes of ``layout`` with every ancilla empty."""
+    system = layout.system_only().dim
+    if rho.shape != (system, system):
+        raise ValueError("source must be a density on the system modes of the target layout")
     a_key, b_key = split_keys(layout)
     vacuum = np.flatnonzero(b_key == 0)
     out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    out[np.ix_(vacuum, vacuum)] = rho.matrix[np.ix_(a_key[vacuum], a_key[vacuum])]
-    return FockDensity(layout, out)
+    out[np.ix_(vacuum, vacuum)] = rho[np.ix_(a_key[vacuum], a_key[vacuum])]
+    return out
 
 
-def system_density(rho: FockDensity, tol: float = 1e-9) -> FockDensity:
-    """Restrict an extended density with no weight outside the ancilla vacuum
-    to its system modes."""
-    a_key, b_key = split_keys(rho.layout)
+def system_density(rho: np.ndarray, layout: ModeLayout, tol: float = 1e-9) -> np.ndarray:
+    """Restrict a density on ``layout`` with no weight outside the ancilla
+    vacuum to its system modes."""
+    a_key, b_key = split_keys(layout)
     vacuum = np.flatnonzero(b_key == 0)
-    block = rho.matrix[np.ix_(vacuum, vacuum)]
-    outside = float(np.abs(rho.matrix).sum() - np.abs(block).sum())
+    block = rho[np.ix_(vacuum, vacuum)]
+    outside = float(np.abs(rho).sum() - np.abs(block).sum())
     if outside > tol:
         raise ValueError(f"density has weight {outside:.3e} outside the ancilla vacuum")
-    system = rho.layout.system_only()
+    system = layout.system_only()
     out = np.zeros((system.dim, system.dim), dtype=complex)
     out[np.ix_(a_key[vacuum], a_key[vacuum])] = block
-    return FockDensity(system, out)
+    return out
 
 
-def reset_ancillas(rho: FockDensity, parity_check: bool = True) -> FockDensity:
-    """Trace out the ancilla modes and re-prepare them in the vacuum.
+def reset_ancillas(rho: np.ndarray, layout: ModeLayout, parity_check: bool = True) -> np.ndarray:
+    """Trace out the ancilla modes of a density on ``layout`` and re-prepare
+    them in the vacuum.
 
     The trace is taken in the occupation basis.  That coincides with the
     fermionic reset channel when the state carries no coherences between
@@ -288,16 +308,13 @@ def reset_ancillas(rho: FockDensity, parity_check: bool = True) -> FockDensity:
     number-sector inputs never produce such terms.  ``parity_check``
     controls a diagnostic warning for states that violate the assumption.
     """
-    layout = rho.layout
     if layout.n_ancilla == 0:
-        return FockDensity(layout, rho.matrix.copy())
+        return rho.copy()
     n_a = len(layout.system_modes)
     n_b = len(layout.ancilla_modes)
     a_key, b_key = split_keys(layout)
     order = np.argsort((b_key << n_a) | a_key)
-    reordered = rho.matrix[np.ix_(order, order)].reshape(
-        1 << n_b, 1 << n_a, 1 << n_b, 1 << n_a
-    )
+    reordered = rho[np.ix_(order, order)].reshape(1 << n_b, 1 << n_a, 1 << n_b, 1 << n_a)
     if parity_check:
         a_parity = np.array([bin(x).count("1") % 2 for x in range(1 << n_a)])
         mismatch = a_parity[:, None] != a_parity[None, :]
@@ -316,7 +333,7 @@ def reset_ancillas(rho: FockDensity, parity_check: bool = True) -> FockDensity:
     out = np.zeros((layout.dim, layout.dim), dtype=complex)
     vacuum_order = order[: 1 << n_a]
     out[np.ix_(vacuum_order, vacuum_order)] = traced
-    return FockDensity(layout, out)
+    return out
 
 
 def full_step_unitary(engine) -> np.ndarray:
@@ -326,15 +343,24 @@ def full_step_unitary(engine) -> np.ndarray:
     return engine._apply(identity).amplitudes
 
 
-def full_fock_step(u: np.ndarray, rho: FockDensity) -> tuple[FockDensity, float]:
+def full_fock_step(u: np.ndarray, rho: np.ndarray, layout: ModeLayout) -> tuple[np.ndarray, float]:
     """One step on the extended register: U rho U^dagger, then the ancilla reset.
 
     Also returns the weight the reset moved back into the ancilla vacuum.
     """
-    rotated = FockDensity(rho.layout, u @ rho.matrix @ u.conj().T)
-    a_key, b_key = split_keys(rho.layout)
-    kept = float(np.trace(rotated.matrix[np.ix_(b_key == 0, b_key == 0)]).real)
-    return reset_ancillas(rotated), rho.trace() - kept
+    rotated = u @ rho @ u.conj().T
+    _, b_key = split_keys(layout)
+    kept = float(np.trace(rotated[np.ix_(b_key == 0, b_key == 0)]).real)
+    return reset_ancillas(rotated, layout), float(np.trace(rho).real) - kept
+
+
+def kraus_operators(engine) -> np.ndarray:
+    """Every Kraus operator K_b = <b|U|., 0> of an every-sector step engine,
+    stacked by ancilla string b (vacuum first), each on every system state."""
+    system = engine.layout.system_only().dim
+    kraus = np.zeros((engine.layout.dim // system, system, system), dtype=complex)
+    kraus[engine.b_key, engine.a_key] = engine.dense_unitary()
+    return kraus
 
 
 def evolve_full_density(
@@ -343,7 +369,7 @@ def evolve_full_density(
     hamiltonian: ElectronicHamiltonian,
     n_steps: int,
     spec: StepSpec,
-) -> tuple[float, FockDensity]:
+) -> tuple[float, np.ndarray]:
     """Step the whole system density with every Kraus operator, n_steps times.
 
     Returns the trace distance to the exact evolution of ``psi0`` over
@@ -351,14 +377,25 @@ def evolve_full_density(
     that left the input's particle-number sector.
     """
     spinful = psi0.layout.spinful
-    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful))
-    rho = psi0.density()
+    kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec,
+                                        extended_layout(thc, spinful=spinful)))
+    rho = density(psi0.amplitudes)
     for _ in range(n_steps):
-        matrix, _ = engine.channel(rho.matrix)
-        rho = FockDensity(rho.layout, matrix)
+        rho = sum(k @ rho @ k.conj().T for k in kraus)
     op = build_many_body_operator(hamiltonian, spinful=spinful)
     reference = exact_evolution(op, psi0, n_steps * spec.tau)
-    return trace_distance(rho, reference), rho
+    return trace_distance(rho, density(reference.amplitudes)), rho
+
+
+def density_step(engine, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """One step of a density on an engine's support of one particle number:
+    K_0 rho K_0^dagger and the leaked weight tr(G rho), from the engine's
+    stack [K_0; G]."""
+    stack = engine._kraus_operators()
+    size = engine.support.size
+    k0 = stack[:size]
+    # G is Hermitian, so vdot(G, rho) = sum_ij G_ji rho_ij = tr(G rho)
+    return (k0 @ rho) @ np.ascontiguousarray(k0.conj().T), float(np.vdot(stack[size:], rho).real)
 
 
 def step_sector_density(
@@ -368,16 +405,16 @@ def step_sector_density(
     n_steps: int,
     spec: StepSpec,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Step the density rho_S on the sectors S of ``psi0`` by the Kraus map,
-    ``n_steps`` times.  Returns S, rho_S and the sum of the leaked weights."""
+    """Step the density rho_S on the sectors S of ``psi0`` by
+    :func:`density_step`, ``n_steps`` times.  Returns S, rho_S and the sum
+    of the leaked weights."""
     spinful = psi0.layout.spinful
     engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
                          _sectors(psi0))
-    psi = psi0.amplitudes[engine.support]
-    rho = np.outer(psi, psi.conj())
+    rho = density(psi0.amplitudes[engine.support])
     leaked = np.zeros(n_steps)
     for k in range(n_steps):
-        rho, leaked[k] = engine.channel(rho)
+        rho, leaked[k] = density_step(engine, rho)
     return engine.support, rho, float(leaked.sum())
 
 
@@ -408,7 +445,7 @@ def evolve_sector_density(
     n_steps: int,
     spec: StepSpec,
 ) -> tuple[float, float]:
-    """Step the density rho_S on the sectors S of ``psi0`` by the Kraus map.
+    """Step the density rho_S on the sectors S of ``psi0`` by :func:`density_step`.
 
     Returns the trace distance 1/2 ||rho_S - phi phi^dagger||_1 (by
     ``eigvalsh``) + 1/2 sum of the leaked weights, and that sum.

@@ -13,26 +13,19 @@ import numpy as np
 import oracles
 from isothc.algorithm import (
     StepSpec,
+    _vprime_hamiltonian,
     evolve,
     hartree_fock_state,
     phase_cancellation_sums,
     projected_operators,
     projection_error_measured,
-    step_channel,
     thc_bound,
     trotter_bound,
 )
 from isothc.cli import FIT_DEFAULTS, cmd_fit, fit_loglog
-from isothc.focksim import (
-    ModeLayout,
-    apply_diagonal_one_body,
-    basis_state,
-    exact_evolution,
-    trace_distance,
-)
+from isothc.focksim import ModeLayout, apply_diagonal_one_body, basis_state
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
-    build_many_body_operator,
     ground_state_energy,
     parse_fcidump,
     rotate_to_h_eigenbasis,
@@ -136,7 +129,7 @@ def test_criterion_05_total_error_slopes_at_unit_time():
 
 def test_criterion_05_routes_against_the_long_double_values():
     # both float64 routes, the vector through K_0 (evolve's) and the density
-    # through the Kraus map, are measured against the extended-precision
+    # as K_0 rho K_0^dagger (oracles.density_step), are measured against the extended-precision
     # reference phi, so each distance from the extended-precision errors is
     # the float64 step's own; both routes step the same compiled K_0 and G,
     # whose rounding is nearly all of it, and differ by their products' rounding
@@ -163,22 +156,49 @@ def test_criterion_05_routes_against_the_long_double_values():
             assert abs(vector - density) < 1e-15
 
 
-def test_criterion_06_projection_error_slopes():
+CRITERION_06_TAUS = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
+
+
+def criterion_06_errors() -> dict:
+    """Criterion 6's projection errors of the Hartree-Fock state per variant."""
     _, thc = h2_exact_thc()
-    rotated = h2_hamiltonian()
-    rho = hartree_fock_state(rotated, 2, spinful=True).density()
-    taus = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
-    slopes = {}
-    for variant in ("basic", "improved"):
-        measured = [
-            projection_error_measured(thc, rho, tau, variant=variant)
-            for tau in taus
-        ]
-        slopes[variant] = fit_loglog(taus, measured).slope
+    psi0 = hartree_fock_state(h2_hamiltonian(), 2, spinful=True)
+    return {variant: [projection_error_measured(thc, psi0, tau, variant=variant)
+                      for tau in CRITERION_06_TAUS]
+            for variant in ("basic", "improved")}
+
+
+def test_criterion_06_projection_error_slopes():
+    errors = criterion_06_errors()
+    slopes = {variant: fit_loglog(CRITERION_06_TAUS, measured).slope
+              for variant, measured in errors.items()}
     print(f"criterion 6: projection slopes basic {slopes['basic']:.3f}, "
           f"improved {slopes['improved']:.3f}")
     assert abs(slopes["basic"] - 2.0) <= 0.1
     assert abs(slopes["improved"] - 3.0) <= 0.15
+
+
+def test_criterion_06_routes_against_the_long_double_values():
+    # the measured projection error (one step of evolve under V' alone, the
+    # vector route) and the density route K_0 rho K_0^dagger + tr(G rho)
+    # with eigvalsh against the float64 reference, each against one step
+    # and the reference in extended precision
+    rotated, thc = h2_exact_thc()
+    vprime = _vprime_hamiltonian(thc)
+    psi0 = hartree_fock_state(rotated, 2, spinful=True)
+    errors = criterion_06_errors()
+    for variant in ("basic", "improved"):
+        distances = {"vector": [], "density": []}
+        for tau, vector in zip(CRITERION_06_TAUS, errors[variant]):
+            spec = StepSpec(tau=tau, variant=variant)
+            exact, _ = oracles.evolve_long_double(psi0, thc, vprime, 1, spec)
+            density, _ = oracles.evolve_sector_density(psi0, thc, vprime, 1, spec)
+            distances["vector"].append(float(abs(vector - exact)))
+            distances["density"].append(float(abs(density - exact)))
+        print(f"criterion 6 {variant}: density route {max(distances['density']):.3e}, "
+              f"vector route {max(distances['vector']):.3e}")
+        assert max(distances["density"]) < 1e-15
+        assert max(distances["vector"]) < 1e-15
 
 
 def test_criterion_07_three_term_error_decomposition():
@@ -193,11 +213,7 @@ def test_criterion_07_three_term_error_decomposition():
         rotated, _ = rotate_to_h_eigenbasis(ham)
         thc = exact_factorize(rotated, m=m, seed=300 + k)
         psi = basis_state(ModeLayout(2, 0), "11")
-        rho = psi.density()
-
-        stepped = step_channel(rho, thc, rotated, StepSpec(tau=tau))
-        exact = exact_evolution(build_many_body_operator(rotated), rho, tau)
-        measured = trace_distance(stepped, exact)
+        measured = evolve(psi, thc, rotated, tau, tau).error_vs_exact
 
         h_op, vprime_op = projected_operators(rotated, thc)
         budget = thc_bound(rotated, thc, tau).value

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -30,18 +29,15 @@ from isothc.algorithm import (
     projected_operators,
     projection_error_bound,
     projection_error_measured,
-    step_channel,
     thc_bound,
     trotter_bound,
 )
 from isothc.focksim import (
-    FockDensity,
     FockState,
     ModeLayout,
     apply_diagonal_one_body,
     exact_evolution,
     givens_decompose,
-    trace_distance,
 )
 from isothc import algorithm, hamiltonian
 from isothc.hamiltonian import (
@@ -180,10 +176,10 @@ def h2_best_exact_thc(m=3, n_seeds=10):
 # bound at tau = 0.01, pinned to the last bit for the bundled H2 integrals
 H2_PROJECTION_TAUS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 H2_PROJECTION_MEASURED = {
-    "basic": ["0.0020619779597076575", "0.00020641193738175857", "2.0643336741871433e-05",
-              "2.064355105738997e-06", "2.0643572464948958e-07"],
-    "improved": ["2.201670518176872e-06", "6.869931259339861e-08", "2.163252228327458e-09",
-                 "6.831602004840307e-11", "2.1594224619933118e-12"],
+    "basic": ["0.0020619779597079034", "0.00020641193738194186", "2.064333674197448e-05",
+              "2.064355105894876e-06", "2.0643572482780515e-07"],
+    "improved": ["2.2016705181829837e-06", "6.869931259478142e-08", "2.1632522292483726e-09",
+                 "6.831601901173182e-11", "2.1594228242611117e-12"],
 }
 H2_PROJECTION_BOUND = {"basic": "6.158464476729167e-05", "improved": "1.264552419042454e-08"}
 
@@ -191,35 +187,12 @@ H2_PROJECTION_BOUND = {"basic": "6.158464476729167e-05", "improved": "1.26455241
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 def test_h2_projection_errors_are_pinned(variant):
     ham, thc = h2_best_exact_thc()
-    rho = hartree_fock_state(ham, 2, spinful=True).density()
-    measured = [repr(projection_error_measured(thc, rho, tau, variant=variant))
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    measured = [repr(projection_error_measured(thc, psi, tau, variant=variant))
                 for tau in H2_PROJECTION_TAUS]
     assert measured == H2_PROJECTION_MEASURED[variant]
     bound = projection_error_bound(thc, 1e-2, variant=variant, spinful=True)
     assert repr(bound) == H2_PROJECTION_BOUND[variant]
-
-
-# one improved step (tau = 0.2) of a seeded full-rank spinless density
-H2_STEP_CHANNEL = np.array([
-    [0.09962275304178957+0j, 0.05207635155708149+0.09827556767707403j,
-     -0.09433191042274025+0.05855422454337739j, -0.0633853142363696+0.05595179582728024j],
-    [0.05207635155708149-0.09827556767707403j, 0.25839542214804634+8.271806125530277e-25j,
-     -0.03928346672401744+0.04567135919993361j, -0.009221080816222055+0.08326466213345723j],
-    [-0.09433191042274025-0.05855422454337739j, -0.03928346672401744-0.0456713591999336j,
-     0.22290096617278277+4.0389678347315804e-28j, 0.14132578315686473-0.07872313767976925j],
-    [-0.0633853142363696-0.05595179582728024j, -0.009221080816222053-0.08326466213345722j,
-     0.14132578315686473+0.07872313767976925j, 0.41908085863738126+0j],
-])
-
-
-def test_h2_step_channel_matrix_is_pinned():
-    ham, thc = h2_best_exact_thc()
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = a @ a.conj().T
-    rho = FockDensity(ModeLayout(2, 0), rho / np.trace(rho).real)
-    out = step_channel(rho, thc, ham, StepSpec(tau=0.2, variant="improved"))
-    assert np.array_equal(out.matrix, H2_STEP_CHANNEL)
 
 
 def test_hartree_fock_state_spinless_fills_lowest_modes():
@@ -249,7 +222,7 @@ def test_hartree_fock_state_requires_diagonal_h():
 
 
 # ---------------------------------------------------------------------------
-# channel against independent dense oracles
+# the compiled step against independent dense oracles
 # ---------------------------------------------------------------------------
 
 def oracle_extended_interaction(sequence, vtilde, layout) -> np.ndarray:
@@ -340,8 +313,14 @@ def test_improved_step_unitary_matches_string_oracle():
 
 
 # ---------------------------------------------------------------------------
-# channel behaviour
+# step behaviour
 # ---------------------------------------------------------------------------
+
+def sector_engine(thc, ham, spec, psi) -> _StepEngine:
+    """The step engine ``evolve`` builds for ``psi``: on its sectors only."""
+    return _StepEngine(thc, ham, spec, extended_layout(thc, spinful=psi.layout.spinful),
+                       _sectors(psi))
+
 
 def test_zero_interaction_zero_h_is_identity_channel():
     n, m = 2, 3
@@ -350,10 +329,12 @@ def test_zero_interaction_zero_h_is_identity_channel():
     ).u
     thc = ThcFactorization(u=u, vtilde=np.zeros((m, m)))
     ham = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), np.zeros((n, n, n, n)))
-    rho = random_sector_state(ModeLayout(n, 0), 1, _rng).density()
-    out = step_channel(rho, thc, ham, StepSpec(tau=0.3))
-    assert out.layout == rho.layout
-    assert_allclose(out.matrix, rho.matrix, atol=1e-12)
+    psi = random_sector_state(ModeLayout(n, 0), 1, _rng)
+    engine = sector_engine(thc, ham, StepSpec(tau=0.3), psi)
+    out, leaked = engine.step(psi.amplitudes[engine.support])
+    assert_allclose(out, psi.amplitudes[engine.support], atol=1e-12)
+    assert leaked == pytest.approx(0.0, abs=1e-12)
+    assert evolve(psi, thc, ham, t=0.3, tau=0.3).error_vs_exact <= 1e-12
 
 
 def test_step_channel_rejects_leaked_input():
@@ -361,58 +342,43 @@ def test_step_channel_rejects_leaked_input():
     layout = extended_layout(thc)
     amps = np.zeros(layout.dim, dtype=complex)
     amps[1 << layout.ancilla_modes[0]] = 1.0  # ancilla occupied
-    rho = FockState(layout, amps).density()
-    # the step takes system densities only; an extended one is refused
+    # the step takes system states only; an extended one is refused
     with pytest.raises(ValueError, match="system-only"):
-        step_channel(rho, thc, ham, StepSpec(tau=0.1))
-    vacuum = oracles.embed_in_ancilla_vacuum(
-        random_sector_state(layout.system_only(), 1, _rng).density(), layout
-    )
+        evolve(FockState(layout, amps), thc, ham, t=0.1, tau=0.1)
+    vacuum = np.zeros(layout.dim, dtype=complex)
+    vacuum[1 << layout.system_modes[0]] = 1.0  # every ancilla empty
     with pytest.raises(ValueError, match="system-only"):
-        step_channel(vacuum, thc, ham, StepSpec(tau=0.1))
-    wrong_size = random_sector_state(ModeLayout(3, 0), 1, _rng).density()
+        evolve(FockState(layout, vacuum), thc, ham, t=0.1, tau=0.1)
+    wrong_size = random_sector_state(ModeLayout(3, 0), 1, _rng)
     with pytest.raises(ValueError, match="factorization size"):
-        step_channel(wrong_size, thc, ham, StepSpec(tau=0.1))
+        evolve(wrong_size, thc, ham, t=0.1, tau=0.1)
 
 
 def test_step_channel_requires_diagonal_h():
     rng = np.random.default_rng(13)
     ham = oracles.random_hamiltonian(2, rng)
     thc = exact_factorize(ham, m=3, seed=0)
-    rho = random_sector_state(ModeLayout(2, 0), 1, rng).density()
+    psi = random_sector_state(ModeLayout(2, 0), 1, rng)
     with pytest.raises(ValueError, match="diagonal"):
-        step_channel(rho, thc, ham, StepSpec(tau=0.1))
+        evolve(psi, thc, ham, t=0.1, tau=0.1)
 
 
 def test_one_basic_step_close_to_exact():
     ham, thc = small_instance(5, n=2, m=4)  # exact factorization at m = n^2
     tau = 1e-3
     psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(2))
-    out = step_channel(psi.density(), thc, ham, StepSpec(tau=tau))
-    op = build_many_body_operator(ham, spinful=False)
-    reference = exact_evolution(op, psi, tau)
-    assert trace_distance(out, reference) <= 1e-5
+    assert evolve(psi, thc, ham, t=tau, tau=tau).error_vs_exact <= 1e-5
 
 
 def test_improved_with_zero_phases_equals_basic():
+    # the compiled [K_0; G] on every sector, so on every system state
     ham, thc = small_instance(6)
-    rho = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(6)).density()
-    basic = step_channel(rho, thc, ham, StepSpec(tau=0.05))
-    improved = step_channel(
-        rho, thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0))
+    layout = extended_layout(thc)
+    basic = _StepEngine(thc, ham, StepSpec(tau=0.05), layout)
+    improved = _StepEngine(
+        thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0)), layout
     )
-    assert np.max(np.abs(basic.matrix - improved.matrix)) < 1e-12
-
-
-def random_sector_mixture(layout: ModeLayout, rng) -> FockDensity:
-    """A mixture of random pure states, each in its own particle-number sector."""
-    counts = rng.choice(layout.n_modes + 1, size=min(3, layout.n_modes + 1),
-                        replace=False)
-    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for n_particles in counts:
-        psi = random_sector_state(layout, int(n_particles), rng)
-        rho += rng.uniform(0.1, 1.0) * psi.density().matrix
-    return FockDensity(layout, rho / np.trace(rho).real)
+    assert np.max(np.abs(basic._kraus_operators() - improved._kraus_operators())) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -436,57 +402,47 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     layout = extended_layout(thc, spinful=spinful)
     engine = _StepEngine(thc, ham, spec, layout)
 
-    rho = random_sector_mixture(layout.system_only(), rng)
-    extended = oracles.embed_in_ancilla_vacuum(rho, layout)
+    # every sector, so the support is every system state, in order
+    stack = engine._kraus_operators()
+    size = layout.system_only().dim
+    assert stack.shape == (2 * size, size)
     full = oracles.full_step_unitary(engine)
-    for _ in range(2):
-        extended, oracle_leaked = oracles.full_fock_step(full, extended)
-        matrix, leaked = engine.channel(rho.matrix)
-        rho = FockDensity(rho.layout, matrix)
-        assert_allclose(rho.matrix, oracles.system_density(extended).matrix,
-                        rtol=0, atol=1e-12)
-        assert leaked == pytest.approx(oracle_leaked, abs=1e-12)
-
-
-def test_step_warns_on_parity_mixing_coherence():
-    # two- and three-particle components both leak into the one-ancilla
-    # strings, where their coherence mixes system parities (one particle
-    # alone feels no two-body phase and never leaks)
-    _, thc = planted_step_instance(26, n=2, m=3, scale=2.0)
-    layout = extended_layout(thc, spinful=True)
-    engine = _StepEngine(thc, no_one_body(2), StepSpec(tau=0.5), layout)
-    amps = np.zeros(16, dtype=complex)
-    amps[[0b0101, 0b0111]] = 1 / np.sqrt(2)
-    rho = FockState(layout.system_only(), amps).density()
-    with pytest.warns(UserWarning, match="parity"):
-        engine.channel(rho.matrix)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, leaked = engine.channel(random_sector_mixture(layout.system_only(), _rng).matrix)
-    assert leaked > 1e-6
+    a_key, b_key = oracles.split_keys(layout)
+    vacuum = np.flatnonzero(b_key == 0)
+    assert np.array_equal(a_key[vacuum], np.arange(size))
+    leaving = full[np.ix_(b_key != 0, vacuum)]
+    assert_allclose(stack[:size], full[np.ix_(vacuum, vacuum)], rtol=0, atol=1e-12)
+    assert_allclose(stack[size:], leaving.conj().T @ leaving, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 def test_fused_and_sequential_paths_agree(variant):
-    # the Kraus step compiles U P in one pass over a column block; the
-    # reference applies the op list gate by gate to every basis column of
-    # the extended register and resets the ancillas in the occupation basis
+    # the step compiles U P in one pass over a column block; the reference
+    # applies the step gate by gate to every basis column of the extended
+    # register and resets the ancillas in the occupation basis
     ham, thc = small_instance(9)
     layout = extended_layout(thc)
-    rho = random_sector_state(layout.system_only(), 2, np.random.default_rng(9)).density()
+    psi = random_sector_state(layout.system_only(), 2, np.random.default_rng(9))
     spec = StepSpec(tau=0.08, variant=variant)
-    fused = step_channel(rho, thc, ham, spec)
+    engine = sector_engine(thc, ham, spec, psi)
+    fused, leaked = engine.step(psi.amplitudes[engine.support])
     full = oracles.full_step_unitary(_StepEngine(thc, ham, spec, layout))
-    gates, _ = oracles.full_fock_step(full, oracles.embed_in_ancilla_vacuum(rho, layout))
-    assert np.max(np.abs(fused.matrix - oracles.system_density(gates).matrix)) < 1e-12
+    extended = oracles.embed_in_ancilla_vacuum(oracles.density(psi.amplitudes), layout)
+    gates, oracle_leaked = oracles.full_fock_step(full, extended, layout)
+    gates = oracles.system_density(gates, layout)
+    on_support = gates[np.ix_(engine.support, engine.support)]
+    assert np.max(np.abs(oracles.density(fused) - on_support)) < 1e-12
+    assert leaked == pytest.approx(oracle_leaked, abs=1e-12)
 
 
 def test_step_channel_preserves_trace_and_vacuum_support():
     ham, thc = small_instance(10)
-    rho = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(1)).density()
-    out = step_channel(rho, thc, ham, StepSpec(tau=0.2, variant="improved"))
-    assert out.trace() == pytest.approx(1.0, abs=1e-10)
-    assert out.layout == rho.layout  # the ancillas are back in the vacuum
+    psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(1))
+    engine = sector_engine(thc, ham, StepSpec(tau=0.2, variant="improved"), psi)
+    out, leaked = engine.step(psi.amplitudes[engine.support])
+    # the ancillas are back in the vacuum: the state stays on the system support
+    assert out.shape == engine.support.shape
+    assert float(np.vdot(out, out).real) + leaked == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +584,7 @@ def test_sector_evolve_matches_full_density_oracle(
 
     result = evolve(psi, thc, ham, t=n_steps * tau, tau=tau, spec=spec)
     error, rho = oracles.evolve_full_density(psi, thc, ham, n_steps, spec)
-    outside = float(np.delete(np.diag(rho.matrix).real, support).sum())
+    outside = float(np.delete(np.diag(rho).real, support).sum())
     sector_error, sector_lost = oracles.evolve_sector_density(psi, thc, ham, n_steps, spec)
     assert result.n_steps == n_steps
     for want_error, want_lost in ((error, outside), (sector_error, sector_lost)):
@@ -693,8 +649,9 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     """A spinful step engine on random factors, on the sectors of a
     Hartree-Fock state (``_step_bytes`` of its sectors estimates it) or
     on every sector; its estimate; and the tracemalloc peak of building it
-    and taking three steps, of the vector through ``step`` or, on every
-    sector, of the density through ``channel``."""
+    and taking three steps of the vector through ``step`` or, on every
+    sector, of compiling U P and reading it as ``projection_error_bound``
+    does."""
     rng = np.random.default_rng(29)
     vtilde = rng.normal(size=(m, m))
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
@@ -706,9 +663,9 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     try:
         engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), layout, sectors)
         if every:
-            rho = psi.density().matrix
-            for _ in range(3):
-                rho, _ = engine.channel(rho)
+            up = engine.dense_unitary()
+            for rows in (engine.vacuum, engine.b_key != 0):
+                np.linalg.norm(up[rows], 2)
         else:
             vector = psi.amplitudes[engine.support]
             for _ in range(3):
@@ -733,7 +690,7 @@ def test_step_memory_estimate_bounds_the_traced_peak():
 @pytest.mark.parametrize("n, m, electrons, every, block", [
     # many columns (3 + 2 electrons): U P, then the Kraus stack, dominate
     pytest.param(5, 8, 5, False, (1568, 100), id="sectors"),
-    # every sector, a density stepped through the whole Kraus stack
+    # every sector, U P compiled and read by the projection bound
     pytest.param(3, 5, 3, True, (1024, 64), id="every-sector"),
 ])
 def test_step_memory_estimate_bounds_the_traced_peak_of_large_blocks(
@@ -754,15 +711,14 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     psi = hartree_fock_state(ham, 3, spinful=True)
     every = _step_bytes(layout, _every_sector(layout))
     assert operator_memory_bytes(_sector_states(3, _sectors(psi)).size, 6) < every
-    # step_channel and the projection errors compile every sector
+    # the projection bound compiles every sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
-    for call in (lambda: step_channel(psi.density(), thc, ham, StepSpec(tau=0.1)),
-                 lambda: projection_error_measured(thc, psi, 0.1),
-                 lambda: projection_error_bound(thc, 0.1, spinful=True)):
-        with pytest.raises(ValueError, match="the step on 10 modes"):
-            call()
-    # evolve compiles the sectors of its input only, which fit
+    with pytest.raises(ValueError, match="the step on 10 modes"):
+        projection_error_bound(thc, 0.1, spinful=True)
+    # evolve, and the measured projection error (one step of it), compile
+    # the sectors of their input only, which fit
     assert evolve(psi, thc, ham, t=0.1, tau=0.1).n_steps == 1
+    assert projection_error_measured(thc, psi, 0.1) >= 0.0
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
                         lambda: _step_bytes(layout, _sectors(psi)) - 1)
     with pytest.raises(ValueError, match="the step on 10 modes"):
@@ -1024,10 +980,11 @@ def test_projection_error_methods_agree():
     v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)),
                                    projected_interaction(thc.u, thc.vtilde))
     engine = _StepEngine(thc, v_only, StepSpec(tau=tau), layout)
-    extended = oracles.embed_in_ancilla_vacuum(rho.density(), layout)
-    stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended)
-    ideal = exact_evolution(build_many_body_operator(v_only, spinful=False), rho.density(), tau)
-    gates = trace_distance(oracles.system_density(stepped), ideal)
+    start = oracles.density(rho.amplitudes)
+    extended = oracles.embed_in_ancilla_vacuum(start, layout)
+    stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended, layout)
+    ideal = oracles.evolve_density(build_many_body_operator(v_only, spinful=False), start, tau)
+    gates = oracles.trace_distance(oracles.system_density(stepped, layout), ideal)
     assert fused == pytest.approx(gates, abs=1e-12)
 
 
@@ -1040,9 +997,7 @@ def test_one_step_error_within_three_error_budget(seed):
     ham, thc = small_instance(seed, n=2, m=2)  # truncated rank: real THC error
     tau = 1e-2
     psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(seed))
-    stepped = step_channel(psi.density(), thc, ham, StepSpec(tau=tau))
-    op = build_many_body_operator(ham, spinful=False)
-    measured = trace_distance(stepped, exact_evolution(op, psi, tau))
+    measured = evolve(psi, thc, ham, t=tau, tau=tau).error_vs_exact
 
     h_op, vprime_op = projected_operators(ham, thc)
     psi_h = apply_diagonal_one_body(psi, np.diag(ham.h), tau / 2)
@@ -1058,7 +1013,7 @@ def test_error_budget_assembles_components():
     ham, thc = small_instance(25, n=2, m=3)
     spec = StepSpec(tau=0.05)
     psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(13))
-    with_state = error_budget(ham, thc, spec, rho=psi)
+    with_state = error_budget(ham, thc, spec, psi=psi)
     without = error_budget(ham, thc, spec)
     assert with_state.eps_tr == pytest.approx(without.eps_tr)
     assert with_state.eps_thc_rate == pytest.approx(without.eps_thc_rate)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isothc import hamiltonian
+from isothc.focksim import ModeLayout
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
     FcidumpError,
@@ -51,6 +52,22 @@ def test_ground_state_matches_full_ci_oracle(n, n_elec, spinful):
     assert ground_state_energy(H, n_elec, spinful=spinful) == pytest.approx(
         expected, abs=1e-10
     )
+
+
+def test_registers_past_63_modes_are_refused_by_their_mode_count():
+    # int64 basis indices hold modes 0 .. 62: mode 63's bit would wrap to -2**63
+    limit = "64 modes exceed the 63-mode limit of int64 basis indices"
+    with pytest.raises(ValueError, match=limit):
+        ground_state_energy(oracles.random_hamiltonian(32, np.random.default_rng(0)), 1,
+                            spinful=True)
+    with pytest.raises(ValueError, match=limit):
+        hamiltonian._sector_states(32, [(1, 0)])
+    for layout in ((32, 0, True), (31, 1, True), (60, 4, False)):
+        with pytest.raises(ValueError, match=limit):
+            ModeLayout(*layout)
+    assert ModeLayout(62, 1).n_modes == hamiltonian.MAX_MODES == 63
+    top = hamiltonian._sector_states(63, [(1,)])
+    assert top.size == 63 and top[-1] == 1 << 62
 
 
 @settings(max_examples=20, deadline=None)
