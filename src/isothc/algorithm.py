@@ -36,8 +36,21 @@ S of whole sectors over the extended states in those sectors, the only rows
 U P can reach, and copies out K_0 and G.  ``evolve`` passes the sectors of
 its input and steps one vector; the measured projection error is one step
 of ``evolve`` under V' alone, and the projection bound reads U P on every
-sector.  The gate kernels run the same arithmetic on each row whatever the
-support, so a sector block is bit for bit those rows of the every-sector one.
+sector.
+
+The compile works one sector at a time on its string grid: the sector's
+extended states are the cells (d, u) of a down-spin string d and an up-spin
+string u, so a column of U P is a C(m, N_down) x C(m, N_up) matrix X.  The
+Givens circuit acts on each spin alone, and on k-particle strings it is
+one matrix, its compound C_k = Lambda^k(Q), built once per factorization
+and k by running the circuit on the identity; a basis rotation is then
+X -> C_down X C_up^T, two matrix products per column block instead of one
+kernel call per gate.  An interaction block is applied as
+x + G^dagger((e^{-i tau E} - 1) (G x)), so its identity part is exact, and
+the one-body, two-body and ancilla phases are per-cell arrays built from
+the two spins' occupation tables.  A spinless layout is the same grid with
+one down string, the empty one.  A sector's block depends on that sector
+alone, so it is bit for bit those rows of the every-sector engine.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -63,12 +76,9 @@ from .focksim import (
     ModeLayout,
     RowTables,
     apply_basis_rotation,
-    apply_diagonal_one_body,
-    apply_diagonal_two_body,
     basis_state,
     exact_evolution,
     givens_decompose,
-    phase_on_ancillas,
 )
 from .hamiltonian import (
     ElectronicHamiltonian,
@@ -100,17 +110,20 @@ __all__ = [
 
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
-# arrays the size of the compiled block U P alive at once: a layer's input,
-# output and row gathers while the step compiles, then U P, the stack
-# [K_0; G] and one gather (tracemalloc peaks of sector and every-sector
-# engines at 6-20 modes: 3.0-3.7 copies with the per-row tables)
-STEP_WORKING_COPIES = 4
-# bytes per compiled row of the kernels' tables: indices, keys and phase
-# vectors, plus a float64 occupation per orbital slot (engines of 1 MiB or
-# more peak at 0.76-0.92 of the estimate, one-column ones at m = 20-28 too;
-# smaller ones hold 7-35 KiB of Python objects besides)
-KERNEL_BYTES_PER_STATE = 144
-KERNEL_BYTES_PER_SLOT = 8
+# arrays the size of the compiled block U P alive at once: U P and the
+# compile's column chunks (at most one sector block), then the leaving rows
+# gathered from U P and their conjugate as [K_0; G] is copied out, or U P
+# and the rows the projection bound reads (tracemalloc peaks of sector and
+# every-sector engines at 10-16 modes: 1.95-2.24 copies)
+STEP_WORKING_COPIES = 3
+# bytes per compiled row besides the copies: the engine's index arrays, a
+# sector's scatter positions, per-cell phases and energies, and one column
+# of each of the three chunk arrays (a one-column engine at 48 modes peaks
+# at about 170 bytes per row above its compound matrices)
+GRID_BYTES_PER_STATE = 192
+# compound matrices, each kept with its adjoint, plus the identity a new
+# one is built from
+COMPOUND_COPIES = 3
 
 
 @dataclass(frozen=True)
@@ -191,14 +204,16 @@ def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
     """Estimated peak bytes of a step engine on ``sectors`` of the extended ``layout``.
 
     The engine compiles one column of ``U P`` per system state in those
-    sectors, over the states of ``layout`` in them, and the gate kernels add
-    their tables.  Counted, not enumerated, so a register far too large is
-    refused at once.
+    sectors, over the states of ``layout`` in them, from the compound
+    matrices of each spin's particle count.  Counted, not enumerated, so a
+    register far too large is refused at once.
     """
     columns = _sector_count(layout.system_only(), sectors)
     rows = _sector_count(layout, sectors)
-    per_row = KERNEL_BYTES_PER_STATE + KERNEL_BYTES_PER_SLOT * layout.sector_size
-    return (STEP_WORKING_COPIES * 16 * columns + per_row) * rows
+    compounds = sum(math.comb(layout.sector_size, k) ** 2
+                    for k in {k for counts in sectors for k in counts})
+    return ((STEP_WORKING_COPIES * 16 * columns + GRID_BYTES_PER_STATE) * rows
+            + COMPOUND_COPIES * 16 * compounds)
 
 
 def _diagonal_entries(hamiltonian: ElectronicHamiltonian) -> np.ndarray:
@@ -315,6 +330,30 @@ def _givens_circuit(thc: ThcFactorization) -> GivensSequence:
     return _decompose(thc.u.tobytes(), thc.u.shape)
 
 
+@functools.lru_cache(maxsize=32)
+def _compound(u_bytes: bytes, shape: tuple[int, int], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The compound matrix C_k of the Givens circuit of u (``_decompose``)
+    and its adjoint: ``C_k[i, j]`` is the amplitude on the i-th k-particle
+    string of one spin (ascending) of the circuit applied to the j-th.  The
+    circuit runs once on the identity over those strings, cached per
+    factorization and k."""
+    m = shape[1]
+    strings = _sector_states(m, [(k,)])
+    identity = FockState(ModeLayout(m, 0), np.eye(strings.size, dtype=complex), strings)
+    c = apply_basis_rotation(identity, _decompose(u_bytes, shape), RowTables(identity)).amplitudes
+    c_h = c.T.conj()
+    c.flags.writeable = c_h.flags.writeable = False
+    return c, c_h
+
+
+def _rotate(x: np.ndarray, c_down: np.ndarray, c_up: np.ndarray,
+            work: np.ndarray, out: np.ndarray) -> None:
+    """``out[:, :, j] = c_down @ x[:, :, j] @ c_up^T`` for every column j of
+    the grid block ``x``, through ``work``; ``out`` may be ``x``."""
+    np.matmul(c_down, x.reshape(x.shape[0], -1), out=work.reshape(x.shape[0], -1))
+    np.matmul(c_up, work, out=out)
+
+
 # ---------------------------------------------------------------------------
 # The step circuit
 # ---------------------------------------------------------------------------
@@ -348,6 +387,7 @@ class _StepEngine:
             sectors = _every_sector(layout)
         _admit_memory("the step", layout.n_modes, _step_bytes(layout, sectors))
         self.layout = layout
+        self.sectors = sectors
         # the step conserves each spin's particle number on the extended
         # register, so U P has no nonzero row outside the sectors of S
         self.rows = _sector_states(layout.sector_size, sectors)
@@ -357,54 +397,102 @@ class _StepEngine:
         self.vacuum = np.flatnonzero(self.b_key == 0)
         self.support = self.a_key[self.vacuum]
         self.spec = spec
-        self.vtilde = thc.vtilde
+        self.thc = thc
         self.sequence = _givens_circuit(thc)
-        # ancillas carry no one-body energy
-        entries = np.concatenate([_diagonal_entries(hamiltonian), np.zeros(layout.n_ancilla)])
-        self.h_diag = np.tile(entries, layout.n_sectors)
+        # one spin's one-body energy per orbital slot; ancillas carry none
+        self.energies = np.concatenate([_diagonal_entries(hamiltonian),
+                                        np.zeros(layout.n_ancilla)])
         self._dense: np.ndarray | None = None
         self._kraus: np.ndarray | None = None
-
-    def _apply(self, state: FockState) -> FockState:
-        """The step unitary on ``state``: one-body half step, interaction,
-        one-body half step.
-
-        The interaction is ``rot . vee(tau) . rot^dagger`` (basic), or four
-        such quarter blocks with ancilla phases between them (improved).
-        """
-        tau = self.spec.tau
-        if self.spec.variant == "basic":
-            blocks = [(None, tau)]
-        else:
-            # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
-            phi1, phi2, phi3 = self.spec.phases
-            blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
-        # every kernel keeps the rows, so one set of row tables serves the pass
-        tables = RowTables(state)
-        state = apply_diagonal_one_body(state, self.h_diag, tau / 2)
-        for phi, block_tau in blocks:
-            if phi is not None:
-                state = phase_on_ancillas(state, phi)
-            state = apply_basis_rotation(state, self.sequence, tables)
-            state = apply_diagonal_two_body(state, self.vtilde, block_tau, tables)
-            state = apply_basis_rotation(state, self.sequence, tables, inverse=True)
-        return apply_diagonal_one_body(state, self.h_diag, tau / 2)
 
     def dense_unitary(self) -> np.ndarray:
         """``U P`` on the support, shape ``(|rows|, |S|)``: column ``j`` is the
         image of system state ``S[j]`` in the ancilla vacuum, row ``i`` its
-        amplitude on extended state ``rows[i]``.  One pass of the step over
-        the unit columns, cached until the step operators are copied out."""
+        amplitude on extended state ``rows[i]``.  Compiled one sector at a
+        time on its string grid, cached until the step operators are copied
+        out."""
         if self._dense is None:
-            # no local keeps the unit columns, so the first layer frees them
-            self._dense = self._apply(self._unit_columns()).amplitudes
+            up = np.zeros((self.rows.size, self.support.size), dtype=complex)
+            for counts in self.sectors:
+                self._compile_sector(counts, up)
+            self._dense = up
         return self._dense
 
-    def _unit_columns(self) -> FockState:
-        """Column ``j`` is system state ``S[j]`` in the ancilla vacuum."""
-        columns = np.zeros((self.rows.size, self.vacuum.size), dtype=complex)
-        columns[self.vacuum, np.arange(self.vacuum.size)] = 1.0
-        return FockState(self.layout, columns, self.rows)
+    def _compile_sector(self, counts: tuple[int, ...], up: np.ndarray) -> None:
+        """Write the columns of U P on one (N_up, N_down) sector into ``up``,
+        on the sector's grid X[d, u] of down and up strings (see the module
+        docstring).  Columns compile in at most three chunks, whose three
+        work arrays together hold at most one sector block.  Nothing here
+        depends on the other sectors, so a sector's block is bit for bit the
+        same in every engine that compiles it.
+        """
+        layout, spec = self.layout, self.spec
+        m, n = layout.sector_size, layout.n_system
+        n_up, n_down = (*counts, 0)[:2]
+        strings = [_sector_states(m, [(n_down,)]), _sector_states(m, [(n_up,)])]
+        # columns: the cells whose strings leave every ancilla empty
+        d_sys, u_sys = (np.flatnonzero(s < (1 << n)) for s in strings)
+        col_d, col_u = np.repeat(d_sys, u_sys.size), np.tile(u_sys, d_sys.size)
+        if not col_d.size:
+            return
+        rows_at = np.searchsorted(
+            self.rows, ((strings[0][:, None] << m) | strings[1][None, :]).ravel())
+        cols_at = np.searchsorted(self.support, (strings[0][col_d] << n) | strings[1][col_u])
+
+        # occupation of each orbital slot in each string of either spin
+        occ = [((s[:, None] >> np.arange(m)) & 1).astype(float) for s in strings]
+
+        def cells(per_string) -> np.ndarray:
+            return per_string(occ[0])[:, None] + per_string(occ[1])[None, :]
+
+        one_body = np.exp(-0.5j * spec.tau * cells(lambda o: o @ self.energies))
+        # E = sum_{a<b} vs_ab N_a N_b + 1/2 sum_a vs_aa N_a (N_a - 1), with
+        # N_a summed over spin: each spin's pairs, then the cross-spin pairs
+        vs = 0.5 * (self.thc.vtilde + self.thc.vtilde.T)
+        upper = np.triu(vs, 1)
+        theta = cells(lambda o: ((o @ upper) * o).sum(axis=1)) + occ[0] @ vs @ occ[1].T
+        ancillas = cells(lambda o: o[:, n:].sum(axis=1))
+        if spec.variant == "basic":
+            phases = [None]
+        else:
+            # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
+            phi1, phi2, phi3 = spec.phases
+            phases = [None, phi3, phi2, phi1]
+            theta *= 0.25
+        theta *= spec.tau
+        # e^{-i theta} - 1, without the cancellation of 1 - cos
+        kick = -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
+        del theta
+
+        u = self.thc.u
+        (c_down, c_down_h), (c_up, c_up_h) = (_compound(u.tobytes(), u.shape, k)
+                                              for k in (n_down, n_up))
+        shape = (c_down.shape[0], c_up.shape[0])
+        chunk = -(-col_d.size // 3)
+        # the three work arrays, allocated once for every chunk, so that no
+        # chunk's arrays outlive the next one's allocation
+        buffers = np.empty((3, math.prod(shape) * chunk), dtype=complex)
+        for start in range(0, col_d.size, chunk):
+            at = slice(start, start + chunk)
+            width = col_d[at].size
+            x, work, rotated = (b[:b.size // chunk * width].reshape(shape + (width,))
+                                for b in buffers)
+            start_phase = one_body[col_d[at], col_u[at]]
+            x.fill(0)
+            x[col_d[at], col_u[at], np.arange(width)] = start_phase
+            # the rotation of a unit column is the outer product of two
+            # compound columns
+            np.multiply(c_down[:, col_d[at]][:, None, :],
+                        (c_up[:, col_u[at]] * start_phase)[None, :, :], out=rotated)
+            for phi in phases:
+                if phi is not None:
+                    x *= np.exp(1j * phi * ancillas)[:, :, None]
+                    _rotate(x, c_down, c_up, work, rotated)
+                rotated *= kick[:, :, None]
+                _rotate(rotated, c_down_h, c_up_h, work, rotated)
+                x += rotated
+            x *= one_body[:, :, None]
+            up[np.ix_(rows_at, cols_at[at])] = x.reshape(-1, width)
 
     def _kraus_operators(self) -> np.ndarray:
         """``[K_0; G]`` as one ``(2|S|, |S|)`` array: the vacuum block

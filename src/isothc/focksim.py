@@ -3,19 +3,21 @@
 Basis states are occupation-number strings of ``m`` modes, with mode 0 as
 the least significant bit of the basis index.  A ``FockState`` holds one
 amplitude vector or a block of columns (shape ``(len(rows), k)``) over the
-ascending basis states ``rows``, every basis state by default, so one pass
-of a circuit over basis columns compiles those columns of its unitary.  It
-is the one state type: the gate kernels and ``exact_evolution`` act on it
+ascending basis states ``rows``, every basis state by default.  It is the
+one state type: ``apply_basis_rotation`` and ``exact_evolution`` act on it
 alone and read their tables from ``rows``; since every gate conserves each
 spin's particle number, a block on the rows of a few (N_up, N_down)
-sectors steps exactly as the same rows of the full basis would.  Basis
-indices are int64, so a register holds at most ``hamiltonian.MAX_MODES`` =
-63 modes.  Layouts distinguish system modes (``a``) from ancilla modes
-(``b``); in a spinful layout the up-spin sector occupies modes
-``0 .. sector_size-1`` and the down-spin sector the next ``sector_size``
-modes, with a-modes before b-modes inside each sector, and every gate acts
-on both sectors.  ``algorithm`` alone splits an extended basis index into
-its a and b strings, and resets the ancillas.
+sectors steps exactly as the same rows of the full basis would.  The step
+engine of ``algorithm`` runs a rotation circuit once, on the identity over
+one spin's k-particle strings, to get the circuit's compound matrix on
+them, and compiles its step from those matrices.  Basis indices are int64,
+so a register holds at most ``hamiltonian.MAX_MODES`` = 63 modes.  Layouts
+distinguish system modes (``a``) from ancilla modes (``b``); in a spinful
+layout the up-spin sector occupies modes ``0 .. sector_size-1`` and the
+down-spin sector the next ``sector_size`` modes, with a-modes before
+b-modes inside each sector, and a rotation acts on both sectors.
+``algorithm`` alone splits an extended basis index into its a and b
+strings.
 
 The only entangling gate is the Givens rotation on adjacent modes
 ``(p, p+1)``, which avoids Jordan-Wigner strings entirely.  Its action on
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,9 +52,6 @@ __all__ = [
     "basis_state",
     "givens_decompose",
     "apply_basis_rotation",
-    "apply_diagonal_one_body",
-    "apply_diagonal_two_body",
-    "phase_on_ancillas",
     "exact_evolution",
 ]
 
@@ -115,9 +113,9 @@ class FockState:
     """Pure state amplitudes over the occupation basis, or a block of columns.
 
     Row ``i`` of ``amplitudes`` belongs to basis state ``rows[i]``; ``rows``
-    holds ascending basis indices and defaults to every basis state.  The
-    gate kernels act on the listed rows only, so a block on fewer rows must
-    be closed under every gate applied to it, as a union of per-spin
+    holds ascending basis indices and defaults to every basis state.  A
+    rotation acts on the listed rows only, so a block on fewer rows must be
+    closed under every gate applied to it, as a union of per-spin
     particle-number sectors is.
     """
 
@@ -286,21 +284,16 @@ def _pair_indices(rows: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndar
 
 
 class RowTables:
-    """The gate kernels' tables that depend on a state's rows alone: the
-    partner rows of each Givens pair, the orbital occupations and the
-    two-body phase of each (vtilde, tau) applied so far.
+    """The partner rows of each Givens pair of a state's rows, looked up once.
 
-    Build one for a block and pass it to every kernel call on the block's
-    rows (the kernels keep the rows of their input), so the tables are
-    built once however many gates act; a kernel refuses the tables of
-    other rows.
+    Build one for a block and pass it to every rotation of the block's rows
+    (a rotation keeps the rows of its input), so the pairs are found once
+    however many gates act; a rotation refuses the tables of other rows.
     """
 
     def __init__(self, state: FockState) -> None:
-        self.layout, self.rows = state.layout, state.rows
+        self.rows = state.rows
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        # keyed by (vtilde.tobytes(), tau)
-        self.two_body_phases: dict[tuple[bytes, float], np.ndarray] = {}
 
     def check(self, state: FockState) -> None:
         if state.rows is not self.rows:
@@ -311,19 +304,6 @@ class RowTables:
         if (p, q) not in self._pairs:
             self._pairs[p, q] = _pair_indices(self.rows, p, q)
         return self._pairs[p, q]
-
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        """Occupation of each orbital slot, summed over spin, in each basis
-        state of the rows, as floats."""
-        layout, rows = self.layout, self.rows
-        occ = np.zeros((layout.sector_size, rows.size))
-        for alpha in range(layout.sector_size):
-            total = (rows >> alpha) & 1
-            if layout.spinful:
-                total = total + ((rows >> (alpha + layout.sector_size)) & 1)
-            occ[alpha] = total
-        return occ
 
 
 def _mix_rows(mat_or_vec: np.ndarray, at_p, at_q, theta: float, phi: float) -> None:
@@ -340,10 +320,6 @@ def _scale_rows(diag: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     # array on its scalar path, which rounds differently from its array loops,
     # so a one-row block would not match the same row of a larger one.
     return (diag if amplitudes.ndim == 1 else diag[:, None]) * amplitudes
-
-
-def _apply_diagonal(state: FockState, diag: np.ndarray) -> FockState:
-    return FockState(state.layout, _scale_rows(diag, state.amplitudes), state.rows)
 
 
 def apply_basis_rotation(
@@ -391,74 +367,6 @@ def apply_basis_rotation(
                 apply_gate(r.p + off, r.q + off, -r.theta, r.phi)
         out = _scale_rows(phase_diag.conj(), out)
     return FockState(layout, out, rows)
-
-
-# ---------------------------------------------------------------------------
-# Diagonal evolutions and ancilla operations
-# ---------------------------------------------------------------------------
-
-def apply_diagonal_one_body(
-    state: FockState, h_diag: np.ndarray, tau: float
-) -> FockState:
-    """Evolve by ``exp(-i tau sum_p h_diag[p] n_p)`` (one entry per mode)."""
-    layout = state.layout
-    h_diag = np.asarray(h_diag, dtype=float)
-    if h_diag.shape != (layout.n_modes,):
-        raise ValueError(f"h_diag must have length {layout.n_modes}")
-    rows = state.rows
-    energy = np.zeros(rows.size)
-    for mode, value in enumerate(h_diag):
-        if value != 0.0:
-            energy = energy + value * ((rows >> mode) & 1)
-    return _apply_diagonal(state, np.exp(-1j * tau * energy))
-
-
-def apply_diagonal_two_body(
-    state: FockState, vtilde: np.ndarray, tau: float, tables: RowTables
-) -> FockState:
-    """Evolve by the mode-diagonal two-body interaction.
-
-    The phase of basis state ``n`` is ``exp(-i tau E(n))`` with
-
-        E(n) = 1/2 sum_{(a,s) != (b,t)} vtilde[a, b] n_{a,s} n_{b,t},
-
-    spin labels ranging over one (spinless) or two (spinful) values.  With
-    ``N_a`` the spin-summed occupation of orbital slot ``a`` this is
-
-        E(n) = sum_{a<b} vs[a, b] N_a N_b + 1/2 sum_a vs[a, a] N_a (N_a - 1)
-
-    for the symmetrized ``vs``; diagonal entries of ``vtilde`` therefore
-    drop out of the spinless phase, where ``N_a (N_a - 1) = 0``.
-    ``tables`` are the :class:`RowTables` of the state's rows; they keep
-    the phase, so the improved step's four quarter blocks compute it once.
-    """
-    tables.check(state)
-    layout = state.layout
-    m = layout.sector_size
-    vtilde = np.asarray(vtilde, dtype=float)
-    if vtilde.shape != (m, m):
-        raise ValueError(f"vtilde must be {m} x {m} for this layout")
-    key = (vtilde.tobytes(), tau)
-    if key not in tables.two_body_phases:
-        vs = 0.5 * (vtilde + vtilde.T)
-        occ = tables.occupations
-        energy = np.zeros(state.rows.size)
-        for a in range(m):
-            for b in range(a + 1, m):
-                if vs[a, b] != 0.0:
-                    energy += vs[a, b] * occ[a] * occ[b]
-            energy += 0.5 * vs[a, a] * occ[a] * (occ[a] - 1.0)
-        tables.two_body_phases[key] = np.exp(-1j * tau * energy)
-    return _apply_diagonal(state, tables.two_body_phases[key])
-
-
-def phase_on_ancillas(state: FockState, phi: float) -> FockState:
-    """Apply ``exp(+i phi N_b)`` where ``N_b`` counts occupied ancillas."""
-    rows = state.rows
-    count = np.zeros(rows.size, dtype=np.int64)
-    for mode in state.layout.ancilla_modes:
-        count += (rows >> mode) & 1
-    return _apply_diagonal(state, np.exp(1j * phi * count))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ Densities are plain complex arrays over every basis state of a layout.  The
 full-Fock Trotter step (system density embedded in the ancilla vacuum,
 whole step unitary, occupation-basis ancilla reset, restriction back to the
 system modes) is kept here as the reference for the compiled step of
-``isothc.algorithm``.  Three references check the vector ``evolve``: the
-whole system density stepped by every Kraus operator K_b = <b|U|., 0>, the
+``isothc.algorithm``, and so is the step applied one Givens gate at a
+time on listed rows with the diagonal phase kernels (``gate_step``), the
+route the step engine's compile on the string grid replaced.  Three
+references check the vector ``evolve``: the whole system density stepped
+by every Kraus operator K_b = <b|U|., 0>, the
 density on the input's sectors stepped as K_0 rho K_0^dagger plus the
 leaked weight tr(G rho) (the route ``evolve`` took before it stepped one
 vector), and, for one electron per spin, the step and the exact evolution
@@ -34,6 +37,9 @@ from isothc.focksim import (
     GivensRotation,
     GivensSequence,
     ModeLayout,
+    RowTables,
+    _scale_rows,
+    apply_basis_rotation,
     exact_evolution,
     givens_decompose,
 )
@@ -336,11 +342,112 @@ def reset_ancillas(rho: np.ndarray, layout: ModeLayout, parity_check: bool = Tru
     return out
 
 
+# ---------------------------------------------------------------------------
+# the step gate by gate on listed rows, the reference for the grid compile
+
+
+def _apply_diagonal(state: FockState, diag: np.ndarray) -> FockState:
+    return FockState(state.layout, _scale_rows(diag, state.amplitudes), state.rows)
+
+
+def apply_diagonal_one_body(state: FockState, h_diag: np.ndarray, tau: float) -> FockState:
+    """Evolve by ``exp(-i tau sum_p h_diag[p] n_p)`` (one entry per mode)."""
+    layout = state.layout
+    h_diag = np.asarray(h_diag, dtype=float)
+    if h_diag.shape != (layout.n_modes,):
+        raise ValueError(f"h_diag must have length {layout.n_modes}")
+    rows = state.rows
+    energy = np.zeros(rows.size)
+    for mode, value in enumerate(h_diag):
+        if value != 0.0:
+            energy = energy + value * ((rows >> mode) & 1)
+    return _apply_diagonal(state, np.exp(-1j * tau * energy))
+
+
+def apply_diagonal_two_body(state: FockState, vtilde: np.ndarray, tau: float) -> FockState:
+    """Evolve by the mode-diagonal two-body interaction.
+
+    The phase of basis state ``n`` is ``exp(-i tau E(n))`` with
+
+        E(n) = 1/2 sum_{(a,s) != (b,t)} vtilde[a, b] n_{a,s} n_{b,t},
+
+    spin labels ranging over one (spinless) or two (spinful) values.  With
+    ``N_a`` the spin-summed occupation of orbital slot ``a`` this is
+
+        E(n) = sum_{a<b} vs[a, b] N_a N_b + 1/2 sum_a vs[a, a] N_a (N_a - 1)
+
+    for the symmetrized ``vs``; diagonal entries of ``vtilde`` therefore
+    drop out of the spinless phase, where ``N_a (N_a - 1) = 0``.
+    """
+    layout = state.layout
+    m = layout.sector_size
+    vtilde = np.asarray(vtilde, dtype=float)
+    if vtilde.shape != (m, m):
+        raise ValueError(f"vtilde must be {m} x {m} for this layout")
+    vs = 0.5 * (vtilde + vtilde.T)
+    rows = state.rows
+    occ = np.zeros((m, rows.size))
+    for spin in range(layout.n_sectors):
+        for a in range(m):
+            occ[a] += (rows >> (a + spin * m)) & 1
+    energy = np.zeros(rows.size)
+    for a in range(m):
+        for b in range(a + 1, m):
+            if vs[a, b] != 0.0:
+                energy += vs[a, b] * occ[a] * occ[b]
+        energy += 0.5 * vs[a, a] * occ[a] * (occ[a] - 1.0)
+    return _apply_diagonal(state, np.exp(-1j * tau * energy))
+
+
+def phase_on_ancillas(state: FockState, phi: float) -> FockState:
+    """Apply ``exp(+i phi N_b)`` where ``N_b`` counts occupied ancillas."""
+    rows = state.rows
+    count = np.zeros(rows.size, dtype=np.int64)
+    for mode in state.layout.ancilla_modes:
+        count += (rows >> mode) & 1
+    return _apply_diagonal(state, np.exp(1j * phi * count))
+
+
+def gate_step(engine, state: FockState) -> FockState:
+    """An engine's step unitary on ``state``, one Givens gate at a time:
+    one-body half step, interaction, one-body half step.
+
+    The interaction is ``rot^dagger . vee(tau) . rot`` (basic), or four
+    such quarter blocks with ancilla phases between them (improved).
+    """
+    spec = engine.spec
+    tau = spec.tau
+    if spec.variant == "basic":
+        blocks = [(None, tau)]
+    else:
+        # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
+        phi1, phi2, phi3 = spec.phases
+        blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
+    h_diag = np.tile(engine.energies, engine.layout.n_sectors)
+    tables = RowTables(state)
+    state = apply_diagonal_one_body(state, h_diag, tau / 2)
+    for phi, block_tau in blocks:
+        if phi is not None:
+            state = phase_on_ancillas(state, phi)
+        state = apply_basis_rotation(state, engine.sequence, tables)
+        state = apply_diagonal_two_body(state, engine.thc.vtilde, block_tau)
+        state = apply_basis_rotation(state, engine.sequence, tables, inverse=True)
+    return apply_diagonal_one_body(state, h_diag, tau / 2)
+
+
+def gate_dense_unitary(engine) -> np.ndarray:
+    """An engine's U P, compiled gate by gate over its unit columns: the
+    layout of ``engine.dense_unitary()``."""
+    columns = np.zeros((engine.rows.size, engine.vacuum.size), dtype=complex)
+    columns[engine.vacuum, np.arange(engine.vacuum.size)] = 1.0
+    return gate_step(engine, FockState(engine.layout, columns, engine.rows)).amplitudes
+
+
 def full_step_unitary(engine) -> np.ndarray:
     """The whole 2^M x 2^M step unitary of a step engine, all basis columns."""
     layout = engine.layout
     identity = FockState(layout, np.eye(layout.dim, dtype=complex))
-    return engine._apply(identity).amplitudes
+    return gate_step(engine, identity).amplitudes
 
 
 def full_fock_step(u: np.ndarray, rho: np.ndarray, layout: ModeLayout) -> tuple[np.ndarray, float]:

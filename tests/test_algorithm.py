@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from importlib.resources import files
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isothc.algorithm import (
+    COMPOUND_COPIES,
     DEFAULT_PHASES,
-    KERNEL_BYTES_PER_SLOT,
-    KERNEL_BYTES_PER_STATE,
+    GRID_BYTES_PER_STATE,
     STEP_WORKING_COPIES,
     ErrorBudget,
     StepSpec,
@@ -35,7 +36,6 @@ from isothc.algorithm import (
 from isothc.focksim import (
     FockState,
     ModeLayout,
-    apply_diagonal_one_body,
     exact_evolution,
     givens_decompose,
 )
@@ -176,12 +176,12 @@ def h2_best_exact_thc(m=3, n_seeds=10):
 # bound at tau = 0.01, pinned to the last bit for the bundled H2 integrals
 H2_PROJECTION_TAUS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 H2_PROJECTION_MEASURED = {
-    "basic": ["0.0020619779597079034", "0.00020641193738194186", "2.064333674197448e-05",
-              "2.064355105894876e-06", "2.0643572482780515e-07"],
-    "improved": ["2.2016705181829837e-06", "6.869931259478142e-08", "2.1632522292483726e-09",
-                 "6.831601901173182e-11", "2.1594228242611117e-12"],
+    "basic": ["0.0020619779597079134", "0.0002064119373818432", "2.0643336741940697e-05",
+              "2.0643551057991237e-06", "2.0643572493471599e-07"],
+    "improved": ["2.2016705181837253e-06", "6.869931258771715e-08", "2.1632522270685887e-09",
+                 "6.831602186613948e-11", "2.1594226336309705e-12"],
 }
-H2_PROJECTION_BOUND = {"basic": "6.158464476729167e-05", "improved": "1.264552419042454e-08"}
+H2_PROJECTION_BOUND = {"basic": "6.158464476740255e-05", "improved": "1.2645524184018151e-08"}
 
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
@@ -417,7 +417,7 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 def test_fused_and_sequential_paths_agree(variant):
-    # the step compiles U P in one pass over a column block; the reference
+    # the step compiles U P on each sector's string grid; the reference
     # applies the step gate by gate to every basis column of the extended
     # register and resets the ancillas in the occupation basis
     ham, thc = small_instance(9)
@@ -603,6 +603,34 @@ def test_sector_evolve_matches_full_density_oracle(
     assert not np.any(np.delete(on_support, sector.rows, axis=0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    extra=st.integers(0, 3),
+    spinful=st.booleans(),
+    variant=st.sampled_from(["basic", "improved"]),
+    every=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_compile_matches_the_gate_route(n, extra, spinful, variant, every, seed):
+    # U P compiled on each sector's string grid from compound matrices
+    # against the same columns stepped one Givens gate at a time, on every
+    # sector or on the sectors of a state of one particle number (all of
+    # its (N_up, N_down) when spinful)
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    vtilde = rng.normal(size=(m, m))
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
+    spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant,
+                    phases=tuple(rng.uniform(-np.pi, np.pi, size=3)))
+    psi, _ = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector=False)
+    engine = _StepEngine(thc, ham, spec, extended_layout(thc, spinful=spinful),
+                         None if every else _sectors(psi))
+    assert_allclose(engine.dense_unitary(), oracles.gate_dense_unitary(engine),
+                    rtol=0, atol=1e-13)
+
+
 def per_spin_counts(states: np.ndarray, layout: ModeLayout) -> list[tuple[int, ...]]:
     low = (1 << layout.sector_size) - 1
     return [tuple(bin((int(x) >> (spin * layout.sector_size)) & low).count("1")
@@ -639,10 +667,12 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     states = np.arange(system.dim)
     support = states[[c in counts for c in per_spin_counts(states, system)]]
     assert np.array_equal(engine.support, support)
-    # the memory estimate counts the same rows and columns without listing them
-    per_row = KERNEL_BYTES_PER_STATE + KERNEL_BYTES_PER_SLOT * layout.sector_size
+    # the memory estimate counts the same rows and columns without listing
+    # them, and the compound matrix of each spin's particle count
+    compounds = sum(math.comb(m, k) ** 2 for k in {k for c in counts for k in c})
     assert _step_bytes(layout, _sectors(psi)) == (
-        (STEP_WORKING_COPIES * 16 * support.size + per_row) * expected.size)
+        (STEP_WORKING_COPIES * 16 * support.size + GRID_BYTES_PER_STATE) * expected.size
+        + COMPOUND_COPIES * 16 * compounds)
 
 
 def traced_step_peak(n, m, electrons, every=False, variant="basic"):
@@ -1000,7 +1030,7 @@ def test_one_step_error_within_three_error_budget(seed):
     measured = evolve(psi, thc, ham, t=tau, tau=tau).error_vs_exact
 
     h_op, vprime_op = projected_operators(ham, thc)
-    psi_h = apply_diagonal_one_body(psi, np.diag(ham.h), tau / 2)
+    psi_h = oracles.apply_diagonal_one_body(psi, np.diag(ham.h), tau / 2)
     budget = (
         thc_bound(ham, thc, tau).value
         + trotter_bound(h_op, vprime_op, tau)

@@ -13,27 +13,27 @@ from isothc.focksim import (
     ModeLayout,
     RowTables,
     apply_basis_rotation,
-    apply_diagonal_one_body,
-    apply_diagonal_two_body,
     basis_state,
     exact_evolution,
     givens_decompose,
-    phase_on_ancillas,
 )
 from isothc.hamiltonian import ManyBodyOperator, build_many_body_operator
 
 import oracles
-from oracles import density, reset_ancillas, trace_distance
+from oracles import (
+    apply_diagonal_one_body,
+    apply_diagonal_two_body,
+    density,
+    phase_on_ancillas,
+    reset_ancillas,
+    trace_distance,
+)
 
 _rng = np.random.default_rng(77)
 
 
 def rotate(state, seq, inverse=False):
     return apply_basis_rotation(state, seq, RowTables(state), inverse=inverse)
-
-
-def two_body(state, vtilde, tau):
-    return apply_diagonal_two_body(state, vtilde, tau, RowTables(state))
 
 
 def random_orthogonal(m: int, rng) -> np.ndarray:
@@ -194,7 +194,7 @@ def test_kernels_act_column_by_column_on_blocks():
         lambda s: rotate(s, seq),
         lambda s: rotate(s, seq, inverse=True),
         lambda s: apply_diagonal_one_body(s, np.linspace(-0.5, 0.5, 6), 0.7),
-        lambda s: two_body(s, vtilde, 0.4),
+        lambda s: apply_diagonal_two_body(s, vtilde, 0.4),
         lambda s: phase_on_ancillas(s, 0.9),
     ]
     system = layout.system_only()
@@ -225,7 +225,7 @@ def test_kernels_on_sector_rows_match_full_basis():
         lambda s: rotate(s, seq),
         lambda s: rotate(s, seq, inverse=True),
         lambda s: apply_diagonal_one_body(s, np.linspace(-0.5, 0.5, 8), 0.7),
-        lambda s: two_body(s, vtilde, 0.4),
+        lambda s: apply_diagonal_two_body(s, vtilde, 0.4),
         lambda s: phase_on_ancillas(s, 0.9),
     ]
     for kernel in kernels:
@@ -252,19 +252,17 @@ def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
     monkeypatch.setattr(focksim, "_pair_indices",
                         lambda rows, p, q: lookups.append((p, q)) or pair_indices(rows, p, q))
     out = apply_basis_rotation(state, seq, tables)
-    out = apply_diagonal_two_body(out, vtilde, 0.4, tables)
+    out = apply_diagonal_two_body(out, vtilde, 0.4)
     out = apply_basis_rotation(out, seq, tables, inverse=True)
     # each mode pair of either spin is looked up once over both rotations
     pairs = {(r.p + off, r.q + off) for r in seq.rotations for off in (0, 4)}
     assert sorted(lookups) == sorted(pairs)
-    assert np.array_equal(out.amplitudes, rotate(two_body(rotate(state, seq), vtilde, 0.4),
-                                                 seq, inverse=True).amplitudes)
+    untabled = apply_diagonal_two_body(rotate(state, seq), vtilde, 0.4)
+    assert np.array_equal(out.amplitudes, rotate(untabled, seq, inverse=True).amplitudes)
     # equal rows of another state still need their own tables
     other = FockState(layout, state.amplitudes)
     with pytest.raises(ValueError, match="another state"):
         apply_basis_rotation(other, seq, tables)
-    with pytest.raises(ValueError, match="another state"):
-        apply_diagonal_two_body(other, vtilde, 0.4, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +279,19 @@ def test_one_body_phase_on_occupied_mode():
 def test_two_body_phase_single_pair_spinless():
     layout = ModeLayout(2, 0)
     vtilde = np.array([[0.0, 0.3], [0.3, 0.0]])
-    out = two_body(basis_state(layout, "11"), vtilde, tau=1.0)
+    out = apply_diagonal_two_body(basis_state(layout, "11"), vtilde, tau=1.0)
     assert out.amplitudes[0b11] == pytest.approx(np.exp(-0.3j), abs=1e-12)
-    single = two_body(basis_state(layout, "10"), vtilde, tau=1.0)
+    single = apply_diagonal_two_body(basis_state(layout, "10"), vtilde, tau=1.0)
     assert single.amplitudes[0b01] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_body_phase_diagonal_entry_spinful_only():
     vtilde = np.array([[0.4]])
-    spinless = two_body(
+    spinless = apply_diagonal_two_body(
         basis_state(ModeLayout(1, 0), "1"), vtilde, tau=1.0
     )
     assert spinless.amplitudes[1] == pytest.approx(1.0, abs=1e-12)
-    doubly = two_body(
+    doubly = apply_diagonal_two_body(
         basis_state(ModeLayout(1, 0, spinful=True), "11"), vtilde, tau=1.0
     )
     assert doubly.amplitudes[0b11] == pytest.approx(np.exp(-0.4j), abs=1e-12)
@@ -321,7 +319,7 @@ def test_two_body_phase_matches_string_oracle(spinful):
     rng = np.random.default_rng(3)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
-    out = two_body(FockState(layout, amps), vtilde, tau)
+    out = apply_diagonal_two_body(FockState(layout, amps), vtilde, tau)
     assert_allclose(out.amplitudes, expected @ amps, atol=1e-10)
 
 
@@ -490,21 +488,3 @@ def test_exact_evolution_refuses_a_state_on_other_rows():
             exact_evolution(op, other, 0.3)
     with pytest.raises(ValueError, match="operator's rows"):
         exact_evolution(build_many_body_operator(H, spinful=True), state, 0.3)
-
-
-def test_two_body_phase_is_computed_once_per_tables():
-    layout = ModeLayout(2, 1)
-    vtilde = _rng.normal(size=(3, 3))
-    state = FockState(layout, _rng.normal(size=8) + 0j)
-    tables = RowTables(state)
-    once = apply_diagonal_two_body(state, vtilde, 0.25, tables)
-    phase = tables.two_body_phases[vtilde.tobytes(), 0.25]
-    twice = apply_diagonal_two_body(once, vtilde, 0.25, tables)
-    assert len(tables.two_body_phases) == 1
-    assert tables.two_body_phases[vtilde.tobytes(), 0.25] is phase
-    assert np.array_equal(twice.amplitudes, two_body(two_body(state, vtilde, 0.25),
-                                                     vtilde, 0.25).amplitudes)
-    # another timestep or core is another phase
-    apply_diagonal_two_body(state, vtilde, 0.5, tables)
-    apply_diagonal_two_body(state, 2.0 * vtilde, 0.25, tables)
-    assert len(tables.two_body_phases) == 3
