@@ -85,6 +85,7 @@ from .hamiltonian import (
     ManyBodyOperator,
     MemoryRefusal,
     _admit_memory,
+    _occupied_sectors,
     _sector_states,
     build_many_body_operator,
 )
@@ -286,11 +287,8 @@ def _sectors(psi0: FockState) -> list[tuple[int, ...]]:
     ``psi0`` lies at one total particle number.
     """
     layout = psi0.layout
-    occupied = psi0.rows[psi0.amplitudes != 0]
-    counts = np.zeros((layout.n_sectors, occupied.size), dtype=np.int64)
-    for mode in range(layout.n_modes):
-        counts[mode // layout.sector_size] += (occupied >> mode) & 1
-    sectors = sorted(set(zip(*counts.tolist())))
+    sectors = list(_occupied_sectors(psi0.rows[psi0.amplitudes != 0], layout.sector_size,
+                                     layout.n_sectors))
     totals = sorted({sum(sector) for sector in sectors})
     if len(totals) != 1:
         raise ValueError(f"psi0 must have one particle number, found {totals}")

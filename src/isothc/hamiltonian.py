@@ -17,19 +17,22 @@ Conventions used throughout the package:
   representations place all up-spin modes at 0 .. n-1 and all down-spin
   modes at n .. 2n-1.
 * Dense many-body matrices live on a list of basis states, ``rows``
-  (ascending basis indices; every basis state by default).  They are
-  assembled from tables that record, for each excitation a+_p a_q and each
-  listed state, the listed state it leads to and its Jordan-Wigner sign;
-  every Hamiltonian term is then a lookup in these tables, with no sparse
-  operator algebra.  H conserves the particle number of each spin, so on
-  the rows of a few (N_up, N_down) sectors, or of one particle number, the
-  matrix is exactly that block of the full one, and its size is the
-  block's, not 4**modes.
+  (ascending basis indices; every basis state by default), that holds
+  whole (N_up, N_down) sectors.  H is built one sector at a time on its
+  grid of down x up strings, with E_pq = E_up_pq (x) 1 + 1 (x) E_down_pq:
+  each spin's tables list, for every k-particle string, the k(n - k) + k
+  excitations a+_p a_q that keep it, the string each leads to and its
+  Jordan-Wigner sign, and every term is a lookup in them.  A sector's
+  block depends on that sector alone, so the matrix on a few sectors is
+  bit for bit that block of the full one, and its size is the block's.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -57,16 +60,14 @@ ERI_PERMUTATIONS = (
 )
 # arrays the size of a dense many-body matrix alive at once while its
 # eigensystem is computed: the matrix, eigh's copy of it, the eigenvectors,
-# LAPACK's complex and real workspaces, and a spare for the build's
-# temporaries (measured peak at 10 modes: 5.8 copies); a floor that does not
-# scale with the matrix: about ten two-body scratch arrays of at least 2**15
-# eight-byte entries (tracemalloc: 2.3-2.5 MiB above the copies on blocks of
-# 36 and 100 states); and the bytes per entry of the excitation tables,
-# n_modes**2 entries per listed state, while they are built (tracemalloc:
-# 41.5-44 B per entry on blocks of 120 to 780 states of 16 to 40 modes)
+# LAPACK's complex and real workspaces, and a spare (measured peak at 10
+# modes: 5.8 copies; the build alone, at most 3.7); a floor that does not
+# scale with the matrix: a chunk of up to OPERATOR_TERM_CHUNK terms of the
+# build, the string tables and small arrays (tracemalloc: at most 1.1 MiB
+# above the copies on blocks of 1 to 2300 states of 4 to 63 modes)
 OPERATOR_WORKING_COPIES = 6
 OPERATOR_SCRATCH_BYTES = 3 * 2**20
-OPERATOR_TABLE_ENTRY_BYTES = 48
+OPERATOR_TERM_CHUNK = 2**15
 # basis indices are int64 with mode k at bit k, and bit 63 is the sign bit
 MAX_MODES = 63
 
@@ -355,6 +356,15 @@ def _sector_states(size: int, sectors: list[tuple[int, ...]]) -> np.ndarray:
     return np.sort(np.concatenate(blocks))
 
 
+def _occupied_sectors(states: np.ndarray, size: int, n_spins: int) -> dict[tuple[int, ...], int]:
+    """How many of the basis indices ``states`` have each per-spin particle
+    count, (N_up, N_down) or (N,), ascending; spin s holds ``size`` modes
+    from mode s size."""
+    counts = [np.bitwise_count((states >> (s * size)) & ((1 << size) - 1)).tolist()
+              for s in range(n_spins)]
+    return dict(sorted(collections.Counter(zip(*counts)).items()))
+
+
 @dataclass(frozen=True)
 class ManyBodyOperator:
     """A Hermitian operator on the basis states ``rows`` of ``n_modes`` modes.
@@ -416,33 +426,47 @@ def _admit_memory(what: str, n_modes: int, needed: int) -> None:
         )
 
 
-def operator_memory_bytes(dim: int, n_modes: int) -> int:
+def operator_memory_bytes(dim: int) -> int:
     """Estimated peak bytes of a dense many-body operator on ``dim`` basis
-    states of ``n_modes`` modes and its eigensystem."""
-    return (OPERATOR_WORKING_COPIES * 16 * dim * dim + OPERATOR_SCRATCH_BYTES
-            + OPERATOR_TABLE_ENTRY_BYTES * n_modes * n_modes * dim)
+    states and of its eigensystem."""
+    return OPERATOR_WORKING_COPIES * 16 * dim * dim + OPERATOR_SCRATCH_BYTES
 
 
-def _excitation_tables(n_modes: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where a+_p a_q sends each of the ascending basis ``states``, and with which sign.
+@functools.lru_cache(maxsize=64)
+def _string_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One spin's k-particle strings of ``n`` modes, ascending; row x of ``pq``,
+    ``dest`` and ``signs`` lists the k(n - k) + k a+_p a_q that keep
+    ``strings[x]``, by p n + q, the position of the string each leads to and
+    its Jordan-Wigner sign.  Cached per (n, k), read-only."""
+    strings = _sector_states(n, [(k,)])
+    modes = np.arange(n)
+    occupied = (strings[:, None] >> modes) & 1
+    below = np.cumsum(occupied, axis=1) - occupied  # occupied modes under each mode
+    # a+_p a_q keeps a string when q is occupied and p is empty or is q
+    x, p, q = np.nonzero((occupied[:, None, :] == 1)
+                         & ((modes[:, None] == modes) | (occupied[:, :, None] == 0)))
+    dest = np.searchsorted(strings, strings[x] - (1 << q) + (1 << p))
+    signs = 1.0 - 2.0 * ((below[x, p] + below[x, q] - (q < p)) & 1)
+    tables = (strings, *(a.reshape(strings.size, -1) for a in (p * n + q, dest, signs)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    ``dest[p, q, x]`` is the position in ``states`` of the basis state
-    a+_p a_q maps ``states[x]`` to and ``signs[p, q, x]`` its Jordan-Wigner
-    sign; where the product annihilates ``states[x]``, or leads to a state
-    that is not listed, the sign is 0 and the position is ``x``.
-    """
-    modes = np.arange(n_modes)
-    occupied = (states >> modes[:, None]) & 1
-    below = np.cumsum(occupied, axis=0) - occupied  # occupied modes under each mode
-    p, q = modes[:, None, None], modes[None, :, None]
-    targets = states - (1 << q) + (1 << p)
-    at = np.searchsorted(states, targets)
-    valid = ((occupied[None] == 1) & ((p == q) | (occupied[:, None] == 0))
-             & (states.take(at, mode="clip") == targets))
-    parity = below[None] + below[:, None] - (q < p)
-    signs = np.where(valid, 1.0 - 2.0 * (parity & 1), 0.0)
-    dest = np.where(valid, at, np.arange(states.size))
-    return dest, signs
+
+def _chained(first: tuple, second: tuple, weight, size: int) -> np.ndarray:
+    """sum of weight(pq_2, pq_1) E_2 E_1 over the excitations E_1 of ``first``
+    and then E_2 of ``second``, (pq, dest, signs) tables on the same ``size``
+    states, as a flat dense block.  The states go a chunk at a time, with at
+    most as many terms as the block has entries (or OPERATOR_TERM_CHUNK)."""
+    (pq_1, dest_1, signs_1), (pq_2, dest_2, signs_2) = first, second
+    block = np.zeros(size * size)  # np.bincount returns integers for no terms
+    column = np.arange(size)[:, None, None]
+    step = max(1, max(size * size, OPERATOR_TERM_CHUNK) // max(pq_1.shape[1] * pq_2.shape[1], 1))
+    for x in (slice(start, start + step) for start in range(0, size, step)):
+        mid = dest_1[x]  # where E_1 leads, and E_2 starts
+        weights = weight(pq_2[mid], pq_1[x, :, None]) * (signs_2[mid] * signs_1[x, :, None])
+        block += np.bincount((dest_2[mid] * size + column[x]).ravel(), weights.ravel(), size * size)
+    return block
 
 
 def build_many_body_operator(
@@ -455,58 +479,53 @@ def build_many_body_operator(
     For the spinful case every orbital carries two modes, up spins at
     0 .. n-1 and down spins at n .. 2n-1, and both ``h`` and ``eri`` are
     summed over spin labels.  ``rows`` are ascending basis indices, every
-    basis state by default; a term that leads out of them is dropped, so on
-    a union of (N_up, N_down) sectors, which every term maps into itself,
-    the matrix is bit for bit that block of the full one.  Dense matrices
-    grow as the square of the row count; a build whose estimated memory
-    exceeds physical memory is refused before it allocates.
+    basis state by default, that hold whole (N_up, N_down) sectors
+    (``ValueError`` naming a sector they hold part of); on a few sectors
+    the matrix is bit for bit that block of the full one.  A build whose
+    estimated memory exceeds physical memory is refused before it allocates.
     """
     H = hamiltonian
     n = H.n_orbitals
-    n_modes = 2 * n if spinful else n
+    n_spins = 2 if spinful else 1
+    n_modes = n_spins * n
     dim = 1 << n_modes if rows is None else len(rows)
-    _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim, n_modes))
+    _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim))
     states = np.arange(dim) if rows is None else _ascending_rows(rows, 1 << n_modes)
-    dest, signs = (x.reshape(-1) for x in _excitation_tables(n_modes, states))
+    sectors = _occupied_sectors(states, n, n_spins)
+    for counts, found in sectors.items():
+        if found != (whole := math.prod(math.comb(n, k) for k in counts)):
+            raise ValueError(f"rows hold {found} of the {whole} states of the sector "
+                             f"{counts}; they must hold whole sectors")
+
+    # H = sum_pq K_pq E_pq + 1/2 sum_pqrs V_pqrs E_pq E_rs + core, with
+    # K_pq = h_pq - 1/2 sum_r V_prrq and E_pq = E_up_pq + E_down_pq
+    one_body = (H.h - 0.5 * np.einsum("prrq->pq", H.eri)).reshape(-1)
+    two_body = H.eri.reshape(n * n, n * n)
+    spins = [(*counts, 0)[:2] for counts in sectors]  # a spinless down string is empty
+    within = {}  # the terms within one spin, dense on its k-particle strings
+    for k in set(itertools.chain(*spins)):
+        strings, pq, dest, signs = _string_tables(n, k)
+        within[k] = _chained((pq, dest, signs), (pq, dest, signs),
+                             lambda x, y: 0.5 * two_body[x, y], strings.size)
+        within[k] += np.bincount((dest * strings.size + np.arange(strings.size)[:, None]).ravel(),
+                                 (one_body[pq] * signs).ravel(), strings.size**2)
     matrix = np.zeros((dim, dim), dtype=complex)
-    entries = matrix.reshape(-1).real  # a view: writes land in the matrix
-    columns = np.arange(dim)
-
-    def table_at(p, q):
-        """Offsets of the table rows of a+_p a_q over the listed states."""
-        return (p * n_modes + q) * dim + columns
-
-    spins = 2 if spinful else 1
-    # Terms are added in the order of their indices (orbitals, then spins;
-    # one-body before two-body), so every entry sums its terms in one fixed
-    # order: np.add.at adds repeated indices one at a time, in order, and is
-    # about ten times faster on flat operands.  Mode (i, s) is i + s n.
-    i, j, s = np.indices((n, n, spins)).reshape(3, -1)
-    h = H.h[i, j]
-    kept = h != 0.0
-    ij = table_at((i + n * s)[kept, None], (j + n * s)[kept, None])
-    np.add.at(entries, (dest[ij] * dim + columns).ravel(), (h[kept, None] * signs[ij]).ravel())
-
-    # 1/2 V_ijkl a+_i a+_k a_l a_j == 1/2 V_ijkl (E_ij E_kl - delta_jk E_il),
-    # over the n**4 spins**2 terms a chunk at a time, so that no array grows
-    # with their count; a scratch array holds chunk x dim entries: 1/256 of
-    # the matrix's bytes, or 2**15 entries on small registers
-    shape = (n, n, n, n, spins, spins)
-    n_terms = n**4 * spins**2
-    chunk = max(1, max(dim * dim // 128, 1 << 15) // max(dim, 1))
-    for start in range(0, n_terms, chunk):
-        i, j, k, l, s, t = np.unravel_index(np.arange(start, min(start + chunk, n_terms)), shape)
-        v = H.eri[i, j, k, l]
-        kept = v != 0.0
-        mi, mj, mk, ml = (x[kept, None] for x in (i + n * s, j + n * s, k + n * t, l + n * t))
-        kl, il = table_at(mk, ml), table_at(mi, ml)
-        ij_kl = (mi * n_modes + mj) * dim + dest[kl]  # a+_i a_j after a+_k a_l
-        both = signs[ij_kl] * signs[kl]
-        contracted = (mj == mk) * signs[il]
-        target = np.where(both != 0.0, dest[ij_kl], dest[il])
-        weights = 0.5 * v[kept, None] * (both - contracted)
-        np.add.at(entries, (target * dim + columns).ravel(), weights.ravel())
-    entries[:: dim + 1] += H.core_energy
+    for n_up, n_down in spins:
+        (up, pq_u, dest_u, signs_u), (down, pq_d, dest_d, signs_d) = (
+            _string_tables(n, n_up), _string_tables(n, n_down))
+        c_u, c_d = up.size, down.size
+        # the sector on its cells (d, u) of a down and an up string, at d c_u + u:
+        # within_down (x) 1 + 1 (x) within_up + sum_pqrs W_pqrs E_up_pq E_down_rs,
+        # with W_pqrs the average of V_pqrs and V_rspq
+        d, u = np.divmod(np.arange(c_d * c_u), c_u)
+        cross = _chained((pq_u[u], d[:, None] * c_u + dest_u[u], signs_u[u]),
+                         (pq_d[d], dest_d[d] * c_u + u[:, None], signs_d[d]),
+                         lambda x, y: 0.5 * (two_body[x, y] + two_body[y, x]), c_d * c_u)
+        block = (within[n_down].reshape(c_d, 1, c_d, 1) * np.eye(c_u)[None, :, None, :]
+                 + np.eye(c_d)[:, None, :, None] * within[n_up].reshape(1, c_u, 1, c_u))
+        at = np.searchsorted(states, ((down[:, None] << n) | up).ravel())
+        matrix.real[np.ix_(at, at)] = (block.reshape(-1) + cross).reshape(at.size, -1)
+    matrix.reshape(-1).real[:: dim + 1] += H.core_energy
     return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix, rows=states)
 
 
@@ -528,10 +547,7 @@ def ground_state_energy(
     n_modes = 2 * n if spinful else n
     if not 0 <= n_electrons <= n_modes:
         raise ValueError(f"cannot place {n_electrons} electrons in {n_modes} modes")
-    if spinful:
-        sectors = [(up, n_electrons - up) for up in range(max(0, n_electrons - n),
-                                                          min(n, n_electrons) + 1)]
-    else:
-        sectors = [(n_electrons,)]
+    sectors = ([(up, n_electrons - up) for up in range(n + 1) if 0 <= n_electrons - up <= n]
+               if spinful else [(n_electrons,)])
     op = build_many_body_operator(hamiltonian, spinful, _sector_states(n, sectors))
     return float(np.linalg.eigvalsh(op.matrix)[0])

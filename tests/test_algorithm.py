@@ -42,7 +42,6 @@ from isothc.focksim import (
 from isothc import algorithm, hamiltonian
 from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
-    OPERATOR_TABLE_ENTRY_BYTES,
     ElectronicHamiltonian,
     MemoryRefusal,
     _sector_states,
@@ -133,9 +132,9 @@ def test_extended_layout_counts_ancillas():
 def test_rotation_count_stays_within_budget():
     _, thc = small_instance(1, n=3, m=6)
     seq = givens_decompose(thc.u)
-    assert len(seq) <= 6 * 3 - 3 * 4 // 2
+    assert len(seq.rotations) <= 6 * 3 - 3 * 4 // 2
     assert_allclose(
-        seq.single_particle_matrix()[:, :3].real, thc.u.T, atol=1e-8
+        oracles.single_particle_matrix(seq)[:, :3].real, thc.u.T, atol=1e-8
     )
 
 
@@ -227,7 +226,7 @@ def test_hartree_fock_state_requires_diagonal_h():
 
 def oracle_extended_interaction(sequence, vtilde, layout) -> np.ndarray:
     """String-oracle matrix of the rotated mode-diagonal interaction."""
-    t = sequence.single_particle_matrix()
+    t = oracles.single_particle_matrix(sequence)
     assert np.max(np.abs(t.imag)) < 1e-12
     coeff = t.real.T  # coeff[p, alpha]: physical content of rotated mode alpha
     m = layout.sector_size
@@ -709,8 +708,9 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
 
 def test_step_memory_estimate_bounds_the_traced_peak():
     # one column (2 + 2 electrons) over C(24, 2)^2 = 76 176 extended rows:
-    # the gate kernels' per-row tables, which grow with the orbital slots,
-    # are nearly all of the engine's memory
+    # the per-row arrays of the grid compile (index arrays, scatter
+    # positions, per-cell phases and chunk columns) are nearly all of the
+    # engine's memory
     engine, estimate, peak = traced_step_peak(2, 24, 4)
     assert engine.rows.size == 76_176
     assert peak <= estimate
@@ -726,7 +726,7 @@ def test_step_memory_estimate_bounds_the_traced_peak():
 def test_step_memory_estimate_bounds_the_traced_peak_of_large_blocks(
         variant, n, m, electrons, every, block):
     # blocks of U P of 1 MiB and more, where the working copies of the
-    # block, not the kernels' tables, set the peak
+    # block, not the per-row arrays, set the peak
     engine, estimate, peak = traced_step_peak(n, m, electrons, every, variant)
     assert (engine.rows.size, engine.support.size) == block
     assert 16 * engine.rows.size * engine.support.size >= 2**20
@@ -740,7 +740,7 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     layout = extended_layout(thc, spinful=True)
     psi = hartree_fock_state(ham, 3, spinful=True)
     every = _step_bytes(layout, _every_sector(layout))
-    assert operator_memory_bytes(_sector_states(3, _sectors(psi)).size, 6) < every
+    assert operator_memory_bytes(_sector_states(3, _sectors(psi)).size) < every
     # the projection bound compiles every sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
     with pytest.raises(ValueError, match="the step on 10 modes"):
@@ -770,7 +770,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
     psi = hartree_fock_state(ham, 2, spinful=True)
     layout = extended_layout(thc, spinful=True)
     step = _step_bytes(layout, _sectors(psi))
-    assert step < operator_memory_bytes(_sector_states(2, _sectors(psi)).size, 4)
+    assert step < operator_memory_bytes(_sector_states(2, _sectors(psi)).size)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)
     with pytest.raises(MemoryRefusal, match="many-body operator on 4 modes"):
@@ -805,9 +805,8 @@ def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
     ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(6, np.random.default_rng(30)))
     psi = hartree_fock_state(ham, 6, spinful=True)
     rows = _sector_states(6, _sectors(psi))
-    estimate = operator_memory_bytes(rows.size, 12)
-    assert rows.size == 400 and estimate == (
-        6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES + OPERATOR_TABLE_ENTRY_BYTES * 12**2 * 400)
+    estimate = operator_memory_bytes(rows.size)
+    assert rows.size == 400 and estimate == 6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 64 * 2**20)
     with pytest.raises(ValueError, match="12 modes .* physical memory"):
         build_many_body_operator(ham, spinful=True)
@@ -839,7 +838,7 @@ def test_reference_estimate_bounds_the_traced_peak_of_small_blocks(n, size):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= operator_memory_bytes(size, 2 * n)
+    assert peak <= operator_memory_bytes(size)
 
 
 def test_evolve_takes_an_input_on_listed_rows():
@@ -945,7 +944,7 @@ def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
     thc = exact_factorize(ham, m=2, seed=1)
     exact = thc_bound(ham, thc, t=1.0)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
-                        lambda: operator_memory_bytes(1 << 2, 2) - 1)
+                        lambda: operator_memory_bytes(1 << 2) - 1)
     bound = thc_bound(ham, thc, t=1.0)
     assert bound.branch == "frobenius"
     assert bound.operator_norm is None

@@ -34,7 +34,6 @@ from isothc.cli import (
 from isothc.focksim import ModeLayout, basis_state
 from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
-    OPERATOR_TABLE_ENTRY_BYTES,
     ElectronicHamiltonian,
     _sector_states,
     operator_memory_bytes,
@@ -364,7 +363,7 @@ def test_simulate_writes_scaling_csv_and_sequence(tmp_path, factorized):
         (outdir / "givens_sequence.json").read_text())
     thc = ThcFactorization.from_json(thc_path.read_text())
     np.testing.assert_allclose(
-        sequence.single_particle_matrix()[:, : thc.n], thc.u.T.astype(complex),
+        oracles.single_particle_matrix(sequence)[:, : thc.n], thc.u.T.astype(complex),
         atol=1e-10,
     )
 
@@ -453,9 +452,8 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, monkeypatch):
     # the exact reference is charged by its block, the 100 system states of
     # the (3, 2) sector, not by the 2^10 states of the 10 system modes
     psi0 = hartree_fock_state(ham, 5, spinful=True)
-    reference = operator_memory_bytes(_sector_states(5, _sectors(psi0)).size, 10)
-    assert reference == operator_memory_bytes(100, 10) == (
-        6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES + OPERATOR_TABLE_ENTRY_BYTES * 10**2 * 100)
+    reference = operator_memory_bytes(_sector_states(5, _sectors(psi0)).size)
+    assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES
     assert reference < _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
 
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 512 * 2**20)
@@ -478,8 +476,8 @@ def test_simulate_refuses_a_reference_larger_than_memory(tmp_path, capsys, monke
     (tmp_path / "thc.json").write_text(thc.to_json())
     psi0 = hartree_fock_state(ham, 2, spinful=True)
     step = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
-    assert step < operator_memory_bytes(_sector_states(3, _sectors(psi0)).size, 6) == (
-        operator_memory_bytes(9, 6))
+    assert step < operator_memory_bytes(_sector_states(3, _sectors(psi0)).size) == (
+        operator_memory_bytes(9))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)
     assert main(["simulate", "--fcidump", str(tmp_path / "n3.fcidump"),

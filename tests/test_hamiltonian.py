@@ -38,7 +38,10 @@ def test_two_level_one_electron_ground_state():
     assert ground_state_energy(H, n_electrons=1) == pytest.approx(-1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,spinful", [(1, False), (2, False), (3, False), (2, True)])
+# n = 4 spinful and n = 5 spinless hold strings of two or more particles
+# whose itertools.combinations order is not ascending
+@pytest.mark.parametrize("n,spinful", [(1, False), (2, False), (3, False), (2, True),
+                                       (4, True), (5, False)])
 def test_operator_matches_string_oracle(n, spinful):
     H = oracles.random_hamiltonian(n, _rng)
     op = build_many_body_operator(H, spinful=spinful)
@@ -99,12 +102,12 @@ def test_mode_cap_enforced(monkeypatch):
     # on the basis states the operator is built on: all 16 of 4 modes, or the
     # 6 of two electrons for the ground state
     H = oracles.random_hamiltonian(2, _rng)
-    full, pairs = operator_memory_bytes(16, 4), operator_memory_bytes(6, 4)
+    full, pairs = operator_memory_bytes(16), operator_memory_bytes(6)
 
-    def no_build(n_modes, states):
-        raise AssertionError("excitation tables built for a refused register")
+    def no_build(n, k):
+        raise AssertionError("string tables built for a refused register")
 
-    monkeypatch.setattr(hamiltonian, "_excitation_tables", no_build)
+    monkeypatch.setattr(hamiltonian, "_string_tables", no_build)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: pairs - 1)
     with pytest.raises(ValueError, match="4 modes .* physical memory"):
         build_many_body_operator(H, spinful=True)
@@ -125,9 +128,9 @@ def test_mode_cap_enforced(monkeypatch):
 @pytest.mark.parametrize("n, n_electrons, size", [(8, 2, 120), (12, 2, 276), (16, 2, 496),
                                                   (16, 1, 32)])
 def test_operator_estimate_bounds_the_traced_peak_of_many_modes(n, n_electrons, size):
-    # few electrons in many modes: the excitation tables, n_modes**2 entries
-    # per listed state, and the two-body terms, n**4 spins**2 of them, grow
-    # faster than the dense copies of the block
+    # few electrons in many modes: each string has many excitations, so the
+    # build's term arrays (k(n - k) + k excitations per string, squared for
+    # the two-body terms of one spin) hold more entries than the block
     H = oracles.random_hamiltonian(n, np.random.default_rng(0))
     tracemalloc.start()
     try:
@@ -135,7 +138,7 @@ def test_operator_estimate_bounds_the_traced_peak_of_many_modes(n, n_electrons, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= operator_memory_bytes(size, 2 * n)
+    assert peak <= operator_memory_bytes(size)
 
 
 def sector_rows(n_modes: int, size: int, sectors) -> np.ndarray:
@@ -148,7 +151,7 @@ def sector_rows(n_modes: int, size: int, sectors) -> np.ndarray:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+@given(st.booleans(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
 def test_sector_build_is_the_block_of_the_full_build(spinful, n, seed, data):
     rng = np.random.default_rng(seed)
     drawn = oracles.random_hamiltonian(n, rng)
@@ -166,6 +169,17 @@ def test_sector_build_is_the_block_of_the_full_build(spinful, n, seed, data):
     assert np.array_equal(full.rows, np.arange(1 << full.n_modes))
     listed = build_many_body_operator(H, spinful=spinful, rows=full.rows)
     assert np.array_equal(listed.matrix, full.matrix)
+
+
+def test_operator_rows_must_hold_whole_sectors():
+    H = oracles.random_hamiltonian(3, _rng)
+    # the (1, 1) sector of 3 spinful orbitals holds 9 states; drop one
+    rows = hamiltonian._sector_states(3, [(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"8 of the 9 states of the sector \(1, 1\)"):
+        build_many_body_operator(H, spinful=True, rows=np.delete(rows, 5))
+    with pytest.raises(ValueError, match=r"1 of the 3 states of the sector \(2,\)"):
+        build_many_body_operator(H, rows=np.array([3]))
+    assert build_many_body_operator(H, spinful=True, rows=rows).matrix.shape == (12, 12)
 
 
 def test_operator_rows_must_ascend():
