@@ -192,6 +192,21 @@ class GivensSequence:
             if not 0 <= r.p < r.q < self.n_modes:
                 raise ValueError(f"rotation {r} outside of {self.n_modes} modes")
 
+    def __len__(self) -> int:
+        return len(self.rotations)
+
+    def single_particle_matrix(self) -> np.ndarray:
+        q = np.diag(np.exp(1j * self.diagonal_phases))
+        for r in self.rotations:
+            c, s = np.cos(r.theta), np.sin(r.theta)
+            rot = np.eye(self.n_modes, dtype=complex)
+            rot[r.p, r.p] = c
+            rot[r.p, r.q] = -np.exp(-1j * r.phi) * s
+            rot[r.q, r.p] = np.exp(1j * r.phi) * s
+            rot[r.q, r.q] = c
+            q = rot @ q
+        return q
+
     def to_json(self) -> str:
         return json.dumps(
             {

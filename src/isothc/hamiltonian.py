@@ -360,9 +360,10 @@ def _occupied_sectors(states: np.ndarray, size: int, n_spins: int) -> dict[tuple
     """How many of the basis indices ``states`` have each per-spin particle
     count, (N_up, N_down) or (N,), ascending; spin s holds ``size`` modes
     from mode s size."""
-    counts = [np.bitwise_count((states >> (s * size)) & ((1 << size) - 1)).tolist()
-              for s in range(n_spins)]
-    return dict(sorted(collections.Counter(zip(*counts)).items()))
+    counts = np.zeros((n_spins, states.size), dtype=np.int64)
+    for mode in range(n_spins * size):
+        counts[mode // size] += (states >> mode) & 1
+    return dict(sorted(collections.Counter(zip(*counts.tolist())).items()))
 
 
 @dataclass(frozen=True)
@@ -547,7 +548,10 @@ def ground_state_energy(
     n_modes = 2 * n if spinful else n
     if not 0 <= n_electrons <= n_modes:
         raise ValueError(f"cannot place {n_electrons} electrons in {n_modes} modes")
-    sectors = ([(up, n_electrons - up) for up in range(n + 1) if 0 <= n_electrons - up <= n]
-               if spinful else [(n_electrons,)])
+    if spinful:
+        sectors = [(up, n_electrons - up) for up in range(max(0, n_electrons - n),
+                                                          min(n, n_electrons) + 1)]
+    else:
+        sectors = [(n_electrons,)]
     op = build_many_body_operator(hamiltonian, spinful, _sector_states(n, sectors))
     return float(np.linalg.eigvalsh(op.matrix)[0])

@@ -363,7 +363,7 @@ def test_simulate_writes_scaling_csv_and_sequence(tmp_path, factorized):
         (outdir / "givens_sequence.json").read_text())
     thc = ThcFactorization.from_json(thc_path.read_text())
     np.testing.assert_allclose(
-        oracles.single_particle_matrix(sequence)[:, : thc.n], thc.u.T.astype(complex),
+        sequence.single_particle_matrix()[:, : thc.n], thc.u.T.astype(complex),
         atol=1e-10,
     )
 

@@ -96,7 +96,7 @@ def test_givens_decompose_rejects_bad_rows():
 
 def test_givens_decompose_identity_is_empty():
     seq = givens_decompose(np.eye(4)[:2])
-    assert len(seq.rotations) == 0
+    assert len(seq) == 0
     assert_allclose(seq.diagonal_phases, 0.0)
 
 
@@ -104,10 +104,10 @@ def test_givens_decompose_identity_is_empty():
 def test_givens_decompose_reconstructs_block(n, m):
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w[:n])
-    assert len(seq.rotations) <= m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
+    assert len(seq) <= m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
     for r in seq.rotations:
         assert r.q == r.p + 1
-    q = oracles.single_particle_matrix(seq)
+    q = seq.single_particle_matrix()
     assert_allclose(q[:, :n], w[:n, :].T, atol=1e-8)
     assert_allclose(q @ q.conj().T, np.eye(m), atol=1e-10)
 
@@ -134,7 +134,7 @@ def test_rotation_single_particle_action_matches_matrix():
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w)
     layout = ModeLayout(m, 0)
-    q = oracles.single_particle_matrix(seq)
+    q = seq.single_particle_matrix()
     for p in range(m):
         state = basis_state(layout, [1 if k == p else 0 for k in range(m)])
         rotated = rotate(state, seq)
@@ -147,7 +147,7 @@ def test_rotation_matches_exponentiated_generator(m):
     # circuit versus exp(sum_pq log(Q)_pq a+_p a_q) built by the string oracle
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w)
-    q = oracles.single_particle_matrix(seq)
+    q = seq.single_particle_matrix()
     generator = scipy.linalg.logm(q)
     big_u = scipy.linalg.expm(oracles.dense_quadratic(m, generator))
     layout = ModeLayout(m, 0)

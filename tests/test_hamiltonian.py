@@ -132,6 +132,7 @@ def test_operator_estimate_bounds_the_traced_peak_of_many_modes(n, n_electrons, 
     # build's term arrays (k(n - k) + k excitations per string, squared for
     # the two-body terms of one spin) hold more entries than the block
     H = oracles.random_hamiltonian(n, np.random.default_rng(0))
+    hamiltonian._string_tables.cache_clear()  # trace a cold build
     tracemalloc.start()
     try:
         ground_state_energy(H, n_electrons, spinful=True)
