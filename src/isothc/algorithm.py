@@ -15,9 +15,9 @@ the ancilla vacuum cancel.
 Since the ancillas start every step in the vacuum and are reset after it,
 only the ancilla-vacuum columns U P of the step unitary are ever compiled,
 and only on the rows that can be nonzero.  The extended register exists
-only inside the step engine, the one place that splits an extended basis
-index into its system and ancilla strings; every public function takes and
-returns system-only states.
+only inside the step engine, the one place that knows where the system
+and ancilla strings sit in an extended basis index; every public function
+takes and returns system-only states.
 
 The step conserves the particle number of each spin on the extended
 register, so the vacuum block K_0 = <0|U|., 0> maps every (N_up, N_down)
@@ -43,14 +43,16 @@ extended states are the cells (d, u) of a down-spin string d and an up-spin
 string u, so a column of U P is a C(m, N_down) x C(m, N_up) matrix X.  The
 Givens circuit acts on each spin alone, and on k-particle strings it is
 one matrix, its compound C_k = Lambda^k(Q), built once per factorization
-and k by running the circuit on the identity; a basis rotation is then
-X -> C_down X C_up^T, two matrix products per column block instead of one
-kernel call per gate.  An interaction block is applied as
-x + G^dagger((e^{-i tau E} - 1) (G x)), so its identity part is exact, and
-the one-body, two-body and ancilla phases are per-cell arrays built from
-the two spins' occupation tables.  A spinless layout is the same grid with
-one down string, the empty one.  A sector's block depends on that sector
-alone, so it is bit for bit those rows of the every-sector engine.
+and k by running the circuit on the identity over the strings of
+``hamiltonian._string_tables``, the per-spin tables the exact reference is
+built from; a basis rotation is then X -> C_down X C_up^T, two matrix
+products per column block instead of one kernel call per gate.  An
+interaction block is applied as x + G^dagger((e^{-i tau E} - 1) (G x)), so
+its identity part is exact, and the one-body, two-body and ancilla phases
+are per-cell arrays built from the two spins' occupation tables.  A
+spinless layout is the same grid with one down string, the empty one.  A
+sector's block depends on that sector alone, so it is bit for bit those
+rows of the every-sector engine.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -74,8 +76,6 @@ from .focksim import (
     GivensSequence,
     InvariantError,
     ModeLayout,
-    RowTables,
-    apply_basis_rotation,
     basis_state,
     exact_evolution,
     givens_decompose,
@@ -87,6 +87,7 @@ from .hamiltonian import (
     _admit_memory,
     _occupied_sectors,
     _sector_states,
+    _string_tables,
     build_many_body_operator,
 )
 from .thc import ThcFactorization, approximation_errors, projected_interaction
@@ -269,17 +270,6 @@ def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
                                  projected_interaction(thc.u, thc.vtilde))
 
 
-def _split_keys(layout: ModeLayout, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """System string ``a`` and ancilla string ``b`` of each extended basis index in ``rows``."""
-    a_key = np.zeros(rows.size, dtype=np.int64)
-    b_key = np.zeros(rows.size, dtype=np.int64)
-    for t, pos in enumerate(layout.system_modes):
-        a_key |= ((rows >> pos) & 1) << t
-    for t, pos in enumerate(layout.ancilla_modes):
-        b_key |= ((rows >> pos) & 1) << t
-    return a_key, b_key
-
-
 def _sectors(psi0: FockState) -> list[tuple[int, ...]]:
     """The (N_up, N_down) of every basis state ``psi0`` occupies, ascending.
 
@@ -334,11 +324,27 @@ def _compound(u_bytes: bytes, shape: tuple[int, int], k: int) -> tuple[np.ndarra
     and its adjoint: ``C_k[i, j]`` is the amplitude on the i-th k-particle
     string of one spin (ascending) of the circuit applied to the j-th.  The
     circuit runs once on the identity over those strings, cached per
-    factorization and k."""
+    factorization and k: the phases first, then each rotation in order.
+    The gate on (p, p + 1) mixes every string with p filled and p + 1
+    empty with the string a+_{p+1} a_p leads to, read from the string
+    tables; on adjacent modes that hop has sign +1."""
     m = shape[1]
-    strings = _sector_states(m, [(k,)])
-    identity = FockState(ModeLayout(m, 0), np.eye(strings.size, dtype=complex), strings)
-    c = apply_basis_rotation(identity, _decompose(u_bytes, shape), RowTables(identity)).amplitudes
+    sequence = _decompose(u_bytes, shape)
+    strings, pq, dest, _ = _string_tables(m, k)
+    exponent = np.zeros(strings.size)
+    for mode, phase in enumerate(sequence.diagonal_phases):
+        if phase != 0.0:
+            exponent = exponent + phase * ((strings >> mode) & 1)
+    c = np.exp(1j * exponent)[:, None] * np.eye(strings.size, dtype=complex)
+    # the strings with p filled and p + 1 empty, and where the hop takes each
+    hops = [(x, dest[x, col]) for x, col in
+            (np.nonzero(pq == (p + 1) * m + p) for p in range(m - 1))]
+    for r in sequence.rotations:
+        at_p, at_q = hops[r.p]
+        cos, sin = np.cos(r.theta), np.sin(r.theta)
+        xp, xq = c[at_p], c[at_q]  # gathers through index arrays are copies
+        c[at_p] = cos * xp - np.exp(-1j * r.phi) * sin * xq
+        c[at_q] = np.exp(1j * r.phi) * sin * xp + cos * xq
     c_h = c.T.conj()
     c.flags.writeable = c_h.flags.writeable = False
     return c, c_h
@@ -389,11 +395,15 @@ class _StepEngine:
         # the step conserves each spin's particle number on the extended
         # register, so U P has no nonzero row outside the sectors of S
         self.rows = _sector_states(layout.sector_size, sectors)
-        self.a_key, self.b_key = _split_keys(layout, self.rows)
+        self.support = _sector_states(layout.n_system, sectors)
         # the row of each compiled column: its system state with every
-        # ancilla empty, in ascending system index; these rows are K_0
-        self.vacuum = np.flatnonzero(self.b_key == 0)
-        self.support = self.a_key[self.vacuum]
+        # ancilla empty (the down half moved from bit n to bit m), in
+        # ascending system index; these rows are K_0, the rest leave the vacuum
+        n, m = layout.n_system, layout.sector_size
+        self.vacuum = np.searchsorted(
+            self.rows, (self.support & ((1 << n) - 1)) | ((self.support >> n) << m))
+        self.leaving = np.ones(self.rows.size, dtype=bool)
+        self.leaving[self.vacuum] = False
         self.spec = spec
         self.thc = thc
         self.sequence = _givens_circuit(thc)
@@ -427,7 +437,7 @@ class _StepEngine:
         layout, spec = self.layout, self.spec
         m, n = layout.sector_size, layout.n_system
         n_up, n_down = (*counts, 0)[:2]
-        strings = [_sector_states(m, [(n_down,)]), _sector_states(m, [(n_up,)])]
+        strings = [_string_tables(m, k)[0] for k in (n_down, n_up)]
         # columns: the cells whose strings leave every ancilla empty
         d_sys, u_sys = (np.flatnonzero(s < (1 << n)) for s in strings)
         col_d, col_u = np.repeat(d_sys, u_sys.size), np.tile(u_sys, d_sys.size)
@@ -501,7 +511,7 @@ class _StepEngine:
             size = self.support.size
             stack = np.empty((2 * size, size), dtype=complex)
             stack[:size] = up[self.vacuum]
-            leaving = up[self.b_key != 0]
+            leaving = up[self.leaving]
             # free U P before the product copies the leaving rows once more
             self._dense = up = None
             stack[-size:] = leaving.conj().T @ leaving
@@ -668,8 +678,8 @@ def projection_error_bound(
     engine = _StepEngine(thc, vprime, spec, extended_layout(thc, spinful=spinful))
     up = engine.dense_unitary()
     ideal = build_many_body_operator(vprime, spinful=spinful).propagator(tau)
-    term1 = float(np.linalg.norm(up[engine.b_key == 0] - ideal, 2))
-    term2 = 0.5 * float(np.linalg.norm(up[engine.b_key != 0], 2)) ** 2
+    term1 = float(np.linalg.norm(up[engine.vacuum] - ideal, 2))
+    term2 = 0.5 * float(np.linalg.norm(up[engine.leaving], 2)) ** 2
     return term1 + term2
 
 

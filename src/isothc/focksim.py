@@ -3,21 +3,21 @@
 Basis states are occupation-number strings of ``m`` modes, with mode 0 as
 the least significant bit of the basis index.  A ``FockState`` holds one
 amplitude vector or a block of columns (shape ``(len(rows), k)``) over the
-ascending basis states ``rows``, every basis state by default.  It is the
-one state type: ``apply_basis_rotation`` and ``exact_evolution`` act on it
-alone and read their tables from ``rows``; since every gate conserves each
-spin's particle number, a block on the rows of a few (N_up, N_down)
-sectors steps exactly as the same rows of the full basis would.  The step
-engine of ``algorithm`` runs a rotation circuit once, on the identity over
-one spin's k-particle strings, to get the circuit's compound matrix on
-them, and compiles its step from those matrices.  Basis indices are int64,
-so a register holds at most ``hamiltonian.MAX_MODES`` = 63 modes.  Layouts
-distinguish system modes (``a``) from ancilla modes (``b``); in a spinful
-layout the up-spin sector occupies modes ``0 .. sector_size-1`` and the
-down-spin sector the next ``sector_size`` modes, with a-modes before
-b-modes inside each sector, and a rotation acts on both sectors.
-``algorithm`` alone splits an extended basis index into its a and b
-strings.
+ascending basis states ``rows``, every basis state by default; it is the
+one state type, and ``exact_evolution`` acts on it on an operator's rows.
+Basis indices are int64, so a register holds at most
+``hamiltonian.MAX_MODES`` = 63 modes.  Layouts distinguish system modes
+(``a``) from ancilla modes (``b``); in a spinful layout the up-spin sector
+occupies modes ``0 .. sector_size-1`` and the down-spin sector the next
+``sector_size`` modes, with a-modes before b-modes inside each sector, and
+a rotation acts on both sectors.  ``algorithm`` alone places the a and b
+strings in an extended basis index.
+
+Basis-rotation circuits are defined and decomposed here.  No kernel here
+applies one: the step engine of ``algorithm`` runs a circuit once on the
+identity over one spin's k-particle strings, read from the string tables
+of ``hamiltonian``, to get its compound matrix on them, and compiles its
+step from those matrices.
 
 The only entangling gate is the Givens rotation on adjacent modes
 ``(p, p+1)``, which avoids Jordan-Wigner strings entirely.  Its action on
@@ -48,10 +48,8 @@ __all__ = [
     "FockState",
     "GivensRotation",
     "GivensSequence",
-    "RowTables",
     "basis_state",
     "givens_decompose",
-    "apply_basis_rotation",
     "exact_evolution",
 ]
 
@@ -263,110 +261,6 @@ def givens_decompose(u: np.ndarray) -> GivensSequence:
         GivensRotation(p, p + 1, -theta) for p, theta in reversed(elimination)
     )
     return GivensSequence(n_modes=m, rotations=rotations, diagonal_phases=phases)
-
-
-# ---------------------------------------------------------------------------
-# Gate application
-# ---------------------------------------------------------------------------
-
-def _pair_indices(rows: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ``rows`` of the states with mode p filled and q empty, and
-    of their partners with that particle moved to q."""
-    bit_p, bit_q = (rows >> p) & 1, (rows >> q) & 1
-    at_p = np.flatnonzero(bit_p > bit_q)
-    partner = rows[at_p] - (1 << p) + (1 << q)
-    at_q = np.searchsorted(rows, partner)
-    # closed rows pair every state holding one particle in {p, q} with its partner
-    if (np.count_nonzero(bit_q > bit_p) != at_p.size
-            or not np.array_equal(rows.take(at_q, mode="clip"), partner)):
-        raise ValueError(f"rows are not closed under a rotation of modes {p} and {q}")
-    return at_p, at_q
-
-
-class RowTables:
-    """The partner rows of each Givens pair of a state's rows, looked up once.
-
-    Build one for a block and pass it to every rotation of the block's rows
-    (a rotation keeps the rows of its input), so the pairs are found once
-    however many gates act; a rotation refuses the tables of other rows.
-    """
-
-    def __init__(self, state: FockState) -> None:
-        self.rows = state.rows
-        self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def check(self, state: FockState) -> None:
-        if state.rows is not self.rows:
-            raise ValueError("row tables were built for the rows of another state")
-
-    def pair(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """``_pair_indices`` of modes p and q, looked up once."""
-        if (p, q) not in self._pairs:
-            self._pairs[p, q] = _pair_indices(self.rows, p, q)
-        return self._pairs[p, q]
-
-
-def _mix_rows(mat_or_vec: np.ndarray, at_p, at_q, theta: float, phi: float) -> None:
-    c, s = np.cos(theta), np.sin(theta)
-    xp = mat_or_vec[at_p]  # a gather through an index array is a copy
-    xq = mat_or_vec[at_q]
-    mat_or_vec[at_p] = c * xp - np.exp(-1j * phi) * s * xq
-    mat_or_vec[at_q] = np.exp(1j * phi) * s * xp + c * xq
-
-
-def _scale_rows(diag: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    # ``diag`` scales the rows of a vector or of a column block.  Broadcast as
-    # a column, not through transposes: numpy multiplies a (1,) by a (1, 1)
-    # array on its scalar path, which rounds differently from its array loops,
-    # so a one-row block would not match the same row of a larger one.
-    return (diag if amplitudes.ndim == 1 else diag[:, None]) * amplitudes
-
-
-def apply_basis_rotation(
-    state: FockState,
-    sequence: GivensSequence,
-    tables: RowTables,
-    inverse: bool = False,
-) -> FockState:
-    """Apply a Givens-rotation circuit (or its inverse) to a state.
-
-    For spinful layouts the same sequence acts on both spin sectors; mode
-    indices inside the sequence are sector-relative.  ``tables`` are the
-    :class:`RowTables` of the state's rows.
-    """
-    tables.check(state)
-    layout = state.layout
-    if sequence.n_modes != layout.sector_size:
-        raise ValueError(
-            f"sequence on {sequence.n_modes} modes does not fit sector size "
-            f"{layout.sector_size}"
-        )
-    offsets = [sector * layout.sector_size for sector in range(layout.n_sectors)]
-
-    phase_per_mode = np.tile(sequence.diagonal_phases, layout.n_sectors)
-    rows = state.rows
-    exponent = np.zeros(rows.size)
-    for mode, phase in enumerate(phase_per_mode):
-        if phase != 0.0:
-            exponent = exponent + phase * ((rows >> mode) & 1)
-    phase_diag = np.exp(1j * exponent)
-
-    # a sequence revisits each adjacent pair many times; the tables look its rows up once
-    def apply_gate(p: int, q: int, theta: float, phi: float) -> None:
-        _mix_rows(out, *tables.pair(p, q), theta, phi)
-
-    if not inverse:
-        out = _scale_rows(phase_diag, state.amplitudes)
-        for r in sequence.rotations:
-            for off in offsets:
-                apply_gate(r.p + off, r.q + off, r.theta, r.phi)
-    else:
-        out = state.amplitudes.copy()
-        for r in reversed(sequence.rotations):
-            for off in offsets:
-                apply_gate(r.p + off, r.q + off, -r.theta, r.phi)
-        out = _scale_rows(phase_diag.conj(), out)
-    return FockState(layout, out, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -433,12 +433,14 @@ def operator_memory_bytes(dim: int) -> int:
     return OPERATOR_WORKING_COPIES * 16 * dim * dim + OPERATOR_SCRATCH_BYTES
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=8)
 def _string_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One spin's k-particle strings of ``n`` modes, ascending; row x of ``pq``,
     ``dest`` and ``signs`` lists the k(n - k) + k a+_p a_q that keep
     ``strings[x]``, by p n + q, the position of the string each leads to and
-    its Jordan-Wigner sign.  Cached per (n, k), read-only."""
+    its Jordan-Wigner sign.  Read-only, and cached for the last 8 (n, k): a
+    simulate run reads four, (n, N_up), (n, N_down), (m, N_up) and
+    (m, N_down), for the reference and for the step engine."""
     strings = _sector_states(n, [(k,)])
     modes = np.arange(n)
     occupied = (strings[:, None] >> modes) & 1

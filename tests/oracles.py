@@ -10,7 +10,11 @@ whole step unitary, occupation-basis ancilla reset, restriction back to the
 system modes) is kept here as the reference for the compiled step of
 ``isothc.algorithm``, and so is the step applied one Givens gate at a
 time on listed rows with the diagonal phase kernels (``gate_step``), the
-route the step engine's compile on the string grid replaced.  Three
+route the step engine's compile on the string grid replaced.  That gate
+kernel (``apply_basis_rotation``, with each gate's partner rows looked up
+once per block in ``RowTables``) run on the identity over one spin's
+k-particle strings is also the reference for the step engine's compound
+matrices, which now run the circuit on the package's string tables.  Three
 references check the vector ``evolve``: the whole system density stepped
 by every Kraus operator K_b = <b|U|., 0>, the
 density on the input's sectors stepped as K_0 rho K_0^dagger plus the
@@ -37,9 +41,6 @@ from isothc.focksim import (
     GivensRotation,
     GivensSequence,
     ModeLayout,
-    RowTables,
-    _scale_rows,
-    apply_basis_rotation,
     exact_evolution,
     givens_decompose,
 )
@@ -343,6 +344,110 @@ def reset_ancillas(rho: np.ndarray, layout: ModeLayout, parity_check: bool = Tru
 
 
 # ---------------------------------------------------------------------------
+# the Givens gate kernel on listed rows, the reference for the compound matrices
+
+
+def _pair_indices(rows: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``rows`` of the states with mode p filled and q empty, and
+    of their partners with that particle moved to q."""
+    bit_p, bit_q = (rows >> p) & 1, (rows >> q) & 1
+    at_p = np.flatnonzero(bit_p > bit_q)
+    partner = rows[at_p] - (1 << p) + (1 << q)
+    at_q = np.searchsorted(rows, partner)
+    # closed rows pair every state holding one particle in {p, q} with its partner
+    if (np.count_nonzero(bit_q > bit_p) != at_p.size
+            or not np.array_equal(rows.take(at_q, mode="clip"), partner)):
+        raise ValueError(f"rows are not closed under a rotation of modes {p} and {q}")
+    return at_p, at_q
+
+
+class RowTables:
+    """The partner rows of each Givens pair of a state's rows, looked up once.
+
+    Build one for a block and pass it to every rotation of the block's rows
+    (a rotation keeps the rows of its input), so the pairs are found once
+    however many gates act; a rotation refuses the tables of other rows.
+    """
+
+    def __init__(self, state: FockState) -> None:
+        self.rows = state.rows
+        self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def check(self, state: FockState) -> None:
+        if state.rows is not self.rows:
+            raise ValueError("row tables were built for the rows of another state")
+
+    def pair(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_pair_indices`` of modes p and q, looked up once."""
+        if (p, q) not in self._pairs:
+            self._pairs[p, q] = _pair_indices(self.rows, p, q)
+        return self._pairs[p, q]
+
+
+def _mix_rows(mat_or_vec: np.ndarray, at_p, at_q, theta: float, phi: float) -> None:
+    c, s = np.cos(theta), np.sin(theta)
+    xp = mat_or_vec[at_p]  # a gather through an index array is a copy
+    xq = mat_or_vec[at_q]
+    mat_or_vec[at_p] = c * xp - np.exp(-1j * phi) * s * xq
+    mat_or_vec[at_q] = np.exp(1j * phi) * s * xp + c * xq
+
+
+def _scale_rows(diag: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    # ``diag`` scales the rows of a vector or of a column block.  Broadcast as
+    # a column, not through transposes: numpy multiplies a (1,) by a (1, 1)
+    # array on its scalar path, which rounds differently from its array loops,
+    # so a one-row block would not match the same row of a larger one.
+    return (diag if amplitudes.ndim == 1 else diag[:, None]) * amplitudes
+
+
+def apply_basis_rotation(
+    state: FockState,
+    sequence: GivensSequence,
+    tables: RowTables,
+    inverse: bool = False,
+) -> FockState:
+    """Apply a Givens-rotation circuit (or its inverse) to a state.
+
+    For spinful layouts the same sequence acts on both spin sectors; mode
+    indices inside the sequence are sector-relative.  ``tables`` are the
+    :class:`RowTables` of the state's rows.
+    """
+    tables.check(state)
+    layout = state.layout
+    if sequence.n_modes != layout.sector_size:
+        raise ValueError(
+            f"sequence on {sequence.n_modes} modes does not fit sector size "
+            f"{layout.sector_size}"
+        )
+    offsets = [sector * layout.sector_size for sector in range(layout.n_sectors)]
+
+    phase_per_mode = np.tile(sequence.diagonal_phases, layout.n_sectors)
+    rows = state.rows
+    exponent = np.zeros(rows.size)
+    for mode, phase in enumerate(phase_per_mode):
+        if phase != 0.0:
+            exponent = exponent + phase * ((rows >> mode) & 1)
+    phase_diag = np.exp(1j * exponent)
+
+    # a sequence revisits each adjacent pair many times; the tables look its rows up once
+    def apply_gate(p: int, q: int, theta: float, phi: float) -> None:
+        _mix_rows(out, *tables.pair(p, q), theta, phi)
+
+    if not inverse:
+        out = _scale_rows(phase_diag, state.amplitudes)
+        for r in sequence.rotations:
+            for off in offsets:
+                apply_gate(r.p + off, r.q + off, r.theta, r.phi)
+    else:
+        out = state.amplitudes.copy()
+        for r in reversed(sequence.rotations):
+            for off in offsets:
+                apply_gate(r.p + off, r.q + off, -r.theta, r.phi)
+        out = _scale_rows(phase_diag.conj(), out)
+    return FockState(layout, out, rows)
+
+
+# ---------------------------------------------------------------------------
 # the step gate by gate on listed rows, the reference for the grid compile
 
 
@@ -465,8 +570,9 @@ def kraus_operators(engine) -> np.ndarray:
     """Every Kraus operator K_b = <b|U|., 0> of an every-sector step engine,
     stacked by ancilla string b (vacuum first), each on every system state."""
     system = engine.layout.system_only().dim
+    a_key, b_key = split_keys(engine.layout)
     kraus = np.zeros((engine.layout.dim // system, system, system), dtype=complex)
-    kraus[engine.b_key, engine.a_key] = engine.dense_unitary()
+    kraus[b_key[engine.rows], a_key[engine.rows]] = engine.dense_unitary()
     return kraus
 
 

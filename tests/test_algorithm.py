@@ -630,6 +630,30 @@ def test_grid_compile_matches_the_gate_route(n, extra, spinful, variant, every, 
                     rtol=0, atol=1e-13)
 
 
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_compound_matrix_is_the_gate_kernel_on_the_identity(m, seed, data):
+    # C_k run on the string tables against the row kernel run on the
+    # identity over the k-particle strings, bit for bit, and against the
+    # k x k minors of the circuit's single-particle matrix Q, which share
+    # no gate kernel with either
+    n = data.draw(st.integers(1, m))
+    k = data.draw(st.integers(0, m))
+    u = random_co_isometry(n, m, np.random.default_rng(seed))
+    c, c_h = algorithm._compound(u.tobytes(), u.shape, k)
+    sequence = givens_decompose(u)
+    strings = oracles.sector_indices(m, k)
+    identity = FockState(ModeLayout(m, 0), np.eye(strings.size, dtype=complex), strings)
+    kernel = oracles.apply_basis_rotation(identity, sequence, oracles.RowTables(identity))
+    assert np.array_equal(c, kernel.amplitudes)
+    assert np.array_equal(c_h, c.T.conj())
+    modes = np.array([np.flatnonzero((s >> np.arange(m)) & 1) for s in strings],
+                     dtype=int).reshape(strings.size, k)
+    q = sequence.single_particle_matrix()
+    minors = np.linalg.det(q[modes[:, None, :, None], modes[None, :, None, :]])
+    assert_allclose(c, minors, rtol=0, atol=1e-14)
+
+
 def per_spin_counts(states: np.ndarray, layout: ModeLayout) -> list[tuple[int, ...]]:
     low = (1 << layout.sector_size) - 1
     return [tuple(bin((int(x) >> (spin * layout.sector_size)) & low).count("1")
@@ -666,6 +690,12 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     states = np.arange(system.dim)
     support = states[[c in counts for c in per_spin_counts(states, system)]]
     assert np.array_equal(engine.support, support)
+    # K_0's rows: the extended states whose ancilla string is empty, in the
+    # order of their system strings, the support; the rest leave the vacuum
+    a_key, b_key = oracles.split_keys(layout)
+    assert np.array_equal(engine.vacuum, np.flatnonzero(b_key[engine.rows] == 0))
+    assert np.array_equal(engine.leaving, b_key[engine.rows] != 0)
+    assert np.array_equal(a_key[engine.rows[engine.vacuum]], engine.support)
     # the memory estimate counts the same rows and columns without listing
     # them, and the compound matrix of each spin's particle count
     compounds = sum(math.comb(m, k) ** 2 for k in {k for c in counts for k in c})
@@ -688,12 +718,14 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     psi = hartree_fock_state(ham, electrons, spinful=True)
     layout = extended_layout(thc, spinful=True)
     sectors = _every_sector(layout) if every else _sectors(psi)
+    # each extended state's ancilla string, looked up before the trace starts
+    b_key = oracles.split_keys(layout)[1] if every else None
     tracemalloc.start()
     try:
         engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), layout, sectors)
         if every:
             up = engine.dense_unitary()
-            for rows in (engine.vacuum, engine.b_key != 0):
+            for rows in (engine.vacuum, b_key[engine.rows] != 0):
                 np.linalg.norm(up[rows], 2)
         else:
             vector = psi.amplitudes[engine.support]

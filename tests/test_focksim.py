@@ -6,13 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from isothc import focksim
 from isothc.focksim import (
     FockState,
     GivensRotation,
     ModeLayout,
-    RowTables,
-    apply_basis_rotation,
     basis_state,
     exact_evolution,
     givens_decompose,
@@ -21,6 +18,8 @@ from isothc.hamiltonian import ManyBodyOperator, build_many_body_operator
 
 import oracles
 from oracles import (
+    RowTables,
+    apply_basis_rotation,
     apply_diagonal_one_body,
     apply_diagonal_two_body,
     density,
@@ -248,8 +247,8 @@ def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
     state = FockState(layout, rng.normal(size=layout.dim) + 0j)
     tables = RowTables(state)
     lookups = []
-    pair_indices = focksim._pair_indices
-    monkeypatch.setattr(focksim, "_pair_indices",
+    pair_indices = oracles._pair_indices
+    monkeypatch.setattr(oracles, "_pair_indices",
                         lambda rows, p, q: lookups.append((p, q)) or pair_indices(rows, p, q))
     out = apply_basis_rotation(state, seq, tables)
     out = apply_diagonal_two_body(out, vtilde, 0.4)

@@ -142,6 +142,16 @@ def test_operator_estimate_bounds_the_traced_peak_of_many_modes(n, n_electrons, 
     assert peak <= operator_memory_bytes(size)
 
 
+def test_string_table_cache_keeps_at_most_eight_tables():
+    # tables outside every memory estimate stay alive in the cache; a run
+    # reads four of them, so eight bound what a sweep leaves behind
+    hamiltonian._string_tables.cache_clear()
+    for n in (6, 7, 8, 9, 10):
+        for k in (1, 2):
+            hamiltonian._string_tables(n, k)
+    assert hamiltonian._string_tables.cache_info().currsize <= 8
+
+
 def sector_rows(n_modes: int, size: int, sectors) -> np.ndarray:
     """Every basis state of ``n_modes`` modes whose per-spin particle counts
     (``size`` modes per spin) are one of ``sectors``, by brute force."""
