@@ -21,7 +21,8 @@ density on the input's sectors stepped as K_0 rho K_0^dagger plus the
 leaked weight tr(G rho) (the route ``evolve`` took before it stepped one
 vector), and, for one electron per spin, the step and the exact evolution
 in extended precision (``np.clongdouble``), which sets the float64 floor
-that a bit-changing route must stay within.  The THC
+that a bit-changing route must stay within; the projection-error bound on
+every sector has its own long-double evaluation.  The THC
 refinement loop that solves the core twice per step and plans the
 gradient's einsum order on every call is the reference for
 ``isothc.thc.refine``.  It also reads back the ``givens_sequence.json``
@@ -30,6 +31,7 @@ artifact, which only the tests need to parse.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 
@@ -51,6 +53,7 @@ from isothc.thc import (
     approximation_errors,
     contract_vtilde,
     polar_retract,
+    projected_interaction,
 )
 
 
@@ -715,6 +718,92 @@ def exact_evolution_long_double(
     out[cells] = (_expm_long_double(-cld(1j) * np.longdouble(t) * sector)
                   @ psi0.amplitudes[cells].astype(cld))
     return out
+
+
+def _compound_long_double(q: np.ndarray, k: int) -> np.ndarray:
+    """Lambda^k(Q) on one spin's k-particle strings of ``len(q)`` modes,
+    ascending: entry (i, j) is the minor of Q on the modes of strings i and
+    j, summed permutation by permutation (Leibniz) in Q's dtype."""
+    m = len(q)
+    modes = [np.flatnonzero((s >> np.arange(m)) & 1) for s in sector_indices(m, k)]
+    signed = [(perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+              for perm in itertools.permutations(range(k))]
+    out = np.zeros((len(modes), len(modes)), dtype=q.dtype)
+    for i, rows in enumerate(modes):
+        for j, cols in enumerate(modes):
+            for perm, sign in signed:
+                term = q.dtype.type(sign)
+                for a in range(k):
+                    term = term * q[rows[a], cols[perm[a]]]
+                out[i, j] += term
+    return out
+
+
+def _norm_long_double(a: np.ndarray) -> np.longdouble:
+    """The spectral norm of a long-double matrix, as the long-double Rayleigh
+    quotient of a^dagger a at the float64 top right singular vector, which
+    is exact to second order in that vector's error."""
+    if a.size == 0:
+        return np.longdouble(0)
+    v = np.linalg.svd(a.astype(complex))[2][0].conj().astype(np.clongdouble)
+    av = a @ v
+    return np.sqrt(np.vdot(av, av).real / np.vdot(v, v).real)
+
+
+def projection_bound_long_double(thc: ThcFactorization, spec: StepSpec,
+                                 spinful: bool = True) -> np.longdouble:
+    """``projection_error_bound`` in ``np.clongdouble``: on every (N_up, N_down)
+    sector, U P on the sector's grid X[d, u] of down and up strings of m
+    modes, with C_k = Lambda^k(Q) from the Leibniz minors, against the
+    Taylor exponential of the sector's block of V' accumulated string by
+    string.  The two norms are those of block-diagonal matrices, so each is
+    the largest of its sectors' block norms."""
+    n, m = thc.n, thc.m
+    ld, cld = np.longdouble, np.clongdouble
+    i_unit = cld(1j)
+    tau = ld(spec.tau)
+    q = single_particle_matrix(givens_decompose(thc.u), dtype=cld)
+    vs = (thc.vtilde.astype(ld) + thc.vtilde.T.astype(ld)) / 2
+    if spec.variant == "basic":
+        blocks = [(None, tau)]
+    else:
+        phi1, phi2, phi3 = (ld(p) for p in spec.phases)
+        blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
+    vprime = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)),
+                                   projected_interaction(thc.u, thc.vtilde))
+    dense = dense_hamiltonian(vprime, spinful, dtype=cld)
+    term1 = term2 = ld(0)
+    for n_up in range(n + 1):
+        for n_down in range(n + 1) if spinful else (0,):
+            down, up = sector_indices(m, n_down), sector_indices(m, n_up)
+            # per-orbital occupation N_a of each cell, summed over spin
+            occ = [((s[:, None] >> np.arange(m)) & 1).astype(ld) for s in (down, up)]
+            total = occ[0][:, None, :] + occ[1][None, :, :]
+            theta = (np.einsum("dua,ab,dub->du", total, np.triu(vs, 1), total)
+                     + (np.diag(vs) * total * (total - 1)).sum(axis=2) / 2)
+            ancillas = total[:, :, n:].sum(axis=2)
+            c_down, c_up = _compound_long_double(q, n_down), _compound_long_double(q, n_up)
+            d_sys, u_sys = np.flatnonzero(down < (1 << n)), np.flatnonzero(up < (1 << n))
+            columns = []
+            for d in d_sys:
+                for u in u_sys:
+                    x = np.zeros((down.size, up.size), dtype=cld)
+                    x[d, u] = 1
+                    for phi, block_tau in blocks:
+                        if phi is not None:
+                            x = np.exp(i_unit * phi * ancillas) * x
+                        x = c_down @ x @ c_up.T
+                        x = np.exp(-i_unit * block_tau * theta) * x
+                        x = c_down.conj().T @ x @ c_up.conj()
+                    columns.append(x)
+            up_p = np.stack(columns, axis=2)  # rows (d, u), one column per system cell
+            vacuum = np.zeros(up_p.shape[:2], dtype=bool)
+            vacuum[np.ix_(d_sys, u_sys)] = True
+            states = ((down[d_sys, None] << n) | up[None, u_sys]).ravel()
+            ideal = _expm_long_double(-i_unit * tau * dense[np.ix_(states, states)])
+            term1 = max(term1, _norm_long_double(up_p[vacuum] - ideal))
+            term2 = max(term2, _norm_long_double(up_p[~vacuum]) ** 2 / 2)
+    return term1 + term2
 
 
 def distance_long_double(

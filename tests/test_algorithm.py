@@ -194,6 +194,19 @@ def test_h2_projection_errors_are_pinned(variant):
     assert repr(bound) == H2_PROJECTION_BOUND[variant]
 
 
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_h2_projection_bound_lies_within_the_float64_floor(variant):
+    # the pinned bound and a fresh one against the same bound evaluated in
+    # long double on every sector (U P from Leibniz minors, the ideal from a
+    # Taylor exponential, each norm a Rayleigh quotient): a route that moves
+    # the bound's bits must stay this close
+    _, thc = h2_best_exact_thc()
+    exact = oracles.projection_bound_long_double(thc, StepSpec(tau=1e-2, variant=variant))
+    fresh = projection_error_bound(thc, 1e-2, variant=variant, spinful=True)
+    for value in (float(H2_PROJECTION_BOUND[variant]), fresh):
+        assert abs(np.longdouble(value) - exact) < 1e-15
+
+
 def test_hartree_fock_state_spinless_fills_lowest_modes():
     h = np.diag([3.0, 1.0, 2.0])
     ham = ElectronicHamiltonian(3, 0.0, h, np.zeros((3, 3, 3, 3)))
