@@ -15,9 +15,13 @@ the ancilla vacuum cancel.
 Since the ancillas start every step in the vacuum and are reset after it,
 only the ancilla-vacuum columns U P of the step unitary are ever compiled,
 and only on the rows that can be nonzero.  The extended register exists
-only inside the step engine, the one place that knows where the system
-and ancilla strings sit in an extended basis index; every public function
-takes and returns system-only states.
+only inside the step engine; every public function takes and returns
+system-only states.  Rows and columns are both in the sector-major order
+of ``hamiltonian``, by per-sector offsets: a sector's extended cells are
+its grid of down and up strings of m modes per spin, and its system
+cells, the columns, are the same grid over the n system modes.  The
+system strings are the first C(n, k) of the ascending C(m, k) strings, so
+the system cell (d, u) is the extended cell (d, u) of the same sector.
 
 The step conserves the particle number of each spin on the extended
 register, so the vacuum block K_0 = <0|U|., 0> maps every (N_up, N_down)
@@ -65,7 +69,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,8 +88,8 @@ from .hamiltonian import (
     ManyBodyOperator,
     MemoryRefusal,
     _admit_memory,
-    _occupied_sectors,
-    _sector_states,
+    _sector_list,
+    _sector_offsets,
     _string_tables,
     build_many_body_operator,
 )
@@ -118,10 +121,10 @@ DIAGONAL_TOL = 1e-10
 # and the rows the projection bound reads (tracemalloc peaks of sector and
 # every-sector engines at 10-16 modes: 1.95-2.24 copies)
 STEP_WORKING_COPIES = 3
-# bytes per compiled row besides the copies: the engine's index arrays, a
-# sector's scatter positions, per-cell phases and energies, and one column
-# of each of the three chunk arrays (a one-column engine at 48 modes peaks
-# at about 170 bytes per row above its compound matrices)
+# bytes per compiled row besides the copies: the engine's vacuum rows and
+# leaving mask, per-cell phases and energies, and one column of each of the
+# three chunk arrays (a one-column engine at 48 modes peaks at about 115
+# bytes per row above two copies of its compound matrices)
 GRID_BYTES_PER_STATE = 192
 # compound matrices, each kept with its adjoint, plus the identity a new
 # one is built from
@@ -210,8 +213,8 @@ def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
     matrices of each spin's particle count.  Counted, not enumerated, so a
     register far too large is refused at once.
     """
-    columns = _sector_count(layout.system_only(), sectors)
-    rows = _sector_count(layout, sectors)
+    columns = _sector_offsets(layout.n_system, sectors)[-1]
+    rows = _sector_offsets(layout.sector_size, sectors)[-1]
     compounds = sum(math.comb(layout.sector_size, k) ** 2
                     for k in {k for counts in sectors for k in counts})
     return ((STEP_WORKING_COPIES * 16 * columns + GRID_BYTES_PER_STATE) * rows
@@ -270,39 +273,31 @@ def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
                                  projected_interaction(thc.u, thc.vtilde))
 
 
+def _blocks(state: FockState) -> dict[tuple[int, ...], np.ndarray]:
+    """The amplitudes of each sector of ``state``, as views."""
+    offsets = _sector_offsets(state.layout.sector_size, state.sectors)
+    return {counts: state.amplitudes[start:stop]
+            for counts, start, stop in zip(state.sectors, offsets, offsets[1:])}
+
+
 def _sectors(psi0: FockState) -> list[tuple[int, ...]]:
-    """The (N_up, N_down) of every basis state ``psi0`` occupies, ascending.
+    """The sectors (N_up, N_down) whose block of ``psi0`` is nonzero, ascending.
 
     ``(N,)`` when spinless.  Raises ``ValueError`` unless every amplitude of
     ``psi0`` lies at one total particle number.
     """
-    layout = psi0.layout
-    sectors = list(_occupied_sectors(psi0.rows[psi0.amplitudes != 0], layout.sector_size,
-                                     layout.n_sectors))
+    sectors = [counts for counts, block in _blocks(psi0).items() if np.any(block)]
     totals = sorted({sum(sector) for sector in sectors})
     if len(totals) != 1:
         raise ValueError(f"psi0 must have one particle number, found {totals}")
     return sectors
 
 
-def _on_rows(state: FockState, rows: np.ndarray) -> FockState:
-    """``state`` on the ascending basis ``rows``, which hold every nonzero
-    amplitude of it."""
-    at = np.searchsorted(state.rows, rows)
-    found = state.rows.take(at, mode="clip") == rows
-    return FockState(state.layout, np.where(found, state.amplitudes.take(at, mode="clip"), 0),
-                     rows)
-
-
-def _every_sector(layout: ModeLayout) -> list[tuple[int, ...]]:
-    """Every per-spin particle count of ``layout``; its states are every basis state."""
-    return list(itertools.product(range(layout.sector_size + 1), repeat=layout.n_sectors))
-
-
-def _sector_count(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
-    """How many basis states of ``layout`` lie in ``sectors``, without listing them."""
-    return sum(math.prod(math.comb(layout.sector_size, count) for count in counts)
-               for counts in sectors)
+def _on_sectors(state: FockState, sectors: list[tuple[int, ...]]) -> FockState:
+    """``state`` on ``sectors``, some of its own that hold every nonzero
+    amplitude of it: the gather of their blocks."""
+    blocks = _blocks(state)
+    return FockState(state.layout, np.concatenate([blocks[c] for c in sectors]), sectors)
 
 
 @functools.lru_cache(maxsize=8)
@@ -365,11 +360,11 @@ def _rotate(x: np.ndarray, c_down: np.ndarray, c_up: np.ndarray,
 class _StepEngine:
     """One compiled step on the extended ``layout``.
 
-    The engine acts on the support S, the system states whose per-spin
-    particle counts are one of ``sectors`` (every sector of ``layout`` by
-    default, so S is every system state), and compiles only ``rows``, the
-    extended states in those sectors.  A step larger than physical memory
-    is refused before it compiles.
+    The engine acts on the support S, the system cells of ``sectors``
+    (every sector of ``layout`` by default, so S is every system state),
+    and compiles only the extended cells of those sectors; both are in
+    sector-major order, placed by ``row_offsets`` and ``col_offsets``.  A
+    step larger than physical memory is refused before it compiles.
     """
 
     def __init__(
@@ -387,22 +382,25 @@ class _StepEngine:
             )
         if hamiltonian.n_orbitals != thc.n:
             raise ValueError("Hamiltonian size does not match the factorization")
-        if sectors is None:
-            sectors = _every_sector(layout)
+        n, m = layout.n_system, layout.sector_size
+        sectors = _sector_list(m, layout.n_sectors, sectors)
         _admit_memory("the step", layout.n_modes, _step_bytes(layout, sectors))
         self.layout = layout
         self.sectors = sectors
         # the step conserves each spin's particle number on the extended
         # register, so U P has no nonzero row outside the sectors of S
-        self.rows = _sector_states(layout.sector_size, sectors)
-        self.support = _sector_states(layout.n_system, sectors)
-        # the row of each compiled column: its system state with every
-        # ancilla empty (the down half moved from bit n to bit m), in
-        # ascending system index; these rows are K_0, the rest leave the vacuum
-        n, m = layout.n_system, layout.sector_size
-        self.vacuum = np.searchsorted(
-            self.rows, (self.support & ((1 << n) - 1)) | ((self.support >> n) << m))
-        self.leaving = np.ones(self.rows.size, dtype=bool)
+        self.row_offsets = _sector_offsets(m, sectors)
+        self.col_offsets = _sector_offsets(n, sectors)
+        # the row of each compiled column, its system cell (d, u) with every
+        # ancilla empty: cell (d, u) of the sector's extended grid, in column
+        # order; these rows are K_0, the rest leave the vacuum
+        vacuum = []
+        for counts, start in zip(sectors, self.row_offsets):
+            n_up, n_down = (*counts, 0)[:2]
+            vacuum.append(start + (np.arange(math.comb(n, n_down))[:, None] * math.comb(m, n_up)
+                                   + np.arange(math.comb(n, n_up))).ravel())
+        self.vacuum = np.concatenate(vacuum)
+        self.leaving = np.ones(self.row_offsets[-1], dtype=bool)
         self.leaving[self.vacuum] = False
         self.spec = spec
         self.thc = thc
@@ -414,38 +412,37 @@ class _StepEngine:
         self._kraus: np.ndarray | None = None
 
     def dense_unitary(self) -> np.ndarray:
-        """``U P`` on the support, shape ``(|rows|, |S|)``: column ``j`` is the
-        image of system state ``S[j]`` in the ancilla vacuum, row ``i`` its
-        amplitude on extended state ``rows[i]``.  Compiled one sector at a
-        time on its string grid, cached until the step operators are copied
-        out."""
+        """``U P`` on the support, shape ``(rows, |S|)``: column ``j`` is the
+        image of the j-th system cell in the ancilla vacuum, row ``i`` its
+        amplitude on the i-th extended cell.  Compiled one sector at a time
+        on its string grid, cached until the step operators are copied out."""
         if self._dense is None:
-            up = np.zeros((self.rows.size, self.support.size), dtype=complex)
-            for counts in self.sectors:
-                self._compile_sector(counts, up)
+            up = np.zeros((self.row_offsets[-1], self.col_offsets[-1]), dtype=complex)
+            for counts, row, col in zip(self.sectors, self.row_offsets, self.col_offsets):
+                self._compile_sector(counts, row, col, up)
             self._dense = up
         return self._dense
 
-    def _compile_sector(self, counts: tuple[int, ...], up: np.ndarray) -> None:
+    def _compile_sector(self, counts: tuple[int, ...], row: int, col: int,
+                        up: np.ndarray) -> None:
         """Write the columns of U P on one (N_up, N_down) sector into ``up``,
-        on the sector's grid X[d, u] of down and up strings (see the module
-        docstring).  Columns compile in at most three chunks, whose three
-        work arrays together hold at most one sector block.  Nothing here
-        depends on the other sectors, so a sector's block is bit for bit the
-        same in every engine that compiles it.
+        whose block starts at row ``row`` and column ``col``, on the sector's
+        grid X[d, u] of down and up strings (see the module docstring).
+        Columns compile in at most three chunks, whose three work arrays
+        together hold at most one sector block.  Nothing here depends on the
+        other sectors, so a sector's block is bit for bit the same in every
+        engine that compiles it.
         """
         layout, spec = self.layout, self.spec
         m, n = layout.sector_size, layout.n_system
         n_up, n_down = (*counts, 0)[:2]
         strings = [_string_tables(m, k)[0] for k in (n_down, n_up)]
-        # columns: the cells whose strings leave every ancilla empty
-        d_sys, u_sys = (np.flatnonzero(s < (1 << n)) for s in strings)
+        # columns: the system cells, the first C(n, k) strings of each spin
+        d_sys, u_sys = (np.arange(math.comb(n, k)) for k in (n_down, n_up))
         col_d, col_u = np.repeat(d_sys, u_sys.size), np.tile(u_sys, d_sys.size)
         if not col_d.size:
             return
-        rows_at = np.searchsorted(
-            self.rows, ((strings[0][:, None] << m) | strings[1][None, :]).ravel())
-        cols_at = np.searchsorted(self.support, (strings[0][col_d] << n) | strings[1][col_u])
+        rows_at = slice(row, row + strings[0].size * strings[1].size)
 
         # occupation of each orbital slot in each string of either spin
         occ = [((s[:, None] >> np.arange(m)) & 1).astype(float) for s in strings]
@@ -500,7 +497,7 @@ class _StepEngine:
                 _rotate(rotated, c_down_h, c_up_h, work, rotated)
                 x += rotated
             x *= one_body[:, :, None]
-            up[np.ix_(rows_at, cols_at[at])] = x.reshape(-1, width)
+            up[rows_at, col + start:col + start + width] = x.reshape(-1, width)
 
     def _kraus_operators(self) -> np.ndarray:
         """``[K_0; G]`` as one ``(2|S|, |S|)`` array: the vacuum block
@@ -508,7 +505,7 @@ class _StepEngine:
         W with an occupied ancilla; ``U P`` is freed once copied out."""
         if self._kraus is None:
             up = self.dense_unitary()
-            size = self.support.size
+            size = self.col_offsets[-1]
             stack = np.empty((2 * size, size), dtype=complex)
             stack[:size] = up[self.vacuum]
             leaving = up[self.leaving]
@@ -579,9 +576,9 @@ def evolve(
     # come before any step runs, and the two never coexist
     layout = extended_layout(thc, spinful=psi0.layout.spinful)
     engine = _StepEngine(thc, hamiltonian, spec, layout, sectors)
-    psi0 = _on_rows(psi0, engine.support)
+    psi0 = _on_sectors(psi0, sectors)
     t_simulated = n_steps * tau
-    op = build_many_body_operator(hamiltonian, psi0.layout.spinful, psi0.rows)
+    op = build_many_body_operator(hamiltonian, psi0.layout.spinful, psi0.sectors)
     phi = exact_evolution(op, psi0, t_simulated).amplitudes
     del op
     psi = psi0.amplitudes
@@ -605,7 +602,7 @@ def trotter_bound(h_op: ManyBodyOperator, vprime_op: ManyBodyOperator, tau: floa
 
         tau^3/12 ||[V', [V', h]]|| + tau^3/24 ||[h, [h, V']]||
     """
-    if h_op.n_modes != vprime_op.n_modes or not np.array_equal(h_op.rows, vprime_op.rows):
+    if h_op.n_modes != vprime_op.n_modes or h_op.sectors != vprime_op.sectors:
         raise ValueError("operators act on different registers")
     a = h_op.matrix
     b = vprime_op.matrix

@@ -1,17 +1,20 @@
 """Exact simulation primitives on small fermionic Fock spaces.
 
-Basis states are occupation-number strings of ``m`` modes, with mode 0 as
-the least significant bit of the basis index.  A ``FockState`` holds one
-amplitude vector or a block of columns (shape ``(len(rows), k)``) over the
-ascending basis states ``rows``, every basis state by default; it is the
-one state type, and ``exact_evolution`` acts on it on an operator's rows.
-Basis indices are int64, so a register holds at most
-``hamiltonian.MAX_MODES`` = 63 modes.  Layouts distinguish system modes
+A ``FockState`` holds one amplitude vector or a block of columns (shape
+``(cells, k)``) on a list of per-spin particle-number sectors, (N_up,
+N_down) or (N,) when spinless, every sector of its layout by default; it
+is the one state type, and ``exact_evolution`` acts on it on an
+operator's sectors.  Its rows are the cells of those sectors in the
+sector-major order of ``hamiltonian``: sector by sector, ascending, and
+within a sector its grid of down and up strings row-major, each spin's
+k-particle strings ascending as bitmasks with mode 0 as the least
+significant bit.  No full-register basis index exists, so a state costs
+its sectors' cells only; the strings are int64, so a layout holds at most
+``MAX_SPIN_MODES`` = 63 modes per spin.  Layouts distinguish system modes
 (``a``) from ancilla modes (``b``); in a spinful layout the up-spin sector
 occupies modes ``0 .. sector_size-1`` and the down-spin sector the next
 ``sector_size`` modes, with a-modes before b-modes inside each sector, and
-a rotation acts on both sectors.  ``algorithm`` alone places the a and b
-strings in an extended basis index.
+a rotation acts on both sectors.
 
 Basis-rotation circuits are defined and decomposed here.  No kernel here
 applies one: the step engine of ``algorithm`` runs a circuit once on the
@@ -36,11 +39,12 @@ pair ``(p, p+1)``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ManyBodyOperator, _ascending_rows, _check_mode_count
+from .hamiltonian import ManyBodyOperator, _sector_list, _sector_offsets
 
 __all__ = [
     "InvariantError",
@@ -52,6 +56,10 @@ __all__ = [
     "givens_decompose",
     "exact_evolution",
 ]
+
+# each spin's occupation string is an int64 bitmask, and bit 63 is the sign bit
+MAX_SPIN_MODES = 63
+
 
 class InvariantError(ValueError):
     """A simulation invariant (trace, rotation count) failed to hold."""
@@ -68,7 +76,9 @@ class ModeLayout:
     def __post_init__(self) -> None:
         if self.n_system < 1 or self.n_ancilla < 0:
             raise ValueError("need n_system >= 1 and n_ancilla >= 0")
-        _check_mode_count(self.n_modes)
+        if self.sector_size > MAX_SPIN_MODES:
+            raise ValueError(f"{self.sector_size} modes per spin exceed the "
+                             f"{MAX_SPIN_MODES}-mode limit of int64 spin strings")
 
     @property
     def sector_size(self) -> int:
@@ -86,64 +96,58 @@ class ModeLayout:
     def dim(self) -> int:
         return 1 << self.n_modes
 
-    @property
-    def system_modes(self) -> tuple[int, ...]:
-        return tuple(
-            s * self.sector_size + i
-            for s in range(self.n_sectors)
-            for i in range(self.n_system)
-        )
-
-    @property
-    def ancilla_modes(self) -> tuple[int, ...]:
-        return tuple(
-            s * self.sector_size + i
-            for s in range(self.n_sectors)
-            for i in range(self.n_system, self.sector_size)
-        )
-
     def system_only(self) -> "ModeLayout":
         return ModeLayout(self.n_system, 0, self.spinful)
 
 
 @dataclass
 class FockState:
-    """Pure state amplitudes over the occupation basis, or a block of columns.
+    """Pure state amplitudes on per-spin particle-number sectors, or a block
+    of columns.
 
-    Row ``i`` of ``amplitudes`` belongs to basis state ``rows[i]``; ``rows``
-    holds ascending basis indices and defaults to every basis state.  A
-    rotation acts on the listed rows only, so a block on fewer rows must be
-    closed under every gate applied to it, as a union of per-spin
-    particle-number sectors is.
+    ``sectors`` lists ascending (N_up, N_down), or (N,) when spinless, every
+    sector of the layout by default; row ``i`` of ``amplitudes`` is the
+    i-th cell of those sectors in sector-major order (module docstring).
     """
 
     layout: ModeLayout
     amplitudes: np.ndarray
-    rows: np.ndarray | None = None
+    sectors: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        dim = self.layout.dim
-        self.rows = np.arange(dim) if self.rows is None else _ascending_rows(self.rows, dim)
+        size = self.layout.sector_size
+        self.sectors = _sector_list(size, self.layout.n_sectors, self.sectors)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         # one vector, or a block of columns
-        want = (self.rows.size,) + self.amplitudes.shape[1:2]
+        want = (_sector_offsets(size, self.sectors)[-1],) + self.amplitudes.shape[1:2]
         if self.amplitudes.shape != want:
             raise ValueError(f"array shape {self.amplitudes.shape} does not match "
-                             f"layout dim {want}")
+                             f"the shape {want} on its sectors")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
 
 def basis_state(layout: ModeLayout, occupations: str | list[int]) -> FockState:
-    """Computational basis state; ``occupations[k]`` is the filling of mode k."""
+    """Computational basis state; ``occupations[k]`` is the filling of mode k.
+
+    The state lives on its one sector, with one cell set: the cell of the
+    spins' strings, each string's rank among the ascending k-particle
+    strings being its colex rank sum_i C(c_i, i) over its modes
+    c_1 < ... < c_k."""
     occ = [int(c) for c in occupations]
     if len(occ) != layout.n_modes or any(o not in (0, 1) for o in occ):
         raise ValueError(f"need {layout.n_modes} binary occupations, got {occupations!r}")
-    index = sum(bit << k for k, bit in enumerate(occ))
-    amplitudes = np.zeros(layout.dim, dtype=complex)
-    amplitudes[index] = 1.0
-    return FockState(layout, amplitudes)
+    m = layout.sector_size
+    spins = [[mode for mode in range(m) if occ[spin * m + mode]]
+             for spin in range(layout.n_sectors)]
+    cell = 0
+    for modes in reversed(spins):  # the down string's rank is the major index
+        cell = cell * math.comb(m, len(modes)) + sum(
+            math.comb(c, i) for i, c in enumerate(modes, start=1))
+    amplitudes = np.zeros(math.prod(math.comb(m, len(modes)) for modes in spins), dtype=complex)
+    amplitudes[cell] = 1.0
+    return FockState(layout, amplitudes, [tuple(len(modes) for modes in spins)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +193,6 @@ class GivensSequence:
         for r in self.rotations:
             if not 0 <= r.p < r.q < self.n_modes:
                 raise ValueError(f"rotation {r} outside of {self.n_modes} modes")
-
-    def __len__(self) -> int:
-        return len(self.rotations)
-
-    def single_particle_matrix(self) -> np.ndarray:
-        q = np.diag(np.exp(1j * self.diagonal_phases))
-        for r in self.rotations:
-            c, s = np.cos(r.theta), np.sin(r.theta)
-            rot = np.eye(self.n_modes, dtype=complex)
-            rot[r.p, r.p] = c
-            rot[r.p, r.q] = -np.exp(-1j * r.phi) * s
-            rot[r.q, r.p] = np.exp(1j * r.phi) * s
-            rot[r.q, r.q] = c
-            q = rot @ q
-        return q
 
     def to_json(self) -> str:
         return json.dumps(
@@ -268,15 +257,15 @@ def givens_decompose(u: np.ndarray) -> GivensSequence:
 # ---------------------------------------------------------------------------
 
 def exact_evolution(op: ManyBodyOperator, state: FockState, t: float) -> FockState:
-    """Evolve a state on the operator's rows by ``exp(-i op t)`` via the
+    """Evolve a state on the operator's sectors by ``exp(-i op t)`` via the
     cached eigensystem."""
     layout = state.layout
     if op.n_modes != layout.n_modes:
         raise ValueError(
             f"operator on {op.n_modes} modes cannot evolve a {layout.n_modes}-mode state"
         )
-    if not np.array_equal(op.rows, state.rows):
-        raise ValueError("the state does not live on the operator's rows")
+    if op.sectors != state.sectors:
+        raise ValueError("the state does not live on the operator's sectors")
     w, v = op.eigensystem()
     phases = np.exp(-1j * w * t)
-    return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T, state.rows)
+    return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T, state.sectors)

@@ -16,20 +16,27 @@ Conventions used throughout the package:
   as the least significant bit of the basis-state index.  Spinful
   representations place all up-spin modes at 0 .. n-1 and all down-spin
   modes at n .. 2n-1.
-* Dense many-body matrices live on a list of basis states, ``rows``
-  (ascending basis indices; every basis state by default), that holds
-  whole (N_up, N_down) sectors.  H is built one sector at a time on its
-  grid of down x up strings, with E_pq = E_up_pq (x) 1 + 1 (x) E_down_pq:
-  each spin's tables list, for every k-particle string, the k(n - k) + k
-  excitations a+_p a_q that keep it, the string each leads to and its
-  Jordan-Wigner sign, and every term is a lookup in them.  A sector's
-  block depends on that sector alone, so the matrix on a few sectors is
-  bit for bit that block of the full one, and its size is the block's.
+* States and operators are indexed in sector-major order, never by a
+  full-register basis index.  A list of (N_up, N_down) sectors ((N,) when
+  spinless), ascending and every sector by default, fixes the index
+  space: the sectors follow one another in that order, and within a
+  sector of n modes per spin its C(n, N_down) x C(n, N_up) grid of down
+  and up strings is listed row-major, down-string rank then up-string
+  rank, with each spin's k-particle strings ascending as int64 bitmasks
+  (mode k at bit k, so at most 63 modes per spin).  On one sector this is
+  the ascending order of the basis indices.  ``_sector_offsets`` places
+  the sectors; nothing else knows the format.
+* H is built one sector at a time on its string grid, with E_pq =
+  E_up_pq (x) 1 + 1 (x) E_down_pq: each spin's tables list, for every
+  k-particle string, the k(n - k) + k excitations a+_p a_q that keep it,
+  the string each leads to and its Jordan-Wigner sign, and every term is
+  a lookup in them.  H keeps each sector, so its matrix is block diagonal;
+  a sector's block depends on that sector alone, so the matrix on a few
+  sectors is bit for bit those blocks of the full one.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -68,8 +75,6 @@ ERI_PERMUTATIONS = (
 OPERATOR_WORKING_COPIES = 6
 OPERATOR_SCRATCH_BYTES = 3 * 2**20
 OPERATOR_TERM_CHUNK = 2**15
-# basis indices are int64 with mode k at bit k, and bit 63 is the sign bit
-MAX_MODES = 63
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -324,69 +329,49 @@ def rotate_to_h_eigenbasis(
 # Many-body matrices
 # ---------------------------------------------------------------------------
 
-def _ascending_rows(rows, dim: int) -> np.ndarray:
-    """``rows`` as int64 basis indices, checked to ascend strictly within ``[0, dim)``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if (rows.ndim != 1 or np.any(np.diff(rows) <= 0)
-            or (rows.size and not 0 <= rows[0] <= rows[-1] < dim)):
-        raise ValueError("rows must be ascending basis indices of the layout")
-    return rows
+def _sector_list(size: int, n_spins: int, sectors=None) -> tuple[tuple[int, ...], ...]:
+    """``sectors``, per-spin particle counts of ``size`` modes per spin, as an
+    ascending tuple; every sector by default."""
+    if sectors is None:
+        return tuple(itertools.product(range(size + 1), repeat=n_spins))
+    listed = tuple(tuple(int(k) for k in counts) for counts in sectors)
+    if (any(len(counts) != n_spins or not all(0 <= k <= size for k in counts)
+            for counts in listed) or any(a >= b for a, b in zip(listed, listed[1:]))):
+        raise ValueError(f"sectors must be ascending counts of {n_spins} spin(s) "
+                         f"of {size} modes each, got {sectors!r}")
+    return listed
 
 
-def _check_mode_count(n_modes: int) -> None:
-    if n_modes > MAX_MODES:
-        raise ValueError(f"{n_modes} modes exceed the {MAX_MODES}-mode limit of "
-                         "int64 basis indices")
-
-
-def _sector_states(size: int, sectors: list[tuple[int, ...]]) -> np.ndarray:
-    """Basis indices, ascending, of the states whose per-spin particle counts
-    are one of ``sectors``, with ``size`` modes per spin (one spin per entry
-    of a sector), built from the occupation strings of each spin."""
-    blocks = []
-    for counts in sectors:
-        _check_mode_count(size * len(counts))
-        states = np.zeros(1, dtype=np.int64)
-        for spin, count in enumerate(counts):
-            strings = np.array([sum(1 << mode for mode in modes)
-                                for modes in itertools.combinations(range(size), count)],
-                               dtype=np.int64)
-            states = (states[:, None] | (strings << (spin * size))[None, :]).ravel()
-        blocks.append(states)
-    return np.sort(np.concatenate(blocks))
-
-
-def _occupied_sectors(states: np.ndarray, size: int, n_spins: int) -> dict[tuple[int, ...], int]:
-    """How many of the basis indices ``states`` have each per-spin particle
-    count, (N_up, N_down) or (N,), ascending; spin s holds ``size`` modes
-    from mode s size."""
-    counts = np.zeros((n_spins, states.size), dtype=np.int64)
-    for mode in range(n_spins * size):
-        counts[mode // size] += (states >> mode) & 1
-    return dict(sorted(collections.Counter(zip(*counts.tolist())).items()))
+def _sector_offsets(size: int, sectors) -> list[int]:
+    """Where the block of each of ``sectors`` starts in sector-major order,
+    then the total: the sector (N_up, N_down) of ``size`` modes per spin
+    holds C(size, N_down) C(size, N_up) cells."""
+    return list(itertools.accumulate(
+        (math.prod(math.comb(size, k) for k in counts) for counts in sectors), initial=0))
 
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """A Hermitian operator on the basis states ``rows`` of ``n_modes`` modes.
+    """A Hermitian operator on the (N_up, N_down) sectors ``sectors`` of
+    ``n_modes`` modes, every sector by default.
 
-    ``matrix[i, j]`` is the element between basis states ``rows[i]`` and
-    ``rows[j]``; ``rows`` holds ascending basis indices, as ``FockState.rows``
-    does, and defaults to every basis state.
+    ``matrix`` is indexed in sector-major order (module docstring), as the
+    amplitudes of a ``FockState`` on the same sectors are.
     """
 
     n_modes: int
     spinful: bool
     matrix: np.ndarray
-    rows: np.ndarray | None = None
+    sectors: tuple[tuple[int, ...], ...] | None = None
     _eig: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = (np.arange(1 << self.n_modes) if self.rows is None
-                else _ascending_rows(self.rows, 1 << self.n_modes))
-        object.__setattr__(self, "rows", rows)
-        if self.matrix.shape != (rows.size, rows.size):
-            raise ValueError(f"matrix shape {self.matrix.shape} != {(rows.size, rows.size)}")
+        n_spins = 2 if self.spinful else 1
+        sectors = _sector_list(self.n_modes // n_spins, n_spins, self.sectors)
+        object.__setattr__(self, "sectors", sectors)
+        dim = _sector_offsets(self.n_modes // n_spins, sectors)[-1]
+        if self.matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {self.matrix.shape} != {(dim, dim)}")
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors, computed once and cached."""
@@ -441,7 +426,8 @@ def _string_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     its Jordan-Wigner sign.  Read-only, and cached for the last 8 (n, k): a
     simulate run reads four, (n, N_up), (n, N_down), (m, N_up) and
     (m, N_down), for the reference and for the step engine."""
-    strings = _sector_states(n, [(k,)])
+    strings = np.array(sorted(sum(1 << mode for mode in modes)
+                              for modes in itertools.combinations(range(n), k)), dtype=np.int64)
     modes = np.arange(n)
     occupied = (strings[:, None] >> modes) & 1
     below = np.cumsum(occupied, axis=1) - occupied  # occupied modes under each mode
@@ -475,30 +461,26 @@ def _chained(first: tuple, second: tuple, weight, size: int) -> np.ndarray:
 def build_many_body_operator(
     hamiltonian: ElectronicHamiltonian,
     spinful: bool = False,
-    rows: np.ndarray | None = None,
+    sectors=None,
 ) -> ManyBodyOperator:
-    """Build the dense matrix of the Hamiltonian on the basis states ``rows``.
+    """Build the dense matrix of the Hamiltonian on the (N_up, N_down)
+    ``sectors``, ascending, every sector by default, in sector-major order.
 
     For the spinful case every orbital carries two modes, up spins at
     0 .. n-1 and down spins at n .. 2n-1, and both ``h`` and ``eri`` are
-    summed over spin labels.  ``rows`` are ascending basis indices, every
-    basis state by default, that hold whole (N_up, N_down) sectors
-    (``ValueError`` naming a sector they hold part of); on a few sectors
-    the matrix is bit for bit that block of the full one.  A build whose
-    estimated memory exceeds physical memory is refused before it allocates.
+    summed over spin labels.  Each sector's block is written at its offset;
+    on a few sectors the matrix is bit for bit those blocks of the full
+    one.  A build whose estimated memory exceeds physical memory is refused
+    before it allocates.
     """
     H = hamiltonian
     n = H.n_orbitals
     n_spins = 2 if spinful else 1
     n_modes = n_spins * n
-    dim = 1 << n_modes if rows is None else len(rows)
+    sectors = _sector_list(n, n_spins, sectors)
+    offsets = _sector_offsets(n, sectors)
+    dim = offsets[-1]
     _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim))
-    states = np.arange(dim) if rows is None else _ascending_rows(rows, 1 << n_modes)
-    sectors = _occupied_sectors(states, n, n_spins)
-    for counts, found in sectors.items():
-        if found != (whole := math.prod(math.comb(n, k) for k in counts)):
-            raise ValueError(f"rows hold {found} of the {whole} states of the sector "
-                             f"{counts}; they must hold whole sectors")
 
     # H = sum_pq K_pq E_pq + 1/2 sum_pqrs V_pqrs E_pq E_rs + core, with
     # K_pq = h_pq - 1/2 sum_r V_prrq and E_pq = E_up_pq + E_down_pq
@@ -513,7 +495,7 @@ def build_many_body_operator(
         within[k] += np.bincount((dest * strings.size + np.arange(strings.size)[:, None]).ravel(),
                                  (one_body[pq] * signs).ravel(), strings.size**2)
     matrix = np.zeros((dim, dim), dtype=complex)
-    for n_up, n_down in spins:
+    for (n_up, n_down), start in zip(spins, offsets):
         (up, pq_u, dest_u, signs_u), (down, pq_d, dest_d, signs_d) = (
             _string_tables(n, n_up), _string_tables(n, n_down))
         c_u, c_d = up.size, down.size
@@ -526,10 +508,10 @@ def build_many_body_operator(
                          lambda x, y: 0.5 * (two_body[x, y] + two_body[y, x]), c_d * c_u)
         block = (within[n_down].reshape(c_d, 1, c_d, 1) * np.eye(c_u)[None, :, None, :]
                  + np.eye(c_d)[:, None, :, None] * within[n_up].reshape(1, c_u, 1, c_u))
-        at = np.searchsorted(states, ((down[:, None] << n) | up).ravel())
-        matrix.real[np.ix_(at, at)] = (block.reshape(-1) + cross).reshape(at.size, -1)
+        cells = slice(start, start + c_d * c_u)
+        matrix.real[cells, cells] = (block.reshape(-1) + cross).reshape(c_d * c_u, -1)
     matrix.reshape(-1).real[:: dim + 1] += H.core_energy
-    return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix, rows=states)
+    return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix, sectors=sectors)
 
 
 def ground_state_energy(
@@ -555,5 +537,5 @@ def ground_state_energy(
                                                           min(n, n_electrons) + 1)]
     else:
         sectors = [(n_electrons,)]
-    op = build_many_body_operator(hamiltonian, spinful, _sector_states(n, sectors))
+    op = build_many_body_operator(hamiltonian, spinful, sectors)
     return float(np.linalg.eigvalsh(op.matrix)[0])

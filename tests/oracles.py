@@ -3,8 +3,15 @@
 Everything here works directly on occupation bitstrings with explicit
 Jordan-Wigner sign bookkeeping, one basis state and one ladder product at a
 time, independently of the package's vectorised excitation tables, so the
-two routes can check each other.  Mode 0 is the least significant bit.
-Densities are plain complex arrays over every basis state of a layout.  The
+two routes can check each other.  Mode 0 is the least significant bit of a
+full-register basis index, which the package itself never forms: its states
+and operators live on (N_up, N_down) sectors in sector-major order, and
+``register_order`` lists the basis index of each of their cells, built
+string by string, so ``to_register``, ``from_register`` and
+``register_matrix`` carry them to and from the full register.  Densities
+are plain complex arrays over every basis index of a layout, and the gate
+kernels act on a ``RowState``, amplitudes over listed ascending basis
+indices (the package's state type before it moved to sectors).  The
 full-Fock Trotter step (system density embedded in the ancilla vacuum,
 whole step unitary, occupation-basis ancilla reset, restriction back to the
 system modes) is kept here as the reference for the compiled step of
@@ -34,16 +41,23 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from isothc.algorithm import StepSpec, _diagonal_entries, _sectors, _StepEngine, extended_layout
+from isothc.algorithm import (
+    StepSpec,
+    _diagonal_entries,
+    _on_sectors,
+    _sectors,
+    _StepEngine,
+    extended_layout,
+)
 from isothc.focksim import (
     FockState,
     GivensRotation,
     GivensSequence,
     ModeLayout,
-    exact_evolution,
     givens_decompose,
 )
 from isothc.hamiltonian import ElectronicHamiltonian, ManyBodyOperator, build_many_body_operator
@@ -248,6 +262,113 @@ def givens_sequence_from_json(text: str) -> GivensSequence:
 
 
 # ---------------------------------------------------------------------------
+# the full-register embedding of the package's sector-major index space
+
+
+def system_modes(layout: ModeLayout) -> tuple[int, ...]:
+    """The register modes of the system orbitals, spin by spin."""
+    m = layout.sector_size
+    return tuple(s * m + i for s in range(layout.n_sectors) for i in range(layout.n_system))
+
+
+def ancilla_modes(layout: ModeLayout) -> tuple[int, ...]:
+    """The register modes of the ancillas, spin by spin."""
+    m = layout.sector_size
+    return tuple(s * m + i for s in range(layout.n_sectors)
+                 for i in range(layout.n_system, m))
+
+
+def register_order(layout: ModeLayout, sectors=None) -> np.ndarray:
+    """The full-register basis index of each cell of ``sectors`` (every
+    sector of ``layout`` by default), in the package's sector-major order:
+    sector by sector, and within a sector (N_up, N_down) every down string
+    of ``sector_indices`` with every up string, the down string major."""
+    m = layout.sector_size
+    if sectors is None:
+        sectors = itertools.product(range(m + 1), repeat=layout.n_sectors)
+    order = [int(up) | (int(down) << m)
+             for counts in sectors
+             for down in sector_indices(m, (*counts, 0)[1])
+             for up in sector_indices(m, counts[0])]
+    return np.array(order, dtype=np.int64)
+
+
+def register_positions(layout: ModeLayout) -> np.ndarray:
+    """The position of each basis index of ``layout`` in the sector-major
+    order of every sector: the inverse of ``register_order``."""
+    return np.argsort(register_order(layout))
+
+
+def to_register(state: FockState) -> np.ndarray:
+    """A state's amplitudes (or columns) over every basis index of its
+    layout, zero outside its sectors."""
+    out = np.zeros((state.layout.dim,) + state.amplitudes.shape[1:], dtype=complex)
+    out[register_order(state.layout, state.sectors)] = state.amplitudes
+    return out
+
+
+def from_register(layout: ModeLayout, amplitudes: np.ndarray, sectors=None) -> FockState:
+    """The state with the full-register ``amplitudes`` on ``sectors`` (every
+    sector by default), which must hold every nonzero amplitude."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    order = register_order(layout, sectors)
+    if np.any(np.delete(amplitudes, order, axis=0)):
+        raise ValueError("amplitudes outside the sectors")
+    return FockState(layout, amplitudes[order], sectors)
+
+
+def register_matrix(op: ManyBodyOperator) -> np.ndarray:
+    """An every-sector operator's matrix over the full-register basis indices."""
+    spins = 2 if op.spinful else 1
+    at = register_positions(ModeLayout(op.n_modes // spins, 0, op.spinful))
+    return op.matrix[np.ix_(at, at)]
+
+
+def register_evolution(op: ManyBodyOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i op t)`` on full-register amplitudes, by ``exact_evolution``'s
+    arithmetic on the eigensystem of ``register_matrix(op)``."""
+    w, v = np.linalg.eigh(register_matrix(op))
+    return v @ (np.exp(-1j * w * t) * (v.conj().T @ amplitudes).T).T
+
+
+@dataclass
+class RowState:
+    """Amplitudes, or a block of columns, over the ascending full-register
+    basis indices ``rows`` (every basis index by default): the state the
+    gate kernels below act on."""
+
+    layout: ModeLayout
+    amplitudes: np.ndarray
+    rows: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        dim = self.layout.dim
+        rows = np.arange(dim) if self.rows is None else np.asarray(self.rows, dtype=np.int64)
+        if (rows.ndim != 1 or np.any(np.diff(rows) <= 0)
+                or (rows.size and not 0 <= rows[0] <= rows[-1] < dim)):
+            raise ValueError("rows must be ascending basis indices of the layout")
+        self.rows = rows
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        if self.amplitudes.shape != (rows.size,) + self.amplitudes.shape[1:2]:
+            raise ValueError(f"array shape {self.amplitudes.shape} does not match "
+                             f"{rows.size} rows")
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+
+def register_state(state: FockState) -> RowState:
+    """A state on every basis index of its layout, for the gate kernels."""
+    return RowState(state.layout, to_register(state))
+
+
+def diagonal_one_body(state: FockState, h_diag: np.ndarray, tau: float) -> FockState:
+    """:func:`apply_diagonal_one_body` on a state, through the register."""
+    out = apply_diagonal_one_body(register_state(state), h_diag, tau)
+    return from_register(state.layout, out.amplitudes, state.sectors)
+
+
+# ---------------------------------------------------------------------------
 # densities, and the full-Fock reference for the Trotter step
 
 
@@ -264,8 +385,11 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def evolve_density(op: ManyBodyOperator, rho: np.ndarray, t: float) -> np.ndarray:
-    """``e^{-i op t} rho e^{i op t}`` for an operator on every basis state."""
-    u = op.propagator(t)
+    """``e^{-i op t} rho e^{i op t}`` for an every-sector operator and a
+    density over every basis index, by ``ManyBodyOperator.propagator``'s
+    arithmetic on the eigensystem of ``register_matrix(op)``."""
+    w, v = np.linalg.eigh(register_matrix(op))
+    u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return u @ rho @ u.conj().T
 
 
@@ -275,8 +399,8 @@ def split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
     b_key = np.zeros(layout.dim, dtype=np.int64)
     for index in range(layout.dim):
         bits = [(index >> mode) & 1 for mode in range(layout.n_modes)]
-        a_key[index] = sum(bits[pos] << t for t, pos in enumerate(layout.system_modes))
-        b_key[index] = sum(bits[pos] << t for t, pos in enumerate(layout.ancilla_modes))
+        a_key[index] = sum(bits[pos] << t for t, pos in enumerate(system_modes(layout)))
+        b_key[index] = sum(bits[pos] << t for t, pos in enumerate(ancilla_modes(layout)))
     return a_key, b_key
 
 
@@ -320,8 +444,8 @@ def reset_ancillas(rho: np.ndarray, layout: ModeLayout, parity_check: bool = Tru
     """
     if layout.n_ancilla == 0:
         return rho.copy()
-    n_a = len(layout.system_modes)
-    n_b = len(layout.ancilla_modes)
+    n_a = len(system_modes(layout))
+    n_b = len(ancilla_modes(layout))
     a_key, b_key = split_keys(layout)
     order = np.argsort((b_key << n_a) | a_key)
     reordered = rho[np.ix_(order, order)].reshape(1 << n_b, 1 << n_a, 1 << n_b, 1 << n_a)
@@ -372,11 +496,11 @@ class RowTables:
     however many gates act; a rotation refuses the tables of other rows.
     """
 
-    def __init__(self, state: FockState) -> None:
+    def __init__(self, state: RowState) -> None:
         self.rows = state.rows
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def check(self, state: FockState) -> None:
+    def check(self, state: RowState) -> None:
         if state.rows is not self.rows:
             raise ValueError("row tables were built for the rows of another state")
 
@@ -404,11 +528,11 @@ def _scale_rows(diag: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
 
 
 def apply_basis_rotation(
-    state: FockState,
+    state: RowState,
     sequence: GivensSequence,
     tables: RowTables,
     inverse: bool = False,
-) -> FockState:
+) -> RowState:
     """Apply a Givens-rotation circuit (or its inverse) to a state.
 
     For spinful layouts the same sequence acts on both spin sectors; mode
@@ -447,18 +571,18 @@ def apply_basis_rotation(
             for off in offsets:
                 apply_gate(r.p + off, r.q + off, -r.theta, r.phi)
         out = _scale_rows(phase_diag.conj(), out)
-    return FockState(layout, out, rows)
+    return RowState(layout, out, rows)
 
 
 # ---------------------------------------------------------------------------
 # the step gate by gate on listed rows, the reference for the grid compile
 
 
-def _apply_diagonal(state: FockState, diag: np.ndarray) -> FockState:
-    return FockState(state.layout, _scale_rows(diag, state.amplitudes), state.rows)
+def _apply_diagonal(state: RowState, diag: np.ndarray) -> RowState:
+    return RowState(state.layout, _scale_rows(diag, state.amplitudes), state.rows)
 
 
-def apply_diagonal_one_body(state: FockState, h_diag: np.ndarray, tau: float) -> FockState:
+def apply_diagonal_one_body(state: RowState, h_diag: np.ndarray, tau: float) -> RowState:
     """Evolve by ``exp(-i tau sum_p h_diag[p] n_p)`` (one entry per mode)."""
     layout = state.layout
     h_diag = np.asarray(h_diag, dtype=float)
@@ -472,7 +596,7 @@ def apply_diagonal_one_body(state: FockState, h_diag: np.ndarray, tau: float) ->
     return _apply_diagonal(state, np.exp(-1j * tau * energy))
 
 
-def apply_diagonal_two_body(state: FockState, vtilde: np.ndarray, tau: float) -> FockState:
+def apply_diagonal_two_body(state: RowState, vtilde: np.ndarray, tau: float) -> RowState:
     """Evolve by the mode-diagonal two-body interaction.
 
     The phase of basis state ``n`` is ``exp(-i tau E(n))`` with
@@ -507,16 +631,16 @@ def apply_diagonal_two_body(state: FockState, vtilde: np.ndarray, tau: float) ->
     return _apply_diagonal(state, np.exp(-1j * tau * energy))
 
 
-def phase_on_ancillas(state: FockState, phi: float) -> FockState:
+def phase_on_ancillas(state: RowState, phi: float) -> RowState:
     """Apply ``exp(+i phi N_b)`` where ``N_b`` counts occupied ancillas."""
     rows = state.rows
     count = np.zeros(rows.size, dtype=np.int64)
-    for mode in state.layout.ancilla_modes:
+    for mode in ancilla_modes(state.layout):
         count += (rows >> mode) & 1
     return _apply_diagonal(state, np.exp(1j * phi * count))
 
 
-def gate_step(engine, state: FockState) -> FockState:
+def gate_step(engine, state: RowState) -> RowState:
     """An engine's step unitary on ``state``, one Givens gate at a time:
     one-body half step, interaction, one-body half step.
 
@@ -544,17 +668,26 @@ def gate_step(engine, state: FockState) -> FockState:
 
 
 def gate_dense_unitary(engine) -> np.ndarray:
-    """An engine's U P, compiled gate by gate over its unit columns: the
-    layout of ``engine.dense_unitary()``."""
-    columns = np.zeros((engine.rows.size, engine.vacuum.size), dtype=complex)
-    columns[engine.vacuum, np.arange(engine.vacuum.size)] = 1.0
-    return gate_step(engine, FockState(engine.layout, columns, engine.rows)).amplitudes
+    """An engine's U P, compiled gate by gate over the unit columns of its
+    system states in the ancilla vacuum: the layout of
+    ``engine.dense_unitary()``, rows and columns in sector-major order."""
+    layout = engine.layout
+    n, m = layout.n_system, layout.sector_size
+    rows = register_order(layout, engine.sectors)
+    system = register_order(layout.system_only(), engine.sectors)
+    # each system state with every ancilla empty: the down half moves from bit n to bit m
+    columns = (rows[:, None] == ((system & ((1 << n) - 1)) | ((system >> n) << m))).astype(complex)
+    ascending = np.argsort(rows)
+    out = np.empty_like(columns)
+    out[ascending] = gate_step(engine, RowState(layout, columns[ascending],
+                                                rows[ascending])).amplitudes
+    return out
 
 
 def full_step_unitary(engine) -> np.ndarray:
     """The whole 2^M x 2^M step unitary of a step engine, all basis columns."""
     layout = engine.layout
-    identity = FockState(layout, np.eye(layout.dim, dtype=complex))
+    identity = RowState(layout, np.eye(layout.dim, dtype=complex))
     return gate_step(engine, identity).amplitudes
 
 
@@ -571,11 +704,15 @@ def full_fock_step(u: np.ndarray, rho: np.ndarray, layout: ModeLayout) -> tuple[
 
 def kraus_operators(engine) -> np.ndarray:
     """Every Kraus operator K_b = <b|U|., 0> of an every-sector step engine,
-    stacked by ancilla string b (vacuum first), each on every system state."""
-    system = engine.layout.system_only().dim
-    a_key, b_key = split_keys(engine.layout)
-    kraus = np.zeros((engine.layout.dim // system, system, system), dtype=complex)
-    kraus[b_key[engine.rows], a_key[engine.rows]] = engine.dense_unitary()
+    stacked by ancilla string b (vacuum first), each on every system state,
+    over the full-register basis indices."""
+    layout = engine.layout
+    system = layout.system_only().dim
+    a_key, b_key = split_keys(layout)
+    rows = register_order(layout)
+    kraus = np.zeros((layout.dim // system, system, system), dtype=complex)
+    kraus[b_key[rows], a_key[rows]] = engine.dense_unitary()[:, register_positions(
+        layout.system_only())]
     return kraus
 
 
@@ -595,12 +732,12 @@ def evolve_full_density(
     spinful = psi0.layout.spinful
     kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec,
                                         extended_layout(thc, spinful=spinful)))
-    rho = density(psi0.amplitudes)
+    rho = density(to_register(psi0))
     for _ in range(n_steps):
         rho = sum(k @ rho @ k.conj().T for k in kraus)
     op = build_many_body_operator(hamiltonian, spinful=spinful)
-    reference = exact_evolution(op, psi0, n_steps * spec.tau)
-    return trace_distance(rho, density(reference.amplitudes)), rho
+    reference = register_evolution(op, to_register(psi0), n_steps * spec.tau)
+    return trace_distance(rho, density(reference)), rho
 
 
 def density_step(engine, rho: np.ndarray) -> tuple[np.ndarray, float]:
@@ -608,7 +745,7 @@ def density_step(engine, rho: np.ndarray) -> tuple[np.ndarray, float]:
     K_0 rho K_0^dagger and the leaked weight tr(G rho), from the engine's
     stack [K_0; G]."""
     stack = engine._kraus_operators()
-    size = engine.support.size
+    size = engine.col_offsets[-1]
     k0 = stack[:size]
     # G is Hermitian, so vdot(G, rho) = sum_ij G_ji rho_ij = tr(G rho)
     return (k0 @ rho) @ np.ascontiguousarray(k0.conj().T), float(np.vdot(stack[size:], rho).real)
@@ -622,16 +759,16 @@ def step_sector_density(
     spec: StepSpec,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Step the density rho_S on the sectors S of ``psi0`` by
-    :func:`density_step`, ``n_steps`` times.  Returns S, rho_S and the sum
-    of the leaked weights."""
+    :func:`density_step`, ``n_steps`` times.  Returns the basis indices of
+    S in sector-major order, rho_S and the sum of the leaked weights."""
     spinful = psi0.layout.spinful
     engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
                          _sectors(psi0))
-    rho = density(psi0.amplitudes[engine.support])
+    rho = density(_on_sectors(psi0, engine.sectors).amplitudes)
     leaked = np.zeros(n_steps)
     for k in range(n_steps):
         rho, leaked[k] = density_step(engine, rho)
-    return engine.support, rho, float(leaked.sum())
+    return register_order(psi0.layout, engine.sectors), rho, float(leaked.sum())
 
 
 def step_sector_vector(
@@ -642,16 +779,17 @@ def step_sector_vector(
     spec: StepSpec,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """``evolve``'s route: step the vector psi on the sectors S of ``psi0`` by
-    K_0, ``n_steps`` times.  Returns S, psi and the sum of the leaked weights."""
+    K_0, ``n_steps`` times.  Returns the basis indices of S in sector-major
+    order, psi and the sum of the leaked weights."""
     spinful = psi0.layout.spinful
     engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
                          _sectors(psi0))
-    psi = psi0.amplitudes[engine.support]
+    psi = _on_sectors(psi0, engine.sectors).amplitudes
     lost = 0.0
     for _ in range(n_steps):
         psi, leaked = engine.step(psi)
         lost += leaked
-    return engine.support, psi, lost
+    return register_order(psi0.layout, engine.sectors), psi, lost
 
 
 def evolve_sector_density(
@@ -668,7 +806,7 @@ def evolve_sector_density(
     """
     support, rho, lost = step_sector_density(psi0, thc, hamiltonian, n_steps, spec)
     op = build_many_body_operator(hamiltonian, spinful=psi0.layout.spinful)
-    phi = exact_evolution(op, psi0, n_steps * spec.tau).amplitudes[support]
+    phi = register_evolution(op, to_register(psi0), n_steps * spec.tau)[support]
     diff = rho - np.outer(phi, phi.conj())
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()) + 0.5 * lost, lost
 
@@ -692,16 +830,18 @@ def _expm_long_double(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_electron_per_spin(psi0: FockState, n: int) -> np.ndarray:
+def _one_electron_per_spin(psi0: FockState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The system states X[i, j] of one up electron in orbital i and one down
-    electron in orbital j, row by row; ``psi0`` must lie on them."""
+    electron in orbital j, row by row, and ``psi0`` over every basis index;
+    ``psi0`` must lie on those states."""
     system = psi0.layout
     if not system.spinful or system.n_system != n:
         raise ValueError("need a spinful psi0 on the factorization's orbitals")
     cells = np.array([(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)])
-    if np.any(np.delete(psi0.amplitudes, cells)):
+    amplitudes = to_register(psi0)
+    if np.any(np.delete(amplitudes, cells)):
         raise ValueError("psi0 must hold one electron per spin")
-    return cells
+    return cells, amplitudes
 
 
 def exact_evolution_long_double(
@@ -711,12 +851,12 @@ def exact_evolution_long_double(
     spinful ``psi0`` with one electron per spin: the Taylor exponential of
     the sector block of the Hamiltonian, accumulated string by string in
     extended precision."""
-    cells = _one_electron_per_spin(psi0, hamiltonian.n_orbitals)
+    cells, amplitudes = _one_electron_per_spin(psi0, hamiltonian.n_orbitals)
     cld = np.clongdouble
     sector = dense_hamiltonian(hamiltonian, spinful=True, dtype=cld)[np.ix_(cells, cells)]
     out = np.zeros(psi0.layout.dim, dtype=cld)
     out[cells] = (_expm_long_double(-cld(1j) * np.longdouble(t) * sector)
-                  @ psi0.amplitudes[cells].astype(cld))
+                  @ amplitudes[cells].astype(cld))
     return out
 
 
@@ -850,7 +990,7 @@ def evolve_long_double(
     distance and the leaked weight, as long doubles.
     """
     n, m = thc.n, thc.m
-    cells = _one_electron_per_spin(psi0, n)
+    cells, amplitudes = _one_electron_per_spin(psi0, n)
     ld, cld = np.longdouble, np.clongdouble
     i_unit = cld(1j)
     tau = ld(spec.tau)
@@ -867,7 +1007,7 @@ def evolve_long_double(
         blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
 
     grid = np.zeros((m, m), dtype=cld)
-    grid[:n, :n] = psi0.amplitudes[cells].reshape(n, n)
+    grid[:n, :n] = amplitudes[cells].reshape(n, n)
     lost = ld(0)
     for _ in range(n_steps):
         grid = one_body * grid

@@ -219,7 +219,7 @@ def test_criterion_07_three_term_error_decomposition():
         budget = thc_bound(rotated, thc, tau).value
         budget += trotter_bound(h_op, vprime_op, tau)
         # the projection term acts on the state after the inner h half-step
-        psi_h = oracles.apply_diagonal_one_body(psi, np.diag(rotated.h), tau / 2)
+        psi_h = oracles.diagonal_one_body(psi, np.diag(rotated.h), tau / 2)
         budget += projection_error_measured(thc, psi_h, tau)
         worst = max(worst, measured - budget)
         assert measured <= budget + 1e-9, f"instance {k}: {measured} > {budget}"

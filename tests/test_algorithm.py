@@ -15,9 +15,8 @@ from isothc.algorithm import (
     STEP_WORKING_COPIES,
     ErrorBudget,
     StepSpec,
-    _every_sector,
     _givens_circuit,
-    _on_rows,
+    _on_sectors,
     _pure_trace_norm,
     _sectors,
     _step_bytes,
@@ -44,7 +43,8 @@ from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
     ElectronicHamiltonian,
     MemoryRefusal,
-    _sector_states,
+    _sector_list,
+    _sector_offsets,
     build_many_body_operator,
     operator_memory_bytes,
     parse_fcidump,
@@ -67,7 +67,16 @@ def random_sector_state(layout: ModeLayout, n_particles: int, rng) -> FockState:
     amps = np.zeros(layout.dim, dtype=complex)
     amps[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
     amps /= np.linalg.norm(amps)
-    return FockState(layout, amps)
+    return oracles.from_register(layout, amps)
+
+
+def on_engine(psi: FockState, engine) -> np.ndarray:
+    """The vector an engine steps: ``psi`` on the engine's sectors."""
+    return _on_sectors(psi, engine.sectors).amplitudes
+
+
+def every_sector(layout: ModeLayout) -> tuple[tuple[int, ...], ...]:
+    return _sector_list(layout.sector_size, layout.n_sectors)
 
 
 def no_one_body(n: int) -> ElectronicHamiltonian:
@@ -132,9 +141,9 @@ def test_extended_layout_counts_ancillas():
 def test_rotation_count_stays_within_budget():
     _, thc = small_instance(1, n=3, m=6)
     seq = givens_decompose(thc.u)
-    assert len(seq) <= 6 * 3 - 3 * 4 // 2
+    assert len(seq.rotations) <= 6 * 3 - 3 * 4 // 2
     assert_allclose(
-        seq.single_particle_matrix()[:, :3].real, thc.u.T, atol=1e-8
+        oracles.single_particle_matrix(seq)[:, :3].real, thc.u.T, atol=1e-8
     )
 
 
@@ -180,7 +189,7 @@ H2_PROJECTION_MEASURED = {
     "improved": ["2.2016705181837253e-06", "6.869931258771715e-08", "2.1632522270685887e-09",
                  "6.831602186613948e-11", "2.1594226336309705e-12"],
 }
-H2_PROJECTION_BOUND = {"basic": "6.158464476740255e-05", "improved": "1.2645524184018151e-08"}
+H2_PROJECTION_BOUND = {"basic": "6.158464476740257e-05", "improved": "1.2645524184018151e-08"}
 
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
@@ -213,7 +222,8 @@ def test_hartree_fock_state_spinless_fills_lowest_modes():
     state = hartree_fock_state(ham, 2, spinful=False)
     amps = np.zeros(8)
     amps[0b110] = 1.0  # modes 1 and 2 occupied
-    assert_allclose(state.amplitudes, amps, atol=0)
+    assert state.sectors == ((2,),)
+    assert_allclose(oracles.to_register(state), amps, atol=0)
 
 
 def test_hartree_fock_state_spinful_pairs_orbitals():
@@ -221,7 +231,7 @@ def test_hartree_fock_state_spinful_pairs_orbitals():
     ham = ElectronicHamiltonian(2, 0.0, h, np.zeros((2, 2, 2, 2)))
     state = hartree_fock_state(ham, 2, spinful=True)
     # orbital 1 doubly occupied: modes 1 (up) and 3 (down)
-    assert state.amplitudes[0b1010] == 1.0
+    assert oracles.to_register(state)[0b1010] == 1.0
     with pytest.raises(ValueError, match="electrons"):
         hartree_fock_state(ham, 5, spinful=True)
 
@@ -239,7 +249,7 @@ def test_hartree_fock_state_requires_diagonal_h():
 
 def oracle_extended_interaction(sequence, vtilde, layout) -> np.ndarray:
     """String-oracle matrix of the rotated mode-diagonal interaction."""
-    t = sequence.single_particle_matrix()
+    t = oracles.single_particle_matrix(sequence)
     assert np.max(np.abs(t.imag)) < 1e-12
     coeff = t.real.T  # coeff[p, alpha]: physical content of rotated mode alpha
     m = layout.sector_size
@@ -266,17 +276,21 @@ def oracle_one_body_diagonal(h_diag, layout) -> np.ndarray:
 
 def oracle_ancilla_counter(layout) -> np.ndarray:
     k = np.zeros((layout.n_modes, layout.n_modes))
-    for mode in layout.ancilla_modes:
+    for mode in oracles.ancilla_modes(layout):
         k[mode, mode] = 1.0
     return oracles.dense_quadratic(layout.n_modes, k)
 
 
 def assert_vacuum_columns(engine, full) -> None:
-    """The compiled block is the full unitary's ancilla-vacuum columns."""
-    a_key, b_key = oracles.split_keys(engine.layout)
+    """The compiled block is the full unitary's ancilla-vacuum columns, rows
+    and columns in the engine's sector-major order."""
+    layout = engine.layout
+    a_key, b_key = oracles.split_keys(layout)
     vacuum = np.flatnonzero(b_key == 0)
     vacuum = vacuum[np.argsort(a_key[vacuum])]
-    assert_allclose(engine.dense_unitary(), full[:, vacuum], atol=1e-15)
+    rows = oracles.register_order(layout)
+    columns = vacuum[oracles.register_order(layout.system_only())]
+    assert_allclose(engine.dense_unitary(), full[np.ix_(rows, columns)], atol=1e-15)
 
 
 @pytest.mark.parametrize("spinful", [False, True])
@@ -343,8 +357,8 @@ def test_zero_interaction_zero_h_is_identity_channel():
     ham = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), np.zeros((n, n, n, n)))
     psi = random_sector_state(ModeLayout(n, 0), 1, _rng)
     engine = sector_engine(thc, ham, StepSpec(tau=0.3), psi)
-    out, leaked = engine.step(psi.amplitudes[engine.support])
-    assert_allclose(out, psi.amplitudes[engine.support], atol=1e-12)
+    out, leaked = engine.step(on_engine(psi, engine))
+    assert_allclose(out, on_engine(psi, engine), atol=1e-12)
     assert leaked == pytest.approx(0.0, abs=1e-12)
     assert evolve(psi, thc, ham, t=0.3, tau=0.3).error_vs_exact <= 1e-12
 
@@ -353,14 +367,14 @@ def test_step_channel_rejects_leaked_input():
     ham, thc = small_instance(4)
     layout = extended_layout(thc)
     amps = np.zeros(layout.dim, dtype=complex)
-    amps[1 << layout.ancilla_modes[0]] = 1.0  # ancilla occupied
+    amps[1 << oracles.ancilla_modes(layout)[0]] = 1.0  # ancilla occupied
     # the step takes system states only; an extended one is refused
     with pytest.raises(ValueError, match="system-only"):
-        evolve(FockState(layout, amps), thc, ham, t=0.1, tau=0.1)
+        evolve(oracles.from_register(layout, amps), thc, ham, t=0.1, tau=0.1)
     vacuum = np.zeros(layout.dim, dtype=complex)
-    vacuum[1 << layout.system_modes[0]] = 1.0  # every ancilla empty
+    vacuum[1 << oracles.system_modes(layout)[0]] = 1.0  # every ancilla empty
     with pytest.raises(ValueError, match="system-only"):
-        evolve(FockState(layout, vacuum), thc, ham, t=0.1, tau=0.1)
+        evolve(oracles.from_register(layout, vacuum), thc, ham, t=0.1, tau=0.1)
     wrong_size = random_sector_state(ModeLayout(3, 0), 1, _rng)
     with pytest.raises(ValueError, match="factorization size"):
         evolve(wrong_size, thc, ham, t=0.1, tau=0.1)
@@ -414,7 +428,7 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     layout = extended_layout(thc, spinful=spinful)
     engine = _StepEngine(thc, ham, spec, layout)
 
-    # every sector, so the support is every system state, in order
+    # every sector, so the support is every system state, in sector-major order
     stack = engine._kraus_operators()
     size = layout.system_only().dim
     assert stack.shape == (2 * size, size)
@@ -422,6 +436,7 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     a_key, b_key = oracles.split_keys(layout)
     vacuum = np.flatnonzero(b_key == 0)
     assert np.array_equal(a_key[vacuum], np.arange(size))
+    vacuum = vacuum[oracles.register_order(layout.system_only())]
     leaving = full[np.ix_(b_key != 0, vacuum)]
     assert_allclose(stack[:size], full[np.ix_(vacuum, vacuum)], rtol=0, atol=1e-12)
     assert_allclose(stack[size:], leaving.conj().T @ leaving, rtol=0, atol=1e-12)
@@ -437,12 +452,14 @@ def test_fused_and_sequential_paths_agree(variant):
     psi = random_sector_state(layout.system_only(), 2, np.random.default_rng(9))
     spec = StepSpec(tau=0.08, variant=variant)
     engine = sector_engine(thc, ham, spec, psi)
-    fused, leaked = engine.step(psi.amplitudes[engine.support])
+    fused, leaked = engine.step(on_engine(psi, engine))
     full = oracles.full_step_unitary(_StepEngine(thc, ham, spec, layout))
-    extended = oracles.embed_in_ancilla_vacuum(oracles.density(psi.amplitudes), layout)
+    extended = oracles.embed_in_ancilla_vacuum(oracles.density(oracles.to_register(psi)),
+                                               layout)
     gates, oracle_leaked = oracles.full_fock_step(full, extended, layout)
     gates = oracles.system_density(gates, layout)
-    on_support = gates[np.ix_(engine.support, engine.support)]
+    support = oracles.register_order(layout.system_only(), engine.sectors)
+    on_support = gates[np.ix_(support, support)]
     assert np.max(np.abs(oracles.density(fused) - on_support)) < 1e-12
     assert leaked == pytest.approx(oracle_leaked, abs=1e-12)
 
@@ -451,9 +468,9 @@ def test_step_channel_preserves_trace_and_vacuum_support():
     ham, thc = small_instance(10)
     psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(1))
     engine = sector_engine(thc, ham, StepSpec(tau=0.2, variant="improved"), psi)
-    out, leaked = engine.step(psi.amplitudes[engine.support])
+    out, leaked = engine.step(on_engine(psi, engine))
     # the ancillas are back in the vacuum: the state stays on the system support
-    assert out.shape == engine.support.shape
+    assert out.shape == (engine.col_offsets[-1],)
     assert float(np.vdot(out, out).real) + leaked == pytest.approx(1.0, abs=1e-10)
 
 
@@ -510,7 +527,7 @@ def test_evolve_leak_is_read_from_the_leaving_rows():
     spec = StepSpec(tau=0.2)
     assert np.all(evolve(psi0, thc, ham, t=2.0, tau=0.2, spec=spec).leaked_weight == 0.0)
     engine = _StepEngine(thc, ham, spec, extended_layout(thc), _sectors(psi0))
-    psi = psi0.amplitudes[engine.support]
+    psi = on_engine(psi0, engine)
     drift = []
     for _ in range(10):
         psi, leaked = engine.step(psi)
@@ -566,7 +583,7 @@ def random_definite_state(layout: ModeLayout, rng, one_spin_sector: bool):
     idx = np.flatnonzero(chosen)
     amps = np.zeros(layout.dim, dtype=complex)
     amps[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
-    return FockState(layout, amps / np.linalg.norm(amps)), idx
+    return oracles.from_register(layout, amps / np.linalg.norm(amps)), idx
 
 
 @settings(max_examples=40, deadline=None)
@@ -608,11 +625,13 @@ def test_sector_evolve_matches_full_density_oracle(
     layout = extended_layout(thc, spinful=spinful)
     sector = _StepEngine(thc, ham, spec, layout, _sectors(psi))
     full = _StepEngine(thc, ham, spec, layout)
-    assert np.array_equal(sector.support, support)
-    on_support = full.dense_unitary()[:, support]
-    assert sector.dense_unitary().shape == (sector.rows.size, support.size)
-    assert np.array_equal(sector.dense_unitary(), on_support[sector.rows])
-    assert not np.any(np.delete(on_support, sector.rows, axis=0))
+    columns = oracles.register_order(layout.system_only(), sector.sectors)
+    assert np.array_equal(np.sort(columns), support)
+    on_support = full.dense_unitary()[:, oracles.register_positions(layout.system_only())[columns]]
+    rows = oracles.register_positions(layout)[oracles.register_order(layout, sector.sectors)]
+    assert sector.dense_unitary().shape == (rows.size, support.size)
+    assert np.array_equal(sector.dense_unitary(), on_support[rows])
+    assert not np.any(np.delete(on_support, rows, axis=0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -656,13 +675,13 @@ def test_compound_matrix_is_the_gate_kernel_on_the_identity(m, seed, data):
     c, c_h = algorithm._compound(u.tobytes(), u.shape, k)
     sequence = givens_decompose(u)
     strings = oracles.sector_indices(m, k)
-    identity = FockState(ModeLayout(m, 0), np.eye(strings.size, dtype=complex), strings)
+    identity = oracles.RowState(ModeLayout(m, 0), np.eye(strings.size, dtype=complex), strings)
     kernel = oracles.apply_basis_rotation(identity, sequence, oracles.RowTables(identity))
     assert np.array_equal(c, kernel.amplitudes)
     assert np.array_equal(c_h, c.T.conj())
     modes = np.array([np.flatnonzero((s >> np.arange(m)) & 1) for s in strings],
                      dtype=int).reshape(strings.size, k)
-    q = sequence.single_particle_matrix()
+    q = oracles.single_particle_matrix(sequence)
     minors = np.linalg.det(q[modes[:, None, :, None], modes[None, :, None, :]])
     assert_allclose(c, minors, rtol=0, atol=1e-14)
 
@@ -692,23 +711,26 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
                           replace=False)
     amps = np.zeros(system.dim, dtype=complex)
     amps[occupied] = 1.0
-    psi = FockState(system, amps / np.linalg.norm(amps))
+    psi = oracles.from_register(system, amps / np.linalg.norm(amps))
 
     layout = extended_layout(thc, spinful=spinful)
     engine = _StepEngine(thc, no_one_body(n), StepSpec(tau=0.1), layout, _sectors(psi))
     counts = set(per_spin_counts(occupied, system))
+    assert engine.sectors == tuple(sorted(counts))
     everything = np.arange(layout.dim)
     expected = everything[[c in counts for c in per_spin_counts(everything, layout)]]
-    assert np.array_equal(engine.rows, expected)
+    rows = oracles.register_order(layout, engine.sectors)
+    assert np.array_equal(np.sort(rows), expected) and engine.row_offsets[-1] == expected.size
     states = np.arange(system.dim)
     support = states[[c in counts for c in per_spin_counts(states, system)]]
-    assert np.array_equal(engine.support, support)
+    columns = oracles.register_order(system, engine.sectors)
+    assert np.array_equal(np.sort(columns), support) and engine.col_offsets[-1] == support.size
     # K_0's rows: the extended states whose ancilla string is empty, in the
     # order of their system strings, the support; the rest leave the vacuum
     a_key, b_key = oracles.split_keys(layout)
-    assert np.array_equal(engine.vacuum, np.flatnonzero(b_key[engine.rows] == 0))
-    assert np.array_equal(engine.leaving, b_key[engine.rows] != 0)
-    assert np.array_equal(a_key[engine.rows[engine.vacuum]], engine.support)
+    assert np.array_equal(engine.vacuum, np.flatnonzero(b_key[rows] == 0))
+    assert np.array_equal(engine.leaving, b_key[rows] != 0)
+    assert np.array_equal(a_key[rows[engine.vacuum]], columns)
     # the memory estimate counts the same rows and columns without listing
     # them, and the compound matrix of each spin's particle count
     compounds = sum(math.comb(m, k) ** 2 for k in {k for c in counts for k in c})
@@ -730,18 +752,20 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
     psi = hartree_fock_state(ham, electrons, spinful=True)
     layout = extended_layout(thc, spinful=True)
-    sectors = _every_sector(layout) if every else _sectors(psi)
-    # each extended state's ancilla string, looked up before the trace starts
+    sectors = every_sector(layout) if every else _sectors(psi)
+    # each extended state's ancilla string, and the basis index of each
+    # row, looked up before the trace starts
     b_key = oracles.split_keys(layout)[1] if every else None
+    listed = oracles.register_order(layout, sectors) if every else None
     tracemalloc.start()
     try:
         engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), layout, sectors)
         if every:
             up = engine.dense_unitary()
-            for rows in (engine.vacuum, b_key[engine.rows] != 0):
+            for rows in (engine.vacuum, b_key[listed] != 0):
                 np.linalg.norm(up[rows], 2)
         else:
-            vector = psi.amplitudes[engine.support]
+            vector = on_engine(psi, engine)
             for _ in range(3):
                 vector, _ = engine.step(vector)
         peak = tracemalloc.get_traced_memory()[1]
@@ -757,7 +781,7 @@ def test_step_memory_estimate_bounds_the_traced_peak():
     # positions, per-cell phases and chunk columns) are nearly all of the
     # engine's memory
     engine, estimate, peak = traced_step_peak(2, 24, 4)
-    assert engine.rows.size == 76_176
+    assert engine.row_offsets[-1] == 76_176
     assert peak <= estimate
 
 
@@ -773,8 +797,8 @@ def test_step_memory_estimate_bounds_the_traced_peak_of_large_blocks(
     # blocks of U P of 1 MiB and more, where the working copies of the
     # block, not the per-row arrays, set the peak
     engine, estimate, peak = traced_step_peak(n, m, electrons, every, variant)
-    assert (engine.rows.size, engine.support.size) == block
-    assert 16 * engine.rows.size * engine.support.size >= 2**20
+    assert (engine.row_offsets[-1], engine.col_offsets[-1]) == block
+    assert 16 * engine.row_offsets[-1] * engine.col_offsets[-1] >= 2**20
     assert peak <= estimate
 
 
@@ -784,8 +808,8 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     ham, thc = small_instance(27, n=3, m=5)
     layout = extended_layout(thc, spinful=True)
     psi = hartree_fock_state(ham, 3, spinful=True)
-    every = _step_bytes(layout, _every_sector(layout))
-    assert operator_memory_bytes(_sector_states(3, _sectors(psi)).size) < every
+    every = _step_bytes(layout, every_sector(layout))
+    assert operator_memory_bytes(_sector_offsets(3, _sectors(psi))[-1]) < every
     # the projection bound compiles every sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
     with pytest.raises(ValueError, match="the step on 10 modes"):
@@ -815,7 +839,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
     psi = hartree_fock_state(ham, 2, spinful=True)
     layout = extended_layout(thc, spinful=True)
     step = _step_bytes(layout, _sectors(psi))
-    assert step < operator_memory_bytes(_sector_states(2, _sectors(psi)).size)
+    assert step < operator_memory_bytes(_sector_offsets(2, _sectors(psi))[-1])
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)
     with pytest.raises(MemoryRefusal, match="many-body operator on 4 modes"):
@@ -849,23 +873,24 @@ def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
     # system state would need 1.5 GiB
     ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(6, np.random.default_rng(30)))
     psi = hartree_fock_state(ham, 6, spinful=True)
-    rows = _sector_states(6, _sectors(psi))
-    estimate = operator_memory_bytes(rows.size)
-    assert rows.size == 400 and estimate == 6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES
+    sectors = _sectors(psi)
+    size = _sector_offsets(6, sectors)[-1]
+    estimate = operator_memory_bytes(size)
+    assert size == 400 and estimate == 6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 64 * 2**20)
     with pytest.raises(ValueError, match="12 modes .* physical memory"):
         build_many_body_operator(ham, spinful=True)
     hamiltonian._string_tables.cache_clear()  # trace a cold build
     tracemalloc.start()
     try:
-        op = build_many_body_operator(ham, spinful=True, rows=rows)
-        phi = exact_evolution(op, _on_rows(psi, rows), 0.1)
+        op = build_many_body_operator(ham, spinful=True, sectors=sectors)
+        phi = exact_evolution(op, _on_sectors(psi, sectors), 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= estimate
     assert phi.norm() == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(phi.rows, rows)
+    assert phi.sectors == tuple(sectors) and phi.amplitudes.size == size
 
 
 @pytest.mark.parametrize("n, size", [(2, 4), (3, 9), (4, 36), (5, 100)])
@@ -875,24 +900,50 @@ def test_reference_estimate_bounds_the_traced_peak_of_small_blocks(n, size):
     # the peak
     ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(n, np.random.default_rng(30)))
     psi = hartree_fock_state(ham, n, spinful=True)
-    rows = _sector_states(n, _sectors(psi))
-    assert rows.size == size
+    sectors = _sectors(psi)
+    assert _sector_offsets(n, sectors)[-1] == size
     hamiltonian._string_tables.cache_clear()  # trace a cold build
     tracemalloc.start()
     try:
-        op = build_many_body_operator(ham, spinful=True, rows=rows)
-        exact_evolution(op, _on_rows(psi, rows), 0.1)
+        op = build_many_body_operator(ham, spinful=True, sectors=sectors)
+        exact_evolution(op, _on_sectors(psi, sectors), 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= operator_memory_bytes(size)
 
 
+def test_two_electrons_in_eighteen_spinful_orbitals():
+    # 36 system modes, 38 extended: the Hartree-Fock state is one cell of its
+    # (1, 1) sector's 18 x 18 grid, and the step compiles the 19^2 = 361
+    # extended cells of that sector for its 324 columns, where a vector on
+    # every basis state would hold 2^36 amplitudes
+    rng = np.random.default_rng(36)
+    n, m = 18, 19
+    vtilde = rng.normal(size=(m, m))
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(np.sort(rng.normal(size=n))),
+                                projected_interaction(thc.u, thc.vtilde))
+    tracemalloc.start()
+    try:
+        psi = hartree_fock_state(ham, 2, spinful=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert psi.sectors == ((1, 1),) and psi.amplitudes.shape == (324,)
+    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), extended_layout(thc, spinful=True),
+                         _sectors(psi))
+    assert engine.dense_unitary().shape == (361, 324)
+    result = evolve(psi, thc, ham, t=0.2, tau=0.1)
+    assert result.n_steps == 2
+    assert 0.0 < result.error_vs_exact < 1.0
+
+
 def test_evolve_takes_an_input_on_listed_rows():
     ham, thc = small_instance(31, n=2, m=3)
-    psi = hartree_fock_state(ham, 2, spinful=True)
-    occupied = np.flatnonzero(psi.amplitudes)
-    listed = FockState(psi.layout, psi.amplitudes[occupied], occupied)
+    listed = hartree_fock_state(ham, 2, spinful=True)  # on its one sector
+    psi = oracles.from_register(listed.layout, oracles.to_register(listed))  # on every sector
     full, short = (evolve(state, thc, ham, t=0.2, tau=0.1) for state in (psi, listed))
     assert short.error_vs_exact == full.error_vs_exact
     assert np.array_equal(short.leaked_weight, full.leaked_weight)
@@ -925,7 +976,7 @@ def test_evolve_rejects_mixed_particle_numbers(spinful):
     amps = np.zeros(layout.dim, dtype=complex)
     amps[[0b0001, 0b0011]] = 1 / np.sqrt(2)  # one and two particles
     with pytest.raises(ValueError, match="one particle number"):
-        evolve(FockState(layout, amps), thc, ham, t=0.2, tau=0.1)
+        evolve(oracles.from_register(layout, amps), thc, ham, t=0.2, tau=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1107,7 @@ def test_projection_error_methods_agree():
     v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)),
                                    projected_interaction(thc.u, thc.vtilde))
     engine = _StepEngine(thc, v_only, StepSpec(tau=tau), layout)
-    start = oracles.density(rho.amplitudes)
+    start = oracles.density(oracles.to_register(rho))
     extended = oracles.embed_in_ancilla_vacuum(start, layout)
     stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended, layout)
     ideal = oracles.evolve_density(build_many_body_operator(v_only, spinful=False), start, tau)
@@ -1076,7 +1127,7 @@ def test_one_step_error_within_three_error_budget(seed):
     measured = evolve(psi, thc, ham, t=tau, tau=tau).error_vs_exact
 
     h_op, vprime_op = projected_operators(ham, thc)
-    psi_h = oracles.apply_diagonal_one_body(psi, np.diag(ham.h), tau / 2)
+    psi_h = oracles.diagonal_one_body(psi, np.diag(ham.h), tau / 2)
     budget = (
         thc_bound(ham, thc, tau).value
         + trotter_bound(h_op, vprime_op, tau)

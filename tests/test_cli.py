@@ -35,7 +35,7 @@ from isothc.focksim import ModeLayout, basis_state
 from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
     ElectronicHamiltonian,
-    _sector_states,
+    _sector_offsets,
     operator_memory_bytes,
     write_fcidump,
 )
@@ -363,7 +363,7 @@ def test_simulate_writes_scaling_csv_and_sequence(tmp_path, factorized):
         (outdir / "givens_sequence.json").read_text())
     thc = ThcFactorization.from_json(thc_path.read_text())
     np.testing.assert_allclose(
-        sequence.single_particle_matrix()[:, : thc.n], thc.u.T.astype(complex),
+        oracles.single_particle_matrix(sequence)[:, : thc.n], thc.u.T.astype(complex),
         atol=1e-10,
     )
 
@@ -452,12 +452,32 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, monkeypatch):
     # the exact reference is charged by its block, the 100 system states of
     # the (3, 2) sector, not by the 2^10 states of the 10 system modes
     psi0 = hartree_fock_state(ham, 5, spinful=True)
-    reference = operator_memory_bytes(_sector_states(5, _sectors(psi0)).size)
+    reference = operator_memory_bytes(_sector_offsets(5, _sectors(psi0))[-1])
     assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES
     assert reference < _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
 
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 512 * 2**20)
     assert main(argv) == 0
+    rows = (tmp_path / "sim" / "error_scaling.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("basic,0.05,2,")
+    assert math.isfinite(float(rows[0].split(",")[3]))
+
+
+def test_simulate_two_electrons_in_eighteen_spinful_orbitals(tmp_path):
+    # a 38-mode register (n = 18, m = 19 spinful) of few electrons: the
+    # Hartree-Fock state and the step live on the (1, 1) sector alone
+    rng = np.random.default_rng(36)
+    n, m = 18, 19
+    vtilde = rng.normal(size=(m, m))
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(np.sort(rng.normal(size=n))),
+                                projected_interaction(thc.u, thc.vtilde))
+    write_fcidump(ham, tmp_path / "n18.fcidump")
+    (tmp_path / "thc.json").write_text(thc.to_json())
+    assert main(["simulate", "--fcidump", str(tmp_path / "n18.fcidump"),
+                 "--thc", str(tmp_path / "thc.json"), "--spinful", "--n-electrons", "2",
+                 "--t", "0.1", "--tau", "0.05", "--variants", "basic",
+                 "--outdir", str(tmp_path / "sim")]) == 0
     rows = (tmp_path / "sim" / "error_scaling.csv").read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("basic,0.05,2,")
     assert math.isfinite(float(rows[0].split(",")[3]))
@@ -476,7 +496,7 @@ def test_simulate_refuses_a_reference_larger_than_memory(tmp_path, capsys, monke
     (tmp_path / "thc.json").write_text(thc.to_json())
     psi0 = hartree_fock_state(ham, 2, spinful=True)
     step = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
-    assert step < operator_memory_bytes(_sector_states(3, _sectors(psi0)).size) == (
+    assert step < operator_memory_bytes(_sector_offsets(3, _sectors(psi0))[-1]) == (
         operator_memory_bytes(9))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)

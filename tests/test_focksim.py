@@ -18,6 +18,7 @@ from isothc.hamiltonian import ManyBodyOperator, build_many_body_operator
 
 import oracles
 from oracles import (
+    RowState,
     RowTables,
     apply_basis_rotation,
     apply_diagonal_one_body,
@@ -53,8 +54,8 @@ def random_pure_density(layout: ModeLayout, rng) -> np.ndarray:
 def test_spinful_layout_mode_placement():
     layout = ModeLayout(n_system=2, n_ancilla=1, spinful=True)
     assert layout.n_modes == 6
-    assert layout.system_modes == (0, 1, 3, 4)
-    assert layout.ancilla_modes == (2, 5)
+    assert oracles.system_modes(layout) == (0, 1, 3, 4)
+    assert oracles.ancilla_modes(layout) == (2, 5)
 
 
 def test_mode_caps():
@@ -70,7 +71,24 @@ def test_mode_caps():
 def test_basis_state_bit_order():
     layout = ModeLayout(3, 0)
     state = basis_state(layout, "110")
-    assert state.amplitudes[0b011] == 1.0
+    assert oracles.to_register(state)[0b011] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2), st.booleans(), st.data())
+def test_basis_state_is_one_cell_of_its_sector(n_system, n_ancilla, spinful, data):
+    # the closed-form colex rank against the cell the register embedding
+    # lists for the same basis index, with no 2^M array
+    layout = ModeLayout(n_system, n_ancilla, spinful)
+    occupations = data.draw(st.lists(st.integers(0, 1), min_size=layout.n_modes,
+                                     max_size=layout.n_modes))
+    state = basis_state(layout, occupations)
+    m = layout.sector_size
+    counts = tuple(sum(occupations[s * m:(s + 1) * m]) for s in range(layout.n_sectors))
+    assert state.sectors == (counts,)
+    index = sum(bit << k for k, bit in enumerate(occupations))
+    expected = (oracles.register_order(layout, [counts]) == index).astype(complex)
+    assert np.array_equal(state.amplitudes, expected)
 
 
 def test_embed_and_restrict_round_trip():
@@ -95,7 +113,7 @@ def test_givens_decompose_rejects_bad_rows():
 
 def test_givens_decompose_identity_is_empty():
     seq = givens_decompose(np.eye(4)[:2])
-    assert len(seq) == 0
+    assert len(seq.rotations) == 0
     assert_allclose(seq.diagonal_phases, 0.0)
 
 
@@ -103,10 +121,10 @@ def test_givens_decompose_identity_is_empty():
 def test_givens_decompose_reconstructs_block(n, m):
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w[:n])
-    assert len(seq) <= m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
+    assert len(seq.rotations) <= m * (m - 1) // 2 - (m - n) * (m - n - 1) // 2
     for r in seq.rotations:
         assert r.q == r.p + 1
-    q = seq.single_particle_matrix()
+    q = oracles.single_particle_matrix(seq)
     assert_allclose(q[:, :n], w[:n, :].T, atol=1e-8)
     assert_allclose(q @ q.conj().T, np.eye(m), atol=1e-10)
 
@@ -133,9 +151,9 @@ def test_rotation_single_particle_action_matches_matrix():
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w)
     layout = ModeLayout(m, 0)
-    q = seq.single_particle_matrix()
+    q = oracles.single_particle_matrix(seq)
     for p in range(m):
-        state = basis_state(layout, [1 if k == p else 0 for k in range(m)])
+        state = oracles.register_state(basis_state(layout, [1 if k == p else 0 for k in range(m)]))
         rotated = rotate(state, seq)
         amps = np.array([rotated.amplitudes[1 << k] for k in range(m)])
         assert_allclose(amps, q[:, p], atol=1e-10)
@@ -146,14 +164,14 @@ def test_rotation_matches_exponentiated_generator(m):
     # circuit versus exp(sum_pq log(Q)_pq a+_p a_q) built by the string oracle
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w)
-    q = seq.single_particle_matrix()
+    q = oracles.single_particle_matrix(seq)
     generator = scipy.linalg.logm(q)
     big_u = scipy.linalg.expm(oracles.dense_quadratic(m, generator))
     layout = ModeLayout(m, 0)
     rng = np.random.default_rng(5)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
-    state = FockState(layout, amps)
+    state = RowState(layout, amps)
     rotated = rotate(state, seq)
     assert_allclose(rotated.amplitudes, big_u @ amps, atol=1e-9)
 
@@ -162,7 +180,7 @@ def test_rotation_swap_exchanges_occupations():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     seq = givens_decompose(w[:2])
     layout = ModeLayout(2, 0)
-    out = rotate(basis_state(layout, "10"), seq)
+    out = rotate(oracles.register_state(basis_state(layout, "10")), seq)
     assert abs(out.amplitudes[0b10]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -175,7 +193,7 @@ def test_rotation_unitary_and_invertible(seed):
     layout = ModeLayout(m - 1, 1)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
-    state = FockState(layout, amps)
+    state = RowState(layout, amps)
     rotated = rotate(state, seq)
     assert rotated.norm() == pytest.approx(1.0, abs=1e-12)
     undone = rotate(rotated, seq, inverse=True)
@@ -197,14 +215,15 @@ def test_kernels_act_column_by_column_on_blocks():
         lambda s: phase_on_ancillas(s, 0.9),
     ]
     system = layout.system_only()
+    order = oracles.register_order(system)
     op = ManyBodyOperator(4, True, oracles.dense_hamiltonian(
-        oracles.random_hamiltonian(2, rng), spinful=True))
+        oracles.random_hamiltonian(2, rng), spinful=True)[np.ix_(order, order)])
     small = block[: system.dim, : system.dim]
-    cases = [(kernel, layout, block) for kernel in kernels]
-    cases.append((lambda s: exact_evolution(op, s, 0.6), system, small))
-    for kernel, lay, arr in cases:
-        together = kernel(FockState(lay, arr)).amplitudes
-        apart = [kernel(FockState(lay, arr[:, j])).amplitudes for j in range(arr.shape[1])]
+    cases = [(kernel, RowState, layout, block) for kernel in kernels]
+    cases.append((lambda s: exact_evolution(op, s, 0.6), FockState, system, small))
+    for kernel, state, lay, arr in cases:
+        together = kernel(state(lay, arr)).amplitudes
+        apart = [kernel(state(lay, arr[:, j])).amplitudes for j in range(arr.shape[1])]
         assert_allclose(together, np.stack(apart, axis=1), atol=1e-12)
 
 
@@ -228,15 +247,15 @@ def test_kernels_on_sector_rows_match_full_basis():
         lambda s: phase_on_ancillas(s, 0.9),
     ]
     for kernel in kernels:
-        full = kernel(FockState(layout, block)).amplitudes
-        sector = kernel(FockState(layout, block[rows], rows))
+        full = kernel(RowState(layout, block)).amplitudes
+        sector = kernel(RowState(layout, block[rows], rows))
         assert np.array_equal(sector.rows, rows)
         assert np.array_equal(sector.amplitudes, full[rows])
         assert not np.any(np.delete(full, rows, axis=0))
     with pytest.raises(ValueError, match="ascending"):
-        FockState(layout, block[rows[::-1]], rows[::-1])
+        RowState(layout, block[rows[::-1]], rows[::-1])
     with pytest.raises(ValueError, match="closed"):
-        rotate(FockState(layout, block[rows[1:]], rows[1:]), seq)
+        rotate(RowState(layout, block[rows[1:]], rows[1:]), seq)
 
 
 def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
@@ -244,7 +263,7 @@ def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
     rng = np.random.default_rng(33)
     seq = givens_decompose(random_orthogonal(4, rng)[:2])
     vtilde = rng.normal(size=(4, 4))
-    state = FockState(layout, rng.normal(size=layout.dim) + 0j)
+    state = RowState(layout, rng.normal(size=layout.dim) + 0j)
     tables = RowTables(state)
     lookups = []
     pair_indices = oracles._pair_indices
@@ -259,7 +278,7 @@ def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
     untabled = apply_diagonal_two_body(rotate(state, seq), vtilde, 0.4)
     assert np.array_equal(out.amplitudes, rotate(untabled, seq, inverse=True).amplitudes)
     # equal rows of another state still need their own tables
-    other = FockState(layout, state.amplitudes)
+    other = RowState(layout, state.amplitudes)
     with pytest.raises(ValueError, match="another state"):
         apply_basis_rotation(other, seq, tables)
 
@@ -270,7 +289,7 @@ def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
 
 def test_one_body_phase_on_occupied_mode():
     layout = ModeLayout(1, 0)
-    state = basis_state(layout, "1")
+    state = oracles.register_state(basis_state(layout, "1"))
     out = apply_diagonal_one_body(state, np.array([0.7]), tau=2.0)
     assert out.amplitudes[1] == pytest.approx(np.exp(-1.4j), abs=1e-12)
 
@@ -278,20 +297,23 @@ def test_one_body_phase_on_occupied_mode():
 def test_two_body_phase_single_pair_spinless():
     layout = ModeLayout(2, 0)
     vtilde = np.array([[0.0, 0.3], [0.3, 0.0]])
-    out = apply_diagonal_two_body(basis_state(layout, "11"), vtilde, tau=1.0)
+    out = apply_diagonal_two_body(oracles.register_state(basis_state(layout, "11")), vtilde,
+                                  tau=1.0)
     assert out.amplitudes[0b11] == pytest.approx(np.exp(-0.3j), abs=1e-12)
-    single = apply_diagonal_two_body(basis_state(layout, "10"), vtilde, tau=1.0)
+    single = apply_diagonal_two_body(oracles.register_state(basis_state(layout, "10")), vtilde,
+                                     tau=1.0)
     assert single.amplitudes[0b01] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_body_phase_diagonal_entry_spinful_only():
     vtilde = np.array([[0.4]])
     spinless = apply_diagonal_two_body(
-        basis_state(ModeLayout(1, 0), "1"), vtilde, tau=1.0
+        oracles.register_state(basis_state(ModeLayout(1, 0), "1")), vtilde, tau=1.0
     )
     assert spinless.amplitudes[1] == pytest.approx(1.0, abs=1e-12)
     doubly = apply_diagonal_two_body(
-        basis_state(ModeLayout(1, 0, spinful=True), "11"), vtilde, tau=1.0
+        oracles.register_state(basis_state(ModeLayout(1, 0, spinful=True), "11")), vtilde,
+        tau=1.0
     )
     assert doubly.amplitudes[0b11] == pytest.approx(np.exp(-0.4j), abs=1e-12)
 
@@ -318,13 +340,13 @@ def test_two_body_phase_matches_string_oracle(spinful):
     rng = np.random.default_rng(3)
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
-    out = apply_diagonal_two_body(FockState(layout, amps), vtilde, tau)
+    out = apply_diagonal_two_body(RowState(layout, amps), vtilde, tau)
     assert_allclose(out.amplitudes, expected @ amps, atol=1e-10)
 
 
 def test_phase_on_ancillas_counts_occupations():
     layout = ModeLayout(1, 1, spinful=True)  # modes: a0, b0, a1, b1
-    state = basis_state(layout, "0101")
+    state = oracles.register_state(basis_state(layout, "0101"))
     out = phase_on_ancillas(state, 0.25)
     assert out.amplitudes[0b1010] == pytest.approx(np.exp(0.5j), abs=1e-12)
 
@@ -335,9 +357,9 @@ def test_phase_on_ancillas_counts_occupations():
 
 def test_reset_sends_occupied_ancilla_to_vacuum():
     layout = ModeLayout(1, 1)
-    rho = density(basis_state(layout, "11").amplitudes)
+    rho = density(oracles.to_register(basis_state(layout, "11")))
     out = reset_ancillas(rho, layout)
-    expected = density(basis_state(layout, "10").amplitudes)
+    expected = density(oracles.to_register(basis_state(layout, "10")))
     assert_allclose(out, expected, atol=1e-12)
 
 
@@ -419,8 +441,8 @@ def test_reset_silent_on_ancilla_diagonal_coherence():
 
 def test_trace_distance_extremes():
     layout = ModeLayout(2, 0)
-    a = density(basis_state(layout, "10").amplitudes)
-    b = density(basis_state(layout, "01").amplitudes)
+    a = density(oracles.to_register(basis_state(layout, "10")))
+    b = density(oracles.to_register(basis_state(layout, "01")))
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
@@ -438,28 +460,30 @@ def test_trace_distance_two_level_formula(p, q):
 
 def test_trace_distance_dimension_mismatch():
     with pytest.raises(ValueError, match="register"):
-        trace_distance(density(basis_state(ModeLayout(1, 0), "1").amplitudes),
-                       density(basis_state(ModeLayout(2, 0), "10").amplitudes))
+        trace_distance(density(oracles.to_register(basis_state(ModeLayout(1, 0), "1"))),
+                       density(oracles.to_register(basis_state(ModeLayout(2, 0), "10"))))
 
 
 def test_exact_evolution_single_mode_phase():
     layout = ModeLayout(1, 0)
     op = ManyBodyOperator(1, False, np.diag([0.0, 0.9]).astype(complex))
-    out = exact_evolution(op, basis_state(layout, "1"), t=2.0)
+    state = oracles.from_register(layout, oracles.to_register(basis_state(layout, "1")))
+    out = exact_evolution(op, state, t=2.0)
     assert out.amplitudes[1] == pytest.approx(np.exp(-1.8j), abs=1e-12)
 
 
 def test_exact_evolution_matches_expm():
     H = oracles.random_hamiltonian(3, _rng)
     dense = oracles.dense_hamiltonian(H, spinful=False)
-    op = ManyBodyOperator(3, False, dense)
     layout = ModeLayout(3, 0)
+    order = oracles.register_order(layout)
+    op = ManyBodyOperator(3, False, dense[np.ix_(order, order)])
     rng = np.random.default_rng(2)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    out = exact_evolution(op, FockState(layout, amps), t=0.83)
+    out = exact_evolution(op, oracles.from_register(layout, amps), t=0.83)
     expected = scipy.linalg.expm(-0.83j * dense) @ amps
-    assert_allclose(out.amplitudes, expected, atol=1e-10)
+    assert_allclose(oracles.to_register(out), expected, atol=1e-10)
     rho_out = oracles.evolve_density(op, density(amps), t=0.83)
     assert_allclose(rho_out, density(expected), atol=1e-10)
 
@@ -473,17 +497,22 @@ def test_exact_evolution_dimension_mismatch():
 def test_exact_evolution_refuses_a_state_on_other_rows():
     H = oracles.random_hamiltonian(2, _rng)
     layout = ModeLayout(2, 0, spinful=True)
-    one_each = np.array([0b0101, 0b0110, 0b1001, 0b1010])  # one electron per spin
-    op = build_many_body_operator(H, spinful=True, rows=one_each)
+    one_each = [(1, 1)]  # one electron per spin
+    op = build_many_body_operator(H, spinful=True, sectors=one_each)
     state = FockState(layout, np.eye(4)[0], one_each)
     out = exact_evolution(op, state, 0.3)
-    assert np.array_equal(out.rows, one_each)
-    full = exact_evolution(build_many_body_operator(H, spinful=True),
-                           basis_state(layout, "1010"), 0.3)
-    assert_allclose(out.amplitudes, full.amplitudes[one_each], atol=1e-12)
-    two_up = FockState(layout, np.eye(4)[0], [0b0011, 0b0101, 0b0110, 0b1001])
-    for other in (two_up, basis_state(layout, "1010")):
-        with pytest.raises(ValueError, match="operator's rows"):
+    assert out.sectors == ((1, 1),)
+    every = oracles.from_register(layout, oracles.to_register(basis_state(layout, "1010")))
+    full = exact_evolution(build_many_body_operator(H, spinful=True), every, 0.3)
+    assert_allclose(out.amplitudes,
+                    oracles.to_register(full)[[0b0101, 0b0110, 0b1001, 0b1010]], atol=1e-12)
+    # the basis state of the sector's first cell lives on that sector alone
+    assert np.array_equal(exact_evolution(op, basis_state(layout, "1010"), 0.3).amplitudes,
+                          out.amplitudes)
+    # four cells of other sectors, and every sector
+    other_sectors = FockState(layout, np.eye(4)[0], [(0, 1), (1, 0)])
+    for other in (other_sectors, every):
+        with pytest.raises(ValueError, match="operator's sectors"):
             exact_evolution(op, other, 0.3)
-    with pytest.raises(ValueError, match="operator's rows"):
+    with pytest.raises(ValueError, match="operator's sectors"):
         exact_evolution(build_many_body_operator(H, spinful=True), state, 0.3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isothc import hamiltonian
-from isothc.focksim import ModeLayout
+from isothc.focksim import MAX_SPIN_MODES, ModeLayout
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
     FcidumpError,
@@ -29,7 +29,7 @@ def test_single_orbital_spinful_matrix():
     op = build_many_body_operator(H, spinful=True)
     assert op.n_modes == 2
     expected = np.diag([0.0, e, e, 2 * e + v])
-    assert_allclose(op.matrix, expected, atol=1e-12)
+    assert_allclose(oracles.register_matrix(op), expected, atol=1e-12)
 
 
 def test_two_level_one_electron_ground_state():
@@ -45,7 +45,8 @@ def test_two_level_one_electron_ground_state():
 def test_operator_matches_string_oracle(n, spinful):
     H = oracles.random_hamiltonian(n, _rng)
     op = build_many_body_operator(H, spinful=spinful)
-    assert_allclose(op.matrix, oracles.dense_hamiltonian(H, spinful), atol=1e-10)
+    assert_allclose(oracles.register_matrix(op), oracles.dense_hamiltonian(H, spinful),
+                    atol=1e-10)
 
 
 @pytest.mark.parametrize("n,n_elec,spinful", [(3, 2, False), (2, 2, True), (3, 1, False)])
@@ -57,20 +58,22 @@ def test_ground_state_matches_full_ci_oracle(n, n_elec, spinful):
     )
 
 
-def test_registers_past_63_modes_are_refused_by_their_mode_count():
-    # int64 basis indices hold modes 0 .. 62: mode 63's bit would wrap to -2**63
-    limit = "64 modes exceed the 63-mode limit of int64 basis indices"
-    with pytest.raises(ValueError, match=limit):
-        ground_state_energy(oracles.random_hamiltonian(32, np.random.default_rng(0)), 1,
-                            spinful=True)
-    with pytest.raises(ValueError, match=limit):
-        hamiltonian._sector_states(32, [(1, 0)])
-    for layout in ((32, 0, True), (31, 1, True), (60, 4, False)):
+def test_layouts_past_63_modes_per_spin_are_refused():
+    # each spin's strings are int64 bitmasks of modes 0 .. 62: mode 63's bit
+    # would wrap to -2**63
+    limit = "64 modes per spin exceed the 63-mode limit of int64 spin strings"
+    for layout in ((64, 0), (63, 1, True), (60, 4, False)):
         with pytest.raises(ValueError, match=limit):
             ModeLayout(*layout)
-    assert ModeLayout(62, 1).n_modes == hamiltonian.MAX_MODES == 63
-    top = hamiltonian._sector_states(63, [(1,)])
+    assert ModeLayout(62, 1, spinful=True).sector_size == MAX_SPIN_MODES == 63
+    top = hamiltonian._string_tables(63, 1)[0]
     assert top.size == 63 and top[-1] == 1 << 62
+    # the limit is per spin: 64 modes of two spins hold one electron in 32
+    # orbitals, whose energy is the lowest one-body level
+    H = oracles.random_hamiltonian(32, np.random.default_rng(0))
+    assert ModeLayout(32, 0, spinful=True).n_modes == 64
+    assert ground_state_energy(H, 1, spinful=True) == pytest.approx(
+        np.linalg.eigvalsh(H.h)[0], abs=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -79,9 +82,10 @@ def test_operator_is_hermitian_and_number_conserving(n, seed):
     H = oracles.random_hamiltonian(n, np.random.default_rng(seed))
     op = build_many_body_operator(H)
     assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-12)
+    matrix = oracles.register_matrix(op)
     weights = np.array([bin(x).count("1") for x in range(2**n)])
     number = np.diag(weights.astype(float))
-    assert_allclose(op.matrix @ number, number @ op.matrix, atol=1e-12)
+    assert_allclose(matrix @ number, number @ matrix, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +98,8 @@ def test_operator_matches_string_oracle_with_core_energy(spinful, n, seed):
     H = ElectronicHamiltonian(n, core, drawn.h, drawn.eri)
     op = build_many_body_operator(H, spinful=spinful)
     assert op.matrix.dtype == complex
-    assert_allclose(op.matrix, oracles.dense_hamiltonian(H, spinful), rtol=0, atol=1e-12)
+    assert_allclose(oracles.register_matrix(op), oracles.dense_hamiltonian(H, spinful),
+                    rtol=0, atol=1e-12)
 
 
 def test_mode_cap_enforced(monkeypatch):
@@ -122,7 +127,8 @@ def test_mode_cap_enforced(monkeypatch):
         oracles.full_ci_ground_energy(H, 2, True), abs=1e-10)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: full)
     op = build_many_body_operator(H, spinful=True)
-    assert_allclose(op.matrix, oracles.dense_hamiltonian(H, spinful=True), atol=1e-10)
+    assert_allclose(oracles.register_matrix(op), oracles.dense_hamiltonian(H, spinful=True),
+                    atol=1e-10)
 
 
 @pytest.mark.parametrize("n, n_electrons, size", [(8, 2, 120), (12, 2, 276), (16, 2, 496),
@@ -168,36 +174,31 @@ def test_sector_build_is_the_block_of_the_full_build(spinful, n, seed, data):
     drawn = oracles.random_hamiltonian(n, rng)
     H = ElectronicHamiltonian(n, float(rng.uniform(-2.0, 2.0)), drawn.h, drawn.eri)
     full = build_many_body_operator(H, spinful=spinful)
-    assert_allclose(full.matrix, oracles.dense_hamiltonian(H, spinful), rtol=0, atol=1e-12)
+    assert_allclose(oracles.register_matrix(full), oracles.dense_hamiltonian(H, spinful),
+                    rtol=0, atol=1e-12)
     every = [(a, b) for a in range(n + 1) for b in range(n + 1)] if spinful else [
         (a,) for a in range(n + 1)]
-    sectors = data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
-    rows = sector_rows(full.n_modes, n, set(sectors))
-    op = build_many_body_operator(H, spinful=spinful, rows=rows)
-    assert np.array_equal(op.rows, rows)
-    assert np.array_equal(op.matrix, full.matrix[np.ix_(rows, rows)])
-    # the default rows are every basis state, as listed rows too
-    assert np.array_equal(full.rows, np.arange(1 << full.n_modes))
-    listed = build_many_body_operator(H, spinful=spinful, rows=full.rows)
+    sectors = sorted(data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True)))
+    layout = ModeLayout(n, 0, spinful)
+    listed = oracles.register_order(layout, sectors)
+    assert np.array_equal(np.sort(listed), sector_rows(full.n_modes, n, set(sectors)))
+    op = build_many_body_operator(H, spinful=spinful, sectors=sectors)
+    assert op.sectors == tuple(sectors)
+    cells = oracles.register_positions(layout)[listed]  # their cells in the full build
+    assert np.array_equal(op.matrix, full.matrix[np.ix_(cells, cells)])
+    # the default sectors are every sector, as listed sectors too
+    assert full.sectors == tuple(every)
+    listed = build_many_body_operator(H, spinful=spinful, sectors=every)
     assert np.array_equal(listed.matrix, full.matrix)
 
 
-def test_operator_rows_must_hold_whole_sectors():
-    H = oracles.random_hamiltonian(3, _rng)
-    # the (1, 1) sector of 3 spinful orbitals holds 9 states; drop one
-    rows = hamiltonian._sector_states(3, [(1, 0), (1, 1)])
-    with pytest.raises(ValueError, match=r"8 of the 9 states of the sector \(1, 1\)"):
-        build_many_body_operator(H, spinful=True, rows=np.delete(rows, 5))
-    with pytest.raises(ValueError, match=r"1 of the 3 states of the sector \(2,\)"):
-        build_many_body_operator(H, rows=np.array([3]))
-    assert build_many_body_operator(H, spinful=True, rows=rows).matrix.shape == (12, 12)
-
-
-def test_operator_rows_must_ascend():
+def test_operator_sectors_must_ascend():
     H = oracles.random_hamiltonian(2, _rng)
-    for rows in ([1, 0], [0, 0, 1], [0, 4], [[0, 1]]):
+    for sectors in ([(1,), (0,)], [(0,), (0,), (1,)], [(0,), (3,)], [(0, 1)], [(-1,)]):
         with pytest.raises(ValueError, match="ascending"):
-            build_many_body_operator(H, rows=np.array(rows))
+            build_many_body_operator(H, sectors=sectors)
+    with pytest.raises(ValueError, match="ascending"):
+        build_many_body_operator(H, spinful=True, sectors=[(1,)])
 
 
 def test_rotation_diagonalizes_h_and_preserves_spectrum():
