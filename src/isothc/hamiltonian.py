@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
   summed over spin as well when a spinful representation is requested.
 * Fermionic modes map to qubits by the Jordan-Wigner convention with mode 0
-  as the least significant bit of the basis-state index.  Spinful
+  as the least significant bit of an occupation string.  Spinful
   representations place all up-spin modes at 0 .. n-1 and all down-spin
   modes at n .. 2n-1.
 * States and operators are indexed in sector-major order, never by a
@@ -25,7 +25,7 @@ Conventions used throughout the package:
   rank, with each spin's k-particle strings ascending as int64 bitmasks
   (mode k at bit k, so at most 63 modes per spin).  On one sector this is
   the ascending order of the basis indices.  ``_sector_offsets`` places
-  the sectors; nothing else knows the format.
+  the sectors, for every module.
 * H is built one sector at a time on its string grid, with E_pq =
   E_up_pq (x) 1 + 1 (x) E_down_pq: each spin's tables list, for every
   k-particle string, the k(n - k) + k excitations a+_p a_q that keep it,
@@ -367,9 +367,10 @@ class ManyBodyOperator:
 
     def __post_init__(self) -> None:
         n_spins = 2 if self.spinful else 1
-        sectors = _sector_list(self.n_modes // n_spins, n_spins, self.sectors)
+        size = self.n_modes // n_spins
+        sectors = _sector_list(size, n_spins, self.sectors)
         object.__setattr__(self, "sectors", sectors)
-        dim = _sector_offsets(self.n_modes // n_spins, sectors)[-1]
+        dim = _sector_offsets(size, sectors)[-1]
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} != {(dim, dim)}")
 

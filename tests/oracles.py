@@ -890,10 +890,9 @@ def _norm_long_double(a: np.ndarray) -> np.longdouble:
     return np.sqrt(np.vdot(av, av).real / np.vdot(v, v).real)
 
 
-def projection_bound_long_double(thc: ThcFactorization, spec: StepSpec,
-                                 spinful: bool = True) -> np.longdouble:
-    """``projection_error_bound`` in ``np.clongdouble``: on every (N_up, N_down)
-    sector, U P on the sector's grid X[d, u] of down and up strings of m
+def projection_bound_long_double(thc: ThcFactorization, spec: StepSpec) -> np.longdouble:
+    """``projection_error_bound`` of a spinful register in ``np.clongdouble``:
+    on every (N_up, N_down) sector, U P on the sector's grid X[d, u] of down and up strings of m
     modes, with C_k = Lambda^k(Q) from the Leibniz minors, against the
     Taylor exponential of the sector's block of V' accumulated string by
     string.  The two norms are those of block-diagonal matrices, so each is
@@ -911,10 +910,10 @@ def projection_bound_long_double(thc: ThcFactorization, spec: StepSpec,
         blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
     vprime = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)),
                                    projected_interaction(thc.u, thc.vtilde))
-    dense = dense_hamiltonian(vprime, spinful, dtype=cld)
+    dense = dense_hamiltonian(vprime, spinful=True, dtype=cld)
     term1 = term2 = ld(0)
     for n_up in range(n + 1):
-        for n_down in range(n + 1) if spinful else (0,):
+        for n_down in range(n + 1):
             down, up = sector_indices(m, n_down), sector_indices(m, n_up)
             # per-orbital occupation N_a of each cell, summed over spin
             occ = [((s[:, None] >> np.arange(m)) & 1).astype(ld) for s in (down, up)]
