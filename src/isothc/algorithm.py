@@ -16,12 +16,12 @@ Since the ancillas start every step in the vacuum and are reset after it,
 only the ancilla-vacuum columns U P of the step unitary are ever compiled,
 and only on the rows that can be nonzero.  The extended register exists
 only inside the step engine; every public function takes and returns
-system-only states.  Rows and columns are both in the sector-major order
-of ``hamiltonian``, by per-sector offsets: a sector's extended cells are
-its grid of down and up strings of m modes per spin, and its system
-cells, the columns, are the same grid over the n system modes.  The
-system strings are the first C(n, k) of the ascending C(m, k) strings, so
-the system cell (d, u) is the extended cell (d, u) of the same sector.
+system-only states, in the sector-major order of ``hamiltonian``.  A
+sector's extended cells are its grid of down and up strings of m modes
+per spin, and its system cells, the columns, are the same grid over the
+n system modes.  The system strings are the first C(n, k) of the
+ascending C(m, k) strings, so the system cell (d, u) is the extended cell
+(d, u) of the same sector: K_0 is the grid's top-left corner.
 
 The step conserves the particle number of each spin on the extended
 register, so the vacuum block K_0 = <0|U|., 0> maps every (N_up, N_down)
@@ -36,11 +36,12 @@ is the sum of the weights psi^dagger G psi the steps moved out of S, with
 G the Gram matrix of the rows that leave the ancilla vacuum.
 
 One step engine serves every caller.  It compiles the columns on a support
-S of whole sectors over the extended states in those sectors, the only rows
-U P can reach, and copies out K_0 and G.  ``evolve`` passes the sectors of
-its input and steps one vector; the measured projection error is one step
-of ``evolve`` under V' alone, and the projection bound reads U P on every
-sector.
+S of whole sectors one sector at a time, over the extended states in that
+sector, the only rows U P can reach, and reduces each sector's block at
+once to its K_0 and G, written into the stack [K_0; G] on S.  ``evolve``
+passes the sectors of its input and steps one vector; the measured
+projection error is one step of ``evolve`` under V' alone, and the
+projection bound reads [K_0; G] on every system sector.
 
 The compile works one sector at a time on its string grid: the sector's
 extended states are the cells (d, u) of a down-spin string d and an up-spin
@@ -55,8 +56,8 @@ interaction block is applied as x + G^dagger((e^{-i tau E} - 1) (G x)), so
 its identity part is exact, and the one-body, two-body and ancilla phases
 are per-cell arrays built from the two spins' occupation tables.  A
 spinless layout is the same grid with one down string, the empty one.  A
-sector's block depends on that sector alone, so it is bit for bit those
-rows of the every-sector engine.
+sector's block, and so its K_0 and G, depends on that sector alone, so it
+is bit for bit the same in every engine whose support holds the sector.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -115,16 +116,16 @@ __all__ = [
 
 DEFAULT_PHASES = (-np.pi / 2, np.pi, np.pi / 2)
 DIAGONAL_TOL = 1e-10
-# arrays the size of the compiled block U P alive at once: U P and the
-# compile's column chunks (at most one sector block), then the leaving rows
-# gathered from U P and their conjugate as [K_0; G] is copied out, or U P
-# and the rows the projection bound reads (tracemalloc peaks of sector and
-# every-sector engines at 10-16 modes: 1.95-2.24 copies)
+# arrays the size of one sector's block of U P alive at once: the block and
+# the compile's column chunks, then the block and its rows W off the vacuum,
+# then W and its conjugate for G = W^dagger W (tracemalloc peaks of sector
+# and every-system-sector engines at 16-20 modes: 2.0-2.4 copies of the
+# largest block, per-cell arrays included)
 STEP_WORKING_COPIES = 3
-# bytes per compiled row besides the copies: the engine's vacuum rows and
-# leaving mask, per-cell phases and energies, and one column of each of the
-# three chunk arrays (a one-column engine at 48 modes peaks at about 115
-# bytes per row above two copies of its compound matrices)
+# bytes per row of a sector's block besides the copies: per-cell phases and
+# energies and their temporaries, and the chunk arrays' rounding up to
+# whole columns (one-column engines at 40 and 48 modes peak at 97-122 bytes
+# per row, copies included, above the stack and compound matrices)
 GRID_BYTES_PER_STATE = 192
 # compound matrices, each kept with its adjoint, plus the identity a new
 # one is built from
@@ -208,17 +209,21 @@ def extended_layout(thc: ThcFactorization, spinful: bool = False) -> ModeLayout:
 def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
     """Estimated peak bytes of a step engine on ``sectors`` of the extended ``layout``.
 
-    The engine compiles one column of ``U P`` per system state in those
-    sectors, over the states of ``layout`` in them, from the compound
-    matrices of each spin's particle count.  Counted, not enumerated, so a
-    register far too large is refused at once.
+    The engine holds the stack [K_0; G] on the system states S of those
+    sectors, with room for one |S| x |S| copy beside it (a norm of one half
+    copies it), the compound matrices of each spin's particle count, and
+    the working arrays of one sector at a time, whose U P has one column
+    per system state of the sector and one row per extended state; the
+    largest of them is charged.  Counted, not enumerated, so a register
+    far too large is refused at once.
     """
-    columns = _sector_offsets(layout.n_system, sectors)[-1]
-    rows = _sector_offsets(layout.sector_size, sectors)[-1]
-    compounds = sum(math.comb(layout.sector_size, k) ** 2
-                    for k in {k for counts in sectors for k in counts})
-    return ((STEP_WORKING_COPIES * 16 * columns + GRID_BYTES_PER_STATE) * rows
-            + COMPOUND_COPIES * 16 * compounds)
+    n, m = layout.n_system, layout.sector_size
+    block = max((STEP_WORKING_COPIES * 16 * _sector_offsets(n, [counts])[-1]
+                 + GRID_BYTES_PER_STATE) * _sector_offsets(m, [counts])[-1]
+                for counts in sectors)
+    columns = _sector_offsets(n, sectors)[-1]
+    compounds = sum(math.comb(m, k) ** 2 for k in {k for counts in sectors for k in counts})
+    return block + 3 * 16 * columns**2 + COMPOUND_COPIES * 16 * compounds
 
 
 def _diagonal_entries(hamiltonian: ElectronicHamiltonian) -> np.ndarray:
@@ -358,13 +363,13 @@ def _rotate(x: np.ndarray, c_down: np.ndarray, c_up: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class _StepEngine:
-    """One compiled step on the extended ``layout``.
-
-    The engine acts on the support S, the system cells of ``sectors``
-    (every sector of ``layout`` by default, so S is every system state),
-    and compiles only the extended cells of those sectors; both are in
-    sector-major order, placed by ``row_offsets`` and ``col_offsets``.  A
-    step larger than physical memory is refused before it compiles.
+    """One compiled step on the extended ``layout``, on the support S: the
+    system cells of ``sectors``, (N_up, N_down) counts of at most n
+    particles per spin, in sector-major order placed by ``col_offsets``.
+    Each sector compiles over its own extended cells, the only rows U P
+    can reach, straight into the sector's pair (K_0, G) of the stack
+    ``[K_0; G]``; no U P outlives its sector.  A step larger than
+    physical memory is refused before it compiles.
     """
 
     def __init__(
@@ -373,7 +378,7 @@ class _StepEngine:
         hamiltonian: ElectronicHamiltonian,
         spec: StepSpec,
         layout: ModeLayout,
-        sectors: list[tuple[int, ...]] | None = None,
+        sectors: list[tuple[int, ...]],
     ) -> None:
         if layout.n_system != thc.n or layout.n_ancilla != thc.m - thc.n:
             raise ValueError(
@@ -382,26 +387,11 @@ class _StepEngine:
             )
         if hamiltonian.n_orbitals != thc.n:
             raise ValueError("Hamiltonian size does not match the factorization")
-        n, m = layout.n_system, layout.sector_size
-        sectors = _sector_list(m, layout.n_sectors, sectors)
+        sectors = _sector_list(layout.n_system, layout.n_sectors, sectors)
         _admit_memory("the step", layout.n_modes, _step_bytes(layout, sectors))
         self.layout = layout
         self.sectors = sectors
-        # the step conserves each spin's particle number on the extended
-        # register, so U P has no nonzero row outside the sectors of S
-        self.row_offsets = _sector_offsets(m, sectors)
-        self.col_offsets = _sector_offsets(n, sectors)
-        # the row of each compiled column, its system cell (d, u) with every
-        # ancilla empty: cell (d, u) of the sector's extended grid, in column
-        # order; these rows are K_0, the rest leave the vacuum
-        vacuum = []
-        for counts, start in zip(sectors, self.row_offsets):
-            n_up, n_down = (*counts, 0)[:2]
-            vacuum.append(start + (np.arange(math.comb(n, n_down))[:, None] * math.comb(m, n_up)
-                                   + np.arange(math.comb(n, n_up))).ravel())
-        self.vacuum = np.concatenate(vacuum)
-        self.leaving = np.ones(self.row_offsets[-1], dtype=bool)
-        self.leaving[self.vacuum] = False
+        self.col_offsets = _sector_offsets(layout.n_system, sectors)
         self.spec = spec
         self.thc = thc
         self.sequence = _givens_circuit(thc)
@@ -409,29 +399,46 @@ class _StepEngine:
         self.energies = np.concatenate([_diagonal_entries(hamiltonian),
                                         np.zeros(layout.n_ancilla)])
         self._dense: np.ndarray | None = None
-        self._kraus: np.ndarray | None = None
 
     def dense_unitary(self) -> np.ndarray:
-        """``U P`` on the support, shape ``(rows, |S|)``: column ``j`` is the
-        image of the j-th system cell in the ancilla vacuum, row ``i`` its
-        amplitude on the i-th extended cell.  Compiled one sector at a time
-        on its string grid, cached until the step operators are copied out."""
+        """The step's Kraus stack ``[K_0; G]``, shape ``(2|S|, |S|)``: the
+        vacuum block ``K_0 = <0|U|., 0>`` on the support, then G = W^dagger W
+        of the rows W with an occupied ancilla.  Both are block-diagonal
+        by sector, and each sector's pair is reduced from its U P as soon
+        as that is compiled; cached.
+
+        The name is kept from when this returned U P itself: the benchmark's
+        tracer (``benchmarks/tracing.py``) times the first call as the
+        step's compile, and renaming it is a change to the benchmark
+        (ROADMAP item 1).
+        """
         if self._dense is None:
-            up = np.zeros((self.row_offsets[-1], self.col_offsets[-1]), dtype=complex)
-            for counts, row, col in zip(self.sectors, self.row_offsets, self.col_offsets):
-                self._compile_sector(counts, row, col, up)
-            self._dense = up
+            n = self.layout.n_system
+            size = self.col_offsets[-1]
+            stack = np.zeros((2 * size, size), dtype=complex)
+            for counts, start, stop in zip(self.sectors, self.col_offsets, self.col_offsets[1:]):
+                n_up, n_down = (*counts, 0)[:2]
+                d_sys, u_sys, width = math.comb(n, n_down), math.comb(n, n_up), stop - start
+                block = self._compile_sector(counts)
+                # K_0 is the grid's corner of system strings; W is every
+                # other row in ascending order: the corner's down strings
+                # past its up strings, then every later down string
+                stack[start:stop, start:stop] = block[:d_sys, :u_sys].reshape(width, width)
+                w = np.concatenate([block[:d_sys, u_sys:].reshape(-1, width),
+                                    block[d_sys:].reshape(-1, width)])
+                del block  # before G's product copies W once more
+                stack[size + start:size + stop, start:stop] = w.conj().T @ w
+            self._dense = stack
         return self._dense
 
-    def _compile_sector(self, counts: tuple[int, ...], row: int, col: int,
-                        up: np.ndarray) -> None:
-        """Write the columns of U P on one (N_up, N_down) sector into ``up``,
-        whose block starts at row ``row`` and column ``col``, on the sector's
-        grid X[d, u] of down and up strings (see the module docstring).
-        Columns compile in at most three chunks, whose three work arrays
-        together hold at most one sector block.  Nothing here depends on the
-        other sectors, so a sector's block is bit for bit the same in every
-        engine that compiles it.
+    def _compile_sector(self, counts: tuple[int, ...]) -> np.ndarray:
+        """The columns of U P on one (N_up, N_down) sector, on its grid:
+        ``X[d, u, j]`` is column j's amplitude on the cell of down string d
+        and up string u (see the module docstring).  Columns compile in at
+        most three chunks, whose three work arrays together hold
+        3 ceil(C / 3) columns of the sector's C, about one block.  Nothing here
+        depends on the other sectors, so a sector's block is bit for bit the
+        same in every engine that compiles it.
         """
         layout, spec = self.layout, self.spec
         m, n = layout.sector_size, layout.n_system
@@ -440,9 +447,6 @@ class _StepEngine:
         # columns: the system cells, the first C(n, k) strings of each spin
         d_sys, u_sys = (np.arange(math.comb(n, k)) for k in (n_down, n_up))
         col_d, col_u = np.repeat(d_sys, u_sys.size), np.tile(u_sys, d_sys.size)
-        if not col_d.size:
-            return
-        rows_at = slice(row, row + strings[0].size * strings[1].size)
 
         # occupation of each orbital slot in each string of either spin
         occ = [((s[:, None] >> np.arange(m)) & 1).astype(float) for s in strings]
@@ -473,6 +477,7 @@ class _StepEngine:
         (c_down, c_down_h), (c_up, c_up_h) = (_compound(u.tobytes(), u.shape, k)
                                               for k in (n_down, n_up))
         shape = (c_down.shape[0], c_up.shape[0])
+        block = np.empty(shape + (col_d.size,), dtype=complex)
         chunk = -(-col_d.size // 3)
         # the three work arrays, allocated once for every chunk, so that no
         # chunk's arrays outlive the next one's allocation
@@ -497,30 +502,14 @@ class _StepEngine:
                 _rotate(rotated, c_down_h, c_up_h, work, rotated)
                 x += rotated
             x *= one_body[:, :, None]
-            up[rows_at, col + start:col + start + width] = x.reshape(-1, width)
-
-    def _kraus_operators(self) -> np.ndarray:
-        """``[K_0; G]`` as one ``(2|S|, |S|)`` array: the vacuum block
-        ``K_0 = <0|U|., 0>`` on the support, then G = W^dagger W of the rows
-        W with an occupied ancilla; ``U P`` is freed once copied out."""
-        if self._kraus is None:
-            up = self.dense_unitary()
-            size = self.col_offsets[-1]
-            stack = np.empty((2 * size, size), dtype=complex)
-            stack[:size] = up[self.vacuum]
-            leaving = up[self.leaving]
-            # free U P before the product copies the leaving rows once more
-            self._dense = up = None
-            stack[-size:] = leaving.conj().T @ leaving
-            self._kraus = stack
-        return self._kraus
+            block[:, :, start:start + width] = x
+        return block
 
     def step(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
         """One Trotter step of a vector on the support of one particle
         number: ``K_0 psi``, and the weight that left the ancilla vacuum,
-        ``psi^dagger G psi``, read from the leaving rows (one product with
-        the stack ``[K_0; G]``)."""
-        out = self._kraus_operators() @ psi
+        ``psi^dagger G psi`` (one product with the stack ``[K_0; G]``)."""
+        out = self.dense_unitary() @ psi
         size = psi.size
         return out[:size], float(np.vdot(psi, out[size:]).real)
 
@@ -572,7 +561,7 @@ def evolve(
                             leaked_weight=leaked)
 
     # the engine admits the step, and the reference is built (and admitted),
-    # evolved and freed before the first step compiles U P: both refusals
+    # evolved and freed before the first step compiles [K_0; G]: both refusals
     # come before any step runs, and the two never coexist
     layout = extended_layout(thc, spinful=psi0.layout.spinful)
     engine = _StepEngine(thc, hamiltonian, spec, layout, sectors)
@@ -666,17 +655,22 @@ def projection_error_bound(
 ) -> float:
     """State-independent projection-error bound with exact operator norms.
 
-        eps_Pr <= || P U P - e^{-iV' tau} P || + 1/2 || P_perp U P ||^2
+        eps_Pr <= || K_0 - e^{-iV' tau} ||_2 + 1/2 || G ||_2
 
-    with P the ancilla-vacuum projector and U the step unitary of V' alone.
+    with K_0 = P U P on the system, P the ancilla-vacuum projector, U the
+    step unitary of V' alone and G = (P_perp U P)^dagger P_perp U P, so that
+    ||G||_2 = ||P_perp U P||_2^2: both read from the step's stack [K_0; G]
+    on every system sector.
     """
     vprime = _vprime_hamiltonian(thc)
     spec = StepSpec(tau=tau, variant=variant, phases=phases)
-    engine = _StepEngine(thc, vprime, spec, extended_layout(thc, spinful=spinful))
-    up = engine.dense_unitary()
+    layout = extended_layout(thc, spinful=spinful)
+    engine = _StepEngine(thc, vprime, spec, layout, _sector_list(thc.n, layout.n_sectors))
+    stack = engine.dense_unitary()
+    size = engine.col_offsets[-1]
     ideal = build_many_body_operator(vprime, spinful=spinful).propagator(tau)
-    term1 = float(np.linalg.norm(up[engine.vacuum] - ideal, 2))
-    term2 = 0.5 * float(np.linalg.norm(up[engine.leaving], 2)) ** 2
+    term1 = float(np.linalg.norm(stack[:size] - ideal, 2))
+    term2 = 0.5 * float(np.linalg.norm(stack[size:], 2))
     return term1 + term2
 
 

@@ -60,7 +60,12 @@ from isothc.focksim import (
     ModeLayout,
     givens_decompose,
 )
-from isothc.hamiltonian import ElectronicHamiltonian, ManyBodyOperator, build_many_body_operator
+from isothc.hamiltonian import (
+    ElectronicHamiltonian,
+    ManyBodyOperator,
+    _sector_list,
+    build_many_body_operator,
+)
 from isothc.thc import (
     RefineConfig,
     ThcFactorization,
@@ -669,8 +674,9 @@ def gate_step(engine, state: RowState) -> RowState:
 
 def gate_dense_unitary(engine) -> np.ndarray:
     """An engine's U P, compiled gate by gate over the unit columns of its
-    system states in the ancilla vacuum: the layout of
-    ``engine.dense_unitary()``, rows and columns in sector-major order."""
+    system states in the ancilla vacuum: a column per system state of the
+    engine's sectors, a row per extended state of them, both in
+    sector-major order."""
     layout = engine.layout
     n, m = layout.n_system, layout.sector_size
     rows = register_order(layout, engine.sectors)
@@ -703,15 +709,16 @@ def full_fock_step(u: np.ndarray, rho: np.ndarray, layout: ModeLayout) -> tuple[
 
 
 def kraus_operators(engine) -> np.ndarray:
-    """Every Kraus operator K_b = <b|U|., 0> of an every-sector step engine,
-    stacked by ancilla string b (vacuum first), each on every system state,
-    over the full-register basis indices."""
+    """Every Kraus operator K_b = <b|U|., 0> of a step engine on every
+    system sector, from its U P compiled gate by gate, stacked by ancilla
+    string b (vacuum first), each on every system state, over the
+    full-register basis indices."""
     layout = engine.layout
     system = layout.system_only().dim
     a_key, b_key = split_keys(layout)
-    rows = register_order(layout)
+    rows = register_order(layout, engine.sectors)
     kraus = np.zeros((layout.dim // system, system, system), dtype=complex)
-    kraus[b_key[rows], a_key[rows]] = engine.dense_unitary()[:, register_positions(
+    kraus[b_key[rows], a_key[rows]] = gate_dense_unitary(engine)[:, register_positions(
         layout.system_only())]
     return kraus
 
@@ -730,8 +737,9 @@ def evolve_full_density(
     that left the input's particle-number sector.
     """
     spinful = psi0.layout.spinful
-    kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec,
-                                        extended_layout(thc, spinful=spinful)))
+    layout = extended_layout(thc, spinful=spinful)
+    kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec, layout,
+                                        _sector_list(thc.n, layout.n_sectors)))
     rho = density(to_register(psi0))
     for _ in range(n_steps):
         rho = sum(k @ rho @ k.conj().T for k in kraus)
@@ -744,7 +752,7 @@ def density_step(engine, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """One step of a density on an engine's support of one particle number:
     K_0 rho K_0^dagger and the leaked weight tr(G rho), from the engine's
     stack [K_0; G]."""
-    stack = engine._kraus_operators()
+    stack = engine.dense_unitary()
     size = engine.col_offsets[-1]
     k0 = stack[:size]
     # G is Hermitian, so vdot(G, rho) = sum_ij G_ji rho_ij = tr(G rho)

@@ -75,8 +75,10 @@ def on_engine(psi: FockState, engine) -> np.ndarray:
     return _on_sectors(psi, engine.sectors).amplitudes
 
 
-def every_sector(layout: ModeLayout) -> tuple[tuple[int, ...], ...]:
-    return _sector_list(layout.sector_size, layout.n_sectors)
+def system_sectors(layout: ModeLayout) -> tuple[tuple[int, ...], ...]:
+    """Every (N_up, N_down) sector of the system modes of ``layout``: the
+    support of an engine on every system state."""
+    return _sector_list(layout.n_system, layout.n_sectors)
 
 
 def no_one_body(n: int) -> ElectronicHamiltonian:
@@ -189,7 +191,7 @@ H2_PROJECTION_MEASURED = {
     "improved": ["2.2016705181837253e-06", "6.869931258771715e-08", "2.1632522270685887e-09",
                  "6.831602186613948e-11", "2.1594226336309705e-12"],
 }
-H2_PROJECTION_BOUND = {"basic": "6.158464476740257e-05", "improved": "1.2645524184018151e-08"}
+H2_PROJECTION_BOUND = {"basic": "6.158464476740255e-05", "improved": "1.2645524184018151e-08"}
 
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
@@ -282,15 +284,18 @@ def oracle_ancilla_counter(layout) -> np.ndarray:
 
 
 def assert_vacuum_columns(engine, full) -> None:
-    """The compiled block is the full unitary's ancilla-vacuum columns, rows
-    and columns in the engine's sector-major order."""
+    """The compiled stack [K_0; G] from the full unitary's ancilla-vacuum
+    columns: K_0 their vacuum rows, G the Gram matrix of their other rows,
+    both in the engine's sector-major order."""
     layout = engine.layout
     a_key, b_key = oracles.split_keys(layout)
     vacuum = np.flatnonzero(b_key == 0)
     vacuum = vacuum[np.argsort(a_key[vacuum])]
-    rows = oracles.register_order(layout)
-    columns = vacuum[oracles.register_order(layout.system_only())]
-    assert_allclose(engine.dense_unitary(), full[np.ix_(rows, columns)], atol=1e-15)
+    columns = vacuum[oracles.register_order(layout.system_only(), engine.sectors)]
+    leaving = full[np.ix_(b_key != 0, columns)]
+    stack = engine.dense_unitary()
+    assert_allclose(stack[:columns.size], full[np.ix_(columns, columns)], atol=1e-15)
+    assert_allclose(stack[columns.size:], leaving.conj().T @ leaving, atol=1e-15)
 
 
 @pytest.mark.parametrize("spinful", [False, True])
@@ -298,7 +303,7 @@ def test_basic_step_unitary_matches_string_oracle(spinful):
     ham, thc = small_instance(7, n=2, m=3)
     tau = 0.37
     layout = extended_layout(thc, spinful=spinful)
-    engine = _StepEngine(thc, ham, StepSpec(tau=tau), layout)
+    engine = _StepEngine(thc, ham, StepSpec(tau=tau), layout, system_sectors(layout))
     full = oracles.full_step_unitary(engine)
     assert_vacuum_columns(engine, full)
 
@@ -318,7 +323,7 @@ def test_improved_step_unitary_matches_string_oracle():
     tau = 0.21
     layout = extended_layout(thc, spinful=False)
     spec = StepSpec(tau=tau, variant="improved")
-    engine = _StepEngine(thc, ham, spec, layout)
+    engine = _StepEngine(thc, ham, spec, layout, system_sectors(layout))
     full = oracles.full_step_unitary(engine)
     assert_vacuum_columns(engine, full)
 
@@ -397,14 +402,15 @@ def test_one_basic_step_close_to_exact():
 
 
 def test_improved_with_zero_phases_equals_basic():
-    # the compiled [K_0; G] on every sector, so on every system state
+    # the compiled [K_0; G] on every system state
     ham, thc = small_instance(6)
     layout = extended_layout(thc)
-    basic = _StepEngine(thc, ham, StepSpec(tau=0.05), layout)
+    basic = _StepEngine(thc, ham, StepSpec(tau=0.05), layout, system_sectors(layout))
     improved = _StepEngine(
-        thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0)), layout
+        thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0)), layout,
+        system_sectors(layout)
     )
-    assert np.max(np.abs(basic._kraus_operators() - improved._kraus_operators())) < 1e-12
+    assert np.max(np.abs(basic.dense_unitary() - improved.dense_unitary())) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -426,10 +432,11 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     ham = ElectronicHamiltonian(n, 0.0, h, np.zeros((n, n, n, n)))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant)
     layout = extended_layout(thc, spinful=spinful)
-    engine = _StepEngine(thc, ham, spec, layout)
+    engine = _StepEngine(thc, ham, spec, layout, system_sectors(layout))
 
-    # every sector, so the support is every system state, in sector-major order
-    stack = engine._kraus_operators()
+    # every system sector, so the support is every system state, in
+    # sector-major order
+    stack = engine.dense_unitary()
     size = layout.system_only().dim
     assert stack.shape == (2 * size, size)
     full = oracles.full_step_unitary(engine)
@@ -453,7 +460,7 @@ def test_fused_and_sequential_paths_agree(variant):
     spec = StepSpec(tau=0.08, variant=variant)
     engine = sector_engine(thc, ham, spec, psi)
     fused, leaked = engine.step(on_engine(psi, engine))
-    full = oracles.full_step_unitary(_StepEngine(thc, ham, spec, layout))
+    full = oracles.full_step_unitary(engine)
     extended = oracles.embed_in_ancilla_vacuum(oracles.density(oracles.to_register(psi)),
                                                layout)
     gates, oracle_leaked = oracles.full_fock_step(full, extended, layout)
@@ -620,46 +627,59 @@ def test_sector_evolve_matches_full_density_oracle(
         assert result.error_vs_exact == pytest.approx(want_error, abs=1e-12)
         assert result.leaked_weight.sum() == pytest.approx(want_lost, abs=1e-12)
 
-    # the sector engine compiles exactly the full engine's rows of the
-    # sectors on S, and the full engine's columns on S vanish on every other row
+    # the sector engine's [K_0; G] is bit for bit the block on S of the
+    # engine on every system sector, which vanishes off S in the columns of S
     layout = extended_layout(thc, spinful=spinful)
     sector = _StepEngine(thc, ham, spec, layout, _sectors(psi))
-    full = _StepEngine(thc, ham, spec, layout)
+    full = _StepEngine(thc, ham, spec, layout, system_sectors(layout))
     columns = oracles.register_order(layout.system_only(), sector.sectors)
     assert np.array_equal(np.sort(columns), support)
-    on_support = full.dense_unitary()[:, oracles.register_positions(layout.system_only())[columns]]
-    rows = oracles.register_positions(layout)[oracles.register_order(layout, sector.sectors)]
-    assert sector.dense_unitary().shape == (rows.size, support.size)
-    assert np.array_equal(sector.dense_unitary(), on_support[rows])
-    assert not np.any(np.delete(on_support, rows, axis=0))
+    at = oracles.register_positions(layout.system_only())[columns]
+    k0, g = np.split(full.dense_unitary()[:, at], 2)
+    assert sector.dense_unitary().shape == (2 * support.size, support.size)
+    assert np.array_equal(sector.dense_unitary(), np.concatenate([k0[at], g[at]]))
+    assert not np.any(np.delete(k0, at, axis=0)) and not np.any(np.delete(g, at, axis=0))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 3),
-    extra=st.integers(0, 3),
     spinful=st.booleans(),
     variant=st.sampled_from(["basic", "improved"]),
-    every=st.booleans(),
+    support=st.sampled_from(["one sector", "one particle number", "every sector"]),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_grid_compile_matches_the_gate_route(n, extra, spinful, variant, every, seed):
-    # U P compiled on each sector's string grid from compound matrices
-    # against the same columns stepped one Givens gate at a time, on every
-    # sector or on the sectors of a state of one particle number (all of
-    # its (N_up, N_down) when spinful)
+def test_grid_compile_matches_the_gate_route(n, spinful, variant, support, seed, data):
+    # the stack [K_0; G] compiled sector by sector on each string grid from
+    # compound matrices, against the same columns of U P stepped one Givens
+    # gate at a time: their vacuum rows, and the Gram matrix of their other
+    # rows.  Supports of one (N_up, N_down) sector, of every sector of one
+    # particle number, and of every system sector
+    m = data.draw(st.integers(n, 5))
     rng = np.random.default_rng(seed)
-    m = n + extra
     vtilde = rng.normal(size=(m, m))
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant,
                     phases=tuple(rng.uniform(-np.pi, np.pi, size=3)))
-    psi, _ = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector=False)
-    engine = _StepEngine(thc, ham, spec, extended_layout(thc, spinful=spinful),
-                         None if every else _sectors(psi))
-    assert_allclose(engine.dense_unitary(), oracles.gate_dense_unitary(engine),
-                    rtol=0, atol=1e-13)
+    layout = extended_layout(thc, spinful=spinful)
+    psi, _ = random_definite_state(layout.system_only(), rng,
+                                   one_spin_sector=support == "one sector")
+    engine = _StepEngine(thc, ham, spec, layout,
+                         system_sectors(layout) if support == "every sector" else _sectors(psi))
+    up = oracles.gate_dense_unitary(engine)
+    rows = oracles.register_order(layout, engine.sectors)
+    columns = oracles.register_order(layout.system_only(), engine.sectors)
+    # the extended state of each column, its system state with every ancilla
+    # empty: the down half moves from bit n to bit m
+    vacuum = ((columns & ((1 << n) - 1)) | ((columns >> n) << m))
+    at = np.argmax(rows[:, None] == vacuum, axis=0)
+    leaving = np.delete(up, at, axis=0)
+    stack = engine.dense_unitary()
+    assert stack.shape == (2 * columns.size, columns.size)
+    assert_allclose(stack[:columns.size], up[at], rtol=0, atol=1e-14)
+    assert_allclose(stack[columns.size:], leaving.conj().T @ leaving, rtol=0, atol=1e-14)
 
 
 @settings(max_examples=80, deadline=None)
@@ -717,53 +737,43 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     engine = _StepEngine(thc, no_one_body(n), StepSpec(tau=0.1), layout, _sectors(psi))
     counts = set(per_spin_counts(occupied, system))
     assert engine.sectors == tuple(sorted(counts))
-    everything = np.arange(layout.dim)
-    expected = everything[[c in counts for c in per_spin_counts(everything, layout)]]
-    rows = oracles.register_order(layout, engine.sectors)
-    assert np.array_equal(np.sort(rows), expected) and engine.row_offsets[-1] == expected.size
     states = np.arange(system.dim)
     support = states[[c in counts for c in per_spin_counts(states, system)]]
     columns = oracles.register_order(system, engine.sectors)
     assert np.array_equal(np.sort(columns), support) and engine.col_offsets[-1] == support.size
-    # K_0's rows: the extended states whose ancilla string is empty, in the
-    # order of their system strings, the support; the rest leave the vacuum
-    a_key, b_key = oracles.split_keys(layout)
-    assert np.array_equal(engine.vacuum, np.flatnonzero(b_key[rows] == 0))
-    assert np.array_equal(engine.leaving, b_key[rows] != 0)
-    assert np.array_equal(a_key[rows[engine.vacuum]], columns)
-    # the memory estimate counts the same rows and columns without listing
-    # them, and the compound matrix of each spin's particle count
+    assert engine.dense_unitary().shape == (2 * support.size, support.size)
+    # the memory estimate counts without listing them each sector's rows,
+    # its extended states, and columns, its system states, and charges the
+    # largest sector block, the stack [K_0; G] on the support with one
+    # copy of a half, and the compound matrix of each spin's particle count
+    rows = per_spin_counts(np.arange(layout.dim), layout)
+    block = max((STEP_WORKING_COPIES * 16 * per_spin_counts(support, system).count(c)
+                 + GRID_BYTES_PER_STATE) * rows.count(c) for c in counts)
     compounds = sum(math.comb(m, k) ** 2 for k in {k for c in counts for k in c})
     assert _step_bytes(layout, _sectors(psi)) == (
-        (STEP_WORKING_COPIES * 16 * support.size + GRID_BYTES_PER_STATE) * expected.size
-        + COMPOUND_COPIES * 16 * compounds)
+        block + 3 * 16 * support.size**2 + COMPOUND_COPIES * 16 * compounds)
 
 
 def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     """A spinful step engine on random factors, on the sectors of a
     Hartree-Fock state (``_step_bytes`` of its sectors estimates it) or
-    on every sector; its estimate; and the tracemalloc peak of building it
-    and taking three steps of the vector through ``step`` or, on every
-    sector, of compiling U P and reading it as ``projection_error_bound``
-    does."""
+    on every system sector; its estimate; and the tracemalloc peak of
+    building it and taking three steps of the vector through ``step`` or,
+    on every system sector, of compiling [K_0; G] and taking the norms of
+    its two halves as ``projection_error_bound`` does."""
     rng = np.random.default_rng(29)
     vtilde = rng.normal(size=(m, m))
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
     psi = hartree_fock_state(ham, electrons, spinful=True)
     layout = extended_layout(thc, spinful=True)
-    sectors = every_sector(layout) if every else _sectors(psi)
-    # each extended state's ancilla string, and the basis index of each
-    # row, looked up before the trace starts
-    b_key = oracles.split_keys(layout)[1] if every else None
-    listed = oracles.register_order(layout, sectors) if every else None
+    sectors = system_sectors(layout) if every else _sectors(psi)
     tracemalloc.start()
     try:
         engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), layout, sectors)
         if every:
-            up = engine.dense_unitary()
-            for rows in (engine.vacuum, b_key[listed] != 0):
-                np.linalg.norm(up[rows], 2)
+            for half in np.split(engine.dense_unitary(), 2):
+                np.linalg.norm(half, 2)
         else:
             vector = on_engine(psi, engine)
             for _ in range(3):
@@ -775,44 +785,54 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     return engine, estimate, peak
 
 
+def largest_block(engine) -> tuple[int, int]:
+    """The (rows, columns) of an engine's largest sector block of U P."""
+    layout = engine.layout
+    return max(((_sector_offsets(layout.sector_size, [c])[-1],
+                 _sector_offsets(layout.n_system, [c])[-1]) for c in engine.sectors),
+               key=math.prod)
+
+
 def test_step_memory_estimate_bounds_the_traced_peak():
     # one column (2 + 2 electrons) over C(24, 2)^2 = 76 176 extended rows:
-    # the per-row arrays of the grid compile (index arrays, scatter
-    # positions, per-cell phases and chunk columns) are nearly all of the
-    # engine's memory
+    # the per-row arrays of the grid compile (per-cell phases and chunk
+    # columns) are nearly all of the engine's memory
     engine, estimate, peak = traced_step_peak(2, 24, 4)
-    assert engine.row_offsets[-1] == 76_176
+    assert largest_block(engine) == (76_176, 1)
     assert peak <= estimate
 
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 @pytest.mark.parametrize("n, m, electrons, every, block", [
-    # many columns (3 + 2 electrons): U P, then the Kraus stack, dominate
+    # many columns (3 + 2 electrons): the sector's U P and its working
+    # copies dominate
     pytest.param(5, 8, 5, False, (1568, 100), id="sectors"),
-    # every sector, U P compiled and read by the projection bound
-    pytest.param(3, 5, 3, True, (1024, 64), id="every-sector"),
+    # every system sector (256 states), [K_0; G] compiled and read by the
+    # projection bound; the (3, 3) sector's block is the largest
+    pytest.param(4, 9, 4, True, (7056, 16), id="every-sector"),
 ])
 def test_step_memory_estimate_bounds_the_traced_peak_of_large_blocks(
         variant, n, m, electrons, every, block):
-    # blocks of U P of 1 MiB and more, where the working copies of the
-    # block, not the per-row arrays, set the peak
+    # sector blocks of U P of 1 MiB and more, where the working copies of
+    # the block, not the per-row arrays, set the peak
     engine, estimate, peak = traced_step_peak(n, m, electrons, every, variant)
-    assert (engine.row_offsets[-1], engine.col_offsets[-1]) == block
-    assert 16 * engine.row_offsets[-1] * engine.col_offsets[-1] >= 2**20
+    assert largest_block(engine) == block
+    assert 16 * math.prod(block) >= 2**20
     assert peak <= estimate
 
 
 def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
-    # 10 extended modes: the every-sector step outgrows evolve's sector step
+    # 12 extended modes: the step on every system sector, whose stack
+    # [K_0; G] holds 2 x 1024^2 amplitudes, outgrows evolve's sector step
     # plus its exact reference, whose estimate has a floor of a few MiB
-    ham, thc = small_instance(27, n=3, m=5)
+    ham, thc = planted_step_instance(27, n=5, m=6)
     layout = extended_layout(thc, spinful=True)
-    psi = hartree_fock_state(ham, 3, spinful=True)
-    every = _step_bytes(layout, every_sector(layout))
-    assert operator_memory_bytes(_sector_offsets(3, _sectors(psi))[-1]) < every
-    # the projection bound compiles every sector
+    psi = hartree_fock_state(ham, 5, spinful=True)
+    every = _step_bytes(layout, system_sectors(layout))
+    assert operator_memory_bytes(_sector_offsets(5, _sectors(psi))[-1]) < every
+    # the projection bound compiles every system sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
-    with pytest.raises(ValueError, match="the step on 10 modes"):
+    with pytest.raises(ValueError, match="the step on 12 modes"):
         projection_error_bound(thc, 0.1, spinful=True)
     # evolve, and the measured projection error (one step of it), compile
     # the sectors of their input only, which fit
@@ -820,7 +840,7 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     assert projection_error_measured(thc, psi, 0.1) >= 0.0
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
                         lambda: _step_bytes(layout, _sectors(psi)) - 1)
-    with pytest.raises(ValueError, match="the step on 10 modes"):
+    with pytest.raises(ValueError, match="the step on 12 modes"):
         evolve(psi, thc, ham, t=0.1, tau=0.1)
 
 
@@ -934,7 +954,8 @@ def test_two_electrons_in_eighteen_spinful_orbitals():
     assert psi.sectors == ((1, 1),) and psi.amplitudes.shape == (324,)
     engine = _StepEngine(thc, ham, StepSpec(tau=0.1), extended_layout(thc, spinful=True),
                          _sectors(psi))
-    assert engine.dense_unitary().shape == (361, 324)
+    assert _sector_offsets(m, engine.sectors)[-1] == 361
+    assert engine.dense_unitary().shape == (2 * 324, 324)
     result = evolve(psi, thc, ham, t=0.2, tau=0.1)
     assert result.n_steps == 2
     assert 0.0 < result.error_vs_exact < 1.0
@@ -1106,7 +1127,7 @@ def test_projection_error_methods_agree():
     layout = extended_layout(thc)
     v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)),
                                    projected_interaction(thc.u, thc.vtilde))
-    engine = _StepEngine(thc, v_only, StepSpec(tau=tau), layout)
+    engine = _StepEngine(thc, v_only, StepSpec(tau=tau), layout, system_sectors(layout))
     start = oracles.density(oracles.to_register(rho))
     extended = oracles.embed_in_ancilla_vacuum(start, layout)
     stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended, layout)
