@@ -61,8 +61,7 @@ def main() -> None:
     for variant in VARIANTS:
         errors = []
         for tau in args.tau:
-            result = evolve(psi0, thc, rotated, args.t, tau,
-                            spec=StepSpec(tau=tau, variant=variant))
+            result = evolve(psi0, thc, rotated, args.t, StepSpec(tau=tau, variant=variant))
             errors.append(result.error_vs_exact)
             total_rows.append([variant, f"{tau:.10g}", result.n_steps,
                                f"{result.error_vs_exact:.12e}"])
@@ -73,7 +72,7 @@ def main() -> None:
     for variant in VARIANTS:
         errors = []
         for tau in args.projection_tau:
-            err = projection_error_measured(thc, psi0, tau, variant=variant)
+            err = projection_error_measured(thc, psi0, StepSpec(tau=tau, variant=variant))
             errors.append(err)
             projection_rows.append([variant, f"{tau:.10g}", f"{err:.12e}"])
         slope = fit_loglog(args.projection_tau, errors).slope

@@ -35,13 +35,16 @@ reference phi stays in S.  The trace distance splits exactly into
 is the sum of the weights psi^dagger G psi the steps moved out of S, with
 G the Gram matrix of the rows that leave the ancilla vacuum.
 
-One step engine serves every caller.  It compiles the columns on a support
-S of whole sectors one sector at a time, over the extended states in that
-sector, the only rows U P can reach, and reduces each sector's block at
-once to its K_0 and G, written into the stack [K_0; G] on S.  ``evolve``
-passes the sectors of its input and steps one vector; the measured
-projection error is one step of ``evolve`` under V' alone, and the
-projection bound reads [K_0; G] on every system sector.
+Every step-level function takes its step as one ``StepSpec`` (timestep,
+variant and phases), and no other argument restates it.  One step engine
+serves every caller.  It builds its extended layout from the factorization
+and compiles the columns on a support S of whole sectors one sector at a
+time, over the extended states in that sector, the only rows U P can
+reach, and reduces each sector's block at once to its K_0 and G, written
+into the stack [K_0; G] on S.  ``evolve`` passes the sectors of its input
+and steps one vector; the measured projection error is one step of
+``evolve`` under V' alone, and the projection bound reads [K_0; G] on
+every system sector.
 
 The compile works one sector at a time on its string grid: the sector's
 extended states are the cells (d, u) of a down-spin string d and an up-spin
@@ -68,7 +71,6 @@ concrete states and as analytic bounds with exactly computed norms.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -93,6 +95,7 @@ from .hamiltonian import (
     _sector_offsets,
     _string_tables,
     build_many_body_operator,
+    operator_memory_bytes,
 )
 from .thc import ThcFactorization, approximation_errors, projected_interaction
 
@@ -193,7 +196,8 @@ class EvolveResult:
 
 @dataclass(frozen=True)
 class ThcBound:
-    """Bound on the interaction-operator distance, times evolution time."""
+    """Bound on the interaction-operator distance: the factorization's error
+    rate per unit evolution time."""
 
     value: float
     branch: str
@@ -363,9 +367,10 @@ def _rotate(x: np.ndarray, c_down: np.ndarray, c_up: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class _StepEngine:
-    """One compiled step on the extended ``layout``, on the support S: the
-    system cells of ``sectors``, (N_up, N_down) counts of at most n
-    particles per spin, in sector-major order placed by ``col_offsets``.
+    """One compiled step on the extended layout of ``thc`` (``spinful`` or
+    not), on the support S: the system cells of ``sectors``, (N_up, N_down)
+    counts of at most n particles per spin, in sector-major order placed by
+    ``col_offsets``.
     Each sector compiles over its own extended cells, the only rows U P
     can reach, straight into the sector's pair (K_0, G) of the stack
     ``[K_0; G]``; no U P outlives its sector.  A step larger than
@@ -377,24 +382,19 @@ class _StepEngine:
         thc: ThcFactorization,
         hamiltonian: ElectronicHamiltonian,
         spec: StepSpec,
-        layout: ModeLayout,
         sectors: list[tuple[int, ...]],
+        spinful: bool,
     ) -> None:
-        if layout.n_system != thc.n or layout.n_ancilla != thc.m - thc.n:
-            raise ValueError(
-                f"layout {layout} does not match factorization with "
-                f"n = {thc.n}, m = {thc.m}"
-            )
         if hamiltonian.n_orbitals != thc.n:
             raise ValueError("Hamiltonian size does not match the factorization")
-        sectors = _sector_list(layout.n_system, layout.n_sectors, sectors)
+        layout = extended_layout(thc, spinful)
+        sectors = _sector_list(thc.n, layout.n_sectors, sectors)
         _admit_memory("the step", layout.n_modes, _step_bytes(layout, sectors))
         self.layout = layout
         self.sectors = sectors
-        self.col_offsets = _sector_offsets(layout.n_system, sectors)
+        self.col_offsets = _sector_offsets(thc.n, sectors)
         self.spec = spec
         self.thc = thc
-        self.sequence = _givens_circuit(thc)
         # one spin's one-body energy per orbital slot; ancillas carry none
         self.energies = np.concatenate([_diagonal_entries(hamiltonian),
                                         np.zeros(layout.n_ancilla)])
@@ -529,18 +529,18 @@ def evolve(
     thc: ThcFactorization,
     hamiltonian: ElectronicHamiltonian,
     t: float,
-    tau: float,
-    spec: StepSpec | None = None,
+    spec: StepSpec,
 ) -> EvolveResult:
-    """Repeat the Trotter step for ``round(t / tau)`` steps and compare to e^{-iHt}.
+    """Repeat the Trotter step ``spec`` for ``round(t / spec.tau)`` steps and
+    compare to e^{-iHt}.
 
     ``psi0`` is a pure state on the system-only layout with one total
     particle number (``ValueError`` otherwise).  Only its sectors S are
     stepped, as one vector psi -> K_0 psi; the weight each step moves below
     S, read from the rows that leave the ancilla vacuum, goes to
-    ``leaked_weight``.  ``tau`` overrides ``spec.tau`` so sweeps can share
-    one spec.  The error is the exact trace distance to the evolution phi of
-    ``psi0`` under the full Hamiltonian for ``n_steps * tau``,
+    ``leaked_weight``.  The error is the exact trace distance to the
+    evolution phi of ``psi0`` under the full Hamiltonian for
+    ``n_steps * spec.tau``,
     1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 sum(leaked_weight);
     phi stays in S, so the reference is the dense block of H on S alone.
     """
@@ -552,8 +552,7 @@ def evolve(
         raise ValueError("psi0 does not match the Hamiltonian size")
     if t < 0:
         raise ValueError(f"evolution time t = {t:g} must be nonnegative")
-    spec = StepSpec(tau=tau) if spec is None else dataclasses.replace(spec, tau=tau)
-    n_steps = int(round(t / tau))
+    n_steps = int(round(t / spec.tau))
     sectors = _sectors(psi0)
     leaked = np.zeros(n_steps)
     if n_steps == 0:
@@ -563,10 +562,9 @@ def evolve(
     # the engine admits the step, and the reference is built (and admitted),
     # evolved and freed before the first step compiles [K_0; G]: both refusals
     # come before any step runs, and the two never coexist
-    layout = extended_layout(thc, spinful=psi0.layout.spinful)
-    engine = _StepEngine(thc, hamiltonian, spec, layout, sectors)
+    engine = _StepEngine(thc, hamiltonian, spec, sectors, psi0.layout.spinful)
     psi0 = _on_sectors(psi0, sectors)
-    t_simulated = n_steps * tau
+    t_simulated = n_steps * spec.tau
     op = build_many_body_operator(hamiltonian, psi0.layout.spinful, psi0.sectors)
     phi = exact_evolution(op, psi0, t_simulated).amplitudes
     del op
@@ -604,10 +602,10 @@ def trotter_bound(h_op: ManyBodyOperator, vprime_op: ManyBodyOperator, tau: floa
 def thc_bound(
     hamiltonian: ElectronicHamiltonian,
     thc: ThcFactorization,
-    t: float,
     spinful: bool = False,
 ) -> ThcBound:
-    """Bound ||V_op - V'_op|| t on the factorization's evolution error.
+    """Bound ||V_op - V'_op|| on the factorization's evolution error per
+    unit time.
 
     Uses the exact operator norm of the interaction difference when its
     dense operator fits in memory, and the element-wise bound
@@ -624,33 +622,28 @@ def thc_bound(
     except MemoryRefusal:
         operator_norm = None
     if operator_norm is not None and operator_norm <= frobenius:
-        return ThcBound(operator_norm * t, "operator_norm", operator_norm, frobenius)
-    return ThcBound(frobenius * t, "frobenius", operator_norm, frobenius)
+        return ThcBound(operator_norm, "operator_norm", operator_norm, frobenius)
+    return ThcBound(frobenius, "frobenius", operator_norm, frobenius)
 
 
 def projection_error_measured(
     thc: ThcFactorization,
     psi: FockState,
-    tau: float,
-    variant: str = "basic",
-    phases: tuple[float, float, float] = DEFAULT_PHASES,
+    spec: StepSpec,
 ) -> float:
     """Trace distance between the reset interaction step and the ideal one.
 
-    One step of :func:`evolve` under the recontracted interaction V' alone
-    (no one-body part) from ``psi``, a system-only pure state of one
-    particle number, against evolution under V' for time ``tau``; this
-    isolates the vacuum-projection error of a step.
+    One step ``spec`` of :func:`evolve` under the recontracted interaction
+    V' alone (no one-body part) from ``psi``, a system-only pure state of
+    one particle number, against evolution under V' for time ``spec.tau``;
+    this isolates the vacuum-projection error of a step.
     """
-    spec = StepSpec(tau=tau, variant=variant, phases=phases)
-    return evolve(psi, thc, _vprime_hamiltonian(thc), tau, tau, spec).error_vs_exact
+    return evolve(psi, thc, _vprime_hamiltonian(thc), spec.tau, spec).error_vs_exact
 
 
 def projection_error_bound(
     thc: ThcFactorization,
-    tau: float,
-    variant: str = "basic",
-    phases: tuple[float, float, float] = DEFAULT_PHASES,
+    spec: StepSpec,
     spinful: bool = False,
 ) -> float:
     """State-independent projection-error bound with exact operator norms.
@@ -660,15 +653,18 @@ def projection_error_bound(
     with K_0 = P U P on the system, P the ancilla-vacuum projector, U the
     step unitary of V' alone and G = (P_perp U P)^dagger P_perp U P, so that
     ||G||_2 = ||P_perp U P||_2^2: both read from the step's stack [K_0; G]
-    on every system sector.
+    on every system sector.  The stack and the ideal propagator are held at
+    once, so their two estimates are admitted together, before either is
+    built.
     """
     vprime = _vprime_hamiltonian(thc)
-    spec = StepSpec(tau=tau, variant=variant, phases=phases)
-    layout = extended_layout(thc, spinful=spinful)
-    engine = _StepEngine(thc, vprime, spec, layout, _sector_list(thc.n, layout.n_sectors))
-    stack = engine.dense_unitary()
+    layout = extended_layout(thc, spinful)
+    engine = _StepEngine(thc, vprime, spec, _sector_list(thc.n, layout.n_sectors), spinful)
     size = engine.col_offsets[-1]
-    ideal = build_many_body_operator(vprime, spinful=spinful).propagator(tau)
+    _admit_memory("the projection bound", layout.n_modes,
+                  _step_bytes(layout, engine.sectors) + operator_memory_bytes(size))
+    stack = engine.dense_unitary()
+    ideal = build_many_body_operator(vprime, spinful=spinful).propagator(spec.tau)
     term1 = float(np.linalg.norm(stack[:size] - ideal, 2))
     term2 = 0.5 * float(np.linalg.norm(stack[size:], 2))
     return term1 + term2
@@ -688,22 +684,22 @@ def error_budget(
     """
     h_op, vprime_op = projected_operators(hamiltonian, thc, spinful)
     eps_tr = trotter_bound(h_op, vprime_op, spec.tau)
-    rate = thc_bound(hamiltonian, thc, 1.0, spinful).value
+    rate = thc_bound(hamiltonian, thc, spinful).value
     if psi is None:
-        eps_pr = projection_error_bound(thc, spec.tau, spec.variant, spec.phases, spinful)
+        eps_pr = projection_error_bound(thc, spec, spinful)
     else:
-        eps_pr = projection_error_measured(thc, psi, spec.tau, spec.variant, spec.phases)
+        eps_pr = projection_error_measured(thc, psi, spec)
     return ErrorBudget(eps_thc_rate=rate, eps_tr=eps_tr, eps_pr=eps_pr)
 
 
 def phase_cancellation_sums(
-    phases: tuple[float, float, float] = DEFAULT_PHASES
+    phases: tuple[float, float, float]
 ) -> tuple[complex, complex, complex, complex]:
     """The four exponential sums whose vanishing removes leakage at O(tau).
 
     The first pair controls single-transfer amplitudes (phases entering
     once and doubled); the second pair the double-transfer amplitudes.  All
-    four are zero for the default phases.
+    four are zero for ``DEFAULT_PHASES``.
     """
     p1, p2, p3 = phases
 

@@ -312,7 +312,7 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
     for variant in variants:
         for tau in taus:
             spec = StepSpec(tau=tau, variant=variant, phases=phases)
-            result = evolve(psi0, thc, rotated, cfg["t"], tau, spec=spec)
+            result = evolve(psi0, thc, rotated, cfg["t"], spec)
             rows.append([variant, f"{tau:.10g}", result.n_steps,
                          f"{result.error_vs_exact:.12e}"])
             leaked = result.leaked_weight if result.n_steps else np.zeros(1)

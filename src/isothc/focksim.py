@@ -1,20 +1,19 @@
 """Exact simulation primitives on small fermionic Fock spaces.
 
-A ``FockState`` holds one amplitude vector or a block of columns (shape
-``(cells, k)``) on a list of per-spin particle-number sectors, (N_up,
-N_down) or (N,) when spinless, every sector of its layout by default; it
-is the one state type, and ``exact_evolution`` acts on it on an
-operator's sectors.  Its rows are the cells of those sectors in the
-sector-major order of ``hamiltonian``: sector by sector, ascending, and
-within a sector its grid of down and up strings row-major, each spin's
-k-particle strings ascending as bitmasks with mode 0 as the least
-significant bit.  No full-register basis index exists, so a state costs
-its sectors' cells only; the strings are int64, so a layout holds at most
-``MAX_SPIN_MODES`` = 63 modes per spin.  Layouts distinguish system modes
-(``a``) from ancilla modes (``b``); in a spinful layout the up-spin sector
-occupies modes ``0 .. sector_size-1`` and the down-spin sector the next
-``sector_size`` modes, with a-modes before b-modes inside each sector, and
-a rotation acts on both sectors.
+A ``FockState`` holds one amplitude vector on a list of per-spin
+particle-number sectors, (N_up, N_down) or (N,) when spinless, every
+sector of its layout by default; it is the one state type, and
+``exact_evolution`` acts on it on an operator's sectors.  Its rows are the
+cells of those sectors in the sector-major order of ``hamiltonian``:
+sector by sector, ascending, and within a sector its grid of down and up
+strings row-major, each spin's k-particle strings ascending as bitmasks
+with mode 0 as the least significant bit.  No full-register basis index
+exists, so a state costs its sectors' cells only; the strings are int64,
+so a layout holds at most ``MAX_SPIN_MODES`` = 63 modes per spin.  Layouts
+distinguish system modes (``a``) from ancilla modes (``b``); in a spinful
+layout the up-spin sector occupies modes ``0 .. sector_size-1`` and the
+down-spin sector the next ``sector_size`` modes, with a-modes before
+b-modes inside each sector, and a rotation acts on both sectors.
 
 Basis-rotation circuits are defined and decomposed here.  No kernel here
 applies one: the step engine of ``algorithm`` runs a circuit once on the
@@ -102,8 +101,7 @@ class ModeLayout:
 
 @dataclass
 class FockState:
-    """Pure state amplitudes on per-spin particle-number sectors, or a block
-    of columns.
+    """Pure state amplitudes on per-spin particle-number sectors.
 
     ``sectors`` lists ascending (N_up, N_down), or (N,) when spinless, every
     sector of the layout by default; row ``i`` of ``amplitudes`` is the
@@ -118,8 +116,7 @@ class FockState:
         size = self.layout.sector_size
         self.sectors = _sector_list(size, self.layout.n_sectors, self.sectors)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        # one vector, or a block of columns
-        want = (_sector_offsets(size, self.sectors)[-1],) + self.amplitudes.shape[1:2]
+        want = (_sector_offsets(size, self.sectors)[-1],)
         if self.amplitudes.shape != want:
             raise ValueError(f"array shape {self.amplitudes.shape} does not match "
                              f"the shape {want} on its sectors")
@@ -257,8 +254,8 @@ def givens_decompose(u: np.ndarray) -> GivensSequence:
 # ---------------------------------------------------------------------------
 
 def exact_evolution(op: ManyBodyOperator, state: FockState, t: float) -> FockState:
-    """Evolve a state on the operator's sectors by ``exp(-i op t)`` via the
-    cached eigensystem."""
+    """Evolve a state on the operator's sectors by ``exp(-i op t)`` via its
+    eigensystem."""
     layout = state.layout
     if op.n_modes != layout.n_modes:
         raise ValueError(
@@ -268,4 +265,4 @@ def exact_evolution(op: ManyBodyOperator, state: FockState, t: float) -> FockSta
         raise ValueError("the state does not live on the operator's sectors")
     w, v = op.eigensystem()
     phases = np.exp(-1j * w * t)
-    return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes).T).T, state.sectors)
+    return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes)), state.sectors)

@@ -42,7 +42,7 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,13 +122,8 @@ class ElectronicHamiltonian:
                             self.n_electrons, self.ms2)
 
 
-def _canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
-    ij = (i, j) if i >= j else (j, i)
-    kl = (k, l) if k >= l else (l, k)
-    return ij + kl if ij >= kl else kl + ij
-
-
 def _eri_images(i: int, j: int, k: int, l: int):
+    """The eight index images of (ij|kl); the largest keys its class."""
     index = (i, j, k, l)
     return {tuple(index[axis] for axis in perm) for perm in ERI_PERMUTATIONS}
 
@@ -229,11 +224,12 @@ def parse_fcidump(path_or_text: str | Path) -> ElectronicHamiltonian:
         else:
             if min(i, j, k, l) == 0:
                 raise FcidumpError(f"line {lineno}: malformed two-body indices")
-            key = _canonical_eri_index(i - 1, j - 1, k - 1, l - 1)
+            images = _eri_images(i - 1, j - 1, k - 1, l - 1)
+            key = max(images)
             if key in eri_seen and abs(eri_seen[key] - value) > 1e-10:
                 raise FcidumpError(f"line {lineno}: conflicting duplicate for eri{key}")
             eri_seen[key] = value
-            for p in _eri_images(i - 1, j - 1, k - 1, l - 1):
+            for p in images:
                 eri[p] = value
 
     return ElectronicHamiltonian(
@@ -260,7 +256,7 @@ def write_fcidump(hamiltonian: ElectronicHamiltonian, path: str | Path | None = 
         for j in range(i + 1):
             for k in range(i + 1):
                 for l in range(k + 1):
-                    key = _canonical_eri_index(i, j, k, l)
+                    key = max(_eri_images(i, j, k, l))
                     if key in seen:
                         continue
                     seen.add(key)
@@ -363,7 +359,6 @@ class ManyBodyOperator:
     spinful: bool
     matrix: np.ndarray
     sectors: tuple[tuple[int, ...], ...] | None = None
-    _eig: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_spins = 2 if self.spinful else 1
@@ -375,15 +370,11 @@ class ManyBodyOperator:
             raise ValueError(f"matrix shape {self.matrix.shape} != {(dim, dim)}")
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors, computed once and cached."""
-        if "w" not in self._eig:
-            w, v = np.linalg.eigh(self.matrix)
-            self._eig["w"] = w
-            self._eig["v"] = v
-        return self._eig["w"], self._eig["v"]
+        """Eigenvalues and eigenvectors, from ``eigh`` on every call."""
+        return np.linalg.eigh(self.matrix)
 
     def propagator(self, t: float) -> np.ndarray:
-        """The dense unitary ``exp(-i matrix t)``, from the cached eigensystem."""
+        """The dense unitary ``exp(-i matrix t)``, from the eigensystem."""
         w, v = self.eigensystem()
         return (v * np.exp(-1j * w * t)) @ v.conj().T
 

@@ -48,10 +48,10 @@ import numpy as np
 from isothc.algorithm import (
     StepSpec,
     _diagonal_entries,
+    _givens_circuit,
     _on_sectors,
     _sectors,
     _StepEngine,
-    extended_layout,
 )
 from isothc.focksim import (
     FockState,
@@ -661,14 +661,15 @@ def gate_step(engine, state: RowState) -> RowState:
         phi1, phi2, phi3 = spec.phases
         blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
     h_diag = np.tile(engine.energies, engine.layout.n_sectors)
+    sequence = _givens_circuit(engine.thc)
     tables = RowTables(state)
     state = apply_diagonal_one_body(state, h_diag, tau / 2)
     for phi, block_tau in blocks:
         if phi is not None:
             state = phase_on_ancillas(state, phi)
-        state = apply_basis_rotation(state, engine.sequence, tables)
+        state = apply_basis_rotation(state, sequence, tables)
         state = apply_diagonal_two_body(state, engine.thc.vtilde, block_tau)
-        state = apply_basis_rotation(state, engine.sequence, tables, inverse=True)
+        state = apply_basis_rotation(state, sequence, tables, inverse=True)
     return apply_diagonal_one_body(state, h_diag, tau / 2)
 
 
@@ -737,9 +738,8 @@ def evolve_full_density(
     that left the input's particle-number sector.
     """
     spinful = psi0.layout.spinful
-    layout = extended_layout(thc, spinful=spinful)
-    kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec, layout,
-                                        _sector_list(thc.n, layout.n_sectors)))
+    kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec,
+                                        _sector_list(thc.n, psi0.layout.n_sectors), spinful))
     rho = density(to_register(psi0))
     for _ in range(n_steps):
         rho = sum(k @ rho @ k.conj().T for k in kraus)
@@ -769,9 +769,7 @@ def step_sector_density(
     """Step the density rho_S on the sectors S of ``psi0`` by
     :func:`density_step`, ``n_steps`` times.  Returns the basis indices of
     S in sector-major order, rho_S and the sum of the leaked weights."""
-    spinful = psi0.layout.spinful
-    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
-                         _sectors(psi0))
+    engine = _StepEngine(thc, hamiltonian, spec, _sectors(psi0), psi0.layout.spinful)
     rho = density(_on_sectors(psi0, engine.sectors).amplitudes)
     leaked = np.zeros(n_steps)
     for k in range(n_steps):
@@ -789,9 +787,7 @@ def step_sector_vector(
     """``evolve``'s route: step the vector psi on the sectors S of ``psi0`` by
     K_0, ``n_steps`` times.  Returns the basis indices of S in sector-major
     order, psi and the sum of the leaked weights."""
-    spinful = psi0.layout.spinful
-    engine = _StepEngine(thc, hamiltonian, spec, extended_layout(thc, spinful=spinful),
-                         _sectors(psi0))
+    engine = _StepEngine(thc, hamiltonian, spec, _sectors(psi0), psi0.layout.spinful)
     psi = _on_sectors(psi0, engine.sectors).amplitudes
     lost = 0.0
     for _ in range(n_steps):

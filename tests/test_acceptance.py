@@ -12,6 +12,7 @@ import numpy as np
 
 import oracles
 from isothc.algorithm import (
+    DEFAULT_PHASES,
     StepSpec,
     _vprime_hamiltonian,
     evolve,
@@ -108,8 +109,8 @@ def criterion_05_errors() -> dict:
     """Criterion 5's errors at t = 1 per variant, from ``evolve``."""
     rotated, thc = h2_exact_thc()
     psi0 = hartree_fock_state(rotated, 2, spinful=True)
-    return {variant: [evolve(psi0, thc, rotated, 1.0, tau,
-                             spec=StepSpec(tau=tau, variant=variant)).error_vs_exact
+    return {variant: [evolve(psi0, thc, rotated, 1.0,
+                             StepSpec(tau=tau, variant=variant)).error_vs_exact
                       for tau in CRITERION_05_TAUS]
             for variant in ("basic", "improved")}
 
@@ -163,7 +164,7 @@ def criterion_06_errors() -> dict:
     """Criterion 6's projection errors of the Hartree-Fock state per variant."""
     _, thc = h2_exact_thc()
     psi0 = hartree_fock_state(h2_hamiltonian(), 2, spinful=True)
-    return {variant: [projection_error_measured(thc, psi0, tau, variant=variant)
+    return {variant: [projection_error_measured(thc, psi0, StepSpec(tau=tau, variant=variant))
                       for tau in CRITERION_06_TAUS]
             for variant in ("basic", "improved")}
 
@@ -213,14 +214,15 @@ def test_criterion_07_three_term_error_decomposition():
         rotated, _ = rotate_to_h_eigenbasis(ham)
         thc = exact_factorize(rotated, m=m, seed=300 + k)
         psi = basis_state(ModeLayout(2, 0), "11")
-        measured = evolve(psi, thc, rotated, tau, tau).error_vs_exact
+        spec = StepSpec(tau=tau)
+        measured = evolve(psi, thc, rotated, tau, spec).error_vs_exact
 
         h_op, vprime_op = projected_operators(rotated, thc)
-        budget = thc_bound(rotated, thc, tau).value
+        budget = thc_bound(rotated, thc).value * tau
         budget += trotter_bound(h_op, vprime_op, tau)
         # the projection term acts on the state after the inner h half-step
         psi_h = oracles.diagonal_one_body(psi, np.diag(rotated.h), tau / 2)
-        budget += projection_error_measured(thc, psi_h, tau)
+        budget += projection_error_measured(thc, psi_h, spec)
         worst = max(worst, measured - budget)
         assert measured <= budget + 1e-9, f"instance {k}: {measured} > {budget}"
     print(f"criterion 7: 20/20 instances bounded; worst margin {worst:.3e}")
@@ -282,7 +284,7 @@ def test_criterion_10_bundled_core_norm_slope():
 
 
 def test_criterion_11_phase_cancellation_identities():
-    sums = phase_cancellation_sums()
+    sums = phase_cancellation_sums(DEFAULT_PHASES)
     largest = max(abs(s) for s in sums)
     print(f"criterion 11: largest phase sum magnitude {largest:.3e}")
     assert largest < 1e-12
@@ -329,6 +331,6 @@ def test_criterion_12_desk_scale_substitutions():
         ground_state_energy(rotated, 2, spinful=True)
         - ground_state_energy(approx, 2, spinful=True)
     )
-    gap = thc_bound(rotated, thc, 1.0, spinful=True).operator_norm
+    gap = thc_bound(rotated, thc, spinful=True).operator_norm
     print(f"criterion 12: energy shift {shift:.3e} <= operator gap {gap:.3e}")
     assert shift <= gap + 1e-12

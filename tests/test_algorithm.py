@@ -75,10 +75,10 @@ def on_engine(psi: FockState, engine) -> np.ndarray:
     return _on_sectors(psi, engine.sectors).amplitudes
 
 
-def system_sectors(layout: ModeLayout) -> tuple[tuple[int, ...], ...]:
-    """Every (N_up, N_down) sector of the system modes of ``layout``: the
-    support of an engine on every system state."""
-    return _sector_list(layout.n_system, layout.n_sectors)
+def system_sectors(n: int, spinful: bool) -> tuple[tuple[int, ...], ...]:
+    """Every (N_up, N_down) sector of n system modes per spin: the support
+    of an engine on every system state."""
+    return _sector_list(n, 2 if spinful else 1)
 
 
 def no_one_body(n: int) -> ElectronicHamiltonian:
@@ -198,10 +198,10 @@ H2_PROJECTION_BOUND = {"basic": "6.158464476740255e-05", "improved": "1.26455241
 def test_h2_projection_errors_are_pinned(variant):
     ham, thc = h2_best_exact_thc()
     psi = hartree_fock_state(ham, 2, spinful=True)
-    measured = [repr(projection_error_measured(thc, psi, tau, variant=variant))
+    measured = [repr(projection_error_measured(thc, psi, StepSpec(tau=tau, variant=variant)))
                 for tau in H2_PROJECTION_TAUS]
     assert measured == H2_PROJECTION_MEASURED[variant]
-    bound = projection_error_bound(thc, 1e-2, variant=variant, spinful=True)
+    bound = projection_error_bound(thc, StepSpec(tau=1e-2, variant=variant), spinful=True)
     assert repr(bound) == H2_PROJECTION_BOUND[variant]
 
 
@@ -212,8 +212,9 @@ def test_h2_projection_bound_lies_within_the_float64_floor(variant):
     # Taylor exponential, each norm a Rayleigh quotient): a route that moves
     # the bound's bits must stay this close
     _, thc = h2_best_exact_thc()
-    exact = oracles.projection_bound_long_double(thc, StepSpec(tau=1e-2, variant=variant))
-    fresh = projection_error_bound(thc, 1e-2, variant=variant, spinful=True)
+    spec = StepSpec(tau=1e-2, variant=variant)
+    exact = oracles.projection_bound_long_double(thc, spec)
+    fresh = projection_error_bound(thc, spec, spinful=True)
     for value in (float(H2_PROJECTION_BOUND[variant]), fresh):
         assert abs(np.longdouble(value) - exact) < 1e-15
 
@@ -302,12 +303,12 @@ def assert_vacuum_columns(engine, full) -> None:
 def test_basic_step_unitary_matches_string_oracle(spinful):
     ham, thc = small_instance(7, n=2, m=3)
     tau = 0.37
-    layout = extended_layout(thc, spinful=spinful)
-    engine = _StepEngine(thc, ham, StepSpec(tau=tau), layout, system_sectors(layout))
+    engine = _StepEngine(thc, ham, StepSpec(tau=tau), system_sectors(2, spinful), spinful)
+    layout = engine.layout
     full = oracles.full_step_unitary(engine)
     assert_vacuum_columns(engine, full)
 
-    v_ext = oracle_extended_interaction(engine.sequence, thc.vtilde, layout)
+    v_ext = oracle_extended_interaction(_givens_circuit(thc), thc.vtilde, layout)
     h_diag = np.zeros(layout.n_modes)
     for sector in range(layout.n_sectors):
         off = sector * layout.sector_size
@@ -321,13 +322,13 @@ def test_basic_step_unitary_matches_string_oracle(spinful):
 def test_improved_step_unitary_matches_string_oracle():
     ham, thc = small_instance(8, n=2, m=3)
     tau = 0.21
-    layout = extended_layout(thc, spinful=False)
     spec = StepSpec(tau=tau, variant="improved")
-    engine = _StepEngine(thc, ham, spec, layout, system_sectors(layout))
+    engine = _StepEngine(thc, ham, spec, system_sectors(2, False), False)
+    layout = engine.layout
     full = oracles.full_step_unitary(engine)
     assert_vacuum_columns(engine, full)
 
-    v_ext = oracle_extended_interaction(engine.sequence, thc.vtilde, layout)
+    v_ext = oracle_extended_interaction(_givens_circuit(thc), thc.vtilde, layout)
     quarter = scipy.linalg.expm(-1j * tau / 4 * v_ext)
     n_b = oracle_ancilla_counter(layout)
     p1, p2, p3 = spec.phases
@@ -349,8 +350,7 @@ def test_improved_step_unitary_matches_string_oracle():
 
 def sector_engine(thc, ham, spec, psi) -> _StepEngine:
     """The step engine ``evolve`` builds for ``psi``: on its sectors only."""
-    return _StepEngine(thc, ham, spec, extended_layout(thc, spinful=psi.layout.spinful),
-                       _sectors(psi))
+    return _StepEngine(thc, ham, spec, _sectors(psi), psi.layout.spinful)
 
 
 def test_zero_interaction_zero_h_is_identity_channel():
@@ -365,7 +365,7 @@ def test_zero_interaction_zero_h_is_identity_channel():
     out, leaked = engine.step(on_engine(psi, engine))
     assert_allclose(out, on_engine(psi, engine), atol=1e-12)
     assert leaked == pytest.approx(0.0, abs=1e-12)
-    assert evolve(psi, thc, ham, t=0.3, tau=0.3).error_vs_exact <= 1e-12
+    assert evolve(psi, thc, ham, t=0.3, spec=StepSpec(tau=0.3)).error_vs_exact <= 1e-12
 
 
 def test_step_channel_rejects_leaked_input():
@@ -375,14 +375,14 @@ def test_step_channel_rejects_leaked_input():
     amps[1 << oracles.ancilla_modes(layout)[0]] = 1.0  # ancilla occupied
     # the step takes system states only; an extended one is refused
     with pytest.raises(ValueError, match="system-only"):
-        evolve(oracles.from_register(layout, amps), thc, ham, t=0.1, tau=0.1)
+        evolve(oracles.from_register(layout, amps), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
     vacuum = np.zeros(layout.dim, dtype=complex)
     vacuum[1 << oracles.system_modes(layout)[0]] = 1.0  # every ancilla empty
     with pytest.raises(ValueError, match="system-only"):
-        evolve(oracles.from_register(layout, vacuum), thc, ham, t=0.1, tau=0.1)
+        evolve(oracles.from_register(layout, vacuum), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
     wrong_size = random_sector_state(ModeLayout(3, 0), 1, _rng)
     with pytest.raises(ValueError, match="factorization size"):
-        evolve(wrong_size, thc, ham, t=0.1, tau=0.1)
+        evolve(wrong_size, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
 
 
 def test_step_channel_requires_diagonal_h():
@@ -391,24 +391,23 @@ def test_step_channel_requires_diagonal_h():
     thc = exact_factorize(ham, m=3, seed=0)
     psi = random_sector_state(ModeLayout(2, 0), 1, rng)
     with pytest.raises(ValueError, match="diagonal"):
-        evolve(psi, thc, ham, t=0.1, tau=0.1)
+        evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
 
 
 def test_one_basic_step_close_to_exact():
     ham, thc = small_instance(5, n=2, m=4)  # exact factorization at m = n^2
     tau = 1e-3
     psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(2))
-    assert evolve(psi, thc, ham, t=tau, tau=tau).error_vs_exact <= 1e-5
+    assert evolve(psi, thc, ham, t=tau, spec=StepSpec(tau=tau)).error_vs_exact <= 1e-5
 
 
 def test_improved_with_zero_phases_equals_basic():
     # the compiled [K_0; G] on every system state
     ham, thc = small_instance(6)
-    layout = extended_layout(thc)
-    basic = _StepEngine(thc, ham, StepSpec(tau=0.05), layout, system_sectors(layout))
+    basic = _StepEngine(thc, ham, StepSpec(tau=0.05), system_sectors(2, False), False)
     improved = _StepEngine(
-        thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0)), layout,
-        system_sectors(layout)
+        thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0)),
+        system_sectors(2, False), False
     )
     assert np.max(np.abs(basic.dense_unitary() - improved.dense_unitary())) < 1e-12
 
@@ -431,8 +430,8 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     h = np.diag(rng.normal(size=n)) if with_h else np.zeros((n, n))
     ham = ElectronicHamiltonian(n, 0.0, h, np.zeros((n, n, n, n)))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant)
-    layout = extended_layout(thc, spinful=spinful)
-    engine = _StepEngine(thc, ham, spec, layout, system_sectors(layout))
+    engine = _StepEngine(thc, ham, spec, system_sectors(n, spinful), spinful)
+    layout = engine.layout
 
     # every system sector, so the support is every system state, in
     # sector-major order
@@ -488,7 +487,7 @@ def test_step_channel_preserves_trace_and_vacuum_support():
 def test_evolve_zero_time_is_exact():
     ham, thc = small_instance(11)
     psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(4))
-    result = evolve(psi, thc, ham, t=0.0, tau=0.1)
+    result = evolve(psi, thc, ham, t=0.0, spec=StepSpec(tau=0.1))
     assert result.n_steps == 0
     assert result.error_vs_exact == 0.0
     assert result.t_simulated == 0.0
@@ -497,7 +496,7 @@ def test_evolve_zero_time_is_exact():
 def test_evolve_counts_and_rounds_steps():
     ham, thc = small_instance(12)
     psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(5))
-    result = evolve(psi, thc, ham, t=1.0, tau=0.3)
+    result = evolve(psi, thc, ham, t=1.0, spec=StepSpec(tau=0.3))
     assert result.n_steps == 3
     assert result.leaked_weight.shape == (3,)
     assert np.all(result.leaked_weight >= -1e-15)
@@ -522,7 +521,7 @@ def commuting_diagonal_instance(n=3, seed=14):
 
 def test_evolve_commuting_diagonal_instance_is_exact():
     ham, thc, psi = commuting_diagonal_instance()
-    result = evolve(psi, thc, ham, t=1.0, tau=0.2)
+    result = evolve(psi, thc, ham, t=1.0, spec=StepSpec(tau=0.2))
     assert result.error_vs_exact <= 1e-8
 
 
@@ -532,8 +531,8 @@ def test_evolve_leak_is_read_from_the_leaving_rows():
     # would count as leakage
     ham, thc, psi0 = commuting_diagonal_instance()
     spec = StepSpec(tau=0.2)
-    assert np.all(evolve(psi0, thc, ham, t=2.0, tau=0.2, spec=spec).leaked_weight == 0.0)
-    engine = _StepEngine(thc, ham, spec, extended_layout(thc), _sectors(psi0))
+    assert np.all(evolve(psi0, thc, ham, t=2.0, spec=spec).leaked_weight == 0.0)
+    engine = _StepEngine(thc, ham, spec, _sectors(psi0), False)
     psi = on_engine(psi0, engine)
     drift = []
     for _ in range(10):
@@ -569,8 +568,8 @@ def test_evolve_error_shrinks_with_tau():
     # interaction acts nontrivially inside a particle-number sector
     ham, thc = planted_step_instance(15, n=3, m=5)
     psi = random_sector_state(ModeLayout(3, 0), 2, np.random.default_rng(7))
-    coarse = evolve(psi, thc, ham, t=0.8, tau=0.2).error_vs_exact
-    fine = evolve(psi, thc, ham, t=0.8, tau=0.025).error_vs_exact
+    coarse = evolve(psi, thc, ham, t=0.8, spec=StepSpec(tau=0.2)).error_vs_exact
+    fine = evolve(psi, thc, ham, t=0.8, spec=StepSpec(tau=0.025)).error_vs_exact
     assert coarse > 1e-8
     assert fine < 0.5 * coarse
 
@@ -618,7 +617,7 @@ def test_sector_evolve_matches_full_density_oracle(
     spec = StepSpec(tau=tau, variant=variant)
     psi, support = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector)
 
-    result = evolve(psi, thc, ham, t=n_steps * tau, tau=tau, spec=spec)
+    result = evolve(psi, thc, ham, t=n_steps * tau, spec=spec)
     error, rho = oracles.evolve_full_density(psi, thc, ham, n_steps, spec)
     outside = float(np.delete(np.diag(rho).real, support).sum())
     sector_error, sector_lost = oracles.evolve_sector_density(psi, thc, ham, n_steps, spec)
@@ -629,9 +628,9 @@ def test_sector_evolve_matches_full_density_oracle(
 
     # the sector engine's [K_0; G] is bit for bit the block on S of the
     # engine on every system sector, which vanishes off S in the columns of S
-    layout = extended_layout(thc, spinful=spinful)
-    sector = _StepEngine(thc, ham, spec, layout, _sectors(psi))
-    full = _StepEngine(thc, ham, spec, layout, system_sectors(layout))
+    sector = _StepEngine(thc, ham, spec, _sectors(psi), spinful)
+    full = _StepEngine(thc, ham, spec, system_sectors(n, spinful), spinful)
+    layout = full.layout
     columns = oracles.register_order(layout.system_only(), sector.sectors)
     assert np.array_equal(np.sort(columns), support)
     at = oracles.register_positions(layout.system_only())[columns]
@@ -663,11 +662,12 @@ def test_grid_compile_matches_the_gate_route(n, spinful, variant, support, seed,
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant,
                     phases=tuple(rng.uniform(-np.pi, np.pi, size=3)))
-    layout = extended_layout(thc, spinful=spinful)
-    psi, _ = random_definite_state(layout.system_only(), rng,
+    psi, _ = random_definite_state(ModeLayout(n, 0, spinful), rng,
                                    one_spin_sector=support == "one sector")
-    engine = _StepEngine(thc, ham, spec, layout,
-                         system_sectors(layout) if support == "every sector" else _sectors(psi))
+    engine = _StepEngine(thc, ham, spec,
+                         system_sectors(n, spinful) if support == "every sector" else _sectors(psi),
+                         spinful)
+    layout = engine.layout
     up = oracles.gate_dense_unitary(engine)
     rows = oracles.register_order(layout, engine.sectors)
     columns = oracles.register_order(layout.system_only(), engine.sectors)
@@ -733,8 +733,8 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     amps[occupied] = 1.0
     psi = oracles.from_register(system, amps / np.linalg.norm(amps))
 
-    layout = extended_layout(thc, spinful=spinful)
-    engine = _StepEngine(thc, no_one_body(n), StepSpec(tau=0.1), layout, _sectors(psi))
+    engine = _StepEngine(thc, no_one_body(n), StepSpec(tau=0.1), _sectors(psi), spinful)
+    layout = engine.layout
     counts = set(per_spin_counts(occupied, system))
     assert engine.sectors == tuple(sorted(counts))
     states = np.arange(system.dim)
@@ -766,11 +766,10 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
     psi = hartree_fock_state(ham, electrons, spinful=True)
-    layout = extended_layout(thc, spinful=True)
-    sectors = system_sectors(layout) if every else _sectors(psi)
+    sectors = system_sectors(n, True) if every else _sectors(psi)
     tracemalloc.start()
     try:
-        engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), layout, sectors)
+        engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), sectors, True)
         if every:
             for half in np.split(engine.dense_unitary(), 2):
                 np.linalg.norm(half, 2)
@@ -781,7 +780,7 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = _step_bytes(layout, sectors)
+    estimate = _step_bytes(engine.layout, sectors)
     return engine, estimate, peak
 
 
@@ -828,25 +827,25 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     ham, thc = planted_step_instance(27, n=5, m=6)
     layout = extended_layout(thc, spinful=True)
     psi = hartree_fock_state(ham, 5, spinful=True)
-    every = _step_bytes(layout, system_sectors(layout))
+    every = _step_bytes(layout, system_sectors(5, True))
     assert operator_memory_bytes(_sector_offsets(5, _sectors(psi))[-1]) < every
     # the projection bound compiles every system sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
     with pytest.raises(ValueError, match="the step on 12 modes"):
-        projection_error_bound(thc, 0.1, spinful=True)
+        projection_error_bound(thc, StepSpec(tau=0.1), spinful=True)
     # evolve, and the measured projection error (one step of it), compile
     # the sectors of their input only, which fit
-    assert evolve(psi, thc, ham, t=0.1, tau=0.1).n_steps == 1
-    assert projection_error_measured(thc, psi, 0.1) >= 0.0
+    assert evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1)).n_steps == 1
+    assert projection_error_measured(thc, psi, StepSpec(tau=0.1)) >= 0.0
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
                         lambda: _step_bytes(layout, _sectors(psi)) - 1)
     with pytest.raises(ValueError, match="the step on 12 modes"):
-        evolve(psi, thc, ham, t=0.1, tau=0.1)
+        evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
 
 
 def refuse_to_compile(monkeypatch):
     def no_compile(*args, **kwargs):
-        raise AssertionError("a refused evolve compiled or ran a step")
+        raise AssertionError("a refused call compiled or ran a step")
 
     monkeypatch.setattr(_StepEngine, "dense_unitary", no_compile)
     monkeypatch.setattr(_StepEngine, "step", no_compile)
@@ -863,7 +862,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)
     with pytest.raises(MemoryRefusal, match="many-body operator on 4 modes"):
-        evolve(psi, thc, ham, t=0.1, tau=0.1)
+        evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
 
 
 def test_evolve_refuses_a_step_past_memory_before_it_builds_the_reference(monkeypatch):
@@ -878,7 +877,49 @@ def test_evolve_refuses_a_step_past_memory_before_it_builds_the_reference(monkey
     monkeypatch.setattr(algorithm, "build_many_body_operator", no_build)
     refuse_to_compile(monkeypatch)
     with pytest.raises(MemoryRefusal, match="the step on 6 modes"):
-        evolve(psi, thc, ham, t=0.1, tau=0.1)
+        evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
+
+
+def projection_bound_instance():
+    """Random factors at n = 5, m = 6 spinful (12 modes), where the
+    projection bound holds the stack [K_0; G] on the 1024 system states
+    beside the ideal propagator on them, and the bound's estimate: the sum
+    of the step's and the operator's."""
+    rng = np.random.default_rng(29)
+    n, m = 5, 6
+    vtilde = rng.normal(size=(m, m))
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    sectors = system_sectors(n, True)
+    step = _step_bytes(extended_layout(thc, spinful=True), sectors)
+    return thc, step, operator_memory_bytes(_sector_offsets(n, sectors)[-1])
+
+
+def test_projection_bound_estimate_bounds_the_traced_peak():
+    # the stack and the ideal are alive at once, so the peak passes either
+    # estimate alone and stays within their sum
+    thc, step, operator = projection_bound_instance()
+    tracemalloc.start()
+    try:
+        projection_error_bound(thc, StepSpec(tau=0.1), spinful=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(step, operator) < peak <= step + operator
+
+
+def test_projection_bound_refuses_its_stack_and_ideal_together(monkeypatch):
+    # memory one byte short of the sum holds either alone: the bound is
+    # refused before it compiles the stack or builds the ideal
+    thc, step, operator = projection_bound_instance()
+    monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step + operator - 1)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the ideal was built for a refused bound")
+
+    monkeypatch.setattr(algorithm, "build_many_body_operator", no_build)
+    refuse_to_compile(monkeypatch)
+    with pytest.raises(MemoryRefusal, match="the projection bound on 12 modes"):
+        projection_error_bound(thc, StepSpec(tau=0.1), spinful=True)
 
 
 def test_memory_refusal_is_a_value_error():
@@ -952,11 +993,10 @@ def test_two_electrons_in_eighteen_spinful_orbitals():
         tracemalloc.stop()
     assert peak < 2**20
     assert psi.sectors == ((1, 1),) and psi.amplitudes.shape == (324,)
-    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), extended_layout(thc, spinful=True),
-                         _sectors(psi))
+    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi), True)
     assert _sector_offsets(m, engine.sectors)[-1] == 361
     assert engine.dense_unitary().shape == (2 * 324, 324)
-    result = evolve(psi, thc, ham, t=0.2, tau=0.1)
+    result = evolve(psi, thc, ham, t=0.2, spec=StepSpec(tau=0.1))
     assert result.n_steps == 2
     assert 0.0 < result.error_vs_exact < 1.0
 
@@ -965,7 +1005,8 @@ def test_evolve_takes_an_input_on_listed_rows():
     ham, thc = small_instance(31, n=2, m=3)
     listed = hartree_fock_state(ham, 2, spinful=True)  # on its one sector
     psi = oracles.from_register(listed.layout, oracles.to_register(listed))  # on every sector
-    full, short = (evolve(state, thc, ham, t=0.2, tau=0.1) for state in (psi, listed))
+    full, short = (evolve(state, thc, ham, t=0.2, spec=StepSpec(tau=0.1))
+                   for state in (psi, listed))
     assert short.error_vs_exact == full.error_vs_exact
     assert np.array_equal(short.leaked_weight, full.leaked_weight)
 
@@ -983,7 +1024,7 @@ def test_one_givens_circuit_per_factorization(monkeypatch):
     psi = hartree_fock_state(ham, 2, spinful=True)
     for variant in ("basic", "improved"):
         for tau in (0.1, 0.05):
-            evolve(psi, thc, ham, t=0.2, tau=tau, spec=StepSpec(tau=tau, variant=variant))
+            evolve(psi, thc, ham, t=0.2, spec=StepSpec(tau=tau, variant=variant))
     copy = ThcFactorization.from_json(thc.to_json())
     assert _givens_circuit(copy) is _givens_circuit(thc)
     assert len(calls) == 1
@@ -997,7 +1038,7 @@ def test_evolve_rejects_mixed_particle_numbers(spinful):
     amps = np.zeros(layout.dim, dtype=complex)
     amps[[0b0001, 0b0011]] = 1 / np.sqrt(2)  # one and two particles
     with pytest.raises(ValueError, match="one particle number"):
-        evolve(oracles.from_register(layout, amps), thc, ham, t=0.2, tau=0.1)
+        evolve(oracles.from_register(layout, amps), thc, ham, t=0.2, spec=StepSpec(tau=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -1044,14 +1085,14 @@ def test_trotter_bound_dominates_measured_splitting_error():
 def test_thc_bound_zero_for_exact_factorization():
     ham, _ = small_instance(18)
     thc = exact_factorize(ham, seed=1)  # m = n^2, exact
-    bound = thc_bound(ham, thc, t=1.0)
+    bound = thc_bound(ham, thc)
     assert bound.value <= 1e-9
 
 
 def test_thc_bound_exact_branch_below_frobenius():
     ham = oracles.random_hamiltonian(2, np.random.default_rng(19))
     thc = exact_factorize(ham, m=2, seed=1)  # truncated, inexact
-    bound = thc_bound(ham, thc, t=1.0)
+    bound = thc_bound(ham, thc)
     assert bound.operator_norm is not None
     assert bound.operator_norm <= bound.frobenius_bound
     assert bound.branch == "operator_norm"
@@ -1061,20 +1102,25 @@ def test_thc_bound_exact_branch_below_frobenius():
 def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
     ham = oracles.random_hamiltonian(2, np.random.default_rng(19))
     thc = exact_factorize(ham, m=2, seed=1)
-    exact = thc_bound(ham, thc, t=1.0)
+    exact = thc_bound(ham, thc)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
                         lambda: operator_memory_bytes(1 << 2) - 1)
-    bound = thc_bound(ham, thc, t=1.0)
+    bound = thc_bound(ham, thc)
     assert bound.branch == "frobenius"
     assert bound.operator_norm is None
     assert bound.value == bound.frobenius_bound == exact.frobenius_bound
 
 
 def test_thc_bound_linear_in_time():
+    # the bound is a rate per unit time, the smaller of its two branches,
+    # and the error budget charges it linearly in the evolution time
     ham = oracles.random_hamiltonian(2, np.random.default_rng(20))
     thc = exact_factorize(ham, m=2, seed=2)
-    assert thc_bound(ham, thc, 2.0).value == pytest.approx(
-        2 * thc_bound(ham, thc, 1.0).value
+    bound = thc_bound(ham, thc)
+    assert bound.value == min(bound.operator_norm, bound.frobenius_bound) > 0.0
+    budget = ErrorBudget(eps_thc_rate=bound.value, eps_tr=0.0, eps_pr=0.0)
+    assert budget.total(t=2.0, tau=0.1) == pytest.approx(
+        2 * budget.total(t=1.0, tau=0.1)
     )
 
 
@@ -1086,7 +1132,7 @@ def test_projection_error_vanishes_without_ancillas():
     ham, _ = small_instance(21)
     thc = exact_factorize(ham, m=2, seed=3)  # square u: no ancilla modes
     rho = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(8))
-    assert projection_error_measured(thc, rho, tau=0.3) <= 1e-12
+    assert projection_error_measured(thc, rho, StepSpec(tau=0.3)) <= 1e-12
 
 
 @pytest.mark.parametrize("variant,power", [("basic", 2), ("improved", 3)])
@@ -1097,7 +1143,7 @@ def test_projection_error_scaling_ratio_is_stable(variant, power):
     rho = random_sector_state(ModeLayout(3, 0), 2, np.random.default_rng(10))
     taus = (0.05, 0.005)
     scaled = [
-        projection_error_measured(thc, rho, tau, variant=variant) / tau**power
+        projection_error_measured(thc, rho, StepSpec(tau=tau, variant=variant)) / tau**power
         for tau in taus
     ]
     assert scaled[1] == pytest.approx(scaled[0], rel=0.2)
@@ -1108,10 +1154,11 @@ def test_projection_error_bound_dominates_measured():
     rng = np.random.default_rng(11)
     for variant in ("basic", "improved"):
         for tau in (0.05, 0.01):
-            bound = projection_error_bound(thc, tau, variant=variant)
+            spec = StepSpec(tau=tau, variant=variant)
+            bound = projection_error_bound(thc, spec)
             for n_particles in (1, 2):
                 rho = random_sector_state(ModeLayout(2, 0), n_particles, rng)
-                measured = projection_error_measured(thc, rho, tau, variant=variant)
+                measured = projection_error_measured(thc, rho, spec)
                 assert measured <= bound + 1e-12
 
 
@@ -1122,12 +1169,12 @@ def test_projection_error_methods_agree():
     # two particles: one alone feels no two-body phase and never leaks
     rho = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(12))
     tau = 0.07
-    fused = projection_error_measured(thc, rho, tau)
+    fused = projection_error_measured(thc, rho, StepSpec(tau=tau))
 
-    layout = extended_layout(thc)
     v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)),
                                    projected_interaction(thc.u, thc.vtilde))
-    engine = _StepEngine(thc, v_only, StepSpec(tau=tau), layout, system_sectors(layout))
+    engine = _StepEngine(thc, v_only, StepSpec(tau=tau), system_sectors(2, False), False)
+    layout = engine.layout
     start = oracles.density(oracles.to_register(rho))
     extended = oracles.embed_in_ancilla_vacuum(start, layout)
     stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended, layout)
@@ -1145,14 +1192,15 @@ def test_one_step_error_within_three_error_budget(seed):
     ham, thc = small_instance(seed, n=2, m=2)  # truncated rank: real THC error
     tau = 1e-2
     psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(seed))
-    measured = evolve(psi, thc, ham, t=tau, tau=tau).error_vs_exact
+    spec = StepSpec(tau=tau)
+    measured = evolve(psi, thc, ham, t=tau, spec=spec).error_vs_exact
 
     h_op, vprime_op = projected_operators(ham, thc)
     psi_h = oracles.diagonal_one_body(psi, np.diag(ham.h), tau / 2)
     budget = (
-        thc_bound(ham, thc, tau).value
+        thc_bound(ham, thc).value * tau
         + trotter_bound(h_op, vprime_op, tau)
-        + projection_error_measured(thc, psi_h, tau)
+        + projection_error_measured(thc, psi_h, spec)
     )
     assert measured <= budget + 1e-9
 
