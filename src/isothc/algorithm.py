@@ -65,8 +65,9 @@ is bit for bit the same in every engine whose support holds the sector.
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
 Trotter error, and the projection error from resetting ancillas.
-This module evaluates all three, both as measured trace distances on
-concrete states and as analytic bounds with exactly computed norms.
+``error_budget`` estimates all three with exactly computed norms; given a
+state psi, it measures the projection error on e^{-i h tau/2} psi, the
+state the interaction block acts on, with the engine's one-body phases.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ from .focksim import (
 )
 from .hamiltonian import (
     ElectronicHamiltonian,
-    ManyBodyOperator,
     MemoryRefusal,
     _admit_memory,
     _sector_list,
@@ -104,10 +104,7 @@ __all__ = [
     "StepSpec",
     "ErrorBudget",
     "EvolveResult",
-    "ThcBound",
-    "extended_layout",
     "hartree_fock_state",
-    "projected_operators",
     "evolve",
     "trotter_bound",
     "thc_bound",
@@ -156,12 +153,13 @@ class StepSpec:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Per-step error contributions of a THC Trotter step.
+    """Per-step error contributions of the THC Trotter step ``spec``.
 
     ``eps_thc_rate`` is per unit time; ``eps_tr`` and ``eps_pr`` are per
-    step at the budget's timestep.
+    step.
     """
 
+    spec: StepSpec
     eps_thc_rate: float
     eps_tr: float
     eps_pr: float
@@ -171,8 +169,9 @@ class ErrorBudget:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def total(self, t: float, tau: float) -> float:
-        n_steps = int(round(t / tau))
+    def total(self, t: float) -> float:
+        """The budget of ``round(t / spec.tau)`` steps, as ``evolve`` takes them."""
+        n_steps = int(round(t / self.spec.tau))
         return self.eps_thc_rate * t + n_steps * (self.eps_tr + self.eps_pr)
 
 
@@ -194,24 +193,9 @@ class EvolveResult:
     leaked_weight: np.ndarray
 
 
-@dataclass(frozen=True)
-class ThcBound:
-    """Bound on the interaction-operator distance: the factorization's error
-    rate per unit evolution time."""
-
-    value: float
-    branch: str
-    operator_norm: float | None
-    frobenius_bound: float
-
-
-def extended_layout(thc: ThcFactorization, spinful: bool = False) -> ModeLayout:
-    """Register layout of the step circuit: one ancilla per extra rank."""
-    return ModeLayout(n_system=thc.n, n_ancilla=thc.m - thc.n, spinful=spinful)
-
-
-def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
-    """Estimated peak bytes of a step engine on ``sectors`` of the extended ``layout``.
+def _step_bytes(n: int, m: int, sectors: list[tuple[int, ...]]) -> int:
+    """Estimated peak bytes of a step engine on ``sectors`` of a factorization
+    of n system and m extended modes per spin.
 
     The engine holds the stack [K_0; G] on the system states S of those
     sectors, with room for one |S| x |S| copy beside it (a norm of one half
@@ -221,7 +205,6 @@ def _step_bytes(layout: ModeLayout, sectors: list[tuple[int, ...]]) -> int:
     largest of them is charged.  Counted, not enumerated, so a register
     far too large is refused at once.
     """
-    n, m = layout.n_system, layout.sector_size
     block = max((STEP_WORKING_COPIES * 16 * _sector_offsets(n, [counts])[-1]
                  + GRID_BYTES_PER_STATE) * _sector_offsets(m, [counts])[-1]
                 for counts in sectors)
@@ -262,24 +245,29 @@ def hartree_fock_state(
     return basis_state(layout, occupations)
 
 
-def projected_operators(
-    hamiltonian: ElectronicHamiltonian,
-    thc: ThcFactorization,
-    spinful: bool = False,
-) -> tuple[ManyBodyOperator, ManyBodyOperator]:
-    """Dense system-mode operators (h_op, vprime_op) for the split H' = h + V'."""
-    n = hamiltonian.n_orbitals
-    zero4 = np.zeros((n, n, n, n))
-    h_only = ElectronicHamiltonian(n, 0.0, hamiltonian.h, zero4)
-    return (build_many_body_operator(h_only, spinful=spinful),
-            build_many_body_operator(_vprime_hamiltonian(thc), spinful=spinful))
-
-
 def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
     """The recontracted interaction V' alone, with no one-body part."""
     n = thc.n
     return ElectronicHamiltonian(n, 0.0, np.zeros((n, n)),
                                  projected_interaction(thc.u, thc.vtilde))
+
+
+def _occupations(modes: int, counts: tuple[int, ...]) -> list[np.ndarray]:
+    """The occupation of each of ``modes`` orbital slots in each down string,
+    then each up string, of the sector ``counts``: the rows and columns of its grid."""
+    n_up, n_down = (*counts, 0)[:2]
+    return [((_string_tables(modes, k)[0][:, None] >> np.arange(modes)) & 1).astype(float)
+            for k in (n_down, n_up)]
+
+
+def _cells(occ: list[np.ndarray], per_string) -> np.ndarray:
+    """A per-string quantity of each spin, summed on every cell of the grid."""
+    return per_string(occ[0])[:, None] + per_string(occ[1])[None, :]
+
+
+def _half_step_phases(occ: list[np.ndarray], energies: np.ndarray, tau: float) -> np.ndarray:
+    """e^{-i h tau/2} on every cell of the grid, h diagonal with ``energies`` per slot."""
+    return np.exp(-0.5j * tau * _cells(occ, lambda o: o @ energies))
 
 
 def _blocks(state: FockState) -> dict[tuple[int, ...], np.ndarray]:
@@ -387,9 +375,10 @@ class _StepEngine:
     ) -> None:
         if hamiltonian.n_orbitals != thc.n:
             raise ValueError("Hamiltonian size does not match the factorization")
-        layout = extended_layout(thc, spinful)
+        # one ancilla mode per spin for each rank past n
+        layout = ModeLayout(thc.n, thc.m - thc.n, spinful)
         sectors = _sector_list(thc.n, layout.n_sectors, sectors)
-        _admit_memory("the step", layout.n_modes, _step_bytes(layout, sectors))
+        _admit_memory("the step", layout.n_modes, _step_bytes(thc.n, thc.m, sectors))
         self.layout = layout
         self.sectors = sectors
         self.col_offsets = _sector_offsets(thc.n, sectors)
@@ -443,24 +432,18 @@ class _StepEngine:
         layout, spec = self.layout, self.spec
         m, n = layout.sector_size, layout.n_system
         n_up, n_down = (*counts, 0)[:2]
-        strings = [_string_tables(m, k)[0] for k in (n_down, n_up)]
         # columns: the system cells, the first C(n, k) strings of each spin
         d_sys, u_sys = (np.arange(math.comb(n, k)) for k in (n_down, n_up))
         col_d, col_u = np.repeat(d_sys, u_sys.size), np.tile(u_sys, d_sys.size)
 
-        # occupation of each orbital slot in each string of either spin
-        occ = [((s[:, None] >> np.arange(m)) & 1).astype(float) for s in strings]
-
-        def cells(per_string) -> np.ndarray:
-            return per_string(occ[0])[:, None] + per_string(occ[1])[None, :]
-
-        one_body = np.exp(-0.5j * spec.tau * cells(lambda o: o @ self.energies))
+        occ = _occupations(m, counts)
+        one_body = _half_step_phases(occ, self.energies, spec.tau)
         # E = sum_{a<b} vs_ab N_a N_b + 1/2 sum_a vs_aa N_a (N_a - 1), with
         # N_a summed over spin: each spin's pairs, then the cross-spin pairs
         vs = 0.5 * (self.thc.vtilde + self.thc.vtilde.T)
         upper = np.triu(vs, 1)
-        theta = cells(lambda o: ((o @ upper) * o).sum(axis=1)) + occ[0] @ vs @ occ[1].T
-        ancillas = cells(lambda o: o[:, n:].sum(axis=1))
+        theta = _cells(occ, lambda o: ((o @ upper) * o).sum(axis=1)) + occ[0] @ vs @ occ[1].T
+        ancillas = _cells(occ, lambda o: o[:, n:].sum(axis=1))
         if spec.variant == "basic":
             phases = [None]
         else:
@@ -584,46 +567,44 @@ def evolve(
 # Error bounds and measurements
 # ---------------------------------------------------------------------------
 
-def trotter_bound(h_op: ManyBodyOperator, vprime_op: ManyBodyOperator, tau: float) -> float:
-    """Second-order Trotter bound from the two nested commutator norms.
+def trotter_bound(hamiltonian: ElectronicHamiltonian, thc: ThcFactorization, spec: StepSpec,
+                  spinful: bool = False) -> float:
+    """Second-order Trotter bound of the split H' = h + V' (V' recontracted
+    from ``thc``) on every system state, from the two nested commutator norms.
 
         tau^3/12 ||[V', [V', h]]|| + tau^3/24 ||[h, [h, V']]||
     """
-    if h_op.n_modes != vprime_op.n_modes or h_op.sectors != vprime_op.sectors:
-        raise ValueError("operators act on different registers")
-    a = h_op.matrix
-    b = vprime_op.matrix
+    n = hamiltonian.n_orbitals
+    h_only = ElectronicHamiltonian(n, 0.0, hamiltonian.h, np.zeros((n, n, n, n)))
+    a = build_many_body_operator(h_only, spinful=spinful).matrix
+    b = build_many_body_operator(_vprime_hamiltonian(thc), spinful=spinful).matrix
     comm_ba = b @ a - a @ b
     nested_b = np.linalg.norm(b @ comm_ba - comm_ba @ b, 2)
     nested_a = np.linalg.norm(a @ comm_ba - comm_ba @ a, 2)
-    return float(tau**3 / 12.0 * nested_b + tau**3 / 24.0 * nested_a)
+    return float(spec.tau**3 / 12.0 * nested_b + spec.tau**3 / 24.0 * nested_a)
 
 
 def thc_bound(
     hamiltonian: ElectronicHamiltonian,
     thc: ThcFactorization,
     spinful: bool = False,
-) -> ThcBound:
+) -> float:
     """Bound ||V_op - V'_op|| on the factorization's evolution error per
     unit time.
 
-    Uses the exact operator norm of the interaction difference when its
-    dense operator fits in memory, and the element-wise bound
-    ``N^2 ||V||_2 eps_v`` otherwise; the smaller branch wins.
+    The exact operator norm of the interaction difference when its dense
+    operator is admitted, and the element-wise bound ``N^2 ||V||_2 eps_v``
+    when it is refused.
     """
     n = hamiltonian.n_orbitals
-    eps_v, _ = approximation_errors(hamiltonian, thc)
-    frobenius = float(n**2 * np.linalg.norm(hamiltonian.eri.reshape(-1)) * eps_v)
     diff = ElectronicHamiltonian(
         n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc.u, thc.vtilde)
     )
     try:
-        operator_norm = build_many_body_operator(diff, spinful=spinful).norm()
+        return build_many_body_operator(diff, spinful=spinful).norm()
     except MemoryRefusal:
-        operator_norm = None
-    if operator_norm is not None and operator_norm <= frobenius:
-        return ThcBound(operator_norm, "operator_norm", operator_norm, frobenius)
-    return ThcBound(frobenius, "frobenius", operator_norm, frobenius)
+        eps_v, _ = approximation_errors(hamiltonian, thc)
+        return float(n**2 * np.linalg.norm(hamiltonian.eri.reshape(-1)) * eps_v)
 
 
 def projection_error_measured(
@@ -658,11 +639,10 @@ def projection_error_bound(
     built.
     """
     vprime = _vprime_hamiltonian(thc)
-    layout = extended_layout(thc, spinful)
-    engine = _StepEngine(thc, vprime, spec, _sector_list(thc.n, layout.n_sectors), spinful)
+    engine = _StepEngine(thc, vprime, spec, _sector_list(thc.n, 2 if spinful else 1), spinful)
     size = engine.col_offsets[-1]
-    _admit_memory("the projection bound", layout.n_modes,
-                  _step_bytes(layout, engine.sectors) + operator_memory_bytes(size))
+    _admit_memory("the projection bound", engine.layout.n_modes,
+                  _step_bytes(thc.n, thc.m, engine.sectors) + operator_memory_bytes(size))
     stack = engine.dense_unitary()
     ideal = build_many_body_operator(vprime, spinful=spinful).propagator(spec.tau)
     term1 = float(np.linalg.norm(stack[:size] - ideal, 2))
@@ -677,19 +657,27 @@ def error_budget(
     psi: FockState | None = None,
     spinful: bool = False,
 ) -> ErrorBudget:
-    """Assemble the three per-step error contributions for one spec.
+    """The three per-step error contributions of the step ``spec``.
 
-    With ``psi`` given, the projection term is the measured trace distance
-    from that state; otherwise the state-independent operator bound is used.
+    With ``psi`` given (``spinful`` must match its layout), the projection
+    term is measured on e^{-i h tau/2} psi, the state the interaction block
+    acts on after the first one-body half-step, with the step engine's
+    per-cell phases; otherwise it is the state-independent operator bound.
     """
-    h_op, vprime_op = projected_operators(hamiltonian, thc, spinful)
-    eps_tr = trotter_bound(h_op, vprime_op, spec.tau)
-    rate = thc_bound(hamiltonian, thc, spinful).value
+    if psi is not None and psi.layout.spinful != spinful:
+        raise ValueError(f"psi has spinful={psi.layout.spinful}, but spinful={spinful}")
+    eps_tr = trotter_bound(hamiltonian, thc, spec, spinful)
+    rate = thc_bound(hamiltonian, thc, spinful)
     if psi is None:
         eps_pr = projection_error_bound(thc, spec, spinful)
     else:
-        eps_pr = projection_error_measured(thc, psi, spec)
-    return ErrorBudget(eps_thc_rate=rate, eps_tr=eps_tr, eps_pr=eps_pr)
+        energies = _diagonal_entries(hamiltonian)
+        half = np.concatenate([
+            block * _half_step_phases(_occupations(psi.layout.n_system, counts),
+                                      energies, spec.tau).reshape(-1)
+            for counts, block in _blocks(psi).items()])
+        eps_pr = projection_error_measured(thc, FockState(psi.layout, half, psi.sectors), spec)
+    return ErrorBudget(spec, eps_thc_rate=rate, eps_tr=eps_tr, eps_pr=eps_pr)
 
 
 def phase_cancellation_sums(

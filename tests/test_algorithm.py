@@ -21,12 +21,11 @@ from isothc.algorithm import (
     _sectors,
     _step_bytes,
     _StepEngine,
+    _vprime_hamiltonian,
     error_budget,
     evolve,
-    extended_layout,
     hartree_fock_state,
     phase_cancellation_sums,
-    projected_operators,
     projection_error_bound,
     projection_error_measured,
     thc_bound,
@@ -52,6 +51,7 @@ from isothc.hamiltonian import (
 )
 from isothc.thc import (
     ThcFactorization,
+    approximation_errors,
     exact_factorize,
     projected_interaction,
     random_co_isometry,
@@ -127,15 +127,18 @@ def test_step_spec_validation():
 
 
 def test_error_budget_total():
-    budget = ErrorBudget(eps_thc_rate=0.5, eps_tr=0.01, eps_pr=0.02)
-    assert budget.total(t=1.0, tau=0.1) == pytest.approx(0.5 + 10 * 0.03)
+    # the budget takes its steps at its own spec's timestep
+    budget = ErrorBudget(StepSpec(tau=0.1), eps_thc_rate=0.5, eps_tr=0.01, eps_pr=0.02)
+    assert budget.total(t=1.0) == pytest.approx(0.5 + 10 * 0.03)
     with pytest.raises(ValueError, match="eps_tr"):
-        ErrorBudget(eps_thc_rate=0.0, eps_tr=-1.0, eps_pr=0.0)
+        ErrorBudget(StepSpec(tau=0.1), eps_thc_rate=0.0, eps_tr=-1.0, eps_pr=0.0)
 
 
 def test_extended_layout_counts_ancillas():
-    _, thc = small_instance(0, n=2, m=3)
-    layout = extended_layout(thc, spinful=True)
+    # the step engine's register: one ancilla mode per spin for each rank
+    # past the n system modes
+    ham, thc = small_instance(0, n=2, m=3)
+    layout = _StepEngine(thc, ham, StepSpec(tau=0.1), system_sectors(2, True), True).layout
     assert layout.n_system == 2 and layout.n_ancilla == 1 and layout.spinful
     assert layout.n_modes == 6
 
@@ -370,7 +373,7 @@ def test_zero_interaction_zero_h_is_identity_channel():
 
 def test_step_channel_rejects_leaked_input():
     ham, thc = small_instance(4)
-    layout = extended_layout(thc)
+    layout = ModeLayout(thc.n, thc.m - thc.n)
     amps = np.zeros(layout.dim, dtype=complex)
     amps[1 << oracles.ancilla_modes(layout)[0]] = 1.0  # ancilla occupied
     # the step takes system states only; an extended one is refused
@@ -454,10 +457,10 @@ def test_fused_and_sequential_paths_agree(variant):
     # applies the step gate by gate to every basis column of the extended
     # register and resets the ancillas in the occupation basis
     ham, thc = small_instance(9)
-    layout = extended_layout(thc)
-    psi = random_sector_state(layout.system_only(), 2, np.random.default_rng(9))
+    psi = random_sector_state(ModeLayout(thc.n, 0), 2, np.random.default_rng(9))
     spec = StepSpec(tau=0.08, variant=variant)
     engine = sector_engine(thc, ham, spec, psi)
+    layout = engine.layout
     fused, leaked = engine.step(on_engine(psi, engine))
     full = oracles.full_step_unitary(engine)
     extended = oracles.embed_in_ancilla_vacuum(oracles.density(oracles.to_register(psi)),
@@ -750,7 +753,7 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     block = max((STEP_WORKING_COPIES * 16 * per_spin_counts(support, system).count(c)
                  + GRID_BYTES_PER_STATE) * rows.count(c) for c in counts)
     compounds = sum(math.comb(m, k) ** 2 for k in {k for c in counts for k in c})
-    assert _step_bytes(layout, _sectors(psi)) == (
+    assert _step_bytes(n, m, _sectors(psi)) == (
         block + 3 * 16 * support.size**2 + COMPOUND_COPIES * 16 * compounds)
 
 
@@ -780,7 +783,7 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = _step_bytes(engine.layout, sectors)
+    estimate = _step_bytes(n, m, sectors)
     return engine, estimate, peak
 
 
@@ -825,9 +828,8 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     # [K_0; G] holds 2 x 1024^2 amplitudes, outgrows evolve's sector step
     # plus its exact reference, whose estimate has a floor of a few MiB
     ham, thc = planted_step_instance(27, n=5, m=6)
-    layout = extended_layout(thc, spinful=True)
     psi = hartree_fock_state(ham, 5, spinful=True)
-    every = _step_bytes(layout, system_sectors(5, True))
+    every = _step_bytes(5, 6, system_sectors(5, True))
     assert operator_memory_bytes(_sector_offsets(5, _sectors(psi))[-1]) < every
     # the projection bound compiles every system sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
@@ -838,7 +840,7 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     assert evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1)).n_steps == 1
     assert projection_error_measured(thc, psi, StepSpec(tau=0.1)) >= 0.0
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
-                        lambda: _step_bytes(layout, _sectors(psi)) - 1)
+                        lambda: _step_bytes(5, 6, _sectors(psi)) - 1)
     with pytest.raises(ValueError, match="the step on 12 modes"):
         evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
 
@@ -856,8 +858,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
     # (and admitted), the reference is refused, and nothing compiles
     ham, thc = small_instance(27, n=2, m=3)
     psi = hartree_fock_state(ham, 2, spinful=True)
-    layout = extended_layout(thc, spinful=True)
-    step = _step_bytes(layout, _sectors(psi))
+    step = _step_bytes(2, 3, _sectors(psi))
     assert step < operator_memory_bytes(_sector_offsets(2, _sectors(psi))[-1])
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
     refuse_to_compile(monkeypatch)
@@ -868,7 +869,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
 def test_evolve_refuses_a_step_past_memory_before_it_builds_the_reference(monkeypatch):
     ham, thc = small_instance(27, n=2, m=3)
     psi = hartree_fock_state(ham, 2, spinful=True)
-    step = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi))
+    step = _step_bytes(2, 3, _sectors(psi))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step - 1)
 
     def no_build(*args, **kwargs):
@@ -890,7 +891,7 @@ def projection_bound_instance():
     vtilde = rng.normal(size=(m, m))
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
     sectors = system_sectors(n, True)
-    step = _step_bytes(extended_layout(thc, spinful=True), sectors)
+    step = _step_bytes(n, m, sectors)
     return thc, step, operator_memory_bytes(_sector_offsets(n, sectors)[-1])
 
 
@@ -1052,26 +1053,25 @@ def test_trotter_bound_zero_for_commuting_terms():
     eri[0, 0, 1, 1] = eri[1, 1, 0, 0] = 0.7
     ham = ElectronicHamiltonian(n, 0.0, h, eri)
     thc = ThcFactorization(u=np.eye(n), vtilde=np.array([[0.0, 0.7], [0.7, 0.0]]))
-    h_op, vprime_op = projected_operators(ham, thc)
-    assert trotter_bound(h_op, vprime_op, 0.1) == pytest.approx(0.0, abs=1e-12)
+    assert trotter_bound(ham, thc, StepSpec(tau=0.1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trotter_bound_is_cubic_in_tau():
     # needs n >= 3: on two spinless modes every two-body operator is
     # diagonal and commutes with a diagonal h
     ham, thc = planted_step_instance(16, n=3, m=4)
-    h_op, vprime_op = projected_operators(ham, thc)
-    b1 = trotter_bound(h_op, vprime_op, 0.1)
-    b2 = trotter_bound(h_op, vprime_op, 0.05)
+    b1 = trotter_bound(ham, thc, StepSpec(tau=0.1))
+    b2 = trotter_bound(ham, thc, StepSpec(tau=0.05))
     assert b1 == pytest.approx(8 * b2, rel=1e-12)
     assert b1 > 0
 
 
 def test_trotter_bound_dominates_measured_splitting_error():
     ham, thc = planted_step_instance(17, n=3, m=4)
-    h_op, vprime_op = projected_operators(ham, thc)
     tau = 1e-2
-    a, b = h_op.matrix, vprime_op.matrix
+    h_only = ElectronicHamiltonian(3, 0.0, ham.h, np.zeros((3, 3, 3, 3)))
+    a = build_many_body_operator(h_only).matrix
+    b = build_many_body_operator(_vprime_hamiltonian(thc)).matrix
     split = (
         scipy.linalg.expm(-1j * tau / 2 * a)
         @ scipy.linalg.expm(-1j * tau * b)
@@ -1079,24 +1079,35 @@ def test_trotter_bound_dominates_measured_splitting_error():
     )
     exact = scipy.linalg.expm(-1j * tau * (a + b))
     measured = np.linalg.norm(split - exact, 2)
-    assert measured <= trotter_bound(h_op, vprime_op, tau)
+    assert measured <= trotter_bound(ham, thc, StepSpec(tau=tau))
+
+
+def interaction_gap(ham, thc, spinful=False) -> float:
+    """The dense operator norm ||V_op - V'_op|| on every system state."""
+    n = ham.n_orbitals
+    diff = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)),
+                                 ham.eri - projected_interaction(thc.u, thc.vtilde))
+    return float(np.linalg.norm(build_many_body_operator(diff, spinful=spinful).matrix, 2))
+
+
+def frobenius_rate(ham, thc) -> float:
+    """The element-wise expression N^2 ||V||_2 eps_v."""
+    eps_v, _ = approximation_errors(ham, thc)
+    return float(ham.n_orbitals**2 * np.linalg.norm(ham.eri.reshape(-1)) * eps_v)
 
 
 def test_thc_bound_zero_for_exact_factorization():
     ham, _ = small_instance(18)
     thc = exact_factorize(ham, seed=1)  # m = n^2, exact
-    bound = thc_bound(ham, thc)
-    assert bound.value <= 1e-9
+    assert thc_bound(ham, thc) <= 1e-9
 
 
 def test_thc_bound_exact_branch_below_frobenius():
     ham = oracles.random_hamiltonian(2, np.random.default_rng(19))
     thc = exact_factorize(ham, m=2, seed=1)  # truncated, inexact
     bound = thc_bound(ham, thc)
-    assert bound.operator_norm is not None
-    assert bound.operator_norm <= bound.frobenius_bound
-    assert bound.branch == "operator_norm"
-    assert bound.value == pytest.approx(bound.operator_norm)
+    assert bound == pytest.approx(interaction_gap(ham, thc), rel=1e-12)
+    assert bound <= frobenius_rate(ham, thc)
 
 
 def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
@@ -1106,22 +1117,43 @@ def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
                         lambda: operator_memory_bytes(1 << 2) - 1)
     bound = thc_bound(ham, thc)
-    assert bound.branch == "frobenius"
-    assert bound.operator_norm is None
-    assert bound.value == bound.frobenius_bound == exact.frobenius_bound
+    assert bound == frobenius_rate(ham, thc)
+    assert exact < bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), extra=st.integers(0, 3), truncated=st.booleans(),
+       spinful=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_thc_bound_is_the_operator_norm_below_the_frobenius_expression(
+        n, extra, truncated, spinful, seed):
+    # truncated exact factorizations (rank n ... n(n+1)/2 - 1), and random
+    # factors: the admitted bound is the dense norm of the interaction
+    # difference, and the element-wise expression it falls back to is never
+    # below it, so taking the smaller of the two would never pick the latter
+    # (one spinful orbital has the one term V_0000 n_up n_down, where the
+    # two are equal, so they are compared up to roundoff)
+    rng = np.random.default_rng(seed)
+    ham = oracles.random_hamiltonian(n, rng)
+    if truncated and n > 1:
+        thc = exact_factorize(ham, m=n + extra % (n * (n + 1) // 2 - n), seed=seed % 1000)
+    else:
+        vtilde = rng.normal(size=(n + extra, n + extra))
+        thc = ThcFactorization(u=random_co_isometry(n, n + extra, rng),
+                               vtilde=0.5 * (vtilde + vtilde.T))
+    bound = thc_bound(ham, thc, spinful)
+    assert bound == pytest.approx(interaction_gap(ham, thc, spinful), rel=1e-12)
+    assert bound <= frobenius_rate(ham, thc) * (1 + 1e-12)
 
 
 def test_thc_bound_linear_in_time():
-    # the bound is a rate per unit time, the smaller of its two branches,
-    # and the error budget charges it linearly in the evolution time
+    # the bound is a rate per unit time, and the error budget charges it
+    # linearly in the evolution time
     ham = oracles.random_hamiltonian(2, np.random.default_rng(20))
     thc = exact_factorize(ham, m=2, seed=2)
     bound = thc_bound(ham, thc)
-    assert bound.value == min(bound.operator_norm, bound.frobenius_bound) > 0.0
-    budget = ErrorBudget(eps_thc_rate=bound.value, eps_tr=0.0, eps_pr=0.0)
-    assert budget.total(t=2.0, tau=0.1) == pytest.approx(
-        2 * budget.total(t=1.0, tau=0.1)
-    )
+    assert bound > 0.0
+    budget = ErrorBudget(StepSpec(tau=0.1), eps_thc_rate=bound, eps_tr=0.0, eps_pr=0.0)
+    assert budget.total(t=2.0) == pytest.approx(2 * budget.total(t=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1194,15 +1226,49 @@ def test_one_step_error_within_three_error_budget(seed):
     psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(seed))
     spec = StepSpec(tau=tau)
     measured = evolve(psi, thc, ham, t=tau, spec=spec).error_vs_exact
+    assert measured <= error_budget(ham, thc, spec, psi=psi).total(tau) + 1e-9
 
-    h_op, vprime_op = projected_operators(ham, thc)
-    psi_h = oracles.diagonal_one_body(psi, np.diag(ham.h), tau / 2)
-    budget = (
-        thc_bound(ham, thc).value * tau
-        + trotter_bound(h_op, vprime_op, tau)
-        + projection_error_measured(thc, psi_h, spec)
-    )
-    assert measured <= budget + 1e-9
+
+def test_error_budget_measures_the_projection_after_the_one_body_half_step():
+    # the interaction block acts on e^{-i h tau/2} psi: measured on psi
+    # itself, the projection term leaves this budget at 7.450e-3, below the
+    # one-step error of 8.234e-3
+    ham, thc = planted_step_instance(4, n=3, m=5)
+    psi = random_sector_state(ModeLayout(3, 0), 2, np.random.default_rng(4))
+    spec = StepSpec(tau=0.3)
+    measured = evolve(psi, thc, ham, t=0.3, spec=spec).error_vs_exact
+    budget = error_budget(ham, thc, spec, psi=psi)
+    assert measured <= budget.total(0.3)
+    assert measured == pytest.approx(8.234e-3, rel=1e-3)
+    assert budget.total(0.3) == pytest.approx(8.474e-3, rel=1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), extra=st.integers(0, 2), spinful=st.booleans(),
+       variant=st.sampled_from(["basic", "improved"]), seed=st.integers(0, 2**32 - 1))
+def test_error_budget_half_step_matches_the_gate_oracle(n, extra, spinful, variant, seed):
+    # the budget's half-step phases, the step engine's per-cell one-body
+    # phases, against the register kernel of the test oracles
+    ham, thc = planted_step_instance(seed, n, n + extra)
+    system = ModeLayout(n, 0, spinful)
+    rng = np.random.default_rng(seed)
+    psi = random_sector_state(system, int(rng.integers(1, system.n_modes + 1)), rng)
+    spec = StepSpec(tau=float(rng.uniform(0.01, 0.5)), variant=variant)
+    budget = error_budget(ham, thc, spec, psi=psi, spinful=spinful)
+    half = oracles.diagonal_one_body(psi, np.tile(np.diag(ham.h), system.n_sectors), spec.tau / 2)
+    assert budget.eps_pr == pytest.approx(projection_error_measured(thc, half, spec),
+                                          rel=1e-9, abs=1e-14)
+
+
+def test_error_budget_refuses_a_state_of_the_other_spin_layout():
+    # a spinful state with the spinless default would bound the Trotter
+    # error on the wrong register (0.0 for H2, against 2.68e-5 spinful)
+    ham, thc = h2_best_exact_thc()
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    with pytest.raises(ValueError, match="spinful"):
+        error_budget(ham, thc, StepSpec(tau=0.1), psi=psi)
+    budget = error_budget(ham, thc, StepSpec(tau=0.1), psi=psi, spinful=True)
+    assert budget.eps_tr == pytest.approx(2.68e-5, rel=1e-2)
 
 
 def test_error_budget_assembles_components():
@@ -1211,6 +1277,7 @@ def test_error_budget_assembles_components():
     psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(13))
     with_state = error_budget(ham, thc, spec, psi=psi)
     without = error_budget(ham, thc, spec)
+    assert with_state.spec == without.spec == spec
     assert with_state.eps_tr == pytest.approx(without.eps_tr)
     assert with_state.eps_thc_rate == pytest.approx(without.eps_thc_rate)
     assert with_state.eps_pr <= without.eps_pr + 1e-12  # measured below the bound

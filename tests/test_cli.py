@@ -17,7 +17,6 @@ from isothc.algorithm import (
     _sectors,
     _step_bytes,
     _StepEngine,
-    extended_layout,
     hartree_fock_state,
 )
 from isothc.cli import (
@@ -419,7 +418,7 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     capsys.readouterr()
     thc = ThcFactorization.from_json((outdir / "thc_m8.json").read_text())
     psi0 = basis_state(ModeLayout(2, 0, spinful=True), "1111")
-    needed = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
+    needed = _step_bytes(thc.n, thc.m, _sectors(psi0))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
     refuse_to_compile(monkeypatch)
     code = main([
@@ -454,7 +453,7 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, monkeypatch):
     psi0 = hartree_fock_state(ham, 5, spinful=True)
     reference = operator_memory_bytes(_sector_offsets(5, _sectors(psi0))[-1])
     assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES
-    assert reference < _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
+    assert reference < _step_bytes(thc.n, thc.m, _sectors(psi0))
 
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 512 * 2**20)
     assert main(argv) == 0
@@ -495,7 +494,7 @@ def test_simulate_refuses_a_reference_larger_than_memory(tmp_path, capsys, monke
     write_fcidump(ham, tmp_path / "n3.fcidump")
     (tmp_path / "thc.json").write_text(thc.to_json())
     psi0 = hartree_fock_state(ham, 2, spinful=True)
-    step = _step_bytes(extended_layout(thc, spinful=True), _sectors(psi0))
+    step = _step_bytes(thc.n, thc.m, _sectors(psi0))
     assert step < operator_memory_bytes(_sector_offsets(3, _sectors(psi0))[-1]) == (
         operator_memory_bytes(9))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
