@@ -664,6 +664,8 @@ def error_budget(
     acts on after the first one-body half-step, with the step engine's
     per-cell phases; otherwise it is the state-independent operator bound.
     """
+    if hamiltonian.n_orbitals != thc.n:
+        raise ValueError("Hamiltonian size does not match the factorization")
     if psi is not None and psi.layout.spinful != spinful:
         raise ValueError(f"psi has spinful={psi.layout.spinful}, but spinful={spinful}")
     eps_tr = trotter_bound(hamiltonian, thc, spec, spinful)

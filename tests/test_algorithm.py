@@ -1246,7 +1246,7 @@ def test_error_budget_measures_the_projection_after_the_one_body_half_step():
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 3), extra=st.integers(0, 2), spinful=st.booleans(),
        variant=st.sampled_from(["basic", "improved"]), seed=st.integers(0, 2**32 - 1))
-def test_error_budget_half_step_matches_the_gate_oracle(n, extra, spinful, variant, seed):
+def test_error_budget_half_step_matches_the_register_oracle(n, extra, spinful, variant, seed):
     # the budget's half-step phases, the step engine's per-cell one-body
     # phases, against the register kernel of the test oracles
     ham, thc = planted_step_instance(seed, n, n + extra)
@@ -1269,6 +1269,13 @@ def test_error_budget_refuses_a_state_of_the_other_spin_layout():
         error_budget(ham, thc, StepSpec(tau=0.1), psi=psi)
     budget = error_budget(ham, thc, StepSpec(tau=0.1), psi=psi, spinful=True)
     assert budget.eps_tr == pytest.approx(2.68e-5, rel=1e-2)
+
+
+def test_error_budget_refuses_a_hamiltonian_of_another_size():
+    ham, thc = small_instance(25, n=2, m=3)
+    with pytest.raises(ValueError, match="does not match the factorization"):
+        error_budget(oracles.random_hamiltonian(3, np.random.default_rng(0)), thc,
+                     StepSpec(tau=0.05))
 
 
 def test_error_budget_assembles_components():
