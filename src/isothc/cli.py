@@ -1,12 +1,15 @@
 """Batch front end: factorization runs, step simulations, resource tables, fits.
 
 Every subcommand reads a flat JSON config document and/or mirroring
-command-line flags (flags win over config values).  Runs are deterministic
-for a given config and seed.  Outputs are machine readable: CSV tables
-with a header row, JSON documents, and a manifest recording the inputs,
-the config (with factorize's seed), and the package version.  Files are
-written atomically (write-temp-then-rename); reports go to stdout unless
-an output directory is given.
+command-line flags (flags win over config values), each declared once in
+its subcommand's option table; a document value passes through its flag's
+conversion.  factorize's refinement settings form one ``RefineConfig``, which
+holds their defaults and checks them.  Runs are deterministic for a given
+config and seed.  Outputs are machine readable: CSV tables with a header
+row, JSON documents, and a manifest recording the inputs, the config (with
+factorize's seed), and the package version.  Files are written atomically
+(write-temp-then-rename); reports go to stdout unless an output directory
+is given.
 
 Factorizations are always computed in the eigenbasis of the one-body
 matrix, so the one-body evolution of a later simulation run is a diagonal
@@ -30,7 +33,7 @@ import tempfile
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -197,29 +200,13 @@ def _manifest(command: str, cfg: dict, input_keys: tuple[str, ...], **notes) -> 
 
 def _factorize_one(payload: tuple) -> tuple[int, str, list[dict], float]:
     """One sweep point; top-level so a process pool can pickle it."""
-    hamiltonian, m, factors, cfg = payload
+    hamiltonian, m, factors, method, config = payload
     start = time.perf_counter()
-    if cfg["method"] == "exact":
-        thc = exact_factorize(hamiltonian, m=m, seed=cfg["seed"])
+    if method == "exact":
+        thc = exact_factorize(hamiltonian, m=m, seed=config.seed)
         rows = []
     else:
-        refine_cfg = RefineConfig(
-            rounds_phase1=cfg["rounds_phase1"],
-            rounds_phase2=cfg["rounds_phase2"],
-            lr_phase1=cfg["lr_phase1"],
-            lr_phase2=cfg["lr_phase2"],
-            seed=cfg["seed"],
-        )
-        thc, rows = factorize_hamiltonian(
-            hamiltonian,
-            m,
-            n_restarts=cfg["restarts"],
-            config=refine_cfg,
-            seed=cfg["seed"],
-            factor_file=factors,
-            delta=cfg["delta"],
-            target_eps_v=cfg["target_eps_v"],
-        )
+        thc, rows = factorize_hamiltonian(hamiltonian, m, config, factors)
     wall = time.perf_counter() - start
     return m, thc.to_json(), rows, wall
 
@@ -228,6 +215,9 @@ def cmd_factorize(cfg: dict) -> CommandOutput:
     """Factorize an FCIDUMP at one or more THC ranks; emit factors and metrics."""
     _require(cfg, "fcidump", "m")
     m_values = _unique(cfg["m"], "m", int)
+    config = RefineConfig(**{f.name: cfg[f.name] for f in fields(RefineConfig)})
+    if cfg["jobs"] < 1:
+        raise ValueError(f"jobs = {cfg['jobs']} must be at least 1")
     hamiltonian = _load_hamiltonian(cfg["fcidump"])
     rotated, _ = rotate_to_h_eigenbasis(hamiltonian)
     if cfg["factor_file"] is not None and len(m_values) > 1:
@@ -236,7 +226,7 @@ def cmd_factorize(cfg: dict) -> CommandOutput:
     if cfg["factor_file"] is not None:
         factors = _load_factor_file(cfg["factor_file"])
 
-    payloads = [(rotated, m, factors, cfg) for m in m_values]
+    payloads = [(rotated, m, factors, cfg["method"], config) for m in m_values]
     if cfg["jobs"] > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             results = list(pool.map(_factorize_one, payloads))
@@ -302,22 +292,19 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
         )
     psi0 = _initial_state(cfg, rotated)
     taus = _unique(cfg["tau"], "tau", float)
-    if any(tau <= 0 for tau in taus):
-        raise ValueError("tau values must be positive")
-    variants = list(dict.fromkeys(_as_list(cfg["variants"])))
-    phases = tuple(cfg["phases"]) if cfg["phases"] is not None else DEFAULT_PHASES
+    # every step is checked before the first one runs
+    specs = [StepSpec(tau=tau, variant=variant, phases=cfg["phases"])
+             for variant in dict.fromkeys(_as_list(cfg["variants"])) for tau in taus]
 
     rows: list[list] = []
     leakage: list[dict] = []
-    for variant in variants:
-        for tau in taus:
-            spec = StepSpec(tau=tau, variant=variant, phases=phases)
-            result = evolve(psi0, thc, rotated, cfg["t"], spec)
-            rows.append([variant, f"{tau:.10g}", result.n_steps,
-                         f"{result.error_vs_exact:.12e}"])
-            leaked = result.leaked_weight if result.n_steps else np.zeros(1)
-            leakage.append({"variant": variant, "tau": tau,
-                            "max": float(leaked.max()), "mean": float(leaked.mean())})
+    for spec in specs:
+        result = evolve(psi0, thc, rotated, cfg["t"], spec)
+        rows.append([spec.variant, f"{spec.tau:.10g}", result.n_steps,
+                     f"{result.error_vs_exact:.12e}"])
+        leaked = result.leaked_weight if result.n_steps else np.zeros(1)
+        leakage.append({"variant": spec.variant, "tau": spec.tau,
+                        "max": float(leaked.max()), "mean": float(leaked.mean())})
 
     report = csv_text(["variant", "tau", "steps", "error"], rows)
     artifacts = {
@@ -411,32 +398,71 @@ def cmd_fit(cfg: dict) -> CommandOutput:
 # config plumbing
 
 
-FACTORIZE_DEFAULTS = {
-    "fcidump": None, "m": None, "method": "refine", "restarts": 10,
-    "factor_file": None, "delta": 0.2, "rounds_phase1": 1000,
-    "rounds_phase2": 1000, "lr_phase1": 1e-3, "lr_phase2": 5e-4,
-    "target_eps_v": None, "seed": 0, "jobs": 1, "outdir": None,
-}
-SIMULATE_DEFAULTS = {
-    "fcidump": None, "thc": None, "t": None, "tau": None,
-    "variants": ("basic", "improved"), "initial_state": "hartree_fock",
-    "n_electrons": None, "spinful": False, "phases": None, "outdir": None,
-}
-ESTIMATE_DEFAULTS = {
-    "n": None, "m": None, "spinful": True, "architecture": "all-to-all",
-    "motta_l": None, "motta_xi": None, "eps_rot": None, "outdir": None,
-}
-FIT_DEFAULTS = {
-    "csv": None, "x_column": None, "y_column": None, "k_last": None,
-    "outdir": None,
-}
+_REFINE = RefineConfig()
 
-_DEFAULTS = {
-    "factorize": FACTORIZE_DEFAULTS,
-    "simulate": SIMULATE_DEFAULTS,
-    "estimate": ESTIMATE_DEFAULTS,
-    "fit": FIT_DEFAULTS,
+
+def _option(key: str, default=None, **flag) -> tuple[str, object, dict]:
+    """One option: its config key, its default and its flag's keywords."""
+    return key, default, flag
+
+
+_FACTORIZE_OPTIONS = (
+    _option("fcidump", help="FCIDUMP integrals file"),
+    _option("m", nargs="+", type=int, help="THC rank, or a sweep of ranks"),
+    _option("method", "refine", choices=("refine", "exact")),
+    _option("restarts", _REFINE.restarts, type=int),
+    _option("factor_file", help="external THC factors to isometrize (JSON or matrix text)"),
+    _option("delta", _REFINE.delta, type=float, help="row-weight lower bound"),
+    _option("rounds_phase1", _REFINE.rounds_phase1, type=int),
+    _option("rounds_phase2", _REFINE.rounds_phase2, type=int),
+    _option("lr_phase1", _REFINE.lr_phase1, type=float),
+    _option("lr_phase2", _REFINE.lr_phase2, type=float),
+    _option("target_eps_v", _REFINE.target_eps_v, type=float),
+    _option("jobs", 1, type=int, help="worker processes for sweeps"),
+    _option("seed", _REFINE.seed, type=int),
+)
+_SIMULATE_OPTIONS = (
+    _option("fcidump"),
+    _option("thc", help="factorization JSON from the factorize command"),
+    _option("t", type=float, help="total evolution time"),
+    _option("tau", nargs="+", type=float, help="time-step grid"),
+    _option("variants", ("basic", "improved"), nargs="+", choices=("basic", "improved")),
+    _option("initial_state", "hartree_fock", help="'hartree_fock' or a 0/1 occupation string"),
+    _option("n_electrons", type=int),
+    _option("spinful", False, action=argparse.BooleanOptionalAction),
+    _option("phases", DEFAULT_PHASES, nargs=3, type=float,
+            help="improved-variant counting phases"),
+)
+_ESTIMATE_OPTIONS = (
+    _option("n", type=int, help="orbital count"),
+    _option("m", type=int, help="THC rank"),
+    _option("spinful", True, action=argparse.BooleanOptionalAction),
+    _option("architecture", "all-to-all", choices=("all-to-all", "linear")),
+    _option("motta_l", type=int, help="baseline first-factorization rank"),
+    _option("motta_xi", type=int, help="baseline average second rank"),
+    _option("eps_rot", type=float, help="rotation synthesis precision for T counts"),
+)
+_FIT_OPTIONS = (
+    _option("csv", help="input series with a header row"),
+    _option("x_column"),
+    _option("y_column"),
+    _option("k_last", type=int, help="fit only the last k points sorted by x"),
+)
+# every subcommand ends with these two; --config names the document, no setting
+_CONFIG = _option("config", help="JSON config document; flags override it")
+_OUTDIR = _option("outdir", help="directory for artifacts and the manifest")
+
+_SUBCOMMANDS = {
+    "factorize": ("fit isometric THC factors to an FCIDUMP", _FACTORIZE_OPTIONS),
+    "simulate": ("run Trotter steps against exact evolution", _SIMULATE_OPTIONS),
+    "estimate": ("closed-form resource counts for one step", _ESTIMATE_OPTIONS),
+    "fit": ("power-law fit of a CSV series", _FIT_OPTIONS),
 }
+_DEFAULTS = {
+    command: {key: default for key, default, _ in (*options, _OUTDIR)}
+    for command, (_, options) in _SUBCOMMANDS.items()
+}
+FACTORIZE_DEFAULTS, SIMULATE_DEFAULTS, ESTIMATE_DEFAULTS, FIT_DEFAULTS = _DEFAULTS.values()
 _HANDLERS = {
     "factorize": cmd_factorize,
     "simulate": cmd_simulate,
@@ -465,8 +491,22 @@ def _unique(value, name: str, kind: type) -> list:
     return unique
 
 
+def _document_value(key: str, value, flag: dict):
+    """A config document's value, converted as its flag converts its text."""
+    convert = flag.get("type")
+    if convert is None:
+        return value
+    try:
+        # through the text, as on the command line: 1.5 is no int, true no number
+        if "nargs" in flag:
+            return [convert(str(item)) for item in _as_list(value)]
+        return convert(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key}: invalid {convert.__name__} value {value!r}") from None
+
+
 def merged_config(command: str, args: argparse.Namespace) -> dict:
-    """Layer defaults, then the JSON config document, then explicit flags."""
+    """Layer defaults, then the JSON config document (null keeps a default), then flags."""
     defaults = _DEFAULTS[command]
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
@@ -482,7 +522,9 @@ def merged_config(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(
                 f"unknown config key(s) for {command}: {', '.join(unknown)}"
             )
-        cfg.update(document)
+        flags = {key: flag for key, _, flag in (*_SUBCOMMANDS[command][1], _OUTDIR)}
+        cfg.update((key, _document_value(key, value, flags[key]))
+                   for key, value in document.items() if value is not None)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -497,63 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"isothc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config document; flags override it")
-        p.add_argument("--outdir", help="directory for artifacts and the manifest")
-
-    p = sub.add_parser("factorize", help="fit isometric THC factors to an FCIDUMP")
-    p.add_argument("--fcidump", help="FCIDUMP integrals file")
-    p.add_argument("--m", nargs="+", type=int, help="THC rank, or a sweep of ranks")
-    p.add_argument("--method", choices=("refine", "exact"))
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--factor-file", dest="factor_file",
-                   help="external THC factors to isometrize (JSON or matrix text)")
-    p.add_argument("--delta", type=float, help="row-weight lower bound")
-    p.add_argument("--rounds-phase1", dest="rounds_phase1", type=int)
-    p.add_argument("--rounds-phase2", dest="rounds_phase2", type=int)
-    p.add_argument("--lr-phase1", dest="lr_phase1", type=float)
-    p.add_argument("--lr-phase2", dest="lr_phase2", type=float)
-    p.add_argument("--target-eps-v", dest="target_eps_v", type=float)
-    p.add_argument("--jobs", type=int, help="worker processes for sweeps")
-    p.add_argument("--seed", type=int)
-    common(p)
-
-    p = sub.add_parser("simulate", help="run Trotter steps against exact evolution")
-    p.add_argument("--fcidump")
-    p.add_argument("--thc", help="factorization JSON from the factorize command")
-    p.add_argument("--t", type=float, help="total evolution time")
-    p.add_argument("--tau", nargs="+", type=float, help="time-step grid")
-    p.add_argument("--variants", nargs="+", choices=("basic", "improved"))
-    p.add_argument("--initial-state", dest="initial_state",
-                   help="'hartree_fock' or a 0/1 occupation string")
-    p.add_argument("--n-electrons", dest="n_electrons", type=int)
-    p.add_argument("--spinful", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--phases", nargs=3, type=float,
-                   help="improved-variant counting phases")
-    common(p)
-
-    p = sub.add_parser("estimate", help="closed-form resource counts for one step")
-    p.add_argument("--n", type=int, help="orbital count")
-    p.add_argument("--m", type=int, help="THC rank")
-    p.add_argument("--spinful", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--architecture", choices=("all-to-all", "linear"))
-    p.add_argument("--motta-l", dest="motta_l", type=int,
-                   help="baseline first-factorization rank")
-    p.add_argument("--motta-xi", dest="motta_xi", type=int,
-                   help="baseline average second rank")
-    p.add_argument("--eps-rot", dest="eps_rot", type=float,
-                   help="rotation synthesis precision for T counts")
-    common(p)
-
-    p = sub.add_parser("fit", help="power-law fit of a CSV series")
-    p.add_argument("--csv", help="input series with a header row")
-    p.add_argument("--x-column", dest="x_column")
-    p.add_argument("--y-column", dest="y_column")
-    p.add_argument("--k-last", dest="k_last", type=int,
-                   help="fit only the last k points sorted by x")
-    common(p)
-
+    for command, (summary, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, _, flag in (*options, _CONFIG, _OUTDIR):
+            p.add_argument("--" + key.replace("_", "-"), **flag)
     return parser
 
 

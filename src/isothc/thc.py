@@ -14,7 +14,8 @@ The classical pipeline has three stages: an initial guess (externally
 supplied factors or random restarts), an isometrization step that solves a
 bound-constrained least-squares problem for row weights, and a
 gradient-descent refinement on the co-isometry manifold with the core
-re-solved in closed form between steps.
+re-solved in closed form between steps.  One checked :class:`RefineConfig`
+holds every setting of a run; restart ``r`` refines with seed ``seed + r``.
 
 The contractions are matrix products on the n^2 x m product matrix ``P``
 (:func:`product_matrix`): the recontraction is ``V' = P vtilde P^T``.  They
@@ -26,7 +27,7 @@ gradient over thousands of steps into a different refined factorization.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,10 @@ __all__ = [
 
 CO_ISOMETRY_TOL = 1e-8
 VTILDE_SYMMETRY_TOL = 1e-10
+# Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -172,16 +177,28 @@ class ThcFactorFile:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Schedule and optimizer settings for the refinement stage."""
+    """Every setting of one factorization run; ``delta`` is :func:`isometrize`'s bound."""
 
+    restarts: int = 10
     rounds_phase1: int = 1000
     rounds_phase2: int = 1000
     lr_phase1: float = 1e-3
     lr_phase2: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
+    delta: float = 0.2
+    target_eps_v: float | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError(f"n_restarts = {self.restarts} must be at least 1")
+        if min(self.rounds_phase1, self.rounds_phase2) < 0:
+            raise ValueError(f"rounds {self.rounds_phase1}, {self.rounds_phase2} must be >= 0")
+        if not (self.lr_phase1 > 0 and self.lr_phase2 > 0):
+            raise ValueError(f"learning rates {self.lr_phase1}, {self.lr_phase2} must be > 0")
+        if self.delta < 0:
+            raise ValueError(f"delta = {self.delta} must be nonnegative")
+        if self.target_eps_v is not None and self.target_eps_v < 0:
+            raise ValueError(f"target_eps_v = {self.target_eps_v} must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +450,11 @@ def refine(
         for _ in range(rounds):
             grad = loss_gradient(u, hamiltonian, vtilde, residual=residual)
             step_count += 1
-            moment1 = cfg.beta1 * moment1 + (1.0 - cfg.beta1) * grad
-            moment2 = cfg.beta2 * moment2 + (1.0 - cfg.beta2) * grad**2
-            hat1 = moment1 / (1.0 - cfg.beta1**step_count)
-            hat2 = moment2 / (1.0 - cfg.beta2**step_count)
-            u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + cfg.adam_epsilon))
+            moment1 = ADAM_BETA1 * moment1 + (1.0 - ADAM_BETA1) * grad
+            moment2 = ADAM_BETA2 * moment2 + (1.0 - ADAM_BETA2) * grad**2
+            hat1 = moment1 / (1.0 - ADAM_BETA1**step_count)
+            hat2 = moment2 / (1.0 - ADAM_BETA2**step_count)
+            u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + ADAM_EPSILON))
             vtilde, residual = consider(u)
 
     eps_v, u, vtilde, htilde = best
@@ -451,46 +468,39 @@ def refine(
 def factorize_hamiltonian(
     hamiltonian: ElectronicHamiltonian,
     m: int,
-    n_restarts: int = 10,
     config: RefineConfig | None = None,
-    seed: int = 0,
     factor_file: ThcFactorFile | None = None,
-    delta: float = 0.2,
-    target_eps_v: float | None = None,
 ) -> tuple[ThcFactorization, list[dict]]:
     """Full factorization pipeline with restarts.
 
     With external factors the single starting point comes from
-    :func:`isometrize`, whose convergence lands in the row's
-    ``"isometrize"`` entry; otherwise each restart draws a fresh random
-    co-isometry seeded by ``seed + restart``.  The best factorization by
-    ``eps_v`` (ties broken by smaller l1 norm of the core, which controls
-    downstream error constants) is returned together with per-restart
-    metric rows.  ``target_eps_v`` stops the restart loop early once met.
+    :func:`isometrize` at ``config.delta``, whose convergence lands in the
+    row's ``"isometrize"`` entry; otherwise each of ``config.restarts``
+    restarts draws a fresh random co-isometry seeded by
+    ``config.seed + restart``.  The best factorization by ``eps_v`` (ties
+    broken by smaller l1 norm of the core, which controls downstream error
+    constants) is returned together with per-restart metric rows.
+    ``config.target_eps_v`` stops the restart loop early once met.
     """
-    if n_restarts < 1:
-        raise ValueError(f"n_restarts = {n_restarts} must be at least 1")
     cfg = config if config is not None else RefineConfig()
     rows: list[dict] = []
     best: ThcFactorization | None = None
     best_key: tuple[float, float] | None = None
-    if factor_file is not None:
-        n_restarts = 1
-    for restart in range(n_restarts):
+    for restart in range(1 if factor_file is not None else cfg.restarts):
+        seed = cfg.seed + restart
         iso = None
         if factor_file is not None:
-            iso = isometrize(factor_file, delta=delta)
+            iso = isometrize(factor_file, delta=cfg.delta)
             u0 = iso.u
             if u0.shape[1] != m:
                 raise ValueError(
                     f"factor file has m = {u0.shape[1]}, requested m = {m}"
                 )
         else:
-            u0 = random_co_isometry(hamiltonian.n_orbitals, m, seed + restart)
-        run_cfg = RefineConfig(**{**asdict(cfg), "seed": seed + restart})
-        thc = refine(hamiltonian, u0, run_cfg)
+            u0 = random_co_isometry(hamiltonian.n_orbitals, m, seed)
+        thc = refine(hamiltonian, u0, replace(cfg, seed=seed))
         l1_core = float(np.abs(thc.vtilde).sum())
-        row = {"restart": restart, "seed": seed + restart, "eps_v": thc.eps_v,
+        row = {"restart": restart, "seed": seed, "eps_v": thc.eps_v,
                "eps_h": thc.eps_h, "l1_vtilde": l1_core}
         if iso is not None:
             row["isometrize"] = {"converged": iso.converged,
@@ -499,6 +509,6 @@ def factorize_hamiltonian(
         key = (thc.eps_v, l1_core)
         if best_key is None or key < best_key:
             best, best_key = thc, key
-        if target_eps_v is not None and best_key[0] <= target_eps_v:
+        if cfg.target_eps_v is not None and best_key[0] <= cfg.target_eps_v:
             break
     return best, rows

@@ -67,6 +67,9 @@ from isothc.hamiltonian import (
     build_many_body_operator,
 )
 from isothc.thc import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     RefineConfig,
     ThcFactorization,
     approximation_errors,
@@ -1072,11 +1075,11 @@ def refine_reference(
             vtilde, _ = contract_vtilde(u, hamiltonian)
             grad = loss_gradient_reference(u, hamiltonian, vtilde)
             step_count += 1
-            moment1 = cfg.beta1 * moment1 + (1.0 - cfg.beta1) * grad
-            moment2 = cfg.beta2 * moment2 + (1.0 - cfg.beta2) * grad**2
-            hat1 = moment1 / (1.0 - cfg.beta1**step_count)
-            hat2 = moment2 / (1.0 - cfg.beta2**step_count)
-            u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + cfg.adam_epsilon))
+            moment1 = ADAM_BETA1 * moment1 + (1.0 - ADAM_BETA1) * grad
+            moment2 = ADAM_BETA2 * moment2 + (1.0 - ADAM_BETA2) * grad**2
+            hat1 = moment1 / (1.0 - ADAM_BETA1**step_count)
+            hat2 = moment2 / (1.0 - ADAM_BETA2**step_count)
+            u = polar_retract(u - lr * hat1 / (np.sqrt(hat2) + ADAM_EPSILON))
             consider(u)
 
     return ThcFactorization(

@@ -32,6 +32,7 @@ from isothc.hamiltonian import (
 )
 from isothc.resources import MottaParams, estimate_step, motta_estimate, t_count
 from isothc.thc import (
+    RefineConfig,
     ThcFactorFile,
     exact_factorize,
     factorize_hamiltonian,
@@ -94,7 +95,7 @@ def test_criterion_03_rotation_synthesis_cost():
 def test_criterion_04_h2_exact_rank_three_from_restarts():
     rotated = h2_hamiltonian()
     best, rows = factorize_hamiltonian(
-        rotated, 3, n_restarts=10, seed=0, target_eps_v=1e-6
+        rotated, 3, RefineConfig(restarts=10, seed=0, target_eps_v=1e-6)
     )
     print(f"criterion 4: eps_v {best.eps_v:.3e} after {len(rows)} restart(s)")
     assert len(rows) <= 10
@@ -310,7 +311,8 @@ def test_criterion_12_desk_scale_substitutions():
     vflat = ham.eri.reshape(n * n, n * n)
     core = np.linalg.pinv(pm) @ vflat @ np.linalg.pinv(pm).T
     eps_generic = np.linalg.norm(vflat - pm @ core @ pm.T) / np.linalg.norm(vflat)
-    best, _ = factorize_hamiltonian(ham, m, factor_file=ThcFactorFile(x), seed=0)
+    best, _ = factorize_hamiltonian(ham, m, RefineConfig(seed=0),
+                                    factor_file=ThcFactorFile(x))
     print(f"criterion 12: generic eps_v {eps_generic:.3f}, "
           f"isometric eps_v {best.eps_v:.3f}")
     assert best.eps_v <= 2.0 * eps_generic

@@ -14,6 +14,7 @@ import pytest
 import oracles
 from isothc import cli, hamiltonian
 from isothc.algorithm import (
+    DEFAULT_PHASES,
     _sectors,
     _step_bytes,
     _StepEngine,
@@ -246,6 +247,30 @@ def test_unknown_config_key_is_a_domain_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def write_config(tmp_path, document) -> str:
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(document))
+    return str(config)
+
+
+def test_config_document_count_as_text_is_converted(tmp_path, toy_fcidump):
+    config = write_config(tmp_path, {"restarts": "2", "rounds_phase1": 5, "rounds_phase2": 5})
+    outdir = tmp_path / "fac"
+    assert main(["factorize", "--fcidump", str(toy_fcidump), "--m", "3",
+                 "--config", config, "--outdir", str(outdir)]) == 0
+    assert len((outdir / "restarts.csv").read_text().splitlines()) == 1 + 2
+    assert json.loads((outdir / "manifest.json").read_text())["config"]["restarts"] == 2
+
+
+def test_config_document_fractional_count_is_a_domain_error(tmp_path, toy_fcidump, capsys):
+    config = write_config(tmp_path, {"rounds_phase1": 1.0})
+    assert main(["factorize", "--fcidump", str(toy_fcidump), "--m", "3",
+                 "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key rounds_phase1: invalid int value 1.0")
+    assert "Traceback" not in err
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     assert main(["factorize", "--fcidump", str(tmp_path / "nope"), "--m", "2"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -328,6 +353,20 @@ def test_factorize_zero_restarts_exits_one_without_traceback(toy_fcidump, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rounds-phase1", "-5", "error: rounds -5, 1000 must be >= 0"),
+    ("--lr-phase1", "-1", "error: learning rates -1.0, 0.0005 must be > 0"),
+    ("--delta", "-1", "error: delta = -1.0 must be nonnegative"),
+    ("--target-eps-v", "-1", "error: target_eps_v = -1.0 must be nonnegative"),
+    ("--jobs", "0", "error: jobs = 0 must be at least 1"),
+], ids=["rounds", "lr", "delta", "target", "jobs"])
+def test_factorize_out_of_range_setting_exits_one(toy_fcidump, capsys, flag, value, message):
+    assert main(["factorize", "--fcidump", str(toy_fcidump), "--m", "3", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 def test_missing_required_parameter_exits_one(toy_fcidump, capsys):
     assert main(["factorize", "--fcidump", str(toy_fcidump)]) == 1
     assert "missing required" in capsys.readouterr().err
@@ -388,6 +427,48 @@ def test_simulate_negative_time_exits_one_without_traceback(factorized, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: evolution time t = -1 must be nonnegative")
     assert "Traceback" not in err
+
+
+def test_simulate_config_document_time_as_text_is_converted(tmp_path, factorized, capsys):
+    fcidump, thc_path = factorized
+    code = main([
+        "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+        "--config", write_config(tmp_path, {"t": "1"}), "--tau", "0.5",
+        "--variants", "basic", "--initial-state", "11",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[:3] == ["basic", "0.5", "2"]
+
+
+def test_simulate_checks_every_step_before_the_first_evolves(tmp_path, factorized, capsys,
+                                                             monkeypatch):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("a step ran before every step was checked")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    fcidump, thc_path = factorized
+    code = main([
+        "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+        "--config", write_config(tmp_path, {"variants": ["basic", "bogus"]}),
+        "--t", "0.05", "--tau", "0.05", "--initial-state", "11",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown variant 'bogus'")
+    assert "Traceback" not in err
+
+
+def test_simulate_null_phases_in_config_keep_the_default_phases(tmp_path, factorized):
+    fcidump, thc_path = factorized
+    outdir = tmp_path / "sim"
+    code = main([
+        "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+        "--config", write_config(tmp_path, {"phases": None}),
+        "--t", "0.05", "--tau", "0.05", "--initial-state", "11", "--outdir", str(outdir),
+    ])
+    assert code == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["config"]["phases"] == list(DEFAULT_PHASES)
 
 
 def test_simulate_duplicate_taus_warn_and_collapse(factorized):

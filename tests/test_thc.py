@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,20 +408,29 @@ def test_refine_matches_loop_that_solves_the_core_twice(n, m):
 
 def test_factorize_hamiltonian_tracks_restarts():
     ham = oracles.random_hamiltonian(2, np.random.default_rng(60))
-    cfg = RefineConfig(rounds_phase1=10, rounds_phase2=10)
-    best, rows = factorize_hamiltonian(ham, m=3, n_restarts=3, config=cfg, seed=100)
+    cfg = RefineConfig(restarts=3, rounds_phase1=10, rounds_phase2=10, seed=100)
+    best, rows = factorize_hamiltonian(ham, m=3, config=cfg)
     assert len(rows) == 3
     assert [row["seed"] for row in rows] == [100, 101, 102]
     assert not any("isometrize" in row for row in rows)  # random starts
     assert best.eps_v == min(row["eps_v"] for row in rows)
 
 
+def test_factorize_hamiltonian_draws_restarts_from_the_config_seed():
+    ham = oracles.random_hamiltonian(2, np.random.default_rng(63))
+    cfg = RefineConfig(restarts=2, rounds_phase1=5, rounds_phase2=5, seed=5)
+    best, rows = factorize_hamiltonian(ham, 3, config=cfg)
+    assert [row["seed"] for row in rows] == [5, 6]
+    for row in rows:
+        start = random_co_isometry(2, 3, row["seed"])
+        assert row["eps_v"] == refine(ham, start, replace(cfg, seed=row["seed"])).eps_v
+    assert best.seed in (5, 6) and best.config["seed"] == best.seed
+
+
 def test_factorize_hamiltonian_stops_at_target():
     ham = oracles.random_hamiltonian(2, np.random.default_rng(61))
-    cfg = RefineConfig(rounds_phase1=5, rounds_phase2=5)
-    _, rows = factorize_hamiltonian(
-        ham, m=3, n_restarts=5, config=cfg, seed=0, target_eps_v=np.inf
-    )
+    cfg = RefineConfig(restarts=5, rounds_phase1=5, rounds_phase2=5, target_eps_v=np.inf)
+    _, rows = factorize_hamiltonian(ham, m=3, config=cfg)
     assert len(rows) == 1
 
 
@@ -429,8 +439,8 @@ def test_factorize_hamiltonian_uses_factor_file():
     ham, u_star, _ = planted_hamiltonian(2, 3, rng)
     eta_star = rng.uniform(0.5, 1.2, size=3)
     ff = ThcFactorFile(x=u_star / np.sqrt(eta_star))
-    cfg = RefineConfig(rounds_phase1=20, rounds_phase2=20)
-    best, rows = factorize_hamiltonian(ham, m=3, config=cfg, factor_file=ff, delta=0.1)
+    cfg = RefineConfig(rounds_phase1=20, rounds_phase2=20, delta=0.1)
+    best, rows = factorize_hamiltonian(ham, m=3, config=cfg, factor_file=ff)
     assert len(rows) == 1
     assert best.eps_v <= 1e-6  # isometrize lands on the planted exact solution
     iso = rows[0]["isometrize"]
