@@ -3,13 +3,13 @@
 Every subcommand reads a flat JSON config document and/or mirroring
 command-line flags (flags win over config values), each declared once in
 its subcommand's option table; a document value passes through its flag's
-conversion.  factorize's refinement settings form one ``RefineConfig``, which
-holds their defaults and checks them.  Runs are deterministic for a given
-config and seed.  Outputs are machine readable: CSV tables with a header
-row, JSON documents, and a manifest recording the inputs, the config (with
-factorize's seed), and the package version.  Files are written atomically
-(write-temp-then-rename); reports go to stdout unless an output directory
-is given.
+conversion and checks.  factorize's refinement settings form one
+``RefineConfig``, which holds their defaults and checks them.  Runs are
+deterministic for a given config and seed.  Outputs are machine readable:
+CSV tables with a header row, JSON documents, and a manifest recording the
+inputs, the config (with factorize's seed), and the package version.
+Files are written atomically (write-temp-then-rename); reports go to stdout
+unless an output directory is given.
 
 Factorizations are always computed in the eigenbasis of the one-body
 matrix, so the one-body evolution of a later simulation run is a diagonal
@@ -492,17 +492,33 @@ def _unique(value, name: str, kind: type) -> list:
 
 
 def _document_value(key: str, value, flag: dict):
-    """A config document's value, converted as its flag converts its text."""
+    """A config document's value, checked and converted as its flag checks
+    and converts its text: a switch takes a JSON boolean, an option with no
+    conversion a string, and an option with choices one of them (each
+    element of a list option); otherwise a domain error."""
+    if flag.get("action") is argparse.BooleanOptionalAction:
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+        return value
+    items = _as_list(value) if "nargs" in flag else [value]
     convert = flag.get("type")
     if convert is None:
-        return value
-    try:
-        # through the text, as on the command line: 1.5 is no int, true no number
-        if "nargs" in flag:
-            return [convert(str(item)) for item in _as_list(value)]
-        return convert(str(value))
-    except ValueError:
-        raise ValueError(f"config key {key}: invalid {convert.__name__} value {value!r}") from None
+        for item in items:
+            if not isinstance(item, str):
+                raise ValueError(f"config key {key}: expected a string, got {item!r}")
+    else:
+        try:
+            # through the text, as on the command line: 1.5 is no int, true no number
+            items = [convert(str(item)) for item in items]
+        except ValueError:
+            raise ValueError(
+                f"config key {key}: invalid {convert.__name__} value {value!r}") from None
+    if "choices" in flag:
+        for item in items:
+            if item not in flag["choices"]:
+                raise ValueError(f"config key {key}: invalid choice {item!r} "
+                                 f"(choose from {', '.join(map(repr, flag['choices']))})")
+    return items if "nargs" in flag else items[0]
 
 
 def merged_config(command: str, args: argparse.Namespace) -> dict:

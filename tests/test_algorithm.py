@@ -545,6 +545,95 @@ def test_evolve_leak_is_read_from_the_leaving_rows():
     assert any(d != 0.0 for d in drift)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    spinful=st.booleans(),
+    variant=st.sampled_from(["basic", "improved"]),
+    one_spin_sector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_is_the_stack_product_and_its_leak(n, extra, spinful, variant, one_spin_sector,
+                                                seed):
+    # step's gemv and dot against the matmul of the stack and the vdot leak
+    # on its leaving rows, over three steps of a planted instance: bit for
+    # bit when |S| >= 2; with one state, BLAS and the matmul loop may round
+    # a complex product apart, so each part is held within one ulp of the
+    # entry's modulus
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    vtilde = rng.normal(size=(m, m)) * 0.5
+    thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
+    ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)),
+                                projected_interaction(thc.u, thc.vtilde))
+    spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant)
+    psi, support = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector)
+    engine = _StepEngine(thc, ham, spec, _sectors(psi), spinful)
+    vector = on_engine(psi, engine)
+    size = vector.size
+    assert size == support.size
+    for _ in range(3):
+        stepped, leaked = engine.step(vector)
+        out = engine.dense_unitary() @ vector
+        want, want_leaked = out[:size], float(np.vdot(vector, out[size:]).real)
+        if size >= 2:
+            assert np.array_equal(stepped, want)
+            assert leaked == want_leaked
+        else:
+            ulp = np.spacing(np.abs(want))
+            assert np.all(np.abs(stepped.real - want.real) <= ulp)
+            assert np.all(np.abs(stepped.imag - want.imag) <= ulp)
+            assert abs(leaked - want_leaked) <= np.spacing(abs(want_leaked))
+        vector = stepped
+
+
+@pytest.mark.parametrize("variant", ["basic", "improved"])
+def test_evolve_compiles_each_engine_once_before_its_first_step(monkeypatch, variant):
+    # every dense_unitary call is recorded, and a step on an engine whose
+    # stack is not yet compiled fails
+    calls = []
+    dense_unitary, step = _StepEngine.dense_unitary, _StepEngine.step
+
+    def counted(self):
+        calls.append(self)
+        return dense_unitary(self)
+
+    def compiled_step(self, psi):
+        assert self._dense is not None, "a step ran before its engine compiled"
+        return step(self, psi)
+
+    monkeypatch.setattr(_StepEngine, "dense_unitary", counted)
+    monkeypatch.setattr(_StepEngine, "step", compiled_step)
+    ham, thc = planted_step_instance(31, n=2, m=3)
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    for tau in (0.1, 0.05):
+        calls.clear()
+        result = evolve(psi, thc, ham, t=0.2, spec=StepSpec(tau=tau, variant=variant))
+        assert result.n_steps == round(0.2 / tau)
+        assert len(calls) == 1
+
+
+def test_step_compiles_a_fresh_engine_on_first_use(monkeypatch):
+    # a direct caller's first step compiles through dense_unitary, once, and
+    # steps as an engine compiled beforehand does
+    ham, thc = planted_step_instance(31, n=2, m=3)
+    psi = hartree_fock_state(ham, 2, spinful=True)
+    compiled = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi), True)
+    compiled.dense_unitary()
+    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi), True)
+    calls = []
+    dense_unitary = _StepEngine.dense_unitary
+    monkeypatch.setattr(_StepEngine, "dense_unitary",
+                        lambda self: calls.append(self) or dense_unitary(self))
+    vector = want = on_engine(psi, engine)
+    for _ in range(3):
+        (vector, leaked), (want, want_leaked) = engine.step(vector), compiled.step(want)
+        assert np.array_equal(vector, want) and leaked == want_leaked
+    assert calls == [engine]
+    assert np.array_equal(engine._dense, compiled._dense)
+
+
 def rank_two_pair(rng, size, kind):
     phi = rng.normal(size=size) + 1j * rng.normal(size=size)
     phi /= np.linalg.norm(phi)

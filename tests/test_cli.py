@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from isothc import cli, hamiltonian
@@ -271,6 +272,81 @@ def test_config_document_fractional_count_is_a_domain_error(tmp_path, toy_fcidum
     assert "Traceback" not in err
 
 
+def assert_one_line_error(capsys, message: str) -> None:
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["fcidump", "factor_file", "outdir"])
+@pytest.mark.parametrize("value", [5, 1.5, True, ["toy.fcidump"], {"path": "toy.fcidump"}])
+def test_config_document_path_that_is_no_string_is_a_domain_error(tmp_path, toy_fcidump, capsys,
+                                                                  key, value):
+    document = {"fcidump": str(toy_fcidump), "m": 2, "method": "exact", key: value}
+    assert main(["factorize", "--config", write_config(tmp_path, document)]) == 1
+    assert_one_line_error(capsys, f"config key {key}: expected a string, got {value!r}")
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("factorize", {"method": "bogus"},
+     "config key method: invalid choice 'bogus' (choose from 'refine', 'exact')"),
+    ("factorize", {"method": ["exact"]}, "config key method: expected a string, got ['exact']"),
+    ("simulate", {"variants": ["basic", "bogus"]},
+     "config key variants: invalid choice 'bogus' (choose from 'basic', 'improved')"),
+    ("simulate", {"variants": "bogus"},
+     "config key variants: invalid choice 'bogus' (choose from 'basic', 'improved')"),
+    ("estimate", {"architecture": "ring"},
+     "config key architecture: invalid choice 'ring' (choose from 'all-to-all', 'linear')"),
+])
+def test_config_document_value_outside_the_choices_is_a_domain_error(
+    tmp_path, capsys, monkeypatch, command, document, message
+):
+    # refused while the document is read: no subcommand runs
+    monkeypatch.setitem(cli._HANDLERS, command, None)
+    assert main([command, "--config", write_config(tmp_path, document)]) == 1
+    assert_one_line_error(capsys, message)
+
+
+def test_config_document_method_outside_the_choices_runs_no_refinement(
+    tmp_path, toy_fcidump, capsys, monkeypatch
+):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("an unknown method ran the refinement")
+
+    monkeypatch.setattr(cli, "factorize_hamiltonian", no_refine)
+    document = {"fcidump": str(toy_fcidump), "m": 3, "method": "bogus"}
+    assert main(["factorize", "--config", write_config(tmp_path, document)]) == 1
+    assert_one_line_error(
+        capsys, "config key method: invalid choice 'bogus' (choose from 'refine', 'exact')")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_document_ends_in_an_exit_code_and_one_line(tmp_path, monkeypatch, capsys,
+                                                               command, data):
+    # keys from the subcommand's option table, values among JSON scalars,
+    # lists and objects; run in an empty directory, so no drawn path names
+    # an input file
+    monkeypatch.chdir(tmp_path)
+    keys = sorted(cli._DEFAULTS[command])
+    document = data.draw(st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=4))
+    code = main([command, "--config", write_config(tmp_path, document)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     assert main(["factorize", "--fcidump", str(tmp_path / "nope"), "--m", "2"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -449,13 +525,39 @@ def test_simulate_checks_every_step_before_the_first_evolves(tmp_path, factorize
     fcidump, thc_path = factorized
     code = main([
         "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
-        "--config", write_config(tmp_path, {"variants": ["basic", "bogus"]}),
-        "--t", "0.05", "--tau", "0.05", "--initial-state", "11",
+        "--config", write_config(tmp_path, {"tau": [0.05, -0.05]}),
+        "--t", "0.05", "--variants", "basic", "--initial-state", "11",
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown variant 'bogus'")
+    assert err.startswith("error: tau must be positive")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, [False], {"value": False}])
+def test_simulate_config_document_switch_takes_a_json_boolean(tmp_path, factorized, capsys,
+                                                              value):
+    # "false" was taken as true, and the run went on spinful
+    fcidump, thc_path = factorized
+    code = main([
+        "simulate", "--fcidump", str(fcidump), "--thc", str(thc_path),
+        "--config", write_config(tmp_path, {"spinful": value}),
+        "--t", "0.05", "--tau", "0.05", "--variants", "basic", "--initial-state", "11",
+    ])
+    assert code == 1
+    assert_one_line_error(capsys, f"config key spinful: expected true or false, got {value!r}")
+
+
+@pytest.mark.parametrize("spinful, initial_state", [(False, "11"), (True, "1001")])
+def test_simulate_config_document_switch_runs_as_its_flag(tmp_path, factorized, capsys,
+                                                          spinful, initial_state):
+    fcidump, thc_path = factorized
+    run = ["simulate", "--fcidump", str(fcidump), "--thc", str(thc_path), "--t", "0.1",
+           "--tau", "0.05", "--variants", "basic", "--initial-state", initial_state]
+    assert main([*run, "--spinful" if spinful else "--no-spinful"]) == 0
+    by_flag = capsys.readouterr().out
+    assert main([*run, "--config", write_config(tmp_path, {"spinful": spinful})]) == 0
+    assert capsys.readouterr().out == by_flag
 
 
 def test_simulate_null_phases_in_config_keep_the_default_phases(tmp_path, factorized):
