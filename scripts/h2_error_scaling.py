@@ -55,7 +55,7 @@ def main() -> None:
     thc = best_conditioned_thc(rotated, args.m, args.seeds)
     print(f"factorization: m = {thc.m}, eps_v = {thc.eps_v:.2e}, "
           f"core l1 = {np.abs(thc.vtilde).sum():.2f} (seed {thc.seed})")
-    psi0 = hartree_fock_state(rotated, 2, spinful=True)
+    psi0 = hartree_fock_state(rotated, (1, 1))
 
     total_rows = []
     for variant in VARIANTS:

@@ -148,7 +148,7 @@ def main() -> None:
         + hamiltonian.eri[0, 0, 0, 0]
         + hamiltonian.core_energy
     )
-    exact = ground_state_energy(hamiltonian, n_electrons=2, spinful=True)
+    exact = ground_state_energy(hamiltonian, n_electrons=2)
     print(f"bond length   {args.bond_length:.4f} angstrom")
     print(f"E(HF)         {hartree_fock:+.6f} hartree")
     print(f"E(FCI)        {exact:+.6f} hartree")

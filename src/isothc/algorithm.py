@@ -59,9 +59,10 @@ products per column block instead of one kernel call per gate.  An
 interaction block is applied as x + G^dagger((e^{-i tau E} - 1) (G x)), so
 its identity part is exact, and the one-body, two-body and ancilla phases
 are per-cell arrays built from the two spins' occupation tables.  A
-spinless layout is the same grid with one down string, the empty one.  A
-sector's block, and so its K_0 and G, depends on that sector alone, so it
-is bit for bit the same in every engine whose support holds the sector.
+spinless run is the (N, 0) sectors of the same register, whose grids have
+one down string, the empty one.  A sector's block, and so its K_0 and G,
+depends on that sector alone, so it is bit for bit the same in every
+engine whose support holds the sector.
 
 Per-step accuracy decomposes into three pieces: the factorization error
 (operator distance between the true and recontracted interactions), the
@@ -194,7 +195,7 @@ class EvolveResult:
     leaked_weight: np.ndarray
 
 
-def _step_bytes(n: int, m: int, sectors: list[tuple[int, ...]]) -> int:
+def _step_bytes(n: int, m: int, sectors: list[tuple[int, int]]) -> int:
     """Estimated peak bytes of a step engine on ``sectors`` of a factorization
     of n system and m extended modes per spin.
 
@@ -226,24 +227,20 @@ def _diagonal_entries(hamiltonian: ElectronicHamiltonian) -> np.ndarray:
 
 
 def hartree_fock_state(
-    hamiltonian: ElectronicHamiltonian, n_electrons: int, spinful: bool = False
+    hamiltonian: ElectronicHamiltonian, sector: tuple[int, int]
 ) -> FockState:
-    """Aufbau product state in the (diagonal) one-body eigenbasis."""
+    """Aufbau product state in the (diagonal) one-body eigenbasis on the
+    sector (N_up, N_down): each spin fills its lowest one-body eigenmodes."""
     energies = _diagonal_entries(hamiltonian)
     n = hamiltonian.n_orbitals
-    layout = ModeLayout(n, 0, spinful=spinful)
-    capacity = layout.n_modes
-    if not 0 <= n_electrons <= capacity:
-        raise ValueError(f"cannot place {n_electrons} electrons in {capacity} spin-modes")
+    n_up, n_down = sector
+    if not (0 <= n_up <= n and 0 <= n_down <= n):
+        raise ValueError(f"cannot place {sector} electrons in {n} orbitals per spin")
     order = np.argsort(energies, kind="stable")
-    occupations = [0] * layout.n_modes
-    for k in range(n_electrons):
-        if spinful:
-            orbital = order[k // 2]
-            occupations[orbital + (k % 2) * n] = 1
-        else:
-            occupations[order[k]] = 1
-    return basis_state(layout, occupations)
+    occupations = np.zeros(2 * n, dtype=int)
+    occupations[order[:n_up]] = 1
+    occupations[n + order[:n_down]] = 1
+    return basis_state(ModeLayout(n, 0), occupations)
 
 
 def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
@@ -253,10 +250,10 @@ def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
                                  projected_interaction(thc.u, thc.vtilde))
 
 
-def _occupations(modes: int, counts: tuple[int, ...]) -> list[np.ndarray]:
+def _occupations(modes: int, counts: tuple[int, int]) -> list[np.ndarray]:
     """The occupation of each of ``modes`` orbital slots in each down string,
     then each up string, of the sector ``counts``: the rows and columns of its grid."""
-    n_up, n_down = (*counts, 0)[:2]
+    n_up, n_down = counts
     return [((_string_tables(modes, k)[0][:, None] >> np.arange(modes)) & 1).astype(float)
             for k in (n_down, n_up)]
 
@@ -271,18 +268,18 @@ def _half_step_phases(occ: list[np.ndarray], energies: np.ndarray, tau: float) -
     return np.exp(-0.5j * tau * _cells(occ, lambda o: o @ energies))
 
 
-def _blocks(state: FockState) -> dict[tuple[int, ...], np.ndarray]:
+def _blocks(state: FockState) -> dict[tuple[int, int], np.ndarray]:
     """The amplitudes of each sector of ``state``, as views."""
     offsets = _sector_offsets(state.layout.sector_size, state.sectors)
     return {counts: state.amplitudes[start:stop]
             for counts, start, stop in zip(state.sectors, offsets, offsets[1:])}
 
 
-def _sectors(psi0: FockState) -> list[tuple[int, ...]]:
+def _sectors(psi0: FockState) -> list[tuple[int, int]]:
     """The sectors (N_up, N_down) whose block of ``psi0`` is nonzero, ascending.
 
-    ``(N,)`` when spinless.  Raises ``ValueError`` unless every amplitude of
-    ``psi0`` lies at one total particle number.
+    Raises ``ValueError`` unless every amplitude of ``psi0`` lies at one
+    total particle number.
     """
     sectors = [counts for counts, block in _blocks(psi0).items() if np.any(block)]
     totals = sorted({sum(sector) for sector in sectors})
@@ -291,7 +288,7 @@ def _sectors(psi0: FockState) -> list[tuple[int, ...]]:
     return sectors
 
 
-def _on_sectors(state: FockState, sectors: list[tuple[int, ...]]) -> FockState:
+def _on_sectors(state: FockState, sectors: list[tuple[int, int]]) -> FockState:
     """``state`` on ``sectors``, some of its own that hold every nonzero
     amplitude of it: the gather of their blocks."""
     blocks = _blocks(state)
@@ -356,10 +353,10 @@ def _rotate(x: np.ndarray, c_down: np.ndarray, c_up: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class _StepEngine:
-    """One compiled step on the extended layout of ``thc`` (``spinful`` or
-    not), on the support S: the system cells of ``sectors``, (N_up, N_down)
-    counts of at most n particles per spin, in sector-major order placed by
-    ``col_offsets``.
+    """One compiled step on the extended layout of ``thc``, on the support S:
+    the system cells of ``sectors``, (N_up, N_down) counts of at most n
+    particles per spin, every sector by default, in sector-major order
+    placed by ``col_offsets``.
     Each sector compiles over its own extended cells, the only rows U P
     can reach, straight into the sector's pair (K_0, G) of the stack
     ``[K_0; G]``; no U P outlives its sector.  A step larger than
@@ -371,14 +368,13 @@ class _StepEngine:
         thc: ThcFactorization,
         hamiltonian: ElectronicHamiltonian,
         spec: StepSpec,
-        sectors: list[tuple[int, ...]],
-        spinful: bool,
+        sectors=None,
     ) -> None:
         if hamiltonian.n_orbitals != thc.n:
             raise ValueError("Hamiltonian size does not match the factorization")
         # one ancilla mode per spin for each rank past n
-        layout = ModeLayout(thc.n, thc.m - thc.n, spinful)
-        sectors = _sector_list(thc.n, layout.n_sectors, sectors)
+        layout = ModeLayout(thc.n, thc.m - thc.n)
+        sectors = _sector_list(thc.n, sectors)
         _admit_memory("the step", layout.n_modes, _step_bytes(thc.n, thc.m, sectors))
         self.layout = layout
         self.sectors = sectors
@@ -409,7 +405,7 @@ class _StepEngine:
             size = self.col_offsets[-1]
             stack = np.zeros((2 * size, size), dtype=complex)
             for counts, start, stop in zip(self.sectors, self.col_offsets, self.col_offsets[1:]):
-                n_up, n_down = (*counts, 0)[:2]
+                n_up, n_down = counts
                 d_sys, u_sys, width = math.comb(n, n_down), math.comb(n, n_up), stop - start
                 block = self._compile_sector(counts)
                 # K_0 is the grid's corner of system strings; W is every
@@ -423,7 +419,7 @@ class _StepEngine:
             self._dense = stack
         return self._dense
 
-    def _compile_sector(self, counts: tuple[int, ...]) -> np.ndarray:
+    def _compile_sector(self, counts: tuple[int, int]) -> np.ndarray:
         """The columns of U P on one (N_up, N_down) sector, on its grid:
         ``X[d, u, j]`` is column j's amplitude on the cell of down string d
         and up string u (see the module docstring).  Columns compile in at
@@ -434,7 +430,7 @@ class _StepEngine:
         """
         layout, spec = self.layout, self.spec
         m, n = layout.sector_size, layout.n_system
-        n_up, n_down = (*counts, 0)[:2]
+        n_up, n_down = counts
         # columns: the system cells, the first C(n, k) strings of each spin
         d_sys, u_sys = (np.arange(math.comb(n, k)) for k in (n_down, n_up))
         col_d, col_u = np.repeat(d_sys, u_sys.size), np.tile(u_sys, d_sys.size)
@@ -553,10 +549,10 @@ def evolve(
     # evolved and freed before [K_0; G] compiles, once, ahead of the first
     # step: both refusals come before any step runs, the two never coexist,
     # and no step carries the compile
-    engine = _StepEngine(thc, hamiltonian, spec, sectors, psi0.layout.spinful)
+    engine = _StepEngine(thc, hamiltonian, spec, sectors)
     psi0 = _on_sectors(psi0, sectors)
     t_simulated = n_steps * spec.tau
-    op = build_many_body_operator(hamiltonian, psi0.layout.spinful, psi0.sectors)
+    op = build_many_body_operator(hamiltonian, psi0.sectors)
     phi = exact_evolution(op, psi0, t_simulated).amplitudes
     del op
     engine.dense_unitary()
@@ -577,16 +573,17 @@ def evolve(
 # ---------------------------------------------------------------------------
 
 def trotter_bound(hamiltonian: ElectronicHamiltonian, thc: ThcFactorization, spec: StepSpec,
-                  spinful: bool = False) -> float:
+                  sectors=None) -> float:
     """Second-order Trotter bound of the split H' = h + V' (V' recontracted
-    from ``thc``) on every system state, from the two nested commutator norms.
+    from ``thc``) on the system states of ``sectors``, every sector by
+    default, from the two nested commutator norms.
 
         tau^3/12 ||[V', [V', h]]|| + tau^3/24 ||[h, [h, V']]||
     """
     n = hamiltonian.n_orbitals
     h_only = ElectronicHamiltonian(n, 0.0, hamiltonian.h, np.zeros((n, n, n, n)))
-    a = build_many_body_operator(h_only, spinful=spinful).matrix
-    b = build_many_body_operator(_vprime_hamiltonian(thc), spinful=spinful).matrix
+    a = build_many_body_operator(h_only, sectors).matrix
+    b = build_many_body_operator(_vprime_hamiltonian(thc), sectors).matrix
     comm_ba = b @ a - a @ b
     nested_b = np.linalg.norm(b @ comm_ba - comm_ba @ b, 2)
     nested_a = np.linalg.norm(a @ comm_ba - comm_ba @ a, 2)
@@ -596,10 +593,10 @@ def trotter_bound(hamiltonian: ElectronicHamiltonian, thc: ThcFactorization, spe
 def thc_bound(
     hamiltonian: ElectronicHamiltonian,
     thc: ThcFactorization,
-    spinful: bool = False,
+    sectors=None,
 ) -> float:
     """Bound ||V_op - V'_op|| on the factorization's evolution error per
-    unit time.
+    unit time, on ``sectors``, every sector by default.
 
     The exact operator norm of the interaction difference when its dense
     operator is admitted, and the element-wise bound ``N^2 ||V||_2 eps_v``
@@ -610,7 +607,7 @@ def thc_bound(
         n, 0.0, np.zeros((n, n)), hamiltonian.eri - projected_interaction(thc.u, thc.vtilde)
     )
     try:
-        return build_many_body_operator(diff, spinful=spinful).norm()
+        return build_many_body_operator(diff, sectors).norm()
     except MemoryRefusal:
         eps_v, _ = approximation_errors(hamiltonian, thc)
         return float(n**2 * np.linalg.norm(hamiltonian.eri.reshape(-1)) * eps_v)
@@ -634,7 +631,7 @@ def projection_error_measured(
 def projection_error_bound(
     thc: ThcFactorization,
     spec: StepSpec,
-    spinful: bool = False,
+    sectors=None,
 ) -> float:
     """State-independent projection-error bound with exact operator norms.
 
@@ -643,17 +640,17 @@ def projection_error_bound(
     with K_0 = P U P on the system, P the ancilla-vacuum projector, U the
     step unitary of V' alone and G = (P_perp U P)^dagger P_perp U P, so that
     ||G||_2 = ||P_perp U P||_2^2: both read from the step's stack [K_0; G]
-    on every system sector.  The stack and the ideal propagator are held at
-    once, so their two estimates are admitted together, before either is
-    built.
+    on the system sectors ``sectors``, every sector by default.  The stack
+    and the ideal propagator are held at once, so their two estimates are
+    admitted together, before either is built.
     """
     vprime = _vprime_hamiltonian(thc)
-    engine = _StepEngine(thc, vprime, spec, _sector_list(thc.n, 2 if spinful else 1), spinful)
+    engine = _StepEngine(thc, vprime, spec, sectors)
     size = engine.col_offsets[-1]
     _admit_memory("the projection bound", engine.layout.n_modes,
                   _step_bytes(thc.n, thc.m, engine.sectors) + operator_memory_bytes(size))
     stack = engine.dense_unitary()
-    ideal = build_many_body_operator(vprime, spinful=spinful).propagator(spec.tau)
+    ideal = build_many_body_operator(vprime, engine.sectors).propagator(spec.tau)
     term1 = float(np.linalg.norm(stack[:size] - ideal, 2))
     term2 = 0.5 * float(np.linalg.norm(stack[size:], 2))
     return term1 + term2
@@ -664,23 +661,27 @@ def error_budget(
     thc: ThcFactorization,
     spec: StepSpec,
     psi: FockState | None = None,
-    spinful: bool = False,
+    sectors=None,
 ) -> ErrorBudget:
-    """The three per-step error contributions of the step ``spec``.
+    """The three per-step error contributions of the step ``spec`` on the
+    system sectors ``sectors``, every sector by default.
 
-    With ``psi`` given (``spinful`` must match its layout), the projection
-    term is measured on e^{-i h tau/2} psi, the state the interaction block
-    acts on after the first one-body half-step, with the step engine's
-    per-cell phases; otherwise it is the state-independent operator bound.
+    With ``psi`` given, which must have no weight outside ``sectors``
+    (``ValueError`` otherwise), the projection term is measured on
+    e^{-i h tau/2} psi, the state the interaction block acts on after the
+    first one-body half-step, with the step engine's per-cell phases;
+    otherwise it is the state-independent operator bound.
     """
     if hamiltonian.n_orbitals != thc.n:
         raise ValueError("Hamiltonian size does not match the factorization")
-    if psi is not None and psi.layout.spinful != spinful:
-        raise ValueError(f"psi has spinful={psi.layout.spinful}, but spinful={spinful}")
-    eps_tr = trotter_bound(hamiltonian, thc, spec, spinful)
-    rate = thc_bound(hamiltonian, thc, spinful)
+    sectors = _sector_list(thc.n, sectors)
+    outside = [] if psi is None else sorted(set(_sectors(psi)) - set(sectors))
+    if outside:
+        raise ValueError(f"psi has weight on the sectors {outside}, outside {sectors}")
+    eps_tr = trotter_bound(hamiltonian, thc, spec, sectors)
+    rate = thc_bound(hamiltonian, thc, sectors)
     if psi is None:
-        eps_pr = projection_error_bound(thc, spec, spinful)
+        eps_pr = projection_error_bound(thc, spec, sectors)
     else:
         energies = _diagonal_entries(hamiltonian)
         half = np.concatenate([

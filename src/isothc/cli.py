@@ -13,8 +13,10 @@ unless an output directory is given.
 
 Factorizations are always computed in the eigenbasis of the one-body
 matrix, so the one-body evolution of a later simulation run is a diagonal
-phase layer.  The Hartree-Fock initial state occupies the n_electrons
-lowest one-body eigenmodes; this convention is flagged in the manifest.
+phase layer.  The Hartree-Fock initial state fills the lowest one-body
+eigenmodes of each spin: ceil(N/2) up and floor(N/2) down with
+``--spinful``, all N up without, where an occupation string gives the up
+modes alone; this convention is flagged in the manifest.
 
 Exit codes: 0 on success, 1 on a domain error (invalid parameter values,
 infeasible requests), 2 on an input/output error (missing or malformed
@@ -267,14 +269,19 @@ def cmd_factorize(cfg: dict) -> CommandOutput:
 
 def _initial_state(cfg: dict, rotated: ElectronicHamiltonian):
     spec = str(cfg["initial_state"])
-    spinful = cfg["spinful"]
+    n = rotated.n_orbitals
     if spec == "hartree_fock":
-        if cfg["n_electrons"] is None:
+        n_electrons = cfg["n_electrons"]
+        if n_electrons is None:
             raise ValueError("n_electrons is required for the hartree_fock state")
-        return hartree_fock_state(rotated, cfg["n_electrons"], spinful=spinful)
+        down = n_electrons // 2 if cfg["spinful"] else 0
+        return hartree_fock_state(rotated, (n_electrons - down, down))
     if set(spec) <= {"0", "1"}:
-        layout = ModeLayout(rotated.n_orbitals, 0, spinful=spinful)
-        return basis_state(layout, spec)
+        if not cfg["spinful"]:
+            if len(spec) != n:
+                raise ValueError(f"need {n} binary occupations of the up modes, got {spec!r}")
+            spec += "0" * n  # the down modes stay empty
+        return basis_state(ModeLayout(n, 0), spec)
     raise ValueError(
         f"initial_state must be 'hartree_fock' or a 0/1 occupation string, got {spec!r}"
     )
@@ -314,7 +321,8 @@ def cmd_simulate(cfg: dict) -> CommandOutput:
     manifest = _manifest(
         "simulate", cfg, ("fcidump", "thc"),
         basis="one-body eigenbasis of the input integrals",
-        hartree_fock="n_electrons lowest one-body eigenmodes",
+        hartree_fock="lowest one-body eigenmodes of each spin, on the sector "
+                     "(ceil(N/2), floor(N/2)) of two spins or (N, 0) of one",
     )
     manifest["health"] = {"leaked_weight": leakage}
     return CommandOutput(report, artifacts, manifest)
@@ -493,14 +501,19 @@ def _unique(value, name: str, kind: type) -> list:
 
 def _document_value(key: str, value, flag: dict):
     """A config document's value, checked and converted as its flag checks
-    and converts its text: a switch takes a JSON boolean, an option with no
-    conversion a string, and an option with choices one of them (each
-    element of a list option); otherwise a domain error."""
+    and converts its text: a switch takes a JSON boolean, a list option as
+    many values as its ``nargs`` admits (``"+"``: at least one), an option
+    with no conversion a string, and an option with choices one of them
+    (each element of a list option); otherwise a domain error."""
     if flag.get("action") is argparse.BooleanOptionalAction:
         if not isinstance(value, bool):
             raise ValueError(f"config key {key}: expected true or false, got {value!r}")
         return value
-    items = _as_list(value) if "nargs" in flag else [value]
+    nargs = flag.get("nargs")
+    items = _as_list(value) if nargs else [value]
+    if nargs == "+" and not items or isinstance(nargs, int) and len(items) != nargs:
+        want = "at least one value" if nargs == "+" else f"{nargs} values"
+        raise ValueError(f"config key {key}: expected {want}, got {value!r}")
     convert = flag.get("type")
     if convert is None:
         for item in items:
@@ -518,7 +531,7 @@ def _document_value(key: str, value, flag: dict):
             if item not in flag["choices"]:
                 raise ValueError(f"config key {key}: invalid choice {item!r} "
                                  f"(choose from {', '.join(map(repr, flag['choices']))})")
-    return items if "nargs" in flag else items[0]
+    return items if nargs else items[0]
 
 
 def merged_config(command: str, args: argparse.Namespace) -> dict:

@@ -1,19 +1,21 @@
 """Exact simulation primitives on small fermionic Fock spaces.
 
 A ``FockState`` holds one amplitude vector on a list of per-spin
-particle-number sectors, (N_up, N_down) or (N,) when spinless, every
-sector of its layout by default; it is the one state type, and
-``exact_evolution`` acts on it on an operator's sectors.  Its rows are the
-cells of those sectors in the sector-major order of ``hamiltonian``:
-sector by sector, ascending, and within a sector its grid of down and up
-strings row-major, each spin's k-particle strings ascending as bitmasks
-with mode 0 as the least significant bit.  No full-register basis index
-exists, so a state costs its sectors' cells only; the strings are int64,
-so a layout holds at most ``MAX_SPIN_MODES`` = 63 modes per spin.  Layouts
-distinguish system modes (``a``) from ancilla modes (``b``); in a spinful
-layout the up-spin sector occupies modes ``0 .. sector_size-1`` and the
-down-spin sector the next ``sector_size`` modes, with a-modes before
-b-modes inside each sector, and a rotation acts on both sectors.
+particle-number sectors (N_up, N_down), every sector of its layout by
+default; it is the one state type, and ``exact_evolution`` acts on it on
+an operator's sectors.  The register always holds both spins, and a
+state's sectors say what each spin holds: a spinless state is one on
+(N, 0) sectors.  Its rows are the cells of those sectors in the
+sector-major order of ``hamiltonian``: sector by sector, ascending, and
+within a sector its grid of down and up strings row-major, each spin's
+k-particle strings ascending as bitmasks with mode 0 as the least
+significant bit.  No full-register basis index exists, so a state costs
+its sectors' cells only; the strings are int64, so a layout holds at
+most ``MAX_SPIN_MODES`` = 63 modes per spin.  Layouts distinguish system
+modes (``a``) from ancilla modes (``b``); the up-spin sector occupies
+modes ``0 .. sector_size-1`` and the down-spin sector the next
+``sector_size`` modes, with a-modes before b-modes inside each sector,
+and a rotation acts on both sectors.
 
 Basis-rotation circuits are defined and decomposed here.  No kernel here
 applies one: the step engine of ``algorithm`` runs a circuit once on the
@@ -66,11 +68,11 @@ class InvariantError(ValueError):
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """How register modes split into system and ancilla modes."""
+    """How the register's modes of each spin split into system and ancilla
+    modes."""
 
     n_system: int
     n_ancilla: int
-    spinful: bool = False
 
     def __post_init__(self) -> None:
         if self.n_system < 1 or self.n_ancilla < 0:
@@ -84,37 +86,30 @@ class ModeLayout:
         return self.n_system + self.n_ancilla
 
     @property
-    def n_sectors(self) -> int:
-        return 2 if self.spinful else 1
-
-    @property
     def n_modes(self) -> int:
-        return self.n_sectors * self.sector_size
+        return 2 * self.sector_size
 
     @property
     def dim(self) -> int:
         return 1 << self.n_modes
-
-    def system_only(self) -> "ModeLayout":
-        return ModeLayout(self.n_system, 0, self.spinful)
 
 
 @dataclass
 class FockState:
     """Pure state amplitudes on per-spin particle-number sectors.
 
-    ``sectors`` lists ascending (N_up, N_down), or (N,) when spinless, every
-    sector of the layout by default; row ``i`` of ``amplitudes`` is the
-    i-th cell of those sectors in sector-major order (module docstring).
+    ``sectors`` lists ascending (N_up, N_down) pairs, every sector of the
+    layout by default; row ``i`` of ``amplitudes`` is the i-th cell of
+    those sectors in sector-major order (module docstring).
     """
 
     layout: ModeLayout
     amplitudes: np.ndarray
-    sectors: tuple[tuple[int, ...], ...] | None = None
+    sectors: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
         size = self.layout.sector_size
-        self.sectors = _sector_list(size, self.layout.n_sectors, self.sectors)
+        self.sectors = _sector_list(size, self.sectors)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         want = (_sector_offsets(size, self.sectors)[-1],)
         if self.amplitudes.shape != want:
@@ -126,7 +121,8 @@ class FockState:
 
 
 def basis_state(layout: ModeLayout, occupations: str | list[int]) -> FockState:
-    """Computational basis state; ``occupations[k]`` is the filling of mode k.
+    """Computational basis state; ``occupations`` is the filling of each
+    mode, the up string and then the down string.
 
     The state lives on its one sector, with one cell set: the cell of the
     spins' strings, each string's rank among the ascending k-particle
@@ -136,8 +132,7 @@ def basis_state(layout: ModeLayout, occupations: str | list[int]) -> FockState:
     if len(occ) != layout.n_modes or any(o not in (0, 1) for o in occ):
         raise ValueError(f"need {layout.n_modes} binary occupations, got {occupations!r}")
     m = layout.sector_size
-    spins = [[mode for mode in range(m) if occ[spin * m + mode]]
-             for spin in range(layout.n_sectors)]
+    spins = [[mode for mode in range(m) if occ[start + mode]] for start in (0, m)]
     cell = 0
     for modes in reversed(spins):  # the down string's rank is the major index
         cell = cell * math.comb(m, len(modes)) + sum(

@@ -11,21 +11,21 @@ Conventions used throughout the package:
         + 1/2 sum_ijkl eri[i, j, k, l] a+_i a+_k a_l a_j
         + core_energy,
 
-  summed over spin as well when a spinful representation is requested.
+  summed over both spins.
 * Fermionic modes map to qubits by the Jordan-Wigner convention with mode 0
-  as the least significant bit of an occupation string.  Spinful
-  representations place all up-spin modes at 0 .. n-1 and all down-spin
-  modes at n .. 2n-1.
+  as the least significant bit of an occupation string.  The register
+  always holds both spins, all up-spin modes at 0 .. n-1 and all down-spin
+  modes at n .. 2n-1; a spinless problem is its (N, 0) sectors.
 * States and operators are indexed in sector-major order, never by a
-  full-register basis index.  A list of (N_up, N_down) sectors ((N,) when
-  spinless), ascending and every sector by default, fixes the index
-  space: the sectors follow one another in that order, and within a
-  sector of n modes per spin its C(n, N_down) x C(n, N_up) grid of down
-  and up strings is listed row-major, down-string rank then up-string
-  rank, with each spin's k-particle strings ascending as int64 bitmasks
-  (mode k at bit k, so at most 63 modes per spin).  On one sector this is
-  the ascending order of the basis indices.  ``_sector_offsets`` places
-  the sectors, for every module.
+  full-register basis index.  A list of (N_up, N_down) sectors, ascending
+  and every sector by default, fixes the index space: the sectors follow
+  one another in that order, and within a sector of n modes per spin its
+  C(n, N_down) x C(n, N_up) grid of down and up strings is listed
+  row-major, down-string rank then up-string rank, with each spin's
+  k-particle strings ascending as int64 bitmasks (mode k at bit k, so at
+  most 63 modes per spin).  On one sector this is the ascending order of
+  the basis indices.  ``_sector_offsets`` places the sectors, for every
+  module.
 * H is built one sector at a time on its string grid, with E_pq =
   E_up_pq (x) 1 + 1 (x) E_down_pq: each spin's tables list, for every
   k-particle string, the k(n - k) + k excitations a+_p a_q that keep it,
@@ -325,16 +325,16 @@ def rotate_to_h_eigenbasis(
 # Many-body matrices
 # ---------------------------------------------------------------------------
 
-def _sector_list(size: int, n_spins: int, sectors=None) -> tuple[tuple[int, ...], ...]:
-    """``sectors``, per-spin particle counts of ``size`` modes per spin, as an
-    ascending tuple; every sector by default."""
+def _sector_list(size: int, sectors=None) -> tuple[tuple[int, int], ...]:
+    """``sectors``, (N_up, N_down) particle counts of ``size`` modes per spin,
+    as an ascending tuple; every sector by default."""
     if sectors is None:
-        return tuple(itertools.product(range(size + 1), repeat=n_spins))
+        return tuple(itertools.product(range(size + 1), repeat=2))
     listed = tuple(tuple(int(k) for k in counts) for counts in sectors)
-    if (any(len(counts) != n_spins or not all(0 <= k <= size for k in counts)
+    if (any(len(counts) != 2 or not all(0 <= k <= size for k in counts)
             for counts in listed) or any(a >= b for a, b in zip(listed, listed[1:]))):
-        raise ValueError(f"sectors must be ascending counts of {n_spins} spin(s) "
-                         f"of {size} modes each, got {sectors!r}")
+        raise ValueError(f"sectors must be ascending (N_up, N_down) counts "
+                         f"of {size} modes per spin, got {sectors!r}")
     return listed
 
 
@@ -349,21 +349,19 @@ def _sector_offsets(size: int, sectors) -> list[int]:
 @dataclass(frozen=True)
 class ManyBodyOperator:
     """A Hermitian operator on the (N_up, N_down) sectors ``sectors`` of
-    ``n_modes`` modes, every sector by default.
+    ``n_modes`` modes, half of them per spin, every sector by default.
 
     ``matrix`` is indexed in sector-major order (module docstring), as the
     amplitudes of a ``FockState`` on the same sectors are.
     """
 
     n_modes: int
-    spinful: bool
     matrix: np.ndarray
-    sectors: tuple[tuple[int, ...], ...] | None = None
+    sectors: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        n_spins = 2 if self.spinful else 1
-        size = self.n_modes // n_spins
-        sectors = _sector_list(size, n_spins, self.sectors)
+        size = self.n_modes // 2
+        sectors = _sector_list(size, self.sectors)
         object.__setattr__(self, "sectors", sectors)
         dim = _sector_offsets(size, sectors)[-1]
         if self.matrix.shape != (dim, dim):
@@ -452,24 +450,21 @@ def _chained(first: tuple, second: tuple, weight, size: int) -> np.ndarray:
 
 def build_many_body_operator(
     hamiltonian: ElectronicHamiltonian,
-    spinful: bool = False,
     sectors=None,
 ) -> ManyBodyOperator:
     """Build the dense matrix of the Hamiltonian on the (N_up, N_down)
     ``sectors``, ascending, every sector by default, in sector-major order.
 
-    For the spinful case every orbital carries two modes, up spins at
-    0 .. n-1 and down spins at n .. 2n-1, and both ``h`` and ``eri`` are
-    summed over spin labels.  Each sector's block is written at its offset;
-    on a few sectors the matrix is bit for bit those blocks of the full
-    one.  A build whose estimated memory exceeds physical memory is refused
-    before it allocates.
+    Every orbital carries two modes, up spins at 0 .. n-1 and down spins at
+    n .. 2n-1, and both ``h`` and ``eri`` are summed over spin labels.  Each
+    sector's block is written at its offset; on a few sectors the matrix is
+    bit for bit those blocks of the full one.  A build whose estimated memory
+    exceeds physical memory is refused before it allocates.
     """
     H = hamiltonian
     n = H.n_orbitals
-    n_spins = 2 if spinful else 1
-    n_modes = n_spins * n
-    sectors = _sector_list(n, n_spins, sectors)
+    n_modes = 2 * n
+    sectors = _sector_list(n, sectors)
     offsets = _sector_offsets(n, sectors)
     dim = offsets[-1]
     _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim))
@@ -478,16 +473,15 @@ def build_many_body_operator(
     # K_pq = h_pq - 1/2 sum_r V_prrq and E_pq = E_up_pq + E_down_pq
     one_body = (H.h - 0.5 * np.einsum("prrq->pq", H.eri)).reshape(-1)
     two_body = H.eri.reshape(n * n, n * n)
-    spins = [(*counts, 0)[:2] for counts in sectors]  # a spinless down string is empty
     within = {}  # the terms within one spin, dense on its k-particle strings
-    for k in set(itertools.chain(*spins)):
+    for k in set(itertools.chain(*sectors)):
         strings, pq, dest, signs = _string_tables(n, k)
         within[k] = _chained((pq, dest, signs), (pq, dest, signs),
                              lambda x, y: 0.5 * two_body[x, y], strings.size)
         within[k] += np.bincount((dest * strings.size + np.arange(strings.size)[:, None]).ravel(),
                                  (one_body[pq] * signs).ravel(), strings.size**2)
     matrix = np.zeros((dim, dim), dtype=complex)
-    for (n_up, n_down), start in zip(spins, offsets):
+    for (n_up, n_down), start in zip(sectors, offsets):
         (up, pq_u, dest_u, signs_u), (down, pq_d, dest_d, signs_d) = (
             _string_tables(n, n_up), _string_tables(n, n_down))
         c_u, c_d = up.size, down.size
@@ -503,31 +497,25 @@ def build_many_body_operator(
         cells = slice(start, start + c_d * c_u)
         matrix.real[cells, cells] = (block.reshape(-1) + cross).reshape(c_d * c_u, -1)
     matrix.reshape(-1).real[:: dim + 1] += H.core_energy
-    return ManyBodyOperator(n_modes=n_modes, spinful=spinful, matrix=matrix, sectors=sectors)
+    return ManyBodyOperator(n_modes=n_modes, matrix=matrix, sectors=sectors)
 
 
 def ground_state_energy(
     hamiltonian: ElectronicHamiltonian,
     n_electrons: int | None = None,
-    spinful: bool = False,
 ) -> float:
-    """Lowest eigenvalue in the fixed particle-number sector.
+    """Lowest eigenvalue at a fixed total particle number N.
 
     ``n_electrons`` defaults to the Hamiltonian's metadata; the operator is
-    built on the states of that many electrons only.
+    built on the sectors N_up + N_down = N only, every split of them.
     """
     if n_electrons is None:
         n_electrons = hamiltonian.n_electrons
     if n_electrons is None:
         raise ValueError("n_electrons not given and not present as metadata")
     n = hamiltonian.n_orbitals
-    n_modes = 2 * n if spinful else n
-    if not 0 <= n_electrons <= n_modes:
-        raise ValueError(f"cannot place {n_electrons} electrons in {n_modes} modes")
-    if spinful:
-        sectors = [(up, n_electrons - up) for up in range(max(0, n_electrons - n),
-                                                          min(n, n_electrons) + 1)]
-    else:
-        sectors = [(n_electrons,)]
-    op = build_many_body_operator(hamiltonian, spinful, sectors)
+    if not 0 <= n_electrons <= 2 * n:
+        raise ValueError(f"cannot place {n_electrons} electrons in {2 * n} modes")
+    op = build_many_body_operator(hamiltonian, [
+        (up, n_electrons - up) for up in range(max(0, n_electrons - n), min(n, n_electrons) + 1)])
     return float(np.linalg.eigvalsh(op.matrix)[0])

@@ -8,8 +8,11 @@ full-register basis index, which the package itself never forms: its states
 and operators live on (N_up, N_down) sectors in sector-major order, and
 ``register_order`` lists the basis index of each of their cells, built
 string by string, so ``to_register``, ``from_register`` and
-``register_matrix`` carry them to and from the full register.  Densities
-are plain complex arrays over every basis index of a layout, and the gate
+``register_matrix`` carry them to and from the full register.  That
+register is a ``Register``: both spins, or the up spin alone for a state
+or operator whose sectors all have N_down = 0, so a spinless problem is
+embedded in its n-mode register, never in the 2n-mode one.  Densities are
+plain complex arrays over every basis index of a register, and the gate
 kernels act on a ``RowState``, amplitudes over listed ascending basis
 indices (the package's state type before it moved to sectors).  The
 full-Fock Trotter step (system density embedded in the ancilla vacuum,
@@ -63,7 +66,6 @@ from isothc.focksim import (
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
     ManyBodyOperator,
-    _sector_list,
     build_many_body_operator,
 )
 from isothc.thc import (
@@ -273,62 +275,112 @@ def givens_sequence_from_json(text: str) -> GivensSequence:
 # the full-register embedding of the package's sector-major index space
 
 
-def system_modes(layout: ModeLayout) -> tuple[int, ...]:
+@dataclass(frozen=True)
+class Register:
+    """A full register of ``n_system + n_ancilla`` modes per spin, system
+    modes first: both spins (``spinful``), the up spin's modes before the
+    down spin's, or the up spin alone."""
+
+    n_system: int
+    n_ancilla: int = 0
+    spinful: bool = False
+
+    @property
+    def sector_size(self) -> int:
+        return self.n_system + self.n_ancilla
+
+    @property
+    def n_spins(self) -> int:
+        return 2 if self.spinful else 1
+
+    @property
+    def n_modes(self) -> int:
+        return self.n_spins * self.sector_size
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n_modes
+
+    @property
+    def layout(self) -> ModeLayout:
+        """The package's layout of the same modes, which always holds both spins."""
+        return ModeLayout(self.n_system, self.n_ancilla)
+
+    @property
+    def sectors(self) -> list[tuple[int, int]]:
+        """Every (N_up, N_down) sector of the register, ascending."""
+        down = self.sector_size if self.spinful else 0
+        return list(itertools.product(range(self.sector_size + 1), range(down + 1)))
+
+    def system_only(self) -> "Register":
+        return Register(self.n_system, 0, self.spinful)
+
+
+def register_of(layout: ModeLayout, sectors) -> Register:
+    """The register of a package layout on ``sectors``: the up spin alone
+    when every sector has N_down = 0."""
+    return Register(layout.n_system, layout.n_ancilla, any(down for _, down in sectors))
+
+
+def system_modes(register: Register) -> tuple[int, ...]:
     """The register modes of the system orbitals, spin by spin."""
-    m = layout.sector_size
-    return tuple(s * m + i for s in range(layout.n_sectors) for i in range(layout.n_system))
+    m = register.sector_size
+    return tuple(s * m + i for s in range(register.n_spins) for i in range(register.n_system))
 
 
-def ancilla_modes(layout: ModeLayout) -> tuple[int, ...]:
+def ancilla_modes(register: Register) -> tuple[int, ...]:
     """The register modes of the ancillas, spin by spin."""
-    m = layout.sector_size
-    return tuple(s * m + i for s in range(layout.n_sectors)
-                 for i in range(layout.n_system, m))
+    m = register.sector_size
+    return tuple(s * m + i for s in range(register.n_spins)
+                 for i in range(register.n_system, m))
 
 
-def register_order(layout: ModeLayout, sectors=None) -> np.ndarray:
+def register_order(register: Register, sectors=None) -> np.ndarray:
     """The full-register basis index of each cell of ``sectors`` (every
-    sector of ``layout`` by default), in the package's sector-major order:
+    sector of ``register`` by default), in the package's sector-major order:
     sector by sector, and within a sector (N_up, N_down) every down string
     of ``sector_indices`` with every up string, the down string major."""
-    m = layout.sector_size
-    if sectors is None:
-        sectors = itertools.product(range(m + 1), repeat=layout.n_sectors)
+    m = register.sector_size
     order = [int(up) | (int(down) << m)
-             for counts in sectors
-             for down in sector_indices(m, (*counts, 0)[1])
-             for up in sector_indices(m, counts[0])]
+             for n_up, n_down in (register.sectors if sectors is None else sectors)
+             for down in sector_indices(m, n_down)
+             for up in sector_indices(m, n_up)]
     return np.array(order, dtype=np.int64)
 
 
-def register_positions(layout: ModeLayout) -> np.ndarray:
-    """The position of each basis index of ``layout`` in the sector-major
+def register_positions(register: Register) -> np.ndarray:
+    """The position of each basis index of ``register`` in the sector-major
     order of every sector: the inverse of ``register_order``."""
-    return np.argsort(register_order(layout))
+    return np.argsort(register_order(register))
 
 
 def to_register(state: FockState) -> np.ndarray:
     """A state's amplitudes (or columns) over every basis index of its
-    layout, zero outside its sectors."""
-    out = np.zeros((state.layout.dim,) + state.amplitudes.shape[1:], dtype=complex)
-    out[register_order(state.layout, state.sectors)] = state.amplitudes
+    register (``register_of``), zero outside its sectors."""
+    register = register_of(state.layout, state.sectors)
+    out = np.zeros((register.dim,) + state.amplitudes.shape[1:], dtype=complex)
+    out[register_order(register, state.sectors)] = state.amplitudes
     return out
 
 
-def from_register(layout: ModeLayout, amplitudes: np.ndarray, sectors=None) -> FockState:
+def from_register(register: Register, amplitudes: np.ndarray, sectors=None) -> FockState:
     """The state with the full-register ``amplitudes`` on ``sectors`` (every
     sector by default), which must hold every nonzero amplitude."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    order = register_order(layout, sectors)
+    sectors = register.sectors if sectors is None else sectors
+    order = register_order(register, sectors)
     if np.any(np.delete(amplitudes, order, axis=0)):
         raise ValueError("amplitudes outside the sectors")
-    return FockState(layout, amplitudes[order], sectors)
+    return FockState(register.layout, amplitudes[order], sectors)
 
 
 def register_matrix(op: ManyBodyOperator) -> np.ndarray:
-    """An every-sector operator's matrix over the full-register basis indices."""
-    spins = 2 if op.spinful else 1
-    at = register_positions(ModeLayout(op.n_modes // spins, 0, op.spinful))
+    """The matrix of an operator on every sector of its register
+    (``register_of``) over the full-register basis indices."""
+    register = register_of(ModeLayout(op.n_modes // 2, 0), op.sectors)
+    if list(op.sectors) != register.sectors:
+        raise ValueError("the operator is not on every sector of its register")
+    at = register_positions(register)
     return op.matrix[np.ix_(at, at)]
 
 
@@ -342,19 +394,19 @@ def register_evolution(op: ManyBodyOperator, amplitudes: np.ndarray, t: float) -
 @dataclass
 class RowState:
     """Amplitudes, or a block of columns, over the ascending full-register
-    basis indices ``rows`` (every basis index by default): the state the
-    gate kernels below act on."""
+    basis indices ``rows`` of ``register`` (every basis index by default):
+    the state the gate kernels below act on."""
 
-    layout: ModeLayout
+    register: Register
     amplitudes: np.ndarray
     rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        dim = self.layout.dim
+        dim = self.register.dim
         rows = np.arange(dim) if self.rows is None else np.asarray(self.rows, dtype=np.int64)
         if (rows.ndim != 1 or np.any(np.diff(rows) <= 0)
                 or (rows.size and not 0 <= rows[0] <= rows[-1] < dim)):
-            raise ValueError("rows must be ascending basis indices of the layout")
+            raise ValueError("rows must be ascending basis indices of the register")
         self.rows = rows
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (rows.size,) + self.amplitudes.shape[1:2]:
@@ -366,14 +418,14 @@ class RowState:
 
 
 def register_state(state: FockState) -> RowState:
-    """A state on every basis index of its layout, for the gate kernels."""
-    return RowState(state.layout, to_register(state))
+    """A state on every basis index of its register, for the gate kernels."""
+    return RowState(register_of(state.layout, state.sectors), to_register(state))
 
 
 def diagonal_one_body(state: FockState, h_diag: np.ndarray, tau: float) -> FockState:
     """:func:`apply_diagonal_one_body` on a state, through the register."""
     out = apply_diagonal_one_body(register_state(state), h_diag, tau)
-    return from_register(state.layout, out.amplitudes, state.sectors)
+    return from_register(out.register, out.amplitudes, state.sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -401,46 +453,46 @@ def evolve_density(op: ManyBodyOperator, rho: np.ndarray, t: float) -> np.ndarra
     return u @ rho @ u.conj().T
 
 
-def split_keys(layout: ModeLayout) -> tuple[np.ndarray, np.ndarray]:
+def split_keys(register: Register) -> tuple[np.ndarray, np.ndarray]:
     """System string and ancilla string of each extended basis index, one at a time."""
-    a_key = np.zeros(layout.dim, dtype=np.int64)
-    b_key = np.zeros(layout.dim, dtype=np.int64)
-    for index in range(layout.dim):
-        bits = [(index >> mode) & 1 for mode in range(layout.n_modes)]
-        a_key[index] = sum(bits[pos] << t for t, pos in enumerate(system_modes(layout)))
-        b_key[index] = sum(bits[pos] << t for t, pos in enumerate(ancilla_modes(layout)))
+    a_key = np.zeros(register.dim, dtype=np.int64)
+    b_key = np.zeros(register.dim, dtype=np.int64)
+    for index in range(register.dim):
+        bits = [(index >> mode) & 1 for mode in range(register.n_modes)]
+        a_key[index] = sum(bits[pos] << t for t, pos in enumerate(system_modes(register)))
+        b_key[index] = sum(bits[pos] << t for t, pos in enumerate(ancilla_modes(register)))
     return a_key, b_key
 
 
-def embed_in_ancilla_vacuum(rho: np.ndarray, layout: ModeLayout) -> np.ndarray:
-    """Place a density on the system modes of ``layout`` with every ancilla empty."""
-    system = layout.system_only().dim
+def embed_in_ancilla_vacuum(rho: np.ndarray, register: Register) -> np.ndarray:
+    """Place a density on the system modes of ``register`` with every ancilla empty."""
+    system = register.system_only().dim
     if rho.shape != (system, system):
-        raise ValueError("source must be a density on the system modes of the target layout")
-    a_key, b_key = split_keys(layout)
+        raise ValueError("source must be a density on the system modes of the target register")
+    a_key, b_key = split_keys(register)
     vacuum = np.flatnonzero(b_key == 0)
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    out = np.zeros((register.dim, register.dim), dtype=complex)
     out[np.ix_(vacuum, vacuum)] = rho[np.ix_(a_key[vacuum], a_key[vacuum])]
     return out
 
 
-def system_density(rho: np.ndarray, layout: ModeLayout, tol: float = 1e-9) -> np.ndarray:
-    """Restrict a density on ``layout`` with no weight outside the ancilla
+def system_density(rho: np.ndarray, register: Register, tol: float = 1e-9) -> np.ndarray:
+    """Restrict a density on ``register`` with no weight outside the ancilla
     vacuum to its system modes."""
-    a_key, b_key = split_keys(layout)
+    a_key, b_key = split_keys(register)
     vacuum = np.flatnonzero(b_key == 0)
     block = rho[np.ix_(vacuum, vacuum)]
     outside = float(np.abs(rho).sum() - np.abs(block).sum())
     if outside > tol:
         raise ValueError(f"density has weight {outside:.3e} outside the ancilla vacuum")
-    system = layout.system_only()
+    system = register.system_only()
     out = np.zeros((system.dim, system.dim), dtype=complex)
     out[np.ix_(a_key[vacuum], a_key[vacuum])] = block
     return out
 
 
-def reset_ancillas(rho: np.ndarray, layout: ModeLayout, parity_check: bool = True) -> np.ndarray:
-    """Trace out the ancilla modes of a density on ``layout`` and re-prepare
+def reset_ancillas(rho: np.ndarray, register: Register, parity_check: bool = True) -> np.ndarray:
+    """Trace out the ancilla modes of a density on ``register`` and re-prepare
     them in the vacuum.
 
     The trace is taken in the occupation basis.  That coincides with the
@@ -450,11 +502,11 @@ def reset_ancillas(rho: np.ndarray, layout: ModeLayout, parity_check: bool = Tru
     number-sector inputs never produce such terms.  ``parity_check``
     controls a diagnostic warning for states that violate the assumption.
     """
-    if layout.n_ancilla == 0:
+    if register.n_ancilla == 0:
         return rho.copy()
-    n_a = len(system_modes(layout))
-    n_b = len(ancilla_modes(layout))
-    a_key, b_key = split_keys(layout)
+    n_a = len(system_modes(register))
+    n_b = len(ancilla_modes(register))
+    a_key, b_key = split_keys(register)
     order = np.argsort((b_key << n_a) | a_key)
     reordered = rho[np.ix_(order, order)].reshape(1 << n_b, 1 << n_a, 1 << n_b, 1 << n_a)
     if parity_check:
@@ -472,7 +524,7 @@ def reset_ancillas(rho: np.ndarray, layout: ModeLayout, parity_check: bool = Tru
                 stacklevel=2,
             )
     traced = np.einsum("bibj->ij", reordered)
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
+    out = np.zeros((register.dim, register.dim), dtype=complex)
     vacuum_order = order[: 1 << n_a]
     out[np.ix_(vacuum_order, vacuum_order)] = traced
     return out
@@ -543,20 +595,20 @@ def apply_basis_rotation(
 ) -> RowState:
     """Apply a Givens-rotation circuit (or its inverse) to a state.
 
-    For spinful layouts the same sequence acts on both spin sectors; mode
-    indices inside the sequence are sector-relative.  ``tables`` are the
-    :class:`RowTables` of the state's rows.
+    On a two-spin register the same sequence acts on both spin sectors;
+    mode indices inside the sequence are sector-relative.  ``tables`` are
+    the :class:`RowTables` of the state's rows.
     """
     tables.check(state)
-    layout = state.layout
-    if sequence.n_modes != layout.sector_size:
+    register = state.register
+    if sequence.n_modes != register.sector_size:
         raise ValueError(
             f"sequence on {sequence.n_modes} modes does not fit sector size "
-            f"{layout.sector_size}"
+            f"{register.sector_size}"
         )
-    offsets = [sector * layout.sector_size for sector in range(layout.n_sectors)]
+    offsets = [spin * register.sector_size for spin in range(register.n_spins)]
 
-    phase_per_mode = np.tile(sequence.diagonal_phases, layout.n_sectors)
+    phase_per_mode = np.tile(sequence.diagonal_phases, register.n_spins)
     rows = state.rows
     exponent = np.zeros(rows.size)
     for mode, phase in enumerate(phase_per_mode):
@@ -579,7 +631,7 @@ def apply_basis_rotation(
             for off in offsets:
                 apply_gate(r.p + off, r.q + off, -r.theta, r.phi)
         out = _scale_rows(phase_diag.conj(), out)
-    return RowState(layout, out, rows)
+    return RowState(register, out, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +639,15 @@ def apply_basis_rotation(
 
 
 def _apply_diagonal(state: RowState, diag: np.ndarray) -> RowState:
-    return RowState(state.layout, _scale_rows(diag, state.amplitudes), state.rows)
+    return RowState(state.register, _scale_rows(diag, state.amplitudes), state.rows)
 
 
 def apply_diagonal_one_body(state: RowState, h_diag: np.ndarray, tau: float) -> RowState:
     """Evolve by ``exp(-i tau sum_p h_diag[p] n_p)`` (one entry per mode)."""
-    layout = state.layout
+    register = state.register
     h_diag = np.asarray(h_diag, dtype=float)
-    if h_diag.shape != (layout.n_modes,):
-        raise ValueError(f"h_diag must have length {layout.n_modes}")
+    if h_diag.shape != (register.n_modes,):
+        raise ValueError(f"h_diag must have length {register.n_modes}")
     rows = state.rows
     energy = np.zeros(rows.size)
     for mode, value in enumerate(h_diag):
@@ -611,7 +663,7 @@ def apply_diagonal_two_body(state: RowState, vtilde: np.ndarray, tau: float) -> 
 
         E(n) = 1/2 sum_{(a,s) != (b,t)} vtilde[a, b] n_{a,s} n_{b,t},
 
-    spin labels ranging over one (spinless) or two (spinful) values.  With
+    spin labels ranging over the register's one or two spins.  With
     ``N_a`` the spin-summed occupation of orbital slot ``a`` this is
 
         E(n) = sum_{a<b} vs[a, b] N_a N_b + 1/2 sum_a vs[a, a] N_a (N_a - 1)
@@ -619,15 +671,15 @@ def apply_diagonal_two_body(state: RowState, vtilde: np.ndarray, tau: float) -> 
     for the symmetrized ``vs``; diagonal entries of ``vtilde`` therefore
     drop out of the spinless phase, where ``N_a (N_a - 1) = 0``.
     """
-    layout = state.layout
-    m = layout.sector_size
+    register = state.register
+    m = register.sector_size
     vtilde = np.asarray(vtilde, dtype=float)
     if vtilde.shape != (m, m):
-        raise ValueError(f"vtilde must be {m} x {m} for this layout")
+        raise ValueError(f"vtilde must be {m} x {m} for this register")
     vs = 0.5 * (vtilde + vtilde.T)
     rows = state.rows
     occ = np.zeros((m, rows.size))
-    for spin in range(layout.n_sectors):
+    for spin in range(register.n_spins):
         for a in range(m):
             occ[a] += (rows >> (a + spin * m)) & 1
     energy = np.zeros(rows.size)
@@ -643,7 +695,7 @@ def phase_on_ancillas(state: RowState, phi: float) -> RowState:
     """Apply ``exp(+i phi N_b)`` where ``N_b`` counts occupied ancillas."""
     rows = state.rows
     count = np.zeros(rows.size, dtype=np.int64)
-    for mode in ancilla_modes(state.layout):
+    for mode in ancilla_modes(state.register):
         count += (rows >> mode) & 1
     return _apply_diagonal(state, np.exp(1j * phi * count))
 
@@ -663,7 +715,7 @@ def gate_step(engine, state: RowState) -> RowState:
         # rightmost factor of V P(phi1) V P(phi2) V P(phi3) V acts first
         phi1, phi2, phi3 = spec.phases
         blocks = [(None, tau / 4), (phi3, tau / 4), (phi2, tau / 4), (phi1, tau / 4)]
-    h_diag = np.tile(engine.energies, engine.layout.n_sectors)
+    h_diag = np.tile(engine.energies, state.register.n_spins)
     sequence = _givens_circuit(engine.thc)
     tables = RowTables(state)
     state = apply_diagonal_one_body(state, h_diag, tau / 2)
@@ -676,40 +728,47 @@ def gate_step(engine, state: RowState) -> RowState:
     return apply_diagonal_one_body(state, h_diag, tau / 2)
 
 
+def engine_register(engine) -> Register:
+    """The extended register of a step engine's layout on its sectors."""
+    return register_of(engine.layout, engine.sectors)
+
+
 def gate_dense_unitary(engine) -> np.ndarray:
     """An engine's U P, compiled gate by gate over the unit columns of its
     system states in the ancilla vacuum: a column per system state of the
     engine's sectors, a row per extended state of them, both in
     sector-major order."""
-    layout = engine.layout
-    n, m = layout.n_system, layout.sector_size
-    rows = register_order(layout, engine.sectors)
-    system = register_order(layout.system_only(), engine.sectors)
+    register = engine_register(engine)
+    n, m = register.n_system, register.sector_size
+    rows = register_order(register, engine.sectors)
+    system = register_order(register.system_only(), engine.sectors)
     # each system state with every ancilla empty: the down half moves from bit n to bit m
     columns = (rows[:, None] == ((system & ((1 << n) - 1)) | ((system >> n) << m))).astype(complex)
     ascending = np.argsort(rows)
     out = np.empty_like(columns)
-    out[ascending] = gate_step(engine, RowState(layout, columns[ascending],
+    out[ascending] = gate_step(engine, RowState(register, columns[ascending],
                                                 rows[ascending])).amplitudes
     return out
 
 
 def full_step_unitary(engine) -> np.ndarray:
-    """The whole 2^M x 2^M step unitary of a step engine, all basis columns."""
-    layout = engine.layout
-    identity = RowState(layout, np.eye(layout.dim, dtype=complex))
+    """The whole 2^M x 2^M step unitary of a step engine on its register
+    (``engine_register``), all basis columns."""
+    register = engine_register(engine)
+    identity = RowState(register, np.eye(register.dim, dtype=complex))
     return gate_step(engine, identity).amplitudes
 
 
-def full_fock_step(u: np.ndarray, rho: np.ndarray, layout: ModeLayout) -> tuple[np.ndarray, float]:
+def full_fock_step(u: np.ndarray, rho: np.ndarray,
+                   register: Register) -> tuple[np.ndarray, float]:
     """One step on the extended register: U rho U^dagger, then the ancilla reset.
 
     Also returns the weight the reset moved back into the ancilla vacuum.
     """
     rotated = u @ rho @ u.conj().T
-    _, b_key = split_keys(layout)
+    _, b_key = split_keys(register)
     kept = float(np.trace(rotated[np.ix_(b_key == 0, b_key == 0)]).real)
-    return reset_ancillas(rotated, layout), float(np.trace(rho).real) - kept
+    return reset_ancillas(rotated, register), float(np.trace(rho).real) - kept
 
 
 def kraus_operators(engine) -> np.ndarray:
@@ -717,13 +776,12 @@ def kraus_operators(engine) -> np.ndarray:
     system sector, from its U P compiled gate by gate, stacked by ancilla
     string b (vacuum first), each on every system state, over the
     full-register basis indices."""
-    layout = engine.layout
-    system = layout.system_only().dim
-    a_key, b_key = split_keys(layout)
-    rows = register_order(layout, engine.sectors)
-    kraus = np.zeros((layout.dim // system, system, system), dtype=complex)
-    kraus[b_key[rows], a_key[rows]] = gate_dense_unitary(engine)[:, register_positions(
-        layout.system_only())]
+    register = engine_register(engine)
+    system = register.system_only()
+    a_key, b_key = split_keys(register)
+    rows = register_order(register, engine.sectors)
+    kraus = np.zeros((register.dim // system.dim, system.dim, system.dim), dtype=complex)
+    kraus[b_key[rows], a_key[rows]] = gate_dense_unitary(engine)[:, register_positions(system)]
     return kraus
 
 
@@ -737,16 +795,16 @@ def evolve_full_density(
     """Step the whole system density with every Kraus operator, n_steps times.
 
     Returns the trace distance to the exact evolution of ``psi0`` over
-    ``n_steps * spec.tau`` and the stepped density, which keeps the weight
+    ``n_steps * spec.tau`` and the stepped density, over every basis index
+    of the register of ``psi0`` (``register_of``), which keeps the weight
     that left the input's particle-number sector.
     """
-    spinful = psi0.layout.spinful
-    kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec,
-                                        _sector_list(thc.n, psi0.layout.n_sectors), spinful))
+    every = register_of(psi0.layout, psi0.sectors).sectors
+    kraus = kraus_operators(_StepEngine(thc, hamiltonian, spec, every))
     rho = density(to_register(psi0))
     for _ in range(n_steps):
         rho = sum(k @ rho @ k.conj().T for k in kraus)
-    op = build_many_body_operator(hamiltonian, spinful=spinful)
+    op = build_many_body_operator(hamiltonian, every)
     reference = register_evolution(op, to_register(psi0), n_steps * spec.tau)
     return trace_distance(rho, density(reference)), rho
 
@@ -772,12 +830,13 @@ def step_sector_density(
     """Step the density rho_S on the sectors S of ``psi0`` by
     :func:`density_step`, ``n_steps`` times.  Returns the basis indices of
     S in sector-major order, rho_S and the sum of the leaked weights."""
-    engine = _StepEngine(thc, hamiltonian, spec, _sectors(psi0), psi0.layout.spinful)
+    engine = _StepEngine(thc, hamiltonian, spec, _sectors(psi0))
     rho = density(_on_sectors(psi0, engine.sectors).amplitudes)
     leaked = np.zeros(n_steps)
     for k in range(n_steps):
         rho, leaked[k] = density_step(engine, rho)
-    return register_order(psi0.layout, engine.sectors), rho, float(leaked.sum())
+    support = register_order(register_of(psi0.layout, engine.sectors), engine.sectors)
+    return support, rho, float(leaked.sum())
 
 
 def step_sector_vector(
@@ -790,13 +849,13 @@ def step_sector_vector(
     """``evolve``'s route: step the vector psi on the sectors S of ``psi0`` by
     K_0, ``n_steps`` times.  Returns the basis indices of S in sector-major
     order, psi and the sum of the leaked weights."""
-    engine = _StepEngine(thc, hamiltonian, spec, _sectors(psi0), psi0.layout.spinful)
+    engine = _StepEngine(thc, hamiltonian, spec, _sectors(psi0))
     psi = _on_sectors(psi0, engine.sectors).amplitudes
     lost = 0.0
     for _ in range(n_steps):
         psi, leaked = engine.step(psi)
         lost += leaked
-    return register_order(psi0.layout, engine.sectors), psi, lost
+    return register_order(register_of(psi0.layout, engine.sectors), engine.sectors), psi, lost
 
 
 def evolve_sector_density(
@@ -812,7 +871,7 @@ def evolve_sector_density(
     ``eigvalsh``) + 1/2 sum of the leaked weights, and that sum.
     """
     support, rho, lost = step_sector_density(psi0, thc, hamiltonian, n_steps, spec)
-    op = build_many_body_operator(hamiltonian, spinful=psi0.layout.spinful)
+    op = build_many_body_operator(hamiltonian, register_of(psi0.layout, psi0.sectors).sectors)
     phi = register_evolution(op, to_register(psi0), n_steps * spec.tau)[support]
     diff = rho - np.outer(phi, phi.conj())
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()) + 0.5 * lost, lost
@@ -839,11 +898,10 @@ def _expm_long_double(a: np.ndarray) -> np.ndarray:
 
 def _one_electron_per_spin(psi0: FockState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The system states X[i, j] of one up electron in orbital i and one down
-    electron in orbital j, row by row, and ``psi0`` over every basis index;
-    ``psi0`` must lie on those states."""
-    system = psi0.layout
-    if not system.spinful or system.n_system != n:
-        raise ValueError("need a spinful psi0 on the factorization's orbitals")
+    electron in orbital j, row by row, and ``psi0`` over every basis index
+    of the two-spin register; ``psi0`` must lie on those states."""
+    if not register_of(psi0.layout, psi0.sectors).spinful or psi0.layout.n_system != n:
+        raise ValueError("need a psi0 on two-spin sectors of the factorization's orbitals")
     cells = np.array([(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)])
     amplitudes = to_register(psi0)
     if np.any(np.delete(amplitudes, cells)):
@@ -855,13 +913,13 @@ def exact_evolution_long_double(
     psi0: FockState, hamiltonian: ElectronicHamiltonian, t: float
 ) -> np.ndarray:
     """e^{-iHt} psi0 in ``np.clongdouble`` over the system basis, for a
-    spinful ``psi0`` with one electron per spin: the Taylor exponential of
+    ``psi0`` with one electron per spin: the Taylor exponential of
     the sector block of the Hamiltonian, accumulated string by string in
     extended precision."""
     cells, amplitudes = _one_electron_per_spin(psi0, hamiltonian.n_orbitals)
     cld = np.clongdouble
     sector = dense_hamiltonian(hamiltonian, spinful=True, dtype=cld)[np.ix_(cells, cells)]
-    out = np.zeros(psi0.layout.dim, dtype=cld)
+    out = np.zeros(amplitudes.size, dtype=cld)
     out[cells] = (_expm_long_double(-cld(1j) * np.longdouble(t) * sector)
                   @ amplitudes[cells].astype(cld))
     return out
@@ -898,7 +956,7 @@ def _norm_long_double(a: np.ndarray) -> np.longdouble:
 
 
 def projection_bound_long_double(thc: ThcFactorization, spec: StepSpec) -> np.longdouble:
-    """``projection_error_bound`` of a spinful register in ``np.clongdouble``:
+    """``projection_error_bound`` on every two-spin sector in ``np.clongdouble``:
     on every (N_up, N_down) sector, U P on the sector's grid X[d, u] of down and up strings of m
     modes, with C_k = Lambda^k(Q) from the Leibniz minors, against the
     Taylor exponential of the sector's block of V' accumulated string by
@@ -983,8 +1041,8 @@ def evolve_long_double(
     n_steps: int,
     spec: StepSpec,
 ) -> tuple[np.longdouble, np.longdouble]:
-    """``evolve`` in ``np.clongdouble`` for a spinful ``psi0`` with one
-    electron per spin.
+    """``evolve`` in ``np.clongdouble`` for a ``psi0`` with one electron per
+    spin.
 
     The extended states of that sector form the grid X[i, j], up electron in
     orbital slot i and down electron in slot j.  A basis rotation acts as

@@ -108,7 +108,7 @@ CRITERION_05_TAUS = [0.2, 0.1, 0.05, 0.02, 0.01]
 def criterion_05_errors() -> dict:
     """Criterion 5's errors at t = 1 per variant, from ``evolve``."""
     rotated, thc = h2_exact_thc()
-    psi0 = hartree_fock_state(rotated, 2, spinful=True)
+    psi0 = hartree_fock_state(rotated, (1, 1))
     return {variant: [evolve(psi0, thc, rotated, 1.0,
                              StepSpec(tau=tau, variant=variant)).error_vs_exact
                       for tau in CRITERION_05_TAUS]
@@ -135,7 +135,7 @@ def test_criterion_05_routes_against_the_long_double_values():
     # the float64 step's own; both routes step the same compiled K_0 and G,
     # whose rounding is nearly all of it, and differ by their products' rounding
     rotated, thc = h2_exact_thc()
-    psi0 = hartree_fock_state(rotated, 2, spinful=True)
+    psi0 = hartree_fock_state(rotated, (1, 1))
     for variant in ("basic", "improved"):
         distances = {"vector": [], "density": []}
         for tau in CRITERION_05_TAUS:
@@ -163,7 +163,7 @@ CRITERION_06_TAUS = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
 def criterion_06_errors() -> dict:
     """Criterion 6's projection errors of the Hartree-Fock state per variant."""
     _, thc = h2_exact_thc()
-    psi0 = hartree_fock_state(h2_hamiltonian(), 2, spinful=True)
+    psi0 = hartree_fock_state(h2_hamiltonian(), (1, 1))
     return {variant: [projection_error_measured(thc, psi0, StepSpec(tau=tau, variant=variant))
                       for tau in CRITERION_06_TAUS]
             for variant in ("basic", "improved")}
@@ -186,7 +186,7 @@ def test_criterion_06_routes_against_the_long_double_values():
     # and the reference in extended precision
     rotated, thc = h2_exact_thc()
     vprime = _vprime_hamiltonian(thc)
-    psi0 = hartree_fock_state(rotated, 2, spinful=True)
+    psi0 = hartree_fock_state(rotated, (1, 1))
     errors = criterion_06_errors()
     for variant in ("basic", "improved"):
         distances = {"vector": [], "density": []}
@@ -213,12 +213,13 @@ def test_criterion_07_three_term_error_decomposition():
         ham = oracles.random_hamiltonian(2, rng, scale=0.5)
         rotated, _ = rotate_to_h_eigenbasis(ham)
         thc = exact_factorize(rotated, m=m, seed=300 + k)
-        psi = basis_state(ModeLayout(2, 0), "11")
+        # both electrons up: the spinless problem, on its (N, 0) sectors
+        psi = basis_state(ModeLayout(2, 0), "1100")
         spec = StepSpec(tau=tau)
         measured = evolve(psi, thc, rotated, tau, spec).error_vs_exact
         # the projection term is measured on the state after the inner h
         # half-step, the state the interaction block acts on
-        budget = error_budget(rotated, thc, spec, psi).total(tau)
+        budget = error_budget(rotated, thc, spec, psi, [(k, 0) for k in range(3)]).total(tau)
         worst = max(worst, measured - budget)
         assert measured <= budget + 1e-9, f"instance {k}: {measured} > {budget}"
     print(f"criterion 7: 20/20 instances bounded; worst margin {worst:.3e}")
@@ -325,9 +326,8 @@ def test_criterion_12_desk_scale_substitutions():
         2, rotated.core_energy, rotated.h, projected_interaction(thc.u, thc.vtilde)
     )
     shift = abs(
-        ground_state_energy(rotated, 2, spinful=True)
-        - ground_state_energy(approx, 2, spinful=True)
+        ground_state_energy(rotated, 2) - ground_state_energy(approx, 2)
     )
-    gap = thc_bound(rotated, thc, spinful=True)
+    gap = thc_bound(rotated, thc)
     print(f"criterion 12: energy shift {shift:.3e} <= operator gap {gap:.3e}")
     assert shift <= gap + 1e-12

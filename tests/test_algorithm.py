@@ -33,7 +33,6 @@ from isothc.algorithm import (
 )
 from isothc.focksim import (
     FockState,
-    ModeLayout,
     exact_evolution,
     givens_decompose,
 )
@@ -42,7 +41,6 @@ from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
     ElectronicHamiltonian,
     MemoryRefusal,
-    _sector_list,
     _sector_offsets,
     build_many_body_operator,
     operator_memory_bytes,
@@ -62,12 +60,12 @@ import oracles
 _rng = np.random.default_rng(909)
 
 
-def random_sector_state(layout: ModeLayout, n_particles: int, rng) -> FockState:
-    idx = oracles.sector_indices(layout.n_modes, n_particles)
-    amps = np.zeros(layout.dim, dtype=complex)
+def random_sector_state(register: oracles.Register, n_particles: int, rng) -> FockState:
+    idx = oracles.sector_indices(register.n_modes, n_particles)
+    amps = np.zeros(register.dim, dtype=complex)
     amps[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
     amps /= np.linalg.norm(amps)
-    return oracles.from_register(layout, amps)
+    return oracles.from_register(register, amps)
 
 
 def on_engine(psi: FockState, engine) -> np.ndarray:
@@ -75,10 +73,11 @@ def on_engine(psi: FockState, engine) -> np.ndarray:
     return _on_sectors(psi, engine.sectors).amplitudes
 
 
-def system_sectors(n: int, spinful: bool) -> tuple[tuple[int, ...], ...]:
-    """Every (N_up, N_down) sector of n system modes per spin: the support
-    of an engine on every system state."""
-    return _sector_list(n, 2 if spinful else 1)
+def system_sectors(n: int, spinful: bool) -> list[tuple[int, int]]:
+    """Every (N_up, N_down) sector of n system modes per spin, or every
+    (N, 0) sector of a spinless problem: the support of an engine on every
+    system state of its register."""
+    return oracles.Register(n, spinful=spinful).sectors
 
 
 def no_one_body(n: int) -> ElectronicHamiltonian:
@@ -138,8 +137,8 @@ def test_extended_layout_counts_ancillas():
     # the step engine's register: one ancilla mode per spin for each rank
     # past the n system modes
     ham, thc = small_instance(0, n=2, m=3)
-    layout = _StepEngine(thc, ham, StepSpec(tau=0.1), system_sectors(2, True), True).layout
-    assert layout.n_system == 2 and layout.n_ancilla == 1 and layout.spinful
+    layout = _StepEngine(thc, ham, StepSpec(tau=0.1), system_sectors(2, True)).layout
+    assert layout.n_system == 2 and layout.n_ancilla == 1
     assert layout.n_modes == 6
 
 
@@ -200,11 +199,11 @@ H2_PROJECTION_BOUND = {"basic": "6.158464476740255e-05", "improved": "1.26455241
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 def test_h2_projection_errors_are_pinned(variant):
     ham, thc = h2_best_exact_thc()
-    psi = hartree_fock_state(ham, 2, spinful=True)
+    psi = hartree_fock_state(ham, (1, 1))
     measured = [repr(projection_error_measured(thc, psi, StepSpec(tau=tau, variant=variant)))
                 for tau in H2_PROJECTION_TAUS]
     assert measured == H2_PROJECTION_MEASURED[variant]
-    bound = projection_error_bound(thc, StepSpec(tau=1e-2, variant=variant), spinful=True)
+    bound = projection_error_bound(thc, StepSpec(tau=1e-2, variant=variant))
     assert repr(bound) == H2_PROJECTION_BOUND[variant]
 
 
@@ -217,7 +216,7 @@ def test_h2_projection_bound_lies_within_the_float64_floor(variant):
     _, thc = h2_best_exact_thc()
     spec = StepSpec(tau=1e-2, variant=variant)
     exact = oracles.projection_bound_long_double(thc, spec)
-    fresh = projection_error_bound(thc, spec, spinful=True)
+    fresh = projection_error_bound(thc, spec)
     for value in (float(H2_PROJECTION_BOUND[variant]), fresh):
         assert abs(np.longdouble(value) - exact) < 1e-15
 
@@ -225,48 +224,68 @@ def test_h2_projection_bound_lies_within_the_float64_floor(variant):
 def test_hartree_fock_state_spinless_fills_lowest_modes():
     h = np.diag([3.0, 1.0, 2.0])
     ham = ElectronicHamiltonian(3, 0.0, h, np.zeros((3, 3, 3, 3)))
-    state = hartree_fock_state(ham, 2, spinful=False)
+    state = hartree_fock_state(ham, (2, 0))
     amps = np.zeros(8)
     amps[0b110] = 1.0  # modes 1 and 2 occupied
-    assert state.sectors == ((2,),)
+    assert state.sectors == ((2, 0),)
     assert_allclose(oracles.to_register(state), amps, atol=0)
 
 
 def test_hartree_fock_state_spinful_pairs_orbitals():
     h = np.diag([0.5, -0.2])
     ham = ElectronicHamiltonian(2, 0.0, h, np.zeros((2, 2, 2, 2)))
-    state = hartree_fock_state(ham, 2, spinful=True)
+    state = hartree_fock_state(ham, (1, 1))
     # orbital 1 doubly occupied: modes 1 (up) and 3 (down)
     assert oracles.to_register(state)[0b1010] == 1.0
     with pytest.raises(ValueError, match="electrons"):
-        hartree_fock_state(ham, 5, spinful=True)
+        hartree_fock_state(ham, (3, 2))
+
+
+@pytest.mark.parametrize("n_electrons", range(9))
+def test_hartree_fock_sectors_hold_the_aufbau_cells(n_electrons):
+    # (N, 0) holds the string of N electrons, the k-th in the k-th lowest
+    # orbital, and (ceil(N/2), floor(N/2)) the string of N electrons, the
+    # k-th in the (k // 2)-th lowest orbital with spin k % 2
+    n = 4
+    ham = ElectronicHamiltonian(n, 0.0, np.diag([0.3, -1.2, 0.8, -1.2]), np.zeros((n,) * 4))
+    order = [1, 3, 0, 2]  # ascending one-body energies, ties in index order
+    cases = [((n_electrons - n_electrons // 2, n_electrons // 2),
+              sum(1 << (order[k // 2] + (k % 2) * n) for k in range(n_electrons)))]
+    if n_electrons <= n:
+        cases.append(((n_electrons, 0), sum(1 << order[k] for k in range(n_electrons))))
+    for sector, index in cases:
+        state = hartree_fock_state(ham, sector)
+        assert state.sectors == (sector,)
+        amplitudes = oracles.to_register(state)
+        assert np.array_equal(np.flatnonzero(amplitudes), [index])
+        assert amplitudes[index] == 1.0
 
 
 def test_hartree_fock_state_requires_diagonal_h():
     h = np.array([[1.0, 0.2], [0.2, 2.0]])
     ham = ElectronicHamiltonian(2, 0.0, h, np.zeros((2, 2, 2, 2)))
     with pytest.raises(ValueError, match="diagonal"):
-        hartree_fock_state(ham, 1)
+        hartree_fock_state(ham, (1, 0))
 
 
 # ---------------------------------------------------------------------------
 # the compiled step against independent dense oracles
 # ---------------------------------------------------------------------------
 
-def oracle_extended_interaction(sequence, vtilde, layout) -> np.ndarray:
+def oracle_extended_interaction(sequence, vtilde, register) -> np.ndarray:
     """String-oracle matrix of the rotated mode-diagonal interaction."""
     t = oracles.single_particle_matrix(sequence)
     assert np.max(np.abs(t.imag)) < 1e-12
     coeff = t.real.T  # coeff[p, alpha]: physical content of rotated mode alpha
-    m = layout.sector_size
+    m = register.sector_size
     number_ops = {}
-    for sector in range(layout.n_sectors):
-        off = sector * m
+    for spin in range(register.n_spins):
+        off = spin * m
         for alpha in range(m):
-            k = np.zeros((layout.n_modes, layout.n_modes))
+            k = np.zeros((register.n_modes, register.n_modes))
             k[off : off + m, off : off + m] = np.outer(coeff[:, alpha], coeff[:, alpha])
-            number_ops[(alpha, sector)] = oracles.dense_quadratic(layout.n_modes, k)
-    total = np.zeros((layout.dim, layout.dim), dtype=complex)
+            number_ops[(alpha, spin)] = oracles.dense_quadratic(register.n_modes, k)
+    total = np.zeros((register.dim, register.dim), dtype=complex)
     labels = list(number_ops)
     for la in labels:
         for lb in labels:
@@ -275,27 +294,27 @@ def oracle_extended_interaction(sequence, vtilde, layout) -> np.ndarray:
     return total
 
 
-def oracle_one_body_diagonal(h_diag, layout) -> np.ndarray:
+def oracle_one_body_diagonal(h_diag, register) -> np.ndarray:
     k = np.diag(h_diag)
-    return oracles.dense_quadratic(layout.n_modes, k)
+    return oracles.dense_quadratic(register.n_modes, k)
 
 
-def oracle_ancilla_counter(layout) -> np.ndarray:
-    k = np.zeros((layout.n_modes, layout.n_modes))
-    for mode in oracles.ancilla_modes(layout):
+def oracle_ancilla_counter(register) -> np.ndarray:
+    k = np.zeros((register.n_modes, register.n_modes))
+    for mode in oracles.ancilla_modes(register):
         k[mode, mode] = 1.0
-    return oracles.dense_quadratic(layout.n_modes, k)
+    return oracles.dense_quadratic(register.n_modes, k)
 
 
 def assert_vacuum_columns(engine, full) -> None:
     """The compiled stack [K_0; G] from the full unitary's ancilla-vacuum
     columns: K_0 their vacuum rows, G the Gram matrix of their other rows,
     both in the engine's sector-major order."""
-    layout = engine.layout
-    a_key, b_key = oracles.split_keys(layout)
+    register = oracles.engine_register(engine)
+    a_key, b_key = oracles.split_keys(register)
     vacuum = np.flatnonzero(b_key == 0)
     vacuum = vacuum[np.argsort(a_key[vacuum])]
-    columns = vacuum[oracles.register_order(layout.system_only(), engine.sectors)]
+    columns = vacuum[oracles.register_order(register.system_only(), engine.sectors)]
     leaving = full[np.ix_(b_key != 0, columns)]
     stack = engine.dense_unitary()
     assert_allclose(stack[:columns.size], full[np.ix_(columns, columns)], atol=1e-15)
@@ -306,17 +325,17 @@ def assert_vacuum_columns(engine, full) -> None:
 def test_basic_step_unitary_matches_string_oracle(spinful):
     ham, thc = small_instance(7, n=2, m=3)
     tau = 0.37
-    engine = _StepEngine(thc, ham, StepSpec(tau=tau), system_sectors(2, spinful), spinful)
-    layout = engine.layout
+    engine = _StepEngine(thc, ham, StepSpec(tau=tau), system_sectors(2, spinful))
+    register = oracles.engine_register(engine)
     full = oracles.full_step_unitary(engine)
     assert_vacuum_columns(engine, full)
 
-    v_ext = oracle_extended_interaction(_givens_circuit(thc), thc.vtilde, layout)
-    h_diag = np.zeros(layout.n_modes)
-    for sector in range(layout.n_sectors):
-        off = sector * layout.sector_size
+    v_ext = oracle_extended_interaction(_givens_circuit(thc), thc.vtilde, register)
+    h_diag = np.zeros(register.n_modes)
+    for spin in range(register.n_spins):
+        off = spin * register.sector_size
         h_diag[off : off + 2] = np.diag(ham.h)
-    h_ext = oracle_one_body_diagonal(h_diag, layout)
+    h_ext = oracle_one_body_diagonal(h_diag, register)
     half = scipy.linalg.expm(-1j * tau / 2 * h_ext)
     expected = half @ scipy.linalg.expm(-1j * tau * v_ext) @ half
     assert_allclose(full, expected, atol=1e-10)
@@ -326,21 +345,21 @@ def test_improved_step_unitary_matches_string_oracle():
     ham, thc = small_instance(8, n=2, m=3)
     tau = 0.21
     spec = StepSpec(tau=tau, variant="improved")
-    engine = _StepEngine(thc, ham, spec, system_sectors(2, False), False)
-    layout = engine.layout
+    engine = _StepEngine(thc, ham, spec, system_sectors(2, False))
+    register = oracles.engine_register(engine)
     full = oracles.full_step_unitary(engine)
     assert_vacuum_columns(engine, full)
 
-    v_ext = oracle_extended_interaction(_givens_circuit(thc), thc.vtilde, layout)
+    v_ext = oracle_extended_interaction(_givens_circuit(thc), thc.vtilde, register)
     quarter = scipy.linalg.expm(-1j * tau / 4 * v_ext)
-    n_b = oracle_ancilla_counter(layout)
+    n_b = oracle_ancilla_counter(register)
     p1, p2, p3 = spec.phases
     block = quarter
     for phi in (p3, p2, p1):  # rightmost factor acts first
         block = scipy.linalg.expm(1j * phi * n_b) @ block
         block = quarter @ block
     h_ext = oracle_one_body_diagonal(
-        np.concatenate([np.diag(ham.h), np.zeros(1)]), layout
+        np.concatenate([np.diag(ham.h), np.zeros(1)]), register
     )
     half = scipy.linalg.expm(-1j * tau / 2 * h_ext)
     expected = half @ block @ half
@@ -353,7 +372,7 @@ def test_improved_step_unitary_matches_string_oracle():
 
 def sector_engine(thc, ham, spec, psi) -> _StepEngine:
     """The step engine ``evolve`` builds for ``psi``: on its sectors only."""
-    return _StepEngine(thc, ham, spec, _sectors(psi), psi.layout.spinful)
+    return _StepEngine(thc, ham, spec, _sectors(psi))
 
 
 def test_zero_interaction_zero_h_is_identity_channel():
@@ -363,7 +382,7 @@ def test_zero_interaction_zero_h_is_identity_channel():
     ).u
     thc = ThcFactorization(u=u, vtilde=np.zeros((m, m)))
     ham = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)), np.zeros((n, n, n, n)))
-    psi = random_sector_state(ModeLayout(n, 0), 1, _rng)
+    psi = random_sector_state(oracles.Register(n, 0), 1, _rng)
     engine = sector_engine(thc, ham, StepSpec(tau=0.3), psi)
     out, leaked = engine.step(on_engine(psi, engine))
     assert_allclose(out, on_engine(psi, engine), atol=1e-12)
@@ -373,17 +392,17 @@ def test_zero_interaction_zero_h_is_identity_channel():
 
 def test_step_channel_rejects_leaked_input():
     ham, thc = small_instance(4)
-    layout = ModeLayout(thc.n, thc.m - thc.n)
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[1 << oracles.ancilla_modes(layout)[0]] = 1.0  # ancilla occupied
+    register = oracles.Register(thc.n, thc.m - thc.n)
+    amps = np.zeros(register.dim, dtype=complex)
+    amps[1 << oracles.ancilla_modes(register)[0]] = 1.0  # ancilla occupied
     # the step takes system states only; an extended one is refused
     with pytest.raises(ValueError, match="system-only"):
-        evolve(oracles.from_register(layout, amps), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
-    vacuum = np.zeros(layout.dim, dtype=complex)
-    vacuum[1 << oracles.system_modes(layout)[0]] = 1.0  # every ancilla empty
+        evolve(oracles.from_register(register, amps), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
+    vacuum = np.zeros(register.dim, dtype=complex)
+    vacuum[1 << oracles.system_modes(register)[0]] = 1.0  # every ancilla empty
     with pytest.raises(ValueError, match="system-only"):
-        evolve(oracles.from_register(layout, vacuum), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
-    wrong_size = random_sector_state(ModeLayout(3, 0), 1, _rng)
+        evolve(oracles.from_register(register, vacuum), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
+    wrong_size = random_sector_state(oracles.Register(3, 0), 1, _rng)
     with pytest.raises(ValueError, match="factorization size"):
         evolve(wrong_size, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
 
@@ -392,7 +411,7 @@ def test_step_channel_requires_diagonal_h():
     rng = np.random.default_rng(13)
     ham = oracles.random_hamiltonian(2, rng)
     thc = exact_factorize(ham, m=3, seed=0)
-    psi = random_sector_state(ModeLayout(2, 0), 1, rng)
+    psi = random_sector_state(oracles.Register(2, 0), 1, rng)
     with pytest.raises(ValueError, match="diagonal"):
         evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
 
@@ -400,17 +419,17 @@ def test_step_channel_requires_diagonal_h():
 def test_one_basic_step_close_to_exact():
     ham, thc = small_instance(5, n=2, m=4)  # exact factorization at m = n^2
     tau = 1e-3
-    psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(2))
+    psi = random_sector_state(oracles.Register(2, 0), 2, np.random.default_rng(2))
     assert evolve(psi, thc, ham, t=tau, spec=StepSpec(tau=tau)).error_vs_exact <= 1e-5
 
 
 def test_improved_with_zero_phases_equals_basic():
     # the compiled [K_0; G] on every system state
     ham, thc = small_instance(6)
-    basic = _StepEngine(thc, ham, StepSpec(tau=0.05), system_sectors(2, False), False)
+    basic = _StepEngine(thc, ham, StepSpec(tau=0.05), system_sectors(2, False))
     improved = _StepEngine(
         thc, ham, StepSpec(tau=0.05, variant="improved", phases=(0.0, 0.0, 0.0)),
-        system_sectors(2, False), False
+        system_sectors(2, False)
     )
     assert np.max(np.abs(basic.dense_unitary() - improved.dense_unitary())) < 1e-12
 
@@ -433,19 +452,19 @@ def test_kraus_step_matches_full_fock_oracle(n, extra, spinful, variant, with_h,
     h = np.diag(rng.normal(size=n)) if with_h else np.zeros((n, n))
     ham = ElectronicHamiltonian(n, 0.0, h, np.zeros((n, n, n, n)))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant)
-    engine = _StepEngine(thc, ham, spec, system_sectors(n, spinful), spinful)
-    layout = engine.layout
+    engine = _StepEngine(thc, ham, spec, system_sectors(n, spinful))
+    register = oracles.engine_register(engine)
 
     # every system sector, so the support is every system state, in
     # sector-major order
     stack = engine.dense_unitary()
-    size = layout.system_only().dim
+    size = register.system_only().dim
     assert stack.shape == (2 * size, size)
     full = oracles.full_step_unitary(engine)
-    a_key, b_key = oracles.split_keys(layout)
+    a_key, b_key = oracles.split_keys(register)
     vacuum = np.flatnonzero(b_key == 0)
     assert np.array_equal(a_key[vacuum], np.arange(size))
-    vacuum = vacuum[oracles.register_order(layout.system_only())]
+    vacuum = vacuum[oracles.register_order(register.system_only())]
     leaving = full[np.ix_(b_key != 0, vacuum)]
     assert_allclose(stack[:size], full[np.ix_(vacuum, vacuum)], rtol=0, atol=1e-12)
     assert_allclose(stack[size:], leaving.conj().T @ leaving, rtol=0, atol=1e-12)
@@ -457,17 +476,17 @@ def test_fused_and_sequential_paths_agree(variant):
     # applies the step gate by gate to every basis column of the extended
     # register and resets the ancillas in the occupation basis
     ham, thc = small_instance(9)
-    psi = random_sector_state(ModeLayout(thc.n, 0), 2, np.random.default_rng(9))
+    psi = random_sector_state(oracles.Register(thc.n, 0), 2, np.random.default_rng(9))
     spec = StepSpec(tau=0.08, variant=variant)
     engine = sector_engine(thc, ham, spec, psi)
-    layout = engine.layout
+    register = oracles.engine_register(engine)
     fused, leaked = engine.step(on_engine(psi, engine))
     full = oracles.full_step_unitary(engine)
     extended = oracles.embed_in_ancilla_vacuum(oracles.density(oracles.to_register(psi)),
-                                               layout)
-    gates, oracle_leaked = oracles.full_fock_step(full, extended, layout)
-    gates = oracles.system_density(gates, layout)
-    support = oracles.register_order(layout.system_only(), engine.sectors)
+                                               register)
+    gates, oracle_leaked = oracles.full_fock_step(full, extended, register)
+    gates = oracles.system_density(gates, register)
+    support = oracles.register_order(register.system_only(), engine.sectors)
     on_support = gates[np.ix_(support, support)]
     assert np.max(np.abs(oracles.density(fused) - on_support)) < 1e-12
     assert leaked == pytest.approx(oracle_leaked, abs=1e-12)
@@ -475,7 +494,7 @@ def test_fused_and_sequential_paths_agree(variant):
 
 def test_step_channel_preserves_trace_and_vacuum_support():
     ham, thc = small_instance(10)
-    psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(1))
+    psi = random_sector_state(oracles.Register(2, 0), 1, np.random.default_rng(1))
     engine = sector_engine(thc, ham, StepSpec(tau=0.2, variant="improved"), psi)
     out, leaked = engine.step(on_engine(psi, engine))
     # the ancillas are back in the vacuum: the state stays on the system support
@@ -489,7 +508,7 @@ def test_step_channel_preserves_trace_and_vacuum_support():
 
 def test_evolve_zero_time_is_exact():
     ham, thc = small_instance(11)
-    psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(4))
+    psi = random_sector_state(oracles.Register(2, 0), 1, np.random.default_rng(4))
     result = evolve(psi, thc, ham, t=0.0, spec=StepSpec(tau=0.1))
     assert result.n_steps == 0
     assert result.error_vs_exact == 0.0
@@ -498,7 +517,7 @@ def test_evolve_zero_time_is_exact():
 
 def test_evolve_counts_and_rounds_steps():
     ham, thc = small_instance(12)
-    psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(5))
+    psi = random_sector_state(oracles.Register(2, 0), 1, np.random.default_rng(5))
     result = evolve(psi, thc, ham, t=1.0, spec=StepSpec(tau=0.3))
     assert result.n_steps == 3
     assert result.leaked_weight.shape == (3,)
@@ -519,7 +538,7 @@ def commuting_diagonal_instance(n=3, seed=14):
     h = np.diag(rng.normal(size=n))
     ham = ElectronicHamiltonian(n, 0.0, h, eri)
     thc = ThcFactorization(u=np.eye(n), vtilde=w, htilde=np.diag(h))
-    return ham, thc, random_sector_state(ModeLayout(n, 0), 2, rng)
+    return ham, thc, random_sector_state(oracles.Register(n, 0), 2, rng)
 
 
 def test_evolve_commuting_diagonal_instance_is_exact():
@@ -535,7 +554,7 @@ def test_evolve_leak_is_read_from_the_leaving_rows():
     ham, thc, psi0 = commuting_diagonal_instance()
     spec = StepSpec(tau=0.2)
     assert np.all(evolve(psi0, thc, ham, t=2.0, spec=spec).leaked_weight == 0.0)
-    engine = _StepEngine(thc, ham, spec, _sectors(psi0), False)
+    engine = _StepEngine(thc, ham, spec, _sectors(psi0))
     psi = on_engine(psi0, engine)
     drift = []
     for _ in range(10):
@@ -568,8 +587,8 @@ def test_step_is_the_stack_product_and_its_leak(n, extra, spinful, variant, one_
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)),
                                 projected_interaction(thc.u, thc.vtilde))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant)
-    psi, support = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector)
-    engine = _StepEngine(thc, ham, spec, _sectors(psi), spinful)
+    psi, support = random_definite_state(oracles.Register(n, 0, spinful), rng, one_spin_sector)
+    engine = _StepEngine(thc, ham, spec, _sectors(psi))
     vector = on_engine(psi, engine)
     size = vector.size
     assert size == support.size
@@ -606,7 +625,7 @@ def test_evolve_compiles_each_engine_once_before_its_first_step(monkeypatch, var
     monkeypatch.setattr(_StepEngine, "dense_unitary", counted)
     monkeypatch.setattr(_StepEngine, "step", compiled_step)
     ham, thc = planted_step_instance(31, n=2, m=3)
-    psi = hartree_fock_state(ham, 2, spinful=True)
+    psi = hartree_fock_state(ham, (1, 1))
     for tau in (0.1, 0.05):
         calls.clear()
         result = evolve(psi, thc, ham, t=0.2, spec=StepSpec(tau=tau, variant=variant))
@@ -618,10 +637,10 @@ def test_step_compiles_a_fresh_engine_on_first_use(monkeypatch):
     # a direct caller's first step compiles through dense_unitary, once, and
     # steps as an engine compiled beforehand does
     ham, thc = planted_step_instance(31, n=2, m=3)
-    psi = hartree_fock_state(ham, 2, spinful=True)
-    compiled = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi), True)
+    psi = hartree_fock_state(ham, (1, 1))
+    compiled = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi))
     compiled.dense_unitary()
-    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi), True)
+    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi))
     calls = []
     dense_unitary = _StepEngine.dense_unitary
     monkeypatch.setattr(_StepEngine, "dense_unitary",
@@ -659,29 +678,29 @@ def test_evolve_error_shrinks_with_tau():
     # n = 3 with two particles: the smallest spinless system where the
     # interaction acts nontrivially inside a particle-number sector
     ham, thc = planted_step_instance(15, n=3, m=5)
-    psi = random_sector_state(ModeLayout(3, 0), 2, np.random.default_rng(7))
+    psi = random_sector_state(oracles.Register(3, 0), 2, np.random.default_rng(7))
     coarse = evolve(psi, thc, ham, t=0.8, spec=StepSpec(tau=0.2)).error_vs_exact
     fine = evolve(psi, thc, ham, t=0.8, spec=StepSpec(tau=0.025)).error_vs_exact
     assert coarse > 1e-8
     assert fine < 0.5 * coarse
 
 
-def random_definite_state(layout: ModeLayout, rng, one_spin_sector: bool):
+def random_definite_state(register: oracles.Register, rng, one_spin_sector: bool):
     """Random amplitudes on every state of one particle number N, or of one
     (N_up, N_down) sector; returns the state and the indices it occupies."""
-    states = np.arange(layout.dim)
-    low = (1 << layout.sector_size) - 1
+    states = np.arange(register.dim)
+    low = (1 << register.sector_size) - 1
     n_up = np.array([bin(x & low).count("1") for x in states])
     total = np.array([bin(x).count("1") for x in states])
-    n_total = int(rng.integers(1, layout.n_modes + 1))
+    n_total = int(rng.integers(1, register.n_modes + 1))
     chosen = total == n_total
-    if one_spin_sector and layout.spinful:
+    if one_spin_sector and register.spinful:
         ups = np.unique(n_up[chosen])
         chosen &= n_up == rng.choice(ups)
     idx = np.flatnonzero(chosen)
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros(register.dim, dtype=complex)
     amps[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
-    return oracles.from_register(layout, amps / np.linalg.norm(amps)), idx
+    return oracles.from_register(register, amps / np.linalg.norm(amps)), idx
 
 
 @settings(max_examples=40, deadline=None)
@@ -707,7 +726,7 @@ def test_sector_evolve_matches_full_density_oracle(
     ham = ElectronicHamiltonian(n, 0.0, h, projected_interaction(thc.u, thc.vtilde))
     tau = float(rng.uniform(0.05, 0.5))
     spec = StepSpec(tau=tau, variant=variant)
-    psi, support = random_definite_state(ModeLayout(n, 0, spinful), rng, one_spin_sector)
+    psi, support = random_definite_state(oracles.Register(n, 0, spinful), rng, one_spin_sector)
 
     result = evolve(psi, thc, ham, t=n_steps * tau, spec=spec)
     error, rho = oracles.evolve_full_density(psi, thc, ham, n_steps, spec)
@@ -720,12 +739,12 @@ def test_sector_evolve_matches_full_density_oracle(
 
     # the sector engine's [K_0; G] is bit for bit the block on S of the
     # engine on every system sector, which vanishes off S in the columns of S
-    sector = _StepEngine(thc, ham, spec, _sectors(psi), spinful)
-    full = _StepEngine(thc, ham, spec, system_sectors(n, spinful), spinful)
-    layout = full.layout
-    columns = oracles.register_order(layout.system_only(), sector.sectors)
+    sector = _StepEngine(thc, ham, spec, _sectors(psi))
+    full = _StepEngine(thc, ham, spec, system_sectors(n, spinful))
+    system = oracles.engine_register(full).system_only()
+    columns = oracles.register_order(system, sector.sectors)
     assert np.array_equal(np.sort(columns), support)
-    at = oracles.register_positions(layout.system_only())[columns]
+    at = oracles.register_positions(system)[columns]
     k0, g = np.split(full.dense_unitary()[:, at], 2)
     assert sector.dense_unitary().shape == (2 * support.size, support.size)
     assert np.array_equal(sector.dense_unitary(), np.concatenate([k0[at], g[at]]))
@@ -754,15 +773,14 @@ def test_grid_compile_matches_the_gate_route(n, spinful, variant, support, seed,
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
     spec = StepSpec(tau=float(rng.uniform(0.05, 0.5)), variant=variant,
                     phases=tuple(rng.uniform(-np.pi, np.pi, size=3)))
-    psi, _ = random_definite_state(ModeLayout(n, 0, spinful), rng,
+    psi, _ = random_definite_state(oracles.Register(n, 0, spinful), rng,
                                    one_spin_sector=support == "one sector")
     engine = _StepEngine(thc, ham, spec,
-                         system_sectors(n, spinful) if support == "every sector" else _sectors(psi),
-                         spinful)
-    layout = engine.layout
+                         system_sectors(n, spinful) if support == "every sector" else _sectors(psi))
+    register = oracles.engine_register(engine)
     up = oracles.gate_dense_unitary(engine)
-    rows = oracles.register_order(layout, engine.sectors)
-    columns = oracles.register_order(layout.system_only(), engine.sectors)
+    rows = oracles.register_order(register, engine.sectors)
+    columns = oracles.register_order(register.system_only(), engine.sectors)
     # the extended state of each column, its system state with every ancilla
     # empty: the down half moves from bit n to bit m
     vacuum = ((columns & ((1 << n) - 1)) | ((columns >> n) << m))
@@ -787,7 +805,7 @@ def test_compound_matrix_is_the_gate_kernel_on_the_identity(m, seed, data):
     c, c_h = algorithm._compound(u.tobytes(), u.shape, k)
     sequence = givens_decompose(u)
     strings = oracles.sector_indices(m, k)
-    identity = oracles.RowState(ModeLayout(m, 0), np.eye(strings.size, dtype=complex), strings)
+    identity = oracles.RowState(oracles.Register(m), np.eye(strings.size, dtype=complex), strings)
     kernel = oracles.apply_basis_rotation(identity, sequence, oracles.RowTables(identity))
     assert np.array_equal(c, kernel.amplitudes)
     assert np.array_equal(c_h, c.T.conj())
@@ -798,10 +816,12 @@ def test_compound_matrix_is_the_gate_kernel_on_the_identity(m, seed, data):
     assert_allclose(c, minors, rtol=0, atol=1e-14)
 
 
-def per_spin_counts(states: np.ndarray, layout: ModeLayout) -> list[tuple[int, ...]]:
-    low = (1 << layout.sector_size) - 1
-    return [tuple(bin((int(x) >> (spin * layout.sector_size)) & low).count("1")
-                  for spin in range(layout.n_sectors)) for x in states]
+def per_spin_counts(states: np.ndarray, register: oracles.Register) -> list[tuple[int, int]]:
+    """The (N_up, N_down) of each basis index of ``register``; N_down is 0
+    on a register of the up spin alone."""
+    low = (1 << register.sector_size) - 1
+    return [tuple(bin((int(x) >> (spin * register.sector_size)) & low).count("1")
+                  for spin in range(2)) for x in states]
 
 
 @settings(max_examples=40, deadline=None)
@@ -815,7 +835,7 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     rng = np.random.default_rng(seed)
     m = n + extra
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=np.eye(m))
-    system = ModeLayout(n, 0, spinful)
+    system = oracles.Register(n, 0, spinful)
     # a random nonempty set of system states at one total particle number
     totals = np.array([bin(x).count("1") for x in range(system.dim)])
     candidates = np.flatnonzero(totals == rng.integers(0, system.n_modes + 1))
@@ -825,8 +845,8 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     amps[occupied] = 1.0
     psi = oracles.from_register(system, amps / np.linalg.norm(amps))
 
-    engine = _StepEngine(thc, no_one_body(n), StepSpec(tau=0.1), _sectors(psi), spinful)
-    layout = engine.layout
+    engine = _StepEngine(thc, no_one_body(n), StepSpec(tau=0.1), _sectors(psi))
+    extended = oracles.Register(n, extra, spinful)
     counts = set(per_spin_counts(occupied, system))
     assert engine.sectors == tuple(sorted(counts))
     states = np.arange(system.dim)
@@ -838,7 +858,7 @@ def test_sector_rows_are_the_extended_states_of_the_support_sectors(n, extra, sp
     # its extended states, and columns, its system states, and charges the
     # largest sector block, the stack [K_0; G] on the support with one
     # copy of a half, and the compound matrix of each spin's particle count
-    rows = per_spin_counts(np.arange(layout.dim), layout)
+    rows = per_spin_counts(np.arange(extended.dim), extended)
     block = max((STEP_WORKING_COPIES * 16 * per_spin_counts(support, system).count(c)
                  + GRID_BYTES_PER_STATE) * rows.count(c) for c in counts)
     compounds = sum(math.comb(m, k) ** 2 for k in {k for c in counts for k in c})
@@ -857,11 +877,11 @@ def traced_step_peak(n, m, electrons, every=False, variant="basic"):
     vtilde = rng.normal(size=(m, m))
     thc = ThcFactorization(u=random_co_isometry(n, m, rng), vtilde=0.5 * (vtilde + vtilde.T))
     ham = ElectronicHamiltonian(n, 0.0, np.diag(rng.normal(size=n)), np.zeros((n,) * 4))
-    psi = hartree_fock_state(ham, electrons, spinful=True)
+    psi = hartree_fock_state(ham, (electrons - electrons // 2, electrons // 2))
     sectors = system_sectors(n, True) if every else _sectors(psi)
     tracemalloc.start()
     try:
-        engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), sectors, True)
+        engine = _StepEngine(thc, ham, StepSpec(tau=0.1, variant=variant), sectors)
         if every:
             for half in np.split(engine.dense_unitary(), 2):
                 np.linalg.norm(half, 2)
@@ -917,13 +937,13 @@ def test_every_step_engine_is_admitted_by_its_estimate(monkeypatch):
     # [K_0; G] holds 2 x 1024^2 amplitudes, outgrows evolve's sector step
     # plus its exact reference, whose estimate has a floor of a few MiB
     ham, thc = planted_step_instance(27, n=5, m=6)
-    psi = hartree_fock_state(ham, 5, spinful=True)
+    psi = hartree_fock_state(ham, (3, 2))
     every = _step_bytes(5, 6, system_sectors(5, True))
     assert operator_memory_bytes(_sector_offsets(5, _sectors(psi))[-1]) < every
     # the projection bound compiles every system sector
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: every - 1)
     with pytest.raises(ValueError, match="the step on 12 modes"):
-        projection_error_bound(thc, StepSpec(tau=0.1), spinful=True)
+        projection_error_bound(thc, StepSpec(tau=0.1))
     # evolve, and the measured projection error (one step of it), compile
     # the sectors of their input only, which fit
     assert evolve(psi, thc, ham, t=0.1, spec=StepSpec(tau=0.1)).n_steps == 1
@@ -946,7 +966,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
     # the step fits and the exact reference does not: the engine is built
     # (and admitted), the reference is refused, and nothing compiles
     ham, thc = small_instance(27, n=2, m=3)
-    psi = hartree_fock_state(ham, 2, spinful=True)
+    psi = hartree_fock_state(ham, (1, 1))
     step = _step_bytes(2, 3, _sectors(psi))
     assert step < operator_memory_bytes(_sector_offsets(2, _sectors(psi))[-1])
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step)
@@ -957,7 +977,7 @@ def test_evolve_refuses_a_reference_past_memory_before_it_compiles(monkeypatch):
 
 def test_evolve_refuses_a_step_past_memory_before_it_builds_the_reference(monkeypatch):
     ham, thc = small_instance(27, n=2, m=3)
-    psi = hartree_fock_state(ham, 2, spinful=True)
+    psi = hartree_fock_state(ham, (1, 1))
     step = _step_bytes(2, 3, _sectors(psi))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: step - 1)
 
@@ -990,7 +1010,7 @@ def test_projection_bound_estimate_bounds_the_traced_peak():
     thc, step, operator = projection_bound_instance()
     tracemalloc.start()
     try:
-        projection_error_bound(thc, StepSpec(tau=0.1), spinful=True)
+        projection_error_bound(thc, StepSpec(tau=0.1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1009,7 +1029,7 @@ def test_projection_bound_refuses_its_stack_and_ideal_together(monkeypatch):
     monkeypatch.setattr(algorithm, "build_many_body_operator", no_build)
     refuse_to_compile(monkeypatch)
     with pytest.raises(MemoryRefusal, match="the projection bound on 12 modes"):
-        projection_error_bound(thc, StepSpec(tau=0.1), spinful=True)
+        projection_error_bound(thc, StepSpec(tau=0.1))
 
 
 def test_memory_refusal_is_a_value_error():
@@ -1023,18 +1043,18 @@ def test_reference_of_twenty_four_extended_modes_fits_in_64_mib(monkeypatch):
     # exact reference is built on those, where the dense operator on every
     # system state would need 1.5 GiB
     ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(6, np.random.default_rng(30)))
-    psi = hartree_fock_state(ham, 6, spinful=True)
+    psi = hartree_fock_state(ham, (3, 3))
     sectors = _sectors(psi)
     size = _sector_offsets(6, sectors)[-1]
     estimate = operator_memory_bytes(size)
     assert size == 400 and estimate == 6 * 16 * 400**2 + OPERATOR_SCRATCH_BYTES
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: 64 * 2**20)
     with pytest.raises(ValueError, match="12 modes .* physical memory"):
-        build_many_body_operator(ham, spinful=True)
+        build_many_body_operator(ham)
     hamiltonian._string_tables.cache_clear()  # trace a cold build
     tracemalloc.start()
     try:
-        op = build_many_body_operator(ham, spinful=True, sectors=sectors)
+        op = build_many_body_operator(ham, sectors)
         phi = exact_evolution(op, _on_sectors(psi, sectors), 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1050,13 +1070,13 @@ def test_reference_estimate_bounds_the_traced_peak_of_small_blocks(n, size):
     # above), where the build's scratch floor, not the dense copies, sets
     # the peak
     ham, _ = rotate_to_h_eigenbasis(oracles.random_hamiltonian(n, np.random.default_rng(30)))
-    psi = hartree_fock_state(ham, n, spinful=True)
+    psi = hartree_fock_state(ham, (n - n // 2, n // 2))
     sectors = _sectors(psi)
     assert _sector_offsets(n, sectors)[-1] == size
     hamiltonian._string_tables.cache_clear()  # trace a cold build
     tracemalloc.start()
     try:
-        op = build_many_body_operator(ham, spinful=True, sectors=sectors)
+        op = build_many_body_operator(ham, sectors)
         exact_evolution(op, _on_sectors(psi, sectors), 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1077,13 +1097,13 @@ def test_two_electrons_in_eighteen_spinful_orbitals():
                                 projected_interaction(thc.u, thc.vtilde))
     tracemalloc.start()
     try:
-        psi = hartree_fock_state(ham, 2, spinful=True)
+        psi = hartree_fock_state(ham, (1, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     assert psi.sectors == ((1, 1),) and psi.amplitudes.shape == (324,)
-    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi), True)
+    engine = _StepEngine(thc, ham, StepSpec(tau=0.1), _sectors(psi))
     assert _sector_offsets(m, engine.sectors)[-1] == 361
     assert engine.dense_unitary().shape == (2 * 324, 324)
     result = evolve(psi, thc, ham, t=0.2, spec=StepSpec(tau=0.1))
@@ -1093,8 +1113,9 @@ def test_two_electrons_in_eighteen_spinful_orbitals():
 
 def test_evolve_takes_an_input_on_listed_rows():
     ham, thc = small_instance(31, n=2, m=3)
-    listed = hartree_fock_state(ham, 2, spinful=True)  # on its one sector
-    psi = oracles.from_register(listed.layout, oracles.to_register(listed))  # on every sector
+    listed = hartree_fock_state(ham, (1, 1))  # on its one sector
+    psi = oracles.from_register(oracles.Register(2, spinful=True),
+                                oracles.to_register(listed))  # on every sector
     full, short = (evolve(state, thc, ham, t=0.2, spec=StepSpec(tau=0.1))
                    for state in (psi, listed))
     assert short.error_vs_exact == full.error_vs_exact
@@ -1111,7 +1132,7 @@ def test_one_givens_circuit_per_factorization(monkeypatch):
 
     monkeypatch.setattr(algorithm, "givens_decompose", counted)
     algorithm._decompose.cache_clear()
-    psi = hartree_fock_state(ham, 2, spinful=True)
+    psi = hartree_fock_state(ham, (1, 1))
     for variant in ("basic", "improved"):
         for tau in (0.1, 0.05):
             evolve(psi, thc, ham, t=0.2, spec=StepSpec(tau=tau, variant=variant))
@@ -1124,11 +1145,11 @@ def test_one_givens_circuit_per_factorization(monkeypatch):
 @pytest.mark.parametrize("spinful", [False, True])
 def test_evolve_rejects_mixed_particle_numbers(spinful):
     ham, thc = small_instance(16)
-    layout = ModeLayout(2, 0, spinful)
-    amps = np.zeros(layout.dim, dtype=complex)
+    register = oracles.Register(2, 0, spinful)
+    amps = np.zeros(register.dim, dtype=complex)
     amps[[0b0001, 0b0011]] = 1 / np.sqrt(2)  # one and two particles
     with pytest.raises(ValueError, match="one particle number"):
-        evolve(oracles.from_register(layout, amps), thc, ham, t=0.2, spec=StepSpec(tau=0.1))
+        evolve(oracles.from_register(register, amps), thc, ham, t=0.2, spec=StepSpec(tau=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -1142,15 +1163,16 @@ def test_trotter_bound_zero_for_commuting_terms():
     eri[0, 0, 1, 1] = eri[1, 1, 0, 0] = 0.7
     ham = ElectronicHamiltonian(n, 0.0, h, eri)
     thc = ThcFactorization(u=np.eye(n), vtilde=np.array([[0.0, 0.7], [0.7, 0.0]]))
-    assert trotter_bound(ham, thc, StepSpec(tau=0.1)) == pytest.approx(0.0, abs=1e-12)
+    assert trotter_bound(ham, thc, StepSpec(tau=0.1), system_sectors(n, False)) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_trotter_bound_is_cubic_in_tau():
     # needs n >= 3: on two spinless modes every two-body operator is
     # diagonal and commutes with a diagonal h
     ham, thc = planted_step_instance(16, n=3, m=4)
-    b1 = trotter_bound(ham, thc, StepSpec(tau=0.1))
-    b2 = trotter_bound(ham, thc, StepSpec(tau=0.05))
+    b1 = trotter_bound(ham, thc, StepSpec(tau=0.1), system_sectors(3, False))
+    b2 = trotter_bound(ham, thc, StepSpec(tau=0.05), system_sectors(3, False))
     assert b1 == pytest.approx(8 * b2, rel=1e-12)
     assert b1 > 0
 
@@ -1159,8 +1181,9 @@ def test_trotter_bound_dominates_measured_splitting_error():
     ham, thc = planted_step_instance(17, n=3, m=4)
     tau = 1e-2
     h_only = ElectronicHamiltonian(3, 0.0, ham.h, np.zeros((3, 3, 3, 3)))
-    a = build_many_body_operator(h_only).matrix
-    b = build_many_body_operator(_vprime_hamiltonian(thc)).matrix
+    spinless = system_sectors(3, False)
+    a = build_many_body_operator(h_only, spinless).matrix
+    b = build_many_body_operator(_vprime_hamiltonian(thc), spinless).matrix
     split = (
         scipy.linalg.expm(-1j * tau / 2 * a)
         @ scipy.linalg.expm(-1j * tau * b)
@@ -1168,7 +1191,7 @@ def test_trotter_bound_dominates_measured_splitting_error():
     )
     exact = scipy.linalg.expm(-1j * tau * (a + b))
     measured = np.linalg.norm(split - exact, 2)
-    assert measured <= trotter_bound(ham, thc, StepSpec(tau=tau))
+    assert measured <= trotter_bound(ham, thc, StepSpec(tau=tau), spinless)
 
 
 def interaction_gap(ham, thc, spinful=False) -> float:
@@ -1176,7 +1199,8 @@ def interaction_gap(ham, thc, spinful=False) -> float:
     n = ham.n_orbitals
     diff = ElectronicHamiltonian(n, 0.0, np.zeros((n, n)),
                                  ham.eri - projected_interaction(thc.u, thc.vtilde))
-    return float(np.linalg.norm(build_many_body_operator(diff, spinful=spinful).matrix, 2))
+    matrix = build_many_body_operator(diff, system_sectors(n, spinful)).matrix
+    return float(np.linalg.norm(matrix, 2))
 
 
 def frobenius_rate(ham, thc) -> float:
@@ -1188,13 +1212,13 @@ def frobenius_rate(ham, thc) -> float:
 def test_thc_bound_zero_for_exact_factorization():
     ham, _ = small_instance(18)
     thc = exact_factorize(ham, seed=1)  # m = n^2, exact
-    assert thc_bound(ham, thc) <= 1e-9
+    assert thc_bound(ham, thc, system_sectors(2, False)) <= 1e-9
 
 
 def test_thc_bound_exact_branch_below_frobenius():
     ham = oracles.random_hamiltonian(2, np.random.default_rng(19))
     thc = exact_factorize(ham, m=2, seed=1)  # truncated, inexact
-    bound = thc_bound(ham, thc)
+    bound = thc_bound(ham, thc, system_sectors(2, False))
     assert bound == pytest.approx(interaction_gap(ham, thc), rel=1e-12)
     assert bound <= frobenius_rate(ham, thc)
 
@@ -1202,10 +1226,10 @@ def test_thc_bound_exact_branch_below_frobenius():
 def test_thc_bound_falls_back_to_frobenius_past_memory(monkeypatch):
     ham = oracles.random_hamiltonian(2, np.random.default_rng(19))
     thc = exact_factorize(ham, m=2, seed=1)
-    exact = thc_bound(ham, thc)
+    exact = thc_bound(ham, thc, system_sectors(2, False))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes",
                         lambda: operator_memory_bytes(1 << 2) - 1)
-    bound = thc_bound(ham, thc)
+    bound = thc_bound(ham, thc, system_sectors(2, False))
     assert bound == frobenius_rate(ham, thc)
     assert exact < bound
 
@@ -1229,7 +1253,7 @@ def test_thc_bound_is_the_operator_norm_below_the_frobenius_expression(
         vtilde = rng.normal(size=(n + extra, n + extra))
         thc = ThcFactorization(u=random_co_isometry(n, n + extra, rng),
                                vtilde=0.5 * (vtilde + vtilde.T))
-    bound = thc_bound(ham, thc, spinful)
+    bound = thc_bound(ham, thc, system_sectors(n, spinful))
     assert bound == pytest.approx(interaction_gap(ham, thc, spinful), rel=1e-12)
     assert bound <= frobenius_rate(ham, thc) * (1 + 1e-12)
 
@@ -1239,7 +1263,7 @@ def test_thc_bound_linear_in_time():
     # linearly in the evolution time
     ham = oracles.random_hamiltonian(2, np.random.default_rng(20))
     thc = exact_factorize(ham, m=2, seed=2)
-    bound = thc_bound(ham, thc)
+    bound = thc_bound(ham, thc, system_sectors(2, False))
     assert bound > 0.0
     budget = ErrorBudget(StepSpec(tau=0.1), eps_thc_rate=bound, eps_tr=0.0, eps_pr=0.0)
     assert budget.total(t=2.0) == pytest.approx(2 * budget.total(t=1.0))
@@ -1252,7 +1276,7 @@ def test_thc_bound_linear_in_time():
 def test_projection_error_vanishes_without_ancillas():
     ham, _ = small_instance(21)
     thc = exact_factorize(ham, m=2, seed=3)  # square u: no ancilla modes
-    rho = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(8))
+    rho = random_sector_state(oracles.Register(2, 0), 1, np.random.default_rng(8))
     assert projection_error_measured(thc, rho, StepSpec(tau=0.3)) <= 1e-12
 
 
@@ -1261,7 +1285,7 @@ def test_projection_error_scaling_ratio_is_stable(variant, power):
     # needs a multi-dimensional interacting sector: in a one-dimensional
     # sector the coherent part of the mismatch is an unobservable phase
     ham, thc = planted_step_instance(22, n=3, m=5)
-    rho = random_sector_state(ModeLayout(3, 0), 2, np.random.default_rng(10))
+    rho = random_sector_state(oracles.Register(3, 0), 2, np.random.default_rng(10))
     taus = (0.05, 0.005)
     scaled = [
         projection_error_measured(thc, rho, StepSpec(tau=tau, variant=variant)) / tau**power
@@ -1276,9 +1300,9 @@ def test_projection_error_bound_dominates_measured():
     for variant in ("basic", "improved"):
         for tau in (0.05, 0.01):
             spec = StepSpec(tau=tau, variant=variant)
-            bound = projection_error_bound(thc, spec)
+            bound = projection_error_bound(thc, spec, system_sectors(2, False))
             for n_particles in (1, 2):
-                rho = random_sector_state(ModeLayout(2, 0), n_particles, rng)
+                rho = random_sector_state(oracles.Register(2, 0), n_particles, rng)
                 measured = projection_error_measured(thc, rho, spec)
                 assert measured <= bound + 1e-12
 
@@ -1288,19 +1312,19 @@ def test_projection_error_methods_agree():
     # gate-by-gate full-Fock reference give the same projection error
     _, thc = small_instance(24, n=2, m=3)
     # two particles: one alone feels no two-body phase and never leaks
-    rho = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(12))
+    rho = random_sector_state(oracles.Register(2, 0), 2, np.random.default_rng(12))
     tau = 0.07
     fused = projection_error_measured(thc, rho, StepSpec(tau=tau))
 
     v_only = ElectronicHamiltonian(2, 0.0, np.zeros((2, 2)),
                                    projected_interaction(thc.u, thc.vtilde))
-    engine = _StepEngine(thc, v_only, StepSpec(tau=tau), system_sectors(2, False), False)
-    layout = engine.layout
+    engine = _StepEngine(thc, v_only, StepSpec(tau=tau), system_sectors(2, False))
+    register = oracles.engine_register(engine)
     start = oracles.density(oracles.to_register(rho))
-    extended = oracles.embed_in_ancilla_vacuum(start, layout)
-    stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended, layout)
-    ideal = oracles.evolve_density(build_many_body_operator(v_only, spinful=False), start, tau)
-    gates = oracles.trace_distance(oracles.system_density(stepped, layout), ideal)
+    extended = oracles.embed_in_ancilla_vacuum(start, register)
+    stepped, _ = oracles.full_fock_step(oracles.full_step_unitary(engine), extended, register)
+    ideal = oracles.evolve_density(build_many_body_operator(v_only, engine.sectors), start, tau)
+    gates = oracles.trace_distance(oracles.system_density(stepped, register), ideal)
     assert fused == pytest.approx(gates, abs=1e-12)
 
 
@@ -1312,10 +1336,11 @@ def test_projection_error_methods_agree():
 def test_one_step_error_within_three_error_budget(seed):
     ham, thc = small_instance(seed, n=2, m=2)  # truncated rank: real THC error
     tau = 1e-2
-    psi = random_sector_state(ModeLayout(2, 0), 2, np.random.default_rng(seed))
+    psi = random_sector_state(oracles.Register(2, 0), 2, np.random.default_rng(seed))
     spec = StepSpec(tau=tau)
     measured = evolve(psi, thc, ham, t=tau, spec=spec).error_vs_exact
-    assert measured <= error_budget(ham, thc, spec, psi=psi).total(tau) + 1e-9
+    budget = error_budget(ham, thc, spec, psi=psi, sectors=system_sectors(2, False))
+    assert measured <= budget.total(tau) + 1e-9
 
 
 def test_error_budget_measures_the_projection_after_the_one_body_half_step():
@@ -1323,10 +1348,10 @@ def test_error_budget_measures_the_projection_after_the_one_body_half_step():
     # itself, the projection term leaves this budget at 7.450e-3, below the
     # one-step error of 8.234e-3
     ham, thc = planted_step_instance(4, n=3, m=5)
-    psi = random_sector_state(ModeLayout(3, 0), 2, np.random.default_rng(4))
+    psi = random_sector_state(oracles.Register(3, 0), 2, np.random.default_rng(4))
     spec = StepSpec(tau=0.3)
     measured = evolve(psi, thc, ham, t=0.3, spec=spec).error_vs_exact
-    budget = error_budget(ham, thc, spec, psi=psi)
+    budget = error_budget(ham, thc, spec, psi=psi, sectors=system_sectors(3, False))
     assert measured <= budget.total(0.3)
     assert measured == pytest.approx(8.234e-3, rel=1e-3)
     assert budget.total(0.3) == pytest.approx(8.474e-3, rel=1e-3)
@@ -1339,25 +1364,29 @@ def test_error_budget_half_step_matches_the_register_oracle(n, extra, spinful, v
     # the budget's half-step phases, the step engine's per-cell one-body
     # phases, against the register kernel of the test oracles
     ham, thc = planted_step_instance(seed, n, n + extra)
-    system = ModeLayout(n, 0, spinful)
+    system = oracles.Register(n, 0, spinful)
     rng = np.random.default_rng(seed)
     psi = random_sector_state(system, int(rng.integers(1, system.n_modes + 1)), rng)
     spec = StepSpec(tau=float(rng.uniform(0.01, 0.5)), variant=variant)
-    budget = error_budget(ham, thc, spec, psi=psi, spinful=spinful)
-    half = oracles.diagonal_one_body(psi, np.tile(np.diag(ham.h), system.n_sectors), spec.tau / 2)
+    budget = error_budget(ham, thc, spec, psi=psi, sectors=system.sectors)
+    half = oracles.diagonal_one_body(psi, np.tile(np.diag(ham.h), system.n_spins), spec.tau / 2)
     assert budget.eps_pr == pytest.approx(projection_error_measured(thc, half, spec),
                                           rel=1e-9, abs=1e-14)
 
 
-def test_error_budget_refuses_a_state_of_the_other_spin_layout():
-    # a spinful state with the spinless default would bound the Trotter
-    # error on the wrong register (0.0 for H2, against 2.68e-5 spinful)
+def test_error_budget_refuses_a_state_outside_its_sectors():
+    # the (1, 1) state with the (N, 0) sectors would bound the Trotter error
+    # on the wrong sectors (0.0 for H2, against 2.68e-5 on every sector)
     ham, thc = h2_best_exact_thc()
-    psi = hartree_fock_state(ham, 2, spinful=True)
-    with pytest.raises(ValueError, match="spinful"):
-        error_budget(ham, thc, StepSpec(tau=0.1), psi=psi)
-    budget = error_budget(ham, thc, StepSpec(tau=0.1), psi=psi, spinful=True)
-    assert budget.eps_tr == pytest.approx(2.68e-5, rel=1e-2)
+    psi = hartree_fock_state(ham, (1, 1))
+    assert trotter_bound(ham, thc, StepSpec(tau=0.1), system_sectors(2, False)) == 0.0
+    for sectors in (system_sectors(2, False), [(0, 2), (2, 0)]):
+        with pytest.raises(ValueError, match=r"weight on the sectors \[\(1, 1\)\]"):
+            error_budget(ham, thc, StepSpec(tau=0.1), psi=psi, sectors=sectors)
+    # on the (1, 1) sector alone the budget holds, and so on every sector
+    for sectors in ([(1, 1)], None):
+        budget = error_budget(ham, thc, StepSpec(tau=0.1), psi=psi, sectors=sectors)
+        assert budget.eps_tr == pytest.approx(2.68e-5, rel=1e-2)
 
 
 def test_error_budget_refuses_a_hamiltonian_of_another_size():
@@ -1370,9 +1399,10 @@ def test_error_budget_refuses_a_hamiltonian_of_another_size():
 def test_error_budget_assembles_components():
     ham, thc = small_instance(25, n=2, m=3)
     spec = StepSpec(tau=0.05)
-    psi = random_sector_state(ModeLayout(2, 0), 1, np.random.default_rng(13))
-    with_state = error_budget(ham, thc, spec, psi=psi)
-    without = error_budget(ham, thc, spec)
+    psi = random_sector_state(oracles.Register(2, 0), 1, np.random.default_rng(13))
+    spinless = system_sectors(2, False)
+    with_state = error_budget(ham, thc, spec, psi=psi, sectors=spinless)
+    without = error_budget(ham, thc, spec, sectors=spinless)
     assert with_state.spec == without.spec == spec
     assert with_state.eps_tr == pytest.approx(without.eps_tr)
     assert with_state.eps_thc_rate == pytest.approx(without.eps_thc_rate)

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ import oracles
 from isothc import cli, hamiltonian
 from isothc.algorithm import (
     DEFAULT_PHASES,
+    StepSpec,
     _sectors,
     _step_bytes,
     _StepEngine,
+    evolve,
     hartree_fock_state,
 )
 from isothc.cli import (
@@ -38,9 +41,16 @@ from isothc.hamiltonian import (
     ElectronicHamiltonian,
     _sector_offsets,
     operator_memory_bytes,
+    parse_fcidump,
+    rotate_to_h_eigenbasis,
     write_fcidump,
 )
-from isothc.thc import ThcFactorization, projected_interaction, random_co_isometry
+from isothc.thc import (
+    ThcFactorization,
+    exact_factorize,
+    projected_interaction,
+    random_co_isometry,
+)
 
 
 @pytest.fixture()
@@ -600,7 +610,7 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     assert code == 0
     capsys.readouterr()
     thc = ThcFactorization.from_json((outdir / "thc_m8.json").read_text())
-    psi0 = basis_state(ModeLayout(2, 0, spinful=True), "1111")
+    psi0 = basis_state(ModeLayout(2, 0), "1111")
     needed = _step_bytes(thc.n, thc.m, _sectors(psi0))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
     refuse_to_compile(monkeypatch)
@@ -633,7 +643,7 @@ def test_simulate_admits_twenty_modes_in_512_mib(tmp_path, monkeypatch):
 
     # the exact reference is charged by its block, the 100 system states of
     # the (3, 2) sector, not by the 2^10 states of the 10 system modes
-    psi0 = hartree_fock_state(ham, 5, spinful=True)
+    psi0 = hartree_fock_state(ham, (3, 2))
     reference = operator_memory_bytes(_sector_offsets(5, _sectors(psi0))[-1])
     assert reference == operator_memory_bytes(100) == 6 * 16 * 100**2 + OPERATOR_SCRATCH_BYTES
     assert reference < _step_bytes(thc.n, thc.m, _sectors(psi0))
@@ -676,7 +686,7 @@ def test_simulate_refuses_a_reference_larger_than_memory(tmp_path, capsys, monke
                                 projected_interaction(thc.u, thc.vtilde))
     write_fcidump(ham, tmp_path / "n3.fcidump")
     (tmp_path / "thc.json").write_text(thc.to_json())
-    psi0 = hartree_fock_state(ham, 2, spinful=True)
+    psi0 = hartree_fock_state(ham, (1, 1))
     step = _step_bytes(thc.n, thc.m, _sectors(psi0))
     assert step < operator_memory_bytes(_sector_offsets(3, _sectors(psi0))[-1]) == (
         operator_memory_bytes(9))
@@ -769,6 +779,70 @@ def test_simulate_rejects_bad_initial_state(factorized, capsys):
     ])
     assert code == 1
     assert "initial_state" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def h2_factorized(tmp_path):
+    """The bundled H2 integrals, in their one-body eigenbasis as simulate
+    reads them, and an exact m = 3 factorization, written and read back."""
+    fcidump = files("isothc") / "data" / "h2_sto6g.fcidump"
+    ham, _ = rotate_to_h_eigenbasis(parse_fcidump(str(fcidump)))
+    thc_path = tmp_path / "thc.json"
+    thc_path.write_text(exact_factorize(ham, m=3, seed=0).to_json())
+    return str(fcidump), ham, str(thc_path)
+
+
+@pytest.mark.parametrize("initial_state", ["hartree_fock", "11"])
+def test_simulate_without_spinful_steps_the_up_spin_sector(tmp_path, h2_factorized,
+                                                           initial_state):
+    # without --spinful both electrons go up: the run steps the (2, 0)
+    # Hartree-Fock state, and an occupation string fills the up modes
+    fcidump, ham, thc_path = h2_factorized
+    assert main(["simulate", "--fcidump", fcidump, "--thc", thc_path, "--no-spinful",
+                 "--n-electrons", "2", "--initial-state", initial_state, "--t", "0.2",
+                 "--tau", "0.1", "0.05", "--outdir", str(tmp_path / "sim")]) == 0
+    text = (tmp_path / "sim" / "error_scaling.csv").read_text()
+    errors = [line.split(",")[3] for line in text.splitlines()[1:]]
+    thc = ThcFactorization.from_json(Path(thc_path).read_text())
+    psi0 = hartree_fock_state(ham, (2, 0))
+    assert errors == [
+        f"{evolve(psi0, thc, ham, 0.2, StepSpec(tau=tau, variant=variant)).error_vs_exact:.12e}"
+        for variant in ("basic", "improved") for tau in (0.1, 0.05)]
+
+
+@pytest.mark.parametrize("spin_flag, initial_state, count", [
+    ("--no-spinful", "1100", 2), ("--spinful", "11", 4)])
+def test_simulate_occupation_string_length_follows_the_spin_flag(h2_factorized, capsys,
+                                                                 spin_flag, initial_state,
+                                                                 count):
+    fcidump, _, thc_path = h2_factorized
+    assert main(["simulate", "--fcidump", fcidump, "--thc", thc_path, spin_flag,
+                 "--initial-state", initial_state, "--t", "0.1", "--tau", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: need {count} binary occupations") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("simulate", {"tau": [], "variants": ["basic"]},
+     "config key tau: expected at least one value, got []"),
+    ("factorize", {"m": []}, "config key m: expected at least one value, got []"),
+    ("simulate", {"tau": [0.1], "variants": ["basic"], "phases": [1.0]},
+     "config key phases: expected 3 values, got [1.0]"),
+])
+def test_config_document_list_holds_as_many_values_as_its_flag(tmp_path, h2_factorized,
+                                                               capsys, command, document,
+                                                               message):
+    # argparse refuses an empty --tau or --m and a one-value --phases; a
+    # document's list once ran them, writing a table of no rows or
+    # recording one phase
+    fcidump, _, thc_path = h2_factorized
+    inputs = {"factorize": ["--method", "exact"],
+              "simulate": ["--thc", thc_path, "--t", "0.1", "--spinful", "--n-electrons", "2"]}
+    outdir = tmp_path / "out"
+    assert main([command, "--fcidump", fcidump, *inputs[command],
+                 "--config", write_config(tmp_path, document), "--outdir", str(outdir)]) == 1
+    assert_one_line_error(capsys, message)
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ _rng = np.random.default_rng(20240811)
 def test_single_orbital_spinful_matrix():
     e, v = -0.7, 0.4
     H = ElectronicHamiltonian(1, 0.0, np.array([[e]]), np.full((1, 1, 1, 1), v))
-    op = build_many_body_operator(H, spinful=True)
+    op = build_many_body_operator(H)
     assert op.n_modes == 2
     expected = np.diag([0.0, e, e, 2 * e + v])
     assert_allclose(oracles.register_matrix(op), expected, atol=1e-12)
@@ -44,7 +44,7 @@ def test_two_level_one_electron_ground_state():
                                        (4, True), (5, False)])
 def test_operator_matches_string_oracle(n, spinful):
     H = oracles.random_hamiltonian(n, _rng)
-    op = build_many_body_operator(H, spinful=spinful)
+    op = build_many_body_operator(H, oracles.Register(n, spinful=spinful).sectors)
     assert_allclose(oracles.register_matrix(op), oracles.dense_hamiltonian(H, spinful),
                     atol=1e-10)
 
@@ -53,26 +53,28 @@ def test_operator_matches_string_oracle(n, spinful):
 def test_ground_state_matches_full_ci_oracle(n, n_elec, spinful):
     H = oracles.random_hamiltonian(n, _rng)
     expected = oracles.full_ci_ground_energy(H, n_elec, spinful)
-    assert ground_state_energy(H, n_elec, spinful=spinful) == pytest.approx(
-        expected, abs=1e-10
-    )
+    if spinful:
+        energy = ground_state_energy(H, n_elec)
+    else:  # the spinless problem is the (N, 0) sector
+        energy = np.linalg.eigvalsh(build_many_body_operator(H, [(n_elec, 0)]).matrix)[0]
+    assert energy == pytest.approx(expected, abs=1e-10)
 
 
 def test_layouts_past_63_modes_per_spin_are_refused():
     # each spin's strings are int64 bitmasks of modes 0 .. 62: mode 63's bit
     # would wrap to -2**63
     limit = "64 modes per spin exceed the 63-mode limit of int64 spin strings"
-    for layout in ((64, 0), (63, 1, True), (60, 4, False)):
+    for layout in ((64, 0), (63, 1), (60, 4)):
         with pytest.raises(ValueError, match=limit):
             ModeLayout(*layout)
-    assert ModeLayout(62, 1, spinful=True).sector_size == MAX_SPIN_MODES == 63
+    assert ModeLayout(62, 1).sector_size == MAX_SPIN_MODES == 63
     top = hamiltonian._string_tables(63, 1)[0]
     assert top.size == 63 and top[-1] == 1 << 62
     # the limit is per spin: 64 modes of two spins hold one electron in 32
     # orbitals, whose energy is the lowest one-body level
     H = oracles.random_hamiltonian(32, np.random.default_rng(0))
-    assert ModeLayout(32, 0, spinful=True).n_modes == 64
-    assert ground_state_energy(H, 1, spinful=True) == pytest.approx(
+    assert ModeLayout(32, 0).n_modes == 64
+    assert ground_state_energy(H, 1) == pytest.approx(
         np.linalg.eigvalsh(H.h)[0], abs=1e-10)
 
 
@@ -80,7 +82,7 @@ def test_layouts_past_63_modes_per_spin_are_refused():
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_operator_is_hermitian_and_number_conserving(n, seed):
     H = oracles.random_hamiltonian(n, np.random.default_rng(seed))
-    op = build_many_body_operator(H)
+    op = build_many_body_operator(H, oracles.Register(n).sectors)
     assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-12)
     matrix = oracles.register_matrix(op)
     weights = np.array([bin(x).count("1") for x in range(2**n)])
@@ -96,7 +98,7 @@ def test_operator_matches_string_oracle_with_core_energy(spinful, n, seed):
     drawn = oracles.random_hamiltonian(n, rng)
     core = float(rng.uniform(-2.0, 2.0)) or 1.0
     H = ElectronicHamiltonian(n, core, drawn.h, drawn.eri)
-    op = build_many_body_operator(H, spinful=spinful)
+    op = build_many_body_operator(H, oracles.Register(n, spinful=spinful).sectors)
     assert op.matrix.dtype == complex
     assert_allclose(oracles.register_matrix(op), oracles.dense_hamiltonian(H, spinful),
                     rtol=0, atol=1e-12)
@@ -115,18 +117,18 @@ def test_mode_cap_enforced(monkeypatch):
     monkeypatch.setattr(hamiltonian, "_string_tables", no_build)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: pairs - 1)
     with pytest.raises(ValueError, match="4 modes .* physical memory"):
-        build_many_body_operator(H, spinful=True)
+        build_many_body_operator(H)
     with pytest.raises(ValueError, match="4 modes .* physical memory"):
-        ground_state_energy(H, 2, spinful=True)
+        ground_state_energy(H, 2)
     monkeypatch.undo()
     # the two-electron block fits where the full operator does not
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: full - 1)
     with pytest.raises(ValueError, match="4 modes .* physical memory"):
-        build_many_body_operator(H, spinful=True)
-    assert ground_state_energy(H, 2, spinful=True) == pytest.approx(
+        build_many_body_operator(H)
+    assert ground_state_energy(H, 2) == pytest.approx(
         oracles.full_ci_ground_energy(H, 2, True), abs=1e-10)
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: full)
-    op = build_many_body_operator(H, spinful=True)
+    op = build_many_body_operator(H)
     assert_allclose(oracles.register_matrix(op), oracles.dense_hamiltonian(H, spinful=True),
                     atol=1e-10)
 
@@ -141,7 +143,7 @@ def test_operator_estimate_bounds_the_traced_peak_of_many_modes(n, n_electrons, 
     hamiltonian._string_tables.cache_clear()  # trace a cold build
     tracemalloc.start()
     try:
-        ground_state_energy(H, n_electrons, spinful=True)
+        ground_state_energy(H, n_electrons)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -160,10 +162,11 @@ def test_string_table_cache_keeps_at_most_eight_tables():
 
 def sector_rows(n_modes: int, size: int, sectors) -> np.ndarray:
     """Every basis state of ``n_modes`` modes whose per-spin particle counts
-    (``size`` modes per spin) are one of ``sectors``, by brute force."""
+    (``size`` modes per spin, up then down, none down past ``n_modes``) are
+    one of ``sectors``, by brute force."""
     states = np.arange(1 << n_modes)
     counts = [[bin((x >> (spin * size)) & ((1 << size) - 1)).count("1")
-               for spin in range(n_modes // size)] for x in states]
+               for spin in range(2)] for x in states]
     return states[[tuple(c) in sectors for c in counts]]
 
 
@@ -173,32 +176,30 @@ def test_sector_build_is_the_block_of_the_full_build(spinful, n, seed, data):
     rng = np.random.default_rng(seed)
     drawn = oracles.random_hamiltonian(n, rng)
     H = ElectronicHamiltonian(n, float(rng.uniform(-2.0, 2.0)), drawn.h, drawn.eri)
-    full = build_many_body_operator(H, spinful=spinful)
+    register = oracles.Register(n, spinful=spinful)
+    every = register.sectors
+    full = build_many_body_operator(H, every)
     assert_allclose(oracles.register_matrix(full), oracles.dense_hamiltonian(H, spinful),
                     rtol=0, atol=1e-12)
-    every = [(a, b) for a in range(n + 1) for b in range(n + 1)] if spinful else [
-        (a,) for a in range(n + 1)]
     sectors = sorted(data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True)))
-    layout = ModeLayout(n, 0, spinful)
-    listed = oracles.register_order(layout, sectors)
-    assert np.array_equal(np.sort(listed), sector_rows(full.n_modes, n, set(sectors)))
-    op = build_many_body_operator(H, spinful=spinful, sectors=sectors)
+    listed = oracles.register_order(register, sectors)
+    assert np.array_equal(np.sort(listed), sector_rows(register.n_modes, n, set(sectors)))
+    op = build_many_body_operator(H, sectors)
     assert op.sectors == tuple(sectors)
-    cells = oracles.register_positions(layout)[listed]  # their cells in the full build
+    cells = oracles.register_positions(register)[listed]  # their cells in the full build
     assert np.array_equal(op.matrix, full.matrix[np.ix_(cells, cells)])
-    # the default sectors are every sector, as listed sectors too
     assert full.sectors == tuple(every)
-    listed = build_many_body_operator(H, spinful=spinful, sectors=every)
-    assert np.array_equal(listed.matrix, full.matrix)
+    # the default sectors are every two-spin sector
+    if spinful:
+        assert np.array_equal(build_many_body_operator(H).matrix, full.matrix)
 
 
 def test_operator_sectors_must_ascend():
     H = oracles.random_hamiltonian(2, _rng)
-    for sectors in ([(1,), (0,)], [(0,), (0,), (1,)], [(0,), (3,)], [(0, 1)], [(-1,)]):
+    for sectors in ([(1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)], [(0, 0), (3, 0)],
+                    [(0, 1, 0)], [(-1, 0)], [(1,)]):
         with pytest.raises(ValueError, match="ascending"):
-            build_many_body_operator(H, sectors=sectors)
-    with pytest.raises(ValueError, match="ascending"):
-        build_many_body_operator(H, spinful=True, sectors=[(1,)])
+            build_many_body_operator(H, sectors)
 
 
 def test_rotation_diagonalizes_h_and_preserves_spectrum():
@@ -310,5 +311,6 @@ def test_operator_norm_bounded_by_twice_l1(n, seed):
     H = oracles.random_hamiltonian(n, np.random.default_rng(seed))
     zero_h = ElectronicHamiltonian(n, 0.0, H.h, np.zeros_like(H.eri))
     zero_v = ElectronicHamiltonian(n, 0.0, np.zeros_like(H.h), H.eri)
-    assert build_many_body_operator(zero_h).norm() <= 2 * np.abs(H.h).sum() + 1e-9
-    assert build_many_body_operator(zero_v).norm() <= 2 * np.abs(H.eri).sum() + 1e-9
+    spinless = oracles.Register(n).sectors
+    assert build_many_body_operator(zero_h, spinless).norm() <= 2 * np.abs(H.h).sum() + 1e-9
+    assert build_many_body_operator(zero_v, spinless).norm() <= 2 * np.abs(H.eri).sum() + 1e-9
