@@ -15,13 +15,17 @@ the ancilla vacuum cancel.
 Since the ancillas start every step in the vacuum and are reset after it,
 only the ancilla-vacuum columns U P of the step unitary are ever compiled,
 and only on the rows that can be nonzero.  The extended register exists
-only inside the step engine; every public function takes and returns
-system-only states, in the sector-major order of ``hamiltonian``.  A
-sector's extended cells are its grid of down and up strings of m modes
-per spin, and its system cells, the columns, are the same grid over the
-n system modes.  The system strings are the first C(n, k) of the
-ascending C(m, k) strings, so the system cell (d, u) is the extended cell
-(d, u) of the same sector: K_0 is the grid's top-left corner.
+only inside the step engine, as its ``layout``: each spin holds the n
+system modes (``a``) and then one ancilla mode (``b``) per THC rank past
+n, m modes in all, the up spin at modes 0 .. m-1 and the down spin at
+m .. 2m-1, and a basis rotation acts on both spins.  Every public
+function takes and returns states of the n orbitals alone, in the
+sector-major order of ``hamiltonian``.  A sector's extended cells are its
+grid of down and up strings of m modes per spin, and its system cells,
+the columns, are the same grid over the n system modes.  The system
+strings are the first C(n, k) of the ascending C(m, k) strings, so the
+system cell (d, u) is the extended cell (d, u) of the same sector: K_0 is
+the grid's top-left corner.
 
 The step conserves the particle number of each spin on the extended
 register, so the vacuum block K_0 = <0|U|., 0> maps every (N_up, N_down)
@@ -84,7 +88,6 @@ from .focksim import (
     FockState,
     GivensSequence,
     InvariantError,
-    ModeLayout,
     basis_state,
     exact_evolution,
     givens_decompose,
@@ -240,7 +243,7 @@ def hartree_fock_state(
     occupations = np.zeros(2 * n, dtype=int)
     occupations[order[:n_up]] = 1
     occupations[n + order[:n_down]] = 1
-    return basis_state(ModeLayout(n, 0), occupations)
+    return basis_state(n, occupations)
 
 
 def _vprime_hamiltonian(thc: ThcFactorization) -> ElectronicHamiltonian:
@@ -270,7 +273,7 @@ def _half_step_phases(occ: list[np.ndarray], energies: np.ndarray, tau: float) -
 
 def _blocks(state: FockState) -> dict[tuple[int, int], np.ndarray]:
     """The amplitudes of each sector of ``state``, as views."""
-    offsets = _sector_offsets(state.layout.sector_size, state.sectors)
+    offsets = _sector_offsets(state.n_orbitals, state.sectors)
     return {counts: state.amplitudes[start:stop]
             for counts, start, stop in zip(state.sectors, offsets, offsets[1:])}
 
@@ -292,7 +295,7 @@ def _on_sectors(state: FockState, sectors: list[tuple[int, int]]) -> FockState:
     """``state`` on ``sectors``, some of its own that hold every nonzero
     amplitude of it: the gather of their blocks."""
     blocks = _blocks(state)
-    return FockState(state.layout, np.concatenate([blocks[c] for c in sectors]), sectors)
+    return FockState(state.n_orbitals, np.concatenate([blocks[c] for c in sectors]), sectors)
 
 
 @functools.lru_cache(maxsize=8)
@@ -351,6 +354,27 @@ def _rotate(x: np.ndarray, c_down: np.ndarray, c_up: np.ndarray,
 # ---------------------------------------------------------------------------
 # The step circuit
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModeLayout:
+    """The step engine's extended register: per spin, the system modes and
+    then the ancilla modes (module docstring)."""
+
+    n_system: int
+    n_ancilla: int
+
+    @property
+    def sector_size(self) -> int:
+        return self.n_system + self.n_ancilla
+
+    @property
+    def n_modes(self) -> int:
+        return 2 * self.sector_size
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n_modes
+
 
 class _StepEngine:
     """One compiled step on the extended layout of ``thc``, on the support S:
@@ -520,7 +544,7 @@ def evolve(
     """Repeat the Trotter step ``spec`` for ``round(t / spec.tau)`` steps and
     compare to e^{-iHt}.
 
-    ``psi0`` is a pure state on the system-only layout with one total
+    ``psi0`` is a pure state of the Hamiltonian's orbitals with one total
     particle number (``ValueError`` otherwise).  Only its sectors S are
     stepped, as one vector psi -> K_0 psi; the weight each step moves below
     S, read from the rows that leave the ancilla vacuum, goes to
@@ -530,11 +554,7 @@ def evolve(
     1/2 ||psi psi^dagger - phi phi^dagger||_1 + 1/2 sum(leaked_weight);
     phi stays in S, so the reference is the dense block of H on S alone.
     """
-    if psi0.layout.n_ancilla != 0:
-        raise ValueError("psi0 must live on a system-only layout")
-    if psi0.layout.n_system != thc.n:
-        raise ValueError("psi0 does not match the factorization size")
-    if psi0.layout.n_system != hamiltonian.n_orbitals:
+    if psi0.n_orbitals != hamiltonian.n_orbitals:
         raise ValueError("psi0 does not match the Hamiltonian size")
     if t < 0:
         raise ValueError(f"evolution time t = {t:g} must be nonnegative")
@@ -621,9 +641,10 @@ def projection_error_measured(
     """Trace distance between the reset interaction step and the ideal one.
 
     One step ``spec`` of :func:`evolve` under the recontracted interaction
-    V' alone (no one-body part) from ``psi``, a system-only pure state of
-    one particle number, against evolution under V' for time ``spec.tau``;
-    this isolates the vacuum-projection error of a step.
+    V' alone (no one-body part) from ``psi``, a pure state of the
+    factorization's orbitals and one particle number, against evolution
+    under V' for time ``spec.tau``; this isolates the vacuum-projection
+    error of a step.
     """
     return evolve(psi, thc, _vprime_hamiltonian(thc), spec.tau, spec).error_vs_exact
 
@@ -685,10 +706,10 @@ def error_budget(
     else:
         energies = _diagonal_entries(hamiltonian)
         half = np.concatenate([
-            block * _half_step_phases(_occupations(psi.layout.n_system, counts),
+            block * _half_step_phases(_occupations(psi.n_orbitals, counts),
                                       energies, spec.tau).reshape(-1)
             for counts, block in _blocks(psi).items()])
-        eps_pr = projection_error_measured(thc, FockState(psi.layout, half, psi.sectors), spec)
+        eps_pr = projection_error_measured(thc, FockState(psi.n_orbitals, half, psi.sectors), spec)
     return ErrorBudget(spec, eps_thc_rate=rate, eps_tr=eps_tr, eps_pr=eps_pr)
 
 

@@ -48,7 +48,7 @@ from .algorithm import (
     evolve,
     hartree_fock_state,
 )
-from .focksim import ModeLayout, basis_state
+from .focksim import basis_state
 from .hamiltonian import (
     ElectronicHamiltonian,
     parse_fcidump,
@@ -151,8 +151,8 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _load_hamiltonian(path: str | Path) -> ElectronicHamiltonian:
@@ -281,7 +281,7 @@ def _initial_state(cfg: dict, rotated: ElectronicHamiltonian):
             if len(spec) != n:
                 raise ValueError(f"need {n} binary occupations of the up modes, got {spec!r}")
             spec += "0" * n  # the down modes stay empty
-        return basis_state(ModeLayout(n, 0), spec)
+        return basis_state(n, spec)
     raise ValueError(
         f"initial_state must be 'hartree_fock' or a 0/1 occupation string, got {spec!r}"
     )

@@ -1,21 +1,17 @@
 """Exact simulation primitives on small fermionic Fock spaces.
 
-A ``FockState`` holds one amplitude vector on a list of per-spin
-particle-number sectors (N_up, N_down), every sector of its layout by
+A ``FockState`` holds its number of orbitals and one amplitude vector on a
+list of per-spin particle-number sectors (N_up, N_down), every sector by
 default; it is the one state type, and ``exact_evolution`` acts on it on
-an operator's sectors.  The register always holds both spins, and a
+an operator's sectors.  Every orbital holds one mode per spin, and a
 state's sectors say what each spin holds: a spinless state is one on
 (N, 0) sectors.  Its rows are the cells of those sectors in the
 sector-major order of ``hamiltonian``: sector by sector, ascending, and
 within a sector its grid of down and up strings row-major, each spin's
 k-particle strings ascending as bitmasks with mode 0 as the least
 significant bit.  No full-register basis index exists, so a state costs
-its sectors' cells only; the strings are int64, so a layout holds at
-most ``MAX_SPIN_MODES`` = 63 modes per spin.  Layouts distinguish system
-modes (``a``) from ancilla modes (``b``); the up-spin sector occupies
-modes ``0 .. sector_size-1`` and the down-spin sector the next
-``sector_size`` modes, with a-modes before b-modes inside each sector,
-and a rotation acts on both sectors.
+its sectors' cells only; the strings are int64, and ``hamiltonian``
+refuses more than 63 orbitals.
 
 Basis-rotation circuits are defined and decomposed here.  No kernel here
 applies one: the step engine of ``algorithm`` runs a circuit once on the
@@ -49,7 +45,6 @@ from .hamiltonian import ManyBodyOperator, _sector_list, _sector_offsets
 
 __all__ = [
     "InvariantError",
-    "ModeLayout",
     "FockState",
     "GivensRotation",
     "GivensSequence",
@@ -58,60 +53,28 @@ __all__ = [
     "exact_evolution",
 ]
 
-# each spin's occupation string is an int64 bitmask, and bit 63 is the sign bit
-MAX_SPIN_MODES = 63
-
 
 class InvariantError(ValueError):
     """A simulation invariant (trace, rotation count) failed to hold."""
-
-
-@dataclass(frozen=True)
-class ModeLayout:
-    """How the register's modes of each spin split into system and ancilla
-    modes."""
-
-    n_system: int
-    n_ancilla: int
-
-    def __post_init__(self) -> None:
-        if self.n_system < 1 or self.n_ancilla < 0:
-            raise ValueError("need n_system >= 1 and n_ancilla >= 0")
-        if self.sector_size > MAX_SPIN_MODES:
-            raise ValueError(f"{self.sector_size} modes per spin exceed the "
-                             f"{MAX_SPIN_MODES}-mode limit of int64 spin strings")
-
-    @property
-    def sector_size(self) -> int:
-        return self.n_system + self.n_ancilla
-
-    @property
-    def n_modes(self) -> int:
-        return 2 * self.sector_size
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_modes
 
 
 @dataclass
 class FockState:
     """Pure state amplitudes on per-spin particle-number sectors.
 
-    ``sectors`` lists ascending (N_up, N_down) pairs, every sector of the
-    layout by default; row ``i`` of ``amplitudes`` is the i-th cell of
-    those sectors in sector-major order (module docstring).
+    ``sectors`` lists ascending (N_up, N_down) pairs of ``n_orbitals``
+    orbitals, every sector by default; row ``i`` of ``amplitudes`` is the
+    i-th cell of those sectors in sector-major order (module docstring).
     """
 
-    layout: ModeLayout
+    n_orbitals: int
     amplitudes: np.ndarray
     sectors: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        size = self.layout.sector_size
-        self.sectors = _sector_list(size, self.sectors)
+        self.sectors = _sector_list(self.n_orbitals, self.sectors)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        want = (_sector_offsets(size, self.sectors)[-1],)
+        want = (_sector_offsets(self.n_orbitals, self.sectors)[-1],)
         if self.amplitudes.shape != want:
             raise ValueError(f"array shape {self.amplitudes.shape} does not match "
                              f"the shape {want} on its sectors")
@@ -120,26 +83,26 @@ class FockState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def basis_state(layout: ModeLayout, occupations: str | list[int]) -> FockState:
-    """Computational basis state; ``occupations`` is the filling of each
-    mode, the up string and then the down string.
+def basis_state(n_orbitals: int, occupations: str | list[int]) -> FockState:
+    """Computational basis state; ``occupations`` holds the 2 n_orbitals
+    mode fillings, the up string and then the down string.
 
     The state lives on its one sector, with one cell set: the cell of the
     spins' strings, each string's rank among the ascending k-particle
     strings being its colex rank sum_i C(c_i, i) over its modes
     c_1 < ... < c_k."""
     occ = [int(c) for c in occupations]
-    if len(occ) != layout.n_modes or any(o not in (0, 1) for o in occ):
-        raise ValueError(f"need {layout.n_modes} binary occupations, got {occupations!r}")
-    m = layout.sector_size
-    spins = [[mode for mode in range(m) if occ[start + mode]] for start in (0, m)]
+    n = n_orbitals
+    if len(occ) != 2 * n or any(o not in (0, 1) for o in occ):
+        raise ValueError(f"need {2 * n} binary occupations, got {occupations!r}")
+    spins = [[mode for mode in range(n) if occ[start + mode]] for start in (0, n)]
     cell = 0
     for modes in reversed(spins):  # the down string's rank is the major index
-        cell = cell * math.comb(m, len(modes)) + sum(
+        cell = cell * math.comb(n, len(modes)) + sum(
             math.comb(c, i) for i, c in enumerate(modes, start=1))
-    amplitudes = np.zeros(math.prod(math.comb(m, len(modes)) for modes in spins), dtype=complex)
+    amplitudes = np.zeros(math.prod(math.comb(n, len(modes)) for modes in spins), dtype=complex)
     amplitudes[cell] = 1.0
-    return FockState(layout, amplitudes, [tuple(len(modes) for modes in spins)])
+    return FockState(n, amplitudes, [tuple(len(modes) for modes in spins)])
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +214,12 @@ def givens_decompose(u: np.ndarray) -> GivensSequence:
 def exact_evolution(op: ManyBodyOperator, state: FockState, t: float) -> FockState:
     """Evolve a state on the operator's sectors by ``exp(-i op t)`` via its
     eigensystem."""
-    layout = state.layout
-    if op.n_modes != layout.n_modes:
-        raise ValueError(
-            f"operator on {op.n_modes} modes cannot evolve a {layout.n_modes}-mode state"
-        )
+    if op.n_orbitals != state.n_orbitals:
+        raise ValueError(f"operator on {op.n_orbitals} orbitals cannot evolve a "
+                         f"{state.n_orbitals}-orbital state")
     if op.sectors != state.sectors:
         raise ValueError("the state does not live on the operator's sectors")
     w, v = op.eigensystem()
     phases = np.exp(-1j * w * t)
-    return FockState(layout, v @ (phases * (v.conj().T @ state.amplitudes)), state.sectors)
+    amplitudes = v @ (phases * (v.conj().T @ state.amplitudes))
+    return FockState(state.n_orbitals, amplitudes, state.sectors)

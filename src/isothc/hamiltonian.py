@@ -22,10 +22,11 @@ Conventions used throughout the package:
   one another in that order, and within a sector of n modes per spin its
   C(n, N_down) x C(n, N_up) grid of down and up strings is listed
   row-major, down-string rank then up-string rank, with each spin's
-  k-particle strings ascending as int64 bitmasks (mode k at bit k, so at
-  most 63 modes per spin).  On one sector this is the ascending order of
-  the basis indices.  ``_sector_offsets`` places the sectors, for every
-  module.
+  k-particle strings ascending as int64 bitmasks (mode k at bit k).  On
+  one sector this is the ascending order of the basis indices.
+  ``_sector_offsets`` places the sectors, for every module, and refuses
+  more than ``MAX_SPIN_MODES`` = 63 modes per spin before any string is
+  built: every state, operator and step engine passes it first.
 * H is built one sector at a time on its string grid, with E_pq =
   E_up_pq (x) 1 + 1 (x) E_down_pq: each spin's tables list, for every
   k-particle string, the k(n - k) + k excitations a+_p a_q that keep it,
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-10
+# each spin's occupation string is an int64 bitmask, and bit 63 is the sign bit
+MAX_SPIN_MODES = 63
 # the eight index permutations of (ij|kl) under which real-orbital integrals
 # are symmetric, as numpy transpose axes; the first is the identity
 ERI_PERMUTATIONS = (
@@ -107,6 +110,9 @@ class ElectronicHamiltonian:
             raise ValueError(f"h has shape {h.shape}, expected {(n, n)}")
         if eri.shape != (n, n, n, n):
             raise ValueError(f"eri has shape {eri.shape}, expected {(n,) * 4}")
+        if not (np.isfinite(h).all() and np.isfinite(eri).all()
+                and math.isfinite(self.core_energy)):
+            raise ValueError("h, eri and the core energy must be finite")
         if not np.allclose(h, h.T, atol=SYMMETRY_TOL, rtol=0.0):
             raise ValueError("h is not symmetric")
         for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
@@ -154,7 +160,8 @@ def parse_fcidump(path_or_text: str | Path) -> ElectronicHamiltonian:
       expanded to all eight permutation images.
 
     Duplicate entries that disagree by more than 1e-10 raise
-    :class:`FcidumpError` naming the offending line.
+    :class:`FcidumpError` naming the offending line.  A NORB whose n^4
+    integrals exceed physical memory is refused before they are allocated.
     """
     as_path = Path(path_or_text)
     try:
@@ -189,6 +196,7 @@ def parse_fcidump(path_or_text: str | Path) -> ElectronicHamiltonian:
     n_electrons = int(keys["NELEC"].split(",")[0]) if "NELEC" in keys else None
     ms2 = int(keys["MS2"].split(",")[0]) if "MS2" in keys else None
 
+    _admit_memory("the FCIDUMP integrals", 2 * n, 8 * n**4)
     h = np.zeros((n, n))
     eri = np.zeros((n, n, n, n))
     core = 0.0
@@ -341,7 +349,12 @@ def _sector_list(size: int, sectors=None) -> tuple[tuple[int, int], ...]:
 def _sector_offsets(size: int, sectors) -> list[int]:
     """Where the block of each of ``sectors`` starts in sector-major order,
     then the total: the sector (N_up, N_down) of ``size`` modes per spin
-    holds C(size, N_down) C(size, N_up) cells."""
+    holds C(size, N_down) C(size, N_up) cells.  The one check of the
+    int64 string limit: more than ``MAX_SPIN_MODES`` modes per spin are
+    refused here, before any string of them is built."""
+    if size > MAX_SPIN_MODES:
+        raise ValueError(f"{size} modes per spin exceed the "
+                         f"{MAX_SPIN_MODES}-mode limit of int64 spin strings")
     return list(itertools.accumulate(
         (math.prod(math.comb(size, k) for k in counts) for counts in sectors), initial=0))
 
@@ -349,21 +362,21 @@ def _sector_offsets(size: int, sectors) -> list[int]:
 @dataclass(frozen=True)
 class ManyBodyOperator:
     """A Hermitian operator on the (N_up, N_down) sectors ``sectors`` of
-    ``n_modes`` modes, half of them per spin, every sector by default.
+    ``n_orbitals`` orbitals, each holding one mode per spin, every sector
+    by default.
 
     ``matrix`` is indexed in sector-major order (module docstring), as the
     amplitudes of a ``FockState`` on the same sectors are.
     """
 
-    n_modes: int
+    n_orbitals: int
     matrix: np.ndarray
     sectors: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        size = self.n_modes // 2
-        sectors = _sector_list(size, self.sectors)
+        sectors = _sector_list(self.n_orbitals, self.sectors)
         object.__setattr__(self, "sectors", sectors)
-        dim = _sector_offsets(size, sectors)[-1]
+        dim = _sector_offsets(self.n_orbitals, sectors)[-1]
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} != {(dim, dim)}")
 
@@ -463,11 +476,10 @@ def build_many_body_operator(
     """
     H = hamiltonian
     n = H.n_orbitals
-    n_modes = 2 * n
     sectors = _sector_list(n, sectors)
     offsets = _sector_offsets(n, sectors)
     dim = offsets[-1]
-    _admit_memory("the many-body operator", n_modes, operator_memory_bytes(dim))
+    _admit_memory("the many-body operator", 2 * n, operator_memory_bytes(dim))
 
     # H = sum_pq K_pq E_pq + 1/2 sum_pqrs V_pqrs E_pq E_rs + core, with
     # K_pq = h_pq - 1/2 sum_r V_prrq and E_pq = E_up_pq + E_down_pq
@@ -497,7 +509,7 @@ def build_many_body_operator(
         cells = slice(start, start + c_d * c_u)
         matrix.real[cells, cells] = (block.reshape(-1) + cross).reshape(c_d * c_u, -1)
     matrix.reshape(-1).real[:: dim + 1] += H.core_energy
-    return ManyBodyOperator(n_modes=n_modes, matrix=matrix, sectors=sectors)
+    return ManyBodyOperator(n_orbitals=n, matrix=matrix, sectors=sectors)
 
 
 def ground_state_energy(

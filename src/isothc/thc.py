@@ -83,6 +83,8 @@ class ThcFactorization:
         n, m = u.shape
         if vtilde.shape != (m, m):
             raise ValueError(f"vtilde shape {vtilde.shape} does not match m = {m}")
+        if not all(np.isfinite(a).all() for a in (u, vtilde, self.htilde) if a is not None):
+            raise ValueError("u, vtilde and htilde must be finite")
         if np.max(np.abs(u @ u.T - np.eye(n))) > CO_ISOMETRY_TOL:
             raise ValueError("u is not a co-isometry within tolerance")
         if np.max(np.abs(vtilde - vtilde.T)) > VTILDE_SYMMETRY_TOL:
@@ -128,6 +130,8 @@ class ThcFactorization:
         doc = json.loads(text)
         n, m = int(doc["n"]), int(doc["m"])
         prov = doc.get("provenance", {})
+        if not isinstance(prov, dict):
+            raise ValueError(f"provenance must be an object, got {prov!r}")
         htilde = doc.get("htilde")
         return cls(
             u=np.array(doc["u"], dtype=float).reshape(n, m),

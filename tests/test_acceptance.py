@@ -11,6 +11,7 @@ from importlib.resources import files
 import numpy as np
 
 import oracles
+from oracles import h2_exact_thc, h2_hamiltonian
 from isothc.algorithm import (
     DEFAULT_PHASES,
     StepSpec,
@@ -23,11 +24,10 @@ from isothc.algorithm import (
     thc_bound,
 )
 from isothc.cli import FIT_DEFAULTS, cmd_fit, fit_loglog
-from isothc.focksim import ModeLayout, basis_state
+from isothc.focksim import basis_state
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
     ground_state_energy,
-    parse_fcidump,
     rotate_to_h_eigenbasis,
 )
 from isothc.resources import MottaParams, estimate_step, motta_estimate, t_count
@@ -43,25 +43,6 @@ from isothc.thc import (
 )
 
 DATA = files("isothc") / "data"
-
-
-def h2_hamiltonian():
-    ham = parse_fcidump(str(DATA / "h2_sto6g.fcidump"))
-    rotated, _ = rotate_to_h_eigenbasis(ham)
-    return rotated
-
-
-def h2_exact_thc(m=3, n_seeds=10):
-    """Exact rank-3 factorization with the best-conditioned core.
-
-    Every generic co-isometry is exact here, but the pseudoinverse core can
-    be arbitrarily large when the product matrix is nearly singular; the
-    smallest entrywise-l1 core over a few seeds keeps time steps in the
-    perturbative regime.
-    """
-    rotated = h2_hamiltonian()
-    candidates = [exact_factorize(rotated, m=m, seed=seed) for seed in range(n_seeds)]
-    return rotated, min(candidates, key=lambda f: float(np.abs(f.vtilde).sum()))
 
 
 def test_criterion_01_single_step_resources():
@@ -214,7 +195,7 @@ def test_criterion_07_three_term_error_decomposition():
         rotated, _ = rotate_to_h_eigenbasis(ham)
         thc = exact_factorize(rotated, m=m, seed=300 + k)
         # both electrons up: the spinless problem, on its (N, 0) sectors
-        psi = basis_state(ModeLayout(2, 0), "1100")
+        psi = basis_state(2, "1100")
         spec = StepSpec(tau=tau)
         measured = evolve(psi, thc, rotated, tau, spec).error_vs_exact
         # the projection term is measured on the state after the inner h

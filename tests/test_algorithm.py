@@ -175,15 +175,6 @@ def test_h2_givens_sequence_is_pinned(m):
     assert givens_decompose(thc.u).to_json() == H2_GIVENS_JSON[m]
 
 
-def h2_best_exact_thc(m=3, n_seeds=10):
-    """H2 integrals and the exact factorization with the smallest core, as
-    the acceptance criteria and the simulate-h2 benchmark choose it."""
-    fcidump = files("isothc") / "data" / "h2_sto6g.fcidump"
-    ham, _ = rotate_to_h_eigenbasis(parse_fcidump(str(fcidump)))
-    candidates = [exact_factorize(ham, m=m, seed=seed) for seed in range(n_seeds)]
-    return ham, min(candidates, key=lambda f: float(np.abs(f.vtilde).sum()))
-
-
 # projection errors of the Hartree-Fock state at criterion 6's taus and the
 # bound at tau = 0.01, pinned to the last bit for the bundled H2 integrals
 H2_PROJECTION_TAUS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
@@ -198,7 +189,7 @@ H2_PROJECTION_BOUND = {"basic": "6.158464476740255e-05", "improved": "1.26455241
 
 @pytest.mark.parametrize("variant", ["basic", "improved"])
 def test_h2_projection_errors_are_pinned(variant):
-    ham, thc = h2_best_exact_thc()
+    ham, thc = oracles.h2_exact_thc()
     psi = hartree_fock_state(ham, (1, 1))
     measured = [repr(projection_error_measured(thc, psi, StepSpec(tau=tau, variant=variant)))
                 for tau in H2_PROJECTION_TAUS]
@@ -213,7 +204,7 @@ def test_h2_projection_bound_lies_within_the_float64_floor(variant):
     # long double on every sector (U P from Leibniz minors, the ideal from a
     # Taylor exponential, each norm a Rayleigh quotient): a route that moves
     # the bound's bits must stay this close
-    _, thc = h2_best_exact_thc()
+    _, thc = oracles.h2_exact_thc()
     spec = StepSpec(tau=1e-2, variant=variant)
     exact = oracles.projection_bound_long_double(thc, spec)
     fresh = projection_error_bound(thc, spec)
@@ -395,16 +386,21 @@ def test_step_channel_rejects_leaked_input():
     register = oracles.Register(thc.n, thc.m - thc.n)
     amps = np.zeros(register.dim, dtype=complex)
     amps[1 << oracles.ancilla_modes(register)[0]] = 1.0  # ancilla occupied
-    # the step takes system states only; an extended one is refused
-    with pytest.raises(ValueError, match="system-only"):
+    # the step takes states of the Hamiltonian's orbitals only; a state of
+    # the extended register is a state of more orbitals, and is refused
+    with pytest.raises(ValueError, match="does not match the Hamiltonian size"):
         evolve(oracles.from_register(register, amps), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
     vacuum = np.zeros(register.dim, dtype=complex)
     vacuum[1 << oracles.system_modes(register)[0]] = 1.0  # every ancilla empty
-    with pytest.raises(ValueError, match="system-only"):
+    with pytest.raises(ValueError, match="does not match the Hamiltonian size"):
         evolve(oracles.from_register(register, vacuum), thc, ham, t=0.1, spec=StepSpec(tau=0.1))
     wrong_size = random_sector_state(oracles.Register(3, 0), 1, _rng)
-    with pytest.raises(ValueError, match="factorization size"):
+    with pytest.raises(ValueError, match="does not match the Hamiltonian size"):
         evolve(wrong_size, thc, ham, t=0.1, spec=StepSpec(tau=0.1))
+    # a Hamiltonian of the state's size is refused by the factorization's
+    ham_3 = oracles.random_hamiltonian(3, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="does not match the factorization"):
+        evolve(wrong_size, thc, ham_3, t=0.1, spec=StepSpec(tau=0.1))
 
 
 def test_step_channel_requires_diagonal_h():
@@ -1377,7 +1373,7 @@ def test_error_budget_half_step_matches_the_register_oracle(n, extra, spinful, v
 def test_error_budget_refuses_a_state_outside_its_sectors():
     # the (1, 1) state with the (N, 0) sectors would bound the Trotter error
     # on the wrong sectors (0.0 for H2, against 2.68e-5 on every sector)
-    ham, thc = h2_best_exact_thc()
+    ham, thc = oracles.h2_exact_thc()
     psi = hartree_fock_state(ham, (1, 1))
     assert trotter_bound(ham, thc, StepSpec(tau=0.1), system_sectors(2, False)) == 0.0
     for sectors in (system_sectors(2, False), [(0, 2), (2, 0)]):

@@ -35,7 +35,7 @@ from isothc.cli import (
     fit_loglog,
     main,
 )
-from isothc.focksim import ModeLayout, basis_state
+from isothc.focksim import basis_state
 from isothc.hamiltonian import (
     OPERATOR_SCRATCH_BYTES,
     ElectronicHamiltonian,
@@ -369,6 +369,24 @@ def test_malformed_fcidump_exits_two(tmp_path, capsys):
     assert "bad.fcidump" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("binary.fcidump", b"\x80\xff&FCI NORB=2\n&END\n", "codec can't decode"),
+    ("inf_h.fcidump", b"&FCI NORB=2\n&END\ninf 1 1 0 0\n1.0 2 2 0 0\n0.5 1 1 1 1\n",
+     "must be finite"),
+    ("huge.fcidump", b"&FCI NORB=100000,NELEC=2,MS2=0,\n&END\n", "physical memory"),
+], ids=["binary", "inf-h", "norb-100000"])
+def test_binary_infinite_or_oversized_fcidump_exits_two(tmp_path, capsys, name, content, message):
+    # bytes that are not UTF-8, an infinite integral, and a NORB whose n^4
+    # integrals exceed physical memory are each refused where the file is
+    # read, naming it, before any integral is allocated or rotated
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    assert main(["factorize", "--fcidump", str(bad), "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name, text", [
     ("no_x.json", json.dumps({"n": 2, "m": 3})),
     ("short_x.json", json.dumps({"n": 2, "m": 3, "x": [0.1, 0.2, 0.3]})),
@@ -391,7 +409,13 @@ def test_malformed_factor_file_exits_two_without_traceback(
     ("list.json", json.dumps([1, 2])),
     ("null_n.json", json.dumps({"n": None, "m": 2, "u": [1.0, 0.0, 0.0, 1.0],
                                 "vtilde": [1.0, 0.0, 0.0, 1.0]})),
-], ids=["list", "null-n"])
+    ("provenance.json", json.dumps({"n": 2, "m": 2, "u": [1.0, 0.0, 0.0, 1.0],
+                                    "vtilde": [1.0, 0.0, 0.0, 1.0], "provenance": 5})),
+    ("nan_vtilde.json", json.dumps({"n": 2, "m": 2, "u": [1.0, 0.0, 0.0, 1.0],
+                                    "vtilde": [math.nan, 0.0, 0.0, 1.0]})),
+    ("nan_u.json", json.dumps({"n": 2, "m": 2, "u": [math.nan, 0.0, 0.0, 1.0],
+                               "vtilde": [1.0, 0.0, 0.0, 1.0]})),
+], ids=["list", "null-n", "provenance-5", "nan-vtilde", "nan-u"])
 def test_malformed_thc_file_exits_two_without_traceback(
     tmp_path, toy_fcidump, capsys, name, text
 ):
@@ -610,7 +634,7 @@ def test_simulate_mode_cap_rejected_before_running(tmp_path, toy_fcidump, capsys
     assert code == 0
     capsys.readouterr()
     thc = ThcFactorization.from_json((outdir / "thc_m8.json").read_text())
-    psi0 = basis_state(ModeLayout(2, 0), "1111")
+    psi0 = basis_state(2, "1111")
     needed = _step_bytes(thc.n, thc.m, _sectors(psi0))
     monkeypatch.setattr(hamiltonian, "_physical_memory_bytes", lambda: needed - 1)
     refuse_to_compile(monkeypatch)

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from isothc.focksim import (
     FockState,
     GivensRotation,
-    ModeLayout,
     basis_state,
     exact_evolution,
     givens_decompose,
@@ -53,8 +52,8 @@ def random_pure_density(register: Register, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_spinful_layout_mode_placement():
-    assert ModeLayout(n_system=2, n_ancilla=1).n_modes == 6
     register = Register(n_system=2, n_ancilla=1, spinful=True)
+    assert register.n_modes == 6
     assert oracles.system_modes(register) == (0, 1, 3, 4)
     assert oracles.ancilla_modes(register) == (2, 5)
 
@@ -63,16 +62,15 @@ def test_mode_caps():
     # the state types carry no fixed mode cap; register size is admitted by
     # estimated memory where the large arrays are built
     spinless = [(k, 0) for k in range(22)]
-    state = FockState(ModeLayout(21, 0), np.zeros(1 << 21, dtype=complex), spinless)
+    state = FockState(21, np.zeros(1 << 21, dtype=complex), spinless)
     assert state.amplitudes.shape == (1 << 21,)
     # the shape check stays
     with pytest.raises(ValueError, match="does not match"):
-        FockState(ModeLayout(21, 0), np.zeros(1), spinless)
+        FockState(21, np.zeros(1), spinless)
 
 
 def test_basis_state_bit_order():
-    layout = ModeLayout(3, 0)
-    state = basis_state(layout, "110000")
+    state = basis_state(3, "110000")
     assert oracles.to_register(state)[0b011] == 1.0
 
 
@@ -86,7 +84,7 @@ def test_basis_state_is_one_cell_of_its_sector(n_system, n_ancilla, spinful, dat
     occupations = data.draw(st.lists(st.integers(0, 1), min_size=register.n_modes,
                                      max_size=register.n_modes))
     m = register.sector_size
-    state = basis_state(register.layout, occupations + [0] * (2 * m - register.n_modes))
+    state = basis_state(m, occupations + [0] * (2 * m - register.n_modes))
     counts = (sum(occupations[:m]), sum(occupations[m:]))
     assert state.sectors == (counts,)
     index = sum(bit << k for k, bit in enumerate(occupations))
@@ -153,10 +151,9 @@ def test_rotation_single_particle_action_matches_matrix():
     m = 4
     w = random_orthogonal(m, _rng)
     seq = givens_decompose(w)
-    layout = ModeLayout(m, 0)
     q = oracles.single_particle_matrix(seq)
     for p in range(m):
-        state = oracles.register_state(basis_state(layout, [int(k == p) for k in range(2 * m)]))
+        state = oracles.register_state(basis_state(m, [int(k == p) for k in range(2 * m)]))
         rotated = rotate(state, seq)
         amps = np.array([rotated.amplitudes[1 << k] for k in range(m)])
         assert_allclose(amps, q[:, p], atol=1e-10)
@@ -182,8 +179,7 @@ def test_rotation_matches_exponentiated_generator(m):
 def test_rotation_swap_exchanges_occupations():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     seq = givens_decompose(w[:2])
-    layout = ModeLayout(2, 0)
-    out = rotate(oracles.register_state(basis_state(layout, "1000")), seq)
+    out = rotate(oracles.register_state(basis_state(2, "1000")), seq)
     assert abs(out.amplitudes[0b10]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -285,19 +281,17 @@ def test_row_tables_serve_a_chain_of_kernels_and_refuse_other_rows(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_one_body_phase_on_occupied_mode():
-    layout = ModeLayout(1, 0)
-    state = oracles.register_state(basis_state(layout, "10"))
+    state = oracles.register_state(basis_state(1, "10"))
     out = apply_diagonal_one_body(state, np.array([0.7]), tau=2.0)
     assert out.amplitudes[1] == pytest.approx(np.exp(-1.4j), abs=1e-12)
 
 
 def test_two_body_phase_single_pair_spinless():
-    layout = ModeLayout(2, 0)
     vtilde = np.array([[0.0, 0.3], [0.3, 0.0]])
-    out = apply_diagonal_two_body(oracles.register_state(basis_state(layout, "1100")), vtilde,
+    out = apply_diagonal_two_body(oracles.register_state(basis_state(2, "1100")), vtilde,
                                   tau=1.0)
     assert out.amplitudes[0b11] == pytest.approx(np.exp(-0.3j), abs=1e-12)
-    single = apply_diagonal_two_body(oracles.register_state(basis_state(layout, "1000")), vtilde,
+    single = apply_diagonal_two_body(oracles.register_state(basis_state(2, "1000")), vtilde,
                                      tau=1.0)
     assert single.amplitudes[0b01] == pytest.approx(1.0, abs=1e-12)
 
@@ -305,11 +299,11 @@ def test_two_body_phase_single_pair_spinless():
 def test_two_body_phase_diagonal_entry_spinful_only():
     vtilde = np.array([[0.4]])
     spinless = apply_diagonal_two_body(
-        oracles.register_state(basis_state(ModeLayout(1, 0), "10")), vtilde, tau=1.0
+        oracles.register_state(basis_state(1, "10")), vtilde, tau=1.0
     )
     assert spinless.amplitudes[1] == pytest.approx(1.0, abs=1e-12)
     doubly = apply_diagonal_two_body(
-        oracles.register_state(basis_state(ModeLayout(1, 0), "11")), vtilde, tau=1.0
+        oracles.register_state(basis_state(1, "11")), vtilde, tau=1.0
     )
     assert doubly.amplitudes[0b11] == pytest.approx(np.exp(-0.4j), abs=1e-12)
 
@@ -341,8 +335,8 @@ def test_two_body_phase_matches_string_oracle(spinful):
 
 
 def test_phase_on_ancillas_counts_occupations():
-    layout = ModeLayout(1, 1)  # modes: a0, b0, a1, b1
-    state = oracles.register_state(basis_state(layout, "0101"))
+    # modes: a0, b0, a1, b1
+    state = RowState(Register(1, 1, spinful=True), oracles.to_register(basis_state(2, "0101")))
     out = phase_on_ancillas(state, 0.25)
     assert out.amplitudes[0b1010] == pytest.approx(np.exp(0.5j), abs=1e-12)
 
@@ -352,10 +346,10 @@ def test_phase_on_ancillas_counts_occupations():
 # ---------------------------------------------------------------------------
 
 def test_reset_sends_occupied_ancilla_to_vacuum():
-    layout = ModeLayout(1, 1)
-    rho = density(oracles.to_register(basis_state(layout, "1100")))
+    # modes: a0, b0
+    rho = density(oracles.to_register(basis_state(2, "1100")))
     out = reset_ancillas(rho, Register(1, 1))
-    expected = density(oracles.to_register(basis_state(layout, "1000")))
+    expected = density(oracles.to_register(basis_state(2, "1000")))
     assert_allclose(out, expected, atol=1e-12)
 
 
@@ -436,9 +430,8 @@ def test_reset_silent_on_ancilla_diagonal_coherence():
 # ---------------------------------------------------------------------------
 
 def test_trace_distance_extremes():
-    layout = ModeLayout(2, 0)
-    a = density(oracles.to_register(basis_state(layout, "1000")))
-    b = density(oracles.to_register(basis_state(layout, "0100")))
+    a = density(oracles.to_register(basis_state(2, "1000")))
+    b = density(oracles.to_register(basis_state(2, "0100")))
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
@@ -456,15 +449,14 @@ def test_trace_distance_two_level_formula(p, q):
 
 def test_trace_distance_dimension_mismatch():
     with pytest.raises(ValueError, match="register"):
-        trace_distance(density(oracles.to_register(basis_state(ModeLayout(1, 0), "10"))),
-                       density(oracles.to_register(basis_state(ModeLayout(2, 0), "1000"))))
+        trace_distance(density(oracles.to_register(basis_state(1, "10"))),
+                       density(oracles.to_register(basis_state(2, "1000"))))
 
 
 def test_exact_evolution_single_mode_phase():
     register = Register(1)
-    op = ManyBodyOperator(2, np.diag([0.0, 0.9]).astype(complex), register.sectors)
-    state = oracles.from_register(register,
-                                  oracles.to_register(basis_state(register.layout, "10")))
+    op = ManyBodyOperator(1, np.diag([0.0, 0.9]).astype(complex), register.sectors)
+    state = oracles.from_register(register, oracles.to_register(basis_state(1, "10")))
     out = exact_evolution(op, state, t=2.0)
     assert out.amplitudes[1] == pytest.approx(np.exp(-1.8j), abs=1e-12)
 
@@ -474,7 +466,7 @@ def test_exact_evolution_matches_expm():
     dense = oracles.dense_hamiltonian(H, spinful=False)
     register = Register(3)
     order = oracles.register_order(register)
-    op = ManyBodyOperator(6, dense[np.ix_(order, order)], register.sectors)
+    op = ManyBodyOperator(3, dense[np.ix_(order, order)], register.sectors)
     rng = np.random.default_rng(2)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
@@ -486,29 +478,28 @@ def test_exact_evolution_matches_expm():
 
 
 def test_exact_evolution_dimension_mismatch():
-    op = ManyBodyOperator(4, np.zeros((4, 4), dtype=complex), Register(2).sectors)
-    with pytest.raises(ValueError, match="modes"):
-        exact_evolution(op, basis_state(ModeLayout(1, 0), "10"), 1.0)
+    op = ManyBodyOperator(2, np.zeros((4, 4), dtype=complex), Register(2).sectors)
+    with pytest.raises(ValueError, match="on 2 orbitals cannot evolve a 1-orbital state"):
+        exact_evolution(op, basis_state(1, "10"), 1.0)
 
 
 def test_exact_evolution_refuses_a_state_on_other_rows():
     H = oracles.random_hamiltonian(2, _rng)
-    layout = ModeLayout(2, 0)
     one_each = [(1, 1)]  # one electron per spin
     op = build_many_body_operator(H, one_each)
-    state = FockState(layout, np.eye(4)[0], one_each)
+    state = FockState(2, np.eye(4)[0], one_each)
     out = exact_evolution(op, state, 0.3)
     assert out.sectors == ((1, 1),)
     every = oracles.from_register(Register(2, spinful=True),
-                                  oracles.to_register(basis_state(layout, "1010")))
+                                  oracles.to_register(basis_state(2, "1010")))
     full = exact_evolution(build_many_body_operator(H), every, 0.3)
     assert_allclose(out.amplitudes,
                     oracles.to_register(full)[[0b0101, 0b0110, 0b1001, 0b1010]], atol=1e-12)
     # the basis state of the sector's first cell lives on that sector alone
-    assert np.array_equal(exact_evolution(op, basis_state(layout, "1010"), 0.3).amplitudes,
+    assert np.array_equal(exact_evolution(op, basis_state(2, "1010"), 0.3).amplitudes,
                           out.amplitudes)
     # four cells of other sectors, and every sector
-    other_sectors = FockState(layout, np.eye(4)[0], [(0, 1), (1, 0)])
+    other_sectors = FockState(2, np.eye(4)[0], [(0, 1), (1, 0)])
     for other in (other_sectors, every):
         with pytest.raises(ValueError, match="operator's sectors"):
             exact_evolution(op, other, 0.3)

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from isothc import hamiltonian
-from isothc.focksim import MAX_SPIN_MODES, ModeLayout
+from isothc.algorithm import StepSpec, _StepEngine
+from isothc.focksim import FockState
 from isothc.hamiltonian import (
     ElectronicHamiltonian,
     FcidumpError,
@@ -17,6 +19,7 @@ from isothc.hamiltonian import (
     rotate_to_h_eigenbasis,
     write_fcidump,
 )
+from isothc.thc import ThcFactorization
 
 import oracles
 
@@ -27,7 +30,7 @@ def test_single_orbital_spinful_matrix():
     e, v = -0.7, 0.4
     H = ElectronicHamiltonian(1, 0.0, np.array([[e]]), np.full((1, 1, 1, 1), v))
     op = build_many_body_operator(H)
-    assert op.n_modes == 2
+    assert op.n_orbitals == 1
     expected = np.diag([0.0, e, e, 2 * e + v])
     assert_allclose(oracles.register_matrix(op), expected, atol=1e-12)
 
@@ -62,18 +65,32 @@ def test_ground_state_matches_full_ci_oracle(n, n_elec, spinful):
 
 def test_layouts_past_63_modes_per_spin_are_refused():
     # each spin's strings are int64 bitmasks of modes 0 .. 62: mode 63's bit
-    # would wrap to -2**63
+    # would wrap to -2**63, so a state, an operator and a step engine with
+    # 64 modes per spin are refused, with one message, before any string is
+    # built
     limit = "64 modes per spin exceed the 63-mode limit of int64 spin strings"
-    for layout in ((64, 0), (63, 1), (60, 4)):
-        with pytest.raises(ValueError, match=limit):
-            ModeLayout(*layout)
-    assert ModeLayout(62, 1).sector_size == MAX_SPIN_MODES == 63
+    with pytest.raises(ValueError, match=limit):
+        FockState(64, np.zeros(1), [(0, 0)])
+    # 64 orbitals whose eri is a zero-stride view of one zero, so that no
+    # 128 MiB tensor is held; the operator is refused before it reads them
+    orbitals_64 = SimpleNamespace(n_orbitals=64, n_electrons=None, core_energy=0.0,
+                                  h=np.zeros((64, 64)), eri=np.broadcast_to(0.0, (64,) * 4))
+    with pytest.raises(ValueError, match=limit):
+        build_many_body_operator(orbitals_64, [(1, 0)])
+    with pytest.raises(ValueError, match=limit):
+        ground_state_energy(orbitals_64, 1)
+    # one system orbital and 63 ancillas per spin: refused before it compiles
+    thc = ThcFactorization(u=np.eye(64)[:1], vtilde=np.zeros((64, 64)))
+    one_orbital = ElectronicHamiltonian(1, 0.0, np.zeros((1, 1)), np.zeros((1, 1, 1, 1)))
+    with pytest.raises(ValueError, match=limit):
+        _StepEngine(thc, one_orbital, StepSpec(tau=0.1))
+    assert hamiltonian.MAX_SPIN_MODES == 63
+    assert FockState(63, np.zeros(63), [(1, 0)]).sectors == ((1, 0),)
     top = hamiltonian._string_tables(63, 1)[0]
     assert top.size == 63 and top[-1] == 1 << 62
     # the limit is per spin: 64 modes of two spins hold one electron in 32
     # orbitals, whose energy is the lowest one-body level
     H = oracles.random_hamiltonian(32, np.random.default_rng(0))
-    assert ModeLayout(32, 0).n_modes == 64
     assert ground_state_energy(H, 1) == pytest.approx(
         np.linalg.eigvalsh(H.h)[0], abs=1e-10)
 
